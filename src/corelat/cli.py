@@ -94,12 +94,21 @@ def _emit_json(obj, out):
 def _workers():
     """Worker-pool size for sweeps: CORELAT_THREADS caps it when set."""
     env = os.environ.get("CORELAT_THREADS")
-    if env is not None:
-        try:
-            return max(1, min(int(env), 8))
-        except ValueError:
-            return 1
-    return min(os.cpu_count() or 1, 8)
+    if env is None:
+        return min(os.cpu_count() or 1, 8)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CORELAT_THREADS must be a positive integer, got {env!r}")
+    return min(workers, 8)
+
+
+def _check_level(flag, n):
+    """Levels N are non-negative; a negative one is a usage error."""
+    if n is not None and n < 0:
+        raise ValueError(f"{flag} must be non-negative, got {n}")
 
 
 def _verify_one(args):
@@ -137,6 +146,8 @@ def _report_output(reports, fmt, out):
 def _cmd_atomic_length(args, out):
     t = lookup_type(args.type)
     coords = tuple(Fraction(tok) for tok in args.coords.split(","))
+    if len(coords) != t.ambient_dim:
+        raise ValueError(f"{args.type} takes {t.ambient_dim} coordinates, got {len(coords)}")
     weight = int(args.weight[1:])
     if weight == 0:
         value = atomic.atomic_length0(t, coords)
@@ -169,6 +180,7 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_solve(args, out):
+    _check_level("--N", args.N)
     case = param.get_case(args.case)
     k = case.equation_value(args.N)
     sols = solve_diagonal(case.form, k)
@@ -182,6 +194,7 @@ def _cmd_solve(args, out):
 
 
 def _cmd_table(args, out):
+    _check_level("--max-N", args.max_N)
     spec = FIGURES[args.figure]
     max_n = args.max_N if args.max_N is not None else spec["default_max_n"]
     header, rows = figure_rows(args.figure, max_n)
@@ -194,6 +207,8 @@ def _cmd_table(args, out):
 
 
 def _cmd_verify(args, out):
+    _check_level("--N", args.N)
+    _check_level("--max-N", args.max_N)
     if args.N is not None:
         ns = [args.N]
     else:
@@ -204,6 +219,7 @@ def _cmd_verify(args, out):
 
 
 def _cmd_conjecture(args, out):
+    _check_level("--max-N", args.max_N)
     max_n = args.max_N if args.max_N is not None else 20
     reports = _sweep(_conjecture_one, list(range(max_n + 1)))
     return _report_output(reports, args.format, out)

@@ -194,19 +194,28 @@ def self_conjugate_partitions_of(n):
     return sorted(result)
 
 
-def _cores_of_size(n, d):
-    """All d-cores of size n, through charge space (complete via the exact
-    positive-definite enumeration of the size quadratic)."""
+def _size_form(d):
+    """(a, b, basis) with size(c) = m^T a m + b.m for the charge c = m . basis.
+
+    size(c) = (d/2) sum c_r^2 + sum r*c_r on the sum-zero charge lattice.
+    """
     k = d - 1
     basis = [[Fraction(1) if r == j else Fraction(-1) if r == d - 1 else Fraction(0)
               for r in range(d)] for j in range(k)]
-    # size(c) = (d/2) sum c_r^2 + sum r*c_r on the sum-zero charge lattice
     a = tuple(
         tuple(Fraction(d, 2) * sum(basis[i][r] * basis[j][r] for r in range(d))
               for j in range(k))
         for i in range(k)
     )
     b = tuple(sum(Fraction(r) * basis[i][r] for r in range(d)) for i in range(k))
+    return a, b, basis
+
+
+def _cores_of_size(n, d):
+    """All d-cores of size n, through charge space (complete via the exact
+    positive-definite enumeration of the size quadratic)."""
+    k = d - 1
+    a, b, basis = _size_form(d)
     cores = []
     for m in linalg.enumerate_quadratic_level(a, b, n):
         charge = tuple(int(sum(basis[j][r] * m[j] for j in range(k))) for r in range(d))

@@ -1,7 +1,9 @@
 """Integer points of diagonal quadratic forms and finite group actions.
 
-solve_diagonal is the trusted brute-force oracle used by every verifier;
-solve_diagonal_meet is an independent cross-check implementation.  Groups
+solve_diagonal is the solver every verifier uses: it searches all variables
+but the last and decides that one by divisibility and isqrt.
+solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
+brute-force search over every variable lives in the tests as an oracle.  Groups
 are small and act through explicit formulas; half-integer matrices check
 integrality of the image on every application.
 """
@@ -24,26 +26,45 @@ class Unsolvable(ValueError):
 
 
 def solve_diagonal(form, k):
-    """All integer tuples x with sum_i form[i] * x_i^2 = k, sorted."""
+    """All integer tuples x with sum_i form[i] * x_i^2 = k, sorted.
+
+    Loops over every variable but the last, in ascending order.  The last
+    one is decided exactly: what is left must be form[-1] times a perfect
+    square r^2, which gives -r before r (0 once), so the output is already
+    in sorted order.
+    """
     form = tuple(int(d) for d in form)
     if any(d < 1 for d in form):
         raise ValueError("form coefficients must be positive")
     if k < 0:
         return []
+    if not form:
+        return [()] if k == 0 else []
+    *outer, last = form
     solutions = []
 
-    def rec(i, remaining, acc):
-        if i == len(form):
-            if remaining == 0:
-                solutions.append(tuple(acc))
-            return
-        d = form[i]
-        bound = isqrt(remaining // d)
-        for x in range(-bound, bound + 1):
-            rec(i + 1, remaining - d * x * x, acc + [x])
+    def finish(head, q):
+        r = isqrt(q)
+        if r * r == q:
+            solutions.extend((head + (-r,), head + (r,)) if r else (head + (0,),))
 
-    rec(0, k, [])
-    return sorted(solutions)
+    def rec(head, remaining):
+        d = outer[len(head)]
+        bound = isqrt(remaining // d)
+        if len(head) + 1 < len(outer):
+            for x in range(-bound, bound + 1):
+                rec(head + (x,), remaining - d * x * x)
+            return
+        for x in range(-bound, bound + 1):
+            q, rem = divmod(remaining - d * x * x, last)
+            if rem == 0:
+                finish(head + (x,), q)
+
+    if outer:
+        rec((), k)
+    elif k % last == 0:
+        finish((), k // last)
+    return solutions
 
 
 def solve_diagonal_meet(form, k):

@@ -1,11 +1,16 @@
 """Exact rational linear algebra and positive-definite quadratic enumeration.
 
-Everything here works over fractions.Fraction; systems are tiny (rank <= 9),
-so plain Gauss-Jordan is the right tool.
+The linear algebra works over fractions.Fraction; systems are tiny
+(rank <= 9), so plain Gauss-Jordan is the right tool.  The quadratic
+enumerators use Fraction only to set up: each call scales the form to
+integers once, and the search itself runs on Python ints with exact isqrt
+bounds.  The level search solves its last coordinate instead of looping
+over it.
 """
 
 import math
 from fractions import Fraction
+from math import isqrt
 
 
 def solve_in_span(columns, target):
@@ -77,14 +82,6 @@ def det(matrix):
     return result
 
 
-def floor_sqrt(value):
-    """floor(sqrt(value)) for a non-negative int or Fraction, exactly."""
-    if value < 0:
-        raise ValueError("negative value")
-    f = Fraction(value)
-    return math.isqrt(f.numerator * f.denominator) // f.denominator
-
-
 def is_perfect_square(n):
     if n < 0:
         return False
@@ -115,60 +112,126 @@ def _ldl(a):
     return d, u
 
 
-def _integer_interval(center, radius_sq):
-    """A slightly padded integer range containing {m : (m+center)^2 <= radius_sq}.
+class _IntegerBall:
+    """The search {m in Z^k : m^T a m + b.m <= bound} in exact integers.
 
-    Float estimates only; callers re-check the exact inequality, so padding
-    is safe and emptiness shows up as an empty range.
+    a, b and bound are scaled to integers A, B, T by the lcm D of their
+    denominators.  With s = A^{-1} B / 2 and A = u^T diag(d) u,
+    m^T A m + B.m = sum_i d_i (m_i + c_i)^2 - s^T A s, where
+    c_i = s_i + sum_{j>i} u_ij (m_j + s_j) depends only on later coordinates.
+    A common denominator S of the c_i and a factor F clearing the d_i make
+    Y_i = S (m_i + c_i) and e_i = F d_i integers, and the ball becomes
+    sum_i e_i Y_i^2 <= R = F S^2 (T + s^T A s).  Given the later
+    coordinates, m_i ranges exactly over |Y_i| <= isqrt(R_i // e_i), where
+    R_i is what they left of R.  Only this set-up uses Fraction.
     """
-    if radius_sq < 0:
-        return 1, 0
-    c = float(center)
-    r = math.sqrt(float(radius_sq)) if radius_sq > 0 else 0.0
-    return math.floor(-c - r) - 1, math.ceil(-c + r) + 1
+
+    def __init__(self, a, b, bound):
+        k = len(a)
+        bound = Fraction(bound)
+        a = [[Fraction(x) for x in row] for row in a]
+        b = [Fraction(x) for x in b]
+        self.D = math.lcm(bound.denominator, *(x.denominator for x in b),
+                          *(x.denominator for row in a for x in row))
+        self.T = int(bound * self.D)
+        d, u = _ldl([[x * self.D for x in row] for row in a])
+        # centre = u s, and A s = B / 2 reads u^T (diag(d) centre) = B / 2:
+        # forward substitution through the unit lower triangular u^T
+        z = []
+        for i in range(k):
+            z.append(b[i] * self.D / 2 - sum(u[j][i] * z[j] for j in range(i)))
+        centre = [z[i] / d[i] for i in range(k)]
+        self.S = S = math.lcm(*(x.denominator for x in centre),
+                              *(u[i][j].denominator for i in range(k) for j in range(i + 1, k)))
+        F = math.lcm(*(x.denominator for x in d))
+        self.e = [int(x * F) for x in d]
+        self.c0 = [int(x * S) for x in centre]
+        self.U = [[(j, int(u[i][j] * S)) for j in range(i + 1, k) if u[i][j]]
+                  for i in range(k)]
+        # R minus sum_i e_i Y_i^2 is scale * (T - m^T A m - B.m)
+        self.scale = F * S * S
+        # s^T A s = sum_i d_i (s_i + sum_{j>i} u_ij s_j)^2, so F S^2 s^T A s
+        # is the integer sum_i e_i c0_i^2
+        self.R = self.scale * self.T + sum(e * c * c for e, c in zip(self.e, self.c0))
+
+    def centre(self, i, m):
+        """S * c_i as an integer, from the later coordinates of m."""
+        return self.c0[i] + sum(u * m[j] for j, u in self.U[i])
+
+    def tails(self, m):
+        """Set m_{k-1}, ..., m_1 in place to every choice inside the ball,
+        in ascending order, and yield the budget R_0 left for m_0 each time."""
+        S, e = self.S, self.e
+
+        def walk(i, budget):
+            c = self.centre(i, m)
+            r = isqrt(budget // e[i])
+            for mi in range(-((r + c) // S), (r - c) // S + 1):
+                y = S * mi + c
+                m[i] = mi
+                if i == 1:
+                    yield budget - e[i] * y * y
+                else:
+                    yield from walk(i - 1, budget - e[i] * y * y)
+
+        if self.R < 0:
+            return
+        if len(m) == 1:
+            yield self.R
+        else:
+            yield from walk(len(m) - 1, self.R)
 
 
 def enumerate_quadratic_upto(a, b, bound):
     """Integer points of a positive-definite quadratic below a bound.
 
-    Yields (value, m) for every m in Z^k with value = m^T a m + b.m <= bound.
-    Complete by construction: the LDL factorisation turns the form into a sum
-    of weighted squares, and each coordinate range is bounded exactly.
+    Yields (value, m) for every m in Z^k with value = m^T a m + b.m <= bound,
+    in ascending order of (m_{k-1}, ..., m_0).  Complete by construction:
+    every coordinate range is an exact integer bound of _IntegerBall.
     """
     k = len(a)
     if k == 0:
         if 0 <= bound:
             yield Fraction(0), ()
         return
-    bound = Fraction(bound)
-    half_b = [Fraction(x) / 2 for x in b]
-    shift = solve_square(a, half_b)  # quadratic is (m+shift)^T a (m+shift) - const
-    const = sum(shift[i] * sum(a[i][j] * shift[j] for j in range(k)) for i in range(k))
-    d, u = _ldl(a)
-    budget0 = bound + const
-    if budget0 < 0:
-        return
+    ball = _IntegerBall(a, b, bound)
+    S, e0, scale, T, D = ball.S, ball.e[0], ball.scale, ball.T, ball.D
     m = [0] * k
-
-    def rec(i, budget):
-        if i < 0:
-            value = budget0 - budget - const
-            yield value, tuple(m)
-            return
-        center = shift[i] + sum(u[i][j] * (m[j] + shift[j]) for j in range(i + 1, k))
-        lo, hi = _integer_interval(center, budget / d[i])
-        for mi in range(lo, hi + 1):
-            y = mi + center
-            remaining = budget - d[i] * y * y
-            if remaining < 0:
-                continue
-            m[i] = mi
-            yield from rec(i - 1, remaining)
-
-    yield from rec(k - 1, budget0)
+    for budget in ball.tails(m):
+        c = ball.centre(0, m)
+        r = isqrt(budget // e0)
+        for m0 in range(-((r + c) // S), (r - c) // S + 1):
+            y = S * m0 + c
+            m[0] = m0
+            yield Fraction(T - (budget - e0 * y * y) // scale, D), tuple(m)
 
 
 def enumerate_quadratic_level(a, b, target):
-    """Integer points with m^T a m + b.m  exactly equal to target."""
-    target = Fraction(target)
-    return [m for value, m in enumerate_quadratic_upto(a, b, target) if value == target]
+    """Integer points with m^T a m + b.m exactly equal to target.
+
+    The list comes in the order of enumerate_quadratic_upto.  The last
+    coordinate is not searched: on the level set e_0 Y_0^2 equals the budget
+    R_0 the other coordinates leave, so Y_0 = +-isqrt(R_0 / e_0) when that is
+    an exact square, and m_0 = (Y_0 - S c_0) / S when S divides it.
+    """
+    k = len(a)
+    if k == 0:
+        return [()] if target == 0 else []
+    ball = _IntegerBall(a, b, target)
+    S, e0 = ball.S, ball.e[0]
+    m = [0] * k
+    points = []
+    for budget in ball.tails(m):
+        q, rem = divmod(budget, e0)
+        if rem:
+            continue
+        r = isqrt(q)
+        if r * r != q:
+            continue
+        c = ball.centre(0, m)
+        for y in (-r, r) if r else (0,):
+            m0, rem = divmod(y - c, S)
+            if not rem:
+                m[0] = m0
+                points.append(tuple(m))
+    return points

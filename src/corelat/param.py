@@ -4,7 +4,7 @@ Each case packages: the lattice and weight whose atomic length drives the
 equation, the diagonal form and the residue class a*N + b, the affine map
 phi from lattice points to integer solutions, and the finite group acting
 on the solution set.  Verifiers are exhaustive for a fixed N: the solution
-set comes from the brute-force oracle, the lattice points from the exact
+set comes from the exact diagonal solver, the lattice points from the exact
 quadratic enumeration, and every claim is checked point by point; FAIL is
 reported as data, never raised.
 """

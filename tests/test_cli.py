@@ -88,6 +88,31 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["atomic-length", "--type", "C2_1", "--coords", "1"],
+    ["atomic-length", "--type", "C2_1", "--weight", "L1", "--coords", "1,2,3"],
+    ["solve", "--case", "C2", "--N", "-1"],
+    ["table", "--figure", "6N+7", "--max-N", "-1"],
+    ["verify", "--case", "C2", "--N", "-1"],
+    ["verify", "--case", "C2", "--max-N", "-1"],
+    ["conjecture-a3", "--max-N", "-1"],
+])
+def test_boundary_violations_are_usage_errors(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2"])
+def test_bad_corelat_threads_is_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("CORELAT_THREADS", value)
+    code, out = run_cli(["verify", "--case", "C2", "--max-N", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: CORELAT_THREADS must be a positive integer, got {value!r}\n"
+
+
 def test_report_failure_exit_code():
     from corelat.param import Report
     reports = [Report("X", 0, "PASS", {}), Report("X", 1, "FAIL", {}, {"w": 1})]

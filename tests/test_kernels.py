@@ -1,0 +1,131 @@
+"""Differential tests: the exact integer kernels against the slow oracles."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corelat import atomic, cores, dynkin, linalg, param
+from corelat.diophantine import solve_diagonal, solve_diagonal_meet
+
+from oracles import (enumerate_quadratic_ball_level, enumerate_quadratic_ball_upto,
+                     solve_diagonal_brute)
+
+
+# ---------------------------------------------------------------------------
+# Diagonal solver
+
+forms = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def brute_sized_cases(draw):
+    """A form and a k whose ellipsoid sum d_i x_i^2 <= k holds at most about
+    20000 lattice points, the leaves the brute-force oracle visits."""
+    form = draw(forms)
+    n = len(form)
+    ball_volume = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    cap = int((20000 * math.sqrt(math.prod(form)) / ball_volume) ** (2 / n))
+    return form, draw(st.integers(0, min(2000, cap)))
+
+
+@given(forms, st.integers(0, 2000))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_solver_matches_meet(form, k):
+    assert solve_diagonal(form, k) == solve_diagonal_meet(form, k)
+
+
+@given(brute_sized_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_solver_matches_brute_force(case):
+    form, k = case
+    new = solve_diagonal(form, k)
+    assert new == solve_diagonal_brute(form, k) == solve_diagonal_meet(form, k)
+
+
+def test_solver_edge_cases():
+    assert solve_diagonal((), 0) == solve_diagonal_brute((), 0) == [()]
+    assert solve_diagonal((), 4) == solve_diagonal_brute((), 4) == []
+    assert solve_diagonal((3,), -3) == []
+    assert solve_diagonal((2,), 8) == [(-2,), (2,)]
+    assert solve_diagonal((5,), 0) == [(0,)]
+    with pytest.raises(ValueError):
+        solve_diagonal((1, 0), 4)
+
+
+# ---------------------------------------------------------------------------
+# Quadratic-form enumerator
+
+TARGETS = (0, 1, 2, 3, 5, 8, Fraction(1, 2), Fraction(7, 3), Fraction(11, 2))
+
+
+def assert_enumerators_agree(a, b, targets=TARGETS):
+    for target in targets:
+        assert (linalg.enumerate_quadratic_level(a, b, target)
+                == enumerate_quadratic_ball_level(a, b, target))
+        new = list(linalg.enumerate_quadratic_upto(a, b, target))
+        assert new == list(enumerate_quadratic_ball_upto(a, b, target))
+        assert all(type(value) is Fraction for value, _ in new)
+
+
+def length_forms():
+    for type_id in dynkin.all_type_ids(4) + ["E8_1"]:
+        for weight in (0, 1):
+            for lattice in ("M", "L"):
+                try:
+                    atomic._length_form(type_id, weight, lattice)
+                except atomic.UnsupportedLattice:
+                    continue
+                yield type_id, weight, lattice
+
+
+@pytest.mark.parametrize("type_id,weight,lattice", list(length_forms()))
+def test_enumerator_matches_oracle_on_length_forms(type_id, weight, lattice):
+    a, b, _ = atomic._length_form(type_id, weight, lattice)
+    assert_enumerators_agree(a, b)
+
+
+HYP_TYPES = ("B2_1", "B3_1", "C2_1", "C3_1", "A3_2", "A5_2", "A4_2", "A6_2",
+             "D3_2", "D4_2", "A1_2", "A2_2")
+
+
+@pytest.mark.parametrize("type_id", HYP_TYPES)
+def test_enumerator_matches_oracle_on_hyp_forms(type_id):
+    qa, qb, _ = param.hyp_case(type_id).quadratic
+    assert_enumerators_agree(qa, qb, TARGETS + (13, Fraction(29, 2)))
+
+
+def test_hyp_types_cover_half_integer_kappa():
+    families = {param._hyp_family_of_type(t) for t in HYP_TYPES}
+    assert {f for f, _ in families} == {"B", "C", "Aodd", "Aeven", "Dt"}
+    for family, n in families:
+        if family in ("Aodd", "Aeven"):
+            assert param._HYP_FAMILIES[family]["kappa"](n).denominator == 2
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_enumerator_matches_oracle_on_core_size_forms(d):
+    a, b, _ = cores._size_form(d)
+    assert_enumerators_agree(a, b, TARGETS + (13, 21))
+
+
+@st.composite
+def rational_forms(draw):
+    """A positive-definite (a, b) with denominators up to 6 and a target."""
+    k = draw(st.integers(1, 4))
+    g = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(k)]
+    q = draw(st.integers(1, 6))
+    a = tuple(tuple(Fraction(sum(g[r][i] * g[r][j] for r in range(k)) + (i == j), q)
+                    for j in range(k)) for i in range(k))
+    b = tuple(Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+              for _ in range(k))
+    target = Fraction(draw(st.integers(-2, 40)), draw(st.integers(1, 6)))
+    return a, b, target
+
+
+@given(rational_forms())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_enumerator_matches_oracle_on_random_rational_forms(case):
+    a, b, target = case
+    assert_enumerators_agree(a, b, (target,))
