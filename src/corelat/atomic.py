@@ -135,38 +135,19 @@ def _basis(t, lattice):
 
 
 @lru_cache(maxsize=None)
-def _length_form(type_name, weight_index, lattice):
-    """Quadratic model of the statistic over integer basis coefficients.
-
-    Returns (a, b, basis) with value(m) = m^T a m + b.m for the lattice point
-    sum_i m_i basis_i.
-    """
+def length_form(type_name, weight_index, lattice):
+    """The statistic at Lambda_{weight_index} as a linalg.QuadraticForm over
+    the integer coefficients of the lattice basis."""
     t = lookup_type(type_name)
-    basis = _basis(t, lattice)
     if weight_index == 0:
         lam = tuple(Fraction(0) for _ in range(t.ambient_dim))
         level = Fraction(1)
     else:
         weight = weight_Lambda(t, weight_index)
         lam, level = weight.finite_part, weight.level
-    k = len(basis)
-    a = tuple(
-        tuple(Fraction(level * t.h, 2) * t.inner(basis[i], basis[j]) for j in range(k))
-        for i in range(k)
-    )
-    b = tuple(
-        t.h * t.inner(lam, basis[i]) - level * height(t, basis[i])
-        for i in range(k)
-    )
-    return a, b, basis
-
-
-def _to_vector(t, basis, m, lattice):
-    coords = tuple(
-        sum(m[i] * basis[i][d] for i in range(len(basis)))
-        for d in range(t.ambient_dim)
-    )
-    return LatticeVector(t.name, coords, lattice)
+    return linalg.QuadraticForm.on_basis(
+        _basis(t, lattice), level * t.h * t.scale_sq / 2,
+        lambda v: t.h * t.inner(lam, v) - level * height(t, v))
 
 
 def enumerate_atomic(t, weight_index, target, lattice="M"):
@@ -178,19 +159,16 @@ def enumerate_atomic(t, weight_index, target, lattice="M"):
     t = _type(t)
     if target < 0:
         raise ValueError("atomic length target must be non-negative")
-    a, b, basis = _length_form(t.name, weight_index, lattice)
-    points = linalg.enumerate_quadratic_level(a, b, Fraction(target))
-    vectors = [_to_vector(t, basis, m, lattice) for m in points]
-    return sorted(vectors, key=lambda v: v.coords)
+    form = length_form(t.name, weight_index, lattice)
+    return [LatticeVector(t.name, coords, lattice) for coords in form.level(target)]
 
 
 def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
     """Dict mapping each value <= bound to its sorted list of lattice points."""
     t = _type(t)
-    a, b, basis = _length_form(t.name, weight_index, lattice)
     buckets = {}
-    for value, m in linalg.enumerate_quadratic_upto(a, b, Fraction(bound)):
-        buckets.setdefault(value, []).append(_to_vector(t, basis, m, lattice))
+    for value, coords in length_form(t.name, weight_index, lattice).upto(bound):
+        buckets.setdefault(value, []).append(LatticeVector(t.name, coords, lattice))
     for value in buckets:
         buckets[value].sort(key=lambda v: v.coords)
     return buckets

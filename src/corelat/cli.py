@@ -49,34 +49,28 @@ def _partition_cell(partitions):
     return ";".join(cores.format_partition(p) for p in sorted(partitions))
 
 
-def _free_pair(q):
-    return tuple(q[:2])
-
-
 def figure_rows(figure, max_n):
     spec = FIGURES[figure]
     case = param.get_case(spec["case"])
     rows = []
     for n in range(max_n + 1):
-        sols = solve_diagonal(case.form, case.equation_value(n))
-        points = param.lattice_points(case, n)
+        level = param.LevelData(case, n)
         if figure == "8N+1":
-            rotated = sorted(tuple(map(param._as_int, param.u_rotate(q))) for q in points)
-            in_m = [b for b in rotated if sum(b) % 2 == 0]
-            outside = [b for b in rotated if sum(b) % 2 == 1]
-            phi = lambda b: (4 * b[0], 4 * b[1] + 1)
-            rows.append([str(n), _cell(in_m), _cell([phi(b) for b in in_m]),
-                         _cell(outside), _cell([phi(b) for b in outside]),
-                         _cell(sols)])
-        elif figure == "12N+7":
-            pairs = sorted(_free_pair(q) for q in points)
-            flats = [cores.d4flat_from_lattice(q) for q in pairs]
-            rows.append([str(n), _partition_cell(flats), _cell(pairs),
-                         _cell([case.phi_map(q) for q in pairs]), _cell(sols)])
+            # split by the parity of the rotated point: even sums lie in M
+            rotated = [(tuple(map(param._as_int, param.u_rotate(q))), img)
+                       for q, img in zip(level.points, level.images)]
+            in_m = [pair for pair in rotated if sum(pair[0]) % 2 == 0]
+            outside = [pair for pair in rotated if sum(pair[0]) % 2 == 1]
+            rows.append([str(n), _cell(b for b, _ in in_m), _cell(img for _, img in in_m),
+                         _cell(b for b, _ in outside), _cell(img for _, img in outside),
+                         _cell(level.solutions)])
         else:
-            pairs = sorted(_free_pair(q) for q in points)
-            rows.append([str(n), _cell(pairs),
-                         _cell([case.phi_map(q) for q in pairs]), _cell(sols)])
+            # the tables list the two free coordinates; phi reads only those
+            pairs = [tuple(q[:2]) for q in level.points]
+            cells = [_cell(pairs), _cell(level.images), _cell(level.solutions)]
+            if figure == "12N+7":
+                cells.insert(0, _partition_cell(map(cores.d4flat_from_lattice, pairs)))
+            rows.append([str(n)] + cells)
     return spec["header"], rows
 
 

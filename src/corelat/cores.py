@@ -10,6 +10,7 @@ point in the epsilon-basis.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 
@@ -194,33 +195,20 @@ def self_conjugate_partitions_of(n):
     return sorted(result)
 
 
+@lru_cache(maxsize=None)
 def _size_form(d):
-    """(a, b, basis) with size(c) = m^T a m + b.m for the charge c = m . basis.
-
-    size(c) = (d/2) sum c_r^2 + sum r*c_r on the sum-zero charge lattice.
-    """
-    k = d - 1
-    basis = [[Fraction(1) if r == j else Fraction(-1) if r == d - 1 else Fraction(0)
-              for r in range(d)] for j in range(k)]
-    a = tuple(
-        tuple(Fraction(d, 2) * sum(basis[i][r] * basis[j][r] for r in range(d))
-              for j in range(k))
-        for i in range(k)
-    )
-    b = tuple(sum(Fraction(r) * basis[i][r] for r in range(d)) for i in range(k))
-    return a, b, basis
+    """size(core_from_charge(d, c)) as a linalg.QuadraticForm on the
+    sum-zero charge lattice: (d/2) sum c_r^2 + sum r*c_r."""
+    basis = [[1 if r == j else -1 if r == d - 1 else 0 for r in range(d)]
+             for j in range(d - 1)]
+    return linalg.QuadraticForm.on_basis(
+        basis, Fraction(d, 2), lambda c: sum(r * x for r, x in enumerate(c)))
 
 
 def _cores_of_size(n, d):
     """All d-cores of size n, through charge space (complete via the exact
     positive-definite enumeration of the size quadratic)."""
-    k = d - 1
-    a, b, basis = _size_form(d)
-    cores = []
-    for m in linalg.enumerate_quadratic_level(a, b, n):
-        charge = tuple(int(sum(basis[j][r] * m[j] for j in range(k))) for r in range(d))
-        cores.append(core_from_charge(d, charge))
-    return sorted(cores)
+    return sorted(core_from_charge(d, charge) for charge in _size_form(d).level(n))
 
 
 def enumerate_partitions(n, kind="all", d=None):

@@ -2,14 +2,15 @@
 
 The linear algebra works over fractions.Fraction; systems are tiny
 (rank <= 9), so plain Gauss-Jordan is the right tool.  The quadratic
-enumerators use Fraction only to set up: each call scales the form to
-integers once, and the search itself runs on Python ints with exact isqrt
-bounds.  The level search solves its last coordinate instead of looping
-over it.
+enumerators use Fraction only to set up: each form is scaled to integers
+once, on its first search, and the search itself runs on Python ints with
+exact isqrt bounds.  The level search solves its last coordinate instead of
+looping over it.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 
@@ -113,27 +114,27 @@ def _ldl(a):
 
 
 class _IntegerBall:
-    """The search {m in Z^k : m^T a m + b.m <= bound} in exact integers.
+    """The search {m in Z^k : m^T a m + b.m <= T / D} of one form, in integers.
 
-    a, b and bound are scaled to integers A, B, T by the lcm D of their
-    denominators.  With s = A^{-1} B / 2 and A = u^T diag(d) u,
+    a and b are scaled to integers A and B by the lcm D of their
+    denominators; a bound or target enters only as the integer T.  With
+    s = A^{-1} B / 2 and A = u^T diag(d) u,
     m^T A m + B.m = sum_i d_i (m_i + c_i)^2 - s^T A s, where
     c_i = s_i + sum_{j>i} u_ij (m_j + s_j) depends only on later coordinates.
     A common denominator S of the c_i and a factor F clearing the d_i make
     Y_i = S (m_i + c_i) and e_i = F d_i integers, and the ball becomes
     sum_i e_i Y_i^2 <= R = F S^2 (T + s^T A s).  Given the later
     coordinates, m_i ranges exactly over |Y_i| <= isqrt(R_i // e_i), where
-    R_i is what they left of R.  Only this set-up uses Fraction.
+    R_i is what they left of R.  Only this set-up uses Fraction, and it
+    depends on the form alone, so one ball serves every bound.
     """
 
-    def __init__(self, a, b, bound):
+    def __init__(self, a, b):
         k = len(a)
-        bound = Fraction(bound)
         a = [[Fraction(x) for x in row] for row in a]
         b = [Fraction(x) for x in b]
-        self.D = math.lcm(bound.denominator, *(x.denominator for x in b),
+        self.D = math.lcm(*(x.denominator for x in b),
                           *(x.denominator for row in a for x in row))
-        self.T = int(bound * self.D)
         d, u = _ldl([[x * self.D for x in row] for row in a])
         # centre = u s, and A s = B / 2 reads u^T (diag(d) centre) = B / 2:
         # forward substitution through the unit lower triangular u^T
@@ -152,15 +153,16 @@ class _IntegerBall:
         self.scale = F * S * S
         # s^T A s = sum_i d_i (s_i + sum_{j>i} u_ij s_j)^2, so F S^2 s^T A s
         # is the integer sum_i e_i c0_i^2
-        self.R = self.scale * self.T + sum(e * c * c for e, c in zip(self.e, self.c0))
+        self.offset = sum(e * c * c for e, c in zip(self.e, self.c0))
 
     def centre(self, i, m):
         """S * c_i as an integer, from the later coordinates of m."""
         return self.c0[i] + sum(u * m[j] for j, u in self.U[i])
 
-    def tails(self, m):
-        """Set m_{k-1}, ..., m_1 in place to every choice inside the ball,
-        in ascending order, and yield the budget R_0 left for m_0 each time."""
+    def tails(self, m, T):
+        """Set m_{k-1}, ..., m_1 in place to every choice inside the ball of
+        the integer bound T, in ascending order, and yield the budget R_0 left
+        for m_0 each time."""
         S, e = self.S, self.e
 
         def walk(i, budget):
@@ -174,12 +176,24 @@ class _IntegerBall:
                 else:
                     yield from walk(i - 1, budget - e[i] * y * y)
 
-        if self.R < 0:
+        R = self.scale * T + self.offset
+        if R < 0:
             return
         if len(m) == 1:
-            yield self.R
+            yield R
         else:
-            yield from walk(len(m) - 1, self.R)
+            yield from walk(len(m) - 1, R)
+
+
+@lru_cache(maxsize=1024)
+def _compiled_ball(a, b):
+    return _IntegerBall(a, b)
+
+
+def _ball(a, b):
+    """The _IntegerBall of the form (a, b), built on the form's first search
+    and kept for every later one (far more forms than any run asks for)."""
+    return _compiled_ball(tuple(map(tuple, a)), tuple(b))
 
 
 def enumerate_quadratic_upto(a, b, bound):
@@ -187,41 +201,49 @@ def enumerate_quadratic_upto(a, b, bound):
 
     Yields (value, m) for every m in Z^k with value = m^T a m + b.m <= bound,
     in ascending order of (m_{k-1}, ..., m_0).  Complete by construction:
-    every coordinate range is an exact integer bound of _IntegerBall.
+    every coordinate range is an exact integer bound of _IntegerBall, which
+    is built once per form and kept for every later bound or target.
     """
     k = len(a)
     if k == 0:
         if 0 <= bound:
             yield Fraction(0), ()
         return
-    ball = _IntegerBall(a, b, bound)
-    S, e0, scale, T, D = ball.S, ball.e[0], ball.scale, ball.T, ball.D
+    ball = _ball(a, b)
+    S, e0, scale, D = ball.S, ball.e[0], ball.scale, ball.D
+    # every value lies in (1/D) Z, so value <= bound exactly when D value <= T
+    T = math.floor(Fraction(bound) * D)
     m = [0] * k
-    for budget in ball.tails(m):
+    for budget in ball.tails(m, T):
         c = ball.centre(0, m)
         r = isqrt(budget // e0)
         for m0 in range(-((r + c) // S), (r - c) // S + 1):
-            y = S * m0 + c
             m[0] = m0
+            y = S * m0 + c
             yield Fraction(T - (budget - e0 * y * y) // scale, D), tuple(m)
 
 
 def enumerate_quadratic_level(a, b, target):
     """Integer points with m^T a m + b.m exactly equal to target.
 
-    The list comes in the order of enumerate_quadratic_upto.  The last
-    coordinate is not searched: on the level set e_0 Y_0^2 equals the budget
-    R_0 the other coordinates leave, so Y_0 = +-isqrt(R_0 / e_0) when that is
-    an exact square, and m_0 = (Y_0 - S c_0) / S when S divides it.
+    The list comes in the order of enumerate_quadratic_upto, and shares its
+    compiled ball.  The last coordinate is not searched: on the level set
+    e_0 Y_0^2 equals the budget R_0 the other coordinates leave, so
+    Y_0 = +-isqrt(R_0 / e_0) when that is an exact square, and
+    m_0 = (Y_0 - S c_0) / S when S divides it.
     """
     k = len(a)
     if k == 0:
         return [()] if target == 0 else []
-    ball = _IntegerBall(a, b, target)
+    ball = _ball(a, b)
+    # every value lies in (1/D) Z, so a target outside it is never reached
+    T = Fraction(target) * ball.D
+    if T.denominator != 1:
+        return []
     S, e0 = ball.S, ball.e[0]
     m = [0] * k
     points = []
-    for budget in ball.tails(m):
+    for budget in ball.tails(m, int(T)):
         q, rem = divmod(budget, e0)
         if rem:
             continue
@@ -235,3 +257,41 @@ def enumerate_quadratic_level(a, b, target):
                 m[0] = m0
                 points.append(tuple(m))
     return points
+
+
+class QuadraticForm:
+    """value(m) = m^T a m + b.m on the integer coefficients m of a basis.
+
+    The coefficients m stand for the lattice point sum_i m_i basis_i, and
+    level and upto speak in the coordinates of such points.  The exact
+    integer search of the form is built on first use and kept, so every
+    level and bound asked of one form shares it.
+    """
+
+    def __init__(self, a, b, basis):
+        self.a, self.b, self.basis = tuple(map(tuple, a)), tuple(b), basis
+        # basis vectors as integers over one common denominator Q
+        self._Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
+        self._columns = [[(i, int(v[r] * self._Q)) for i, v in enumerate(self.basis) if v[r]]
+                         for r in range(len(self.basis[0]) if self.basis else 0)]
+
+    @classmethod
+    def on_basis(cls, basis, kappa, linear):
+        """The form kappa (x.x) + linear(x) on the points x of the lattice
+        spanned by basis; linear is a linear function of coordinates."""
+        a = [[kappa * sum(Fraction(x) * y for x, y in zip(v, w)) for w in basis] for v in basis]
+        return cls(a, [linear(v) for v in basis], basis)
+
+    def coordinates(self, m):
+        """Coordinates of the lattice point with basis coefficients m."""
+        Q = self._Q
+        return tuple(Fraction(sum(m[i] * x for i, x in col), Q) for col in self._columns)
+
+    def level(self, target):
+        """Coordinates of every lattice point of value target, sorted."""
+        return sorted(map(self.coordinates, enumerate_quadratic_level(self.a, self.b, target)))
+
+    def upto(self, bound):
+        """(value, coordinates) for every lattice point of value <= bound."""
+        for value, m in enumerate_quadratic_upto(self.a, self.b, bound):
+            yield value, self.coordinates(m)

@@ -3,15 +3,17 @@
 Each case packages: the lattice and weight whose atomic length drives the
 equation, the diagonal form and the residue class a*N + b, the affine map
 phi from lattice points to integer solutions, and the finite group acting
-on the solution set.  Verifiers are exhaustive for a fixed N: the solution
-set comes from the exact diagonal solver, the lattice points from the exact
-quadratic enumeration, and every claim is checked point by point; FAIL is
+on the solution set.  Verifiers are exhaustive for a fixed N: a LevelData
+holds the level's solution set from the exact diagonal solver, its lattice
+points from the exact quadratic enumeration, their phi images and the
+orbits, and one check function per claim tests them point by point; FAIL is
 reported as data, never raised.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import atomic, diophantine, linalg, weyl
 from .diophantine import NonIntegralImage, solve_diagonal
@@ -46,18 +48,33 @@ class ParamCase:
     b: int
     form: tuple
     group: str
-    claim: str                      # 'complete' or 'orbit-size'
+    claim: str                      # 'complete', 'orbit-size', 'extended' or 'stratified'
     phi_map: callable
-    quadratic: tuple = field(default=None, repr=False)  # (A, b, basis) override
     arity: int = None               # hyperoctahedral arity
+    family_form: object = field(default=None, repr=False)  # hyperoctahedral length
 
     def equation_value(self, n):
         return self.a * n + self.b
 
+    @property
+    def length(self):
+        """The atomic length on the case's lattice, a linalg.QuadraticForm; a
+        hyperoctahedral case carries its family's, which needs no registry type."""
+        if self.family_form is not None:
+            return self.family_form
+        return atomic.length_form(self.type_id, self.weight, self.lattice)
 
-def _phi_a2(q):
-    b1, b2 = q[0], q[1]
-    return _ints((6 * b2 + 3 * b1 - 1, 3 * b1 - 1))
+
+def map_p_a2(v):
+    """(3x + 6y - 1, 3x - 1) on the first two coordinates."""
+    return _ints((3 * v[0] + 6 * v[1] - 1, 3 * v[0] - 1))
+
+
+def map_p_a3(v):
+    """(12y + 4z - 1, 8z + 1, 8x + 4y + 4z - 3) on coordinates (x, y, z, t)."""
+    return _ints((12 * v[1] + 4 * v[2] - 1,
+                  8 * v[2] + 1,
+                  8 * v[0] + 4 * v[1] + 4 * v[2] - 3))
 
 
 def _phi_c2(q):
@@ -86,19 +103,10 @@ def _phi_d43(q):
     return _ints((6 * q[1] + 2, 4 * q[0] + 2 * q[1] + 1))
 
 
-def _phi_a2_base(q):
-    return _ints((3 * q[0] + 6 * q[1] - 1, 3 * q[0] - 1))
-
-
-def _phi_a3_base(q):
-    return _ints((12 * q[1] + 4 * q[2] - 1, 8 * q[2] + 1,
-                  8 * q[0] + 4 * q[1] + 4 * q[2] - 3))
-
-
 CASES = {
-    "A2": ParamCase("A2", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "complete", _phi_a2),
+    "A2": ParamCase("A2", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "complete", map_p_a2),
     "A2ext": ParamCase("A2ext", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "extended",
-                       _phi_a2_base),
+                       map_p_a2),
     "C2": ParamCase("C2", "C2_1", 0, "M", 8, 5, (1, 1), "D8", "complete", _phi_c2),
     "C2L1": ParamCase("C2L1", "C2_1", 1, "L", 8, 1, (1, 1), "C4", "complete", _phi_c2l1),
     "D3t": ParamCase("D3t", "D3_2", 0, "M", 12, 5, (1, 1), "D8", "complete", _phi_d3t),
@@ -106,7 +114,7 @@ CASES = {
     "G21": ParamCase("G21", "G2_1", 0, "M", 6, 7, (1, 3), "V4", "orbit-size", _phi_g21),
     "D43": ParamCase("D43", "D4_3", 0, "M", 12, 7, (1, 3), "V4", "complete", _phi_d43),
     "A3": ParamCase("A3", "A3_1", 0, "M", 48, 30, (1, 2, 3), "G_A3", "stratified",
-                    _phi_a3_base),
+                    map_p_a3),
 }
 
 
@@ -115,6 +123,7 @@ CASES = {
 
 _HYP_FAMILIES = {
     # key: (a(n), b(n), coefficient c(n), offset s_i(n, i), kappa(n), linear l_i, even_sum)
+    # phi(q)_i = c q_i - s_i, and the length is kappa |q|^2 - sum_i l_i q_i
     "B": dict(a=lambda n: 4 * n,
               b=lambda n: n * (n + 1) * (2 * n + 1) // 6,
               coeff=lambda n: 2 * n,
@@ -156,27 +165,27 @@ _HYP_FAMILIES = {
 def _hyp_family_of_type(type_id):
     from .dynkin import AffineTypeId
     tid = AffineTypeId.parse(type_id)
-    if tid.twist == 1 and tid.family == "B":
-        return "B", tid.rank_label
-    if tid.twist == 1 and tid.family == "C":
-        return "C", tid.rank_label
-    if tid.twist == 2 and tid.family == "A" and tid.rank_label % 2 == 1:
-        return "Aodd", (tid.rank_label + 1) // 2
-    if tid.twist == 2 and tid.family == "A":
-        return "Aeven", tid.rank_label // 2
-    if tid.twist == 2 and tid.family == "D":
-        return "Dt", tid.rank_label - 1
-    raise ValueError(f"{type_id} has no hyperoctahedral pipeline")
+    if tid.twist == 1 and tid.family in ("B", "C"):
+        family, n = tid.family, tid.rank_label
+    elif tid.twist == 2 and tid.family == "A" and tid.rank_label % 2 == 1:
+        family, n = "Aodd", (tid.rank_label + 1) // 2
+    elif tid.twist == 2 and tid.family == "A":
+        family, n = "Aeven", tid.rank_label // 2
+    elif tid.twist == 2 and tid.family == "D":
+        family, n = "Dt", tid.rank_label - 1
+    else:
+        raise ValueError(f"{type_id} has no hyperoctahedral pipeline")
+    if n < 1:
+        raise ValueError(f"{type_id} has hyperoctahedral rank {n}; the pipeline needs rank >= 1")
+    return family, n
 
 
-def _even_sum_basis(n):
-    basis = [
-        tuple(Fraction(1) if r == i else Fraction(-1) if r == i + 1 else Fraction(0)
-              for r in range(n))
-        for i in range(n - 1)
-    ]
-    basis.append(tuple(Fraction(1) if r >= n - 2 else Fraction(0) for r in range(n)))
-    return tuple(basis)
+def _hyp_basis(n, even_sum):
+    """A basis of Z^n, or of its even-sum sublattice when even_sum and n >= 2."""
+    if not even_sum or n < 2:
+        return [[int(r == i) for r in range(n)] for i in range(n)]
+    return ([[int(r == i) - int(r == i + 1) for r in range(n)] for i in range(n - 1)]
+            + [[int(r >= n - 2) for r in range(n)]])
 
 
 def hyp_case(type_id):
@@ -187,30 +196,18 @@ def hyp_case(type_id):
     """
     family, n = _hyp_family_of_type(type_id)
     spec = _HYP_FAMILIES[family]
-    a, b = spec["a"](n), spec["b"](n)
     coeff = spec["coeff"](n)
     offsets = [spec["offset"](n, i) for i in range(1, n + 1)]
-    kappa = spec["kappa"](n)
     linear = [spec["linear"](n, i) for i in range(1, n + 1)]
-    if spec["even_sum"] and n >= 2:
-        basis = _even_sum_basis(n)
-    else:
-        basis = tuple(
-            tuple(Fraction(1) if r == i else Fraction(0) for r in range(n))
-            for i in range(n)
-        )
-    k = len(basis)
-    qa = tuple(
-        tuple(kappa * sum(basis[i][r] * basis[j][r] for r in range(n)) for j in range(k))
-        for i in range(k)
-    )
-    qb = tuple(-sum(linear[r] * basis[i][r] for r in range(n)) for i in range(k))
+    length = linalg.QuadraticForm.on_basis(
+        _hyp_basis(n, spec["even_sum"]), spec["kappa"](n),
+        lambda q: -sum(x * y for x, y in zip(linear, q)))
 
     def phi(q):
         return _ints(tuple(coeff * q[i] - offsets[i] for i in range(n)))
 
-    return ParamCase(f"HYP:{type_id}", type_id, 0, "M", a, b, (1,) * n, "H",
-                     "orbit-size", phi, quadratic=(qa, qb, basis), arity=n)
+    return ParamCase(f"HYP:{type_id}", type_id, 0, "M", spec["a"](n), spec["b"](n),
+                     (1,) * n, "H", "orbit-size", phi, arity=n, family_form=length)
 
 
 def get_case(case_id):
@@ -222,33 +219,73 @@ def get_case(case_id):
 
 
 def lattice_points(case, n):
-    """Coordinate tuples of the case's lattice points with atomic length n."""
-    if case.quadratic is not None:
-        qa, qb, basis = case.quadratic
-        out = []
-        for m in linalg.enumerate_quadratic_level(qa, qb, n):
-            out.append(tuple(sum(m[i] * basis[i][r] for i in range(len(basis)))
-                             for r in range(len(basis[0]))))
-        return sorted(out)
-    vectors = atomic.enumerate_atomic(case.type_id, case.weight, n, case.lattice)
-    return [v.coords for v in vectors]
+    """Coordinate tuples of the case's lattice points with atomic length n, sorted."""
+    return case.length.level(n)
 
 
 def case_length(case, q):
-    """Atomic length of a lattice point, through the case's own model."""
-    if case.quadratic is not None:
+    """Atomic length of a lattice point from its definition (the family
+    polynomial of a hyperoctahedral case), not from the enumerator's form."""
+    if case.family_form is not None:
         family, n = _hyp_family_of_type(case.type_id)
         spec = _HYP_FAMILIES[family]
-        kappa = spec["kappa"](n)
-        return (kappa * sum(Fraction(x) ** 2 for x in q)
-                - sum(spec["linear"](n, i + 1) * Fraction(q[i]) for i in range(n)))
+        return (spec["kappa"](n) * sum(Fraction(x) ** 2 for x in q)
+                - sum(spec["linear"](n, i + 1) * Fraction(x) for i, x in enumerate(q)))
     if case.weight == 0:
         return atomic.atomic_length0(case.type_id, q)
     return atomic.atomic_length_i(case.type_id, case.weight, q)
 
 
+def layer_image(case, j, q):
+    """Solution-space image of the layer-j extended element over q."""
+    if j == 0:
+        return case.phi_map(q)
+    vec = weyl.extended_image(case.type_id, ExtGrassElement(case.type_id, j, tuple(q)))
+    return case.phi_map(vec.coords)
+
+
+@dataclass
+class LevelData:
+    """Everything the claims of one case read at one level N.
+
+    Each part is computed when a check first reads it and kept, so a level
+    solves its equation and enumerates its lattice points once.
+    """
+    case: ParamCase
+    n: int
+
+    @cached_property
+    def solutions(self):
+        """The sorted solution set U of the case's equation at level N."""
+        return solve_diagonal(self.case.form, self.case.equation_value(self.n))
+
+    @cached_property
+    def points(self):
+        """The lattice points of atomic length N, sorted."""
+        return lattice_points(self.case, self.n)
+
+    @cached_property
+    def images(self):
+        """phi of each lattice point, in the order of points."""
+        return [self.case.phi_map(q) for q in self.points]
+
+    @cached_property
+    def layers(self):
+        """Per lattice point q, the images of the extended elements (j, q), all j."""
+        js = weyl.sigma_indices(self.case.type_id)
+        return [[layer_image(self.case, j, q) for j in js] for q in self.points]
+
+    @cached_property
+    def orbits(self):
+        return diophantine.orbit_partition(self.case.group, self.solutions)
+
+    @cached_property
+    def strata(self):
+        return _stratify(self.n, self.solutions)
+
+
 # ---------------------------------------------------------------------------
-# Reports
+# Reports and the claim checks
 
 
 @dataclass
@@ -275,14 +312,10 @@ def _fail(case_id, n, counts, witness):
     return Report(case_id, n, "FAIL", counts, witness)
 
 
-def verify_representatives(case_id, n):
-    """Freeness plus exactly-one-image-per-orbit, exhaustively at level n."""
-    case = get_case(case_id)
-    if case.claim != "complete":
-        raise ValueError(f"case {case_id} makes no complete-representatives claim")
-    sols = solve_diagonal(case.form, case.equation_value(n))
-    points = lattice_points(case, n)
-    images = [case.phi_map(q) for q in points]
+def check_complete(level):
+    """Freeness plus exactly-one-image-per-orbit."""
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, points, images = level.solutions, level.points, level.images
     counts = {"solutions": len(sols), "orbits": 0, "phi_images": len(images)}
     if len(set(images)) != len(images):
         dup = next(x for x in images if images.count(x) > 1)
@@ -294,7 +327,7 @@ def verify_representatives(case_id, n):
                          {"reason": "phi image off the quadric",
                           "q": [str(x) for x in q], "image": img})
     free, bad = diophantine.is_action_free(case.group, sols)
-    orbits = diophantine.orbit_partition(case.group, sols)
+    orbits = level.orbits
     counts["orbits"] = len(orbits)
     if not free:
         return _fail(case_id, n, counts, {"reason": "action not free", "point": bad})
@@ -305,89 +338,44 @@ def verify_representatives(case_id, n):
             return _fail(case_id, n, counts,
                          {"reason": "orbit without unique representative",
                           "orbit_min": orb[0], "hits": hits})
-    if case_id == "C2L1":
-        even = {case.phi_map(q) for q in points
-                if (_as_int(sum(u_rotate(q)))) % 2 == 0}
-        odd = set(images) - even
-        if even & odd:
-            return _fail(case_id, n, counts,
-                         {"reason": "parity classes overlap",
-                          "point": sorted(even & odd)[0]})
     return Report(case_id, n, "PASS", counts)
 
 
-def verify_orbit_size(case_id, n):
+def check_orbit_size(level):
     """Every phi-image has a full-size orbit; coverage is reported, not required."""
-    case = get_case(case_id)
-    sols = solve_diagonal(case.form, case.equation_value(n))
-    points = lattice_points(case, n)
-    images = [case.phi_map(q) for q in points]
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, images, orbits = level.solutions, level.images, level.orbits
     expected = diophantine.group_order(case.group, case.arity)
-    orbits = diophantine.orbit_partition(case.group, sols)
     counts = {"solutions": len(sols), "orbits": len(orbits),
               "phi_images": len(images), "expected_orbit_size": expected}
     sol_set = set(sols)
-    for q, img in zip(points, images):
+    for img in images:
         if img not in sol_set:
-            return _fail(case.case_id, n, counts,
+            return _fail(case_id, n, counts,
                          {"reason": "phi image off the quadric", "image": img})
         orb = diophantine.orbit(case.group, img, case.arity)
         if len(orb) != expected:
-            return _fail(case.case_id, n, counts,
+            return _fail(case_id, n, counts,
                          {"reason": "orbit not of full size", "image": img,
                           "size": len(orb)})
     image_set = set(images)
-    covered = sum(1 for orb in orbits if any(p in image_set for p in orb))
-    counts["covered_orbits"] = covered
-    return Report(case.case_id, n, "PASS", counts)
+    counts["covered_orbits"] = sum(1 for orb in orbits if any(p in image_set for p in orb))
+    return Report(case_id, n, "PASS", counts)
 
 
-def verify_case(case_id, n):
-    case = get_case(case_id)
-    if case.claim == "complete":
-        return verify_representatives(case_id, n)
-    if case.claim == "extended":
-        return pig_a2_verify(n)
-    if case.claim == "stratified":
-        return a3_props_verify(n)
-    return verify_orbit_size(case_id, n)
-
-
-# ---------------------------------------------------------------------------
-# Extended decomposition in type A_2^(1)
-
-
-def map_p_a2(v):
-    """(3x + 6y - 1, 3x - 1) on the first two coordinates."""
-    return _ints((3 * v[0] + 6 * v[1] - 1, 3 * v[0] - 1))
-
-
-def a2_layer_image(j, q):
-    """Solution-plane image of the layer-j extended element over q."""
-    if j == 0:
-        return map_p_a2(q)
-    vec = weyl.extended_image("A2_1", ExtGrassElement("A2_1", j, tuple(q)))
-    return map_p_a2(vec.coords)
-
-
-def pig_a2_verify(n):
+def check_extended(level):
     """Decomposition of U(12N+4) into antipodal pairs of extended images."""
-    sols = solve_diagonal((1, 3), 12 * n + 4)
-    base = [v.coords for v in atomic.enumerate_atomic("A2_1", 0, n, "M")]
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, base = level.solutions, level.points
     counts = {"solutions": len(sols), "base_elements": len(base),
               "extended_elements": 3 * len(base)}
-    case_id = "A2ext"
     all_pairs = []
-    for q in base:
-        point = map_p_a2(q)
-        full_orbit = {diophantine.act("C6", k, point) for k in range(6)}
+    for q, layer in zip(base, level.layers):
+        full_orbit = {diophantine.act(case.group, k, layer[0]) for k in range(6)}
         if len(full_orbit) != 6:
             return _fail(case_id, n, counts,
-                         {"reason": "C6 orbit undersized", "point": point})
-        pairs = []
-        for j in range(3):
-            img = a2_layer_image(j, q)
-            pairs.append(frozenset({img, (-img[0], -img[1])}))
+                         {"reason": "C6 orbit undersized", "point": layer[0]})
+        pairs = [frozenset({img, (-img[0], -img[1])}) for img in layer]
         union = set().union(*pairs)
         if union != full_orbit or sum(len(p) for p in pairs) != 6:
             return _fail(case_id, n, counts,
@@ -400,22 +388,108 @@ def pig_a2_verify(n):
     return Report(case_id, n, "PASS", counts)
 
 
+def check_stratified(level):
+    """Stratification, G-stability, layer separation and orbit disjointness."""
+    case_id, n, case = level.case.case_id, level.n, level.case
+    strata, sols, base = level.strata, level.solutions, level.points
+    counts = {"solutions": len(sols), "base_elements": len(base),
+              "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
+    if not strata.all_y_odd:
+        return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
+    if not strata.nonempty_iff_omega:
+        return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
+    if not strata.partition_ok:
+        return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
+    sol_set = set(sols)
+    for s in sols:
+        for g in diophantine.group_elements(case.group):
+            img = diophantine.act(case.group, g, s)
+            if img not in sol_set or img[1] != s[1]:
+                return _fail(case_id, n, counts,
+                             {"reason": "G does not stabilise the stratum",
+                              "point": s})
+    images = {}
+    for q, layer in zip(base, level.layers):
+        for j, img in enumerate(layer):
+            if img not in sol_set:
+                return _fail(case_id, n, counts,
+                             {"reason": "layer image off the quadric", "image": img})
+            images[(j, q)] = img
+        if len({img[1] for img in layer}) != 4:
+            return _fail(case_id, n, counts,
+                         {"reason": "layers share a stratum",
+                          "q": [str(x) for x in q]})
+    # Separation is a rotation-orbit statement: the reflection can carry one
+    # extended image onto the mirror rotation orbit of another in the same
+    # stratum (first seen at N = 3), so only orbits under the rotation
+    # subgroup of distinct extended elements are disjoint.
+    orbits = {key: frozenset(diophantine.act(case.group, (k, 0), img) for k in range(6))
+              for key, img in images.items()}
+    keys = sorted(orbits, key=lambda key: (key[0], key[1]))
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i + 1:]:
+            if orbits[k1] & orbits[k2]:
+                return _fail(case_id, n, counts,
+                             {"reason": "extended rotation orbits intersect",
+                              "first": list(map(str, k1[1])), "j1": k1[0],
+                              "second": list(map(str, k2[1])), "j2": k2[0]})
+    return Report(case_id, n, "PASS", counts)
+
+
+def check_a3_conjecture(level):
+    """Do the G-orbits of the extended images cover all of U(48N+30)?"""
+    n, case = level.n, level.case
+    sols, base = level.solutions, level.points
+    counts = {"solutions": len(sols), "base_elements": len(base),
+              "extended_elements": 4 * len(base)}
+    covered = set().union(*(diophantine.orbit(case.group, img)
+                            for layer in level.layers for img in layer))
+    missing = sorted(set(sols) - covered)
+    counts["covered"] = len(covered)
+    if covered != set(sols):
+        return _fail("A3conj", n, counts,
+                     {"reason": "uncovered solutions", "first": missing[0]})
+    return Report("A3conj", n, "PASS", counts)
+
+
+CHECKS = {"complete": check_complete, "orbit-size": check_orbit_size,
+          "extended": check_extended, "stratified": check_stratified}
+
+
+def verify_case(case_id, n):
+    """The check of the case's claim at level n."""
+    case = get_case(case_id)
+    return CHECKS[case.claim](LevelData(case, n))
+
+
+# The verifiers: one level of one case through the check of one claim
+
+
+def verify_representatives(case_id, n):
+    case = get_case(case_id)
+    if case.claim != "complete":
+        raise ValueError(f"case {case_id} makes no complete-representatives claim")
+    return check_complete(LevelData(case, n))
+
+
+def verify_orbit_size(case_id, n):
+    return check_orbit_size(LevelData(get_case(case_id), n))
+
+
+def pig_a2_verify(n):
+    return check_extended(LevelData(CASES["A2ext"], n))
+
+
+def a3_props_verify(n):
+    return check_stratified(LevelData(CASES["A3"], n))
+
+
+def a3_conjecture_check(n):
+    return check_a3_conjecture(LevelData(CASES["A3"], n))
+
+
 # ---------------------------------------------------------------------------
-# Type A_3^(1): strata and the orbit conjecture
-
-
-def map_p_a3(v):
-    """(12y + 4z - 1, 8z + 1, 8x + 4y + 4z - 3) on coordinates (x, y, z, t)."""
-    return _ints((12 * v[1] + 4 * v[2] - 1,
-                  8 * v[2] + 1,
-                  8 * v[0] + 4 * v[1] + 4 * v[2] - 3))
-
-
-def a3_layer_image(j, q):
-    if j == 0:
-        return map_p_a3(q)
-    vec = weyl.extended_image("A3_1", ExtGrassElement("A3_1", j, tuple(q)))
-    return map_p_a3(vec.coords)
+# Type A_3^(1): strata
 
 
 @dataclass
@@ -441,8 +515,12 @@ class A3Strata:
 
 def a3_strata(n):
     """Stratify U(48N+30) by the middle coordinate and test the emptiness rule."""
+    return LevelData(CASES["A3"], n).strata
+
+
+def _stratify(n, sols):
+    """a3_strata from the solution set U(48N+30), solved by the caller."""
     k = 48 * n + 30
-    sols = solve_diagonal((1, 2, 3), k)
     by_y = {}
     for s in sols:
         by_y.setdefault(s[1], []).append(s)
@@ -476,78 +554,6 @@ def a3_strata(n):
     partition_ok = sorted(gamma) == sorted(by_y)
     return A3Strata(n, sorted(gamma), {y: sorted(v) for y, v in by_y.items()},
                     omega, ok_iff, partition_ok, all_y_odd)
-
-
-def a3_props_verify(n):
-    """Stratification, G-stability, layer separation and orbit disjointness."""
-    case_id = "A3"
-    strata = a3_strata(n)
-    sols = [s for pts in strata.strata.values() for s in pts]
-    base = [v.coords for v in atomic.enumerate_atomic("A3_1", 0, n, "M")]
-    counts = {"solutions": len(sols), "base_elements": len(base),
-              "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
-    if not strata.all_y_odd:
-        return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
-    if not strata.nonempty_iff_omega:
-        return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
-    if not strata.partition_ok:
-        return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
-    sol_set = {tuple(s) for s in sols}
-    for s in sol_set:
-        for g in diophantine.group_elements("G_A3"):
-            img = diophantine.act("G_A3", g, s)
-            if img not in sol_set or img[1] != s[1]:
-                return _fail(case_id, n, counts,
-                             {"reason": "G does not stabilise the stratum",
-                              "point": s})
-    images = {}
-    for q in base:
-        ys = set()
-        for j in range(4):
-            img = a3_layer_image(j, q)
-            if img not in sol_set:
-                return _fail(case_id, n, counts,
-                             {"reason": "layer image off the quadric", "image": img})
-            images[(j, q)] = img
-            ys.add(img[1])
-        if len(ys) != 4:
-            return _fail(case_id, n, counts,
-                         {"reason": "layers share a stratum",
-                          "q": [str(x) for x in q]})
-    # Separation is a rotation-orbit statement: the reflection can carry one
-    # extended image onto the mirror rotation orbit of another in the same
-    # stratum (first seen at N = 3), so only orbits under the rotation
-    # subgroup of distinct extended elements are disjoint.
-    orbits = {key: frozenset(diophantine.act("G_A3", (k, 0), img) for k in range(6))
-              for key, img in images.items()}
-    keys = sorted(orbits, key=lambda key: (key[0], key[1]))
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1:]:
-            if orbits[k1] & orbits[k2]:
-                return _fail(case_id, n, counts,
-                             {"reason": "extended rotation orbits intersect",
-                              "first": list(map(str, k1[1])), "j1": k1[0],
-                              "second": list(map(str, k2[1])), "j2": k2[0]})
-    return Report(case_id, n, "PASS", counts)
-
-
-def a3_conjecture_check(n):
-    """Do the G-orbits of the extended images cover all of U(48N+30)?"""
-    case_id = "A3conj"
-    sols = solve_diagonal((1, 2, 3), 48 * n + 30)
-    base = [v.coords for v in atomic.enumerate_atomic("A3_1", 0, n, "M")]
-    counts = {"solutions": len(sols), "base_elements": len(base),
-              "extended_elements": 4 * len(base)}
-    covered = set()
-    for q in base:
-        for j in range(4):
-            covered |= diophantine.orbit("G_A3", a3_layer_image(j, q))
-    missing = sorted(set(sols) - covered)
-    counts["covered"] = len(covered)
-    if covered != set(sols):
-        return _fail(case_id, n, counts,
-                     {"reason": "uncovered solutions", "first": missing[0]})
-    return Report(case_id, n, "PASS", counts)
 
 
 # ---------------------------------------------------------------------------

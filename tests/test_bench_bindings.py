@@ -1,0 +1,36 @@
+"""The benchmark's traced run looks corelat functions up by name.
+
+bench/workloads.py wraps the layers it traces with getattr and rebinds every
+corelat global that refers to them; a renamed or deleted function makes
+``bench/run.py --trace 1`` fail.  This test runs the same instrumentation on
+one small verification and undoes it.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_bench_instrumentation_binds_and_restores():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    from corelat import param
+
+    original = param.verify_case
+    rec = spans.Recorder()
+    try:
+        workloads.instrument(rec)
+        report = param.verify_case("A2ext", 1)
+    finally:
+        rec.restore()
+    assert report.passed
+    assert param.verify_case is original
+    calls = {name: calls for name, (calls, _) in rec.per_name().items()}
+    assert calls["param.verify_case"] == 1
+    assert calls["linalg.enumerate_quadratic_level"] >= 1
+    assert calls["param.phi"] >= 3

@@ -8,7 +8,8 @@ import pytest
 
 from corelat import cli
 
-from golden_data import TABLE_12N7, TABLE_40N10, TABLE_6N7, TABLE_8N1
+from golden_data import (CONJECTURE_A3_JSON_3, TABLE_12N7, TABLE_40N10, TABLE_6N7,
+                         TABLE_8N1, VERIFY_JSON)
 
 
 def run_cli(argv):
@@ -96,6 +97,12 @@ def test_usage_error_exit_code():
     ["verify", "--case", "C2", "--N", "-1"],
     ["verify", "--case", "C2", "--max-N", "-1"],
     ["conjecture-a3", "--max-N", "-1"],
+    ["verify", "--case", "HYP:B0_1", "--N", "0"],
+    ["verify", "--case", "HYP:C0_1", "--N", "0"],
+    ["verify", "--case", "HYP:A0_2", "--N", "0"],
+    ["verify", "--case", "HYP:D0_2", "--N", "0"],
+    ["verify", "--case", "HYP:D1_2", "--N", "0"],
+    ["solve", "--case", "HYP:B0_1", "--N", "0"],
 ])
 def test_boundary_violations_are_usage_errors(argv, capsys):
     code, out = run_cli(argv)
@@ -186,6 +193,37 @@ def test_table_default_ranges():
     code, out = run_cli(["table", "--figure", "6N+7"])
     assert code == 0
     assert out == golden_simple(TABLE_6N7, ["N", "B", "phi", "solutions"])
+
+
+@pytest.mark.parametrize("case_id,n", sorted(VERIFY_JSON))
+def test_verify_json_golden(case_id, n):
+    code, out = run_cli(["verify", "--case", case_id, "--N", str(n), "--format", "json"])
+    assert code == 0
+    assert out == VERIFY_JSON[case_id, n]
+
+
+def test_conjecture_json_golden():
+    code, out = run_cli(["conjecture-a3", "--max-N", "3", "--format", "json"])
+    assert code == 0
+    assert out == CONJECTURE_A3_JSON_3
+
+
+@pytest.mark.parametrize("case_id", ["HYP:B1_1", "HYP:C1_1", "HYP:A1_2", "HYP:D2_2"])
+def test_rank_one_hyperoctahedral_cases_are_accepted(case_id):
+    # hyperoctahedral rank 1 lies below the type table's minimum; the family
+    # polynomials still apply there, so these cases run and PASS
+    code, out = run_cli(["verify", "--case", case_id, "--max-N", "10", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert [item["status"] for item in data] == ["PASS"] * 11
+    assert sum(item["counts"]["solutions"] for item in data) > 0
+
+
+def test_hyp_b1_level_six():
+    code, out = run_cli(["verify", "--case", "HYP:B1_1", "--N", "6", "--format", "json"])
+    assert code == 0
+    counts = json.loads(out)[0]["counts"]
+    assert counts["solutions"] == 2 and counts["orbits"] == 1
 
 
 def test_conjecture_verb():

@@ -74,7 +74,7 @@ def length_forms():
         for weight in (0, 1):
             for lattice in ("M", "L"):
                 try:
-                    atomic._length_form(type_id, weight, lattice)
+                    atomic.length_form(type_id, weight, lattice)
                 except atomic.UnsupportedLattice:
                     continue
                 yield type_id, weight, lattice
@@ -82,8 +82,8 @@ def length_forms():
 
 @pytest.mark.parametrize("type_id,weight,lattice", list(length_forms()))
 def test_enumerator_matches_oracle_on_length_forms(type_id, weight, lattice):
-    a, b, _ = atomic._length_form(type_id, weight, lattice)
-    assert_enumerators_agree(a, b)
+    form = atomic.length_form(type_id, weight, lattice)
+    assert_enumerators_agree(form.a, form.b)
 
 
 HYP_TYPES = ("B2_1", "B3_1", "C2_1", "C3_1", "A3_2", "A5_2", "A4_2", "A6_2",
@@ -92,8 +92,8 @@ HYP_TYPES = ("B2_1", "B3_1", "C2_1", "C3_1", "A3_2", "A5_2", "A4_2", "A6_2",
 
 @pytest.mark.parametrize("type_id", HYP_TYPES)
 def test_enumerator_matches_oracle_on_hyp_forms(type_id):
-    qa, qb, _ = param.hyp_case(type_id).quadratic
-    assert_enumerators_agree(qa, qb, TARGETS + (13, Fraction(29, 2)))
+    form = param.hyp_case(type_id).length
+    assert_enumerators_agree(form.a, form.b, TARGETS + (13, Fraction(29, 2)))
 
 
 def test_hyp_types_cover_half_integer_kappa():
@@ -106,8 +106,52 @@ def test_hyp_types_cover_half_integer_kappa():
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_enumerator_matches_oracle_on_core_size_forms(d):
-    a, b, _ = cores._size_form(d)
-    assert_enumerators_agree(a, b, TARGETS + (13, 21))
+    form = cores._size_form(d)
+    assert_enumerators_agree(form.a, form.b, TARGETS + (13, 21))
+
+
+def test_compiled_form_serves_every_target():
+    # one form, compiled once, asked for targets whose denominators do not
+    # divide the form's; 13 comes twice so that scaling carried over from
+    # an earlier target would show
+    form = atomic.length_form("C2_1", 0, "M")
+    assert all(Fraction(x).denominator == 1 for row in form.a for x in row + form.b)
+    for target in (13, Fraction(1, 2), Fraction(7, 3), 13):
+        assert form.level(target) == sorted(
+            map(form.coordinates, enumerate_quadratic_ball_level(form.a, form.b, target)))
+        assert list(form.upto(target)) == [
+            (value, form.coordinates(m))
+            for value, m in enumerate_quadratic_ball_upto(form.a, form.b, target)]
+    assert form.level(13)
+
+
+def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
+    built = []
+
+    class CountingBall(linalg._IntegerBall):
+        def __init__(self, a, b):
+            built.append(a)
+            super().__init__(a, b)
+
+    monkeypatch.setattr(linalg, "_IntegerBall", CountingBall)
+    linalg._compiled_ball.cache_clear()
+    form = cores._size_form(4)
+    levels = [form.level(n) for n in range(12)]
+    list(form.upto(11))
+    assert len(built) == 1
+    # another form object with the same (a, b), and the bare enumerator on
+    # lists, find the same compiled ball
+    again = linalg.QuadraticForm(form.a, form.b, form.basis)
+    assert [again.level(n) for n in range(12)] == levels
+    assert linalg.enumerate_quadratic_level([list(r) for r in form.a], list(form.b), 5)
+    assert len(built) == 1
+    # a hyperoctahedral sweep builds its case at every level but compiles
+    # the family form once
+    built.clear()
+    for n in range(6):
+        assert param.verify_case("HYP:C3_1", n).passed
+    assert len(built) == 1
+    linalg._compiled_ball.cache_clear()
 
 
 @st.composite

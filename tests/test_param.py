@@ -6,9 +6,7 @@ import pytest
 
 from corelat import atomic, cores, diophantine, param
 from corelat.param import (
-    a2_layer_image,
     a3_conjecture_check,
-    a3_layer_image,
     a3_props_verify,
     a3_strata,
     case_length,
@@ -16,6 +14,7 @@ from corelat.param import (
     h_statistic,
     hyp_case,
     lattice_points,
+    layer_image,
     map_p_a2,
     map_p_a3,
     pig_a2_verify,
@@ -54,7 +53,7 @@ def test_phi_examples():
     assert get_case("C2").phi_map((1, -3)) == (-10, 15)
     assert get_case("D43").phi_map((0, 1)) == (8, 3)
     assert map_p_a3((0, 0, 0, 0)) == (-1, 1, -3)
-    assert a3_layer_image(0, (0, 0, 0, 0)) == (-1, 1, -3)
+    assert layer_image(get_case("A3"), 0, (0, 0, 0, 0)) == (-1, 1, -3)
     assert get_case("HYP:C3_1").phi_map((0, 0, 0)) == (-5, -3, -1)
     assert get_case("A2").phi_map((0, 0, 0)) == (-1, -1)
     assert map_p_a2((0, 0, 0)) == (-1, -1)
@@ -134,15 +133,15 @@ def test_pig_a2():
     assert pig_a2_verify(6).counts["solutions"] == 12
     # N=1 pairs arise from (2,2), (2,-2), (-4,0)
     q = (1, 0, -1)
-    assert a2_layer_image(0, q) == (2, 2)
-    assert a2_layer_image(1, q) == (2, -2)
-    assert a2_layer_image(2, q) == (-4, 0)
+    assert layer_image(get_case("A2ext"), 0, q) == (2, 2)
+    assert layer_image(get_case("A2ext"), 1, q) == (2, -2)
+    assert layer_image(get_case("A2ext"), 2, q) == (-4, 0)
 
 
 def test_a2ext_layer_points_on_same_ellipse():
     for n in range(6):
         for v in atomic.enumerate_atomic("A2_1", 0, n):
-            images = [a2_layer_image(j, v.coords) for j in range(3)]
+            images = [layer_image(get_case("A2ext"), j, v.coords) for j in range(3)]
             assert len(set(images)) == 3
             for x, y in images:
                 assert x * x + 3 * y * y == 12 * n + 4
@@ -166,7 +165,7 @@ def test_a3_props_and_conjecture_small():
         assert a3_conjecture_check(n).passed
     # N=0: one layer point in each of the four strata
     strata = a3_strata(0)
-    images = [a3_layer_image(j, (0, 0, 0, 0)) for j in range(4)]
+    images = [layer_image(get_case("A3"), j, (0, 0, 0, 0)) for j in range(4)]
     assert sorted(img[1] for img in images) == strata.gamma
 
 

@@ -105,14 +105,15 @@ def test_divisibility(name, modulus):
 
 def test_layer_rotation_power():
     # the layer-1 image is R^4 of the base image, the layer-2 image R^2
-    from corelat.param import a2_layer_image, map_p_a2
+    from corelat.param import get_case, layer_image, map_p_a2
+    case = get_case("A2ext")
     for q12 in itertools.product(range(-4, 5), repeat=2):
         q = q12 + (-sum(q12),)
         base = map_p_a2(q)
         rotated = {k: diophantine.act("C6", k, base) for k in range(6)}
-        assert a2_layer_image(1, q) == rotated[4]
-        assert a2_layer_image(1, q) == (-rotated[1][0], -rotated[1][1])
-        assert a2_layer_image(2, q) == rotated[2]
+        assert layer_image(case, 1, q) == rotated[4]
+        assert layer_image(case, 1, q) == (-rotated[1][0], -rotated[1][1])
+        assert layer_image(case, 2, q) == rotated[2]
 
 
 def test_lascoux_examples():
