@@ -6,7 +6,12 @@ translation by x, the statistic evaluates to
     h * (lambda | x) + (level * h / 2) * |x|^2 - level * ht(x),
 
 which specialises to (h/2)|x|^2 - ht(x) at Lambda_0.  The delta coefficient
-z never contributes.  Everything is exact over Fraction.
+z never contributes.  Everything is exact: a point v is scaled once to
+integers V / q, and each statistic is one Fraction built from integer dot
+products with the type's compiled root solver (dynkin.TypeData.root_solver),
+its height functional and its fundamental weights, all scaled to integers
+once per type.  Lattice membership uses a SpanSolver per (type, lattice)
+and tests integrality of the coefficients by divisibility.
 """
 
 from dataclasses import dataclass, field
@@ -80,7 +85,8 @@ def weight_Lambda(t, i):
 def height(t, v):
     """Sum of the simple-root coefficients of v (rational on L)."""
     t = _type(t)
-    return sum(dynkin.simple_root_coefficients(t, _coords(v)))
+    V, q = dynkin.root_span_integers(t, _coords(v))
+    return Fraction(linalg.dot(t.root_solver.total, V), t.root_solver.D * q)
 
 
 def norm_sq(t, v):
@@ -89,11 +95,27 @@ def norm_sq(t, v):
     return t.inner(v, v)
 
 
+def _statistic(t, v, lam=((), 1), level=1):
+    """h (lam | v) + level ((h/2)|v|^2 - ht(v)) for lam = L / p given as
+    (L, p), as one Fraction of integer dot products on v = V / q."""
+    V, q = dynkin.root_span_integers(t, _coords(v))
+    solver, (L, p), level = t.root_solver, lam, Fraction(level)
+    hs, den = t.h * t.scale_sq, 2 * solver.D * q * level.denominator
+    # 2 D q^2 times the atomic length (h/2)|v|^2 - ht(v)
+    length0 = hs * solver.D * linalg.dot(V, V) - 2 * q * linalg.dot(solver.total, V)
+    return Fraction(den * hs * linalg.dot(L, V) + level.numerator * p * length0, den * q * p)
+
+
+@lru_cache(maxsize=None)
+def _integer_weights(type_name):
+    """The fundamental weights omega_i of a type as (W_i, p_i), omega_i = W_i / p_i."""
+    return tuple((tuple(W), p) for W, p in map(linalg.integer_vector,
+                                                dynkin.fundamental_weights(lookup_type(type_name))))
+
+
 def atomic_length0(t, v):
     """(h/2)|v|^2 - ht(v); total on the rational root span."""
-    t = _type(t)
-    v = _coords(v)
-    return Fraction(t.h, 2) * norm_sq(t, v) - height(t, v)
+    return _statistic(_type(t), v)
 
 
 def atomic_length_i(t, i, v):
@@ -101,21 +123,12 @@ def atomic_length_i(t, i, v):
     t = _type(t)
     if not 1 <= i <= t.n:
         raise BadIndex(f"index {i} outside 1..{t.n} for {t.name}")
-    v = _coords(v)
-    omega = dynkin.fundamental_weights(t)[i - 1]
-    ratio = Fraction(t.comarks[i], t.comarks[0])
-    return ratio * atomic_length0(t, v) + t.h * t.inner(omega, v)
+    return _statistic(t, v, _integer_weights(t.name)[i - 1], Fraction(t.comarks[i], t.comarks[0]))
 
 
 def extended_atomic_length(t, weight, x):
     """Statistic for an arbitrary dominant weight on a translation by x."""
-    t = _type(t)
-    x = _coords(x)
-    lam = _coords(weight.finite_part)
-    level = Fraction(weight.level)
-    return (t.h * t.inner(lam, x)
-            + Fraction(1, 2) * norm_sq(t, x) * level * t.h
-            - level * height(t, x))
+    return _statistic(_type(t), x, linalg.integer_vector(weight.finite_part), weight.level)
 
 
 def defect(t, weight, x, y):
@@ -174,8 +187,13 @@ def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
     return buckets
 
 
+@lru_cache(maxsize=None)
+def _lattice_solver(type_name, lattice):
+    return linalg.SpanSolver(_basis(lookup_type(type_name), lattice))
+
+
 def in_lattice(t, v, lattice="M"):
     """Whether v is an integer combination of the lattice basis."""
     t = _type(t)
-    coeffs = linalg.solve_in_span(_basis(t, lattice), _coords(v))
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    solver = _lattice_solver(t.name, lattice)
+    return solver.in_lattice(*linalg.integer_vector(_coords(v)))

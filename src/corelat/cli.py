@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -31,6 +32,19 @@ FIGURES = {
 }
 
 VERIFY_CASES = ("A2", "A2ext", "C2", "C2L1", "D3t", "A42", "G21", "D43", "A3")
+
+
+def _fraction(token):
+    """A rational number read from text.  A zero denominator, or a decimal
+    exponent beyond 4300 (the most digits Python reads into an int from text;
+    a larger one builds a number of any size), is a usage error."""
+    exponent = re.search(r"e([-+]?\d[\d_]*)\s*\Z", token, re.IGNORECASE)
+    if exponent and abs(int(exponent.group(1))) > 4300:
+        raise ValueError(f"exponent of {token!r} is outside -4300..4300")
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def _fmt_frac(x):
@@ -139,7 +153,7 @@ def _report_output(reports, fmt, out):
 
 def _cmd_atomic_length(args, out):
     t = lookup_type(args.type)
-    coords = tuple(Fraction(tok) for tok in args.coords.split(","))
+    coords = tuple(map(_fraction, args.coords.split(",")))
     if len(coords) != t.ambient_dim:
         raise ValueError(f"{args.type} takes {t.ambient_dim} coordinates, got {len(coords)}")
     weight = int(args.weight[1:])
@@ -160,7 +174,7 @@ def _cmd_atomic_length(args, out):
 def _cmd_enumerate(args, out):
     t = lookup_type(args.type)
     weight = int(args.weight[1:])
-    target = Fraction(args.N)
+    target = _fraction(args.N)
     vectors = atomic.enumerate_atomic(t, weight, target, args.lattice)
     if args.format == "json":
         _emit_json({"type": args.type, "weight": args.weight, "lattice": args.lattice,

@@ -7,11 +7,15 @@ coordinate vectors together with scale_sq = 2: the true vector is
 sqrt(scale_sq) times the stored one, so every inner product is
 scale_sq * (dot product of stored coordinates), which keeps all
 arithmetic exact.
+
+Each type compiles the map from a vector to its simple-root coefficients
+once (TypeData.root_solver, a linalg.SpanSolver), so a coefficient, a
+height or a root-span check is a few integer dot products.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 
@@ -66,6 +70,11 @@ class TypeData:
     m_basis: tuple              # Z-basis of the lattice M, stored coordinates
     l_basis: tuple              # Z-basis of L when registered, else None
     J: tuple                    # indices i >= 1 with a_i = 1
+
+    @cached_property
+    def root_solver(self):
+        """linalg.SpanSolver of the simple roots, built on first use."""
+        return linalg.SpanSolver(self.simple_roots)
 
     def inner(self, v, w):
         """Bilinear form in stored coordinates."""
@@ -259,35 +268,21 @@ def all_type_ids(max_rank=4):
     return ids
 
 
-@lru_cache(maxsize=None)
-def _root_span_solver(t):
-    """Precomputed left inverse B with B . alpha_k = e_k (via the Gram matrix).
-
-    Coefficients of v are B v; v lies in the root span iff alpha . (B v) = v.
-    """
-    n, dim = t.n, t.ambient_dim
-    gram = [[t.inner(t.simple_roots[i], t.simple_roots[j]) for j in range(n)]
-            for i in range(n)]
-    inv_cols = [linalg.solve_square(gram, [Fraction(int(i == j)) for i in range(n)])
-                for j in range(n)]
-    gram_inv = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-    b = [
-        [sum(gram_inv[i][k] * t.scale_sq * t.simple_roots[k][d] for k in range(n))
-         for d in range(dim)]
-        for i in range(n)
-    ]
-    return tuple(tuple(row) for row in b)
+def root_span_integers(t, v):
+    """(V, q) with v = V / q over the integers, once v is checked to lie in
+    the root span of t."""
+    V, q = linalg.integer_vector(v)
+    if not t.root_solver.in_span(V):
+        # v as the CLI reads coordinates, e.g. 1,-1/2,0
+        raise NotInRootSpan(f"{','.join(map(str, v))} is not in the root span of {t.name}")
+    return V, q
 
 
 def simple_root_coefficients(t, v):
     """Coefficients (c_1..c_n) with v = sum c_i alpha_i in stored coordinates."""
-    v = tuple(Fraction(x) for x in v)
-    b = _root_span_solver(t)
-    coeffs = tuple(sum(row[d] * v[d] for d in range(t.ambient_dim)) for row in b)
-    for d in range(t.ambient_dim):
-        if sum(coeffs[k] * t.simple_roots[k][d] for k in range(t.n)) != v[d]:
-            raise NotInRootSpan(f"{v} is not in the root span of {t.name}")
-    return coeffs
+    V, q = root_span_integers(t, v)
+    solver = t.root_solver
+    return tuple(Fraction(linalg.dot(row, V), solver.D * q) for row in solver.rows)
 
 
 @lru_cache(maxsize=None)
@@ -298,21 +293,19 @@ def fundamental_weights(t):
     2 (omega_i | alpha_j) / |alpha_j|^2 = delta_ij.
     """
     n = t.n
-    # Row j of the system: sum_k x_k <alpha_k, alpha_j^vee> = delta_ij.
+    # Row j of the system: sum_k x_k <alpha_k, alpha_j^vee> = delta_ij, so the
+    # coefficients of omega_i are column i of the inverse of this matrix.
     cartan_t = [
         [2 * t.inner(t.simple_roots[k], t.simple_roots[j]) / t.inner(t.simple_roots[j], t.simple_roots[j])
          for k in range(n)]
         for j in range(n)
     ]
-    weights = []
-    for i in range(n):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        x = linalg.solve_square(cartan_t, rhs)
-        weights.append(tuple(
-            sum(x[k] * t.simple_roots[k][d] for k in range(n))
-            for d in range(t.ambient_dim)
-        ))
-    return tuple(weights)
+    inverse = linalg.eliminate([[row[k] for row in cartan_t] for k in range(n)])
+    return tuple(
+        tuple(sum(inverse[k][i] * t.simple_roots[k][d] for k in range(n))
+              for d in range(t.ambient_dim))
+        for i in range(n)
+    )
 
 
 def theta(t):

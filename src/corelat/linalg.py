@@ -1,7 +1,11 @@
 """Exact rational linear algebra and positive-definite quadratic enumeration.
 
-The linear algebra works over fractions.Fraction; systems are tiny
-(rank <= 9), so plain Gauss-Jordan is the right tool.  The quadratic
+The linear algebra sets up over fractions.Fraction; systems are tiny
+(rank <= 9), so plain Gauss-Jordan is the right tool.  A SpanSolver runs
+one elimination per basis and keeps the result as integer rows over one
+denominator, so solving for coefficients, testing span membership and
+testing integrality are integer dot products on a vector scaled to
+integers once (integer_vector).  The quadratic
 enumerators use Fraction only to set up: each form is scaled to integers
 once, on its first search, and the search itself runs on Python ints with
 exact isqrt bounds.  The level search solves its last coordinate instead of
@@ -12,54 +16,72 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 
-def solve_in_span(columns, target):
-    """Solve sum_i c_i * columns[i] = target.
+def dot(u, v):
+    return sum(map(mul, u, v))
 
-    The columns must be linearly independent.  Returns the coefficient
-    vector as a list of Fractions, or None when target is outside the span.
+
+def integer_vector(v):
+    """(V, q) with v = V / q: v scaled to integers by the lcm q of its
+    denominators."""
+    v = [Fraction(x) for x in v]
+    q = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (q // x.denominator) for x in v], q
+
+
+def eliminate(columns):
+    """Rows of the invertible E with E A = [I; 0], where A has the given
+    linearly independent columns, by one Gauss-Jordan elimination of [A | I].
+
+    The first len(columns) rows of E are a left inverse of A.  The others
+    send a vector to 0 exactly when it lies in the span of the columns, since
+    E v = [c; 0] says v = A c.  A square A gives its inverse.
     """
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(nrows)
-    ]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(row, nrows) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(nrows):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < ncols:
-        return None
-    for i in range(row, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
+    k, dim = len(columns), len(columns[0])
+    aug = [[Fraction(col[r]) for col in columns] + [Fraction(int(r == j)) for j in range(dim)]
+           for r in range(dim)]
+    for col in range(k):
+        pivot = next((i for i in range(col, dim) if aug[i][col]), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = row = [x / pv for x in aug[col]]
+        for i in range(dim):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [x - f * y for x, y in zip(aug[i], row)]
+    return [row[k:] for row in aug]
 
 
-def solve_square(matrix, rhs):
-    """Solve matrix @ x = rhs for an invertible square matrix."""
-    n = len(matrix)
-    columns = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    sol = solve_in_span(columns, rhs)
-    if sol is None:
-        raise ValueError("singular system")
-    return sol
+class SpanSolver:
+    """Coefficients in a fixed basis, compiled to integers once.
+
+    From eliminate(basis): for v = V / q with V an integer vector,
+    v = sum_i c_i basis_i exactly when every row of `equations` sends V to
+    0, and then c_i = rows[i] . V / (D q).  `total` is the sum of the rows,
+    so the coefficient sum is total . V / (D q).  A call is a few integer
+    dot products; no elimination runs after the build.
+    """
+
+    def __init__(self, basis):
+        E = eliminate(basis)
+        left, equations = E[:len(basis)], E[len(basis):]
+        self.D = math.lcm(*(x.denominator for row in left for x in row))
+        self.rows = tuple(tuple(int(x * self.D) for x in row) for row in left)
+        self.total = tuple(map(sum, zip(*self.rows)))
+        self.equations = tuple(tuple(int(x * d) for x in row) for row in equations
+                               for d in [math.lcm(*(x.denominator for x in row))])
+
+    def in_span(self, V):
+        return not any(dot(row, V) for row in self.equations)
+
+    def in_lattice(self, V, q):
+        """Whether V / q is an integer combination of the basis."""
+        Dq = self.D * q
+        return self.in_span(V) and all(dot(row, V) % Dq == 0 for row in self.rows)
 
 
 def det(matrix):

@@ -5,13 +5,141 @@ enumerate_quadratic_ball_upto walks the whole completed-square ball in
 Fraction arithmetic, and enumerate_quadratic_ball_level keeps the ball
 points whose value equals the target.  Both are the original kernels of
 diophantine and linalg, kept here unchanged as differential oracles.
+
+simple_root_coefficients solves through the inverse Gram matrix and checks
+the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
+per call: the original Fraction kernels of dynkin and atomic.  height and the
+atomic-length statistics below are the original atomic formulas on top of
+them.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
-from corelat.linalg import _ldl, solve_square
+from corelat.atomic import _basis, _coords, _type, norm_sq
+from corelat.dynkin import NotInRootSpan, fundamental_weights
+from corelat.linalg import _ldl
+
+
+def solve_in_span(columns, target):
+    """Solve sum_i c_i * columns[i] = target.
+
+    The columns must be linearly independent.  Returns the coefficient
+    vector as a list of Fractions, or None when target is outside the span.
+    """
+    nrows = len(target)
+    ncols = len(columns)
+    aug = [
+        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+        for i in range(nrows)
+    ]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(row, nrows) if aug[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for i in range(nrows):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+    if len(pivots) < ncols:
+        return None
+    for i in range(row, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols]
+    return sol
+
+
+def solve_square(matrix, rhs):
+    """Solve matrix @ x = rhs for an invertible square matrix."""
+    n = len(matrix)
+    columns = [[matrix[i][j] for i in range(n)] for j in range(n)]
+    sol = solve_in_span(columns, rhs)
+    if sol is None:
+        raise ValueError("singular system")
+    return sol
+
+
+@lru_cache(maxsize=None)
+def _root_span_solver(t):
+    """Precomputed left inverse B with B . alpha_k = e_k (via the Gram matrix).
+
+    Coefficients of v are B v; v lies in the root span iff alpha . (B v) = v.
+    """
+    n, dim = t.n, t.ambient_dim
+    gram = [[t.inner(t.simple_roots[i], t.simple_roots[j]) for j in range(n)]
+            for i in range(n)]
+    inv_cols = [solve_square(gram, [Fraction(int(i == j)) for i in range(n)])
+                for j in range(n)]
+    gram_inv = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+    b = [
+        [sum(gram_inv[i][k] * t.scale_sq * t.simple_roots[k][d] for k in range(n))
+         for d in range(dim)]
+        for i in range(n)
+    ]
+    return tuple(tuple(row) for row in b)
+
+
+def simple_root_coefficients(t, v):
+    """Coefficients (c_1..c_n) with v = sum c_i alpha_i in stored coordinates."""
+    v = tuple(Fraction(x) for x in v)
+    b = _root_span_solver(t)
+    coeffs = tuple(sum(row[d] * v[d] for d in range(t.ambient_dim)) for row in b)
+    for d in range(t.ambient_dim):
+        if sum(coeffs[k] * t.simple_roots[k][d] for k in range(t.n)) != v[d]:
+            raise NotInRootSpan(f"{v} is not in the root span of {t.name}")
+    return coeffs
+
+
+def height(t, v):
+    """Sum of the simple-root coefficients of v (rational on L)."""
+    t = _type(t)
+    return sum(simple_root_coefficients(t, _coords(v)))
+
+
+def atomic_length0(t, v):
+    """(h/2)|v|^2 - ht(v); total on the rational root span."""
+    t = _type(t)
+    v = _coords(v)
+    return Fraction(t.h, 2) * norm_sq(t, v) - height(t, v)
+
+
+def atomic_length_i(t, i, v):
+    """Statistic at the i-th fundamental weight, on a translation part."""
+    t = _type(t)
+    v = _coords(v)
+    omega = fundamental_weights(t)[i - 1]
+    ratio = Fraction(t.comarks[i], t.comarks[0])
+    return ratio * atomic_length0(t, v) + t.h * t.inner(omega, v)
+
+
+def extended_atomic_length(t, weight, x):
+    """Statistic for an arbitrary dominant weight on a translation by x."""
+    t = _type(t)
+    x = _coords(x)
+    lam = _coords(weight.finite_part)
+    level = Fraction(weight.level)
+    return (t.h * t.inner(lam, x)
+            + Fraction(1, 2) * norm_sq(t, x) * level * t.h
+            - level * height(t, x))
+
+
+def in_lattice(t, v, lattice="M"):
+    """Whether v is an integer combination of the lattice basis."""
+    t = _type(t)
+    coeffs = solve_in_span(_basis(t, lattice), _coords(v))
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
 def solve_diagonal_brute(form, k):

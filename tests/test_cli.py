@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corelat import cli
 
@@ -92,6 +94,10 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv", [
     ["atomic-length", "--type", "C2_1", "--coords", "1"],
     ["atomic-length", "--type", "C2_1", "--weight", "L1", "--coords", "1,2,3"],
+    ["atomic-length", "--type", "C2_1", "--coords", "1/0,1"],
+    ["atomic-length", "--type", "C2_1", "--coords", "1e999999999,1"],
+    ["atomic-length", "--type", "A2_1", "--coords", "1,1,1"],
+    ["enumerate", "--type", "A2_1", "--N", "1/0"],
     ["solve", "--case", "C2", "--N", "-1"],
     ["table", "--figure", "6N+7", "--max-N", "-1"],
     ["verify", "--case", "C2", "--N", "-1"],
@@ -109,6 +115,44 @@ def test_boundary_violations_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_not_in_root_span_message_reads_back_as_coords(capsys):
+    code, _ = run_cli(["atomic-length", "--type", "A2_1", "--coords", "1/2,1,-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: 1/2,1,-1 is not in the root span of A2_1\n"
+
+
+# type id -> coordinate count (None: not a supported type)
+FUZZ_TYPES = {"A1_1": 2, "A2_1": 3, "C2_1": 2, "G2_1": 3, "A4_2": 2, "D4_3": 3, "E6_1": 8,
+              "E8_1": 8, "": None, "A0_1": None, "X2_1": None, "A2": None, "A2_9": None,
+              "E9_1": None, "A-1_1": None, "C2_1_1": None, "a2_1": None}
+FUZZ_TOKENS = ["0", "1", "-3", "1/2", "-7/3", "1/0", "0/0", "nan", "inf", "", " ", "x",
+               "1e999999999", "-1e-999999999", "1e4300", "2e3", "1.5", "1_000", "1/2e3", "--1"]
+fraction_tokens = st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 50))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), weight=st.sampled_from(["L0", "L1"]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_atomic_length_fuzz_keeps_the_exit_contract(data, weight, fmt):
+    type_id = data.draw(st.sampled_from(sorted(FUZZ_TYPES)))
+    dim = FUZZ_TYPES[type_id]
+    count = data.draw(st.integers(0, 9) if dim is None else st.sampled_from([dim, dim, dim - 1, 9]))
+    tokens = data.draw(st.lists(fraction_tokens, min_size=count, max_size=count))
+    if tokens and data.draw(st.booleans()):
+        tokens[data.draw(st.integers(0, count - 1))] = data.draw(st.sampled_from(FUZZ_TOKENS))
+    argv = ["atomic-length", f"--type={type_id}", f"--coords={','.join(tokens)}",
+            "--weight", weight, "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
 
 
 @pytest.mark.parametrize("value", ["x", "0", "-2"])
