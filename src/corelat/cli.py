@@ -2,17 +2,14 @@
 
 Output is CSV or JSON on stdout, byte-deterministic for fixed inputs.  Exit
 codes: 0 when everything requested PASSes, 1 on a verification FAIL (the
-witness is in the output), 2 on usage errors.  Sweeps over N run on a
-process pool capped by the CORELAT_THREADS environment variable.
+witness is in the output), 2 on usage errors.
 """
 
 import argparse
 import csv
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import atomic, cores, param
@@ -99,41 +96,10 @@ def _emit_json(obj, out):
     out.write("\n")
 
 
-def _workers():
-    """Worker-pool size for sweeps: CORELAT_THREADS caps it when set."""
-    env = os.environ.get("CORELAT_THREADS")
-    if env is None:
-        return min(os.cpu_count() or 1, 8)
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"CORELAT_THREADS must be a positive integer, got {env!r}")
-    return min(workers, 8)
-
-
 def _check_level(flag, n):
     """Levels N are non-negative; a negative one is a usage error."""
     if n is not None and n < 0:
         raise ValueError(f"{flag} must be non-negative, got {n}")
-
-
-def _verify_one(args):
-    case_id, n = args
-    return param.verify_case(case_id, n)
-
-
-def _conjecture_one(n):
-    return param.a3_conjecture_check(n)
-
-
-def _sweep(func, jobs):
-    workers = _workers()
-    if workers <= 1 or len(jobs) <= 1:
-        return [func(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 def _report_output(reports, fmt, out):
@@ -221,15 +187,15 @@ def _cmd_verify(args, out):
         ns = [args.N]
     else:
         max_n = args.max_N if args.max_N is not None else 20
-        ns = list(range(max_n + 1))
-    reports = _sweep(_verify_one, [(args.case, n) for n in ns])
+        ns = range(max_n + 1)
+    reports = [param.verify_case(args.case, n) for n in ns]
     return _report_output(reports, args.format, out)
 
 
 def _cmd_conjecture(args, out):
     _check_level("--max-N", args.max_N)
     max_n = args.max_N if args.max_N is not None else 20
-    reports = _sweep(_conjecture_one, list(range(max_n + 1)))
+    reports = [param.a3_conjecture_check(n) for n in range(max_n + 1)]
     return _report_output(reports, args.format, out)
 
 
@@ -276,8 +242,9 @@ def build_parser():
     p = sub.add_parser("verify", help="run a case verifier over a range of N")
     p.add_argument("--case", required=True,
                    help="one of %s or HYP:<type>" % (", ".join(VERIFY_CASES),))
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--max-N", dest="max_N", type=int, default=None)
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument("--N", type=int, default=None)
+    levels.add_argument("--max-N", dest="max_N", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -32,6 +32,13 @@ def _vec(*entries):
     return tuple(Fraction(e) for e in entries)
 
 
+def _chain(count, dim, step=1):
+    """The roots step * (e_i - e_{i+1}) for i < count, in dimension dim."""
+    return tuple(tuple(Fraction(step) if j == i else -Fraction(step) if j == i + 1 else Fraction(0)
+                       for j in range(dim))
+                 for i in range(count))
+
+
 def _unit(dim, i, value=1):
     return tuple(Fraction(value) if j == i else Fraction(0) for j in range(dim))
 
@@ -44,14 +51,18 @@ class AffineTypeId:
 
     @classmethod
     def parse(cls, text):
-        """Parse the serialised form '<FAMILY><rank>_<twist>', e.g. 'C2_1'."""
+        """Parse the serialised form '<FAMILY><rank>_<twist>', e.g. 'C2_1'.
+
+        Only the form str() writes back is accepted, so one type has one
+        spelling: 'A02_1', 'A 2_1' or 'A2_1\\n' are malformed."""
         try:
             head, twist = text.split("_")
-            family = head[0]
-            rank_label = int(head[1:])
-            return cls(family, rank_label, int(twist))
+            tid = cls(head[0], int(head[1:]), int(twist))
+            if str(tid) == text:
+                return tid
         except (ValueError, IndexError):
-            raise UnknownType(f"malformed type id {text!r}") from None
+            pass
+        raise UnknownType(f"malformed type id {text!r}")
 
     def __str__(self):
         return f"{self.family}{self.rank_label}_{self.twist}"
@@ -70,6 +81,11 @@ class TypeData:
     m_basis: tuple              # Z-basis of the lattice M, stored coordinates
     l_basis: tuple              # Z-basis of L when registered, else None
     J: tuple                    # indices i >= 1 with a_i = 1
+
+    def __hash__(self):
+        # every field is a function of the id; hashing the id alone spares
+        # the caches keyed by a type from hashing all its Fractions
+        return hash(self.id)
 
     @cached_property
     def root_solver(self):
@@ -96,22 +112,13 @@ def _build_type(tid):
     if tw == 1:
         if fam == "A" and m >= 1:
             n = m
-            roots = tuple(
-                tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                      for j in range(n + 1))
-                for i in range(n)
-            )
-            alpha = list(roots)
-            l_basis = (_omega1_type_a(n),) + tuple(alpha[: n - 1])
+            roots = _chain(n, n + 1)
+            l_basis = (_omega1_type_a(n),) + roots[: n - 1]
             return TypeData(tid, n, (1,) * (n + 1), (1,) * (n + 1), n + 1, n + 1, 1,
                             roots, roots, l_basis, tuple(range(1, n + 1)))
         if fam == "B" and m >= 3:
             n = m
-            roots = tuple(
-                tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                      for j in range(n))
-                for i in range(n - 1)
-            ) + (_unit(n, n - 1),)
+            roots = _chain(n - 1, n) + (_unit(n, n - 1),)
             m_basis = roots[:-1] + (_unit(n, n - 1, 2),)
             marks = (1, 1) + (2,) * (n - 1)
             comarks = (1, 1) + (2,) * (n - 2) + (1,)
@@ -119,11 +126,7 @@ def _build_type(tid):
                             roots, m_basis, None, (1,))
         if fam == "C" and m >= 2:
             n = m
-            roots = tuple(
-                tuple(Fraction(1, 2) if j == i else Fraction(-1, 2) if j == i + 1 else Fraction(0)
-                      for j in range(n))
-                for i in range(n - 1)
-            ) + (_unit(n, n - 1),)
+            roots = _chain(n - 1, n, Fraction(1, 2)) + (_unit(n, n - 1),)
             m_basis = tuple(_unit(n, i) for i in range(n))
             omega_n = tuple(Fraction(1, 2) for _ in range(n))
             l_basis = tuple(_unit(n, i) for i in range(n - 1)) + (omega_n,)
@@ -132,11 +135,8 @@ def _build_type(tid):
                             roots, m_basis, l_basis, (n,))
         if fam == "D" and m >= 4:
             n = m
-            roots = tuple(
-                tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                      for j in range(n))
-                for i in range(n - 1)
-            ) + (tuple(Fraction(1) if j >= n - 2 else Fraction(0) for j in range(n)),)
+            roots = _chain(n - 1, n) + (
+                tuple(Fraction(1) if j >= n - 2 else Fraction(0) for j in range(n)),)
             marks = (1, 1) + (2,) * (n - 3) + (1, 1)
             return TypeData(tid, n, marks, marks, 2 * n - 2, n, 1,
                             roots, roots, None, (1, n - 1, n))
@@ -147,11 +147,7 @@ def _build_type(tid):
                 7: (1, 1, 2, 3, 4, 2, 3, 2),
                 8: (1, 2, 3, 4, 5, 6, 3, 4, 2),
             }[n]
-            roots = tuple(
-                tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                      for j in range(8))
-                for i in range(n - 2)
-            ) + (
+            roots = _chain(n - 2, 8) + (
                 tuple(Fraction(1) if j in (n - 3, n - 2) else Fraction(0) for j in range(8)),
                 tuple(Fraction(-1, 2) for _ in range(8)),
             )
@@ -185,11 +181,7 @@ def _build_type(tid):
         if fam == "A" and m >= 4:
             if m % 2 == 0:           # A_{2n}^{(2)}
                 n = m // 2
-                roots = tuple(
-                    tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                          for j in range(n))
-                    for i in range(n - 1)
-                ) + (_unit(n, n - 1, 2),)
+                roots = _chain(n - 1, n) + (_unit(n, n - 1, 2),)
                 m_basis = tuple(_unit(n, i) for i in range(n))
                 marks = (2,) * n + (1,)
                 comarks = (1,) + (2,) * n
@@ -197,22 +189,14 @@ def _build_type(tid):
                                 roots, m_basis, None, (n,))
             if m % 2 == 1 and m >= 5:  # A_{2n-1}^{(2)}
                 n = (m + 1) // 2
-                roots = tuple(
-                    tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                          for j in range(n))
-                    for i in range(n - 1)
-                ) + (_unit(n, n - 1, 2),)
+                roots = _chain(n - 1, n) + (_unit(n, n - 1, 2),)
                 marks = (1, 1) + (2,) * (n - 2) + (1,)
                 comarks = (1, 1) + (2,) * (n - 1)
                 return TypeData(tid, n, marks, comarks, 2 * n - 1, n, 1,
                                 roots, roots, None, (1, n))
         if fam == "D" and m >= 3:    # D_{n+1}^{(2)}
             n = m - 1
-            roots = tuple(
-                tuple(Fraction(1) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-                      for j in range(n))
-                for i in range(n - 1)
-            ) + (_unit(n, n - 1),)
+            roots = _chain(n - 1, n) + (_unit(n, n - 1),)
             m_basis = tuple(_unit(n, i) for i in range(n))
             comarks = (1,) + (2,) * (n - 1) + (1,)
             return TypeData(tid, n, (1,) * (n + 1), comarks, n + 1, n, 2,

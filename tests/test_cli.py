@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ from golden_data import (CONJECTURE_A3_JSON_3, TABLE_12N7, TABLE_40N10, TABLE_6N
 
 def run_cli(argv):
     out = io.StringIO()
-    import contextlib
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
@@ -91,6 +91,10 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+# spellings that int() reads as A2_1; only the canonical one names the type
+NON_CANONICAL_IDS = ["A02_1", "A+2_1", "A 2_1", "A2_ 1", "A\u0662_1", "A2_1\n"]
+
+
 @pytest.mark.parametrize("argv", [
     ["atomic-length", "--type", "C2_1", "--coords", "1"],
     ["atomic-length", "--type", "C2_1", "--weight", "L1", "--coords", "1,2,3"],
@@ -109,6 +113,10 @@ def test_usage_error_exit_code():
     ["verify", "--case", "HYP:D0_2", "--N", "0"],
     ["verify", "--case", "HYP:D1_2", "--N", "0"],
     ["solve", "--case", "HYP:B0_1", "--N", "0"],
+    *[["enumerate", "--type", type_id, "--N", "2"] for type_id in NON_CANONICAL_IDS],
+    ["atomic-length", "--type", "A02_1", "--coords", "1,-1,0"],
+    ["verify", "--case", "HYP:C03_1", "--N", "1"],
+    ["solve", "--case", "HYP:C3_01", "--N", "1"],
 ])
 def test_boundary_violations_are_usage_errors(argv, capsys):
     code, out = run_cli(argv)
@@ -117,10 +125,31 @@ def test_boundary_violations_are_usage_errors(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_rejects_n_with_max_n(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--case", "A2", "--N", "0", "--max-N", "3"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_not_in_root_span_message_reads_back_as_coords(capsys):
     code, _ = run_cli(["atomic-length", "--type", "A2_1", "--coords", "1/2,1,-1"])
     assert code == 2
     assert capsys.readouterr().err == "error: 1/2,1,-1 is not in the root span of A2_1\n"
+
+
+def assert_exit_contract(argv):
+    """Exit 0, 1 or 2, never a traceback, and stdout exactly on exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
 
 
 # type id -> coordinate count (None: not a supported type)
@@ -142,26 +171,54 @@ def test_atomic_length_fuzz_keeps_the_exit_contract(data, weight, fmt):
     tokens = data.draw(st.lists(fraction_tokens, min_size=count, max_size=count))
     if tokens and data.draw(st.booleans()):
         tokens[data.draw(st.integers(0, count - 1))] = data.draw(st.sampled_from(FUZZ_TOKENS))
-    argv = ["atomic-length", f"--type={type_id}", f"--coords={','.join(tokens)}",
-            "--weight", weight, "--format", fmt]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:      # argparse rejects the argv
-            code = exc.code
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (out.getvalue() != "")
+    assert_exit_contract(["atomic-length", f"--type={type_id}", f"--coords={','.join(tokens)}",
+                          "--weight", weight, "--format", fmt])
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-2"])
-def test_bad_corelat_threads_is_usage_error(value, monkeypatch, capsys):
-    monkeypatch.setenv("CORELAT_THREADS", value)
-    code, out = run_cli(["verify", "--case", "C2", "--max-N", "2"])
-    err = capsys.readouterr().err
-    assert code == 2 and out == ""
-    assert err == f"error: CORELAT_THREADS must be a positive integer, got {value!r}\n"
+def mostly(common, odd):
+    """A value drawn from common at least half the time, else from common + odd."""
+    return st.one_of(st.sampled_from(common), st.sampled_from(common + odd))
+
+
+def option(name, values):
+    """The argv words of a flag: the flag and a drawn value."""
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def optional(name, values):
+    return st.one_of(st.just([]), option(name, values))
+
+
+# hyperoctahedral types of rank <= 3; rank 0, non-canonical spellings, no pipeline
+FUZZ_CASES = mostly(list(cli.VERIFY_CASES) + ["HYP:" + type_id for type_id in [
+    "B1_1", "B2_1", "B3_1", "C1_1", "C2_1", "C3_1", "A1_2", "A3_2", "A4_2", "A5_2", "A6_2",
+    "D2_2", "D3_2", "D4_2"]],
+    ["HYP:B0_1", "HYP:D1_2", "HYP:C03_1", "HYP:C3_01", "HYP:C3_1\n", "HYP:E6_1", "HYP:",
+     "bogus", "c2", ""])
+FUZZ_LEVELS = mostly([str(n) for n in range(7)], ["-1", "", "x", "1/2", "1e3", "+2", "0x3"])
+FUZZ_ARGVS = {
+    "enumerate": st.tuples(
+        option("--type", mostly([t for t, dim in FUZZ_TYPES.items() if dim],
+                                [t for t, dim in FUZZ_TYPES.items() if not dim]
+                                + NON_CANONICAL_IDS)),
+        optional("--weight", st.sampled_from(["L0", "L1"])),
+        optional("--lattice", st.sampled_from(["M", "L"])),
+        option("--N", mostly([str(n) for n in range(-1, 7)] + ["1/2", "7/2", "-5/3"],
+                             ["1/0", "nan", "inf", "", "x", "6e0", "1_0"]))),
+    "solve": st.tuples(option("--case", FUZZ_CASES), option("--N", FUZZ_LEVELS)),
+    "verify": st.tuples(option("--case", FUZZ_CASES),
+                        optional("--N", FUZZ_LEVELS), optional("--max-N", FUZZ_LEVELS)),
+    "table": st.tuples(option("--figure", mostly(sorted(cli.FIGURES), ["nope", ""])),
+                       optional("--max-N", FUZZ_LEVELS)),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(sorted(FUZZ_ARGVS)),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_command_fuzz_keeps_the_exit_contract(data, command, fmt):
+    words = data.draw(FUZZ_ARGVS[command])
+    assert_exit_contract([command] + [w for part in words for w in part] + ["--format", fmt])
 
 
 def test_report_failure_exit_code():
@@ -276,18 +333,13 @@ def test_conjecture_verb():
     assert all(item["status"] == "PASS" for item in json.loads(out))
 
 
-def test_byte_determinism_across_workers(monkeypatch):
-    monkeypatch.setenv("CORELAT_THREADS", "1")
-    _, serial = run_cli(["verify", "--case", "D43", "--max-N", "6"])
-    monkeypatch.setenv("CORELAT_THREADS", "4")
-    _, parallel = run_cli(["verify", "--case", "D43", "--max-N", "6"])
-    assert serial == parallel
-
-
 def test_console_entry_point():
+    # the child imports corelat from where this process found it
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "corelat.cli", "solve", "--case", "C2", "--N", "40"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "325" in proc.stdout
 

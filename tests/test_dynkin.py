@@ -25,6 +25,12 @@ def test_id_grammar_round_trip():
         assert lookup_type(name).name == name
 
 
+def test_type_data_hashes_as_its_id():
+    t = lookup_type("E8_1")
+    assert hash(t) == hash(AffineTypeId.parse("E8_1"))
+    assert lookup_type(AffineTypeId.parse("E8_1")) == t
+
+
 def test_lookup_a2():
     t = lookup_type("A2_1")
     assert t.h == 3
@@ -53,7 +59,10 @@ def test_lookup_d43():
 
 
 @pytest.mark.parametrize("bad", ["B2_1", "D3_1", "A0_1", "H2_1", "C1_1",
-                                 "A3_2", "D2_2", "E7_2", "D5_3", "G2_3", "x", "A2"])
+                                 "A3_2", "D2_2", "E7_2", "D5_3", "G2_3", "x", "A2",
+                                 # int() reads these as A2_1; a type has one spelling
+                                 "A02_1", "A+2_1", "A 2_1", "A2_ 1", "A\u0662_1", "A2_1\n",
+                                 "A2_01", " A2_1"])
 def test_unknown_types(bad):
     with pytest.raises(UnknownType):
         lookup_type(bad)
