@@ -22,6 +22,6 @@ from .cores import (
     d4flat_from_lattice,
 )
 from .diophantine import solve_diagonal, orbit_partition, is_action_free
-from .param import get_case, verify_case, pig_a2_verify, a3_strata, a3_conjecture_check
+from .param import get_case, verify_case, a3_strata, a3_conjecture_check
 
 __version__ = "0.1.0"

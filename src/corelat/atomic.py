@@ -107,8 +107,12 @@ def _statistic(t, v, lam=((), 1), level=1):
 
 
 @lru_cache(maxsize=None)
-def _integer_weights(type_name):
-    """The fundamental weights omega_i of a type as (W_i, p_i), omega_i = W_i / p_i."""
+def integer_weights(type_name):
+    """The fundamental weights of a type scaled to integers, computed once per type.
+
+    Entry i - 1 is (W_i, p_i) with omega_i = W_i / p_i, W_i an integer tuple on
+    the type's ambient coordinates and p_i a positive integer.
+    """
     return tuple((tuple(W), p) for W, p in map(linalg.integer_vector,
                                                 dynkin.fundamental_weights(lookup_type(type_name))))
 
@@ -123,7 +127,7 @@ def atomic_length_i(t, i, v):
     t = _type(t)
     if not 1 <= i <= t.n:
         raise BadIndex(f"index {i} outside 1..{t.n} for {t.name}")
-    return _statistic(t, v, _integer_weights(t.name)[i - 1], Fraction(t.comarks[i], t.comarks[0]))
+    return _statistic(t, v, integer_weights(t.name)[i - 1], Fraction(t.comarks[i], t.comarks[0]))
 
 
 def extended_atomic_length(t, weight, x):

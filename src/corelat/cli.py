@@ -68,7 +68,7 @@ def figure_rows(figure, max_n):
         level = param.LevelData(case, n)
         if figure == "8N+1":
             # split by the parity of the rotated point: even sums lie in M
-            rotated = [(tuple(map(param._as_int, param.u_rotate(q))), img)
+            rotated = [(param.u_rotate(q), img)
                        for q, img in zip(level.points, level.images)]
             in_m = [pair for pair in rotated if sum(pair[0]) % 2 == 0]
             outside = [pair for pair in rotated if sum(pair[0]) % 2 == 1]

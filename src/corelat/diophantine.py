@@ -211,18 +211,23 @@ def orbit_partition(group, solutions):
     return orbits
 
 
-def is_action_free(group, solutions):
-    """(True, None) when every orbit has full group size, else (False, witness).
+def freeness_witness(orbits, order):
+    """None when every orbit has `order` points, else the largest point of
+    the first undersized orbit, which for the sign-symmetric actions used
+    here is its all-non-negative member."""
+    for orb in orbits:
+        if len(orb) < order:
+            return orb[-1]
+    return None
 
-    The witness is the largest point of the first undersized orbit, which for
-    the sign-symmetric actions used here is its all-non-negative member.
-    """
+
+def is_action_free(group, solutions):
+    """(True, None) when every orbit has full group size, else (False, witness),
+    with the witness of freeness_witness."""
     points = [tuple(p) for p in solutions]
     order = group_order(group, _arity_of(group, points) if points else None)
-    for orb in orbit_partition(group, points):
-        if len(orb) < order:
-            return False, orb[-1]
-    return True, None
+    witness = freeness_witness(orbit_partition(group, points), order)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,14 @@ def _unit(dim, i, value=1):
     return tuple(Fraction(value) if j == i else Fraction(0) for j in range(dim))
 
 
+# The largest rank label a type id may carry.  Building a type costs O(n^2)
+# Fractions and a hyperoctahedral case more (hyp_case("C100_1") takes about
+# 4.8 s on one core of a 2-CPU machine with Python 3.11.7), so a larger label
+# is refused before anything is built.  The tests and the README name ids up
+# to A16_2.
+MAX_RANK_LABEL = 50
+
+
 @dataclass(frozen=True)
 class AffineTypeId:
     family: str
@@ -54,15 +62,19 @@ class AffineTypeId:
         """Parse the serialised form '<FAMILY><rank>_<twist>', e.g. 'C2_1'.
 
         Only the form str() writes back is accepted, so one type has one
-        spelling: 'A02_1', 'A 2_1' or 'A2_1\\n' are malformed."""
+        spelling: 'A02_1', 'A 2_1' or 'A2_1\\n' are malformed.  A rank
+        label above MAX_RANK_LABEL is refused as well."""
         try:
             head, twist = text.split("_")
             tid = cls(head[0], int(head[1:]), int(twist))
-            if str(tid) == text:
-                return tid
         except (ValueError, IndexError):
-            pass
-        raise UnknownType(f"malformed type id {text!r}")
+            tid = None
+        if tid is None or str(tid) != text:
+            raise UnknownType(f"malformed type id {text!r}")
+        if tid.rank_label > MAX_RANK_LABEL:
+            raise UnknownType(f"type id {text!r} has rank label {tid.rank_label}, "
+                              f"above the largest supported, {MAX_RANK_LABEL}")
+        return tid
 
     def __str__(self):
         return f"{self.family}{self.rank_label}_{self.twist}"

@@ -21,21 +21,32 @@ from .linalg import is_perfect_square
 from .weyl import ExtGrassElement
 
 
-def _as_int(x):
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise NonIntegralImage(f"non-integral image component {x}")
-    return int(x)
+class AffineMap:
+    """x -> P x + p on rational x, for integer P and p.
+
+    x is scaled once to V / q (linalg.integer_vector), so each component is
+    an integer dot product, and divmod by q tests that it is an integer;
+    a non-integral one raises NonIntegralImage.  A row of P may be shorter
+    than x: the coordinates past it do not enter that component.
+    """
+
+    def __init__(self, P, p):
+        self.P, self.p = tuple(map(tuple, P)), tuple(p)
+
+    def __call__(self, x):
+        V, q = linalg.integer_vector(x)
+        image = []
+        for row, c in zip(self.P, self.p):
+            num = linalg.dot(row, V) + c * q
+            y, r = divmod(num, q)
+            if r:
+                raise NonIntegralImage(f"non-integral image component {Fraction(num, q)}")
+            image.append(y)
+        return tuple(image)
 
 
-def _ints(xs):
-    return tuple(_as_int(x) for x in xs)
-
-
-def u_rotate(q):
-    """The involutive rank-2 change of coordinates (q1, q2) -> (q1+q2, q1-q2)."""
-    q1, q2 = Fraction(q[0]), Fraction(q[1])
-    return (q1 + q2, q1 - q2)
+# The involutive rank-2 change of coordinates (q1, q2) -> (q1+q2, q1-q2).
+u_rotate = AffineMap(((1, 1), (1, -1)), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -65,54 +76,30 @@ class ParamCase:
         return atomic.length_form(self.type_id, self.weight, self.lattice)
 
 
-def map_p_a2(v):
-    """(3x + 6y - 1, 3x - 1) on the first two coordinates."""
-    return _ints((3 * v[0] + 6 * v[1] - 1, 3 * v[0] - 1))
-
-
-def map_p_a3(v):
-    """(12y + 4z - 1, 8z + 1, 8x + 4y + 4z - 3) on coordinates (x, y, z, t)."""
-    return _ints((12 * v[1] + 4 * v[2] - 1,
-                  8 * v[2] + 1,
-                  8 * v[0] + 4 * v[1] + 4 * v[2] - 3))
-
-
-def _phi_c2(q):
-    b1p, b2p = u_rotate(q)
-    return _ints((4 * b1p - 2, 4 * b2p - 1))
-
-
-def _phi_c2l1(q):
-    b1p, b2p = u_rotate(q)
-    return _ints((4 * b1p, 4 * b2p + 1))
-
-
-def _phi_d3t(q):
-    return _ints((6 * q[0] - 2, 6 * q[1] - 1))
-
-
-def _phi_a42(q):
-    return _ints((10 * q[0] - 3, 10 * q[1] - 1))
-
-
-def _phi_g21(q):
-    return _ints((6 * q[0] + 3 * q[1] + 2, 3 * q[1] + 1))
-
-
-def _phi_d43(q):
-    return _ints((6 * q[1] + 2, 4 * q[0] + 2 * q[1] + 1))
+# (3x + 6y - 1, 3x - 1) on the first two coordinates.
+map_p_a2 = AffineMap(((3, 6), (3, 0)), (-1, -1))
+# (12y + 4z - 1, 8z + 1, 8x + 4y + 4z - 3) on coordinates (x, y, z, t).
+map_p_a3 = AffineMap(((0, 12, 4), (0, 0, 8), (8, 4, 4)), (-1, 1, -3))
 
 
 CASES = {
     "A2": ParamCase("A2", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "complete", map_p_a2),
     "A2ext": ParamCase("A2ext", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "extended",
                        map_p_a2),
-    "C2": ParamCase("C2", "C2_1", 0, "M", 8, 5, (1, 1), "D8", "complete", _phi_c2),
-    "C2L1": ParamCase("C2L1", "C2_1", 1, "L", 8, 1, (1, 1), "C4", "complete", _phi_c2l1),
-    "D3t": ParamCase("D3t", "D3_2", 0, "M", 12, 5, (1, 1), "D8", "complete", _phi_d3t),
-    "A42": ParamCase("A42", "A4_2", 0, "M", 40, 10, (1, 1), "D8", "orbit-size", _phi_a42),
-    "G21": ParamCase("G21", "G2_1", 0, "M", 6, 7, (1, 3), "V4", "orbit-size", _phi_g21),
-    "D43": ParamCase("D43", "D4_3", 0, "M", 12, 7, (1, 3), "V4", "complete", _phi_d43),
+    # 4 u_rotate(q) - (2, 1)
+    "C2": ParamCase("C2", "C2_1", 0, "M", 8, 5, (1, 1), "D8", "complete",
+                    AffineMap(((4, 4), (4, -4)), (-2, -1))),
+    # 4 u_rotate(q) + (0, 1)
+    "C2L1": ParamCase("C2L1", "C2_1", 1, "L", 8, 1, (1, 1), "C4", "complete",
+                      AffineMap(((4, 4), (4, -4)), (0, 1))),
+    "D3t": ParamCase("D3t", "D3_2", 0, "M", 12, 5, (1, 1), "D8", "complete",
+                     AffineMap(((6, 0), (0, 6)), (-2, -1))),
+    "A42": ParamCase("A42", "A4_2", 0, "M", 40, 10, (1, 1), "D8", "orbit-size",
+                     AffineMap(((10, 0), (0, 10)), (-3, -1))),
+    "G21": ParamCase("G21", "G2_1", 0, "M", 6, 7, (1, 3), "V4", "orbit-size",
+                     AffineMap(((6, 3), (0, 3)), (2, 1))),
+    "D43": ParamCase("D43", "D4_3", 0, "M", 12, 7, (1, 3), "V4", "complete",
+                     AffineMap(((0, 6), (4, 2)), (2, 1))),
     "A3": ParamCase("A3", "A3_1", 0, "M", 48, 30, (1, 2, 3), "G_A3", "stratified",
                     map_p_a3),
 }
@@ -122,41 +109,21 @@ CASES = {
 # Hyperoctahedral families (underlying finite type B_n / C_n)
 
 _HYP_FAMILIES = {
-    # key: (a(n), b(n), coefficient c(n), offset s_i(n, i), kappa(n), linear l_i, even_sum)
-    # phi(q)_i = c q_i - s_i, and the length is kappa |q|^2 - sum_i l_i q_i
-    "B": dict(a=lambda n: 4 * n,
-              b=lambda n: n * (n + 1) * (2 * n + 1) // 6,
-              coeff=lambda n: 2 * n,
-              offset=lambda n, i: n - i + 1,
-              kappa=lambda n: Fraction(n),
+    # key: (kappa(n), linear l_i(n, i), even_sum); the length is
+    # kappa |q|^2 - sum_i l_i q_i on Z^n, or on its even-sum sublattice
+    "B": dict(kappa=lambda n: Fraction(n),
               linear=lambda n, i: Fraction(n - i + 1),
               even_sum=True),
-    "C": dict(a=lambda n: 8 * n,
-              b=lambda n: n * (2 * n + 1) * (2 * n - 1) // 3,
-              coeff=lambda n: 4 * n,
-              offset=lambda n, i: 2 * (n - i) + 1,
-              kappa=lambda n: Fraction(2 * n),
+    "C": dict(kappa=lambda n: Fraction(2 * n),
               linear=lambda n, i: Fraction(2 * (n - i) + 1),
               even_sum=False),
-    "Aodd": dict(a=lambda n: 16 * n - 8,
-                 b=lambda n: n * (2 * n + 1) * (2 * n - 1) // 3,
-                 coeff=lambda n: 4 * n - 2,
-                 offset=lambda n, i: 2 * (n - i) + 1,
-                 kappa=lambda n: Fraction(2 * n - 1, 2),
+    "Aodd": dict(kappa=lambda n: Fraction(2 * n - 1, 2),
                  linear=lambda n, i: Fraction(2 * (n - i) + 1, 2),
                  even_sum=True),
-    "Dt": dict(a=lambda n: 4 * (n + 1),
-               b=lambda n: n * (n + 1) * (2 * n + 1) // 6,
-               coeff=lambda n: 2 * (n + 1),
-               offset=lambda n, i: n - i + 1,
-               kappa=lambda n: Fraction(n + 1),
+    "Dt": dict(kappa=lambda n: Fraction(n + 1),
                linear=lambda n, i: Fraction(n - i + 1),
                even_sum=False),
-    "Aeven": dict(a=lambda n: 16 * n + 8,
-                  b=lambda n: n * (2 * n + 1) * (2 * n - 1) // 3,
-                  coeff=lambda n: 4 * n + 2,
-                  offset=lambda n, i: 2 * (n - i) + 1,
-                  kappa=lambda n: Fraction(2 * n + 1, 2),
+    "Aeven": dict(kappa=lambda n: Fraction(2 * n + 1, 2),
                   linear=lambda n, i: Fraction(n - i) + Fraction(1, 2),
                   even_sum=False),
 }
@@ -193,21 +160,26 @@ def hyp_case(type_id):
 
     Built from the family's explicit quadratic, so ranks below the type
     table's minimum (where the formulas still make sense) are accepted.
+    The equation completes the square of the length: with s the lcm of the
+    denominators of 2 kappa and the l_i,
+    sum_i (2 kappa s q_i - l_i s)^2 = 4 kappa s^2 N + sum_i (l_i s)^2,
+    so phi(q)_i = 2 kappa s q_i - l_i s, a = 4 kappa s^2, b = sum_i (l_i s)^2.
     """
     family, n = _hyp_family_of_type(type_id)
     spec = _HYP_FAMILIES[family]
-    coeff = spec["coeff"](n)
-    offsets = [spec["offset"](n, i) for i in range(1, n + 1)]
+    kappa = spec["kappa"](n)
     linear = [spec["linear"](n, i) for i in range(1, n + 1)]
     length = linalg.QuadraticForm.on_basis(
-        _hyp_basis(n, spec["even_sum"]), spec["kappa"](n),
+        _hyp_basis(n, spec["even_sum"]), kappa,
         lambda q: -sum(x * y for x, y in zip(linear, q)))
-
-    def phi(q):
-        return _ints(tuple(coeff * q[i] - offsets[i] for i in range(n)))
-
-    return ParamCase(f"HYP:{type_id}", type_id, 0, "M", spec["a"](n), spec["b"](n),
-                     (1,) * n, "H", "orbit-size", phi, arity=n, family_form=length)
+    s = math.lcm((2 * kappa).denominator, *(x.denominator for x in linear))
+    coeff = int(2 * kappa * s)
+    offsets = [int(x * s) for x in linear]
+    phi = AffineMap([[coeff * (r == c) for c in range(n)] for r in range(n)],
+                    [-x for x in offsets])
+    return ParamCase(f"HYP:{type_id}", type_id, 0, "M", 2 * s * coeff,
+                     sum(x * x for x in offsets), (1,) * n, "H", "orbit-size", phi,
+                     arity=n, family_form=length)
 
 
 def get_case(case_id):
@@ -326,11 +298,11 @@ def check_complete(level):
             return _fail(case_id, n, counts,
                          {"reason": "phi image off the quadric",
                           "q": [str(x) for x in q], "image": img})
-    free, bad = diophantine.is_action_free(case.group, sols)
     orbits = level.orbits
     counts["orbits"] = len(orbits)
-    if not free:
-        return _fail(case_id, n, counts, {"reason": "action not free", "point": bad})
+    witness = diophantine.freeness_witness(orbits, diophantine.group_order(case.group, case.arity))
+    if witness is not None:
+        return _fail(case_id, n, counts, {"reason": "action not free", "point": witness})
     image_set = set(images)
     for orb in orbits:
         hits = [p for p in orb if p in image_set]
@@ -460,28 +432,6 @@ def verify_case(case_id, n):
     """The check of the case's claim at level n."""
     case = get_case(case_id)
     return CHECKS[case.claim](LevelData(case, n))
-
-
-# The verifiers: one level of one case through the check of one claim
-
-
-def verify_representatives(case_id, n):
-    case = get_case(case_id)
-    if case.claim != "complete":
-        raise ValueError(f"case {case_id} makes no complete-representatives claim")
-    return check_complete(LevelData(case, n))
-
-
-def verify_orbit_size(case_id, n):
-    return check_orbit_size(LevelData(get_case(case_id), n))
-
-
-def pig_a2_verify(n):
-    return check_extended(LevelData(CASES["A2ext"], n))
-
-
-def a3_props_verify(n):
-    return check_stratified(LevelData(CASES["A3"], n))
 
 
 def a3_conjecture_check(n):

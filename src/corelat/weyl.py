@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import atomic, dynkin
+from . import atomic, dynkin, linalg
 from .atomic import LatticeVector
 from .dynkin import lookup_type
 
@@ -66,21 +66,18 @@ def matrix_Mj(t, j):
     return _matrix_mj(t.name, j)
 
 
-def apply_matrix(mat, v):
-    return tuple(sum(Fraction(mat[r][c]) * Fraction(v[c]) for c in range(len(v)))
-                 for r in range(len(mat)))
-
-
 def extended_image(t, element):
-    """The weight-lattice vector omega_j + M_j(q) of an extended element."""
+    """The weight-lattice vector omega_j + M_j(q) of an extended element.
+
+    In integers: with q = V / d and omega_j = W / p (zero for j = 0), the
+    image is (p M_j V + d W) / (d p), one Fraction per coordinate.
+    """
     t = _check_type(t)
-    j, q = element.j, element.q
-    mq = apply_matrix(matrix_Mj(t, j), q)
-    if j == 0:
-        coords = mq
-    else:
-        omega = dynkin.fundamental_weights(t)[j - 1]
-        coords = tuple(a + b for a, b in zip(omega, mq))
+    j = element.j
+    mat = matrix_Mj(t, j)
+    V, d = linalg.integer_vector(element.q)
+    W, p = atomic.integer_weights(t.name)[j - 1] if j else ((0,) * t.ambient_dim, 1)
+    coords = tuple(Fraction(p * linalg.dot(row, V) + d * w, d * p) for row, w in zip(mat, W))
     return LatticeVector(t.name, coords, "L")
 
 

@@ -11,6 +11,13 @@ the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
 per call: the original Fraction kernels of dynkin and atomic.  height and the
 atomic-length statistics below are the original atomic formulas on top of
 them.
+
+apply_matrix multiplies a layer matrix into a point in Fraction arithmetic,
+and extended_image, the original weyl.extended_image, computes
+omega_j + M_j q with it.  The phi maps below are the original hand-written
+functions of param, with their Fraction-to-int conversion _as_int and the
+coefficient and offset of the hyperoctahedral table (HYP_TABLE) before it
+was derived from kappa and the l_i.
 """
 
 import math
@@ -18,9 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from corelat.atomic import _basis, _coords, _type, norm_sq
+from corelat import dynkin
+from corelat.atomic import LatticeVector, _basis, _coords, _type, norm_sq
+from corelat.diophantine import NonIntegralImage
 from corelat.dynkin import NotInRootSpan, fundamental_weights
 from corelat.linalg import _ldl
+from corelat.weyl import _check_type, matrix_Mj
 
 
 def solve_in_span(columns, target):
@@ -218,3 +228,119 @@ def enumerate_quadratic_ball_level(a, b, target):
     target = Fraction(target)
     return [m for value, m in enumerate_quadratic_ball_upto(a, b, target)
             if value == target]
+
+
+def apply_matrix(mat, v):
+    return tuple(sum(Fraction(mat[r][c]) * Fraction(v[c]) for c in range(len(v)))
+                 for r in range(len(mat)))
+
+
+def extended_image(t, element):
+    """The weight-lattice vector omega_j + M_j(q) of an extended element."""
+    t = _check_type(t)
+    j, q = element.j, element.q
+    mq = apply_matrix(matrix_Mj(t, j), q)
+    if j == 0:
+        coords = mq
+    else:
+        omega = dynkin.fundamental_weights(t)[j - 1]
+        coords = tuple(a + b for a, b in zip(omega, mq))
+    return LatticeVector(t.name, coords, "L")
+
+
+def _as_int(x):
+    x = Fraction(x)
+    if x.denominator != 1:
+        raise NonIntegralImage(f"non-integral image component {x}")
+    return int(x)
+
+
+def _ints(xs):
+    return tuple(_as_int(x) for x in xs)
+
+
+def u_rotate(q):
+    """The involutive rank-2 change of coordinates (q1, q2) -> (q1+q2, q1-q2)."""
+    q1, q2 = Fraction(q[0]), Fraction(q[1])
+    return (q1 + q2, q1 - q2)
+
+
+def map_p_a2(v):
+    """(3x + 6y - 1, 3x - 1) on the first two coordinates."""
+    return _ints((3 * v[0] + 6 * v[1] - 1, 3 * v[0] - 1))
+
+
+def map_p_a3(v):
+    """(12y + 4z - 1, 8z + 1, 8x + 4y + 4z - 3) on coordinates (x, y, z, t)."""
+    return _ints((12 * v[1] + 4 * v[2] - 1,
+                  8 * v[2] + 1,
+                  8 * v[0] + 4 * v[1] + 4 * v[2] - 3))
+
+
+def _phi_c2(q):
+    b1p, b2p = u_rotate(q)
+    return _ints((4 * b1p - 2, 4 * b2p - 1))
+
+
+def _phi_c2l1(q):
+    b1p, b2p = u_rotate(q)
+    return _ints((4 * b1p, 4 * b2p + 1))
+
+
+def _phi_d3t(q):
+    return _ints((6 * q[0] - 2, 6 * q[1] - 1))
+
+
+def _phi_a42(q):
+    return _ints((10 * q[0] - 3, 10 * q[1] - 1))
+
+
+def _phi_g21(q):
+    return _ints((6 * q[0] + 3 * q[1] + 2, 3 * q[1] + 1))
+
+
+def _phi_d43(q):
+    return _ints((6 * q[1] + 2, 4 * q[0] + 2 * q[1] + 1))
+
+
+PHI = {"A2": map_p_a2, "A2ext": map_p_a2, "C2": _phi_c2, "C2L1": _phi_c2l1,
+       "D3t": _phi_d3t, "A42": _phi_a42, "G21": _phi_g21, "D43": _phi_d43,
+       "A3": map_p_a3}
+
+
+HYP_TABLE = {
+    # key: (a(n), b(n), coefficient c(n), offset s_i(n, i));
+    # phi(q)_i = c q_i - s_i
+    "B": dict(a=lambda n: 4 * n,
+              b=lambda n: n * (n + 1) * (2 * n + 1) // 6,
+              coeff=lambda n: 2 * n,
+              offset=lambda n, i: n - i + 1),
+    "C": dict(a=lambda n: 8 * n,
+              b=lambda n: n * (2 * n + 1) * (2 * n - 1) // 3,
+              coeff=lambda n: 4 * n,
+              offset=lambda n, i: 2 * (n - i) + 1),
+    "Aodd": dict(a=lambda n: 16 * n - 8,
+                 b=lambda n: n * (2 * n + 1) * (2 * n - 1) // 3,
+                 coeff=lambda n: 4 * n - 2,
+                 offset=lambda n, i: 2 * (n - i) + 1),
+    "Dt": dict(a=lambda n: 4 * (n + 1),
+               b=lambda n: n * (n + 1) * (2 * n + 1) // 6,
+               coeff=lambda n: 2 * (n + 1),
+               offset=lambda n, i: n - i + 1),
+    "Aeven": dict(a=lambda n: 16 * n + 8,
+                  b=lambda n: n * (2 * n + 1) * (2 * n - 1) // 3,
+                  coeff=lambda n: 4 * n + 2,
+                  offset=lambda n, i: 2 * (n - i) + 1),
+}
+
+
+def hyp_phi(family, n):
+    """The hyperoctahedral phi of the table, as the original hyp_case built it."""
+    spec = HYP_TABLE[family]
+    coeff = spec["coeff"](n)
+    offsets = [spec["offset"](n, i) for i in range(1, n + 1)]
+
+    def phi(q):
+        return _ints(tuple(coeff * q[i] - offsets[i] for i in range(n)))
+
+    return phi

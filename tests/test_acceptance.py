@@ -49,7 +49,7 @@ def test_criterion_2_representative_theorems_to_200():
     start = time.monotonic()
     for case_id in ("A2", "C2", "C2L1", "D3t", "D43"):
         for n in range(0, 201):
-            report = param.verify_representatives(case_id, n)
+            report = param.verify_case(case_id, n)
             assert report.passed, (case_id, n, report.witness)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -198,7 +198,7 @@ def test_criterion_9_a3_suite():
     for n in range(0, 51):
         strata = param.a3_strata(n)
         assert strata.partition_ok and strata.nonempty_iff_omega and strata.all_y_odd
-        report = param.a3_props_verify(n)
+        report = param.verify_case("A3", n)
         assert report.passed, (n, report.witness)
     for n in range(0, 101):
         report = param.a3_conjecture_check(n)
@@ -244,7 +244,7 @@ def test_criterion_11_hyperoctahedral_orbits():
     for n, case_ids in families.items():
         for case_id in case_ids:
             for target in range(0, 21):
-                report = param.verify_orbit_size(case_id, target)
+                report = param.verify_case(case_id, target)
                 assert report.passed, (case_id, target, report.witness)
                 assert report.counts["expected_orbit_size"] == 2 ** n * [1, 1, 2, 6][n]
     _report(11, "hyperoctahedral orbit sizes 2^n n! for all five families, n in {2,3}, N<=20")

@@ -117,6 +117,12 @@ NON_CANONICAL_IDS = ["A02_1", "A+2_1", "A 2_1", "A2_ 1", "A\u0662_1", "A2_1\n"]
     ["atomic-length", "--type", "A02_1", "--coords", "1,-1,0"],
     ["verify", "--case", "HYP:C03_1", "--N", "1"],
     ["solve", "--case", "HYP:C3_01", "--N", "1"],
+    # rank labels above dynkin.MAX_RANK_LABEL are refused before a type is built
+    ["atomic-length", "--type", "A51_1", "--coords", "1"],
+    ["atomic-length", "--type", "A100000_1", "--coords", "1"],
+    ["enumerate", "--type", "C200_1", "--N", "1"],
+    ["verify", "--case", "HYP:C51_1", "--N", "0"],
+    ["solve", "--case", "HYP:A101_2", "--N", "0"],
 ])
 def test_boundary_violations_are_usage_errors(argv, capsys):
     code, out = run_cli(argv)

@@ -25,6 +25,14 @@ def test_id_grammar_round_trip():
         assert lookup_type(name).name == name
 
 
+def test_rank_label_cap():
+    cap = dynkin.MAX_RANK_LABEL
+    assert lookup_type(f"A{cap}_1").n == cap
+    for bad in (f"A{cap + 1}_1", f"C{cap + 1}_1", "A100000_1", f"A{2 * cap + 1}_2"):
+        with pytest.raises(UnknownType):
+            AffineTypeId.parse(bad)
+
+
 def test_type_data_hashes_as_its_id():
     t = lookup_type("E8_1")
     assert hash(t) == hash(AffineTypeId.parse("E8_1"))

@@ -4,10 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import atomic, cores, diophantine, param
+from corelat import atomic, cores, diophantine, dynkin, param, weyl
 from corelat.param import (
     a3_conjecture_check,
-    a3_props_verify,
     a3_strata,
     case_length,
     get_case,
@@ -17,13 +16,11 @@ from corelat.param import (
     layer_image,
     map_p_a2,
     map_p_a3,
-    pig_a2_verify,
     u_rotate,
     verify_case,
-    verify_orbit_size,
-    verify_representatives,
 )
 
+import oracles
 from golden_data import GAMMA_121
 
 RANK2_CASES = ("A2", "A2ext", "C2", "C2L1", "D3t", "A42", "G21", "D43", "A3")
@@ -65,7 +62,7 @@ def test_exa_c2_end_to_end():
     assert points == [(-2, -2), (-1, 3), (1, -3)]
     assert sorted(u_rotate(q) for q in points) == [(-4, 0), (-2, 4), (2, -4)]
     assert sorted(case.phi_map(q) for q in points) == [(-18, -1), (-10, 15), (6, -17)]
-    report = verify_representatives("C2", 40)
+    report = verify_case("C2", 40)
     assert report.passed
     assert report.counts == {"solutions": 24, "orbits": 3, "phi_images": 3}
 
@@ -73,12 +70,12 @@ def test_exa_c2_end_to_end():
 def test_verify_representatives_sweeps():
     for case_id in ("A2", "C2", "C2L1", "D3t", "D43"):
         for n in range(0, 12):
-            report = verify_representatives(case_id, n)
+            report = verify_case(case_id, n)
             assert report.passed, (case_id, n, report.witness)
 
 
 def test_d3t_35():
-    report = verify_representatives("D3t", 35)
+    report = verify_case("D3t", 35)
     assert report.passed and report.counts["orbits"] == 3
     case = get_case("D3t")
     reps = sorted(case.phi_map(q) for q in lattice_points(case, 35))
@@ -92,17 +89,17 @@ def test_c2l1_2():
     assert images == [(-4, 1), (4, 1)]
     # both representatives come from the odd-parity coset
     for q in points:
-        assert param._as_int(sum(u_rotate(q))) % 2 == 1
-    assert verify_representatives("C2L1", 2).passed
+        assert sum(u_rotate(q)) % 2 == 1
+    assert verify_case("C2L1", 2).passed
 
 
 def test_orbit_size_cases():
-    report = verify_orbit_size("A42", 1)
+    report = verify_case("A42", 1)
     assert report.passed
     assert report.counts["orbits"] == 2 and report.counts["covered_orbits"] == 1
     # the uncovered orbit is the undersized one of (5,5)
     assert sorted(diophantine.orbit("D8", (5, 5))) == [(-5, -5), (-5, 5), (5, -5), (5, 5)]
-    report = verify_orbit_size("G21", 3)
+    report = verify_case("G21", 3)
     assert report.passed
     assert report.counts["phi_images"] == 0
     assert diophantine.solve_diagonal((1, 3), 25) == [(-5, 0), (5, 0)]
@@ -111,7 +108,7 @@ def test_orbit_size_cases():
 @pytest.mark.parametrize("case_id", HYP_CASES)
 def test_hyperoctahedral_orbit_sizes(case_id):
     for n in range(0, 8):
-        report = verify_orbit_size(case_id, n)
+        report = verify_case(case_id, n)
         assert report.passed, (case_id, n, report.witness)
 
 
@@ -127,10 +124,10 @@ def test_hyp_polynomials_match_registry():
 
 def test_pig_a2():
     for n in (0, 1, 6):
-        report = pig_a2_verify(n)
+        report = verify_case("A2ext", n)
         assert report.passed, (n, report.witness)
-    assert pig_a2_verify(0).counts["solutions"] == 6
-    assert pig_a2_verify(6).counts["solutions"] == 12
+    assert verify_case("A2ext", 0).counts["solutions"] == 6
+    assert verify_case("A2ext", 6).counts["solutions"] == 12
     # N=1 pairs arise from (2,2), (2,-2), (-4,0)
     q = (1, 0, -1)
     assert layer_image(get_case("A2ext"), 0, q) == (2, 2)
@@ -161,7 +158,7 @@ def test_gamma_121():
 
 def test_a3_props_and_conjecture_small():
     for n in range(0, 8):
-        assert a3_props_verify(n).passed
+        assert verify_case("A3", n).passed
         assert a3_conjecture_check(n).passed
     # N=0: one layer point in each of the four strata
     strata = a3_strata(0)
@@ -228,7 +225,7 @@ def test_orbit_size_cases_sweep_to_200():
     # every phi image lies on its quadric and has a full orbit, N <= 200
     for case_id in ("A42", "G21"):
         for n in range(0, 201):
-            report = verify_orbit_size(case_id, n)
+            report = verify_case(case_id, n)
             assert report.passed, (case_id, n, report.witness)
 
 
@@ -239,3 +236,113 @@ def test_a3_extended_counts():
     assert report.counts["base_elements"] == 1
     assert report.counts["extended_elements"] == 4
     assert len(cores.enumerate_partitions(1, "core", 4)) == 1
+
+
+def _hyp_ids(rank):
+    """One HYP: case id per family at the given hyperoctahedral rank."""
+    return (f"HYP:B{rank}_1", f"HYP:C{rank}_1", f"HYP:A{2 * rank - 1}_2",
+            f"HYP:A{2 * rank}_2", f"HYP:D{rank + 1}_2")
+
+
+def test_affine_phi_matches_original_functions():
+    # the integer affine maps against the hand-written Fraction functions
+    for case_id, case in param.CASES.items():
+        old_phi = oracles.PHI[case_id]
+        for n in range(21):
+            for q in lattice_points(case, n):
+                assert case.phi_map(q) == old_phi(q), (case_id, q)
+                if case_id in ("C2", "C2L1"):
+                    assert u_rotate(q) == oracles.u_rotate(q)
+                if case.claim not in ("extended", "stratified"):
+                    continue
+                for j in weyl.sigma_indices(case.type_id):
+                    element = weyl.ExtGrassElement(case.type_id, j, q)
+                    old = oracles.extended_image(case.type_id, element)
+                    assert weyl.extended_image(case.type_id, element) == old
+                    assert layer_image(case, j, q) == old_phi(old.coords), (case_id, j, q)
+    for rank in range(1, 6):
+        for case_id in _hyp_ids(rank):
+            case = get_case(case_id)
+            old_phi = oracles.hyp_phi(*param._hyp_family_of_type(case.type_id))
+            for n in range(21):
+                for q in lattice_points(case, n):
+                    assert case.phi_map(q) == old_phi(q), (case_id, q)
+    for case_id, q in (("G21", (0, F(1, 2))), ("D3t", (F(1, 4), 0))):
+        with pytest.raises(diophantine.NonIntegralImage):
+            get_case(case_id).phi_map(q)
+        with pytest.raises(diophantine.NonIntegralImage):
+            oracles.PHI[case_id](q)
+
+
+def test_hyp_equation_matches_original_table():
+    # a, b and phi completed from kappa and l_i equal the table they replaced
+    for rank in range(1, 12):
+        for case_id in _hyp_ids(rank):
+            case = get_case(case_id)
+            family, n = param._hyp_family_of_type(case.type_id)
+            spec = oracles.HYP_TABLE[family]
+            assert (case.a, case.b) == (spec["a"](n), spec["b"](n)), case_id
+            coeff = spec["coeff"](n)
+            assert case.phi_map.P == tuple(tuple(coeff * (r == c) for c in range(n))
+                                           for r in range(n))
+            assert case.phi_map.p == tuple(-spec["offset"](n, i) for i in range(1, n + 1))
+
+
+def test_hyp_family_matches_registry():
+    # kappa = h scale_sq / 2 and l_i = ht(e_i) on every registry type with a
+    # hyperoctahedral family; A2_2 is realised in a 2-dimensional ambient
+    # space, not in the family's 1-dimensional one
+    checked = 0
+    for type_id in dynkin.all_type_ids(8):
+        try:
+            family, n = param._hyp_family_of_type(type_id)
+        except ValueError:
+            continue
+        if type_id == "A2_2":
+            continue
+        spec, t = param._HYP_FAMILIES[family], dynkin.lookup_type(type_id)
+        assert t.ambient_dim == n, type_id
+        assert spec["kappa"](n) == F(t.h * t.scale_sq, 2), type_id
+        for i in range(1, n + 1):
+            unit = [int(r == i - 1) for r in range(n)]
+            assert spec["linear"](n, i) == atomic.height(t, unit), (type_id, i)
+        checked += 1
+    assert checked == 33
+
+
+def _matmul(x, y):
+    return [[sum(F(a) * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _transpose(x):
+    return [list(col) for col in zip(*x)]
+
+
+@pytest.mark.parametrize("case_id", list(param.CASES)
+                         + [c for rank in range(1, 9) for c in _hyp_ids(rank)])
+def test_phi_lands_on_quadric_identically(case_id):
+    # sum_i d_i y_i^2 = a (m^T A m + b_lin.m) + b for the image y of the
+    # lattice point with basis coefficients m, as polynomials in m:
+    # y = P_j m + p_j with P_j = P M_j B and p_j = P omega_j + p
+    case = get_case(case_id)
+    form, phi = case.length, case.phi_map
+    basis = [list(v) for v in form.basis]
+    dim = len(basis[0])
+    P = [list(row) + [0] * (dim - len(row)) for row in phi.P]
+    D = [[d * (r == c) for c in range(len(case.form))] for r, d in enumerate(case.form)]
+    layers = (weyl.sigma_indices(case.type_id)
+              if case.claim in ("extended", "stratified") else (0,))
+    for j in layers:
+        if j:
+            M = weyl.matrix_Mj(case.type_id, j)
+            omega = dynkin.fundamental_weights(dynkin.lookup_type(case.type_id))[j - 1]
+        else:
+            M, omega = [[int(r == c) for c in range(dim)] for r in range(dim)], [0] * dim
+        Pj = _matmul(_matmul(P, M), _transpose(basis))
+        pj = [row[0] + c for row, c in zip(_matmul(P, [[x] for x in omega]), phi.p)]
+        pj_col = [[x] for x in pj]
+        assert _matmul(_matmul(_transpose(Pj), D), Pj) == \
+            [[case.a * x for x in row] for row in form.a], (case_id, j)
+        assert [2 * row[0] for row in _matmul(_matmul(_transpose(Pj), D), pj_col)] == \
+            [case.a * x for x in form.b], (case_id, j)
+        assert _matmul(_matmul([pj], D), pj_col) == [[case.b]], (case_id, j)
