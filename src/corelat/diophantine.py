@@ -1,7 +1,10 @@
 """Integer points of diagonal quadratic forms and finite group actions.
 
 solve_diagonal is the solver every verifier uses: it searches all variables
-but the last and decides that one by divisibility and isqrt.
+but the last and decides that one by divisibility and isqrt.  Given a group,
+it lists one canonical point per orbit instead; canonical and orbit_size give
+a point's canonical point and orbit size, for H, G_A3, D8 and V4 without
+building the orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.  Groups
 are small and act through explicit formulas; half-integer matrices check
@@ -10,6 +13,7 @@ integrality of the image on every application.
 
 import itertools
 import math
+from collections import Counter
 from math import isqrt
 
 
@@ -25,19 +29,42 @@ class Unsolvable(ValueError):
     """No representation as a sum of two squares exists."""
 
 
-def solve_diagonal(form, k):
+def solve_diagonal(form, k, group=None):
     """All integer tuples x with sum_i form[i] * x_i^2 = k, sorted.
 
     Loops over every variable but the last, in ascending order.  The last
     one is decided exactly: what is left must be form[-1] times a perfect
     square r^2, which gives -r before r (0 once), so the output is already
     in sorted order.
+
+    With a group, whose action must leave the form invariant, only the
+    canonical solutions, one per orbit (see canonical), sorted.  G_A3 on
+    (1, 2, 3) at even k and H on an equal form are searched in their
+    fundamental domains, so no other point is visited; any other group
+    keeps the solutions that are their own canonical point.
     """
     form = tuple(int(d) for d in form)
     if any(d < 1 for d in form):
         raise ValueError("form coefficients must be positive")
+    if group is not None:
+        if group not in _INVARIANT:
+            raise ValueError(f"unknown group {group!r}")
+        if not _INVARIANT[group](form):
+            raise NotClosed(f"the form {form} is not invariant under {group}")
     if k < 0:
         return []
+    if group is None:
+        return _solve_all(form, k)
+    # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
+    # below raises NonIntegralImage from canonical, as orbit_partition does.
+    if group == "G_A3" and form == (1, 2, 3) and k % 2 == 0:
+        return _solve_ga3_sector(k)
+    if group == "H":
+        return _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
+    return [p for p in _solve_all(form, k) if p == canonical(group, p)]
+
+
+def _solve_all(form, k):
     if not form:
         return [()] if k == 0 else []
     *outer, last = form
@@ -64,6 +91,47 @@ def solve_diagonal(form, k):
         rec((), k)
     elif k % last == 0:
         finish((), k // last)
+    return solutions
+
+
+def _solve_ga3_sector(k):
+    """Solutions of x^2 + 2y^2 + 3z^2 = k in the sector x >= 3z >= 0, sorted.
+
+    x >= 3z needs x^2 >= 9z^2, so 12z^2 + 2y^2 <= k bounds z and then y.
+    """
+    solutions = []
+    for z in range(isqrt(k // 12) + 1):
+        rest = k - 3 * z * z
+        bound = isqrt((rest - 9 * z * z) // 2)
+        for y in range(-bound, bound + 1):
+            q = rest - 2 * y * y
+            x = isqrt(q)
+            if x * x == q and x >= 3 * z:
+                solutions.append((x, y, z))
+    solutions.sort()
+    return solutions
+
+
+def _solve_descending(n, k):
+    """Non-increasing non-negative n-tuples with sum_i x_i^2 = k, sorted.
+
+    A coordinate is at most the one before it, and at least the root of the
+    mean of what is left, since it is the largest of the coordinates left.
+    """
+    solutions = []
+
+    def rec(head, cap, remaining, left):
+        if left == 1:
+            r = isqrt(remaining)
+            if r * r == remaining and r <= cap:
+                solutions.append(head + (r,))
+            return
+        mean = -(-remaining // left)
+        low = isqrt(mean - 1) + 1 if mean else 0
+        for x in range(low, min(cap, isqrt(remaining)) + 1):
+            rec(head + (x,), x, remaining - x * x, left - 1)
+
+    rec((), k, k, n)
     return solutions
 
 
@@ -183,6 +251,70 @@ def act(group, element, point):
         perm, signs = element
         return tuple(s * point[p] for s, p in zip(signs, perm))
     raise ValueError(f"unknown group {group!r}")
+
+
+# Whether a group's action leaves a diagonal form invariant.
+_INVARIANT = {
+    "D8": lambda f: len(f) == 2 and f[0] == f[1],
+    "C4": lambda f: len(f) == 2 and f[0] == f[1],
+    "V4": lambda f: len(f) == 2,
+    "C6": lambda f: len(f) == 2 and f[1] == 3 * f[0],
+    "G_A3": lambda f: len(f) == 3 and f[2] == 3 * f[0],
+    "H": lambda f: len(set(f)) == 1,
+}
+
+
+def canonical(group, point):
+    """The lexicographic maximum of the point's orbit.
+
+    Closed forms for H and D8 (absolute values, non-increasing), V4
+    (absolute values) and G_A3.  G_A3 fixes y and acts on (x, sqrt(3) z) by
+    rotations through 60 degrees and the reflection z -> -z, so its maximum
+    is the largest (x, |z|) over the six rotations; a point with x - z odd
+    is outside the action's domain and raises NonIntegralImage.  Other
+    groups take the maximum of the orbit.
+    """
+    point = tuple(point)
+    if group in ("H", "D8"):
+        return tuple(sorted(map(abs, point), reverse=True))
+    if group == "V4":
+        return (abs(point[0]), abs(point[1]))
+    if group == "G_A3":
+        x, y, z = point
+        if (x - z) % 2:
+            raise NonIntegralImage(f"({x},{y},{z}) is outside the parity domain")
+        best = (x, abs(z))
+        for _ in range(5):
+            x, z = (x - 3 * z) // 2, (x + z) // 2
+            best = max(best, (x, abs(z)))
+        return (best[0], y, best[1])
+    return max(orbit(group, point))
+
+
+def orbit_size(group, point):
+    """The number of points in the point's orbit, from its stabiliser.
+
+    H: n!/prod(mult!) * 2^(non-zero entries), mult counting equal absolute
+    values.  G_A3: 1 at x = z = 0, 6 on the boundary rays z = 0 and x = 3z of
+    the canonical sector, 12 inside it.  D8 and V4: the group order halved
+    for each coincidence the canonical point has.  Other groups count the
+    orbit.
+    """
+    point = tuple(point)
+    if group == "H":
+        size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
+        for mult in Counter(map(abs, point)).values():
+            size //= math.factorial(mult)
+        return size
+    if group == "G_A3":
+        x, _, z = canonical(group, point)
+        return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
+    if group == "D8":
+        a, b = canonical(group, point)
+        return 1 if a == 0 else 4 if b == 0 or a == b else 8
+    if group == "V4":
+        return 4 >> sum(1 for x in point if x == 0)
+    return len(orbit(group, point))
 
 
 def _arity_of(group, points):

@@ -84,27 +84,6 @@ class SpanSolver:
         return self.in_span(V) and all(dot(row, V) % Dq == 0 for row in self.rows)
 
 
-def det(matrix):
-    """Determinant over Fraction (fraction-free enough at these sizes)."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return result
-
-
 def is_perfect_square(n):
     if n < 0:
         return False

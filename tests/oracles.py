@@ -18,18 +18,26 @@ omega_j + M_j q with it.  The phi maps below are the original hand-written
 functions of param, with their Fraction-to-int conversion _as_int and the
 coefficient and offset of the hyperoctahedral table (HYP_TABLE) before it
 was derived from kappa and the l_i.
+
+check_orbit_size and check_a3_conjecture are the original claim checks on
+the full solution set U and its orbit partition, and representatives is the
+rule they imply for orbit representatives: the lexicographic maximum of each
+orbit of U.  det, h_statistic, A3Stratum and stratum are helpers that only
+the tests call.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from corelat import dynkin
+from corelat import atomic, diophantine, dynkin, param
 from corelat.atomic import LatticeVector, _basis, _coords, _type, norm_sq
 from corelat.diophantine import NonIntegralImage
 from corelat.dynkin import NotInRootSpan, fundamental_weights
 from corelat.linalg import _ldl
+from corelat.param import Report, _fail
 from corelat.weyl import _check_type, matrix_Mj
 
 
@@ -344,3 +352,92 @@ def hyp_phi(family, n):
         return _ints(tuple(coeff * q[i] - offsets[i] for i in range(n)))
 
     return phi
+
+
+def representatives(group, form, k):
+    """The lexicographic maximum of each orbit of the full solution set, sorted."""
+    return sorted(max(o) for o in diophantine.orbit_partition(
+        group, diophantine.solve_diagonal(form, k)))
+
+
+def check_orbit_size(level):
+    """Every phi-image has a full-size orbit; coverage is reported, not required."""
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, images, orbits = level.solutions, level.images, level.orbits
+    expected = diophantine.group_order(case.group, case.arity)
+    counts = {"solutions": len(sols), "orbits": len(orbits),
+              "phi_images": len(images), "expected_orbit_size": expected}
+    sol_set = set(sols)
+    for img in images:
+        if img not in sol_set:
+            return _fail(case_id, n, counts,
+                         {"reason": "phi image off the quadric", "image": img})
+        orb = diophantine.orbit(case.group, img, case.arity)
+        if len(orb) != expected:
+            return _fail(case_id, n, counts,
+                         {"reason": "orbit not of full size", "image": img,
+                          "size": len(orb)})
+    image_set = set(images)
+    counts["covered_orbits"] = sum(1 for orb in orbits if any(p in image_set for p in orb))
+    return Report(case_id, n, "PASS", counts)
+
+
+def check_a3_conjecture(level):
+    """Do the G-orbits of the extended images cover all of U(48N+30)?"""
+    n, case = level.n, level.case
+    sols, base = level.solutions, level.points
+    counts = {"solutions": len(sols), "base_elements": len(base),
+              "extended_elements": 4 * len(base)}
+    covered = set().union(*(diophantine.orbit(case.group, img)
+                            for layer in level.layers for img in layer))
+    missing = sorted(set(sols) - covered)
+    counts["covered"] = len(covered)
+    if covered != set(sols):
+        return _fail("A3conj", n, counts,
+                     {"reason": "uncovered solutions", "first": missing[0]})
+    return Report("A3conj", n, "PASS", counts)
+
+
+def det(matrix):
+    """Determinant over Fraction (fraction-free enough at these sizes)."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    result = Fraction(1)
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for i in range(col + 1, n):
+            if m[i][col] != 0:
+                f = m[i][col] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return result
+
+
+def h_statistic(q):
+    """The companion statistic on M realised as a shift of the level-1 length.
+
+    In rotated coordinates: H'(q') = L1'((q1', q2' - 1)) - 1.
+    """
+    q1p, q2p = param.u_rotate(q)
+    shifted = (q1p, q2p - 1)
+    # inverse rotation brings the shifted point back to stored coordinates
+    back = (Fraction(shifted[0] + shifted[1], 2), Fraction(shifted[0] - shifted[1], 2))
+    return atomic.atomic_length_i("C2_1", 1, back) - 1
+
+
+@dataclass
+class A3Stratum:
+    N: int
+    y: int
+    points: list
+
+
+def stratum(strata, y):
+    """The points of U with middle coordinate y, as param.A3Strata.stratum gave them."""
+    return A3Stratum(strata.N, y, strata.strata.get(y, []))

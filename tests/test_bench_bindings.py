@@ -34,3 +34,27 @@ def test_bench_instrumentation_binds_and_restores():
     assert calls["param.verify_case"] == 1
     assert calls["linalg.enumerate_quadratic_level"] >= 1
     assert calls["param.phi"] >= 3
+
+
+def test_bench_solver_span_is_reached():
+    # the a3-conjecture cross-check takes the median of the solver spans, so
+    # the representative search must run through diophantine.solve_diagonal
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    from corelat import param
+
+    for run in (lambda: param.a3_conjecture_check(3),
+                lambda: param.verify_case("HYP:C3_1", 2)):
+        rec = spans.Recorder()
+        try:
+            workloads.instrument(rec)
+            report = run()
+        finally:
+            rec.restore()
+        assert report.passed
+        calls = {name: calls for name, (calls, _) in rec.per_name().items()}
+        assert calls.get("diophantine.solve_diagonal", 0) >= 1

@@ -333,6 +333,17 @@ def test_hyp_b1_level_six():
     assert counts["solutions"] == 2 and counts["orbits"] == 1
 
 
+@pytest.mark.parametrize("argv,levels", [
+    (["verify", "--case", "HYP:C7_1", "--N", "0"], 1),
+    (["verify", "--case", "HYP:C6_1", "--max-N", "3"], 4)])
+def test_high_rank_hyperoctahedral_verify(argv, levels):
+    # ranks 6 and 7 are decided on orbit representatives, in well under a second
+    code, out = run_cli(argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[2] for row in rows] == ["PASS"] * levels
+
+
 def test_conjecture_verb():
     code, out = run_cli(["conjecture-a3", "--max-N", "2", "--format", "json"])
     assert code == 0

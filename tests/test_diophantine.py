@@ -4,11 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from corelat import param
+
 from corelat.diophantine import (
     NonIntegralImage,
     NotClosed,
     Unsolvable,
     act,
+    canonical,
     factorize,
     gaussian_lift,
     group_elements,
@@ -16,6 +20,7 @@ from corelat.diophantine import (
     is_action_free,
     orbit,
     orbit_partition,
+    orbit_size,
     residue_free_criterion,
     solve_diagonal,
     solve_diagonal_meet,
@@ -125,6 +130,64 @@ def test_freeness_characterisation():
         square = r * r == k
         twice = (k % 2 == 0) and math.isqrt(k // 2) ** 2 == k // 2
         assert free == (not square and not twice)
+
+
+def _assert_representatives(group, form, k):
+    """solve_diagonal with the group against the full-set rule, and canonical
+    and orbit_size of every solution against the orbit that holds it."""
+    assert solve_diagonal(form, k, group) == oracles.representatives(group, form, k)
+    for orb in orbit_partition(group, solve_diagonal(form, k)):
+        top, size = max(orb), len(orb)
+        for p in orb:
+            assert canonical(group, p) == top and orbit_size(group, p) == size, (group, p)
+
+
+def test_representatives_ga3():
+    for n in range(121):
+        _assert_representatives("G_A3", (1, 2, 3), 48 * n + 30)
+    # every even k; at odd k both raise as soon as U has a point
+    for k in range(200):
+        if k % 2 == 0 or not solve_diagonal((1, 2, 3), k):
+            _assert_representatives("G_A3", (1, 2, 3), k)
+            continue
+        with pytest.raises(NonIntegralImage):
+            oracles.representatives("G_A3", (1, 2, 3), k)
+        with pytest.raises(NonIntegralImage):
+            solve_diagonal((1, 2, 3), k, "G_A3")
+
+
+def test_representatives_rank2_groups():
+    for k in range(300):
+        _assert_representatives("D8", (1, 1), k)
+        _assert_representatives("V4", (1, 3), k)
+        _assert_representatives("V4", (1, 1), k)
+    for k in range(100):
+        _assert_representatives("C4", (1, 1), k)
+        _assert_representatives("C6", (1, 3), 4 * k)
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_representatives_hyperoctahedral(rank):
+    # the equation values of all five families: B, C, A odd and even, D twisted
+    levels = 6 if rank <= 3 else 3 if rank == 4 else 1
+    for type_id in (f"B{rank}_1", f"C{rank}_1", f"A{2 * rank - 1}_2", f"A{2 * rank}_2",
+                    f"D{rank + 1}_2"):
+        case = param.hyp_case(type_id)
+        for n in range(levels):
+            _assert_representatives("H", case.form, case.equation_value(n))
+
+
+def test_canonical_parity_domain_and_invariance():
+    with pytest.raises(NonIntegralImage):
+        canonical("G_A3", (1, 0, 0))
+    assert canonical("G_A3", (-1, 5, 1)) == (2, 5, 0)
+    # a form the group does not preserve, or an unknown group, is refused
+    with pytest.raises(NotClosed):
+        solve_diagonal((1, 2), 5, "D8")
+    with pytest.raises(NotClosed):
+        solve_diagonal((1, 1, 2), 4, "H")
+    with pytest.raises(ValueError):
+        solve_diagonal((1, 1), 2, "Z7")
 
 
 def test_two_squares_examples():

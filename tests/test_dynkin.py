@@ -12,7 +12,7 @@ from corelat.dynkin import (
     simple_root_coefficients,
     theta,
 )
-from corelat.linalg import det
+from oracles import det
 
 
 ALL_IDS = dynkin.all_type_ids(4)

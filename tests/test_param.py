@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -10,7 +11,6 @@ from corelat.param import (
     a3_strata,
     case_length,
     get_case,
-    h_statistic,
     hyp_case,
     lattice_points,
     layer_image,
@@ -177,7 +177,7 @@ def test_u_rotation_is_involutive_isometry():
 
 def test_h_statistic():
     for b1, b2 in itertools.product(range(-6, 7), repeat=2):
-        value = h_statistic((b1, b2))
+        value = oracles.h_statistic((b1, b2))
         assert value == 4 * b1 * b1 + 4 * b2 * b2 - 3 * b1 + 3 * b2
         p, m = b1 + b2, b1 - b2
         assert 8 * (value + 1) + 1 == (4 * p) ** 2 + (4 * m - 3) ** 2
@@ -209,10 +209,77 @@ def test_phi_non_integral_image():
 
 def test_a3_stratum_accessor():
     strata = a3_strata(0)
-    st3 = strata.stratum(3)
+    st3 = oracles.stratum(strata, 3)
     assert st3.N == 0 and st3.y == 3
     assert st3.points and all(p[1] == 3 for p in st3.points)
-    assert strata.stratum(99).points == []
+    assert oracles.stratum(strata, 99).points == []
+
+
+def _checks_agree(check, oracle, case, n):
+    """The check on representatives and the original on all of U report alike."""
+    new = check(param.LevelData(case, n)).to_dict()
+    assert new == oracle(param.LevelData(case, n)).to_dict(), (case.case_id, n)
+    return new
+
+
+def test_orbit_size_check_matches_full_set_oracle():
+    for case_id in ("A42", "G21"):
+        for n in range(31):
+            _checks_agree(param.check_orbit_size, oracles.check_orbit_size,
+                          get_case(case_id), n)
+    for case_id in HYP_CASES:
+        for n in range(6):
+            _checks_agree(param.check_orbit_size, oracles.check_orbit_size,
+                          get_case(case_id), n)
+
+
+@pytest.mark.parametrize("case_id,n", [("A42", 1), ("G21", 7), ("HYP:C3_1", 1),
+                                       ("HYP:B3_1", 2)])
+def test_orbit_size_check_fail_branches_match_oracle(case_id, n):
+    case = get_case(case_id)
+    assert lattice_points(case, n)
+    shifted = dataclasses.replace(case, phi_map=lambda q: tuple(
+        x + 1 for x in case.phi_map(q)))
+    report = _checks_agree(param.check_orbit_size, oracles.check_orbit_size, shifted, n)
+    assert report["witness"]["reason"] == "phi image off the quadric"
+    k = case.equation_value(n)
+    small = next(p for p in oracles.representatives(case.group, case.form, k)
+                 if len(diophantine.orbit(case.group, p, case.arity))
+                 < diophantine.group_order(case.group, case.arity))
+    undersized = dataclasses.replace(case, phi_map=lambda q: small)
+    report = _checks_agree(param.check_orbit_size, oracles.check_orbit_size, undersized, n)
+    assert report["witness"]["reason"] == "orbit not of full size"
+
+
+def test_a3_conjecture_check_matches_full_set_oracle():
+    case = get_case("A3")
+    for n in range(61):
+        assert _checks_agree(param.check_a3_conjecture, oracles.check_a3_conjecture,
+                             case, n)["status"] == "PASS"
+    # every layer image sent to one solution leaves the other orbits uncovered
+    for n in (0, 3, 10):
+        top = max(diophantine.solve_diagonal(case.form, case.equation_value(n)))
+        one_orbit = dataclasses.replace(case, phi_map=lambda v: top)
+        report = _checks_agree(param.check_a3_conjecture, oracles.check_a3_conjecture,
+                               one_orbit, n)
+        assert report["witness"]["reason"] == "uncovered solutions"
+
+
+def test_a3_conjecture_layer_image_off_the_quadric_is_a_fail():
+    case = get_case("A3")
+    shifted = dataclasses.replace(case, phi_map=lambda v: tuple(
+        x + 2 for x in case.phi_map(v)))
+    report = param.check_a3_conjecture(param.LevelData(shifted, 1))
+    assert report.status == "FAIL"
+    assert report.witness["reason"] == "layer image off the quadric"
+    x, y, z = report.witness["image"]
+    assert x * x + 2 * y * y + 3 * z * z != case.equation_value(1)
+
+
+def test_hyp_rank_six_level_one():
+    # the figures of the full solve and orbit partition, which took minutes
+    counts = verify_case("HYP:C6_1", 1).counts
+    assert counts["solutions"] == 1896384 and counts["orbits"] == 115
 
 
 def test_verify_case_dispatch():
