@@ -3,8 +3,8 @@
 solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
 it lists one canonical point per orbit instead; canonical and orbit_size give
-a point's canonical point and orbit size, for H, G_A3, D8 and V4 without
-building the orbit.
+a point's canonical point and orbit size in closed form, for every group,
+without building the orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.  Groups
 are small and act through explicit formulas; half-integer matrices check
@@ -40,8 +40,10 @@ def solve_diagonal(form, k, group=None):
     With a group, whose action must leave the form invariant, only the
     canonical solutions, one per orbit (see canonical), sorted.  G_A3 on
     (1, 2, 3) at even k and H on an equal form are searched in their
-    fundamental domains, so no other point is visited; any other group
-    keeps the solutions that are their own canonical point.
+    fundamental domains, so no other point is visited.  Any other group
+    keeps the solutions that are their own canonical point, searched with
+    the first variable decided last and non-negative: each group here
+    negates it, so a canonical point has x_1 >= 0.
     """
     form = tuple(int(d) for d in form)
     if any(d < 1 for d in form):
@@ -61,7 +63,8 @@ def solve_diagonal(form, k, group=None):
         return _solve_ga3_sector(k)
     if group == "H":
         return _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
-    return [p for p in _solve_all(form, k) if p == canonical(group, p)]
+    return sorted(p for p in (s[::-1] for s in _solve_all(form[::-1], k))
+                  if p[0] >= 0 and p == canonical(group, p))
 
 
 def _solve_all(form, k):
@@ -178,25 +181,16 @@ def _act_d8(element, point):
     return (x, y)
 
 
-def _act_c6(k, point):
-    x, y = point
-    for _ in range(k % 6):
-        if (x + y) % 2:
-            raise NonIntegralImage(f"({x},{y}) is outside the parity domain")
-        x, y = (x - 3 * y) // 2, (x + y) // 2
-    return (x, y)
-
-
-def _act_ga3(element, point):
-    k, e = element
-    x, y, z = point
-    if e:
-        z = -z
-    for _ in range(k % 6):
-        if (x - z) % 2:
-            raise NonIntegralImage(f"({x},{y},{z}) is outside the parity domain")
+def _rotations60(point, x, z):
+    """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that
+    order; NonIntegralImage when x - z is odd, which is outside point's domain."""
+    if (x - z) % 2:
+        raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
+    rotations = [(x, z)]
+    for _ in range(5):
         x, z = (x - 3 * z) // 2, (x + z) // 2
-    return (x, y, z)
+        rotations.append((x, z))
+    return rotations
 
 
 def group_elements(group, arity=None):
@@ -244,9 +238,11 @@ def act(group, element, point):
         sx, sy = element
         return (sx * point[0], sy * point[1])
     if group == "C6":
-        return _act_c6(element, point)
+        return _rotations60(point, *point)[element % 6]
     if group == "G_A3":
-        return _act_ga3(element, point)
+        (k, e), (x, y, z) = element, point
+        x, z = _rotations60(point, x, -z if e else z)[k % 6]
+        return (x, y, z)
     if group == "H":
         perm, signs = element
         return tuple(s * point[p] for s, p in zip(signs, perm))
@@ -265,30 +261,31 @@ _INVARIANT = {
 
 
 def canonical(group, point):
-    """The lexicographic maximum of the point's orbit.
+    """The lexicographic maximum of the point's orbit, in closed form.
 
-    Closed forms for H and D8 (absolute values, non-increasing), V4
-    (absolute values) and G_A3.  G_A3 fixes y and acts on (x, sqrt(3) z) by
-    rotations through 60 degrees and the reflection z -> -z, so its maximum
-    is the largest (x, |z|) over the six rotations; a point with x - z odd
-    is outside the action's domain and raises NonIntegralImage.  Other
-    groups take the maximum of the orbit.
+    H and D8: absolute values, non-increasing.  V4: absolute values.  C4:
+    the rotation into the sector x > 0, -x < y <= x, or the origin.  C6: the
+    largest rotation of (x, sqrt(3) y) through a multiple of 60 degrees.
+    G_A3 fixes y and adds the reflection z -> -z to those rotations of
+    (x, sqrt(3) z), so its maximum is the largest (x, |z|) over them.
     """
     point = tuple(point)
     if group in ("H", "D8"):
         return tuple(sorted(map(abs, point), reverse=True))
     if group == "V4":
         return (abs(point[0]), abs(point[1]))
+    if group == "C4":
+        x, y = point
+        m = max(abs(x), abs(y))
+        return ((x, y) if x == m and y != -m else (y, -x) if y == m
+                else (-x, -y) if x == -m else (-y, x))
+    if group == "C6":
+        return max(_rotations60(point, *point))
     if group == "G_A3":
         x, y, z = point
-        if (x - z) % 2:
-            raise NonIntegralImage(f"({x},{y},{z}) is outside the parity domain")
-        best = (x, abs(z))
-        for _ in range(5):
-            x, z = (x - 3 * z) // 2, (x + z) // 2
-            best = max(best, (x, abs(z)))
-        return (best[0], y, best[1])
-    return max(orbit(group, point))
+        x, z = max([(a, abs(b)) for a, b in _rotations60(point, x, z)])
+        return (x, y, z)
+    raise ValueError(f"unknown group {group!r}")
 
 
 def orbit_size(group, point):
@@ -297,8 +294,8 @@ def orbit_size(group, point):
     H: n!/prod(mult!) * 2^(non-zero entries), mult counting equal absolute
     values.  G_A3: 1 at x = z = 0, 6 on the boundary rays z = 0 and x = 3z of
     the canonical sector, 12 inside it.  D8 and V4: the group order halved
-    for each coincidence the canonical point has.  Other groups count the
-    orbit.
+    for each coincidence the canonical point has.  C4 and C6: 1 at the
+    origin, the group order elsewhere, as no rotation fixes another point.
     """
     point = tuple(point)
     if group == "H":
@@ -314,7 +311,7 @@ def orbit_size(group, point):
         return 1 if a == 0 else 4 if b == 0 or a == b else 8
     if group == "V4":
         return 4 >> sum(1 for x in point if x == 0)
-    return len(orbit(group, point))
+    return group_order(group) if any(canonical(group, point)) else 1
 
 
 def _arity_of(group, points):
@@ -322,6 +319,8 @@ def _arity_of(group, points):
 
 
 def orbit(group, point, arity=None):
+    if group == "C6":
+        return set(_rotations60(point, *point))
     return {act(group, g, point) for g in group_elements(group, arity)}
 
 
@@ -343,23 +342,16 @@ def orbit_partition(group, solutions):
     return orbits
 
 
-def freeness_witness(orbits, order):
-    """None when every orbit has `order` points, else the largest point of
-    the first undersized orbit, which for the sign-symmetric actions used
-    here is its all-non-negative member."""
-    for orb in orbits:
-        if len(orb) < order:
-            return orb[-1]
-    return None
-
-
 def is_action_free(group, solutions):
-    """(True, None) when every orbit has full group size, else (False, witness),
-    with the witness of freeness_witness."""
+    """(True, None) when every orbit has full group size, else (False, the
+    largest point of the first undersized orbit), which for the
+    sign-symmetric actions used here is its all-non-negative member."""
     points = [tuple(p) for p in solutions]
     order = group_order(group, _arity_of(group, points) if points else None)
-    witness = freeness_witness(orbit_partition(group, points), order)
-    return witness is None, witness
+    for orb in orbit_partition(group, points):
+        if len(orb) < order:
+            return False, orb[-1]
+    return True, None
 
 
 # ---------------------------------------------------------------------------

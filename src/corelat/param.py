@@ -4,19 +4,21 @@ Each case packages: the lattice and weight whose atomic length drives the
 equation, the diagonal form and the residue class a*N + b, the affine map
 phi from lattice points to integer solutions, and the finite group acting
 on the solution set.  Verifiers are exhaustive for a fixed N: a LevelData
-holds the level's solution set from the exact diagonal solver, its lattice
-points from the exact quadratic enumeration, their phi images and the
-orbits, and one check function per claim tests them point by point; FAIL is
-reported as data, never raised.
+holds the canonical point of each orbit of the level's solution set U from
+the exact diagonal solver, its lattice points from the exact quadratic
+enumeration and their phi images, and one check function per claim decides
+it on them, with counts from the orbit sizes and coverage from the
+canonical point of each image.  FAIL is reported as data, never raised.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from . import atomic, diophantine, linalg, weyl
-from .diophantine import NonIntegralImage, solve_diagonal
+from .diophantine import NonIntegralImage, NotClosed, solve_diagonal
 from .linalg import is_perfect_square
 from .weyl import ExtGrassElement
 
@@ -221,7 +223,9 @@ class LevelData:
     """Everything the claims of one case read at one level N.
 
     Each part is computed when a check first reads it and kept, so a level
-    solves its equation and enumerates its lattice points once.
+    solves its equation and enumerates its lattice points once.  The claims
+    read U through reps and solution_count; only the solve and table
+    commands and a3_strata list U in full.
     """
     case: ParamCase
     n: int
@@ -234,9 +238,14 @@ class LevelData:
     @cached_property
     def reps(self):
         """The canonical point of each G-orbit of U, sorted
-        (diophantine.canonical); the claims that are about U/G read these."""
+        (diophantine.canonical)."""
         return solve_diagonal(self.case.form, self.case.equation_value(self.n),
                               self.case.group)
+
+    @cached_property
+    def solution_count(self):
+        """|U|, the sum of the orbit sizes of reps."""
+        return sum(diophantine.orbit_size(self.case.group, r) for r in self.reps)
 
     @cached_property
     def points(self):
@@ -254,13 +263,15 @@ class LevelData:
         js = weyl.sigma_indices(self.case.type_id)
         return [[layer_image(self.case, j, q) for j in js] for q in self.points]
 
-    @cached_property
-    def orbits(self):
-        return diophantine.orbit_partition(self.case.group, self.solutions)
+    def on_quadric(self, point):
+        """Whether the point solves the case's equation at level N."""
+        return (sum(d * x * x for d, x in zip(self.case.form, point))
+                == self.case.equation_value(self.n))
 
-    @cached_property
-    def strata(self):
-        return _stratify(self.n, self.solutions)
+    def first_orbit(self, reps):
+        """The sorted orbit of least minimum among those of reps, for a witness."""
+        return min(sorted(diophantine.orbit(self.case.group, r, self.case.arity))
+                   for r in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -294,51 +305,42 @@ def _fail(case_id, n, counts, witness):
 def check_complete(level):
     """Freeness plus exactly-one-image-per-orbit."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, points, images = level.solutions, level.points, level.images
-    counts = {"solutions": len(sols), "orbits": 0, "phi_images": len(images)}
-    if len(set(images)) != len(images):
+    reps, points, images = level.reps, level.points, level.images
+    counts = {"solutions": level.solution_count, "orbits": 0, "phi_images": len(images)}
+    image_set = set(images)
+    if len(image_set) != len(images):
         dup = next(x for x in images if images.count(x) > 1)
         return _fail(case_id, n, counts, {"reason": "phi not injective", "point": dup})
-    sol_set = set(sols)
     for q, img in zip(points, images):
-        if img not in sol_set:
+        if not level.on_quadric(img):
             return _fail(case_id, n, counts,
                          {"reason": "phi image off the quadric",
                           "q": [str(x) for x in q], "image": img})
-    orbits = level.orbits
-    counts["orbits"] = len(orbits)
-    witness = diophantine.freeness_witness(orbits, diophantine.group_order(case.group, case.arity))
-    if witness is not None:
-        return _fail(case_id, n, counts, {"reason": "action not free", "point": witness})
-    image_set = set(images)
-    for orb in orbits:
-        hits = [p for p in orb if p in image_set]
-        if len(hits) != 1:
-            return _fail(case_id, n, counts,
-                         {"reason": "orbit without unique representative",
-                          "orbit_min": orb[0], "hits": hits})
+    counts["orbits"] = len(reps)
+    order = diophantine.group_order(case.group, case.arity)
+    small = [r for r in reps if diophantine.orbit_size(case.group, r) < order]
+    if small:
+        return _fail(case_id, n, counts,
+                     {"reason": "action not free", "point": level.first_orbit(small)[-1]})
+    hits = Counter(diophantine.canonical(case.group, img) for img in images)
+    missed = [r for r in reps if hits[r] != 1]
+    if missed:
+        orb = level.first_orbit(missed)
+        return _fail(case_id, n, counts,
+                     {"reason": "orbit without unique representative",
+                      "orbit_min": orb[0], "hits": [p for p in orb if p in image_set]})
     return Report(case_id, n, "PASS", counts)
 
 
-def _on_quadric(case, k, point):
-    return sum(d * x * x for d, x in zip(case.form, point)) == k
-
-
 def check_orbit_size(level):
-    """Every phi-image has a full-size orbit; coverage is reported, not required.
-
-    Reads U through its orbit representatives: counts from their orbit
-    sizes, coverage from the canonical point of each image.
-    """
+    """Every phi-image has a full-size orbit; coverage is reported, not required."""
     case_id, n, case = level.case.case_id, level.n, level.case
     reps, images = level.reps, level.images
-    k = case.equation_value(n)
     expected = diophantine.group_order(case.group, case.arity)
-    counts = {"solutions": sum(diophantine.orbit_size(case.group, r) for r in reps),
-              "orbits": len(reps), "phi_images": len(images),
-              "expected_orbit_size": expected}
+    counts = {"solutions": level.solution_count, "orbits": len(reps),
+              "phi_images": len(images), "expected_orbit_size": expected}
     for img in images:
-        if not _on_quadric(case, k, img):
+        if not level.on_quadric(img):
             return _fail(case_id, n, counts,
                          {"reason": "phi image off the quadric", "image": img})
         size = diophantine.orbit_size(case.group, img)
@@ -353,33 +355,38 @@ def check_orbit_size(level):
 def check_extended(level):
     """Decomposition of U(12N+4) into antipodal pairs of extended images."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, base = level.solutions, level.points
-    counts = {"solutions": len(sols), "base_elements": len(base),
+    base, layers = level.points, level.layers
+    order = diophantine.group_order(case.group)
+    counts = {"solutions": level.solution_count, "base_elements": len(base),
               "extended_elements": 3 * len(base)}
-    all_pairs = []
-    for q, layer in zip(base, level.layers):
-        full_orbit = {diophantine.act(case.group, k, layer[0]) for k in range(6)}
-        if len(full_orbit) != 6:
+    for q, layer in zip(base, layers):
+        full_orbit = diophantine.orbit(case.group, layer[0])
+        if len(full_orbit) != order:
             return _fail(case_id, n, counts,
                          {"reason": "C6 orbit undersized", "point": layer[0]})
         pairs = [frozenset({img, (-img[0], -img[1])}) for img in layer]
-        union = set().union(*pairs)
-        if union != full_orbit or sum(len(p) for p in pairs) != 6:
+        if set().union(*pairs) != full_orbit or sum(len(p) for p in pairs) != order:
             return _fail(case_id, n, counts,
                          {"reason": "layer pairs do not tile the orbit",
                           "q": [str(x) for x in q]})
-        all_pairs.extend(pairs)
-    union = set().union(*all_pairs) if all_pairs else set()
-    if union != set(sols) or sum(len(p) for p in all_pairs) != len(sols):
+    # each layer tiles one orbit, so the pairs partition U when the orbits
+    # of distinct base points are distinct and are all of U's
+    hit = sorted({diophantine.canonical(case.group, layer[0]) for layer in layers})
+    if hit != level.reps or len(hit) != len(base):
         return _fail(case_id, n, counts, {"reason": "pairs do not partition U"})
     return Report(case_id, n, "PASS", counts)
 
 
 def check_stratified(level):
-    """Stratification, G-stability, layer separation and orbit disjointness."""
+    """Stratification, G-stability, layer separation and orbit disjointness.
+
+    G fixes the middle coordinate, so the strata flags read the middle values
+    of the representatives, and G-stability is checked on their orbits.
+    """
     case_id, n, case = level.case.case_id, level.n, level.case
-    strata, sols, base = level.strata, level.solutions, level.points
-    counts = {"solutions": len(sols), "base_elements": len(base),
+    reps, base = level.reps, level.points
+    strata = _stratify(n, reps)
+    counts = {"solutions": level.solution_count, "base_elements": len(base),
               "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
     if not strata.all_y_odd:
         return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
@@ -387,18 +394,17 @@ def check_stratified(level):
         return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
     if not strata.partition_ok:
         return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
-    sol_set = set(sols)
-    for s in sols:
+    for r in reps:
         for g in diophantine.group_elements(case.group):
-            img = diophantine.act(case.group, g, s)
-            if img not in sol_set or img[1] != s[1]:
+            img = diophantine.act(case.group, g, r)
+            if not level.on_quadric(img) or img[1] != r[1]:
                 return _fail(case_id, n, counts,
                              {"reason": "G does not stabilise the stratum",
-                              "point": s})
+                              "point": r})
     images = {}
     for q, layer in zip(base, level.layers):
         for j, img in enumerate(layer):
-            if img not in sol_set:
+            if not level.on_quadric(img):
                 return _fail(case_id, n, counts,
                              {"reason": "layer image off the quadric", "image": img})
             images[(j, q)] = img
@@ -409,17 +415,19 @@ def check_stratified(level):
     # Separation is a rotation-orbit statement: the reflection can carry one
     # extended image onto the mirror rotation orbit of another in the same
     # stratum (first seen at N = 3), so only orbits under the rotation
-    # subgroup of distinct extended elements are disjoint.
-    orbits = {key: frozenset(diophantine.act(case.group, (k, 0), img) for k in range(6))
+    # subgroup of distinct extended elements are disjoint.  That subgroup acts
+    # on (x, z) as C6; the orbits are disjoint when their union has as many
+    # points as they have together, and only a FAIL looks for the first pair.
+    orbits = {key: frozenset((a, img[1], b) for a, b in diophantine.orbit("C6", img[::2]))
               for key, img in images.items()}
-    keys = sorted(orbits, key=lambda key: (key[0], key[1]))
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1:]:
-            if orbits[k1] & orbits[k2]:
-                return _fail(case_id, n, counts,
-                             {"reason": "extended rotation orbits intersect",
-                              "first": list(map(str, k1[1])), "j1": k1[0],
-                              "second": list(map(str, k2[1])), "j2": k2[0]})
+    if len(set().union(*orbits.values())) < sum(map(len, orbits.values())):
+        keys = sorted(orbits)
+        k1, k2 = next((k1, k2) for i, k1 in enumerate(keys) for k2 in keys[i + 1:]
+                      if orbits[k1] & orbits[k2])
+        return _fail(case_id, n, counts,
+                     {"reason": "extended rotation orbits intersect",
+                      "first": list(map(str, k1[1])), "j1": k1[0],
+                      "second": list(map(str, k2[1])), "j2": k2[0]})
     return Report(case_id, n, "PASS", counts)
 
 
@@ -431,22 +439,20 @@ def check_a3_conjecture(level):
     solution, builds the uncovered orbits only on a FAIL.
     """
     n, case = level.n, level.case
-    reps, base = level.reps, level.points
-    k = case.equation_value(n)
-    counts = {"solutions": sum(diophantine.orbit_size(case.group, r) for r in reps),
-              "base_elements": len(base), "extended_elements": 4 * len(base)}
+    counts = {"solutions": level.solution_count, "base_elements": len(level.points),
+              "extended_elements": 4 * len(level.points)}
     hit = set()
     for layer in level.layers:
         for img in layer:
-            if not _on_quadric(case, k, img):
+            if not level.on_quadric(img):
                 return _fail("A3conj", n, counts,
                              {"reason": "layer image off the quadric", "image": img})
             hit.add(diophantine.canonical(case.group, img))
     counts["covered"] = sum(diophantine.orbit_size(case.group, r) for r in hit)
-    uncovered = [r for r in reps if r not in hit]
+    uncovered = [r for r in level.reps if r not in hit]
     if uncovered:
-        first = min(min(diophantine.orbit(case.group, r)) for r in uncovered)
-        return _fail("A3conj", n, counts, {"reason": "uncovered solutions", "first": first})
+        return _fail("A3conj", n, counts, {"reason": "uncovered solutions",
+                                           "first": level.first_orbit(uncovered)[0]})
     return Report("A3conj", n, "PASS", counts)
 
 
@@ -454,14 +460,23 @@ CHECKS = {"complete": check_complete, "orbit-size": check_orbit_size,
           "extended": check_extended, "stratified": check_stratified}
 
 
+def _decide(check, level, case_id):
+    """check(level), with a phi map or action undefined on the level a FAIL."""
+    try:
+        return check(level)
+    except (NonIntegralImage, NotClosed) as exc:
+        return _fail(case_id, level.n, {}, {"reason": "level not decided",
+                                            "error": f"{type(exc).__name__}: {exc}"})
+
+
 def verify_case(case_id, n):
     """The check of the case's claim at level n."""
     case = get_case(case_id)
-    return CHECKS[case.claim](LevelData(case, n))
+    return _decide(CHECKS[case.claim], LevelData(case, n), case_id)
 
 
 def a3_conjecture_check(n):
-    return check_a3_conjecture(LevelData(CASES["A3"], n))
+    return _decide(check_a3_conjecture, LevelData(CASES["A3"], n), "A3conj")
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +496,12 @@ class A3Strata:
 
 def a3_strata(n):
     """Stratify U(48N+30) by the middle coordinate and test the emptiness rule."""
-    return LevelData(CASES["A3"], n).strata
+    return _stratify(n, LevelData(CASES["A3"], n).solutions)
 
 
 def _stratify(n, sols):
-    """a3_strata from the solution set U(48N+30), solved by the caller."""
+    """a3_strata from points of U(48N+30) that meet every stratum; the flags
+    read only their middle values."""
     k = 48 * n + 30
     by_y = {}
     for s in sols:
@@ -493,30 +509,17 @@ def _stratify(n, sols):
     all_y_odd = all(y % 2 == 1 for y in by_y)
 
     omega = {}
-    gamma = []
-    ok_iff = True
     y_bound = 24 * n + 15
     candidates = [y for y in range(-math.isqrt(y_bound) - 1, math.isqrt(y_bound) + 2)
                   if y % 2 != 0 and y * y < y_bound]
-    for y in sorted(candidates):
-        sq = y * y
-        which = sq % 3
-        p = sq // 3 if which == 0 else (sq - 1) // 3
-        m_y = 16 * n + 10 - 2 * p
-        radius = math.isqrt(k - 2 * sq)
-        members = []
-        for m in range(-radius, radius + 1):
-            if which == 0:
-                if m % 3 == 0 and is_perfect_square(m_y - m * m // 3):
-                    members.append(m)
-            else:
-                if m % 3 != 0 and is_perfect_square(m_y - (m * m + 2) // 3):
-                    members.append(m)
-        omega[y] = (which, members)
-        if bool(members) != (y in by_y):
-            ok_iff = False
-        if members:
-            gamma.append(y)
-    partition_ok = sorted(gamma) == sorted(by_y)
-    return A3Strata(n, sorted(gamma), {y: sorted(v) for y, v in by_y.items()},
-                    omega, ok_iff, partition_ok, all_y_odd)
+    for y in candidates:
+        which = y * y % 3            # 0 or 1, as y^2 is a square
+        m_y = 16 * n + 10 - 2 * (y * y // 3)
+        radius = math.isqrt(k - 2 * y * y)
+        omega[y] = (which, [m for m in range(-radius, radius + 1)
+                            if (m % 3 == 0) == (which == 0)
+                            and is_perfect_square(m_y - (m * m + 2 * which) // 3)])
+    gamma = [y for y in candidates if omega[y][1]]
+    return A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()}, omega,
+                    all(bool(omega[y][1]) == (y in by_y) for y in candidates),
+                    gamma == sorted(by_y), all_y_odd)

@@ -19,10 +19,12 @@ functions of param, with their Fraction-to-int conversion _as_int and the
 coefficient and offset of the hyperoctahedral table (HYP_TABLE) before it
 was derived from kappa and the l_i.
 
-check_orbit_size and check_a3_conjecture are the original claim checks on
-the full solution set U and its orbit partition, and representatives is the
-rule they imply for orbit representatives: the lexicographic maximum of each
-orbit of U.  det, h_statistic, A3Stratum and stratum are helpers that only
+check_complete, check_extended, check_stratified, check_orbit_size and
+check_a3_conjecture are the original claim checks on the full solution set U
+and its orbit partition (with freeness_witness inlined in check_complete and
+the strata of U computed in check_stratified, where LevelData once held
+them), and representatives is the rule they imply for orbit
+representatives: the lexicographic maximum of each orbit of U.  det, h_statistic, A3Stratum and stratum are helpers that only
 the tests call.
 """
 
@@ -360,10 +362,115 @@ def representatives(group, form, k):
         group, diophantine.solve_diagonal(form, k)))
 
 
+def _orbits(level):
+    """The orbit partition of U, as the original LevelData.orbits gave it."""
+    return diophantine.orbit_partition(level.case.group, level.solutions)
+
+
+def check_complete(level):
+    """Freeness plus exactly-one-image-per-orbit."""
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, points, images = level.solutions, level.points, level.images
+    counts = {"solutions": len(sols), "orbits": 0, "phi_images": len(images)}
+    if len(set(images)) != len(images):
+        dup = next(x for x in images if images.count(x) > 1)
+        return _fail(case_id, n, counts, {"reason": "phi not injective", "point": dup})
+    sol_set = set(sols)
+    for q, img in zip(points, images):
+        if img not in sol_set:
+            return _fail(case_id, n, counts,
+                         {"reason": "phi image off the quadric",
+                          "q": [str(x) for x in q], "image": img})
+    orbits = _orbits(level)
+    counts["orbits"] = len(orbits)
+    order = diophantine.group_order(case.group, case.arity)
+    witness = next((orb[-1] for orb in orbits if len(orb) < order), None)
+    if witness is not None:
+        return _fail(case_id, n, counts, {"reason": "action not free", "point": witness})
+    image_set = set(images)
+    for orb in orbits:
+        hits = [p for p in orb if p in image_set]
+        if len(hits) != 1:
+            return _fail(case_id, n, counts,
+                         {"reason": "orbit without unique representative",
+                          "orbit_min": orb[0], "hits": hits})
+    return Report(case_id, n, "PASS", counts)
+
+
+def check_extended(level):
+    """Decomposition of U(12N+4) into antipodal pairs of extended images."""
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, base = level.solutions, level.points
+    counts = {"solutions": len(sols), "base_elements": len(base),
+              "extended_elements": 3 * len(base)}
+    all_pairs = []
+    for q, layer in zip(base, level.layers):
+        full_orbit = {diophantine.act(case.group, k, layer[0]) for k in range(6)}
+        if len(full_orbit) != 6:
+            return _fail(case_id, n, counts,
+                         {"reason": "C6 orbit undersized", "point": layer[0]})
+        pairs = [frozenset({img, (-img[0], -img[1])}) for img in layer]
+        union = set().union(*pairs)
+        if union != full_orbit or sum(len(p) for p in pairs) != 6:
+            return _fail(case_id, n, counts,
+                         {"reason": "layer pairs do not tile the orbit",
+                          "q": [str(x) for x in q]})
+        all_pairs.extend(pairs)
+    union = set().union(*all_pairs) if all_pairs else set()
+    if union != set(sols) or sum(len(p) for p in all_pairs) != len(sols):
+        return _fail(case_id, n, counts, {"reason": "pairs do not partition U"})
+    return Report(case_id, n, "PASS", counts)
+
+
+def check_stratified(level):
+    """Stratification, G-stability, layer separation and orbit disjointness."""
+    case_id, n, case = level.case.case_id, level.n, level.case
+    sols, base = level.solutions, level.points
+    strata = param._stratify(n, sols)
+    counts = {"solutions": len(sols), "base_elements": len(base),
+              "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
+    if not strata.all_y_odd:
+        return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
+    if not strata.nonempty_iff_omega:
+        return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
+    if not strata.partition_ok:
+        return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
+    sol_set = set(sols)
+    for s in sols:
+        for g in diophantine.group_elements(case.group):
+            img = diophantine.act(case.group, g, s)
+            if img not in sol_set or img[1] != s[1]:
+                return _fail(case_id, n, counts,
+                             {"reason": "G does not stabilise the stratum",
+                              "point": s})
+    images = {}
+    for q, layer in zip(base, level.layers):
+        for j, img in enumerate(layer):
+            if img not in sol_set:
+                return _fail(case_id, n, counts,
+                             {"reason": "layer image off the quadric", "image": img})
+            images[(j, q)] = img
+        if len({img[1] for img in layer}) != 4:
+            return _fail(case_id, n, counts,
+                         {"reason": "layers share a stratum",
+                          "q": [str(x) for x in q]})
+    orbits = {key: frozenset(diophantine.act(case.group, (k, 0), img) for k in range(6))
+              for key, img in images.items()}
+    keys = sorted(orbits, key=lambda key: (key[0], key[1]))
+    for i, k1 in enumerate(keys):
+        for k2 in keys[i + 1:]:
+            if orbits[k1] & orbits[k2]:
+                return _fail(case_id, n, counts,
+                             {"reason": "extended rotation orbits intersect",
+                              "first": list(map(str, k1[1])), "j1": k1[0],
+                              "second": list(map(str, k2[1])), "j2": k2[0]})
+    return Report(case_id, n, "PASS", counts)
+
+
 def check_orbit_size(level):
     """Every phi-image has a full-size orbit; coverage is reported, not required."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, images, orbits = level.solutions, level.images, level.orbits
+    sols, images, orbits = level.solutions, level.images, _orbits(level)
     expected = diophantine.group_order(case.group, case.arity)
     counts = {"solutions": len(sols), "orbits": len(orbits),
               "phi_images": len(images), "expected_orbit_size": expected}

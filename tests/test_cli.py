@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import cli
+from corelat import cli, param
 
 from golden_data import (CONJECTURE_A3_JSON_3, TABLE_12N7, TABLE_40N10, TABLE_6N7,
                          TABLE_8N1, VERIFY_JSON)
@@ -233,6 +234,32 @@ def test_report_failure_exit_code():
     out = io.StringIO()
     assert cli._report_output(reports, "csv", out) == 1
     assert "FAIL" in out.getvalue()
+
+
+@pytest.mark.parametrize("case_id,change,argv,error", [
+    # an A2ext phi whose images leave the C6 parity domain
+    ("A2ext", dict(phi_map=param.AffineMap(((3, 6), (3, 0)), (0, -1))),
+     ["verify", "--case", "A2ext", "--N", "1"],
+     "NonIntegralImage: (3,2) is outside the parity domain"),
+    # a form C6 does not preserve
+    ("A2", dict(form=(1, 2)), ["verify", "--case", "A2", "--max-N", "1"],
+     "NotClosed: the form (1, 2) is not invariant under C6"),
+    # an odd right-hand side puts U(48N+31) outside the G_A3 parity domain
+    ("A3", dict(b=31), ["conjecture-a3", "--max-N", "0"],
+     "NonIntegralImage: (2,0,-3) is outside the parity domain"),
+])
+def test_undecidable_level_is_a_fail_report(monkeypatch, capsys, case_id, change, argv, error):
+    monkeypatch.setitem(param.CASES, case_id,
+                        dataclasses.replace(param.CASES[case_id], **change))
+    for fmt in ("csv", "json"):
+        code = cli.main(argv + ["--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert "Traceback" not in out
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(row["status"] == "FAIL" for row in rows)
+        witness = rows[0]["witness"] if fmt == "json" else json.loads(rows[0]["witness"])
+        assert witness == {"reason": "level not decided", "error": error}
 
 
 def test_seed_flag_accepted():

@@ -181,6 +181,14 @@ def test_canonical_parity_domain_and_invariance():
     with pytest.raises(NonIntegralImage):
         canonical("G_A3", (1, 0, 0))
     assert canonical("G_A3", (-1, 5, 1)) == (2, 5, 0)
+    # C6 shares the G_A3 rotations and their domain
+    for point in ((1, 0), (2, -1)):
+        with pytest.raises(NonIntegralImage):
+            canonical("C6", point)
+        with pytest.raises(NonIntegralImage):
+            orbit_size("C6", point)
+    with pytest.raises(ValueError):
+        canonical("Z7", (1, 2))
     # a form the group does not preserve, or an unknown group, is refused
     with pytest.raises(NotClosed):
         solve_diagonal((1, 2), 5, "D8")

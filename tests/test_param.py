@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import atomic, cores, diophantine, dynkin, param, weyl
+from corelat import atomic, cli, cores, diophantine, dynkin, param, weyl
 from corelat.param import (
     a3_conjecture_check,
     a3_strata,
@@ -413,3 +413,134 @@ def test_phi_lands_on_quadric_identically(case_id):
         assert [2 * row[0] for row in _matmul(_matmul(_transpose(Pj), D), pj_col)] == \
             [case.a * x for x in form.b], (case_id, j)
         assert _matmul(_matmul([pj], D), pj_col) == [[case.b]], (case_id, j)
+
+
+COMPLETE_CASES = [c for c, case in param.CASES.items() if case.claim == "complete"]
+_CLAIM_ORACLES = {"complete": (param.check_complete, oracles.check_complete),
+                  "extended": (param.check_extended, oracles.check_extended),
+                  "stratified": (param.check_stratified, oracles.check_stratified)}
+
+
+def test_representative_checks_match_full_set_oracles():
+    for case_id, top in [(c, 60) for c in COMPLETE_CASES] + [("A2ext", 60), ("A3", 30)]:
+        case = get_case(case_id)
+        check, oracle = _CLAIM_ORACLES[case.claim]
+        for n in range(top + 1):
+            assert _checks_agree(check, oracle, case, n)["status"] == "PASS"
+
+
+def _layer_table(case, n, source):
+    """A phi map that sends the layer-j vector of every base point at level n
+    to the layer-j image of the base point `source`."""
+    table = {}
+    for q in lattice_points(case, n):
+        for j in weyl.sigma_indices(case.type_id):
+            vec = q if j == 0 else weyl.extended_image(
+                case.type_id, weyl.ExtGrassElement(case.type_id, j, q)).coords
+            table[tuple(vec)] = layer_image(case, j, source)
+    return lambda v: table[tuple(v)]
+
+
+def _first_b(case, n, reason, oracle):
+    """The least b' >= 0 for which the oracle FAILs with `reason` at level n."""
+    for b in range(200):
+        report = oracle(param.LevelData(dataclasses.replace(case, b=b), n))
+        if report.witness and report.witness["reason"] == reason:
+            return b
+    raise AssertionError(f"no b reaches {reason!r}")
+
+
+def _complete_variants():
+    c2, d43 = get_case("C2"), get_case("D43")
+    points = lattice_points(c2, 40)
+    first = c2.phi_map(points[0])
+    spread = {q: diophantine.act("D8", (i, 0), first) for i, q in enumerate(points)}
+    return [
+        ("phi not injective", "C2", 40, dict(phi_map=lambda q: first)),
+        ("phi image off the quadric", "D43", 35,
+         dict(phi_map=lambda q: tuple(x + 1 for x in d43.phi_map(q)))),
+        ("phi image off the quadric", "A2", 30, dict(b=16)),
+        # U(25) holds the axis orbit of (5, 0); N = 2 has no lattice point
+        ("action not free", "C2", 2, dict(b=9)),
+        ("action not free", "C2L1", 4, dict(b=-32)),
+        ("action not free", "D43", 4, "b"),
+        # two undersized orbits, {(+-7, 0)} and {(0, +-7)}: the witness is the
+        # one with the least minimum, not the first canonical point
+        ("action not free", "D43", 4, dict(form=(1, 1), b=1)),
+        ("orbit without unique representative", "C2", 40,
+         dict(phi_map=lambda q: spread[tuple(q)])),
+        # levels without lattice points leave every orbit of the new U unhit
+        ("orbit without unique representative", "A2", 3, dict(b=16)),
+        ("orbit without unique representative", "C2", 2, dict(b=1)),
+        ("orbit without unique representative", "D43", 4, dict(form=(1, 6))),
+    ]
+
+
+@pytest.mark.parametrize("reason,case_id,n,change", _complete_variants())
+def test_complete_check_fail_branches_match_oracle(reason, case_id, n, change):
+    case = get_case(case_id)
+    if change == "b":
+        change = dict(b=_first_b(case, n, reason, oracles.check_complete))
+    changed = dataclasses.replace(case, **change)
+    report = _checks_agree(param.check_complete, oracles.check_complete, changed, n)
+    assert report["witness"]["reason"] == reason
+
+
+@pytest.mark.parametrize("reason,n,change", [
+    ("C6 orbit undersized", 1, dict(phi_map=lambda v: (0, 0))),
+    ("layer pairs do not tile the orbit", 1, dict(phi_map=lambda v: (2, 2))),
+    ("pairs do not partition U", 1, dict(b=16)),
+    ("pairs do not partition U", 3, dict(b=16)),
+    ("pairs do not partition U", 1, dict(form=(4, 12))),
+])
+def test_extended_check_fail_branches_match_oracle(reason, n, change):
+    changed = dataclasses.replace(get_case("A2ext"), **change)
+    report = _checks_agree(param.check_extended, oracles.check_extended, changed, n)
+    assert report["witness"]["reason"] == reason
+
+
+def _stratified_variants():
+    a3 = get_case("A3")
+    top = max(diophantine.solve_diagonal(a3.form, a3.equation_value(4)))
+    return [
+        ("even middle coordinate", 2, "b"),
+        ("emptiness rule violated", 2, "b"),
+        ("strata do not partition U", 0, "b"),
+        ("layer image off the quadric", 3,
+         dict(phi_map=lambda v: tuple(x + 2 for x in map_p_a3(v)))),
+        ("layers share a stratum", 4, dict(phi_map=lambda v: top)),
+        ("extended rotation orbits intersect", 3,
+         dict(phi_map=_layer_table(a3, 3, lattice_points(a3, 3)[-1]))),
+    ]
+
+
+@pytest.mark.parametrize("reason,n,change", _stratified_variants())
+def test_stratified_check_fail_branches_match_oracle(reason, n, change):
+    # "G does not stabilise the stratum" is out of reach: a form G_A3 does
+    # not preserve makes solve_diagonal raise NotClosed before the loop
+    case = get_case("A3")
+    if change == "b":
+        change = dict(b=_first_b(case, n, reason, oracles.check_stratified))
+    changed = dataclasses.replace(case, **change)
+    report = _checks_agree(param.check_stratified, oracles.check_stratified, changed, n)
+    assert report["witness"]["reason"] == reason
+
+
+class _RepresentativesOnly(param.LevelData):
+    """A level whose full solution set cannot be read."""
+
+    @property
+    def solutions(self):
+        raise AssertionError("a claim check listed U in full")
+
+
+def test_claim_checks_never_list_u(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a claim check partitioned U")
+
+    monkeypatch.setattr(diophantine, "orbit_partition", refuse)
+    for n in range(6):
+        for case_id in cli.VERIFY_CASES:
+            case = get_case(case_id)
+            assert param.CHECKS[case.claim](_RepresentativesOnly(case, n)).passed
+        assert param.check_a3_conjecture(_RepresentativesOnly(get_case("A3"), n)).passed
