@@ -14,7 +14,7 @@ once per type.  Lattice membership uses a SpanSolver per (type, lattice)
 and tests integrality of the coefficients by divisibility.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,7 +35,6 @@ class LatticeVector:
     """A stored-coordinate vector attached to its affine type."""
     type_id: str
     coords: tuple
-    membership: str = field(default="M", compare=False)
 
     def __iter__(self):
         return iter(self.coords)
@@ -177,7 +176,7 @@ def enumerate_atomic(t, weight_index, target, lattice="M"):
     if target < 0:
         raise ValueError("atomic length target must be non-negative")
     form = length_form(t.name, weight_index, lattice)
-    return [LatticeVector(t.name, coords, lattice) for coords in form.level(target)]
+    return [LatticeVector(t.name, coords) for coords in form.level(target)]
 
 
 def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
@@ -185,7 +184,7 @@ def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
     t = _type(t)
     buckets = {}
     for value, coords in length_form(t.name, weight_index, lattice).upto(bound):
-        buckets.setdefault(value, []).append(LatticeVector(t.name, coords, lattice))
+        buckets.setdefault(value, []).append(LatticeVector(t.name, coords))
     for value in buckets:
         buckets[value].sort(key=lambda v: v.coords)
     return buckets

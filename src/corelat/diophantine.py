@@ -4,7 +4,8 @@ solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
 it lists one canonical point per orbit instead; canonical and orbit_size give
 a point's canonical point and orbit size in closed form, for every group,
-without building the orbit.
+without building the orbit.  H (signed permutations) reads its rank from
+the point, and D8 is H on two coordinates, sharing its rules.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.  Groups
 are small and act through explicit formulas; half-integer matrices check
@@ -39,11 +40,11 @@ def solve_diagonal(form, k, group=None):
 
     With a group, whose action must leave the form invariant, only the
     canonical solutions, one per orbit (see canonical), sorted.  G_A3 on
-    (1, 2, 3) at even k and H on an equal form are searched in their
-    fundamental domains, so no other point is visited.  Any other group
-    keeps the solutions that are their own canonical point, searched with
-    the first variable decided last and non-negative: each group here
-    negates it, so a canonical point has x_1 >= 0.
+    (1, 2, 3) at even k, and H and D8 on an equal form, are searched in
+    their fundamental domains, so no other point is visited.  V4, C4 and C6
+    keep the solutions that are their own canonical point, searched with
+    the first variable decided last and non-negative: each of them negates
+    it, so a canonical point has x_1 >= 0.
     """
     form = tuple(int(d) for d in form)
     if any(d < 1 for d in form):
@@ -61,7 +62,7 @@ def solve_diagonal(form, k, group=None):
     # below raises NonIntegralImage from canonical, as orbit_partition does.
     if group == "G_A3" and form == (1, 2, 3) and k % 2 == 0:
         return _solve_ga3_sector(k)
-    if group == "H":
+    if group in ("H", "D8"):
         return _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
     return sorted(p for p in (s[::-1] for s in _solve_all(form[::-1], k))
                   if p[0] >= 0 and p == canonical(group, p))
@@ -193,8 +194,9 @@ def _rotations60(point, x, z):
     return rotations
 
 
-def group_elements(group, arity=None):
-    """The elements of a named group as opaque tokens usable with act()."""
+def group_elements(group, rank=None):
+    """The elements of a named group as opaque tokens usable with act(); H
+    needs its rank, which no other group reads."""
     if group == "D8":
         return [(k, e) for k in range(4) for e in (0, 1)]
     if group == "C4":
@@ -206,14 +208,14 @@ def group_elements(group, arity=None):
     if group == "G_A3":
         return [(k, e) for k in range(6) for e in (0, 1)]
     if group == "H":
-        if arity is None:
-            raise ValueError("hyperoctahedral group needs the arity")
-        return [(p, s) for p in itertools.permutations(range(arity))
-                for s in itertools.product((1, -1), repeat=arity)]
+        if rank is None:
+            raise ValueError("the hyperoctahedral group needs its rank")
+        return [(p, s) for p in itertools.permutations(range(rank))
+                for s in itertools.product((1, -1), repeat=rank)]
     raise ValueError(f"unknown group {group!r}")
 
 
-def group_order(group, arity=None):
+def group_order(group, rank=None):
     if group == "D8":
         return 8
     if group in ("C4", "V4"):
@@ -223,7 +225,9 @@ def group_order(group, arity=None):
     if group == "G_A3":
         return 12
     if group == "H":
-        return (2 ** arity) * math.factorial(arity)
+        if rank is None:
+            raise ValueError("the hyperoctahedral group needs its rank")
+        return (2 ** rank) * math.factorial(rank)
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -291,14 +295,14 @@ def canonical(group, point):
 def orbit_size(group, point):
     """The number of points in the point's orbit, from its stabiliser.
 
-    H: n!/prod(mult!) * 2^(non-zero entries), mult counting equal absolute
-    values.  G_A3: 1 at x = z = 0, 6 on the boundary rays z = 0 and x = 3z of
-    the canonical sector, 12 inside it.  D8 and V4: the group order halved
-    for each coincidence the canonical point has.  C4 and C6: 1 at the
-    origin, the group order elsewhere, as no rotation fixes another point.
+    H and D8: n!/prod(mult!) * 2^(non-zero entries), mult counting equal
+    absolute values.  G_A3: 1 at x = z = 0, 6 on the boundary rays z = 0 and
+    x = 3z of the canonical sector, 12 inside it.  V4: 4 halved for each zero
+    coordinate.  C4 and C6: 1 at the origin, the group order elsewhere, as
+    no rotation fixes another point.
     """
     point = tuple(point)
-    if group == "H":
+    if group in ("H", "D8"):
         size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
         for mult in Counter(map(abs, point)).values():
             size //= math.factorial(mult)
@@ -306,35 +310,27 @@ def orbit_size(group, point):
     if group == "G_A3":
         x, _, z = canonical(group, point)
         return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
-    if group == "D8":
-        a, b = canonical(group, point)
-        return 1 if a == 0 else 4 if b == 0 or a == b else 8
     if group == "V4":
         return 4 >> sum(1 for x in point if x == 0)
     return group_order(group) if any(canonical(group, point)) else 1
 
 
-def _arity_of(group, points):
-    return len(next(iter(points))) if group == "H" else None
-
-
-def orbit(group, point, arity=None):
+def orbit(group, point):
     if group == "C6":
         return set(_rotations60(point, *point))
-    return {act(group, g, point) for g in group_elements(group, arity)}
+    return {act(group, g, point) for g in group_elements(group, len(point))}
 
 
 def orbit_partition(group, solutions):
     """Partition a closed solution set into orbits, sorted by their minima."""
     points = [tuple(p) for p in solutions]
     pool = set(points)
-    arity = _arity_of(group, points) if points else None
     seen = set()
     orbits = []
     for p in sorted(points):
         if p in seen:
             continue
-        orb = orbit(group, p, arity)
+        orb = orbit(group, p)
         if not orb <= pool:
             raise NotClosed(f"orbit of {p} leaves the solution set")
         orbits.append(sorted(orb))
@@ -347,7 +343,9 @@ def is_action_free(group, solutions):
     largest point of the first undersized orbit), which for the
     sign-symmetric actions used here is its all-non-negative member."""
     points = [tuple(p) for p in solutions]
-    order = group_order(group, _arity_of(group, points) if points else None)
+    if not points:
+        return True, None
+    order = group_order(group, len(points[0]))
     for orb in orbit_partition(group, points):
         if len(orb) < order:
             return False, orb[-1]

@@ -63,7 +63,6 @@ class ParamCase:
     group: str
     claim: str                      # 'complete', 'orbit-size', 'extended' or 'stratified'
     phi_map: callable
-    arity: int = None               # hyperoctahedral arity
     family_form: object = field(default=None, repr=False)  # hyperoctahedral length
 
     def equation_value(self, n):
@@ -181,7 +180,7 @@ def hyp_case(type_id):
                     [-x for x in offsets])
     return ParamCase(f"HYP:{type_id}", type_id, 0, "M", 2 * s * coeff,
                      sum(x * x for x in offsets), (1,) * n, "H", "orbit-size", phi,
-                     arity=n, family_form=length)
+                     family_form=length)
 
 
 def get_case(case_id):
@@ -270,7 +269,7 @@ class LevelData:
 
     def first_orbit(self, reps):
         """The sorted orbit of least minimum among those of reps, for a witness."""
-        return min(sorted(diophantine.orbit(self.case.group, r, self.case.arity))
+        return min(sorted(diophantine.orbit(self.case.group, r))
                    for r in reps)
 
 
@@ -317,7 +316,7 @@ def check_complete(level):
                          {"reason": "phi image off the quadric",
                           "q": [str(x) for x in q], "image": img})
     counts["orbits"] = len(reps)
-    order = diophantine.group_order(case.group, case.arity)
+    order = diophantine.group_order(case.group, len(case.form))
     small = [r for r in reps if diophantine.orbit_size(case.group, r) < order]
     if small:
         return _fail(case_id, n, counts,
@@ -336,7 +335,7 @@ def check_orbit_size(level):
     """Every phi-image has a full-size orbit; coverage is reported, not required."""
     case_id, n, case = level.case.case_id, level.n, level.case
     reps, images = level.reps, level.images
-    expected = diophantine.group_order(case.group, case.arity)
+    expected = diophantine.group_order(case.group, len(case.form))
     counts = {"solutions": level.solution_count, "orbits": len(reps),
               "phi_images": len(images), "expected_orbit_size": expected}
     for img in images:
@@ -488,7 +487,6 @@ class A3Strata:
     N: int
     gamma: list                  # y's with non-empty strata, ascending
     strata: dict                 # y -> sorted points of U with that middle value
-    omega: dict                  # y -> (case, sorted omega set)
     nonempty_iff_omega: bool
     partition_ok: bool
     all_y_odd: bool
@@ -508,7 +506,7 @@ def _stratify(n, sols):
         by_y.setdefault(s[1], []).append(s)
     all_y_odd = all(y % 2 == 1 for y in by_y)
 
-    omega = {}
+    omega_nonempty = {}
     y_bound = 24 * n + 15
     candidates = [y for y in range(-math.isqrt(y_bound) - 1, math.isqrt(y_bound) + 2)
                   if y % 2 != 0 and y * y < y_bound]
@@ -516,10 +514,10 @@ def _stratify(n, sols):
         which = y * y % 3            # 0 or 1, as y^2 is a square
         m_y = 16 * n + 10 - 2 * (y * y // 3)
         radius = math.isqrt(k - 2 * y * y)
-        omega[y] = (which, [m for m in range(-radius, radius + 1)
-                            if (m % 3 == 0) == (which == 0)
-                            and is_perfect_square(m_y - (m * m + 2 * which) // 3)])
-    gamma = [y for y in candidates if omega[y][1]]
-    return A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()}, omega,
-                    all(bool(omega[y][1]) == (y in by_y) for y in candidates),
+        omega_nonempty[y] = any((m % 3 == 0) == (which == 0)
+                                and is_perfect_square(m_y - (m * m + 2 * which) // 3)
+                                for m in range(-radius, radius + 1))
+    gamma = [y for y in candidates if omega_nonempty[y]]
+    return A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()},
+                    all(omega_nonempty[y] == (y in by_y) for y in candidates),
                     gamma == sorted(by_y), all_y_odd)

@@ -78,7 +78,7 @@ def extended_image(t, element):
     V, d = linalg.integer_vector(element.q)
     W, p = atomic.integer_weights(t.name)[j - 1] if j else ((0,) * t.ambient_dim, 1)
     coords = tuple(Fraction(p * linalg.dot(row, V) + d * w, d * p) for row, w in zip(mat, W))
-    return LatticeVector(t.name, coords, "L")
+    return LatticeVector(t.name, coords)
 
 
 def enumerate_extended(t, target):

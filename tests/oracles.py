@@ -255,7 +255,7 @@ def extended_image(t, element):
     else:
         omega = dynkin.fundamental_weights(t)[j - 1]
         coords = tuple(a + b for a, b in zip(omega, mq))
-    return LatticeVector(t.name, coords, "L")
+    return LatticeVector(t.name, coords)
 
 
 def _as_int(x):
@@ -383,7 +383,7 @@ def check_complete(level):
                           "q": [str(x) for x in q], "image": img})
     orbits = _orbits(level)
     counts["orbits"] = len(orbits)
-    order = diophantine.group_order(case.group, case.arity)
+    order = diophantine.group_order(case.group, len(case.form))
     witness = next((orb[-1] for orb in orbits if len(orb) < order), None)
     if witness is not None:
         return _fail(case_id, n, counts, {"reason": "action not free", "point": witness})
@@ -471,7 +471,7 @@ def check_orbit_size(level):
     """Every phi-image has a full-size orbit; coverage is reported, not required."""
     case_id, n, case = level.case.case_id, level.n, level.case
     sols, images, orbits = level.solutions, level.images, _orbits(level)
-    expected = diophantine.group_order(case.group, case.arity)
+    expected = diophantine.group_order(case.group, len(case.form))
     counts = {"solutions": len(sols), "orbits": len(orbits),
               "phi_images": len(images), "expected_orbit_size": expected}
     sol_set = set(sols)
@@ -479,7 +479,7 @@ def check_orbit_size(level):
         if img not in sol_set:
             return _fail(case_id, n, counts,
                          {"reason": "phi image off the quadric", "image": img})
-        orb = diophantine.orbit(case.group, img, case.arity)
+        orb = diophantine.orbit(case.group, img)
         if len(orb) != expected:
             return _fail(case_id, n, counts,
                          {"reason": "orbit not of full size", "image": img,

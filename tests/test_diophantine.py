@@ -119,6 +119,13 @@ def test_freeness_examples():
     assert sorted(orbit("D8", (5, 5))) == [(-5, -5), (-5, 5), (5, -5), (5, 5)]
 
 
+def test_hyperoctahedral_rank_comes_from_the_points():
+    assert is_action_free("H", []) == (True, None)
+    assert len(orbit("H", (2, 1, 0))) == 24
+    with pytest.raises(ValueError, match="rank"):
+        group_order("H")
+
+
 def test_freeness_characterisation():
     # free iff k is neither a square nor twice a square
     for k in range(1, 500):

@@ -244,8 +244,8 @@ def test_orbit_size_check_fail_branches_match_oracle(case_id, n):
     assert report["witness"]["reason"] == "phi image off the quadric"
     k = case.equation_value(n)
     small = next(p for p in oracles.representatives(case.group, case.form, k)
-                 if len(diophantine.orbit(case.group, p, case.arity))
-                 < diophantine.group_order(case.group, case.arity))
+                 if len(diophantine.orbit(case.group, p))
+                 < diophantine.group_order(case.group, len(case.form)))
     undersized = dataclasses.replace(case, phi_map=lambda q: small)
     report = _checks_agree(param.check_orbit_size, oracles.check_orbit_size, undersized, n)
     assert report["witness"]["reason"] == "orbit not of full size"
