@@ -23,6 +23,12 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
+def matmul(A, B):
+    """The matrix product A B; a row of A shorter than the columns of B
+    meets only their first entries."""
+    return [[dot(row, col) for col in zip(*B)] for row in A]
+
+
 def integer_vector(v):
     """(V, q) with v = V / q: v scaled to integers by the lcm q of its
     denominators."""
@@ -263,18 +269,19 @@ def enumerate_quadratic_level(a, b, target):
 class QuadraticForm:
     """value(m) = m^T a m + b.m on the integer coefficients m of a basis.
 
-    The coefficients m stand for the lattice point sum_i m_i basis_i, and
-    level and upto speak in the coordinates of such points.  The exact
+    The coefficients m stand for the lattice point sum_i m_i basis_i, whose
+    coordinates are C m / Q: C holds the basis vectors scaled to integers by
+    the lcm Q of their denominators, one row per coordinate.  level and upto
+    speak in coordinates, level_coefficients in coefficients.  The exact
     integer search of the form is built on first use and kept, so every
     level and bound asked of one form shares it.
     """
 
     def __init__(self, a, b, basis):
         self.a, self.b, self.basis = tuple(map(tuple, a)), tuple(b), basis
-        # basis vectors as integers over one common denominator Q
-        self._Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
-        self._columns = [[(i, int(v[r] * self._Q)) for i, v in enumerate(self.basis) if v[r]]
-                         for r in range(len(self.basis[0]) if self.basis else 0)]
+        self.Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
+        self.C = tuple(tuple(int(v[r] * self.Q) for v in self.basis)
+                       for r in range(len(self.basis[0]) if self.basis else 0))
 
     @classmethod
     def on_basis(cls, basis, kappa, linear):
@@ -283,14 +290,24 @@ class QuadraticForm:
         a = [[kappa * sum(Fraction(x) * y for x, y in zip(v, w)) for w in basis] for v in basis]
         return cls(a, [linear(v) for v in basis], basis)
 
+    def numerators(self, m):
+        """C m: Q times the coordinates of the lattice point with basis
+        coefficients m, as integers."""
+        return tuple([dot(row, m) for row in self.C])
+
     def coordinates(self, m):
         """Coordinates of the lattice point with basis coefficients m."""
-        Q = self._Q
-        return tuple(Fraction(sum(m[i] * x for i, x in col), Q) for col in self._columns)
+        Q = self.Q
+        return tuple(Fraction(x, Q) for x in self.numerators(m))
+
+    def level_coefficients(self, target):
+        """Basis coefficients of every lattice point of value target, in the
+        order of the points' coordinates (sorted by the integer key C m)."""
+        return sorted(enumerate_quadratic_level(self.a, self.b, target), key=self.numerators)
 
     def level(self, target):
         """Coordinates of every lattice point of value target, sorted."""
-        return sorted(map(self.coordinates, enumerate_quadratic_level(self.a, self.b, target)))
+        return list(map(self.coordinates, self.level_coefficients(target)))
 
     def upto(self, bound):
         """(value, coordinates) for every lattice point of value <= bound."""

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import atomic, diophantine, linalg, weyl
 from .diophantine import NonIntegralImage, NotClosed, solve_diagonal
@@ -47,6 +47,55 @@ class AffineMap:
         return tuple(image)
 
 
+class LayerMap:
+    """m -> (P m + p) / den: the layer-j image of the lattice point q with
+    basis coefficients m, phi(q) at j = 0 and phi(omega_j + M_j q) above.
+
+    One integer map per (case, j), composed once from integer matrices: with
+    q = C m / Q (linalg.QuadraticForm), omega_j = W / w and phi(x) = F x + f,
+    the image is (w F M_j C m + Q F W + Q w f) / (Q w), reduced by the gcd of
+    its entries.  Each component is an integer dot product and a divmod by
+    den; a remainder raises NonIntegralImage naming q, whose Fraction
+    coordinates are built only for that message.
+    """
+
+    def __init__(self, case, j):
+        form, phi, self.j = case.length, case.phi_map, j
+        if j:
+            MC = linalg.matmul(weyl.matrix_Mj(case.type_id, j), form.C)
+            W, w = atomic.integer_weights(case.type_id)[j - 1]
+        else:
+            MC, W, w = form.C, (), 1
+        Q = form.Q
+        P = [[w * x for x in row] for row in linalg.matmul(phi.P, MC)]
+        p = [Q * (linalg.dot(row, W) + w * c) for row, c in zip(phi.P, phi.p)]
+        g = math.gcd(Q * w, *p, *(x for row in P for x in row))
+        self.P = tuple(tuple(x // g for x in row) for row in P)
+        self.p, self.den, self._form = tuple(x // g for x in p), Q * w // g, form
+
+    def __call__(self, m):
+        image, den = [], self.den
+        for row, c in zip(self.P, self.p):
+            num = linalg.dot(row, m) + c
+            y, r = divmod(num, den)
+            if r:
+                q = ",".join(map(str, self._form.coordinates(m)))
+                raise NonIntegralImage(f"non-integral image component {Fraction(num, den)}"
+                                       f" of layer {self.j} at q = ({q})")
+            image.append(y)
+        return tuple(image)
+
+
+def layer_map(case, j):
+    """m -> layer_image(case, j, q) for the lattice point q with basis
+    coefficients m: one LayerMap when phi is an AffineMap, otherwise phi
+    applied point by point (the reference the LayerMaps are tested against)."""
+    if isinstance(case.phi_map, AffineMap):
+        return LayerMap(case, j)
+    coordinates = case.length.coordinates
+    return lambda m: layer_image(case, j, coordinates(m))
+
+
 # The involutive rank-2 change of coordinates (q1, q2) -> (q1+q2, q1-q2).
 u_rotate = AffineMap(((1, 1), (1, -1)), (0, 0))
 
@@ -75,6 +124,17 @@ class ParamCase:
         if self.family_form is not None:
             return self.family_form
         return atomic.length_form(self.type_id, self.weight, self.lattice)
+
+    @cached_property
+    def image_map(self):
+        """layer_map(self, 0), from basis coefficients to phi images."""
+        return layer_map(self, 0)
+
+    @cached_property
+    def layer_maps(self):
+        """layer_map(self, j) for each j in weyl.sigma_indices (types A and C)."""
+        return (self.image_map,) + tuple(layer_map(self, j)
+                                         for j in weyl.sigma_indices(self.type_id)[1:])
 
 
 # (3x + 6y - 1, 3x - 1) on the first two coordinates.
@@ -156,6 +216,7 @@ def _hyp_basis(n, even_sum):
             + [[int(r >= n - 2) for r in range(n)]])
 
 
+@lru_cache(maxsize=None)
 def hyp_case(type_id):
     """The hyperoctahedral case for a type with underlying finite B_n/C_n.
 
@@ -165,6 +226,7 @@ def hyp_case(type_id):
     denominators of 2 kappa and the l_i,
     sum_i (2 kappa s q_i - l_i s)^2 = 4 kappa s^2 N + sum_i (l_i s)^2,
     so phi(q)_i = 2 kappa s q_i - l_i s, a = 4 kappa s^2, b = sum_i (l_i s)^2.
+    Each type's case is built once per process, so its maps are too.
     """
     family, n = _hyp_family_of_type(type_id)
     spec = _HYP_FAMILIES[family]
@@ -194,19 +256,6 @@ def get_case(case_id):
 def lattice_points(case, n):
     """Coordinate tuples of the case's lattice points with atomic length n, sorted."""
     return case.length.level(n)
-
-
-def case_length(case, q):
-    """Atomic length of a lattice point from its definition (the family
-    polynomial of a hyperoctahedral case), not from the enumerator's form."""
-    if case.family_form is not None:
-        family, n = _hyp_family_of_type(case.type_id)
-        spec = _HYP_FAMILIES[family]
-        return (spec["kappa"](n) * sum(Fraction(x) ** 2 for x in q)
-                - sum(spec["linear"](n, i + 1) * Fraction(x) for i, x in enumerate(q)))
-    if case.weight == 0:
-        return atomic.atomic_length0(case.type_id, q)
-    return atomic.atomic_length_i(case.type_id, case.weight, q)
 
 
 def layer_image(case, j, q):
@@ -247,20 +296,27 @@ class LevelData:
         return sum(diophantine.orbit_size(self.case.group, r) for r in self.reps)
 
     @cached_property
+    def coefficients(self):
+        """The basis coefficients of the lattice points of atomic length N,
+        in the order of points."""
+        return self.case.length.level_coefficients(self.n)
+
+    @cached_property
     def points(self):
-        """The lattice points of atomic length N, sorted."""
-        return lattice_points(self.case, self.n)
+        """The lattice points of atomic length N, sorted; only witnesses,
+        the table command and the test oracles read their coordinates."""
+        return list(map(self.case.length.coordinates, self.coefficients))
 
     @cached_property
     def images(self):
         """phi of each lattice point, in the order of points."""
-        return [self.case.phi_map(q) for q in self.points]
+        return list(map(self.case.image_map, self.coefficients))
 
     @cached_property
     def layers(self):
         """Per lattice point q, the images of the extended elements (j, q), all j."""
-        js = weyl.sigma_indices(self.case.type_id)
-        return [[layer_image(self.case, j, q) for j in js] for q in self.points]
+        maps = self.case.layer_maps
+        return [[f(m) for f in maps] for m in self.coefficients]
 
     def on_quadric(self, point):
         """Whether the point solves the case's equation at level N."""
@@ -304,17 +360,17 @@ def _fail(case_id, n, counts, witness):
 def check_complete(level):
     """Freeness plus exactly-one-image-per-orbit."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    reps, points, images = level.reps, level.points, level.images
+    reps, images = level.reps, level.images
     counts = {"solutions": level.solution_count, "orbits": 0, "phi_images": len(images)}
     image_set = set(images)
     if len(image_set) != len(images):
         dup = next(x for x in images if images.count(x) > 1)
         return _fail(case_id, n, counts, {"reason": "phi not injective", "point": dup})
-    for q, img in zip(points, images):
+    for i, img in enumerate(images):
         if not level.on_quadric(img):
             return _fail(case_id, n, counts,
                          {"reason": "phi image off the quadric",
-                          "q": [str(x) for x in q], "image": img})
+                          "q": [str(x) for x in level.points[i]], "image": img})
     counts["orbits"] = len(reps)
     order = diophantine.group_order(case.group, len(case.form))
     small = [r for r in reps if diophantine.orbit_size(case.group, r) < order]
@@ -354,11 +410,11 @@ def check_orbit_size(level):
 def check_extended(level):
     """Decomposition of U(12N+4) into antipodal pairs of extended images."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    base, layers = level.points, level.layers
+    layers = level.layers
     order = diophantine.group_order(case.group)
-    counts = {"solutions": level.solution_count, "base_elements": len(base),
-              "extended_elements": 3 * len(base)}
-    for q, layer in zip(base, layers):
+    counts = {"solutions": level.solution_count, "base_elements": len(layers),
+              "extended_elements": 3 * len(layers)}
+    for i, layer in enumerate(layers):
         full_orbit = diophantine.orbit(case.group, layer[0])
         if len(full_orbit) != order:
             return _fail(case_id, n, counts,
@@ -367,11 +423,11 @@ def check_extended(level):
         if set().union(*pairs) != full_orbit or sum(len(p) for p in pairs) != order:
             return _fail(case_id, n, counts,
                          {"reason": "layer pairs do not tile the orbit",
-                          "q": [str(x) for x in q]})
+                          "q": [str(x) for x in level.points[i]]})
     # each layer tiles one orbit, so the pairs partition U when the orbits
     # of distinct base points are distinct and are all of U's
     hit = sorted({diophantine.canonical(case.group, layer[0]) for layer in layers})
-    if hit != level.reps or len(hit) != len(base):
+    if hit != level.reps or len(hit) != len(layers):
         return _fail(case_id, n, counts, {"reason": "pairs do not partition U"})
     return Report(case_id, n, "PASS", counts)
 
@@ -383,10 +439,10 @@ def check_stratified(level):
     of the representatives, and G-stability is checked on their orbits.
     """
     case_id, n, case = level.case.case_id, level.n, level.case
-    reps, base = level.reps, level.points
+    reps, base = level.reps, len(level.coefficients)
     strata = _stratify(n, reps)
-    counts = {"solutions": level.solution_count, "base_elements": len(base),
-              "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
+    counts = {"solutions": level.solution_count, "base_elements": base,
+              "extended_elements": 4 * base, "strata": len(strata.gamma)}
     if not strata.all_y_odd:
         return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
     if not strata.nonempty_iff_omega:
@@ -400,17 +456,18 @@ def check_stratified(level):
                 return _fail(case_id, n, counts,
                              {"reason": "G does not stabilise the stratum",
                               "point": r})
+    # keyed by (j, index of the point), which sorts as (j, point) does
     images = {}
-    for q, layer in zip(base, level.layers):
+    for i, layer in enumerate(level.layers):
         for j, img in enumerate(layer):
             if not level.on_quadric(img):
                 return _fail(case_id, n, counts,
                              {"reason": "layer image off the quadric", "image": img})
-            images[(j, q)] = img
+            images[(j, i)] = img
         if len({img[1] for img in layer}) != 4:
             return _fail(case_id, n, counts,
                          {"reason": "layers share a stratum",
-                          "q": [str(x) for x in q]})
+                          "q": [str(x) for x in level.points[i]]})
     # Separation is a rotation-orbit statement: the reflection can carry one
     # extended image onto the mirror rotation orbit of another in the same
     # stratum (first seen at N = 3), so only orbits under the rotation
@@ -425,8 +482,8 @@ def check_stratified(level):
                       if orbits[k1] & orbits[k2])
         return _fail(case_id, n, counts,
                      {"reason": "extended rotation orbits intersect",
-                      "first": list(map(str, k1[1])), "j1": k1[0],
-                      "second": list(map(str, k2[1])), "j2": k2[0]})
+                      "first": list(map(str, level.points[k1[1]])), "j1": k1[0],
+                      "second": list(map(str, level.points[k2[1]])), "j2": k2[0]})
     return Report(case_id, n, "PASS", counts)
 
 
@@ -438,8 +495,8 @@ def check_a3_conjecture(level):
     solution, builds the uncovered orbits only on a FAIL.
     """
     n, case = level.n, level.case
-    counts = {"solutions": level.solution_count, "base_elements": len(level.points),
-              "extended_elements": 4 * len(level.points)}
+    counts = {"solutions": level.solution_count, "base_elements": len(level.coefficients),
+              "extended_elements": 4 * len(level.coefficients)}
     hit = set()
     for layer in level.layers:
         for img in layer:

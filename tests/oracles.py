@@ -19,6 +19,9 @@ functions of param, with their Fraction-to-int conversion _as_int and the
 coefficient and offset of the hyperoctahedral table (HYP_TABLE) before it
 was derived from kappa and the l_i.
 
+case_length is the atomic length of a case's lattice point from its
+definition, the reference that phi's quadric identity is checked against.
+
 check_complete, check_extended, check_stratified, check_orbit_size and
 check_a3_conjecture are the original claim checks on the full solution set U
 and its orbit partition (with freeness_witness inlined in check_complete and
@@ -354,6 +357,19 @@ def hyp_phi(family, n):
         return _ints(tuple(coeff * q[i] - offsets[i] for i in range(n)))
 
     return phi
+
+
+def case_length(case, q):
+    """Atomic length of a lattice point from its definition (the family
+    polynomial of a hyperoctahedral case), not from the enumerator's form."""
+    if case.family_form is not None:
+        family, n = param._hyp_family_of_type(case.type_id)
+        spec = param._HYP_FAMILIES[family]
+        return (spec["kappa"](n) * sum(Fraction(x) ** 2 for x in q)
+                - sum(spec["linear"](n, i + 1) * Fraction(x) for i, x in enumerate(q)))
+    if case.weight == 0:
+        return atomic.atomic_length0(case.type_id, q)
+    return atomic.atomic_length_i(case.type_id, case.weight, q)
 
 
 def representatives(group, form, k):

@@ -5,11 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import atomic, cli, cores, diophantine, dynkin, param, weyl
+from corelat import atomic, cli, cores, diophantine, dynkin, linalg, param, weyl
 from corelat.param import (
     a3_conjecture_check,
     a3_strata,
-    case_length,
     get_case,
     hyp_case,
     lattice_points,
@@ -22,6 +21,7 @@ from corelat.param import (
 
 import oracles
 from golden_data import GAMMA_121
+from oracles import case_length
 
 RANK2_CASES = ("A2", "A2ext", "C2", "C2L1", "D3t", "A42", "G21", "D43", "A3")
 HYP_CASES = ("HYP:B2_1", "HYP:B3_1", "HYP:C2_1", "HYP:C3_1", "HYP:A3_2",
@@ -286,6 +286,8 @@ def test_verify_case_dispatch():
     assert verify_case("C2", 7).passed
     assert verify_case("A42", 2).passed
     assert verify_case("HYP:D3_2", 0).counts["expected_orbit_size"] == 8
+    # each HYP: type builds its case, and so its maps, once per process
+    assert get_case("HYP:C3_1") is get_case("HYP:C3_1")
 
 
 def test_orbit_size_cases_sweep_to_200():
@@ -413,6 +415,62 @@ def test_phi_lands_on_quadric_identically(case_id):
         assert [2 * row[0] for row in _matmul(_matmul(_transpose(Pj), D), pj_col)] == \
             [case.a * x for x in form.b], (case_id, j)
         assert _matmul(_matmul([pj], D), pj_col) == [[case.b]], (case_id, j)
+
+
+def _layers(case):
+    """The layers weyl defines for the case's type: all of them in types A
+    and C, otherwise the base layer alone."""
+    try:
+        return weyl.sigma_indices(case.type_id)
+    except (weyl.UnsupportedType, dynkin.UnknownType):
+        return (0,)
+
+
+@pytest.mark.parametrize("case_id", list(param.CASES)
+                         + [f"HYP:{f}{rank}_1" for rank in range(1, 9) for f in "BC"]
+                         + ["HYP:A5_2", "HYP:A4_2", "HYP:D5_2"])
+def test_layer_maps_match_per_point_path(case_id):
+    # the fused integer maps give the images and layers of the per-point
+    # path, which applies phi through coordinates and weyl.extended_image;
+    # every case's map is integral (den 1, after reducing by the gcd), and
+    # its integers satisfy the quadric identity
+    # sum_i d_i y_i^2 = a (m^T A m + B.m) + b in m wherever the layer action
+    # keeps the length (at Lambda_0; C2L1 is at Lambda_1)
+    case = get_case(case_id)
+    per_point = dataclasses.replace(case, phi_map=lambda q: case.phi_map(q))
+    for n in range(41):
+        fused, reference = param.LevelData(case, n), param.LevelData(per_point, n)
+        assert fused.images == reference.images, (case_id, n)
+        if len(_layers(case)) > 1:
+            assert fused.layers == reference.layers, (case_id, n)
+    form, D = case.length, case.form
+    for j in _layers(case):
+        fused = param.layer_map(case, j)
+        assert isinstance(fused, param.LayerMap) and fused.den == 1
+        if j and case.weight:
+            continue
+        P, p, scale = fused.P, fused.p, case.a * fused.den ** 2
+        cols = list(zip(*P))
+        assert [[linalg.dot(D, [x * y for x, y in zip(u, v)]) for v in cols] for u in cols] == \
+            [[scale * x for x in row] for row in form.a], (case_id, j)
+        assert [2 * linalg.dot(D, [x * y for x, y in zip(u, p)]) for u in cols] == \
+            [scale * x for x in form.b], (case_id, j)
+        assert linalg.dot(D, [x * x for x in p]) == case.b * fused.den ** 2, (case_id, j)
+
+
+def test_non_integral_layer_image_names_its_point():
+    # the identity phi on C2L1, whose basis holds (1/2, 1/2), has den 2; at
+    # N = 3 the third lattice point is the first with a half-integer image
+    case = get_case("C2L1")
+    identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
+    assert param.layer_map(dataclasses.replace(case, phi_map=identity), 0).den == 2
+    for phi, error in ((identity, "non-integral image component 1/2 of layer 0 at q = (1/2,-1/2)"),
+                       (lambda q: identity(q), "non-integral image component 1/2")):
+        report = param._decide(param.check_complete,
+                               param.LevelData(dataclasses.replace(case, phi_map=phi), 3), "C2L1")
+        assert report.to_dict() == {"case": "C2L1", "N": 3, "status": "FAIL", "counts": {},
+                                    "witness": {"reason": "level not decided",
+                                                "error": "NonIntegralImage: " + error}}
 
 
 COMPLETE_CASES = [c for c, case in param.CASES.items() if case.claim == "complete"]
@@ -544,3 +602,18 @@ def test_claim_checks_never_list_u(monkeypatch):
             case = get_case(case_id)
             assert param.CHECKS[case.claim](_RepresentativesOnly(case, n)).passed
         assert param.check_a3_conjecture(_RepresentativesOnly(get_case("A3"), n)).passed
+
+
+def test_claim_checks_build_no_coordinates(monkeypatch):
+    # with affine phi maps the checks read basis coefficients through the
+    # fused layer maps: no coordinates, extended images or per-point layers
+    def refuse(*args):
+        raise AssertionError("a claim check left the fused layer maps")
+
+    monkeypatch.setattr(linalg.QuadraticForm, "coordinates", refuse)
+    monkeypatch.setattr(weyl, "extended_image", refuse)
+    monkeypatch.setattr(param, "layer_image", refuse)
+    for n in range(6):
+        for case_id in cli.VERIFY_CASES + ("HYP:C3_1", "HYP:B4_1"):
+            assert param.verify_case(case_id, n).passed, (case_id, n)
+        assert param.a3_conjecture_check(n).passed
