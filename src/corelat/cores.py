@@ -7,6 +7,12 @@ entry of runner j is the count of beta-numbers congruent to j mod d, minus
 K/d.  This normalises the empty partition to the zero charge and is the
 convention under which a type-A charge equals the corresponding lattice
 point in the epsilon-basis.
+
+A d-core is its charge: core_from_charge and charge_of_core are inverse
+bijections between d-cores and sum-zero integer d-vectors, under which the
+size of a core is the quadratic form _size_form of its charge.  The d-cores
+of size n are level n of that form; the self-conjugate ones, whose charges
+satisfy c_r = -c_{d-1-r}, are level n of its restriction to that sublattice.
 """
 
 from fractions import Fraction
@@ -133,14 +139,6 @@ def core_from_charge(d, charge):
     return parts
 
 
-def charge_symmetric(d, half):
-    """The self-conjugacy-symmetric charge (c_0..c_{n-1}, -c_{n-1}..-c_0), d = 2n."""
-    half = tuple(int(c) for c in half)
-    if 2 * len(half) != d:
-        raise BadCharge("need d/2 free entries")
-    return half + tuple(-c for c in reversed(half))
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -162,53 +160,27 @@ def partitions_of(n):
     return sorted(result)
 
 
-def self_conjugate_partitions_of(n):
-    """Self-conjugate partitions of n via distinct odd principal hooks."""
-    hooks_sets = []
-
-    def rec(remaining, maximum, acc):
-        if remaining == 0:
-            hooks_sets.append(tuple(acc))
-            return
-        start = min(remaining, maximum)
-        if start % 2 == 0:
-            start -= 1
-        for hk in range(start, 0, -2):
-            acc.append(hk)
-            rec(remaining - hk, hk - 2, acc)
-            acc.pop()
-
-    rec(n, n if n else 1, [])
-    result = []
-    for hooks in hooks_sets:
-        arms = [(h - 1) // 2 for h in hooks]
-        r = len(arms)
-        rows = [arms[i] + i + 1 for i in range(r)]
-        depth = max((arms[j] + j + 1 for j in range(r)), default=0)
-        parts = []
-        for i in range(1, depth + 1):
-            if i <= r:
-                parts.append(rows[i - 1])
-            else:
-                parts.append(sum(1 for j in range(r) if arms[j] + j + 1 >= i))
-        result.append(tuple(p for p in parts if p > 0))
-    return sorted(result)
-
-
 @lru_cache(maxsize=None)
-def _size_form(d):
+def _size_form(d, self_conjugate=False):
     """size(core_from_charge(d, c)) as a linalg.QuadraticForm on the
-    sum-zero charge lattice: (d/2) sum c_r^2 + sum r*c_r."""
-    basis = [[1 if r == j else -1 if r == d - 1 else 0 for r in range(d)]
-             for j in range(d - 1)]
+    sum-zero charge lattice, or on its self-conjugate sublattice
+    c_r = -c_{d-1-r} (basis e_j - e_{d-1-j}, j < d//2; the middle entry of
+    an odd d is 0): (d/2) sum c_r^2 + sum r*c_r."""
+    if self_conjugate:
+        pairs = [(j, d - 1 - j) for j in range(d // 2)]
+    else:
+        pairs = [(j, d - 1) for j in range(d - 1)]
+    basis = [[(r == j) - (r == k) for r in range(d)] for j, k in pairs]
     return linalg.QuadraticForm.on_basis(
         basis, Fraction(d, 2), lambda c: sum(r * x for r, x in enumerate(c)))
 
 
-def _cores_of_size(n, d):
-    """All d-cores of size n, through charge space (complete via the exact
-    positive-definite enumeration of the size quadratic)."""
-    return sorted(core_from_charge(d, charge) for charge in _size_form(d).level(n))
+def _cores_of_size(n, d, self_conjugate=False):
+    """All d-cores of size n, or the self-conjugate ones, through charge
+    space (complete via the exact positive-definite enumeration of the size
+    quadratic)."""
+    return sorted(core_from_charge(d, charge)
+                  for charge in _size_form(d, self_conjugate).level(n))
 
 
 def enumerate_partitions(n, kind="all", d=None):
@@ -226,7 +198,7 @@ def enumerate_partitions(n, kind="all", d=None):
     if kind == "core":
         return _cores_of_size(n, d)
     if kind in ("scc", "scc-plus"):
-        out = [p for p in self_conjugate_partitions_of(n) if is_d_core(p, d)]
+        out = _cores_of_size(n, d, self_conjugate=True)
         if kind == "scc-plus":
             out = [p for p in out if diagonal_length(p) % 2 == 0]
         return out

@@ -4,15 +4,16 @@ The length-zero elements sigma_j act on translation parts through explicit
 matrices: a cyclic coordinate shift in type A, the negated antidiagonal in
 type C.  An extended element is stored as its layer index j together with
 its translation part q; its image in the weight lattice is
-omega_j + M_j(q).  The Lascoux generator action on partitions lives here
-too, since it realises type-A Grassmannian elements as cores.
+omega_j + M_j(q).  The Lascoux generator action on cores lives here too:
+it is the type-A affine Weyl group acting on the translation part, the
+(n+1)-charge, and cores.core_from_charge reads the core off the charge.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import atomic, dynkin, linalg
+from . import atomic, cores, dynkin, linalg
 from .atomic import LatticeVector
 from .dynkin import lookup_type
 
@@ -94,55 +95,25 @@ def enumerate_extended(t, target):
 
 
 # ---------------------------------------------------------------------------
-# Lascoux action on cores (type A_n^(1), residues mod n+1)
-
-
-def _addable_cells(parts, residue, d):
-    rows = len(parts)
-    cells = []
-    for r in range(rows + 1):
-        c = (parts[r] if r < rows else 0) + 1
-        if r > 0 and parts[r - 1] < c:
-            continue
-        if (c - r - 1) % d == residue:
-            cells.append(r)
-    return cells
-
-
-def _removable_cells(parts, residue, d):
-    cells = []
-    for r, part in enumerate(parts):
-        if r + 1 < len(parts) and parts[r + 1] == part:
-            continue
-        if part == 0:
-            continue
-        if (part - r - 1) % d == residue:
-            cells.append(r)
-    return cells
+# Lascoux action on cores (type A_n^(1), on (n+1)-charges)
 
 
 def lascoux_orbit(n, word):
     """Apply the letters of the word right-to-left to the empty partition.
 
-    Each letter i toggles every addable/removable box of residue i; on a core
-    these are never mixed, so the result is again an (n+1)-core.  Words need
-    not be reduced.
+    The affine Weyl group of A_n^(1) acts on the (n+1)-charge, the
+    translation part: letter i >= 1 swaps charge entries i-1 and i, letter 0
+    sends (c_0, c_n) to (c_n + 1, c_0 - 1).  The result is the (n+1)-core of
+    the final charge.  Words need not be reduced.
     """
-    d = n + 1
-    parts = []
+    if n < 1:
+        raise ValueError(f"rank {n} has no cores; need n >= 1")
+    c = [0] * (n + 1)
     for letter in reversed(tuple(word)):
         if not 0 <= letter <= n:
             raise ValueError(f"letter {letter} outside 0..{n}")
-        removable = _removable_cells(parts, letter, d)
-        if removable:
-            for r in removable:
-                parts[r] -= 1
-            parts = [p for p in parts if p > 0]
-            continue
-        addable = _addable_cells(parts, letter, d)
-        for r in addable:
-            if r == len(parts):
-                parts.append(1)
-            else:
-                parts[r] += 1
-    return tuple(parts)
+        if letter:
+            c[letter - 1], c[letter] = c[letter], c[letter - 1]
+        else:
+            c[0], c[n] = c[n] + 1, c[0] - 1
+    return cores.core_from_charge(n + 1, c)

@@ -29,6 +29,11 @@ the strata of U computed in check_stratified, where LevelData once held
 them), and representatives is the rule they imply for orbit
 representatives: the lexicographic maximum of each orbit of U.  det, h_statistic, A3Stratum and stratum are helpers that only
 the tests call.
+
+lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
+addable or removable box of the letter's residue, and charge_symmetric, once
+in cores, builds the self-conjugacy-symmetric charges independently of the
+sublattice basis that cores lists them on.
 """
 
 import math
@@ -39,6 +44,7 @@ from math import isqrt
 
 from corelat import atomic, diophantine, dynkin, param
 from corelat.atomic import LatticeVector, _basis, _coords, _type, norm_sq
+from corelat.cores import BadCharge
 from corelat.diophantine import NonIntegralImage
 from corelat.dynkin import NotInRootSpan, fundamental_weights
 from corelat.linalg import _ldl
@@ -564,3 +570,62 @@ class A3Stratum:
 def stratum(strata, y):
     """The points of U with middle coordinate y, as param.A3Strata.stratum gave them."""
     return A3Stratum(strata.N, y, strata.strata.get(y, []))
+
+
+def charge_symmetric(d, half):
+    """The self-conjugacy-symmetric charge (c_0..c_{n-1}, -c_{n-1}..-c_0), d = 2n."""
+    half = tuple(int(c) for c in half)
+    if 2 * len(half) != d:
+        raise BadCharge("need d/2 free entries")
+    return half + tuple(-c for c in reversed(half))
+
+
+def _addable_cells(parts, residue, d):
+    rows = len(parts)
+    cells = []
+    for r in range(rows + 1):
+        c = (parts[r] if r < rows else 0) + 1
+        if r > 0 and parts[r - 1] < c:
+            continue
+        if (c - r - 1) % d == residue:
+            cells.append(r)
+    return cells
+
+
+def _removable_cells(parts, residue, d):
+    cells = []
+    for r, part in enumerate(parts):
+        if r + 1 < len(parts) and parts[r + 1] == part:
+            continue
+        if part == 0:
+            continue
+        if (part - r - 1) % d == residue:
+            cells.append(r)
+    return cells
+
+
+def lascoux_orbit(n, word):
+    """Apply the letters of the word right-to-left to the empty partition.
+
+    Each letter i toggles every addable/removable box of residue i; on a core
+    these are never mixed, so the result is again an (n+1)-core.  Words need
+    not be reduced.
+    """
+    d = n + 1
+    parts = []
+    for letter in reversed(tuple(word)):
+        if not 0 <= letter <= n:
+            raise ValueError(f"letter {letter} outside 0..{n}")
+        removable = _removable_cells(parts, letter, d)
+        if removable:
+            for r in removable:
+                parts[r] -= 1
+            parts = [p for p in parts if p > 0]
+            continue
+        addable = _addable_cells(parts, letter, d)
+        for r in addable:
+            if r == len(parts):
+                parts.append(1)
+            else:
+                parts[r] += 1
+    return tuple(parts)

@@ -11,7 +11,6 @@ from corelat.cores import (
     NotACore,
     bar_core_from_lattice,
     charge_of_core,
-    charge_symmetric,
     conjugate,
     core_from_charge,
     d4flat_from_lattice,
@@ -28,6 +27,7 @@ from corelat.cores import (
 )
 
 from golden_data import D4FLAT_SMALL, D6_35, D6_SMALL, SCC4_40
+from oracles import charge_symmetric
 
 
 partitions_strategy = st.lists(st.integers(1, 12), min_size=0, max_size=8).map(
@@ -106,11 +106,12 @@ def test_enumerate_partitions_against_filtered_bruteforce():
         for d in (2, 3, 4):
             assert enumerate_partitions(n, "core", d) == \
                 [p for p in everything if is_d_core(p, d)]
-        assert enumerate_partitions(n, "scc", 4) == \
-            [p for p in everything if is_self_conjugate(p) and is_d_core(p, 4)]
-        assert enumerate_partitions(n, "scc-plus", 4) == \
-            [p for p in everything if is_self_conjugate(p) and is_d_core(p, 4)
-             and diagonal_length(p) % 2 == 0]
+        for d in range(2, 8):
+            assert enumerate_partitions(n, "scc", d) == \
+                [p for p in everything if is_self_conjugate(p) and is_d_core(p, d)]
+            assert enumerate_partitions(n, "scc-plus", d) == \
+                [p for p in everything if is_self_conjugate(p) and is_d_core(p, d)
+                 and diagonal_length(p) % 2 == 0]
 
 
 def test_residue_count():

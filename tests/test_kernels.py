@@ -106,8 +106,8 @@ def test_hyp_types_cover_half_integer_kappa():
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_enumerator_matches_oracle_on_core_size_forms(d):
-    form = cores._size_form(d)
-    assert_enumerators_agree(form.a, form.b, TARGETS + (13, 21))
+    for form in (cores._size_form(d), cores._size_form(d, self_conjugate=True)):
+        assert_enumerators_agree(form.a, form.b, TARGETS + (13, 21))
 
 
 def test_compiled_form_serves_every_target():

@@ -127,6 +127,25 @@ def test_lascoux_examples():
     assert lascoux_orbit(3, (2, 1, 0, 0, 1, 2)) == ()
 
 
+def test_lascoux_rejects_rank_below_one_and_bad_letters():
+    for n, word in ((0, (0,)), (0, ()), (-1, ())):
+        with pytest.raises(ValueError):
+            lascoux_orbit(n, word)
+    with pytest.raises(ValueError):
+        lascoux_orbit(2, (3,))
+
+
+def test_lascoux_charge_action_matches_cell_toggling_oracle():
+    # every word of length <= 6 over the letters 0..n, for n = 1..4
+    words = 0
+    for n in range(1, 5):
+        for length in range(7):
+            for word in itertools.product(range(n + 1), repeat=length):
+                assert lascoux_orbit(n, word) == oracles.lascoux_orbit(n, word)
+                words += 1
+    assert words == 26212
+
+
 def test_lascoux_consistency_with_charges():
     # every atomic-length fibre consists of cores of that size
     for n in (2, 3):
