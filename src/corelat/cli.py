@@ -44,12 +44,8 @@ def _fraction(token):
         raise ValueError(f"zero denominator in {token!r}") from None
 
 
-def _fmt_frac(x):
-    return str(Fraction(x))
-
-
 def _fmt_tuple(t):
-    return "(" + ",".join(_fmt_frac(x) for x in t) + ")"
+    return "(" + ",".join(map(str, t)) + ")"
 
 
 def _cell(tuples):
@@ -129,11 +125,10 @@ def _cmd_atomic_length(args, out):
         value = atomic.atomic_length_i(t, weight, coords)
     if args.format == "json":
         _emit_json({"type": args.type, "weight": args.weight,
-                    "coords": [_fmt_frac(x) for x in coords],
-                    "value": _fmt_frac(value)}, out)
+                    "coords": list(map(str, coords)), "value": str(value)}, out)
     else:
         _emit_csv(["type", "weight", "coords", "value"],
-                  [[args.type, args.weight, _fmt_tuple(coords), _fmt_frac(value)]], out)
+                  [[args.type, args.weight, _fmt_tuple(coords), str(value)]], out)
     return 0
 
 
@@ -145,7 +140,7 @@ def _cmd_enumerate(args, out):
     if args.format == "json":
         _emit_json({"type": args.type, "weight": args.weight, "lattice": args.lattice,
                     "N": args.N,
-                    "elements": [[_fmt_frac(x) for x in v.coords] for v in vectors]}, out)
+                    "elements": [list(map(str, v.coords)) for v in vectors]}, out)
     else:
         _emit_csv(["type", "weight", "lattice", "N", "coords"],
                   [[args.type, args.weight, args.lattice, str(args.N), _fmt_tuple(v.coords)]

@@ -340,16 +340,16 @@ def orbit_partition(group, solutions):
 
 def is_action_free(group, solutions):
     """(True, None) when every orbit has full group size, else (False, the
-    largest point of the first undersized orbit), which for the
-    sign-symmetric actions used here is its all-non-negative member."""
-    points = [tuple(p) for p in solutions]
-    if not points:
-        return True, None
-    order = group_order(group, len(points[0]))
-    for orb in orbit_partition(group, points):
-        if len(orb) < order:
-            return False, orb[-1]
-    return True, None
+    canonical point of the least undersized point).  A set is closed when each
+    canonical class holds orbit_size points; otherwise NotClosed names the
+    least point of a short class.  No orbit is built."""
+    points = sorted(set(map(tuple, solutions)))
+    found = Counter(canonical(group, p) for p in points)
+    short = [p for p in points if found[canonical(group, p)] < orbit_size(group, p)]
+    if short:
+        raise NotClosed(f"orbit of {short[0]} leaves the solution set")
+    small = [p for p in points if orbit_size(group, p) < group_order(group, len(p))]
+    return (False, canonical(group, small[0])) if small else (True, None)
 
 
 # ---------------------------------------------------------------------------

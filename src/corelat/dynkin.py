@@ -303,10 +303,3 @@ def fundamental_weights(t):
         for i in range(n)
     )
 
-
-def theta(t):
-    """The marked root sum_{i>=1} a_i alpha_i in stored coordinates."""
-    return tuple(
-        sum(t.marks[i + 1] * t.simple_roots[i][d] for i in range(t.n))
-        for d in range(t.ambient_dim)
-    )

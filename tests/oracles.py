@@ -27,8 +27,10 @@ check_a3_conjecture are the original claim checks on the full solution set U
 and its orbit partition (with freeness_witness inlined in check_complete and
 the strata of U computed in check_stratified, where LevelData once held
 them), and representatives is the rule they imply for orbit
-representatives: the lexicographic maximum of each orbit of U.  det, h_statistic, A3Stratum and stratum are helpers that only
-the tests call.
+representatives: the lexicographic maximum of each orbit of U.
+is_action_free is the original diophantine.is_action_free, which builds the
+orbit partition.  det, h_statistic, theta (the marked root, once in dynkin),
+A3Stratum and stratum are helpers that only the tests call.
 
 lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
 addable or removable box of the letter's residue, and charge_symmetric, once
@@ -389,6 +391,20 @@ def _orbits(level):
     return diophantine.orbit_partition(level.case.group, level.solutions)
 
 
+def is_action_free(group, solutions):
+    """(True, None) when every orbit has full group size, else (False, the
+    largest point of the first undersized orbit), which for the
+    sign-symmetric actions used here is its all-non-negative member."""
+    points = [tuple(p) for p in solutions]
+    if not points:
+        return True, None
+    order = diophantine.group_order(group, len(points[0]))
+    for orb in diophantine.orbit_partition(group, points):
+        if len(orb) < order:
+            return False, orb[-1]
+    return True, None
+
+
 def check_complete(level):
     """Freeness plus exactly-one-image-per-orbit."""
     case_id, n, case = level.case.case_id, level.n, level.case
@@ -525,6 +541,14 @@ def check_a3_conjecture(level):
         return _fail("A3conj", n, counts,
                      {"reason": "uncovered solutions", "first": missing[0]})
     return Report("A3conj", n, "PASS", counts)
+
+
+def theta(t):
+    """The marked root sum_{i>=1} a_i alpha_i in stored coordinates."""
+    return tuple(
+        sum(t.marks[i + 1] * t.simple_roots[i][d] for i in range(t.n))
+        for d in range(t.ambient_dim)
+    )
 
 
 def det(matrix):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from corelat import param
+from corelat import diophantine, param
 
 from corelat.diophantine import (
     NonIntegralImage,
@@ -137,6 +137,49 @@ def test_freeness_characterisation():
         square = r * r == k
         twice = (k % 2 == 0) and math.isqrt(k // 2) ** 2 == k // 2
         assert free == (not square and not twice)
+
+
+def _freeness_sets():
+    """Per group: whole solution sets, a random subset of the union of two
+    levels (mostly not closed), and the set with a point dropped and a
+    point repeated.  Odd levels of C6 and G_A3 lie outside their domain."""
+    rng = random.Random(13)
+    for group, form, ks, step in [("D8", (1, 1), range(60), 1), ("C4", (1, 1), range(60), 1),
+                                  ("V4", (1, 3), range(60), 1), ("V4", (1, 1), range(60), 1),
+                                  ("C6", (1, 3), range(80), 4), ("G_A3", (1, 2, 3), range(80), 2),
+                                  ("H", (1, 1, 1), range(40), 1), ("H", (1,) * 4, range(16), 1)]:
+        for k in ks:
+            sols = solve_diagonal(form, k)
+            yield group, sols
+            both = sols + solve_diagonal(form, k + step)
+            yield group, rng.sample(both, rng.randrange(len(both) + 1))
+            if sols:
+                i = rng.randrange(len(sols))
+                yield group, sols[:i] + sols[i + 1:] + sols[:1]
+
+
+def _freeness(is_free, group, points):
+    try:
+        return is_free(group, points)
+    except (NotClosed, NonIntegralImage) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_action_freeness_matches_orbit_partition_oracle(monkeypatch):
+    sets = list(_freeness_sets())
+    expected = [_freeness(oracles.is_action_free, group, points) for group, points in sets]
+
+    def refuse(*args):
+        raise AssertionError("is_action_free enumerated the group")
+
+    monkeypatch.setattr(diophantine, "act", refuse)
+    monkeypatch.setattr(diophantine, "group_elements", refuse)
+    assert [_freeness(is_action_free, group, points) for group, points in sets] == expected
+    outcomes = {(group, result[0]) for (group, _), result in zip(sets, expected)}
+    for group in ("D8", "C4", "V4", "C6", "G_A3", "H"):
+        assert {(group, True), (group, "NotClosed")} <= outcomes, group
+    assert {("D8", False), ("V4", False), ("G_A3", False), ("H", False),
+            ("C6", "NonIntegralImage"), ("G_A3", "NonIntegralImage")} <= outcomes
 
 
 def _assert_representatives(group, form, k):

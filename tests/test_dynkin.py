@@ -10,9 +10,8 @@ from corelat.dynkin import (
     fundamental_weights,
     lookup_type,
     simple_root_coefficients,
-    theta,
 )
-from oracles import det
+from oracles import det, theta
 
 
 ALL_IDS = dynkin.all_type_ids(4)

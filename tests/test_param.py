@@ -487,15 +487,16 @@ def test_representative_checks_match_full_set_oracles():
             assert _checks_agree(check, oracle, case, n)["status"] == "PASS"
 
 
-def _layer_table(case, n, source):
-    """A phi map that sends the layer-j vector of every base point at level n
-    to the layer-j image of the base point `source`."""
-    table = {}
-    for q in lattice_points(case, n):
+def _layer_table(case, n, target):
+    """A phi map that sends the layer-j vector of the i-th base point at level
+    n to the layer-j' image of the i'-th, for (i', j') = target(i, j)."""
+    points, table = lattice_points(case, n), {}
+    for i, q in enumerate(points):
         for j in weyl.sigma_indices(case.type_id):
             vec = q if j == 0 else weyl.extended_image(
                 case.type_id, weyl.ExtGrassElement(case.type_id, j, q)).coords
-            table[tuple(vec)] = layer_image(case, j, source)
+            source, layer = target(i, j)
+            table[tuple(vec)] = layer_image(case, layer, points[source])
     return lambda v: table[tuple(v)]
 
 
@@ -567,15 +568,26 @@ def _stratified_variants():
         ("layer image off the quadric", 3,
          dict(phi_map=lambda v: tuple(x + 2 for x in map_p_a3(v)))),
         ("layers share a stratum", 4, dict(phi_map=lambda v: top)),
+        # every base point takes the images of the last one
         ("extended rotation orbits intersect", 3,
-         dict(phi_map=_layer_table(a3, 3, lattice_points(a3, 3)[-1]))),
+         dict(phi_map=_layer_table(a3, 3, lambda i, j: (-1, j)))),
+        # point 3 takes the images of point 1, so the first keys (0, 0) and
+        # (0, 1) are in different classes and the witness is (0, 1), (0, 3)
+        ("extended rotation orbits intersect", 8,
+         dict(phi_map=_layer_table(a3, 8, lambda i, j: (1 if i == 3 else i, j)))),
+        # point 2 takes the images of point 1 one layer on: the least class
+        # is {(0, 1), (3, 2)}, though (1, 1) and (0, 2) repeat first in the
+        # order the layers are built
+        ("extended rotation orbits intersect", 5,
+         dict(phi_map=_layer_table(a3, 5, lambda i, j: (1, (j + 1) % 4) if i == 2 else (i, j)))),
     ]
 
 
 @pytest.mark.parametrize("reason,n,change", _stratified_variants())
 def test_stratified_check_fail_branches_match_oracle(reason, n, change):
-    # "G does not stabilise the stratum" is out of reach: a form G_A3 does
-    # not preserve makes solve_diagonal raise NotClosed before the loop
+    # the oracle's "G does not stabilise the stratum" is out of reach, and
+    # check_stratified has no such branch: a form G_A3 does not preserve
+    # makes solve_diagonal raise NotClosed before any stratum is read
     case = get_case("A3")
     if change == "b":
         change = dict(b=_first_b(case, n, reason, oracles.check_stratified))
@@ -594,11 +606,12 @@ class _RepresentativesOnly(param.LevelData):
 
 def test_claim_checks_never_list_u(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a claim check partitioned U")
+        raise AssertionError("a claim check partitioned U or enumerated G")
 
-    monkeypatch.setattr(diophantine, "orbit_partition", refuse)
+    for name in ("orbit_partition", "act", "group_elements"):
+        monkeypatch.setattr(diophantine, name, refuse)
     for n in range(6):
-        for case_id in cli.VERIFY_CASES:
+        for case_id in cli.VERIFY_CASES + ("HYP:C3_1", "HYP:B4_1"):
             case = get_case(case_id)
             assert param.CHECKS[case.claim](_RepresentativesOnly(case, n)).passed
         assert param.check_a3_conjecture(_RepresentativesOnly(get_case("A3"), n)).passed
