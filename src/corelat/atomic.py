@@ -179,17 +179,6 @@ def enumerate_atomic(t, weight_index, target, lattice="M"):
     return [LatticeVector(t.name, coords) for coords in form.level(target)]
 
 
-def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
-    """Dict mapping each value <= bound to its sorted list of lattice points."""
-    t = _type(t)
-    buckets = {}
-    for value, coords in length_form(t.name, weight_index, lattice).upto(bound):
-        buckets.setdefault(value, []).append(LatticeVector(t.name, coords))
-    for value in buckets:
-        buckets[value].sort(key=lambda v: v.coords)
-    return buckets
-
-
 @lru_cache(maxsize=None)
 def _lattice_solver(type_name, lattice):
     return linalg.SpanSolver(_basis(lookup_type(type_name), lattice))

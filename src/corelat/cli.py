@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import atomic, cores, param
 from .diophantine import solve_diagonal
@@ -194,7 +195,10 @@ def _cmd_conjecture(args, out):
     return _report_output(reports, args.format, out)
 
 
+@cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later
+    one: parsing keeps no state in it, each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="corelat",
         description="Atomic lengths, generalised cores, and Pell-type sweeps.")
@@ -251,8 +255,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "lattice", None) is None and args.command == "enumerate":
         args.lattice = "L" if getattr(args, "weight", "L0") == "L1" else "M"
     try:

@@ -26,10 +26,6 @@ class NotClosed(ValueError):
     """The point set is not closed under the requested action."""
 
 
-class Unsolvable(ValueError):
-    """No representation as a sum of two squares exists."""
-
-
 def solve_diagonal(form, k, group=None):
     """All integer tuples x with sum_i form[i] * x_i^2 = k, sorted.
 
@@ -350,74 +346,3 @@ def is_action_free(group, solutions):
         raise NotClosed(f"orbit of {short[0]} leaves the solution set")
     small = [p for p in points if orbit_size(group, p) < group_order(group, len(p))]
     return (False, canonical(group, small[0])) if small else (True, None)
-
-
-# ---------------------------------------------------------------------------
-# Sums of two squares
-
-
-def factorize(k):
-    """Trial-division factorisation, {prime: exponent}."""
-    if k < 1:
-        raise ValueError("factorize needs a positive integer")
-    factors = {}
-    for p in itertools.chain((2,), itertools.count(3, 2)):
-        if p * p > k:
-            break
-        while k % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            k //= p
-    if k > 1:
-        factors[k] = factors.get(k, 0) + 1
-    return factors
-
-
-def two_squares_solvable(k):
-    """Whether x^2 + y^2 = k has integer solutions."""
-    if k < 0:
-        return False
-    if k == 0:
-        return True
-    return all(e % 2 == 0 for p, e in factorize(k).items() if p % 4 == 3)
-
-
-class GaussianLift:
-    """Bijection data between solution sets of x^2+y^2 = m and = k.
-
-    k factors as 2^alpha * c^2 * m with m odd and free of prime factors
-    congruent to 3 mod 4; multiplication by (1+i)^alpha * c carries
-    solutions for m onto solutions for k.
-    """
-
-    def __init__(self, k):
-        if k < 1:
-            raise Unsolvable("k must be positive")
-        if not two_squares_solvable(k):
-            raise Unsolvable(f"{k} is not a sum of two squares")
-        factors = factorize(k)
-        self.k = k
-        self.alpha = factors.get(2, 0)
-        self.c = 1
-        for p, e in factors.items():
-            if p % 4 == 3:
-                self.c *= p ** (e // 2)
-        self.m = k // (2 ** self.alpha * self.c * self.c)
-
-    def apply(self, point):
-        x, y = point
-        for _ in range(self.alpha):
-            x, y = x - y, x + y
-        return (self.c * x, self.c * y)
-
-
-def gaussian_lift(k):
-    return GaussianLift(k)
-
-
-def residue_free_criterion(a, b):
-    """True when b mod a is neither a quadratic residue nor twice one."""
-    if a < 2:
-        raise ValueError("modulus must be at least 2")
-    residues = {(x * x) % a for x in range(a)}
-    doubled = {(2 * r) % a for r in residues}
-    return (b % a) not in residues | doubled

@@ -306,8 +306,11 @@ class QuadraticForm:
         return sorted(enumerate_quadratic_level(self.a, self.b, target), key=self.numerators)
 
     def level(self, target):
-        """Coordinates of every lattice point of value target, sorted."""
-        return list(map(self.coordinates, self.level_coefficients(target)))
+        """Coordinates of every lattice point of value target, sorted: the
+        numerators C m sorted, each divided by Q."""
+        Q = self.Q
+        numerators = map(self.numerators, enumerate_quadratic_level(self.a, self.b, target))
+        return [tuple(Fraction(x, Q) for x in c) for c in sorted(numerators)]
 
     def upto(self, bound):
         """(value, coordinates) for every lattice point of value <= bound."""

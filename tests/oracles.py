@@ -36,8 +36,15 @@ lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
 addable or removable box of the letter's residue, and charge_symmetric, once
 in cores, builds the self-conjugacy-symmetric charges independently of the
 sublattice basis that cores lists them on.
+
+enumerate_atomic_upto, once in atomic, buckets every lattice point of
+atomic length at most a bound by its value.  factorize, two_squares_solvable,
+GaussianLift, gaussian_lift, residue_free_criterion and Unsolvable are the
+sums-of-two-squares section that diophantine once held; only the tests
+call them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -653,3 +660,85 @@ def lascoux_orbit(n, word):
             else:
                 parts[r] += 1
     return tuple(parts)
+
+
+def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
+    """Dict mapping each value <= bound to its sorted list of lattice points."""
+    t = _type(t)
+    buckets = {}
+    for value, coords in atomic.length_form(t.name, weight_index, lattice).upto(bound):
+        buckets.setdefault(value, []).append(LatticeVector(t.name, coords))
+    for value in buckets:
+        buckets[value].sort(key=lambda v: v.coords)
+    return buckets
+
+
+class Unsolvable(ValueError):
+    """No representation as a sum of two squares exists."""
+
+
+def factorize(k):
+    """Trial-division factorisation, {prime: exponent}."""
+    if k < 1:
+        raise ValueError("factorize needs a positive integer")
+    factors = {}
+    for p in itertools.chain((2,), itertools.count(3, 2)):
+        if p * p > k:
+            break
+        while k % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            k //= p
+    if k > 1:
+        factors[k] = factors.get(k, 0) + 1
+    return factors
+
+
+def two_squares_solvable(k):
+    """Whether x^2 + y^2 = k has integer solutions."""
+    if k < 0:
+        return False
+    if k == 0:
+        return True
+    return all(e % 2 == 0 for p, e in factorize(k).items() if p % 4 == 3)
+
+
+class GaussianLift:
+    """Bijection data between solution sets of x^2+y^2 = m and = k.
+
+    k factors as 2^alpha * c^2 * m with m odd and free of prime factors
+    congruent to 3 mod 4; multiplication by (1+i)^alpha * c carries
+    solutions for m onto solutions for k.
+    """
+
+    def __init__(self, k):
+        if k < 1:
+            raise Unsolvable("k must be positive")
+        if not two_squares_solvable(k):
+            raise Unsolvable(f"{k} is not a sum of two squares")
+        factors = factorize(k)
+        self.k = k
+        self.alpha = factors.get(2, 0)
+        self.c = 1
+        for p, e in factors.items():
+            if p % 4 == 3:
+                self.c *= p ** (e // 2)
+        self.m = k // (2 ** self.alpha * self.c * self.c)
+
+    def apply(self, point):
+        x, y = point
+        for _ in range(self.alpha):
+            x, y = x - y, x + y
+        return (self.c * x, self.c * y)
+
+
+def gaussian_lift(k):
+    return GaussianLift(k)
+
+
+def residue_free_criterion(a, b):
+    """True when b mod a is neither a quadratic residue nor twice one."""
+    if a < 2:
+        raise ValueError("modulus must be at least 2")
+    residues = {(x * x) % a for x in range(a)}
+    doubled = {(2 * r) % a for r in residues}
+    return (b % a) not in residues | doubled

@@ -10,10 +10,11 @@ import random
 import time
 
 from corelat import atomic, cores, dynkin, param, weyl
-from corelat.diophantine import gaussian_lift, is_action_free, solve_diagonal, two_squares_solvable
+from corelat.diophantine import is_action_free, solve_diagonal
 from corelat.dynkin import lookup_type
 
 from golden_data import D4FLAT_SMALL, D6_35, GAMMA_121
+from oracles import enumerate_atomic_upto, gaussian_lift, two_squares_solvable
 from test_cli import (
     golden_12n7,
     golden_8n1,
@@ -126,7 +127,7 @@ def test_criterion_5_sigma_invariance_and_divisibility():
     for name in ("A1_1", "A2_1", "A3_1", "A4_1", "C2_1", "C3_1", "C4_1"):
         t = lookup_type(name)
         modulus = t.n + 1 if t.id.family == "A" else 2
-        buckets = atomic.enumerate_atomic_upto(t, 0, 100)
+        buckets = enumerate_atomic_upto(t, 0, 100)
         layer = weyl.sigma_indices(t)
         for value, vectors in sorted(buckets.items()):
             if value < 0:

@@ -12,7 +12,6 @@ from corelat.atomic import (
     atomic_length_i,
     defect,
     enumerate_atomic,
-    enumerate_atomic_upto,
     extended_atomic_length,
     height,
     norm_sq,
@@ -20,6 +19,7 @@ from corelat.atomic import (
     weight_Lambda0,
 )
 from corelat.dynkin import NotInRootSpan, lookup_type
+from oracles import enumerate_atomic_upto
 
 
 def ball(t, radius):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -411,3 +412,69 @@ def test_solve_accepts_every_case_id():
         code, out = run_cli(["solve", "--case", case_id, "--N", "1", "--format", "json"])
         assert code == 0
         assert json.loads(out)["k"] > 0
+
+
+def outcome(argv):
+    """Exit code (a SystemExit's too), stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def first_outcome(argv):
+    """The outcome of argv as the first call of a process, on a new parser."""
+    cli.build_parser.cache_clear()
+    return outcome(argv)
+
+
+@pytest.mark.parametrize("first,then,first_code", [
+    (["verify", "--case", "A2", "--max-N", "2", "--format", "json"],
+     ["verify", "--case", "A2", "--max-N", "2"], 0),
+    (["enumerate", "--type", "C2_1", "--weight", "L1", "--N", "2"],
+     ["enumerate", "--type", "C2_1", "--N", "40"], 0),
+    (["verify", "--case", "A2", "--N", "0", "--max-N", "3"],
+     ["verify", "--case", "A2", "--max-N", "3"], 2),
+    (["table", "--figure", "nope"],
+     ["table", "--figure", "6N+7", "--max-N", "2"], 2),
+    (["verify", "--help"], ["--help"], 0),
+])
+def test_shared_parser_keeps_no_state_between_calls(first, then, first_code):
+    alone = first_outcome(first), first_outcome(then)
+    cli.build_parser.cache_clear()
+    in_turn = outcome(first), outcome(then)
+    assert in_turn == alone
+    assert alone[0][0] == first_code and alone[1][0] == 0 and alone[1][1]
+
+
+def test_main_without_argv_reads_each_calls_sys_argv(monkeypatch):
+    argvs = [["solve", "--case", "G21", "--N", "3"],
+             ["enumerate", "--type", "A2_1", "--N", "6", "--format", "json"]]
+    expected = [first_outcome(argv) for argv in argvs]
+    for argv, want in zip(argvs, expected):
+        monkeypatch.setattr(sys, "argv", ["corelat"] + argv)
+        assert outcome(None) == want
+
+
+def test_main_builds_one_parser_tree_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argvs = [["enumerate", "--type", "A2_1", "--N", str(n)] for n in range(10)]
+    argvs += [["solve", "--case", "C2", "--N", str(n)] for n in range(10)]
+    cli.build_parser.cache_clear()
+    try:
+        assert outcome(argvs[0])[0] == 0
+        assert len(built) == 7      # the root parser and one per subcommand
+        assert all(outcome(argv)[0] == 0 for argv in argvs[1:])
+        assert len(built) == 7
+    finally:
+        cli.build_parser.cache_clear()

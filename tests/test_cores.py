@@ -27,7 +27,7 @@ from corelat.cores import (
 )
 
 from golden_data import D4FLAT_SMALL, D6_35, D6_SMALL, SCC4_40
-from oracles import charge_symmetric
+from oracles import charge_symmetric, enumerate_atomic_upto
 
 
 partitions_strategy = st.lists(st.integers(1, 12), min_size=0, max_size=8).map(
@@ -157,7 +157,7 @@ def test_symmetric_charges_are_self_conjugate():
 
 def _length_counter(type_id, bound):
     counter = Counter()
-    for value, vs in atomic.enumerate_atomic_upto(type_id, 0, bound).items():
+    for value, vs in enumerate_atomic_upto(type_id, 0, bound).items():
         if value >= 0:
             counter[F(value)] += len(vs)
     return counter

@@ -10,22 +10,19 @@ from corelat import diophantine, param
 from corelat.diophantine import (
     NonIntegralImage,
     NotClosed,
-    Unsolvable,
     act,
     canonical,
-    factorize,
-    gaussian_lift,
     group_elements,
     group_order,
     is_action_free,
     orbit,
     orbit_partition,
     orbit_size,
-    residue_free_criterion,
     solve_diagonal,
     solve_diagonal_meet,
-    two_squares_solvable,
 )
+from oracles import (Unsolvable, factorize, gaussian_lift, residue_free_criterion,
+                     two_squares_solvable)
 
 
 def test_solve_examples():

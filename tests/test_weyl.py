@@ -99,7 +99,7 @@ def test_sigma_invariance_on_ball(name):
 def test_divisibility(name, modulus):
     t = lookup_type(name)
     bound = 200 if t.n <= 3 else 100
-    buckets = atomic.enumerate_atomic_upto(t, 0, bound)
+    buckets = oracles.enumerate_atomic_upto(t, 0, bound)
     for target in range(bound + 1):
         base = buckets.get(F(target), [])
         assert (len(sigma_indices(t)) * len(base)) % modulus == 0
@@ -150,7 +150,7 @@ def test_lascoux_consistency_with_charges():
     # every atomic-length fibre consists of cores of that size
     for n in (2, 3):
         t = lookup_type(f"A{n}_1")
-        buckets = atomic.enumerate_atomic_upto(t, 0, 30)
+        buckets = oracles.enumerate_atomic_upto(t, 0, 30)
         for value, vectors in buckets.items():
             if value < 0:
                 continue
