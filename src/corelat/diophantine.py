@@ -4,12 +4,13 @@ solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
 it lists one canonical point per orbit instead; canonical and orbit_size give
 a point's canonical point and orbit size in closed form, for every group,
-without building the orbit.  H (signed permutations) reads its rank from
-the point, and D8 is H on two coordinates, sharing its rules.
-solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
-brute-force search over every variable lives in the tests as an oracle.  Groups
-are small and act through explicit formulas; half-integer matrices check
-integrality of the image on every application.
+without building the orbit, and orbit lists the orbit itself by formula;
+only FAIL witnesses, A2ext's tiling check and orbit_partition build one.
+H (signed permutations) reads its rank from the point, and D8 is H on two
+coordinates, sharing its rules.  The half-integer rotations of C6 and G_A3
+raise NonIntegralImage outside their parity domain.  solve_diagonal_meet is
+an independent meet-in-the-middle cross-check; the brute-force search over
+every variable lives in the tests as an oracle.
 """
 
 import itertools
@@ -168,16 +169,6 @@ def solve_diagonal_meet(form, k):
 # Group actions
 
 
-def _act_d8(element, point):
-    k, e = element
-    x, y = point
-    if e:
-        x, y = y, x
-    for _ in range(k % 4):
-        x, y = -y, x
-    return (x, y)
-
-
 def _rotations60(point, x, z):
     """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that
     order; NonIntegralImage when x - z is odd, which is outside point's domain."""
@@ -188,27 +179,6 @@ def _rotations60(point, x, z):
         x, z = (x - 3 * z) // 2, (x + z) // 2
         rotations.append((x, z))
     return rotations
-
-
-def group_elements(group, rank=None):
-    """The elements of a named group as opaque tokens usable with act(); H
-    needs its rank, which no other group reads."""
-    if group == "D8":
-        return [(k, e) for k in range(4) for e in (0, 1)]
-    if group == "C4":
-        return list(range(4))
-    if group == "V4":
-        return [(sx, sy) for sx in (1, -1) for sy in (1, -1)]
-    if group == "C6":
-        return list(range(6))
-    if group == "G_A3":
-        return [(k, e) for k in range(6) for e in (0, 1)]
-    if group == "H":
-        if rank is None:
-            raise ValueError("the hyperoctahedral group needs its rank")
-        return [(p, s) for p in itertools.permutations(range(rank))
-                for s in itertools.product((1, -1), repeat=rank)]
-    raise ValueError(f"unknown group {group!r}")
 
 
 def group_order(group, rank=None):
@@ -224,28 +194,6 @@ def group_order(group, rank=None):
         if rank is None:
             raise ValueError("the hyperoctahedral group needs its rank")
         return (2 ** rank) * math.factorial(rank)
-    raise ValueError(f"unknown group {group!r}")
-
-
-def act(group, element, point):
-    """Exact image of a point under one group element."""
-    point = tuple(point)
-    if group == "D8":
-        return _act_d8(element, point)
-    if group == "C4":
-        return _act_d8((element, 0), point)
-    if group == "V4":
-        sx, sy = element
-        return (sx * point[0], sy * point[1])
-    if group == "C6":
-        return _rotations60(point, *point)[element % 6]
-    if group == "G_A3":
-        (k, e), (x, y, z) = element, point
-        x, z = _rotations60(point, x, -z if e else z)[k % 6]
-        return (x, y, z)
-    if group == "H":
-        perm, signs = element
-        return tuple(s * point[p] for s, p in zip(signs, perm))
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -312,9 +260,27 @@ def orbit_size(group, point):
 
 
 def orbit(group, point):
+    """The point's orbit as a set, by formula.
+
+    H and D8: the signed permutations.  V4: the sign changes.  C4: the four
+    quarter-turns.  C6: the rotations of (x, sqrt(3) y).  G_A3: those of
+    (x, sqrt(3) z) and of (x, -sqrt(3) z), with y fixed.
+    """
+    point = tuple(point)
+    if group in ("H", "D8"):
+        return {signed for perm in itertools.permutations(point)
+                for signed in itertools.product(*((x, -x) for x in perm))}
+    if group == "V4":
+        return set(itertools.product(*((x, -x) for x in point)))
+    if group == "C4":
+        x, y = point
+        return {(x, y), (-y, x), (-x, -y), (y, -x)}
     if group == "C6":
         return set(_rotations60(point, *point))
-    return {act(group, g, point) for g in group_elements(group, len(point))}
+    if group == "G_A3":
+        x, y, z = point
+        return {(a, y, c) for s in (z, -z) for a, c in _rotations60(point, x, s)}
+    raise ValueError(f"unknown group {group!r}")
 
 
 def orbit_partition(group, solutions):

@@ -1,7 +1,8 @@
 """Registry of affine Dynkin type data over exact rationals.
 
-Each supported type carries its marks, comarks, Coxeter number and an
-explicit realisation of the simple roots in an ambient epsilon-basis.
+Each supported type carries its marks, comarks and an explicit realisation
+of the simple roots in an ambient epsilon-basis; its rank, Coxeter number,
+ambient dimension and J are derived from them.
 Types whose textbook realisation involves sqrt(2) are stored as rational
 coordinate vectors together with scale_sq = 2: the true vector is
 sqrt(scale_sq) times the stored one, so every inner product is
@@ -83,21 +84,37 @@ class AffineTypeId:
 @dataclass(frozen=True)
 class TypeData:
     id: AffineTypeId
-    n: int                      # number of finite simple roots
     marks: tuple                # a_0 .. a_n
     comarks: tuple              # a_0^v .. a_n^v
-    h: int                      # Coxeter number, sum of the marks
-    ambient_dim: int
     scale_sq: int               # 1 or 2
     simple_roots: tuple         # stored coordinates
     m_basis: tuple              # Z-basis of the lattice M, stored coordinates
     l_basis: tuple              # Z-basis of L when registered, else None
-    J: tuple                    # indices i >= 1 with a_i = 1
 
     def __hash__(self):
         # every field is a function of the id; hashing the id alone spares
         # the caches keyed by a type from hashing all its Fractions
         return hash(self.id)
+
+    @cached_property
+    def n(self):
+        """The number of finite simple roots."""
+        return len(self.simple_roots)
+
+    @cached_property
+    def h(self):
+        """The Coxeter number, the sum of the marks."""
+        return sum(self.marks)
+
+    @cached_property
+    def ambient_dim(self):
+        """The length of a stored coordinate vector."""
+        return len(self.simple_roots[0])
+
+    @cached_property
+    def J(self):
+        """The indices i >= 1 with a_i = 1."""
+        return tuple(i for i in range(1, len(self.marks)) if self.marks[i] == 1)
 
     @cached_property
     def root_solver(self):
@@ -126,16 +143,14 @@ def _build_type(tid):
             n = m
             roots = _chain(n, n + 1)
             l_basis = (_omega1_type_a(n),) + roots[: n - 1]
-            return TypeData(tid, n, (1,) * (n + 1), (1,) * (n + 1), n + 1, n + 1, 1,
-                            roots, roots, l_basis, tuple(range(1, n + 1)))
+            return TypeData(tid, (1,) * (n + 1), (1,) * (n + 1), 1, roots, roots, l_basis)
         if fam == "B" and m >= 3:
             n = m
             roots = _chain(n - 1, n) + (_unit(n, n - 1),)
             m_basis = roots[:-1] + (_unit(n, n - 1, 2),)
             marks = (1, 1) + (2,) * (n - 1)
             comarks = (1, 1) + (2,) * (n - 2) + (1,)
-            return TypeData(tid, n, marks, comarks, 2 * n, n, 1,
-                            roots, m_basis, None, (1,))
+            return TypeData(tid, marks, comarks, 1, roots, m_basis, None)
         if fam == "C" and m >= 2:
             n = m
             roots = _chain(n - 1, n, Fraction(1, 2)) + (_unit(n, n - 1),)
@@ -143,15 +158,13 @@ def _build_type(tid):
             omega_n = tuple(Fraction(1, 2) for _ in range(n))
             l_basis = tuple(_unit(n, i) for i in range(n - 1)) + (omega_n,)
             marks = (1,) + (2,) * (n - 1) + (1,)
-            return TypeData(tid, n, marks, (1,) * (n + 1), 2 * n, n, 2,
-                            roots, m_basis, l_basis, (n,))
+            return TypeData(tid, marks, (1,) * (n + 1), 2, roots, m_basis, l_basis)
         if fam == "D" and m >= 4:
             n = m
             roots = _chain(n - 1, n) + (
                 tuple(Fraction(1) if j >= n - 2 else Fraction(0) for j in range(n)),)
             marks = (1, 1) + (2,) * (n - 3) + (1, 1)
-            return TypeData(tid, n, marks, marks, 2 * n - 2, n, 1,
-                            roots, roots, None, (1, n - 1, n))
+            return TypeData(tid, marks, marks, 1, roots, roots, None)
         if fam == "E" and m in (6, 7, 8):
             n = m
             marks = {
@@ -163,9 +176,7 @@ def _build_type(tid):
                 tuple(Fraction(1) if j in (n - 3, n - 2) else Fraction(0) for j in range(8)),
                 tuple(Fraction(-1, 2) for _ in range(8)),
             )
-            J = tuple(i for i in range(1, n + 1) if marks[i] == 1)
-            return TypeData(tid, n, marks, marks, sum(marks), 8, 1,
-                            roots, roots, None, J)
+            return TypeData(tid, marks, marks, 1, roots, roots, None)
         if fam == "F" and m == 4:
             roots = (
                 _vec(1, -1, 0, 0),
@@ -174,22 +185,19 @@ def _build_type(tid):
                 _vec(Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)),
             )
             m_basis = roots[:2] + (_vec(0, 0, 2, 0), _vec(-1, -1, -1, 1))
-            return TypeData(tid, 4, (1, 2, 3, 4, 2), (1, 2, 3, 2, 1), 12, 4, 1,
-                            roots, m_basis, None, ())
+            return TypeData(tid, (1, 2, 3, 4, 2), (1, 2, 3, 2, 1), 1, roots, m_basis, None)
         if fam == "G" and m == 2:
             roots = (
                 _vec(1, -1, 0),
                 _vec(Fraction(-2, 3), Fraction(1, 3), Fraction(1, 3)),
             )
             m_basis = (roots[0], _vec(-2, 1, 1))
-            return TypeData(tid, 2, (1, 2, 3), (1, 2, 1), 6, 3, 1,
-                            roots, m_basis, None, ())
+            return TypeData(tid, (1, 2, 3), (1, 2, 1), 1, roots, m_basis, None)
     elif tw == 2:
         if fam == "A" and m == 2:
             roots = (_vec(1, -1),)
             m_basis = (_vec(Fraction(1, 2), Fraction(-1, 2)),)
-            return TypeData(tid, 1, (2, 1), (1, 2), 3, 2, 2,
-                            roots, m_basis, None, (1,))
+            return TypeData(tid, (2, 1), (1, 2), 2, roots, m_basis, None)
         if fam == "A" and m >= 4:
             if m % 2 == 0:           # A_{2n}^{(2)}
                 n = m // 2
@@ -197,22 +205,19 @@ def _build_type(tid):
                 m_basis = tuple(_unit(n, i) for i in range(n))
                 marks = (2,) * n + (1,)
                 comarks = (1,) + (2,) * n
-                return TypeData(tid, n, marks, comarks, 2 * n + 1, n, 1,
-                                roots, m_basis, None, (n,))
+                return TypeData(tid, marks, comarks, 1, roots, m_basis, None)
             if m % 2 == 1 and m >= 5:  # A_{2n-1}^{(2)}
                 n = (m + 1) // 2
                 roots = _chain(n - 1, n) + (_unit(n, n - 1, 2),)
                 marks = (1, 1) + (2,) * (n - 2) + (1,)
                 comarks = (1, 1) + (2,) * (n - 1)
-                return TypeData(tid, n, marks, comarks, 2 * n - 1, n, 1,
-                                roots, roots, None, (1, n))
+                return TypeData(tid, marks, comarks, 1, roots, roots, None)
         if fam == "D" and m >= 3:    # D_{n+1}^{(2)}
             n = m - 1
             roots = _chain(n - 1, n) + (_unit(n, n - 1),)
             m_basis = tuple(_unit(n, i) for i in range(n))
             comarks = (1,) + (2,) * (n - 1) + (1,)
-            return TypeData(tid, n, (1,) * (n + 1), comarks, n + 1, n, 2,
-                            roots, m_basis, None, tuple(range(1, n + 1)))
+            return TypeData(tid, (1,) * (n + 1), comarks, 2, roots, m_basis, None)
         if fam == "E" and m == 6:
             roots = (
                 _vec(1, -1, 0, 0),
@@ -220,13 +225,11 @@ def _build_type(tid):
                 _vec(0, 0, 2, 0),
                 _vec(-1, -1, -1, 1),
             )
-            return TypeData(tid, 4, (1, 2, 3, 2, 1), (1, 2, 3, 4, 2), 9, 4, 1,
-                            roots, roots, None, (4,))
+            return TypeData(tid, (1, 2, 3, 2, 1), (1, 2, 3, 4, 2), 1, roots, roots, None)
     elif tw == 3:
         if fam == "D" and m == 4:
             roots = (_vec(1, -1, 0), _vec(-2, 1, 1))
-            return TypeData(tid, 2, (1, 2, 1), (1, 2, 3), 4, 3, 1,
-                            roots, roots, None, (2,))
+            return TypeData(tid, (1, 2, 1), (1, 2, 3), 1, roots, roots, None)
     raise UnknownType(f"{tid} is not a supported affine type")
 
 

@@ -42,6 +42,12 @@ atomic length at most a bound by its value.  factorize, two_squares_solvable,
 GaussianLift, gaussian_lift, residue_free_criterion and Unsolvable are the
 sums-of-two-squares section that diophantine once held; only the tests
 call them.
+
+group_elements, act and _act_d8 are the groups as diophantine once defined
+them, by opaque element tokens: group_elements lists a group's tokens and
+act applies one to a point.  They are the reference that orbit, canonical
+and orbit_size are tested against, and the original claim checks above
+apply them.
 """
 
 import itertools
@@ -54,7 +60,7 @@ from math import isqrt
 from corelat import atomic, diophantine, dynkin, param
 from corelat.atomic import LatticeVector, _basis, _coords, _type, norm_sq
 from corelat.cores import BadCharge
-from corelat.diophantine import NonIntegralImage
+from corelat.diophantine import NonIntegralImage, _rotations60
 from corelat.dynkin import NotInRootSpan, fundamental_weights
 from corelat.linalg import _ldl
 from corelat.param import Report, _fail
@@ -387,6 +393,59 @@ def case_length(case, q):
     return atomic.atomic_length_i(case.type_id, case.weight, q)
 
 
+def _act_d8(element, point):
+    k, e = element
+    x, y = point
+    if e:
+        x, y = y, x
+    for _ in range(k % 4):
+        x, y = -y, x
+    return (x, y)
+
+
+def group_elements(group, rank=None):
+    """The elements of a named group as opaque tokens usable with act(); H
+    needs its rank, which no other group reads."""
+    if group == "D8":
+        return [(k, e) for k in range(4) for e in (0, 1)]
+    if group == "C4":
+        return list(range(4))
+    if group == "V4":
+        return [(sx, sy) for sx in (1, -1) for sy in (1, -1)]
+    if group == "C6":
+        return list(range(6))
+    if group == "G_A3":
+        return [(k, e) for k in range(6) for e in (0, 1)]
+    if group == "H":
+        if rank is None:
+            raise ValueError("the hyperoctahedral group needs its rank")
+        return [(p, s) for p in itertools.permutations(range(rank))
+                for s in itertools.product((1, -1), repeat=rank)]
+    raise ValueError(f"unknown group {group!r}")
+
+
+def act(group, element, point):
+    """Exact image of a point under one group element."""
+    point = tuple(point)
+    if group == "D8":
+        return _act_d8(element, point)
+    if group == "C4":
+        return _act_d8((element, 0), point)
+    if group == "V4":
+        sx, sy = element
+        return (sx * point[0], sy * point[1])
+    if group == "C6":
+        return _rotations60(point, *point)[element % 6]
+    if group == "G_A3":
+        (k, e), (x, y, z) = element, point
+        x, z = _rotations60(point, x, -z if e else z)[k % 6]
+        return (x, y, z)
+    if group == "H":
+        perm, signs = element
+        return tuple(s * point[p] for s, p in zip(signs, perm))
+    raise ValueError(f"unknown group {group!r}")
+
+
 def representatives(group, form, k):
     """The lexicographic maximum of each orbit of the full solution set, sorted."""
     return sorted(max(o) for o in diophantine.orbit_partition(
@@ -450,7 +509,7 @@ def check_extended(level):
               "extended_elements": 3 * len(base)}
     all_pairs = []
     for q, layer in zip(base, level.layers):
-        full_orbit = {diophantine.act(case.group, k, layer[0]) for k in range(6)}
+        full_orbit = {act(case.group, k, layer[0]) for k in range(6)}
         if len(full_orbit) != 6:
             return _fail(case_id, n, counts,
                          {"reason": "C6 orbit undersized", "point": layer[0]})
@@ -482,8 +541,8 @@ def check_stratified(level):
         return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
     sol_set = set(sols)
     for s in sols:
-        for g in diophantine.group_elements(case.group):
-            img = diophantine.act(case.group, g, s)
+        for g in group_elements(case.group):
+            img = act(case.group, g, s)
             if img not in sol_set or img[1] != s[1]:
                 return _fail(case_id, n, counts,
                              {"reason": "G does not stabilise the stratum",
@@ -499,7 +558,7 @@ def check_stratified(level):
             return _fail(case_id, n, counts,
                          {"reason": "layers share a stratum",
                           "q": [str(x) for x in q]})
-    orbits = {key: frozenset(diophantine.act(case.group, (k, 0), img) for k in range(6))
+    orbits = {key: frozenset(act(case.group, (k, 0), img) for k in range(6))
               for key, img in images.items()}
     keys = sorted(orbits, key=lambda key: (key[0], key[1]))
     for i, k1 in enumerate(keys):

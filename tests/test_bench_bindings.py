@@ -34,6 +34,8 @@ def test_bench_instrumentation_binds_and_restores():
     assert calls["param.verify_case"] == 1
     assert calls["linalg.enumerate_quadratic_level"] >= 1
     assert calls["param.phi"] >= 3
+    # A2ext's tiling check lists each base point's C6 orbit
+    assert calls["diophantine.orbit"] >= 1
 
 
 def test_bench_solver_span_is_reached():

@@ -10,9 +10,7 @@ from corelat import diophantine, param
 from corelat.diophantine import (
     NonIntegralImage,
     NotClosed,
-    act,
     canonical,
-    group_elements,
     group_order,
     is_action_free,
     orbit,
@@ -21,8 +19,8 @@ from corelat.diophantine import (
     solve_diagonal,
     solve_diagonal_meet,
 )
-from oracles import (Unsolvable, factorize, gaussian_lift, residue_free_criterion,
-                     two_squares_solvable)
+from oracles import (Unsolvable, act, factorize, gaussian_lift, group_elements,
+                     residue_free_criterion, two_squares_solvable)
 
 
 def test_solve_examples():
@@ -79,6 +77,36 @@ def test_non_integral_image():
         act("C6", 1, (1, 0))
     with pytest.raises(NonIntegralImage):
         act("G_A3", (1, 0), (1, 0, 0))
+
+
+def _outcome(orbit_of, group, point):
+    try:
+        return orbit_of(group, point)
+    except Exception as exc:
+        return type(exc)
+
+
+def _token_orbit(group, point):
+    return {act(group, g, point) for g in group_elements(group, len(point))}
+
+
+def test_orbit_formulas_match_the_group_elements():
+    # coordinates in -6..6 put about half the points of C6 and G_A3 outside
+    # their parity domain, where both sides must raise NonIntegralImage
+    rng = random.Random(15)
+    raised = set()
+    for group, rank, count in [("D8", 2, 1500), ("C4", 2, 1500), ("V4", 2, 1500),
+                               ("C6", 2, 1500), ("G_A3", 3, 1500), ("H", 1, 300),
+                               ("H", 2, 300), ("H", 3, 300), ("H", 4, 100), ("H", 5, 20)]:
+        for _ in range(count):
+            p = tuple(rng.randint(-6, 6) for _ in range(rank))
+            expected = _outcome(_token_orbit, group, p)
+            assert _outcome(orbit, group, p) == expected, (group, p)
+            if expected is NonIntegralImage:
+                raised.add(group)
+    assert raised == {"C6", "G_A3"}
+    with pytest.raises(ValueError, match="unknown group"):
+        orbit("Z2", (1, 2))
 
 
 def test_orbit_examples():
@@ -167,10 +195,10 @@ def test_action_freeness_matches_orbit_partition_oracle(monkeypatch):
     expected = [_freeness(oracles.is_action_free, group, points) for group, points in sets]
 
     def refuse(*args):
-        raise AssertionError("is_action_free enumerated the group")
+        raise AssertionError("is_action_free built an orbit")
 
-    monkeypatch.setattr(diophantine, "act", refuse)
-    monkeypatch.setattr(diophantine, "group_elements", refuse)
+    monkeypatch.setattr(diophantine, "orbit", refuse)
+    monkeypatch.setattr(diophantine, "orbit_partition", refuse)
     assert [_freeness(is_action_free, group, points) for group, points in sets] == expected
     outcomes = {(group, result[0]) for (group, _), result in zip(sets, expected)}
     for group in ("D8", "C4", "V4", "C6", "G_A3", "H"):

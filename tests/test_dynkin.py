@@ -57,6 +57,13 @@ def test_lookup_c2():
     assert t.J == (2,)
 
 
+def test_j_lists_the_marks_equal_to_one():
+    assert lookup_type("A3_1").J == (1, 2, 3)
+    assert lookup_type("B4_1").J == (1,)
+    assert lookup_type("D5_1").J == (1, 4, 5)
+    assert lookup_type("E7_1").J == (1,)
+
+
 def test_lookup_d43():
     t = lookup_type("D4_3")
     assert t.h == 4

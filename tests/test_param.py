@@ -513,7 +513,7 @@ def _complete_variants():
     c2, d43 = get_case("C2"), get_case("D43")
     points = lattice_points(c2, 40)
     first = c2.phi_map(points[0])
-    spread = {q: diophantine.act("D8", (i, 0), first) for i, q in enumerate(points)}
+    spread = {q: oracles.act("D8", (i, 0), first) for i, q in enumerate(points)}
     return [
         ("phi not injective", "C2", 40, dict(phi_map=lambda q: first)),
         ("phi image off the quadric", "D43", 35,
@@ -606,10 +606,19 @@ class _RepresentativesOnly(param.LevelData):
 
 def test_claim_checks_never_list_u(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a claim check partitioned U or enumerated G")
+        raise AssertionError("a claim check partitioned U")
 
-    for name in ("orbit_partition", "act", "group_elements"):
-        monkeypatch.setattr(diophantine, name, refuse)
+    orbit = diophantine.orbit
+
+    def c6_orbit_only(group, point):
+        # A2ext's tiling check builds the six-point C6 orbit of each base
+        # point; no check lists the orbit of any other group
+        if group != "C6":
+            raise AssertionError(f"a claim check built a {group} orbit")
+        return orbit(group, point)
+
+    monkeypatch.setattr(diophantine, "orbit_partition", refuse)
+    monkeypatch.setattr(diophantine, "orbit", c6_orbit_only)
     for n in range(6):
         for case_id in cli.VERIFY_CASES + ("HYP:C3_1", "HYP:B4_1"):
             case = get_case(case_id)

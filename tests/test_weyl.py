@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import atomic, cores, diophantine, weyl
+from corelat import atomic, cores, weyl
 from corelat.dynkin import lookup_type
 from corelat.weyl import (
     ExtGrassElement,
@@ -112,7 +112,7 @@ def test_layer_rotation_power():
     for q12 in itertools.product(range(-4, 5), repeat=2):
         q = q12 + (-sum(q12),)
         base = map_p_a2(q)
-        rotated = {k: diophantine.act("C6", k, base) for k in range(6)}
+        rotated = {k: oracles.act("C6", k, base) for k in range(6)}
         assert layer_image(case, 1, q) == rotated[4]
         assert layer_image(case, 1, q) == (-rotated[1][0], -rotated[1][1])
         assert layer_image(case, 2, q) == rotated[2]
