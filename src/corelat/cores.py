@@ -1,18 +1,25 @@
 """Partition combinatorics: hooks, abaci/charges, cores and the lattice models.
 
-Partitions are plain tuples of weakly decreasing positive integers.  The
-d-charge convention is fixed by beta-numbers: take the first K values
-lambda_i - i (K a multiple of d, at least the number of parts); the charge
-entry of runner j is the count of beta-numbers congruent to j mod d, minus
-K/d.  This normalises the empty partition to the zero charge and is the
-convention under which a type-A charge equals the corresponding lattice
-point in the epsilon-basis.
+Partitions are plain tuples of weakly decreasing positive integers.  Every
+partition this module builds or reads is a bead set of an abacus, its
+beta-numbers lambda_i - i (i >= 1); a finite bead set B stands for B and
+every position below -|B|.  _beads lists a partition's first k beads and
+_partition reads the partition off a bead set.  The d-charge counts the
+first K beads (K a multiple of d, at least the number of parts) by runner:
+entry j is the count congruent to j mod d, minus K/d.  This normalises the
+empty partition to the zero charge and is the convention under which a
+type-A charge equals the corresponding lattice point in the epsilon-basis.
 
 A d-core is its charge: core_from_charge and charge_of_core are inverse
 bijections between d-cores and sum-zero integer d-vectors, under which the
 size of a core is the quadratic form _size_form of its charge.  The d-cores
 of size n are level n of that form; the self-conjugate ones, whose charges
 satisfy c_r = -c_{d-1-r}, are level n of its restriction to that sublattice.
+
+The lattice models are positive bead sets.  The bar partition of a rank-n
+point q is the positive beads of its (2n+2)-charge, whose core is that bar
+partition's doubled diagram; the D_4^(3) partition of (q_1, q_2) is the
+positive beads of a 4-abacus with runner counts (m_0 + 1, m_1, |q_1|, m_-1).
 """
 
 from fractions import Fraction
@@ -29,12 +36,8 @@ class BadCharge(ValueError):
     pass
 
 
-class InternalInconsistency(AssertionError):
-    """A constructed partition failed a shape check that should be automatic."""
-
-
 def validate_partition(parts):
-    parts = tuple(int(p) for p in parts)
+    parts = linalg.as_integers(parts)
     if any(p <= 0 for p in parts):
         raise ValueError("partition parts must be positive")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -52,10 +55,6 @@ def conjugate(parts):
     return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
 
 
-def is_self_conjugate(parts):
-    return tuple(parts) == conjugate(parts)
-
-
 def diagonal_length(parts):
     return sum(1 for i, p in enumerate(parts) if p >= i + 1)
 
@@ -70,13 +69,14 @@ def hook_lengths(parts):
 
 
 def is_d_core(parts, d):
-    """True when no box has hook length d.
+    """True when no box has hook length d: no bead slides d down into a gap.
 
     For cores this is equivalent to having no hook length divisible by d.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    return all(h != d for row in hook_lengths(parts) for h in row)
+    beads = set(_beads(parts))
+    return all(b - d in beads or b - d < -len(beads) for b in beads)
 
 
 def residue_count(parts, d, i):
@@ -106,37 +106,45 @@ def parse_partition(text):
 # Abacus / charge
 
 
+def _beads(parts, k=None):
+    """The first k beta-numbers (k defaults to the number of parts), decreasing."""
+    k = len(parts) if k is None else k
+    return [(parts[i] if i < len(parts) else 0) - (i + 1) for i in range(k)]
+
+
+def _partition(beads):
+    """The partition of the decreasing beads and every position below -len(beads)."""
+    return tuple(p for p in (b + i for i, b in enumerate(beads, start=1)) if p > 0)
+
+
+def _abacus(d, counts, low=0):
+    """The beads d*t + j with low <= t < counts[j] of a d-abacus, decreasing."""
+    return sorted((d * t + j for j, c in enumerate(counts) for t in range(low, c)),
+                  reverse=True)
+
+
 def charge_of_core(d, parts):
     """The d-charge of a d-core; entries sum to zero."""
     parts = tuple(parts)
     if not is_d_core(parts, d):
         raise NotACore(f"{parts} has a hook of length {d}")
-    k = len(parts)
-    window = d * (k // d + 1)
+    window = d * (len(parts) // d + 1)
     counts = [0] * d
-    for i in range(window):
-        beta = (parts[i] if i < k else 0) - (i + 1)
-        counts[beta % d] += 1
-    shift = window // d
-    return tuple(c - shift for c in counts)
+    for b in _beads(parts, window):
+        counts[b % d] += 1
+    return tuple(c - window // d for c in counts)
 
 
 def core_from_charge(d, charge):
     """Inverse of charge_of_core; exact round trip on every d-core."""
-    charge = tuple(int(c) for c in charge)
+    charge = linalg.as_integers(charge)
     if len(charge) != d:
         raise BadCharge(f"expected {d} entries, got {len(charge)}")
     if sum(charge) != 0:
         raise BadCharge("charge entries must sum to 0")
-    t0 = min(charge)
-    beads = sorted(
-        (d * t + j for j, c in enumerate(charge) for t in range(t0, c)),
-        reverse=True,
-    )
-    # all abacus positions below d*t0 are filled, and sum(charge)=0 makes
-    # their contribution vanish, so only the explicit beads produce parts
-    parts = tuple(p for p in (bead + i for i, bead in enumerate(beads, start=1)) if p > 0)
-    return parts
+    # sum(charge) = 0 makes len(beads) = -d * min(charge), so _partition fills
+    # every row below min(charge), as the abacus of the charge does
+    return _partition(_abacus(d, charge, min(charge)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,76 +259,49 @@ def is_strict(parts):
 
 
 def doubled_distinct(parts):
-    """The doubled diagram of a strict partition.
-
-    It is the partition with Frobenius symbol (lambda_i | lambda_i - 1):
-    row i holds lambda_i + i boxes for i <= r, and the columns j <= r have
-    height lambda_j + j - 1.
-    """
+    """The doubled diagram of a strict partition, with Frobenius symbol
+    (lambda_i | lambda_i - 1): its beads are the parts and the positions
+    -lambda_1..-1 other than the -lambda_i."""
     parts = tuple(parts)
     if not is_strict(parts):
         raise ValueError("doubled diagram needs distinct parts")
-    r = len(parts)
-    if r == 0:
-        return ()
-    heights = [parts[j] + j for j in range(r)]  # height of column j+1, 1-indexed rows
-    rows = []
-    for i in range(1, max(heights) + 1):
-        if i <= r:
-            rows.append(parts[i - 1] + i)
-        else:
-            rows.append(sum(1 for hgt in heights if hgt >= i))
-    return tuple(rows)
+    top = parts[0] if parts else 0
+    return _partition(list(parts) + [-j for j in range(1, top + 1) if j not in parts])
 
 
 def bar_from_doubled(doubled):
-    """Recover the strict partition from its doubled diagram, or None."""
+    """Recover the strict partition from its doubled diagram, or None: the
+    positive beads, if their doubled diagram is the one given."""
     doubled = tuple(doubled)
-    r = diagonal_length(doubled)
-    parts = tuple(doubled[i] - (i + 1) for i in range(r))
-    if any(p <= 0 for p in parts) or not is_strict(parts):
-        return None
-    if doubled_distinct(parts) != doubled:
-        return None
-    return parts
+    parts = tuple(b for b in _beads(doubled) if b > 0)
+    return parts if is_strict(parts) and doubled_distinct(parts) == doubled else None
 
 
 def bar_core_from_lattice(n, q):
     """Bar-partition model for the rank-n type with h = n+1 and M = Z^n stored.
 
     The point q = (q_1..q_n) defines the (2n+2)-charge
-    (0, q_1..q_n, 0, -q_n..-q_1); its core is a doubled diagram whose bar
-    partition this returns.  The bar partition's size equals the atomic
-    length of q.
+    (0, q_1..q_n, 0, -q_n..-q_1); its core is a doubled diagram, and the bar
+    partition is its positive beads.  The bar partition's size equals the
+    atomic length of q.
     """
-    q = tuple(int(x) for x in q)
+    q = linalg.as_integers(q)
     if len(q) != n:
         raise ValueError(f"expected {n} coordinates")
     charge = (0,) + q + (0,) + tuple(-x for x in reversed(q))
-    doubled = core_from_charge(2 * n + 2, charge)
-    bar = bar_from_doubled(doubled)
-    if bar is None:
-        raise InternalInconsistency(
-            f"charge {charge} produced a non-doubled core {doubled}")
-    return bar
+    # the beads at t >= 0 are the positive ones, since runner 0 holds none
+    return tuple(_abacus(2 * n + 2, charge))
 
 
 def d4flat_from_lattice(q):
     """Partition model attached to the rank-2 twist-3 lattice point (q_1, q_2).
 
     Part counts by residue mod 4 are m_2 = |q_1|, (m_1, m_-1) driven by the
-    sign of q_2, and m_0 by q_1 + q_2; the partition is downward closed under
-    subtracting 4 within each residue class.
+    sign of q_2, and m_0 by q_1 + q_2; the parts are the positive beads of
+    the 4-abacus with these runner counts, m_0 + 1 on runner 0.
     """
-    q1, q2 = int(q[0]), int(q[1])
-    m2 = abs(q1)
-    m1, m_minus1 = (abs(q2), 0) if q2 <= 0 else (0, q2)
+    q1, q2 = linalg.as_integers(q[:2])
+    m1, m_minus1 = (-q2, 0) if q2 <= 0 else (0, q2)
     s = q1 + q2
     m0 = s if s >= 0 else -s - 1
-    parts = (
-        [4 * i - 2 for i in range(1, m2 + 1)]
-        + [4 * i - 3 for i in range(1, m1 + 1)]
-        + [4 * i - 1 for i in range(1, m_minus1 + 1)]
-        + [4 * i for i in range(1, m0 + 1)]
-    )
-    return tuple(sorted(parts, reverse=True))
+    return tuple(b for b in _abacus(4, (m0 + 1, m1, abs(q1), m_minus1)) if b > 0)

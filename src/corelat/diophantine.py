@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from math import isqrt
 
+from .linalg import as_integers
+
 
 class NonIntegralImage(ValueError):
     """A half-integer matrix was applied outside its parity domain."""
@@ -39,11 +41,14 @@ def solve_diagonal(form, k, group=None):
     canonical solutions, one per orbit (see canonical), sorted.  G_A3 on
     (1, 2, 3) at even k, and H and D8 on an equal form, are searched in
     their fundamental domains, so no other point is visited.  V4, C4 and C6
-    keep the solutions that are their own canonical point, searched with
-    the first variable decided last and non-negative: each of them negates
-    it, so a canonical point has x_1 >= 0.
+    list all of U (the search on the reversed form decides x_1 last) and
+    keep the points with x_1 >= 0 that are their own canonical point, as
+    each of them negates x_1.  G_A3 at odd k takes this path too: canonical
+    raises NonIntegralImage on its first point with x_1 >= 0, and the
+    reversed order fixes which point that names, (2,0,-3) at k = 31 where
+    lexicographic order would name (1,-3,-2).
     """
-    form = tuple(int(d) for d in form)
+    form = as_integers(form)
     if any(d < 1 for d in form):
         raise ValueError("form coefficients must be positive")
     if group is not None:
@@ -138,7 +143,7 @@ def _solve_descending(n, k):
 
 def solve_diagonal_meet(form, k):
     """Independent meet-in-the-middle implementation of solve_diagonal."""
-    form = tuple(int(d) for d in form)
+    form = as_integers(form)
     if k < 0:
         return []
     split = max(1, len(form) // 2)

@@ -251,10 +251,14 @@ def all_type_ids(max_rank=4):
         ids.append(f"C{n}_1")
     for n in range(4, max_rank + 1):
         ids.append(f"D{n}_1")
+    for n in range(6, min(max_rank, 8) + 1):
+        ids.append(f"E{n}_1")
     if max_rank >= 4:
         ids.append("F4_1")
-    ids.append("G2_1")
-    ids.append("A2_2")
+    if max_rank >= 2:
+        ids.append("G2_1")
+    if max_rank >= 1:
+        ids.append("A2_2")
     for n in range(2, max_rank + 1):
         ids.append(f"A{2 * n}_2")          # A_{2n}^{(2)}
     for n in range(3, max_rank + 1):
@@ -263,7 +267,8 @@ def all_type_ids(max_rank=4):
         ids.append(f"D{n + 1}_2")          # D_{n+1}^{(2)}
     if max_rank >= 4:
         ids.append("E6_2")
-    ids.append("D4_3")
+    if max_rank >= 2:
+        ids.append("D4_3")
     return ids
 
 

@@ -29,6 +29,14 @@ def matmul(A, B):
     return [[dot(row, col) for col in zip(*B)] for row in A]
 
 
+def as_integers(values):
+    """The values as a tuple of ints; ValueError on one that is not an integer."""
+    for x in (values := tuple(values)):
+        if x % 1:   # a fraction, or nan for an infinity or a nan
+            raise ValueError(f"{x!r} is not an integer")
+    return tuple(map(int, values))
+
+
 def integer_vector(v):
     """(V, q) with v = V / q: v scaled to integers by the lcm q of its
     denominators."""

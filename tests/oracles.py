@@ -37,6 +37,14 @@ addable or removable box of the letter's residue, and charge_symmetric, once
 in cores, builds the self-conjugacy-symmetric charges independently of the
 sublattice basis that cores lists them on.
 
+doubled_distinct, bar_from_doubled, bar_core_from_lattice and
+d4flat_from_lattice are the original row-and-part-list constructions of
+cores, from before cores read every partition off a bead set: the doubled
+diagram row by row, the bar partition through the round trip
+charge -> core -> doubled check (with its InternalInconsistency), and the
+D_4^(3) partition from its residue-class part lists.  is_self_conjugate,
+once in cores, is a helper that only the tests call.
+
 enumerate_atomic_upto, once in atomic, buckets every lattice point of
 atomic length at most a bound by its value.  factorize, two_squares_solvable,
 GaussianLift, gaussian_lift, residue_free_criterion and Unsolvable are the
@@ -59,7 +67,7 @@ from math import isqrt
 
 from corelat import atomic, diophantine, dynkin, param
 from corelat.atomic import LatticeVector, _basis, _coords, _type, norm_sq
-from corelat.cores import BadCharge
+from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
 from corelat.diophantine import NonIntegralImage, _rotations60
 from corelat.dynkin import NotInRootSpan, fundamental_weights
 from corelat.linalg import _ldl
@@ -719,6 +727,90 @@ def lascoux_orbit(n, word):
             else:
                 parts[r] += 1
     return tuple(parts)
+
+
+def is_self_conjugate(parts):
+    return tuple(parts) == conjugate(parts)
+
+
+class InternalInconsistency(AssertionError):
+    """A constructed partition failed a shape check that should be automatic."""
+
+
+def doubled_distinct(parts):
+    """The doubled diagram of a strict partition.
+
+    It is the partition with Frobenius symbol (lambda_i | lambda_i - 1):
+    row i holds lambda_i + i boxes for i <= r, and the columns j <= r have
+    height lambda_j + j - 1.
+    """
+    parts = tuple(parts)
+    if not is_strict(parts):
+        raise ValueError("doubled diagram needs distinct parts")
+    r = len(parts)
+    if r == 0:
+        return ()
+    heights = [parts[j] + j for j in range(r)]  # height of column j+1, 1-indexed rows
+    rows = []
+    for i in range(1, max(heights) + 1):
+        if i <= r:
+            rows.append(parts[i - 1] + i)
+        else:
+            rows.append(sum(1 for hgt in heights if hgt >= i))
+    return tuple(rows)
+
+
+def bar_from_doubled(doubled):
+    """Recover the strict partition from its doubled diagram, or None."""
+    doubled = tuple(doubled)
+    r = diagonal_length(doubled)
+    parts = tuple(doubled[i] - (i + 1) for i in range(r))
+    if any(p <= 0 for p in parts) or not is_strict(parts):
+        return None
+    if doubled_distinct(parts) != doubled:
+        return None
+    return parts
+
+
+def bar_core_from_lattice(n, q):
+    """Bar-partition model for the rank-n type with h = n+1 and M = Z^n stored.
+
+    The point q = (q_1..q_n) defines the (2n+2)-charge
+    (0, q_1..q_n, 0, -q_n..-q_1); its core is a doubled diagram whose bar
+    partition this returns.  The bar partition's size equals the atomic
+    length of q.
+    """
+    q = tuple(int(x) for x in q)
+    if len(q) != n:
+        raise ValueError(f"expected {n} coordinates")
+    charge = (0,) + q + (0,) + tuple(-x for x in reversed(q))
+    doubled = core_from_charge(2 * n + 2, charge)
+    bar = bar_from_doubled(doubled)
+    if bar is None:
+        raise InternalInconsistency(
+            f"charge {charge} produced a non-doubled core {doubled}")
+    return bar
+
+
+def d4flat_from_lattice(q):
+    """Partition model attached to the rank-2 twist-3 lattice point (q_1, q_2).
+
+    Part counts by residue mod 4 are m_2 = |q_1|, (m_1, m_-1) driven by the
+    sign of q_2, and m_0 by q_1 + q_2; the partition is downward closed under
+    subtracting 4 within each residue class.
+    """
+    q1, q2 = int(q[0]), int(q[1])
+    m2 = abs(q1)
+    m1, m_minus1 = (abs(q2), 0) if q2 <= 0 else (0, q2)
+    s = q1 + q2
+    m0 = s if s >= 0 else -s - 1
+    parts = (
+        [4 * i - 2 for i in range(1, m2 + 1)]
+        + [4 * i - 3 for i in range(1, m1 + 1)]
+        + [4 * i - 1 for i in range(1, m_minus1 + 1)]
+        + [4 * i for i in range(1, m0 + 1)]
+    )
+    return tuple(sorted(parts, reverse=True))
 
 
 def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):

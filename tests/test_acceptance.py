@@ -14,7 +14,8 @@ from corelat.diophantine import is_action_free, solve_diagonal
 from corelat.dynkin import lookup_type
 
 from golden_data import D4FLAT_SMALL, D6_35, GAMMA_121
-from oracles import enumerate_atomic_upto, gaussian_lift, two_squares_solvable
+from oracles import (enumerate_atomic_upto, gaussian_lift, is_self_conjugate,
+                     two_squares_solvable)
 from test_cli import (
     golden_12n7,
     golden_8n1,
@@ -70,7 +71,7 @@ def _model_counts_by_size(case_id, bound):
             lam = cores.core_from_charge(4, (a, b, -b, -a))
             if sum(lam) <= bound and lam not in seen:
                 seen.add(lam)
-                assert cores.is_self_conjugate(lam) and cores.is_d_core(lam, 4)
+                assert is_self_conjugate(lam) and cores.is_d_core(lam, 4)
                 counts[sum(lam)] += 1
         return counts
     if case_id == "D3t":         # bar-core model via the explicit construction

@@ -20,18 +20,20 @@ from corelat.cores import (
     format_partition,
     hook_lengths,
     is_d_core,
-    is_self_conjugate,
     parse_partition,
     residue_count,
     weighted_size,
 )
+from corelat.diophantine import solve_diagonal, solve_diagonal_meet
 
+import oracles
 from golden_data import D4FLAT_SMALL, D6_35, D6_SMALL, SCC4_40
-from oracles import charge_symmetric, enumerate_atomic_upto
+from oracles import charge_symmetric, enumerate_atomic_upto, is_self_conjugate
 
 
 partitions_strategy = st.lists(st.integers(1, 12), min_size=0, max_size=8).map(
     lambda xs: tuple(sorted(xs, reverse=True)))
+SMALL_PARTITIONS = [p for n in range(16) for p in enumerate_partitions(n)]
 
 
 def test_is_d_core_examples():
@@ -40,12 +42,24 @@ def test_is_d_core_examples():
     assert is_d_core((3, 1), 3)
 
 
+def _check_hooks(parts, d):
+    hooks = [h for row in hook_lengths(parts) for h in row]
+    assert is_d_core(parts, d) == all(h != d for h in hooks), (parts, d)
+    assert is_d_core(parts, d) == all(h % d != 0 for h in hooks), (parts, d)
+
+
 @given(partitions_strategy, st.integers(2, 9))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_no_hook_d_iff_no_hook_multiple_of_d(parts, d):
-    hooks = [h for row in hook_lengths(parts) for h in row]
-    assert is_d_core(parts, d) == all(h != d for h in hooks)
-    assert is_d_core(parts, d) == all(h % d != 0 for h in hooks)
+def _check_random_hooks(parts, d):
+    _check_hooks(parts, d)
+
+
+def test_no_hook_d_iff_no_hook_multiple_of_d():
+    # every partition of n <= 15 at d = 2..7, then larger random ones
+    for parts in SMALL_PARTITIONS:
+        for d in range(2, 8):
+            _check_hooks(parts, d)
+    _check_random_hooks()
 
 
 def test_charge_examples():
@@ -70,6 +84,18 @@ def test_round_trip_small():
         for n in range(0, 31):
             for lam in enumerate_partitions(n, "core", d):
                 assert core_from_charge(d, charge_of_core(d, lam)) == lam
+    # every charge with entries in [-3, 3] at d <= 5, and every non-core of
+    # size at most 15 at d = 2..7
+    for d in range(2, 6):
+        for half in itertools.product(range(-3, 4), repeat=d - 1):
+            if abs(sum(half)) <= 3:
+                charge = half + (-sum(half),)
+                assert charge_of_core(d, core_from_charge(d, charge)) == charge
+    for parts in SMALL_PARTITIONS:
+        for d in range(2, 8):
+            if not is_d_core(parts, d):
+                with pytest.raises(NotACore):
+                    charge_of_core(d, parts)
 
 
 @given(st.integers(2, 7), st.data())
@@ -296,3 +322,42 @@ def test_bar_from_doubled_rejects_non_doubled_shapes():
     assert cores.bar_from_doubled((2, 1)) is None
     assert cores.bar_from_doubled((3, 1)) == (2,)   # the double of a single row
     assert cores.bar_from_doubled(doubled_distinct((4, 2, 1))) == (4, 2, 1)
+
+
+# Inputs on which the bead-set constructions are checked against the
+# original row-and-part-list ones kept in the oracles.
+REFERENCE_INPUTS = {
+    "doubled_distinct": lambda: [(p,) for p in SMALL_PARTITIONS if cores.is_strict(p)],
+    "bar_from_doubled": lambda: [(p,) for p in SMALL_PARTITIONS],
+    "bar_core_from_lattice": lambda: [(n, q) for n in range(1, 5)
+                                      for q in itertools.product(range(-3, 4), repeat=n)],
+    "d4flat_from_lattice": lambda: [(q,) for q in itertools.product(range(-6, 7), repeat=2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_bead_models_match_the_row_constructions(name):
+    for args in REFERENCE_INPUTS[name]():
+        assert getattr(cores, name)(*args) == getattr(oracles, name)(*args), args
+
+
+# (call, arguments with a non-integral entry, arguments with integral
+# Fractions and floats)
+NON_INTEGRAL_CALLS = [
+    (solve_diagonal, ((F(3, 2), 1), 2), ((F(2), 1.0), 8)),
+    (solve_diagonal_meet, ((F(3, 2), 1), 2), ((F(2), 1.0), 8)),
+    (bar_core_from_lattice, (2, (F(1, 2), 0)), (2, (F(-3), 1.0))),
+    (core_from_charge, (3, (F(1, 2), F(-1, 2), 0)), (3, (F(0), -1.0, 1))),
+    (d4flat_from_lattice, ((F(1, 2), 0),), ((F(-3), 1.0),)),
+    (cores.validate_partition, ((2.5, 1),), ((F(2), 1.0),)),
+]
+
+
+@pytest.mark.parametrize("call,args,integral_args", NON_INTEGRAL_CALLS,
+                         ids=[call.__name__ for call, _, _ in NON_INTEGRAL_CALLS])
+def test_non_integral_input_is_refused(call, args, integral_args):
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(*args)
+    # integral Fractions and floats are the integers they equal
+    plain = [tuple(map(int, a)) if isinstance(a, tuple) else a for a in integral_args]
+    assert call(*integral_args) == call(*plain)

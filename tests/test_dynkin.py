@@ -1,3 +1,4 @@
+import string
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,25 @@ def test_id_grammar_round_trip():
         tid = AffineTypeId.parse(name)
         assert str(tid) == name
         assert lookup_type(name).name == name
+
+
+@pytest.mark.parametrize("max_rank", range(1, 9))
+def test_all_type_ids_are_the_registry_types_up_to_the_rank(max_rank):
+    # probe every family letter, twist and rank label up to 2 max_rank + 1,
+    # past the largest label of a rank-max_rank type (A_{2n}^{(2)})
+    accepted = set()
+    for family in string.ascii_uppercase:
+        for twist in (1, 2, 3):
+            for label in range(1, 2 * max_rank + 2):
+                try:
+                    t = lookup_type(f"{family}{label}_{twist}")
+                except UnknownType:
+                    continue
+                if t.n <= max_rank:
+                    accepted.add(t.name)
+    ids = dynkin.all_type_ids(max_rank)
+    assert len(ids) == len(set(ids))
+    assert set(ids) == accepted
 
 
 def test_rank_label_cap():
