@@ -155,12 +155,8 @@ def length_form(type_name, weight_index, lattice):
     """The statistic at Lambda_{weight_index} as a linalg.QuadraticForm over
     the integer coefficients of the lattice basis."""
     t = lookup_type(type_name)
-    if weight_index == 0:
-        lam = tuple(Fraction(0) for _ in range(t.ambient_dim))
-        level = Fraction(1)
-    else:
-        weight = weight_Lambda(t, weight_index)
-        lam, level = weight.finite_part, weight.level
+    weight = weight_Lambda(t, weight_index)
+    lam, level = weight.finite_part, weight.level
     return linalg.QuadraticForm.on_basis(
         _basis(t, lattice), level * t.h * t.scale_sq / 2,
         lambda v: t.h * t.inner(lam, v) - level * height(t, v))

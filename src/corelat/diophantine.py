@@ -6,11 +6,12 @@ it lists one canonical point per orbit instead; canonical and orbit_size give
 a point's canonical point and orbit size in closed form, for every group,
 without building the orbit, and orbit lists the orbit itself by formula;
 only FAIL witnesses, A2ext's tiling check and orbit_partition build one.
-H (signed permutations) reads its rank from the point, and D8 is H on two
-coordinates, sharing its rules.  The half-integer rotations of C6 and G_A3
-raise NonIntegralImage outside their parity domain.  solve_diagonal_meet is
-an independent meet-in-the-middle cross-check; the brute-force search over
-every variable lives in the tests as an oracle.
+H (signed permutations) reads its rank from the point; every other group
+refuses a point whose length is not its rank (3 for G_A3, else 2), and D8
+is H on two coordinates, sharing its rules.  The half-integer rotations of
+C6 and G_A3 raise NonIntegralImage outside their parity domain.
+solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
+brute-force search over every variable lives in the tests as an oracle.
 """
 
 import itertools
@@ -48,7 +49,7 @@ def solve_diagonal(form, k, group=None):
     reversed order fixes which point that names, (2,0,-3) at k = 31 where
     lexicographic order would name (1,-3,-2).
     """
-    form = as_integers(form)
+    form, (k,) = as_integers(form), as_integers([k])
     if any(d < 1 for d in form):
         raise ValueError("form coefficients must be positive")
     if group is not None:
@@ -143,7 +144,7 @@ def _solve_descending(n, k):
 
 def solve_diagonal_meet(form, k):
     """Independent meet-in-the-middle implementation of solve_diagonal."""
-    form = as_integers(form)
+    form, (k,) = as_integers(form), as_integers([k])
     if k < 0:
         return []
     split = max(1, len(form) // 2)
@@ -213,6 +214,18 @@ _INVARIANT = {
 }
 
 
+# The length of the points a fixed-rank group acts on; H takes any length.
+_RANK = {"D8": 2, "C4": 2, "V4": 2, "C6": 2, "G_A3": 3}
+
+
+def _point(group, point):
+    """The point as a tuple; ValueError unless its length is the group's rank."""
+    point = tuple(point)
+    if len(point) != _RANK.get(group, len(point)):
+        raise ValueError(f"{group} acts on points of length {_RANK[group]}, not on {point}")
+    return point
+
+
 def canonical(group, point):
     """The lexicographic maximum of the point's orbit, in closed form.
 
@@ -222,7 +235,11 @@ def canonical(group, point):
     G_A3 fixes y and adds the reflection z -> -z to those rotations of
     (x, sqrt(3) z), so its maximum is the largest (x, |z|) over them.
     """
-    point = tuple(point)
+    point = _point(group, point)
+    if group == "G_A3":     # first, as the A3 sweep's hottest call
+        x, y, z = point
+        x, z = max([(a, abs(b)) for a, b in _rotations60(point, x, z)])
+        return (x, y, z)
     if group in ("H", "D8"):
         return tuple(sorted(map(abs, point), reverse=True))
     if group == "V4":
@@ -234,10 +251,6 @@ def canonical(group, point):
                 else (-x, -y) if x == -m else (-y, x))
     if group == "C6":
         return max(_rotations60(point, *point))
-    if group == "G_A3":
-        x, y, z = point
-        x, z = max([(a, abs(b)) for a, b in _rotations60(point, x, z)])
-        return (x, y, z)
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -250,15 +263,15 @@ def orbit_size(group, point):
     coordinate.  C4 and C6: 1 at the origin, the group order elsewhere, as
     no rotation fixes another point.
     """
-    point = tuple(point)
+    if group == "G_A3":     # first, as in canonical, which checks the length
+        x, _, z = canonical(group, point)
+        return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
+    point = _point(group, point)
     if group in ("H", "D8"):
         size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
         for mult in Counter(map(abs, point)).values():
             size //= math.factorial(mult)
         return size
-    if group == "G_A3":
-        x, _, z = canonical(group, point)
-        return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
     if group == "V4":
         return 4 >> sum(1 for x in point if x == 0)
     return group_order(group) if any(canonical(group, point)) else 1
@@ -271,7 +284,7 @@ def orbit(group, point):
     quarter-turns.  C6: the rotations of (x, sqrt(3) y).  G_A3: those of
     (x, sqrt(3) z) and of (x, -sqrt(3) z), with y fixed.
     """
-    point = tuple(point)
+    point = _point(group, point)
     if group in ("H", "D8"):
         return {signed for perm in itertools.permutations(point)
                 for signed in itertools.product(*((x, -x) for x in perm))}

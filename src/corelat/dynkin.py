@@ -1,8 +1,9 @@
 """Registry of affine Dynkin type data over exact rationals.
 
-Each supported type carries its marks, comarks and an explicit realisation
-of the simple roots in an ambient epsilon-basis; its rank, Coxeter number,
-ambient dimension and J are derived from them.
+Each supported type carries its marks and an explicit realisation of the
+simple roots in an ambient epsilon-basis; its rank, Coxeter number, comarks
+(a_i^v = a_i |alpha_i|^2 / 2), ambient dimension and J are derived from them,
+as a type id's rank is from its label and all_type_ids from the registry.
 Types whose textbook realisation involves sqrt(2) are stored as rational
 coordinate vectors together with scale_sq = 2: the true vector is
 sqrt(scale_sq) times the stored one, so every inner product is
@@ -80,12 +81,20 @@ class AffineTypeId:
     def __str__(self):
         return f"{self.family}{self.rank_label}_{self.twist}"
 
+    @property
+    def rank(self):
+        """n, the number of finite simple roots: the label m at twist 1,
+        (m+1)//2 for A_m^(2), m-1 for D_m^(2), 4 for E6_2 and 2 for D4_3.
+        Every id that parses has one, whether or not it names a type."""
+        m = self.rank_label
+        return {("A", 2): (m + 1) // 2, ("D", 2): m - 1, ("E", 2): 4,
+                ("D", 3): 2}.get((self.family, self.twist), m)
+
 
 @dataclass(frozen=True)
 class TypeData:
     id: AffineTypeId
-    marks: tuple                # a_0 .. a_n
-    comarks: tuple              # a_0^v .. a_n^v
+    marks: tuple                # a_0 .. a_n; the comarks are derived
     scale_sq: int               # 1 or 2
     simple_roots: tuple         # stored coordinates
     m_basis: tuple              # Z-basis of the lattice M, stored coordinates
@@ -105,6 +114,12 @@ class TypeData:
     def h(self):
         """The Coxeter number, the sum of the marks."""
         return sum(self.marks)
+
+    @cached_property
+    def comarks(self):
+        """a_0^v .. a_n^v: a_0^v = 1 and a_i^v = a_i |alpha_i|^2 / 2."""
+        return (1,) + tuple(int(a * self.inner(alpha, alpha) / 2)
+                            for a, alpha in zip(self.marks[1:], self.simple_roots))
 
     @cached_property
     def ambient_dim(self):
@@ -137,36 +152,29 @@ def _omega1_type_a(n):
 
 
 def _build_type(tid):
-    fam, m, tw = tid.family, tid.rank_label, tid.twist
+    fam, m, tw, n = tid.family, tid.rank_label, tid.twist, tid.rank
     if tw == 1:
-        if fam == "A" and m >= 1:
-            n = m
+        if fam == "A" and n >= 1:
             roots = _chain(n, n + 1)
             l_basis = (_omega1_type_a(n),) + roots[: n - 1]
-            return TypeData(tid, (1,) * (n + 1), (1,) * (n + 1), 1, roots, roots, l_basis)
-        if fam == "B" and m >= 3:
-            n = m
+            return TypeData(tid, (1,) * (n + 1), 1, roots, roots, l_basis)
+        if fam == "B" and n >= 3:
             roots = _chain(n - 1, n) + (_unit(n, n - 1),)
             m_basis = roots[:-1] + (_unit(n, n - 1, 2),)
-            marks = (1, 1) + (2,) * (n - 1)
-            comarks = (1, 1) + (2,) * (n - 2) + (1,)
-            return TypeData(tid, marks, comarks, 1, roots, m_basis, None)
-        if fam == "C" and m >= 2:
-            n = m
+            return TypeData(tid, (1, 1) + (2,) * (n - 1), 1, roots, m_basis, None)
+        if fam == "C" and n >= 2:
             roots = _chain(n - 1, n, Fraction(1, 2)) + (_unit(n, n - 1),)
             m_basis = tuple(_unit(n, i) for i in range(n))
             omega_n = tuple(Fraction(1, 2) for _ in range(n))
             l_basis = tuple(_unit(n, i) for i in range(n - 1)) + (omega_n,)
             marks = (1,) + (2,) * (n - 1) + (1,)
-            return TypeData(tid, marks, (1,) * (n + 1), 2, roots, m_basis, l_basis)
-        if fam == "D" and m >= 4:
-            n = m
+            return TypeData(tid, marks, 2, roots, m_basis, l_basis)
+        if fam == "D" and n >= 4:
             roots = _chain(n - 1, n) + (
                 tuple(Fraction(1) if j >= n - 2 else Fraction(0) for j in range(n)),)
             marks = (1, 1) + (2,) * (n - 3) + (1, 1)
-            return TypeData(tid, marks, marks, 1, roots, roots, None)
-        if fam == "E" and m in (6, 7, 8):
-            n = m
+            return TypeData(tid, marks, 1, roots, roots, None)
+        if fam == "E" and n in (6, 7, 8):
             marks = {
                 6: (1, 1, 2, 3, 2, 2, 1),
                 7: (1, 1, 2, 3, 4, 2, 3, 2),
@@ -176,8 +184,8 @@ def _build_type(tid):
                 tuple(Fraction(1) if j in (n - 3, n - 2) else Fraction(0) for j in range(8)),
                 tuple(Fraction(-1, 2) for _ in range(8)),
             )
-            return TypeData(tid, marks, marks, 1, roots, roots, None)
-        if fam == "F" and m == 4:
+            return TypeData(tid, marks, 1, roots, roots, None)
+        if fam == "F" and n == 4:
             roots = (
                 _vec(1, -1, 0, 0),
                 _vec(0, 1, -1, 0),
@@ -185,39 +193,30 @@ def _build_type(tid):
                 _vec(Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)),
             )
             m_basis = roots[:2] + (_vec(0, 0, 2, 0), _vec(-1, -1, -1, 1))
-            return TypeData(tid, (1, 2, 3, 4, 2), (1, 2, 3, 2, 1), 1, roots, m_basis, None)
-        if fam == "G" and m == 2:
+            return TypeData(tid, (1, 2, 3, 4, 2), 1, roots, m_basis, None)
+        if fam == "G" and n == 2:
             roots = (
                 _vec(1, -1, 0),
                 _vec(Fraction(-2, 3), Fraction(1, 3), Fraction(1, 3)),
             )
             m_basis = (roots[0], _vec(-2, 1, 1))
-            return TypeData(tid, (1, 2, 3), (1, 2, 1), 1, roots, m_basis, None)
+            return TypeData(tid, (1, 2, 3), 1, roots, m_basis, None)
     elif tw == 2:
         if fam == "A" and m == 2:
             roots = (_vec(1, -1),)
             m_basis = (_vec(Fraction(1, 2), Fraction(-1, 2)),)
-            return TypeData(tid, (2, 1), (1, 2), 2, roots, m_basis, None)
+            return TypeData(tid, (2, 1), 2, roots, m_basis, None)
         if fam == "A" and m >= 4:
+            roots = _chain(n - 1, n) + (_unit(n, n - 1, 2),)
             if m % 2 == 0:           # A_{2n}^{(2)}
-                n = m // 2
-                roots = _chain(n - 1, n) + (_unit(n, n - 1, 2),)
                 m_basis = tuple(_unit(n, i) for i in range(n))
-                marks = (2,) * n + (1,)
-                comarks = (1,) + (2,) * n
-                return TypeData(tid, marks, comarks, 1, roots, m_basis, None)
-            if m % 2 == 1 and m >= 5:  # A_{2n-1}^{(2)}
-                n = (m + 1) // 2
-                roots = _chain(n - 1, n) + (_unit(n, n - 1, 2),)
-                marks = (1, 1) + (2,) * (n - 2) + (1,)
-                comarks = (1, 1) + (2,) * (n - 1)
-                return TypeData(tid, marks, comarks, 1, roots, roots, None)
-        if fam == "D" and m >= 3:    # D_{n+1}^{(2)}
-            n = m - 1
+                return TypeData(tid, (2,) * n + (1,), 1, roots, m_basis, None)
+            marks = (1, 1) + (2,) * (n - 2) + (1,)   # A_{2n-1}^{(2)}
+            return TypeData(tid, marks, 1, roots, roots, None)
+        if fam == "D" and n >= 2:    # D_{n+1}^{(2)}
             roots = _chain(n - 1, n) + (_unit(n, n - 1),)
             m_basis = tuple(_unit(n, i) for i in range(n))
-            comarks = (1,) + (2,) * (n - 1) + (1,)
-            return TypeData(tid, (1,) * (n + 1), comarks, 2, roots, m_basis, None)
+            return TypeData(tid, (1,) * (n + 1), 2, roots, m_basis, None)
         if fam == "E" and m == 6:
             roots = (
                 _vec(1, -1, 0, 0),
@@ -225,11 +224,11 @@ def _build_type(tid):
                 _vec(0, 0, 2, 0),
                 _vec(-1, -1, -1, 1),
             )
-            return TypeData(tid, (1, 2, 3, 2, 1), (1, 2, 3, 4, 2), 1, roots, roots, None)
+            return TypeData(tid, (1, 2, 3, 2, 1), 1, roots, roots, None)
     elif tw == 3:
         if fam == "D" and m == 4:
             roots = (_vec(1, -1, 0), _vec(-2, 1, 1))
-            return TypeData(tid, (1, 2, 1), (1, 2, 3), 1, roots, roots, None)
+            return TypeData(tid, (1, 2, 1), 1, roots, roots, None)
     raise UnknownType(f"{tid} is not a supported affine type")
 
 
@@ -240,35 +239,28 @@ def lookup_type(type_id):
     return _build_type(tid)
 
 
+# The families in the order all_type_ids lists them.
+_FAMILIES = (("A", 1), ("B", 1), ("C", 1), ("D", 1), ("E", 1), ("F", 1), ("G", 1),
+             ("A", 2), ("D", 2), ("E", 2), ("D", 3))
+
+
 def all_type_ids(max_rank=4):
-    """All supported type-id strings with rank (n) at most max_rank."""
+    """Exactly the type ids lookup_type accepts with rank (n) at most max_rank,
+    family by family in label order, A_{2n}^(2) (even labels) before
+    A_{2n-1}^(2) (odd labels).  A rank-n type has a label of at most 2n."""
     ids = []
-    for n in range(1, max_rank + 1):
-        ids.append(f"A{n}_1")
-    for n in range(3, max_rank + 1):
-        ids.append(f"B{n}_1")
-    for n in range(2, max_rank + 1):
-        ids.append(f"C{n}_1")
-    for n in range(4, max_rank + 1):
-        ids.append(f"D{n}_1")
-    for n in range(6, min(max_rank, 8) + 1):
-        ids.append(f"E{n}_1")
-    if max_rank >= 4:
-        ids.append("F4_1")
-    if max_rank >= 2:
-        ids.append("G2_1")
-    if max_rank >= 1:
-        ids.append("A2_2")
-    for n in range(2, max_rank + 1):
-        ids.append(f"A{2 * n}_2")          # A_{2n}^{(2)}
-    for n in range(3, max_rank + 1):
-        ids.append(f"A{2 * n - 1}_2")      # A_{2n-1}^{(2)}
-    for n in range(2, max_rank + 1):
-        ids.append(f"D{n + 1}_2")          # D_{n+1}^{(2)}
-    if max_rank >= 4:
-        ids.append("E6_2")
-    if max_rank >= 2:
-        ids.append("D4_3")
+    for family, twist in _FAMILIES:
+        labels = range(1, 2 * max_rank + 2)
+        if (family, twist) == ("A", 2):
+            labels = sorted(labels, key=lambda m: m % 2)
+        for tid in (AffineTypeId(family, m, twist) for m in labels):
+            if tid.rank > max_rank:
+                continue
+            try:
+                lookup_type(str(tid))   # parsed, so the rank-label cap holds
+            except UnknownType:
+                continue
+            ids.append(str(tid))
     return ids
 
 

@@ -194,15 +194,14 @@ def _hyp_family_of_type(type_id):
     from .dynkin import AffineTypeId
     tid = AffineTypeId.parse(type_id)
     if tid.twist == 1 and tid.family in ("B", "C"):
-        family, n = tid.family, tid.rank_label
-    elif tid.twist == 2 and tid.family == "A" and tid.rank_label % 2 == 1:
-        family, n = "Aodd", (tid.rank_label + 1) // 2
+        family = tid.family
     elif tid.twist == 2 and tid.family == "A":
-        family, n = "Aeven", tid.rank_label // 2
+        family = "Aodd" if tid.rank_label % 2 else "Aeven"
     elif tid.twist == 2 and tid.family == "D":
-        family, n = "Dt", tid.rank_label - 1
+        family = "Dt"
     else:
         raise ValueError(f"{type_id} has no hyperoctahedral pipeline")
+    n = tid.rank
     if n < 1:
         raise ValueError(f"{type_id} has hyperoctahedral rank {n}; the pipeline needs rank >= 1")
     return family, n

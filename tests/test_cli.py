@@ -218,6 +218,7 @@ FUZZ_ARGVS = {
                         optional("--N", FUZZ_LEVELS), optional("--max-N", FUZZ_LEVELS)),
     "table": st.tuples(option("--figure", mostly(sorted(cli.FIGURES), ["nope", ""])),
                        optional("--max-N", FUZZ_LEVELS)),
+    "conjecture-a3": st.tuples(optional("--max-N", FUZZ_LEVELS)),
 }
 
 

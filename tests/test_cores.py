@@ -350,14 +350,32 @@ NON_INTEGRAL_CALLS = [
     (core_from_charge, (3, (F(1, 2), F(-1, 2), 0)), (3, (F(0), -1.0, 1))),
     (d4flat_from_lattice, ((F(1, 2), 0),), ((F(-3), 1.0),)),
     (cores.validate_partition, ((2.5, 1),), ((F(2), 1.0),)),
+    # the right-hand side k is read as the form is
+    (solve_diagonal, ((1, 1), F(5, 2)), ((1, 1), F(5))),
+    (solve_diagonal, ((1, 1), 2.5), ((1, 1), 5.0)),
+    (solve_diagonal, ((1, 1), 2.5, "D8"), ((1, 1), 5.0, "D8")),
+    (solve_diagonal_meet, ((1, 1), F(5, 2)), ((1, 1), F(5))),
+    (solve_diagonal_meet, ((1, 1), 2.5), ((1, 1), 5.0)),
 ]
 
 
+def _plain(arg):
+    """An integral argument as ints: a tuple entry by entry, a number itself."""
+    if isinstance(arg, tuple):
+        return tuple(map(int, arg))
+    return int(arg) if isinstance(arg, (F, float)) else arg
+
+
+def _row_id(call, args):
+    """The call's name, then each non-integral scalar argument and the group."""
+    return "-".join([call.__name__] + [str(a) for a in args if isinstance(a, (F, float, str))])
+
+
 @pytest.mark.parametrize("call,args,integral_args", NON_INTEGRAL_CALLS,
-                         ids=[call.__name__ for call, _, _ in NON_INTEGRAL_CALLS])
+                         ids=[_row_id(call, args) for call, args, _ in NON_INTEGRAL_CALLS])
 def test_non_integral_input_is_refused(call, args, integral_args):
     with pytest.raises(ValueError, match="is not an integer"):
         call(*args)
     # integral Fractions and floats are the integers they equal
-    plain = [tuple(map(int, a)) if isinstance(a, tuple) else a for a in integral_args]
+    plain = [_plain(a) for a in integral_args]
     assert call(*integral_args) == call(*plain)

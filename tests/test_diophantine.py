@@ -151,6 +151,16 @@ def test_hyperoctahedral_rank_comes_from_the_points():
         group_order("H")
 
 
+@pytest.mark.parametrize("call", [canonical, orbit_size, orbit])
+@pytest.mark.parametrize("group,rank", [("D8", 2), ("C4", 2), ("V4", 2), ("C6", 2), ("G_A3", 3)])
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_fixed_rank_groups_refuse_points_of_another_length(group, rank, call, offset):
+    point = tuple(range(1, rank + offset + 1))
+    with pytest.raises(ValueError) as refused:
+        call(group, point)
+    assert refused.type is ValueError
+
+
 def test_freeness_characterisation():
     # free iff k is neither a square nor twice a square
     for k in range(1, 500):

@@ -12,6 +12,7 @@ from corelat.dynkin import (
     lookup_type,
     simple_root_coefficients,
 )
+from golden_data import COMARKS
 from oracles import det, theta
 
 
@@ -42,6 +43,29 @@ def test_all_type_ids_are_the_registry_types_up_to_the_rank(max_rank):
     ids = dynkin.all_type_ids(max_rank)
     assert len(ids) == len(set(ids))
     assert set(ids) == accepted
+
+
+def test_all_type_ids_order():
+    # the bench draws its random points type by type in this order
+    assert dynkin.all_type_ids(4) == [
+        "A1_1", "A2_1", "A3_1", "A4_1", "B3_1", "B4_1", "C2_1", "C3_1", "C4_1", "D4_1",
+        "F4_1", "G2_1", "A2_2", "A4_2", "A6_2", "A8_2", "A5_2", "A7_2", "D3_2", "D4_2",
+        "D5_2", "E6_2", "D4_3"]
+
+
+def test_all_type_ids_lists_only_accepted_ids():
+    # the rank-label cap holds: no A51_2 or A52_2 among the rank-26 types
+    for name in dynkin.all_type_ids(30):
+        assert lookup_type(name).name == name
+
+
+def test_rank_is_read_off_the_label():
+    for name in dynkin.all_type_ids(8):
+        assert AffineTypeId.parse(name).rank == lookup_type(name).n, name
+
+
+def test_derived_comarks_match_the_golden():
+    assert {name: lookup_type(name).comarks for name in COMARKS} == COMARKS
 
 
 def test_rank_label_cap():

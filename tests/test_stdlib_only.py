@@ -1,12 +1,18 @@
 """The runtime is stdlib-only: every module of src/corelat imports only the
-standard library and corelat itself."""
+standard library and corelat itself, and parses as the oldest Python that
+pyproject.toml's requires-python admits."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "corelat"
 ALLOWED = sys.stdlib_module_names | {"corelat"}
+# (3, 10) from requires-python = ">=3.10"
+FLOOR = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                                 (SRC.parent.parent / "pyproject.toml").read_text(),
+                                 re.MULTILINE).groups()))
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -14,7 +20,8 @@ def test_runtime_imports_only_the_standard_library():
     assert sources
     outside = []
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        # feature_version refuses syntax newer than the floor, e.g. except* below 3.11
+        for node in ast.walk(ast.parse(path.read_text(), str(path), feature_version=FLOOR)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
