@@ -8,8 +8,8 @@ without building the orbit, and orbit lists the orbit itself by formula;
 only FAIL witnesses, A2ext's tiling check and orbit_partition build one.
 H (signed permutations) reads its rank from the point; every other group
 refuses a point whose length is not its rank (3 for G_A3, else 2), and D8
-is H on two coordinates, sharing its rules.  The half-integer rotations of
-C6 and G_A3 raise NonIntegralImage outside their parity domain.
+is H on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved
+integer matrices, which raise NonIntegralImage outside their parity domain.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -41,7 +41,8 @@ def solve_diagonal(form, k, group=None):
     With a group, whose action must leave the form invariant, only the
     canonical solutions, one per orbit (see canonical), sorted.  G_A3 on
     (1, 2, 3) at even k, and H and D8 on an equal form, are searched in
-    their fundamental domains, so no other point is visited.  V4, C4 and C6
+    their fundamental domains, so no other point is visited: G_A3 over
+    (z, x) in its sector, solving for y (_solve_ga3_sector).  V4, C4 and C6
     list all of U (the search on the reversed form decides x_1 last) and
     keep the points with x_1 >= 0 that are their own canonical point, as
     each of them negates x_1.  G_A3 at odd k takes this path too: canonical
@@ -102,19 +103,20 @@ def _solve_all(form, k):
 
 
 def _solve_ga3_sector(k):
-    """Solutions of x^2 + 2y^2 + 3z^2 = k in the sector x >= 3z >= 0, sorted.
+    """Solutions of x^2 + 2y^2 + 3z^2 = k, k even, in the sector x >= 3z >= 0,
+    sorted.
 
-    x >= 3z needs x^2 >= 9z^2, so 12z^2 + 2y^2 <= k bounds z and then y.
+    x >= 3z needs 12z^2 <= k, which bounds z.  An even k forces x = z (mod 2),
+    so x steps by 2 from 3z, and y is decided by isqrt, -y before y.
     """
     solutions = []
     for z in range(isqrt(k // 12) + 1):
         rest = k - 3 * z * z
-        bound = isqrt((rest - 9 * z * z) // 2)
-        for y in range(-bound, bound + 1):
-            q = rest - 2 * y * y
-            x = isqrt(q)
-            if x * x == q and x >= 3 * z:
-                solutions.append((x, y, z))
+        for x in range(3 * z, isqrt(rest) + 1, 2):
+            q = (rest - x * x) // 2
+            y = isqrt(q)
+            if y * y == q:
+                solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
     solutions.sort()
     return solutions
 
@@ -175,32 +177,34 @@ def solve_diagonal_meet(form, k):
 # Group actions
 
 
-def _rotations60(point, x, z):
-    """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that
-    order; NonIntegralImage when x - z is odd, which is outside point's domain."""
+# Twice the rotation of (x, sqrt(3) z) through 60k degrees, k = 0..5, as the
+# rows (a, b, c, d) of [[a, b], [c, d]].
+_R60 = ((2, 0, 0, 2), (1, -3, 1, 1), (-1, -3, 1, -1),
+        (-2, 0, 0, -2), (-1, 3, -1, -1), (1, 3, -1, 1))
+
+
+def _rotate60(point, x, z, k):
+    """(x, sqrt(3) z) rotated through 60k degrees; NonIntegralImage when x - z
+    is odd, which is outside point's domain."""
     if (x - z) % 2:
         raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
-    rotations = [(x, z)]
-    for _ in range(5):
-        x, z = (x - 3 * z) // 2, (x + z) // 2
-        rotations.append((x, z))
-    return rotations
+    a, b, c, d = _R60[k]
+    return ((a * x + b * z) // 2, (c * x + d * z) // 2)
+
+
+def _rotations60(point, x, z):
+    """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that order."""
+    return [_rotate60(point, x, z, k) for k in range(6)]
 
 
 def group_order(group, rank=None):
-    if group == "D8":
-        return 8
-    if group in ("C4", "V4"):
-        return 4
-    if group == "C6":
-        return 6
-    if group == "G_A3":
-        return 12
     if group == "H":
         if rank is None:
             raise ValueError("the hyperoctahedral group needs its rank")
         return (2 ** rank) * math.factorial(rank)
-    raise ValueError(f"unknown group {group!r}")
+    if group not in _RANK:
+        raise ValueError(f"unknown group {group!r}")
+    return {"D8": 8, "C4": 4, "V4": 4, "C6": 6, "G_A3": 12}[group]
 
 
 # Whether a group's action leaves a diagonal form invariant.
@@ -231,15 +235,19 @@ def canonical(group, point):
 
     H and D8: absolute values, non-increasing.  V4: absolute values.  C4:
     the rotation into the sector x > 0, -x < y <= x, or the origin.  C6: the
-    largest rotation of (x, sqrt(3) y) through a multiple of 60 degrees.
-    G_A3 fixes y and adds the reflection z -> -z to those rotations of
-    (x, sqrt(3) z), so its maximum is the largest (x, |z|) over them.
+    rotation of (x, sqrt(3) y) into (-30, 30] degrees: the point's sector
+    (60s - 30, 60s + 30] is read off the signs of x and x -+ 3y and turned
+    back by -60s degrees (the origin falls through to s = 5).  G_A3 fixes y
+    and adds z -> -z to the rotations of (x, sqrt(3) z): C6's result, |z|.
     """
     point = _point(group, point)
-    if group == "G_A3":     # first, as the A3 sweep's hottest call
-        x, y, z = point
-        x, z = max([(a, abs(b)) for a, b in _rotations60(point, x, z)])
-        return (x, y, z)
+    if group in ("G_A3", "C6"):     # first, as the A3 sweep's hottest call
+        x, z = point[0], point[-1]
+        u, v = x - 3 * z, x + 3 * z
+        s = (0 if u >= 0 < v else 1 if u < 0 <= x else 2 if x < 0 <= v
+             else 3 if u <= 0 > v else 4 if x <= 0 < u else 5)
+        x, z = _rotate60(point, x, z, -s)
+        return (x, point[1], abs(z)) if group == "G_A3" else (x, z)
     if group in ("H", "D8"):
         return tuple(sorted(map(abs, point), reverse=True))
     if group == "V4":
@@ -249,8 +257,6 @@ def canonical(group, point):
         m = max(abs(x), abs(y))
         return ((x, y) if x == m and y != -m else (y, -x) if y == m
                 else (-x, -y) if x == -m else (-y, x))
-    if group == "C6":
-        return max(_rotations60(point, *point))
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -259,12 +265,15 @@ def orbit_size(group, point):
 
     H and D8: n!/prod(mult!) * 2^(non-zero entries), mult counting equal
     absolute values.  G_A3: 1 at x = z = 0, 6 on the boundary rays z = 0 and
-    x = 3z of the canonical sector, 12 inside it.  V4: 4 halved for each zero
-    coordinate.  C4 and C6: 1 at the origin, the group order elsewhere, as
-    no rotation fixes another point.
+    x = 3z of the canonical sector x >= 3z >= 0, 12 inside it, read off a
+    sector point with x - z even (every representative) without canonical.
+    V4: 4 halved for each zero coordinate.  C4 and C6: 1 at the origin, the
+    group order elsewhere, as no rotation fixes another point.
     """
-    if group == "G_A3":     # first, as in canonical, which checks the length
-        x, _, z = canonical(group, point)
+    if group == "G_A3":     # first, as the A3 sweep's hottest call
+        if len(point) != 3 or not point[0] >= 3 * point[2] >= 0 or (point[0] - point[2]) % 2:
+            point = canonical(group, point)
+        x, _, z = point
         return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
     point = _point(group, point)
     if group in ("H", "D8"):
@@ -320,13 +329,15 @@ def orbit_partition(group, solutions):
 
 def is_action_free(group, solutions):
     """(True, None) when every orbit has full group size, else (False, the
-    canonical point of the least undersized point).  A set is closed when each
-    canonical class holds orbit_size points; otherwise NotClosed names the
-    least point of a short class.  No orbit is built."""
-    points = sorted(set(map(tuple, solutions)))
-    found = Counter(canonical(group, p) for p in points)
-    short = [p for p in points if found[canonical(group, p)] < orbit_size(group, p)]
+    canonical point of the least undersized point).  One pass groups the points
+    by canonical point; the set is closed when each class holds orbit_size
+    points, else NotClosed names the least point of a short class."""
+    classes = {}
+    for p in sorted(set(map(tuple, solutions))):
+        classes.setdefault(canonical(group, p), []).append(p)
+    sizes = [(c, ps, orbit_size(group, c)) for c, ps in classes.items()]
+    short = [ps[0] for c, ps, size in sizes if len(ps) < size]
     if short:
         raise NotClosed(f"orbit of {short[0]} leaves the solution set")
-    small = [p for p in points if orbit_size(group, p) < group_order(group, len(p))]
-    return (False, canonical(group, small[0])) if small else (True, None)
+    small = [c for c, ps, size in sizes if size < group_order(group, len(c))]
+    return (False, small[0]) if small else (True, None)

@@ -56,6 +56,12 @@ them, by opaque element tokens: group_elements lists a group's tokens and
 act applies one to a point.  They are the reference that orbit, canonical
 and orbit_size are tested against, and the original claim checks above
 apply them.
+
+rotations60_stepwise, canonical60_by_rotations and solve_ga3_sector_by_y
+are the original 60-degree rules of diophantine: the six rotations of
+(x, sqrt(3) z) by repeating one half-integer step, the canonical point of
+C6 and G_A3 as the largest of them, and the G_A3 sector search that steps
+y and decides x.
 """
 
 import itertools
@@ -215,6 +221,24 @@ def solve_diagonal_brute(form, k):
 
     rec(0, k, [])
     return sorted(solutions)
+
+
+def solve_ga3_sector_by_y(k):
+    """Solutions of x^2 + 2y^2 + 3z^2 = k in the sector x >= 3z >= 0, sorted.
+
+    x >= 3z needs x^2 >= 9z^2, so 12z^2 + 2y^2 <= k bounds z and then y.
+    """
+    solutions = []
+    for z in range(isqrt(k // 12) + 1):
+        rest = k - 3 * z * z
+        bound = isqrt((rest - 9 * z * z) // 2)
+        for y in range(-bound, bound + 1):
+            q = rest - 2 * y * y
+            x = isqrt(q)
+            if x * x == q and x >= 3 * z:
+                solutions.append((x, y, z))
+    solutions.sort()
+    return solutions
 
 
 def _integer_interval(center, radius_sq):
@@ -451,6 +475,31 @@ def act(group, element, point):
     if group == "H":
         perm, signs = element
         return tuple(s * point[p] for s, p in zip(signs, perm))
+    raise ValueError(f"unknown group {group!r}")
+
+
+def rotations60_stepwise(point, x, z):
+    """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that
+    order; NonIntegralImage when x - z is odd, which is outside point's domain."""
+    if (x - z) % 2:
+        raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
+    rotations = [(x, z)]
+    for _ in range(5):
+        x, z = (x - 3 * z) // 2, (x + z) // 2
+        rotations.append((x, z))
+    return rotations
+
+
+def canonical60_by_rotations(group, point):
+    """The canonical point of C6 or G_A3 as the largest of the six rotations:
+    of (x, sqrt(3) y) for C6, and for G_A3 of (x, sqrt(3) z) with |z|, y fixed."""
+    point = tuple(point)
+    if group == "G_A3":
+        x, y, z = point
+        x, z = max([(a, abs(b)) for a, b in rotations60_stepwise(point, x, z)])
+        return (x, y, z)
+    if group == "C6":
+        return max(rotations60_stepwise(point, *point))
     raise ValueError(f"unknown group {group!r}")
 
 

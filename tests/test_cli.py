@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from corelat import cli, param
 
-from golden_data import (CONJECTURE_A3_JSON_3, TABLE_12N7, TABLE_40N10, TABLE_6N7,
-                         TABLE_8N1, VERIFY_JSON)
+from golden_data import (CONJECTURE_A3_JSON_3, SWEEP_SHA256, TABLE_12N7, TABLE_40N10,
+                         TABLE_6N7, TABLE_8N1, VERIFY_JSON)
 
 
 def run_cli(argv):
@@ -342,6 +343,13 @@ def test_conjecture_json_golden():
     code, out = run_cli(["conjecture-a3", "--max-N", "3", "--format", "json"])
     assert code == 0
     assert out == CONJECTURE_A3_JSON_3
+
+
+@pytest.mark.parametrize("argv", sorted(SWEEP_SHA256))
+def test_long_sweeps_are_byte_identical(argv):
+    code, out = run_cli(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[argv]
 
 
 @pytest.mark.parametrize("case_id", ["HYP:B1_1", "HYP:C1_1", "HYP:A1_2", "HYP:D2_2"])

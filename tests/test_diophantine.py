@@ -193,23 +193,23 @@ def _freeness_sets():
                 yield group, sols[:i] + sols[i + 1:] + sols[:1]
 
 
-def _freeness(is_free, group, points):
+def _result_or_error(call, group, points):
     try:
-        return is_free(group, points)
+        return call(group, points)
     except (NotClosed, NonIntegralImage) as exc:
         return type(exc).__name__, str(exc)
 
 
 def test_action_freeness_matches_orbit_partition_oracle(monkeypatch):
     sets = list(_freeness_sets())
-    expected = [_freeness(oracles.is_action_free, group, points) for group, points in sets]
+    expected = [_result_or_error(oracles.is_action_free, group, points) for group, points in sets]
 
     def refuse(*args):
         raise AssertionError("is_action_free built an orbit")
 
     monkeypatch.setattr(diophantine, "orbit", refuse)
     monkeypatch.setattr(diophantine, "orbit_partition", refuse)
-    assert [_freeness(is_action_free, group, points) for group, points in sets] == expected
+    assert [_result_or_error(is_action_free, group, points) for group, points in sets] == expected
     outcomes = {(group, result[0]) for (group, _), result in zip(sets, expected)}
     for group in ("D8", "C4", "V4", "C6", "G_A3", "H"):
         assert {(group, True), (group, "NotClosed")} <= outcomes, group
@@ -260,6 +260,72 @@ def test_representatives_hyperoctahedral(rank):
         case = param.hyp_case(type_id)
         for n in range(levels):
             _assert_representatives("H", case.form, case.equation_value(n))
+
+
+def _counting(monkeypatch, *names):
+    """Wrap the named diophantine functions so that each call is counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(diophantine, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(diophantine, name, counted)
+    return calls
+
+
+def test_action_freeness_makes_one_pass(monkeypatch):
+    points = solve_diagonal((1, 3), 6916)
+    orbits = len(orbit_partition("C6", points))
+    assert (len(points), orbits) == (48, 8)
+    calls = _counting(monkeypatch, "canonical", "orbit_size")
+    assert is_action_free("C6", points) == (True, None)
+    # one canonical point per point, one orbit size per orbit, and C6's
+    # orbit_size canonicalises its point once more
+    assert calls == {"canonical": len(points) + orbits, "orbit_size": orbits}
+
+
+def test_closed_form_canonical_matches_max_of_rotations():
+    # coordinates up to 3, 20 and 1000: about half of them are off the
+    # parity domain, where both rules raise the same message
+    rng = random.Random(18)
+    raised = set()
+    for scale in (3, 20, 1000):
+        for group, rank in (("C6", 2), ("G_A3", 3)):
+            for _ in range(3000):
+                p = tuple(rng.randint(-scale, scale) for _ in range(rank))
+                expected = _result_or_error(oracles.canonical60_by_rotations, group, p)
+                assert _result_or_error(canonical, group, p) == expected, (group, p)
+                if expected[0] == "NonIntegralImage":
+                    raised.add(group)
+                    assert _result_or_error(orbit_size, group, p) == expected
+                    continue
+                x, z = p[0], p[-1]
+                assert (diophantine._rotations60(p, x, z)
+                        == oracles.rotations60_stepwise(p, x, z))
+                assert orbit_size(group, p) == len(orbit(group, p)), (group, p)
+    assert raised == {"C6", "G_A3"}
+
+
+def test_ga3_sector_search_matches_the_y_stepping_oracle():
+    for k in range(0, 4000, 2):
+        assert diophantine._solve_ga3_sector(k) == oracles.solve_ga3_sector_by_y(k), k
+
+
+def test_ga3_at_odd_level_names_the_first_point_of_the_reversed_search():
+    with pytest.raises(NonIntegralImage, match=r"^\(2,0,-3\) is outside the parity domain$"):
+        solve_diagonal((1, 2, 3), 31, "G_A3")
+
+
+def test_ga3_sector_points_skip_canonical(monkeypatch):
+    calls = _counting(monkeypatch, "canonical")
+    for n in range(101):
+        param.LevelData(param.CASES["A3"], n).solution_count
+    assert calls == {"canonical": 0}
+    with pytest.raises(NonIntegralImage):
+        orbit_size("G_A3", (3, 0, 0))
+    with pytest.raises(ValueError) as refused:
+        orbit_size("G_A3", (3, 0))
+    assert refused.type is ValueError
 
 
 def test_canonical_parity_domain_and_invariance():
