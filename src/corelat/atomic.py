@@ -6,17 +6,21 @@ translation by x, the statistic evaluates to
     h * (lambda | x) + (level * h / 2) * |x|^2 - level * ht(x),
 
 which specialises to (h/2)|x|^2 - ht(x) at Lambda_0.  The delta coefficient
-z never contributes.  Everything is exact: a point v is scaled once to
-integers V / q, and each statistic is one Fraction built from integer dot
-products with the type's compiled root solver (dynkin.TypeData.root_solver),
-its height functional and its fundamental weights, all scaled to integers
-once per type.  Lattice membership uses a SpanSolver per (type, lattice)
-and tests integrality of the coefficients by divisibility.
+z never contributes.  Everything is exact.  A point v, a tuple of
+coordinates or a LatticeVector, is read once as integers V / q by
+dynkin.integer_point: int and Fraction coordinates as they are, any other
+kind through Fraction, and a point whose length is not the type's
+ambient_dim is refused.  Each statistic is then one Fraction built from
+integer dot products with the type's compiled root solver
+(dynkin.TypeData.root_solver), its height functional and its fundamental
+weights, all scaled to integers once per type.  Lattice
+membership uses a SpanSolver per (type, lattice) and tests integrality of
+the coefficients by divisibility.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import dynkin, linalg
 from .dynkin import NotInRootSpan, lookup_type
@@ -53,11 +57,13 @@ class DominantWeight:
     level: Fraction
     delta_coeff: Fraction = Fraction(0)
 
-
-def _coords(v):
-    if isinstance(v, LatticeVector):
-        v = v.coords
-    return tuple(Fraction(x) for x in v)
+    @cached_property
+    def _scaled(self):
+        """The (lam, level) arguments of _statistic for this weight, scaled
+        to integers on first use: the finite part as dynkin.integer_point
+        reads it and the level as (numerator, denominator)."""
+        (a,), b = linalg.integer_vector((self.level,))
+        return dynkin.integer_point(lookup_type(self.type_id), self.finite_part), (a, b)
 
 
 def _type(t):
@@ -84,25 +90,26 @@ def weight_Lambda(t, i):
 def height(t, v):
     """Sum of the simple-root coefficients of v (rational on L)."""
     t = _type(t)
-    V, q = dynkin.root_span_integers(t, _coords(v))
+    V, q = dynkin.root_span_integers(t, v)
     return Fraction(linalg.dot(t.root_solver.total, V), t.root_solver.D * q)
 
 
 def norm_sq(t, v):
     t = _type(t)
-    v = _coords(v)
-    return t.inner(v, v)
+    V, q = dynkin.integer_point(t, v)
+    return Fraction(t.scale_sq * linalg.dot(V, V), q * q)
 
 
-def _statistic(t, v, lam=((), 1), level=1):
-    """h (lam | v) + level ((h/2)|v|^2 - ht(v)) for lam = L / p given as
-    (L, p), as one Fraction of integer dot products on v = V / q."""
-    V, q = dynkin.root_span_integers(t, _coords(v))
-    solver, (L, p), level = t.root_solver, lam, Fraction(level)
-    hs, den = t.h * t.scale_sq, 2 * solver.D * q * level.denominator
+def _statistic(t, v, lam=((), 1), level=(1, 1)):
+    """h (lam | v) + level ((h/2)|v|^2 - ht(v)) for lam = L / p and
+    level = a / b given as integers (L, p) and (a, b), as one Fraction of
+    integer dot products on v = V / q."""
+    V, q = dynkin.root_span_integers(t, v)
+    solver, (L, p), (a, b) = t.root_solver, lam, level
+    hs, den = t.h * t.scale_sq, 2 * solver.D * q * b
     # 2 D q^2 times the atomic length (h/2)|v|^2 - ht(v)
     length0 = hs * solver.D * linalg.dot(V, V) - 2 * q * linalg.dot(solver.total, V)
-    return Fraction(den * hs * linalg.dot(L, V) + level.numerator * p * length0, den * q * p)
+    return Fraction(den * hs * linalg.dot(L, V) + a * p * length0, den * q * p)
 
 
 @lru_cache(maxsize=None)
@@ -126,18 +133,23 @@ def atomic_length_i(t, i, v):
     t = _type(t)
     if not 1 <= i <= t.n:
         raise BadIndex(f"index {i} outside 1..{t.n} for {t.name}")
-    return _statistic(t, v, integer_weights(t.name)[i - 1], Fraction(t.comarks[i], t.comarks[0]))
+    return _statistic(t, v, integer_weights(t.name)[i - 1], (t.comarks[i], t.comarks[0]))
 
 
 def extended_atomic_length(t, weight, x):
-    """Statistic for an arbitrary dominant weight on a translation by x."""
-    return _statistic(_type(t), x, linalg.integer_vector(weight.finite_part), weight.level)
+    """Statistic for an arbitrary dominant weight of type t on a translation
+    by x; ValueError for a weight of another type."""
+    t = _type(t)
+    if weight.type_id != t.name:
+        raise ValueError(f"weight of type {weight.type_id} given for {t.name}")
+    return _statistic(t, x, *weight._scaled)
 
 
 def defect(t, weight, x, y):
     """Additivity defect h * level * (x|y) for the identity finite part."""
     t = _type(t)
-    return t.h * Fraction(weight.level) * t.inner(_coords(x), _coords(y))
+    (X, p), (Y, q) = dynkin.integer_point(t, x), dynkin.integer_point(t, y)
+    return t.h * Fraction(weight.level) * Fraction(t.scale_sq * linalg.dot(X, Y), p * q)
 
 
 def _basis(t, lattice):
@@ -184,4 +196,4 @@ def in_lattice(t, v, lattice="M"):
     """Whether v is an integer combination of the lattice basis."""
     t = _type(t)
     solver = _lattice_solver(t.name, lattice)
-    return solver.in_lattice(*linalg.integer_vector(_coords(v)))
+    return solver.in_lattice(*dynkin.integer_point(t, v))

@@ -12,7 +12,9 @@ arithmetic exact.
 
 Each type compiles the map from a vector to its simple-root coefficients
 once (TypeData.root_solver, a linalg.SpanSolver), so a coefficient, a
-height or a root-span check is a few integer dot products.
+height or a root-span check is a few integer dot products.  A point enters
+through integer_point, which scales it to integers and refuses one whose
+length is not the type's ambient_dim.
 """
 
 from dataclasses import dataclass
@@ -140,7 +142,7 @@ class TypeData:
         """Bilinear form in stored coordinates."""
         return self.scale_sq * sum(Fraction(a) * Fraction(b) for a, b in zip(v, w))
 
-    @property
+    @cached_property
     def name(self):
         return str(self.id)
 
@@ -264,19 +266,33 @@ def all_type_ids(max_rank=4):
     return ids
 
 
-def root_span_integers(t, v):
-    """(V, q) with v = V / q over the integers, once v is checked to lie in
-    the root span of t."""
+def integer_point(t, v):
+    """(V, q) with v = V / q over the integers (linalg.integer_vector), once
+    v is checked to have the ambient_dim coordinates of t; ValueError if not."""
     V, q = linalg.integer_vector(v)
+    if len(V) != t.ambient_dim:
+        raise ValueError(f"{t.name} takes {t.ambient_dim} coordinates (its ambient_dim), "
+                         f"got {len(V)}")
+    return V, q
+
+
+def root_span_integers(t, v, show=None):
+    """integer_point(t, v), once v is checked to lie in the root span of t.
+
+    The NotInRootSpan message lists v as the CLI reads coordinates, e.g.
+    1,-1/2,0: each coordinate as show(x), or by default as its exact
+    Fraction V_i / q, which is built only on this error path.
+    """
+    V, q = integer_point(t, v)
     if not t.root_solver.in_span(V):
-        # v as the CLI reads coordinates, e.g. 1,-1/2,0
-        raise NotInRootSpan(f"{','.join(map(str, v))} is not in the root span of {t.name}")
+        shown = map(show, v) if show else (str(Fraction(x, q)) for x in V)
+        raise NotInRootSpan(f"{','.join(shown)} is not in the root span of {t.name}")
     return V, q
 
 
 def simple_root_coefficients(t, v):
     """Coefficients (c_1..c_n) with v = sum c_i alpha_i in stored coordinates."""
-    V, q = root_span_integers(t, v)
+    V, q = root_span_integers(t, v, str)
     solver = t.root_solver
     return tuple(Fraction(linalg.dot(row, V), solver.D * q) for row in solver.rows)
 

@@ -5,7 +5,8 @@ The linear algebra sets up over fractions.Fraction; systems are tiny
 one elimination per basis and keeps the result as integer rows over one
 denominator, so solving for coefficients, testing span membership and
 testing integrality are integer dot products on a vector scaled to
-integers once (integer_vector).  The quadratic
+integers once (integer_vector, which reads int and Fraction entries as
+they are and builds a Fraction only for another kind).  The quadratic
 enumerators use Fraction only to set up: each form is scaled to integers
 once, on its first search, and the search itself runs on Python ints with
 exact isqrt bounds.  The level search solves its last coordinate instead of
@@ -37,12 +38,22 @@ def as_integers(values):
     return tuple(map(int, values))
 
 
+# the entry kinds integer_vector reads as they are
+_EXACT = (int, Fraction)
+
+
 def integer_vector(v):
     """(V, q) with v = V / q: v scaled to integers by the lcm q of its
-    denominators."""
-    v = [Fraction(x) for x in v]
-    q = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (q // x.denominator) for x in v], q
+    denominators.
+
+    An int entry x is read as x / 1 and a Fraction as its numerator over its
+    denominator, so a point of either kind costs no Fraction.  Any other
+    entry (a float, a numeric string) is converted exactly through Fraction,
+    as Fraction(x) reads it.
+    """
+    pairs = [(x if isinstance(x, _EXACT) else Fraction(x)).as_integer_ratio() for x in v]
+    q = math.lcm(*[d for _, d in pairs])
+    return [n * (q // d) for n, d in pairs], q
 
 
 def eliminate(columns):

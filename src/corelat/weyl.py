@@ -76,7 +76,7 @@ def extended_image(t, element):
     t = _check_type(t)
     j = element.j
     mat = matrix_Mj(t, j)
-    V, d = linalg.integer_vector(element.q)
+    V, d = dynkin.integer_point(t, element.q)
     W, p = atomic.integer_weights(t.name)[j - 1] if j else ((0,) * t.ambient_dim, 1)
     coords = tuple(Fraction(p * linalg.dot(row, V) + d * w, d * p) for row, w in zip(mat, W))
     return LatticeVector(t.name, coords)

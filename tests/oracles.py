@@ -10,7 +10,8 @@ simple_root_coefficients solves through the inverse Gram matrix and checks
 the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
 per call: the original Fraction kernels of dynkin and atomic.  height and the
 atomic-length statistics below are the original atomic formulas on top of
-them.
+them, on points read by the original _coords, one Fraction per coordinate,
+with norm_sq the original t.inner(v, v).
 
 apply_matrix multiplies a layer matrix into a point in Fraction arithmetic,
 and extended_image, the original weyl.extended_image, computes
@@ -72,13 +73,24 @@ from functools import lru_cache
 from math import isqrt
 
 from corelat import atomic, diophantine, dynkin, param
-from corelat.atomic import LatticeVector, _basis, _coords, _type, norm_sq
+from corelat.atomic import LatticeVector, _basis, _type
 from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
 from corelat.diophantine import NonIntegralImage, _rotations60
 from corelat.dynkin import NotInRootSpan, fundamental_weights
 from corelat.linalg import _ldl
 from corelat.param import Report, _fail
 from corelat.weyl import _check_type, matrix_Mj
+
+
+def _coords(v):
+    if isinstance(v, LatticeVector):
+        v = v.coords
+    return tuple(Fraction(x) for x in v)
+
+
+def norm_sq(t, v):
+    v = _coords(v)
+    return t.inner(v, v)
 
 
 def solve_in_span(columns, target):

@@ -1,13 +1,15 @@
 """Differential tests: compiled root-span and lattice solvers against the
-Fraction kernels they replaced (tests/oracles.py)."""
+Fraction kernels they replaced (tests/oracles.py), on every kind of point
+the library reads, and the Fraction count of the point-evaluation path."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import atomic, dynkin, linalg
-from corelat.atomic import DominantWeight
+from corelat import atomic, dynkin, linalg, weyl
+from corelat.atomic import DominantWeight, LatticeVector
 from corelat.dynkin import NotInRootSpan, lookup_type
 
 import oracles
@@ -123,3 +125,150 @@ def test_span_solver_matches_solve_in_span(data):
             assert [Fraction(linalg.dot(row, V), solver.D * q) for row in solver.rows] == coeffs
             assert Fraction(linalg.dot(solver.total, V), solver.D * q) == sum(coeffs)
             assert solver.in_lattice(V, q) == all(c.denominator == 1 for c in coeffs)
+
+
+def input_kinds(t, v):
+    """The root-span point v (Fractions) and multiples of it in every kind of
+    point the library reads, as (kind, point) pairs."""
+    q = math.lcm(*(x.denominator for x in v))
+    ints = tuple(int(x * q) for x in v)
+    return [
+        ("int", ints),
+        ("LatticeVector", LatticeVector(t.name, v)),
+        ("int and Fraction", tuple(Fraction(x) if d % 2 else x for d, x in enumerate(ints))),
+        ("int and Fraction", tuple(int(x) if x.denominator == 1 else x for x in v)),
+        ("integral float", tuple(map(float, ints))),
+        ("non-integral float", tuple(x / 4 for x in ints)),
+        ("numeric string", tuple(map(str, v))),
+        ("decimal string", tuple(repr(x / 4) for x in ints)),
+    ]
+
+
+@pytest.mark.parametrize("name", TYPES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_input_kind_agrees_with_the_oracles(name, data):
+    t = lookup_type(name)
+    v = combination(t.simple_roots, data.draw(st.lists(rationals, min_size=t.n, max_size=t.n)))
+    i = data.draw(st.integers(1, t.n))
+    lam = combination(dynkin.fundamental_weights(t),
+                      data.draw(st.lists(rationals, min_size=t.n, max_size=t.n)))
+    weights = [atomic.weight_Lambda(t, i), DominantWeight(name, lam, data.draw(rationals))]
+    lattices = ["M"] + (["L"] if t.l_basis is not None else [])
+    for kind, point in input_kinds(t, v):
+        pairs = [(dynkin.simple_root_coefficients(t, point),
+                  oracles.simple_root_coefficients(t, point)),
+                 (atomic.height(t, point), oracles.height(t, point)),
+                 (atomic.atomic_length0(t, point), oracles.atomic_length0(t, point)),
+                 (atomic.atomic_length_i(t, i, point), oracles.atomic_length_i(t, i, point))]
+        pairs += [(atomic.extended_atomic_length(t, w, point),
+                   oracles.extended_atomic_length(t, w, point)) for w in weights]
+        for got, want in pairs:
+            assert got == want, kind
+            assert all(type(x) is Fraction for x in (got if type(got) is tuple else (got,)))
+        for lattice in lattices:
+            assert atomic.in_lattice(t, point, lattice) == oracles.in_lattice(t, point, lattice)
+
+
+# NotInRootSpan messages as the library gave them before points were read
+# without a Fraction per coordinate, recorded per input kind: the statistics
+# show each coordinate as its exact Fraction, simple_root_coefficients as
+# str(x).  (type, point, statistics' text, simple_root_coefficients' text)
+OFF_SPAN_MESSAGES = [
+    ("A2_1", (1, 0, 0), "1,0,0", "1,0,0"),
+    ("A2_1", LatticeVector("A2_1", (Fraction(1), Fraction(0), Fraction(0))), "1,0,0", "1,0,0"),
+    ("A2_1", (Fraction(1, 2), 0, 0), "1/2,0,0", "1/2,0,0"),
+    ("A2_1", (1.0, 0.0, -0.0), "1,0,0", "1.0,0.0,-0.0"),
+    ("A2_1", (0.5, 0.25, 0.0), "1/2,1/4,0", "0.5,0.25,0.0"),
+    ("A2_1", ("1/2", "0.25", "-3"), "1/2,1/4,-3", "1/2,0.25,-3"),
+    ("G2_1", (0.5, 0, "1/3"), "1/2,0,1/3", "0.5,0,1/3"),
+    ("G2_1", ("2", "-0.75", Fraction(1, 3)), "2,-3/4,1/3", "2,-0.75,1/3"),
+    ("E6_1", (0.0,) * 7 + (1.5,), "0,0,0,0,0,0,0,3/2", "0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.5"),
+]
+
+
+@pytest.mark.parametrize("name, point, exact, raw", OFF_SPAN_MESSAGES)
+def test_not_in_root_span_messages_are_unchanged(name, point, exact, raw):
+    t = lookup_type(name)
+    with pytest.raises(NotInRootSpan) as refused:
+        dynkin.simple_root_coefficients(t, point)
+    assert str(refused.value) == f"{raw} is not in the root span of {name}"
+    for call in (lambda: atomic.height(t, point),
+                 lambda: atomic.atomic_length0(t, point),
+                 lambda: atomic.atomic_length_i(t, 1, point),
+                 lambda: atomic.extended_atomic_length(t, atomic.weight_Lambda(t, 1), point)):
+        with pytest.raises(NotInRootSpan) as refused:
+            call()
+        assert str(refused.value) == f"{exact} is not in the root span of {name}"
+    assert not atomic.in_lattice(t, point)
+
+
+def test_int_and_fraction_points_build_no_fraction_per_coordinate(monkeypatch):
+    """The four point-eval calls build one Fraction, the statistic's value,
+    on an int or Fraction point; a float point builds one per coordinate."""
+    cases = []
+    for name in TYPES:
+        t = lookup_type(name)
+        v = combination(t.m_basis, range(1, len(t.m_basis) + 1))
+        q = math.lcm(*(Fraction(x).denominator for x in v))
+        weight = atomic.weight_Lambda(t, 1)
+        calls = (lambda p, t=t: atomic.atomic_length0(t, p),
+                 lambda p, t=t: atomic.atomic_length_i(t, 1, p),
+                 lambda p, t=t, w=weight: atomic.extended_atomic_length(t, w, p),
+                 lambda p, t=t: atomic.in_lattice(t, p))
+        points = (tuple(int(x * q) for x in v), tuple(map(Fraction, v)), LatticeVector(name, v))
+        for call in calls:
+            call(points[0])     # builds the type's solvers and weights
+        cases.append((t, calls, points))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for module in (atomic, dynkin, linalg):
+        monkeypatch.setattr(module, "Fraction", counting)
+    for t, calls, points in cases:
+        for point in points:
+            counts = []
+            for call in calls:
+                built.clear()
+                call(point)
+                counts.append(len(built))
+            assert counts == [1, 1, 1, 0], (t.name, point)
+        built.clear()
+        atomic.in_lattice(t, tuple(map(float, points[0])))
+        assert len(built) == t.ambient_dim
+
+
+def test_points_of_the_wrong_length_are_refused():
+    t = lookup_type("A2_1")
+    weight = atomic.weight_Lambda(t, 1)
+    for point in ((1, -1, 0, 5), (1, -1), LatticeVector("A2_1", (1, -1, 0, 5))):
+        for call in (lambda: atomic.atomic_length0(t, point),
+                     lambda: atomic.atomic_length_i(t, 1, point),
+                     lambda: atomic.extended_atomic_length(t, weight, point),
+                     lambda: atomic.height(t, point),
+                     lambda: atomic.in_lattice(t, point),
+                     lambda: atomic.in_lattice(t, point, "L"),
+                     lambda: atomic.norm_sq(t, point),
+                     lambda: atomic.defect(t, weight, point, (1, -1, 0)),
+                     lambda: dynkin.simple_root_coefficients(t, point),
+                     lambda: weyl.extended_image(t, weyl.ExtGrassElement("A2_1", 1, point))):
+            with pytest.raises(ValueError, match=r"^A2_1 takes 3 coordinates") as refused:
+                call()
+            assert refused.type is ValueError
+    short_weight = DominantWeight("A2_1", (1,), Fraction(1))
+    with pytest.raises(ValueError, match=r"^A2_1 takes 3 coordinates \(its ambient_dim\), got 1$"):
+        atomic.extended_atomic_length(t, short_weight, (1, -1, 0))
+
+
+def test_a_weight_of_another_type_is_refused():
+    t = lookup_type("A2_1")
+    weight = DominantWeight("B3_1", (1, 0, 0), Fraction(1))
+    with pytest.raises(ValueError, match="weight of type B3_1 given for A2_1") as refused:
+        atomic.extended_atomic_length(t, weight, (1, -1, 0))
+    assert refused.type is ValueError
+    weight = atomic.weight_Lambda("A2_1", 1)
+    assert (atomic.extended_atomic_length(t, weight, (1, -1, 0))
+            == oracles.extended_atomic_length(t, weight, (1, -1, 0)))
