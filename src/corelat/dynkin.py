@@ -13,8 +13,8 @@ arithmetic exact.
 Each type compiles the map from a vector to its simple-root coefficients
 once (TypeData.root_solver, a linalg.SpanSolver), so a coefficient, a
 height or a root-span check is a few integer dot products.  A point enters
-through integer_point, which scales it to integers and refuses one whose
-length is not the type's ambient_dim.
+through integer_point, which scales it to integers and refuses a vector of
+another type or one whose length is not the type's ambient_dim.
 """
 
 from dataclasses import dataclass
@@ -268,7 +268,12 @@ def all_type_ids(max_rank=4):
 
 def integer_point(t, v):
     """(V, q) with v = V / q over the integers (linalg.integer_vector), once
-    v is checked to have the ambient_dim coordinates of t; ValueError if not."""
+    v is checked to be a point of t: ValueError for a vector attached to
+    another type (a LatticeVector's type_id) or one without the ambient_dim
+    coordinates of t."""
+    type_id = getattr(v, "type_id", t.name)
+    if type_id != t.name:
+        raise ValueError(f"vector of type {type_id} given for {t.name}")
     V, q = linalg.integer_vector(v)
     if len(V) != t.ambient_dim:
         raise ValueError(f"{t.name} takes {t.ambient_dim} coordinates (its ambient_dim), "

@@ -9,8 +9,10 @@ integers once (integer_vector, which reads int and Fraction entries as
 they are and builds a Fraction only for another kind).  The quadratic
 enumerators use Fraction only to set up: each form is scaled to integers
 once, on its first search, and the search itself runs on Python ints with
-exact isqrt bounds.  The level search solves its last coordinate instead of
-looping over it.
+exact isqrt bounds, in one generator frame that carries each coordinate's
+centre down from its parent's.  The level search solves its last coordinate
+instead of looping over it, and QuadraticForm.level builds one Fraction per
+distinct coordinate value, shared by every point of the level.
 """
 
 import math
@@ -110,10 +112,7 @@ class SpanSolver:
 
 
 def is_perfect_square(n):
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _ldl(a):
@@ -153,6 +152,11 @@ class _IntegerBall:
     coordinates, m_i ranges exactly over |Y_i| <= isqrt(R_i // e_i), where
     R_i is what they left of R.  Only this set-up uses Fraction, and it
     depends on the form alone, so one ball serves every bound.
+
+    Su[i] is column i of S u above the diagonal, as dense integers: the
+    coefficient of m_i in S c_l for each l < i.  Setting m_i adds m_i Su[i]
+    to the partial centres of the earlier coordinates, so tails carries
+    each centre down from its parent's instead of summing it afresh.
     """
 
     def __init__(self, a, b):
@@ -173,42 +177,55 @@ class _IntegerBall:
         F = math.lcm(*(x.denominator for x in d))
         self.e = [int(x * F) for x in d]
         self.c0 = [int(x * S) for x in centre]
-        self.U = [[(j, int(u[i][j] * S)) for j in range(i + 1, k) if u[i][j]]
-                  for i in range(k)]
+        self.Su = [[int(u[l][i] * S) for l in range(i)] for i in range(k)]
         # R minus sum_i e_i Y_i^2 is scale * (T - m^T A m - B.m)
         self.scale = F * S * S
         # s^T A s = sum_i d_i (s_i + sum_{j>i} u_ij s_j)^2, so F S^2 s^T A s
         # is the integer sum_i e_i c0_i^2
         self.offset = sum(e * c * c for e, c in zip(self.e, self.c0))
 
-    def centre(self, i, m):
-        """S * c_i as an integer, from the later coordinates of m."""
-        return self.c0[i] + sum(u * m[j] for j, u in self.U[i])
-
     def tails(self, m, T):
         """Set m_{k-1}, ..., m_1 in place to every choice inside the ball of
-        the integer bound T, in ascending order, and yield the budget R_0 left
-        for m_0 each time."""
-        S, e = self.S, self.e
+        the integer bound T, in ascending order, and yield (R_0, S c_0) each
+        time: the budget left for m_0 and its centre.
 
-        def walk(i, budget):
-            c = self.centre(i, m)
-            r = isqrt(budget // e[i])
-            for mi in range(-((r + c) // S), (r - c) // S + 1):
-                y = S * mi + c
-                m[i] = mi
-                if i == 1:
-                    yield budget - e[i] * y * y
-                else:
-                    yield from walk(i - 1, budget - e[i] * y * y)
-
-        R = self.scale * T + self.offset
+        One generator frame runs the whole search: an odometer over the
+        depths k-1..2 keeps, per depth, the end of its range, the budget its
+        parent left and its parent's partial centres, and depth 1 is the
+        innermost loop.  Q holds the partial centres S c_l (l < i) once
+        m_i, ..., m_{k-1} are set, each its parent's plus m_i Su[i]; depth 2
+        builds only its two.  The search opens from a depth k above the
+        coordinates, whose one choice leaves all of R and the centres c0.
+        """
+        k, R = len(m), self.scale * T + self.offset
         if R < 0:
             return
-        if len(m) == 1:
-            yield R
-        else:
-            yield from walk(len(m) - 1, R)
+        S, e, Su = self.S, self.e, self.Su
+        end, budgets, centres = [0] * k, [0] * k, [None] * k
+        i, b, Q = k, R, self.c0
+        while True:
+            c, r = Q[-1], isqrt(b // e[i - 1])
+            if i == 1:
+                yield b, c
+            elif i == 2:
+                base, u, e1 = Q[0], Su[1][0], e[1]
+                for m1 in range(-((r + c) // S), (r - c) // S + 1):
+                    m[1] = m1
+                    y = S * m1 + c
+                    yield b - e1 * y * y, base + u * m1
+            else:
+                i -= 1
+                m[i] = -((r + c) // S) - 1
+                end[i], budgets[i], centres[i] = (r - c) // S, b, Q
+            while i < k and m[i] >= end[i]:
+                i += 1
+            if i == k:
+                return
+            m[i] = mi = m[i] + 1
+            P, u = centres[i], Su[i]
+            y = S * mi + P[i]
+            b = budgets[i] - e[i] * y * y
+            Q = (P[0] + u[0] * mi, P[1] + u[1] * mi) if i == 2 else [p + s * mi for p, s in zip(P, u)]
 
 
 @lru_cache(maxsize=1024)
@@ -240,8 +257,7 @@ def enumerate_quadratic_upto(a, b, bound):
     # every value lies in (1/D) Z, so value <= bound exactly when D value <= T
     T = math.floor(Fraction(bound) * D)
     m = [0] * k
-    for budget in ball.tails(m, T):
-        c = ball.centre(0, m)
+    for budget, c in ball.tails(m, T):
         r = isqrt(budget // e0)
         for m0 in range(-((r + c) // S), (r - c) // S + 1):
             m[0] = m0
@@ -269,14 +285,13 @@ def enumerate_quadratic_level(a, b, target):
     S, e0 = ball.S, ball.e[0]
     m = [0] * k
     points = []
-    for budget in ball.tails(m, int(T)):
+    for budget, c in ball.tails(m, int(T)):
         q, rem = divmod(budget, e0)
         if rem:
             continue
         r = isqrt(q)
         if r * r != q:
             continue
-        c = ball.centre(0, m)
         for y in (-r, r) if r else (0,):
             m0, rem = divmod(y - c, S)
             if not rem:
@@ -316,8 +331,7 @@ class QuadraticForm:
 
     def coordinates(self, m):
         """Coordinates of the lattice point with basis coefficients m."""
-        Q = self.Q
-        return tuple(Fraction(x, Q) for x in self.numerators(m))
+        return tuple(Fraction(x, self.Q) for x in self.numerators(m))
 
     def level_coefficients(self, target):
         """Basis coefficients of every lattice point of value target, in the
@@ -326,10 +340,12 @@ class QuadraticForm:
 
     def level(self, target):
         """Coordinates of every lattice point of value target, sorted: the
-        numerators C m sorted, each divided by Q."""
-        Q = self.Q
-        numerators = map(self.numerators, enumerate_quadratic_level(self.a, self.b, target))
-        return [tuple(Fraction(x, Q) for x in c) for c in sorted(numerators)]
+        numerators C m sorted, each divided by Q.  One Fraction is built per
+        distinct numerator and shared by every point that has it."""
+        numerators = sorted(map(self.numerators, enumerate_quadratic_level(self.a, self.b, target)))
+        values = {x for c in numerators for x in c}
+        shared = {x: Fraction(x, self.Q) for x in values}
+        return [tuple(map(shared.__getitem__, c)) for c in numerators]
 
     def upto(self, bound):
         """(value, coordinates) for every lattice point of value <= bound."""

@@ -71,12 +71,14 @@ def extended_image(t, element):
     """The weight-lattice vector omega_j + M_j(q) of an extended element.
 
     In integers: with q = V / d and omega_j = W / p (zero for j = 0), the
-    image is (p M_j V + d W) / (d p), one Fraction per coordinate.
+    image is (p M_j V + d W) / (d p), one Fraction per coordinate.  The
+    translation part is a vector of the element's type, so an element of
+    another type is refused as dynkin.integer_point refuses such a vector.
     """
     t = _check_type(t)
     j = element.j
     mat = matrix_Mj(t, j)
-    V, d = dynkin.integer_point(t, element.q)
+    V, d = dynkin.integer_point(t, LatticeVector(element.type_id, element.q))
     W, p = atomic.integer_weights(t.name)[j - 1] if j else ((0,) * t.ambient_dim, 1)
     coords = tuple(Fraction(p * linalg.dot(row, V) + d * w, d * p) for row, w in zip(mat, W))
     return LatticeVector(t.name, coords)

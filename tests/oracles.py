@@ -5,6 +5,9 @@ enumerate_quadratic_ball_upto walks the whole completed-square ball in
 Fraction arithmetic, and enumerate_quadratic_ball_level keeps the ball
 points whose value equals the target.  Both are the original kernels of
 diophantine and linalg, kept here unchanged as differential oracles.
+RecursiveBall keeps the original recursive walk of a compiled
+linalg._IntegerBall, one generator per coordinate, which the one-frame
+odometer of _IntegerBall.tails replaced.
 
 simple_root_coefficients solves through the inverse Gram matrix and checks
 the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
@@ -77,7 +80,7 @@ from corelat.atomic import LatticeVector, _basis, _type
 from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
 from corelat.diophantine import NonIntegralImage, _rotations60
 from corelat.dynkin import NotInRootSpan, fundamental_weights
-from corelat.linalg import _ldl
+from corelat.linalg import _IntegerBall, _ldl
 from corelat.param import Report, _fail
 from corelat.weyl import _check_type, matrix_Mj
 
@@ -306,6 +309,47 @@ def enumerate_quadratic_ball_level(a, b, target):
     target = Fraction(target)
     return [m for value, m in enumerate_quadratic_ball_upto(a, b, target)
             if value == target]
+
+
+class RecursiveBall(_IntegerBall):
+    """A compiled ball walked by the original recursive tails: one generator
+    per coordinate, each centre summed afresh from U, the sparse (j, S u_ij)
+    pairs of S u, which are read here off the ball's dense columns Su."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        k = len(self.c0)
+        self.U = [[(j, self.Su[j][i]) for j in range(i + 1, k) if self.Su[j][i]]
+                  for i in range(k)]
+
+    def centre(self, i, m):
+        """S * c_i as an integer, from the later coordinates of m."""
+        return self.c0[i] + sum(u * m[j] for j, u in self.U[i])
+
+    def tails(self, m, T):
+        """Set m_{k-1}, ..., m_1 in place to every choice inside the ball of
+        the integer bound T, in ascending order, and yield the budget R_0 left
+        for m_0 each time."""
+        S, e = self.S, self.e
+
+        def walk(i, budget):
+            c = self.centre(i, m)
+            r = isqrt(budget // e[i])
+            for mi in range(-((r + c) // S), (r - c) // S + 1):
+                y = S * mi + c
+                m[i] = mi
+                if i == 1:
+                    yield budget - e[i] * y * y
+                else:
+                    yield from walk(i - 1, budget - e[i] * y * y)
+
+        R = self.scale * T + self.offset
+        if R < 0:
+            return
+        if len(m) == 1:
+            yield R
+        else:
+            yield from walk(len(m) - 1, R)
 
 
 def apply_matrix(mat, v):

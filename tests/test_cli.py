@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from corelat import cli, param
 
-from golden_data import (CONJECTURE_A3_JSON_3, SWEEP_SHA256, TABLE_12N7, TABLE_40N10,
-                         TABLE_6N7, TABLE_8N1, VERIFY_JSON)
+from golden_data import (CONJECTURE_A3_JSON_3, ENUMERATE_SHA256, SWEEP_SHA256, TABLE_12N7,
+                         TABLE_40N10, TABLE_6N7, TABLE_8N1, VERIFY_JSON)
 
 
 def run_cli(argv):
@@ -350,6 +350,13 @@ def test_long_sweeps_are_byte_identical(argv):
     code, out = run_cli(list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(ENUMERATE_SHA256))
+def test_enumerate_levels_are_byte_identical(argv):
+    code, out = run_cli(list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[argv]
 
 
 @pytest.mark.parametrize("case_id", ["HYP:B1_1", "HYP:C1_1", "HYP:A1_2", "HYP:D2_2"])

@@ -272,3 +272,28 @@ def test_a_weight_of_another_type_is_refused():
     weight = atomic.weight_Lambda("A2_1", 1)
     assert (atomic.extended_atomic_length(t, weight, (1, -1, 0))
             == oracles.extended_atomic_length(t, weight, (1, -1, 0)))
+
+
+def test_a_vector_of_another_type_is_refused():
+    t = lookup_type("A2_1")
+    weight = atomic.weight_Lambda(t, 1)
+    for other in ("B3_1", "G2_1", "A2_2"):
+        point = LatticeVector(other, (1, -1, 0))
+        for call in (lambda: atomic.height(t, point),
+                     lambda: atomic.atomic_length0(t, point),
+                     lambda: atomic.atomic_length_i(t, 1, point),
+                     lambda: atomic.extended_atomic_length(t, weight, point),
+                     lambda: atomic.in_lattice(t, point),
+                     lambda: atomic.in_lattice(t, point, "L"),
+                     lambda: weyl.extended_image(t, weyl.ExtGrassElement(other, 1, (1, -1, 0)))):
+            with pytest.raises(ValueError, match=f"^vector of type {other} given for A2_1$") as refused:
+                call()
+            assert refused.type is ValueError
+    # a vector of the type itself is read as its coordinates
+    point = LatticeVector("A2_1", (1, -1, 0))
+    assert atomic.height(t, point) == oracles.height(t, (1, -1, 0))
+    assert atomic.atomic_length0(t, point) == oracles.atomic_length0(t, (1, -1, 0))
+    assert atomic.atomic_length_i(t, 1, point) == oracles.atomic_length_i(t, 1, (1, -1, 0))
+    assert atomic.in_lattice(t, point) == oracles.in_lattice(t, (1, -1, 0))
+    assert (weyl.extended_image(t, weyl.ExtGrassElement("A2_1", 1, point))
+            == oracles.extended_image(t, weyl.ExtGrassElement("A2_1", 1, (1, -1, 0))))

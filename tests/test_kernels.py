@@ -1,5 +1,6 @@
 """Differential tests: the exact integer kernels against the slow oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from corelat import atomic, cores, dynkin, linalg, param
 from corelat.diophantine import solve_diagonal, solve_diagonal_meet
 
-from oracles import (enumerate_quadratic_ball_level, enumerate_quadratic_ball_upto,
-                     solve_diagonal_brute)
+from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
+                     enumerate_quadratic_ball_upto, solve_diagonal_brute)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +70,8 @@ def assert_enumerators_agree(a, b, targets=TARGETS):
         assert all(type(value) is Fraction for value, _ in new)
 
 
-def length_forms():
-    for type_id in dynkin.all_type_ids(4) + ["E8_1"]:
+def length_forms(type_ids=dynkin.all_type_ids(4) + ["E8_1"]):
+    for type_id in type_ids:
         for weight in (0, 1):
             for lattice in ("M", "L"):
                 try:
@@ -154,6 +155,85 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
     linalg._compiled_ball.cache_clear()
 
 
+def walk_forms():
+    """Every length form of all_type_ids(4), E6_1 and E8_1 on M and L, the
+    hyperoctahedral forms of HYP_TYPES and the core size forms, by name."""
+    forms = {f"{type_id}-L{weight}-{lattice}": atomic.length_form(type_id, weight, lattice)
+             for type_id, weight, lattice
+             in length_forms(dynkin.all_type_ids(4) + ["E6_1", "E8_1"])}
+    for type_id in HYP_TYPES:
+        forms[f"HYP:{type_id}"] = param.hyp_case(type_id).length
+    for d in range(2, 7):
+        forms[f"cores-{d}"] = cores._size_form(d)
+        forms[f"cores-{d}-sc"] = cores._size_form(d, self_conjugate=True)
+    return forms
+
+
+WALK_FORMS = walk_forms()
+
+
+def walk(ball, T, limit=None):
+    """(R_0, (m_1, ..., m_{k-1}), S c_0) at each step of ball.tails(m, T),
+    the first limit of them; the recursive oracle yields R_0 alone, and its
+    centre of m_0 is read off with centre(0, m)."""
+    m = [0] * len(ball.c0)
+    if isinstance(ball, RecursiveBall):
+        steps = ((budget, ball.centre(0, m)) for budget in ball.tails(m, T))
+    else:
+        steps = ball.tails(m, T)
+    return [(budget, tuple(m[1:]), c) for budget, c in itertools.islice(steps, limit)]
+
+
+def assert_walks_agree(a, b, bounds, limit=None):
+    ball, oracle = linalg._IntegerBall(a, b), RecursiveBall(a, b)
+    for T in bounds:
+        assert walk(ball, T, limit) == walk(oracle, T, limit)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_FORMS))
+def test_one_frame_walk_matches_the_recursive_oracle(name):
+    # every integer bound up to 60 (and a few below 0, where small balls
+    # are empty), then a prefix of the walk under one large bound
+    form = WALK_FORMS[name]
+    assert_walks_agree(form.a, form.b, range(-5, 61))
+    assert_walks_agree(form.a, form.b, (10 ** 12,), limit=3000)
+
+
+def test_walk_forms_cover_every_depth_case_and_a_denominator():
+    # rank 1 has no depth to walk, rank 2 only the innermost loop, rank 3
+    # the first odometer depth
+    ranks = {len(form.a) for form in WALK_FORMS.values()}
+    assert {1, 2, 3, 8} <= ranks
+    assert any(linalg._ball(form.a, form.b).D > 1 for form in WALK_FORMS.values())
+
+
+def test_a_level_builds_one_fraction_per_distinct_value(monkeypatch):
+    """QuadraticForm.level builds one Fraction per distinct coordinate value
+    and one for the target; the points still equal the oracle's, each
+    coordinate a Fraction."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for type_id, weight, lattice, n in (("E8_1", 0, "M", 32), ("F4_1", 0, "M", 124),
+                                        ("C4_1", 1, "L", 92)):
+        form = atomic.length_form(type_id, weight, lattice)
+        expected = sorted(map(form.coordinates,
+                              enumerate_quadratic_ball_level(form.a, form.b, n)))
+        form.level(n)       # compiles the form's ball
+        monkeypatch.setattr(linalg, "Fraction", counting)
+        built.clear()
+        level = form.level(n)
+        monkeypatch.undo()
+        values = {x for point in level for x in point}
+        assert level == expected
+        assert len(level) > len(values) > 1
+        assert len(built) <= len(values) + 1
+        assert all(type(x) is Fraction for point in level for x in point)
+
+
 @st.composite
 def rational_forms(draw):
     """A positive-definite (a, b) with denominators up to 6 and a target."""
@@ -173,3 +253,11 @@ def rational_forms(draw):
 def test_enumerator_matches_oracle_on_random_rational_forms(case):
     a, b, target = case
     assert_enumerators_agree(a, b, (target,))
+
+
+@given(rational_forms())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_one_frame_walk_matches_the_recursive_oracle_on_random_rational_forms(case):
+    a, b, target = case
+    T = math.floor(target * linalg._ball(a, b).D)
+    assert_walks_agree(a, b, (T, T + 7))
