@@ -228,6 +228,16 @@ class _IntegerBall:
             Q = (P[0] + u[0] * mi, P[1] + u[1] * mi) if i == 2 else [p + s * mi for p, s in zip(P, u)]
 
 
+class _Hashed(tuple):
+    """A tuple hashed once, when built: the ball cache key of a form's a and b."""
+
+    def __init__(self, items):
+        self.hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self.hash
+
+
 @lru_cache(maxsize=1024)
 def _compiled_ball(a, b):
     return _IntegerBall(a, b)
@@ -236,7 +246,9 @@ def _compiled_ball(a, b):
 def _ball(a, b):
     """The _IntegerBall of the form (a, b), built on the form's first search
     and kept for every later one (far more forms than any run asks for)."""
-    return _compiled_ball(tuple(map(tuple, a)), tuple(b))
+    if type(a) is not _Hashed or type(b) is not _Hashed:
+        a, b = _Hashed(map(tuple, a)), _Hashed(b)
+    return _compiled_ball(a, b)
 
 
 def enumerate_quadratic_upto(a, b, bound):
@@ -279,7 +291,7 @@ def enumerate_quadratic_level(a, b, target):
         return [()] if target == 0 else []
     ball = _ball(a, b)
     # every value lies in (1/D) Z, so a target outside it is never reached
-    T = Fraction(target) * ball.D
+    T = target * ball.D if type(target) is int else Fraction(target) * ball.D
     if T.denominator != 1:
         return []
     S, e0 = ball.S, ball.e[0]
@@ -312,7 +324,7 @@ class QuadraticForm:
     """
 
     def __init__(self, a, b, basis):
-        self.a, self.b, self.basis = tuple(map(tuple, a)), tuple(b), basis
+        self.a, self.b, self.basis = _Hashed(map(tuple, a)), _Hashed(b), basis
         self.Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
         self.C = tuple(tuple(int(v[r] * self.Q) for v in self.basis)
                        for r in range(len(self.basis[0]) if self.basis else 0))

@@ -29,6 +29,7 @@ class ExtGrassElement:
     q: tuple        # stored coordinates of the translation part, in M
 
     def __post_init__(self):
+        dynkin.refuse_other_type(self.type_id, self.q)
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
 
 

@@ -285,7 +285,8 @@ def test_a_vector_of_another_type_is_refused():
                      lambda: atomic.extended_atomic_length(t, weight, point),
                      lambda: atomic.in_lattice(t, point),
                      lambda: atomic.in_lattice(t, point, "L"),
-                     lambda: weyl.extended_image(t, weyl.ExtGrassElement(other, 1, (1, -1, 0)))):
+                     lambda: weyl.extended_image(t, weyl.ExtGrassElement(other, 1, (1, -1, 0))),
+                     lambda: weyl.extended_image(t, weyl.ExtGrassElement("A2_1", 1, point))):
             with pytest.raises(ValueError, match=f"^vector of type {other} given for A2_1$") as refused:
                 call()
             assert refused.type is ValueError

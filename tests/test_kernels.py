@@ -155,6 +155,26 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
     linalg._compiled_ball.cache_clear()
 
 
+def test_a_compiled_form_is_searched_without_hashing_a_fraction(monkeypatch):
+    # the ball cache key of a QuadraticForm is hashed when the form is built,
+    # so no later search hashes the Fractions of (a, b) again
+    form = atomic.length_form("E8_1", 0, "M")
+    form.level(2)
+    hashed, fraction_hash = [], Fraction.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert form.level(4) and form.level_coefficients(6) and list(form.upto(2))
+    assert linalg.enumerate_quadratic_level(form.a, form.b, 4)
+    assert hashed == []
+    # the bare enumerator on lists still hashes its key, once per search
+    assert linalg.enumerate_quadratic_level([list(r) for r in form.a], list(form.b), 4)
+    assert hashed
+
+
 def walk_forms():
     """Every length form of all_type_ids(4), E6_1 and E8_1 on M and L, the
     hyperoctahedral forms of HYP_TYPES and the core size forms, by name."""

@@ -473,6 +473,96 @@ def test_non_integral_layer_image_names_its_point():
                                                 "error": "NonIntegralImage: " + error}}
 
 
+IDENTITY_CASES = list(param.CASES) + [c for rank in range(1, 9) for c in _hyp_ids(rank)]
+
+
+def test_quadric_identity_is_decided_per_case():
+    # the ids test_phi_lands_on_quadric_identically proves the identity for
+    for case_id in IDENTITY_CASES:
+        assert get_case(case_id).quadric_identity, case_id
+    # the b = 16 variants of the complete and extended fail-branch tests
+    assert not dataclasses.replace(get_case("A2"), b=16).quadric_identity
+    assert not dataclasses.replace(get_case("A2ext"), b=16).quadric_identity
+    # C2L1's layer 2 is at Lambda_1 and off the identity; its claim reads
+    # layer 0 alone
+    c2l1 = get_case("C2L1")
+    assert not param.layer_map(c2l1, 2).keeps_quadric
+
+
+def _shifted(case):
+    """The case with every offset of its affine phi one larger: an AffineMap
+    whose images all miss the quadric by 2 D_i y_i + D_i."""
+    return dataclasses.replace(case, phi_map=param.AffineMap(
+        case.phi_map.P, [c + 1 for c in case.phi_map.p]))
+
+
+@pytest.mark.parametrize("check,case_id,n,reason", [
+    (param.check_complete, "D43", 35, "phi image off the quadric"),
+    (param.check_complete, "A2", 30, "phi image off the quadric"),
+    (param.check_orbit_size, "A42", 1, "phi image off the quadric"),
+    (param.check_orbit_size, "G21", 7, "phi image off the quadric"),
+    (param.check_orbit_size, "HYP:C3_1", 1, "phi image off the quadric"),
+    (param.check_orbit_size, "HYP:B3_1", 2, "phi image off the quadric"),
+    (param.check_stratified, "A3", 3, "layer image off the quadric"),
+    (param.check_a3_conjecture, "A3", 1, "layer image off the quadric"),
+])
+def test_quadric_identity_fails_on_variants_off_the_quadric(check, case_id, n, reason):
+    # a changed b and shifted affine offsets break the identity, so the
+    # check scans the images and names the first off the quadric, as the
+    # per-point path of the same map does
+    case = get_case(case_id)
+    assert not dataclasses.replace(case, b=case.b + 16).quadric_identity
+    shifted = _shifted(case)
+    assert not shifted.quadric_identity
+    per_point = dataclasses.replace(shifted, phi_map=lambda q: shifted.phi_map(q))
+    report = check(param.LevelData(shifted, n)).to_dict()
+    assert report == check(param.LevelData(per_point, n)).to_dict()
+    assert report["witness"]["reason"] == reason
+
+
+def test_checks_test_no_image_while_the_identity_holds(monkeypatch):
+    tested = []
+
+    def refuse(level, point):
+        raise AssertionError("a check tested an image against the quadric")
+
+    def count(level, point):
+        tested.append(point)
+        return on_quadric(level, point)
+
+    on_quadric = param.LevelData.on_quadric
+    monkeypatch.setattr(param.LevelData, "on_quadric", refuse)
+    for n in range(8):
+        for case_id in cli.VERIFY_CASES + ("HYP:C3_1", "HYP:B4_1"):
+            assert verify_case(case_id, n).passed, (case_id, n)
+        assert a3_conjecture_check(n).passed
+    # a per-point phi, such as the wrapper the bench's traced run installs,
+    # is scanned image by image
+    monkeypatch.setattr(param.LevelData, "on_quadric", count)
+    for case_id in ("A2", "G21", "A3"):
+        case = get_case(case_id)
+        per_point = dataclasses.replace(case, phi_map=lambda q, phi=case.phi_map: phi(q))
+        assert not per_point.quadric_identity
+        assert param.CHECKS[case.claim](param.LevelData(per_point, 5)).passed
+    assert tested
+
+
+def test_complete_check_takes_each_orbit_size_once(monkeypatch):
+    orbit_size, calls = diophantine.orbit_size, []
+
+    def counted(group, point):
+        calls.append(point)
+        return orbit_size(group, point)
+
+    monkeypatch.setattr(diophantine, "orbit_size", counted)
+    for case_id in COMPLETE_CASES:
+        for n in range(20):
+            calls.clear()
+            level = param.LevelData(get_case(case_id), n)
+            assert param.check_complete(level).passed
+            assert sorted(calls) == level.reps, (case_id, n)
+
+
 COMPLETE_CASES = [c for c, case in param.CASES.items() if case.claim == "complete"]
 _CLAIM_ORACLES = {"complete": (param.check_complete, oracles.check_complete),
                   "extended": (param.check_extended, oracles.check_extended),
