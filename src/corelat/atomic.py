@@ -140,7 +140,8 @@ def extended_atomic_length(t, weight, x):
     """Statistic for an arbitrary dominant weight of type t on a translation
     by x; ValueError for a weight of another type."""
     t = _type(t)
-    dynkin.refuse_other_type(t.name, weight, "weight")
+    if weight.type_id != t.name:
+        raise ValueError(f"weight of type {weight.type_id} given for {t.name}")
     return _statistic(t, x, *weight._scaled)
 
 

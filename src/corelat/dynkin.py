@@ -266,19 +266,14 @@ def all_type_ids(max_rank=4):
     return ids
 
 
-def refuse_other_type(name, v, kind="vector"):
-    """ValueError for a v whose type_id is not name; a plain tuple has none."""
-    type_id = getattr(v, "type_id", name)
-    if type_id != name:
-        raise ValueError(f"{kind} of type {type_id} given for {name}")
-
-
 def integer_point(t, v):
     """(V, q) with v = V / q over the integers (linalg.integer_vector), once
     v is checked to be a point of t: ValueError for a vector attached to
     another type (a LatticeVector's type_id) or one without the ambient_dim
     coordinates of t."""
-    refuse_other_type(t.name, v)
+    type_id = getattr(v, "type_id", t.name)
+    if type_id != t.name:
+        raise ValueError(f"vector of type {type_id} given for {t.name}")
     V, q = linalg.integer_vector(v)
     if len(V) != t.ambient_dim:
         raise ValueError(f"{t.name} takes {t.ambient_dim} coordinates (its ambient_dim), "

@@ -8,9 +8,9 @@ holds the canonical point of each orbit of the level's solution set U from
 the exact diagonal solver, its lattice points from the exact quadratic
 enumeration and their phi images, and one check function per claim decides
 it on them, with counts from the orbit sizes and coverage from the
-canonical point of each image.  That the images lie on the quadric is decided
-once per case (ParamCase.quadric_identity), and tested image by image only when
-that fails or phi is a per-point callable.  FAIL is reported as data, never raised.
+canonical point of each image.  Each LayerMap decides once whether its images
+lie on the quadric (keeps_quadric); only the images of other maps are tested
+one by one.  FAIL is reported as data, never raised.
 """
 
 import math
@@ -59,9 +59,6 @@ class LayerMap:
     its entries.  Each component is an integer dot product and a divmod by
     den; a remainder raises NonIntegralImage naming q, whose Fraction
     coordinates are built only for that message.
-
-    keeps_quadric is whether the images solve the case's equation on every
-    level (ParamCase.quadric_identity).
     """
 
     def __init__(self, case, j):
@@ -77,11 +74,11 @@ class LayerMap:
         g = math.gcd(Q * w, *p, *(x for row in P for x in row))
         self.P = tuple(tuple(x // g for x in row) for row in P)
         self.p, self.den, self._form = tuple(x // g for x in p), Q * w // g, form
+        # whether sum_i D_i y_i^2 = a (m^T A m + B.m) + b for every m, A and B the length's
         s, t, k = case.a * self.den ** 2, list(zip(case.form, self.P, self.p)), range(len(form.a))
-        self.keeps_quadric = ([[sum(d * r[u] * r[v] for d, r, _ in t) for v in k] for u in k]
-                              == [[s * x for x in row] for row in form.a]
-                              and [2 * sum(d * c * r[u] for d, r, c in t) for u in k]
-                              == [s * x for x in form.b]
+        self.keeps_quadric = (all(sum(d * r[u] * r[v] for d, r, _ in t) == s * form.a[u][v]
+                                  for u in k for v in k)
+                              and all(2 * sum(d * c * r[u] for d, r, c in t) == s * form.b[u] for u in k)
                               and sum(d * c * c for d, _, c in t) == case.b * self.den ** 2)
 
     def __call__(self, m):
@@ -146,19 +143,6 @@ class ParamCase:
         """layer_map(self, j) for each j in weyl.sigma_indices (types A and C)."""
         return (self.image_map,) + tuple(layer_map(self, j)
                                          for j in weyl.sigma_indices(self.type_id)[1:])
-
-    @cached_property
-    def quadric_identity(self):
-        """Whether each map the claim reads (every layer for the extended and
-        stratified claims and the conjecture, else layer 0) is a LayerMap y =
-        (P m + p) / den with sum_i D_i y_i^2 = a (m^T A m + B.m) + b identically
-        in m, D the case's form and A, B the length's: with r_i, c_i the rows of
-        P and entries of p, sum_i D_i r_i r_i^T = a den^2 A, 2 sum_i D_i c_i r_i
-        = a den^2 B and sum_i D_i c_i^2 = b den^2.  Then each image at level N
-        solves the equation at N; otherwise some image is off it, as a
-        quadratic that vanishes on Z^k is zero."""
-        maps = self.layer_maps if self.claim in ("extended", "stratified") else (self.image_map,)
-        return all(getattr(f, "keeps_quadric", False) for f in maps)
 
 
 # (3x + 6y - 1, 3x - 1) on the first two coordinates.
@@ -289,16 +273,6 @@ def layer_image(case, j, q):
     return case.phi_map(vec.coords)
 
 
-class _lazy(cached_property):
-    """cached_property without the lock Python 3.11 takes on each first read."""
-
-    def __get__(self, level, owner=None):
-        if level is None:
-            return self
-        level.__dict__[self.attrname] = value = self.func(level)
-        return value
-
-
 @dataclass
 class LevelData:
     """Everything the claims of one case read at one level N.
@@ -311,45 +285,45 @@ class LevelData:
     case: ParamCase
     n: int
 
-    @_lazy
+    @cached_property
     def k(self):
         """The right-hand side a N + b of the case's equation at level N."""
         return self.case.equation_value(self.n)
 
-    @_lazy
+    @cached_property
     def solutions(self):
         """The sorted solution set U of the case's equation at level N."""
         return solve_diagonal(self.case.form, self.k)
 
-    @_lazy
+    @cached_property
     def reps(self):
         """The canonical point of each G-orbit of U, sorted
         (diophantine.canonical)."""
         return solve_diagonal(self.case.form, self.k, self.case.group)
 
-    @_lazy
+    @cached_property
     def solution_count(self):
         """|U|, the sum of the orbit sizes of reps."""
         return sum(diophantine.orbit_size(self.case.group, r) for r in self.reps)
 
-    @_lazy
+    @cached_property
     def coefficients(self):
         """The basis coefficients of the lattice points of atomic length N,
         in the order of points."""
         return self.case.length.level_coefficients(self.n)
 
-    @_lazy
+    @cached_property
     def points(self):
         """The lattice points of atomic length N, sorted; only witnesses,
         the table command and the test oracles read their coordinates."""
         return list(map(self.case.length.coordinates, self.coefficients))
 
-    @_lazy
+    @cached_property
     def images(self):
         """phi of each lattice point, in the order of points."""
         return list(map(self.case.image_map, self.coefficients))
 
-    @_lazy
+    @cached_property
     def layers(self):
         """Per lattice point q, the images of the extended elements (j, q), all j."""
         maps = self.case.layer_maps
@@ -359,10 +333,10 @@ class LevelData:
         """Whether the point solves the case's equation at level N."""
         return sum(d * x * x for d, x in zip(self.case.form, point)) == self.k
 
-    def off_quadric(self, images):
+    def off_quadric(self, images, maps):
         """The index of the first image off the quadric, or None; no image is
-        tested when the case's quadric identity holds."""
-        if self.case.quadric_identity:
+        tested when each of the maps that made them keeps the quadric."""
+        if all(getattr(f, "keeps_quadric", False) for f in maps):
             return None
         return next((i for i, img in enumerate(images) if not self.on_quadric(img)), None)
 
@@ -409,7 +383,7 @@ def check_complete(level):
     if len(image_set) != len(images):
         dup = next(x for x in images if images.count(x) > 1)
         return _fail(case_id, n, counts, {"reason": "phi not injective", "point": dup})
-    i = level.off_quadric(images)
+    i = level.off_quadric(images, (case.image_map,))
     if i is not None:
         return _fail(case_id, n, counts,
                      {"reason": "phi image off the quadric",
@@ -438,16 +412,15 @@ def check_orbit_size(level):
     expected = diophantine.group_order(case.group, len(case.form))
     counts = {"solutions": level.solution_count, "orbits": len(reps),
               "phi_images": len(images), "expected_orbit_size": expected}
-    off = level.off_quadric(images)
-    for img in images[:off]:
+    off = level.off_quadric(images, (case.image_map,))
+    for i, img in enumerate(images):
+        if i == off:
+            return _fail(case_id, n, counts, {"reason": "phi image off the quadric", "image": img})
         size = diophantine.orbit_size(case.group, img)
         if size != expected:
             return _fail(case_id, n, counts,
                          {"reason": "orbit not of full size", "image": img,
                           "size": size})
-    if off is not None:
-        return _fail(case_id, n, counts,
-                     {"reason": "phi image off the quadric", "image": images[off]})
     counts["covered_orbits"] = len({diophantine.canonical(case.group, img) for img in images})
     return Report(case_id, n, "PASS", counts)
 
@@ -507,12 +480,12 @@ def check_stratified(level):
     # the shared class with the least key.
     classes = {}
     for i, layer in enumerate(level.layers):
-        off = level.off_quadric(layer)
-        for j, img in enumerate(layer[:off]):
+        off = level.off_quadric(layer, level.case.layer_maps)
+        for j, img in enumerate(layer):
+            if j == off:
+                return _fail(case_id, n, counts,
+                             {"reason": "layer image off the quadric", "image": img})
             classes.setdefault((diophantine.canonical("C6", img[::2]), img[1]), []).append((j, i))
-        if off is not None:
-            return _fail(case_id, n, counts,
-                         {"reason": "layer image off the quadric", "image": layer[off]})
         if len({img[1] for img in layer}) != 4:
             return _fail(case_id, n, counts,
                          {"reason": "layers share a stratum",
@@ -538,7 +511,7 @@ def check_a3_conjecture(level):
     counts = {"solutions": level.solution_count, "base_elements": len(level.coefficients),
               "extended_elements": 4 * len(level.coefficients)}
     images = [img for layer in level.layers for img in layer]
-    off = level.off_quadric(images)
+    off = level.off_quadric(images, case.layer_maps)
     hit = {diophantine.canonical(case.group, img) for img in images[:off]}
     if off is not None:
         return _fail("A3conj", n, counts,

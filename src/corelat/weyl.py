@@ -29,7 +29,8 @@ class ExtGrassElement:
     q: tuple        # stored coordinates of the translation part, in M
 
     def __post_init__(self):
-        dynkin.refuse_other_type(self.type_id, self.q)
+        if getattr(self.q, "type_id", self.type_id) != self.type_id:
+            raise ValueError(f"vector of type {self.q.type_id} given for {self.type_id}")
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
 
 

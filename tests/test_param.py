@@ -415,6 +415,7 @@ def test_phi_lands_on_quadric_identically(case_id):
         assert [2 * row[0] for row in _matmul(_matmul(_transpose(Pj), D), pj_col)] == \
             [case.a * x for x in form.b], (case_id, j)
         assert _matmul(_matmul([pj], D), pj_col) == [[case.b]], (case_id, j)
+        assert param.layer_map(case, j).keeps_quadric, (case_id, j)
 
 
 def _layers(case):
@@ -473,20 +474,13 @@ def test_non_integral_layer_image_names_its_point():
                                                 "error": "NonIntegralImage: " + error}}
 
 
-IDENTITY_CASES = list(param.CASES) + [c for rank in range(1, 9) for c in _hyp_ids(rank)]
-
-
-def test_quadric_identity_is_decided_per_case():
-    # the ids test_phi_lands_on_quadric_identically proves the identity for
-    for case_id in IDENTITY_CASES:
-        assert get_case(case_id).quadric_identity, case_id
+def test_keeps_quadric_is_false_off_the_identity():
     # the b = 16 variants of the complete and extended fail-branch tests
-    assert not dataclasses.replace(get_case("A2"), b=16).quadric_identity
-    assert not dataclasses.replace(get_case("A2ext"), b=16).quadric_identity
+    assert not dataclasses.replace(get_case("A2"), b=16).image_map.keeps_quadric
+    assert not any(f.keeps_quadric for f in dataclasses.replace(get_case("A2ext"), b=16).layer_maps)
     # C2L1's layer 2 is at Lambda_1 and off the identity; its claim reads
     # layer 0 alone
-    c2l1 = get_case("C2L1")
-    assert not param.layer_map(c2l1, 2).keeps_quadric
+    assert not param.layer_map(get_case("C2L1"), 2).keeps_quadric
 
 
 def _shifted(case):
@@ -506,14 +500,14 @@ def _shifted(case):
     (param.check_stratified, "A3", 3, "layer image off the quadric"),
     (param.check_a3_conjecture, "A3", 1, "layer image off the quadric"),
 ])
-def test_quadric_identity_fails_on_variants_off_the_quadric(check, case_id, n, reason):
-    # a changed b and shifted affine offsets break the identity, so the
-    # check scans the images and names the first off the quadric, as the
-    # per-point path of the same map does
+def test_keeps_quadric_fails_on_variants_off_the_quadric(check, case_id, n, reason):
+    # a changed b and shifted affine offsets break the identity of layer 0,
+    # which every claim reads, so the check scans the images and names the
+    # first off the quadric, as the per-point path of the same map does
     case = get_case(case_id)
-    assert not dataclasses.replace(case, b=case.b + 16).quadric_identity
+    assert not dataclasses.replace(case, b=case.b + 16).image_map.keeps_quadric
     shifted = _shifted(case)
-    assert not shifted.quadric_identity
+    assert not shifted.image_map.keeps_quadric
     per_point = dataclasses.replace(shifted, phi_map=lambda q: shifted.phi_map(q))
     report = check(param.LevelData(shifted, n)).to_dict()
     assert report == check(param.LevelData(per_point, n)).to_dict()
@@ -542,9 +536,9 @@ def test_checks_test_no_image_while_the_identity_holds(monkeypatch):
     for case_id in ("A2", "G21", "A3"):
         case = get_case(case_id)
         per_point = dataclasses.replace(case, phi_map=lambda q, phi=case.phi_map: phi(q))
-        assert not per_point.quadric_identity
+        tested.clear()
         assert param.CHECKS[case.claim](param.LevelData(per_point, 5)).passed
-    assert tested
+        assert tested, case_id
 
 
 def test_complete_check_takes_each_orbit_size_once(monkeypatch):
