@@ -12,9 +12,14 @@ type-A charge equals the corresponding lattice point in the epsilon-basis.
 
 A d-core is its charge: core_from_charge and charge_of_core are inverse
 bijections between d-cores and sum-zero integer d-vectors, under which the
-size of a core is the quadratic form _size_form of its charge.  The d-cores
-of size n are level n of that form; the self-conjugate ones, whose charges
-satisfy c_r = -c_{d-1-r}, are level n of its restriction to that sublattice.
+size of a core is the atomic length of its charge, a point of the lattice M
+of A_{d-1}^(1).  The self-conjugate d-cores are those whose charges satisfy
+c_r = -c_{d-1-r}, and on that sublattice the size is an atomic length too:
+of C_k^(1) at Lambda_0 for d = 2k (coefficients m, charge (m, -reversed m))
+and of A_{2k}^(2) at Lambda_k for d = 2k + 1 (charge (-reversed m, 0, m)).
+Every 2-core is self-conjugate.  So the cores of size n are level n of a
+registry form (atomic.length_form), and a d whose type id is above
+dynkin.MAX_RANK_LABEL is refused as dynkin.UnknownType.
 
 The lattice models are positive bead sets.  The bar partition of a rank-n
 point q is the positive beads of its (2n+2)-charge, whose core is that bar
@@ -23,9 +28,8 @@ positive beads of a 4-abacus with runner counts (m_0 + 1, m_1, |q_1|, m_-1).
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from . import linalg
+from . import atomic, linalg
 
 
 class NotACore(ValueError):
@@ -168,27 +172,19 @@ def partitions_of(n):
     return sorted(result)
 
 
-@lru_cache(maxsize=None)
-def _size_form(d, self_conjugate=False):
-    """size(core_from_charge(d, c)) as a linalg.QuadraticForm on the
-    sum-zero charge lattice, or on its self-conjugate sublattice
-    c_r = -c_{d-1-r} (basis e_j - e_{d-1-j}, j < d//2; the middle entry of
-    an odd d is 0): (d/2) sum c_r^2 + sum r*c_r."""
-    if self_conjugate:
-        pairs = [(j, d - 1 - j) for j in range(d // 2)]
-    else:
-        pairs = [(j, d - 1) for j in range(d - 1)]
-    basis = [[(r == j) - (r == k) for r in range(d)] for j, k in pairs]
-    return linalg.QuadraticForm.on_basis(
-        basis, Fraction(d, 2), lambda c: sum(r * x for r, x in enumerate(c)))
-
-
 def _cores_of_size(n, d, self_conjugate=False):
-    """All d-cores of size n, or the self-conjugate ones, through charge
-    space (complete via the exact positive-definite enumeration of the size
-    quadratic)."""
-    return sorted(core_from_charge(d, charge)
-                  for charge in _size_form(d, self_conjugate).level(n))
+    """All d-cores of size n, or the self-conjugate ones, as level n of the
+    atomic length on their charges (module docstring)."""
+    k = d // 2
+    if not self_conjugate or d == 2:
+        charges = atomic.length_form(f"A{d - 1}_1", 0, "M").level(n)
+    elif d % 2 == 0:
+        charges = (m + tuple(-x for x in reversed(m))
+                   for m in atomic.length_form(f"C{k}_1", 0, "M").level_coefficients(n))
+    else:
+        charges = (tuple(-x for x in reversed(m)) + (0,) + m
+                   for m in atomic.length_form(f"A{d - 1}_2", k, "M").level_coefficients(n))
+    return sorted(core_from_charge(d, charge) for charge in charges)
 
 
 def enumerate_partitions(n, kind="all", d=None):

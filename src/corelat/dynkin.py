@@ -281,23 +281,23 @@ def integer_point(t, v):
     return V, q
 
 
-def root_span_integers(t, v, show=None):
+def root_span_integers(t, v):
     """integer_point(t, v), once v is checked to lie in the root span of t.
 
     The NotInRootSpan message lists v as the CLI reads coordinates, e.g.
-    1,-1/2,0: each coordinate as show(x), or by default as its exact
-    Fraction V_i / q, which is built only on this error path.
+    1,-1/2,0: each coordinate as its exact Fraction V_i / q, which is built
+    only on this error path.
     """
     V, q = integer_point(t, v)
     if not t.root_solver.in_span(V):
-        shown = map(show, v) if show else (str(Fraction(x, q)) for x in V)
-        raise NotInRootSpan(f"{','.join(shown)} is not in the root span of {t.name}")
+        shown = ",".join(str(Fraction(x, q)) for x in V)
+        raise NotInRootSpan(f"{shown} is not in the root span of {t.name}")
     return V, q
 
 
 def simple_root_coefficients(t, v):
     """Coefficients (c_1..c_n) with v = sum c_i alpha_i in stored coordinates."""
-    V, q = root_span_integers(t, v, str)
+    V, q = root_span_integers(t, v)
     solver = t.root_solver
     return tuple(Fraction(linalg.dot(row, V), solver.D * q) for row in solver.rows)
 

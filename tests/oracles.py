@@ -39,7 +39,12 @@ A3Stratum and stratum are helpers that only the tests call.
 lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
 addable or removable box of the letter's residue, and charge_symmetric, once
 in cores, builds the self-conjugacy-symmetric charges independently of the
-sublattice basis that cores lists them on.
+sublattice basis that cores lists them on.  size_form, once cores._size_form,
+is the size of a d-core as a quadratic form on its charge, built by hand on
+the basis e_j - e_{d-1} (or e_j - e_{d-1-j} for the self-conjugate
+charges), before cores read the size off the registry's atomic lengths.
+core_counts is the Garvan-Kim-Stanton generating function of the d-cores,
+prod_k (1 - q^{dk})^d / (1 - q^k), as a list of coefficients.
 
 doubled_distinct, bar_from_doubled, bar_core_from_lattice and
 d4flat_from_lattice are the original row-and-part-list constructions of
@@ -75,7 +80,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from corelat import atomic, diophantine, dynkin, param
+from corelat import atomic, diophantine, dynkin, linalg, param
 from corelat.atomic import LatticeVector, _basis, _type
 from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
 from corelat.diophantine import NonIntegralImage, _rotations60
@@ -781,6 +786,34 @@ def charge_symmetric(d, half):
     if 2 * len(half) != d:
         raise BadCharge("need d/2 free entries")
     return half + tuple(-c for c in reversed(half))
+
+
+@lru_cache(maxsize=None)
+def size_form(d, self_conjugate=False):
+    """size(core_from_charge(d, c)) as a linalg.QuadraticForm on the
+    sum-zero charge lattice, or on its self-conjugate sublattice
+    c_r = -c_{d-1-r} (basis e_j - e_{d-1-j}, j < d//2; the middle entry of
+    an odd d is 0): (d/2) sum c_r^2 + sum r*c_r."""
+    if self_conjugate:
+        pairs = [(j, d - 1 - j) for j in range(d // 2)]
+    else:
+        pairs = [(j, d - 1) for j in range(d - 1)]
+    basis = [[(r == j) - (r == k) for r in range(d)] for j, k in pairs]
+    return linalg.QuadraticForm.on_basis(
+        basis, Fraction(d, 2), lambda c: sum(r * x for r, x in enumerate(c)))
+
+
+def core_counts(d, top):
+    """The number of d-cores of each size 0..top, read off
+    prod_k (1 - q^{dk})^d / (1 - q^k) truncated above q^top."""
+    series = [1] + [0] * top
+    for k in range(1, top + 1):
+        for n in range(k, top + 1):      # times 1 / (1 - q^k)
+            series[n] += series[n - k]
+        for _ in range(d):
+            for n in range(top, d * k - 1, -1):     # times (1 - q^{dk})
+                series[n] -= series[n - d * k]
+    return series
 
 
 def _addable_cells(parts, residue, d):

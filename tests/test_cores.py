@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import atomic, cores
+from corelat import atomic, cores, dynkin, linalg
 from corelat.cores import (
     BadCharge,
     NotACore,
@@ -27,8 +28,9 @@ from corelat.cores import (
 from corelat.diophantine import solve_diagonal, solve_diagonal_meet
 
 import oracles
-from golden_data import D4FLAT_SMALL, D6_35, D6_SMALL, SCC4_40
-from oracles import charge_symmetric, enumerate_atomic_upto, is_self_conjugate
+from golden_data import D4FLAT_SMALL, D6_35, D6_SMALL, ENUMERATE_PARTITIONS_SHA256, SCC4_40
+from oracles import (charge_symmetric, core_counts, enumerate_atomic_upto, is_self_conjugate,
+                     size_form)
 
 
 partitions_strategy = st.lists(st.integers(1, 12), min_size=0, max_size=8).map(
@@ -138,6 +140,69 @@ def test_enumerate_partitions_against_filtered_bruteforce():
             assert enumerate_partitions(n, "scc-plus", d) == \
                 [p for p in everything if is_self_conjugate(p) and is_d_core(p, d)
                  and diagonal_length(p) % 2 == 0]
+
+
+def registry_size_form(d, self_conjugate):
+    """The registry form cores reads the size of a d-core off, and the
+    integer matrix T taking its coefficients to those of size_form."""
+    k = d // 2
+    if not self_conjugate or d == 2:
+        form = atomic.length_form(f"A{d - 1}_1", 0, "M")
+        # a sum-zero charge c is sum_j c_j (e_j - e_{d-1})
+        return form, [[v[j] for v in form.basis] for j in range(d - 1)]
+    if d % 2 == 0:     # charge (m, -reversed m)
+        return atomic.length_form(f"C{k}_1", 0, "M"), [[int(i == j) for i in range(k)]
+                                                       for j in range(k)]
+    # charge (-reversed m, 0, m)
+    return (atomic.length_form(f"A{d - 1}_2", k, "M"),
+            [[-int(i == k - 1 - j) for i in range(k)] for j in range(k)])
+
+
+@pytest.mark.parametrize("d", range(2, 21))
+def test_core_size_is_the_registry_atomic_length(d):
+    # the oracle's form becomes the registry's exactly under the unimodular
+    # T: T^t a T = a' and b T = b'
+    for self_conjugate in (False, True):
+        form, T = registry_size_form(d, self_conjugate)
+        oracle = size_form(d, self_conjugate)
+        columns = list(zip(*T))
+        aT = [[linalg.dot(row, col) for col in columns] for row in oracle.a]
+        assert abs(oracles.det(T)) == 1
+        assert form.a == tuple(tuple(linalg.dot(col, aT_col) for aT_col in zip(*aT))
+                               for col in columns)
+        assert form.b == tuple(linalg.dot(oracle.b, col) for col in columns)
+
+
+def test_cores_of_size_match_the_charge_space_oracle():
+    for d in range(2, 13):
+        for self_conjugate in (False, True):
+            oracle = size_form(d, self_conjugate)
+            for n in range(31):
+                assert cores._cores_of_size(n, d, self_conjugate) == sorted(
+                    core_from_charge(d, charge) for charge in oracle.level(n))
+
+
+def test_core_counts_are_the_garvan_kim_stanton_coefficients():
+    for d in range(2, 9):
+        assert [len(enumerate_partitions(n, "core", d)) for n in range(41)] == core_counts(d, 40)
+
+
+def test_enumerate_partitions_is_byte_identical():
+    data = [(d, kind, n, enumerate_partitions(n, kind, d))
+            for d in range(2, 11) for kind in ("core", "scc", "scc-plus") for n in range(41)]
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == ENUMERATE_PARTITIONS_SHA256
+
+
+@pytest.mark.parametrize("kind, d", [
+    ("core", 60),
+    ("core", dynkin.MAX_RANK_LABEL + 2),             # A51_1
+    ("scc", dynkin.MAX_RANK_LABEL + 3),              # A52_2
+    ("scc-plus", 2 * dynkin.MAX_RANK_LABEL + 2),     # C51_1
+])
+def test_d_above_the_registry_cap_is_refused(kind, d):
+    # refused as the type id is parsed, before any type data is built
+    with pytest.raises(dynkin.UnknownType, match="above the largest supported"):
+        enumerate_partitions(10, kind, d)
 
 
 def test_residue_count():

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import atomic, cores, dynkin, linalg, param
+from corelat import atomic, dynkin, linalg, param
 from corelat.diophantine import solve_diagonal, solve_diagonal_meet
 
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
-                     enumerate_quadratic_ball_upto, solve_diagonal_brute)
+                     enumerate_quadratic_ball_upto, size_form, solve_diagonal_brute)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_hyp_types_cover_half_integer_kappa():
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_enumerator_matches_oracle_on_core_size_forms(d):
-    for form in (cores._size_form(d), cores._size_form(d, self_conjugate=True)):
+    for form in (size_form(d), size_form(d, self_conjugate=True)):
         assert_enumerators_agree(form.a, form.b, TARGETS + (13, 21))
 
 
@@ -136,7 +136,7 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
 
     monkeypatch.setattr(linalg, "_IntegerBall", CountingBall)
     linalg._compiled_ball.cache_clear()
-    form = cores._size_form(4)
+    form = size_form(4)
     levels = [form.level(n) for n in range(12)]
     list(form.upto(11))
     assert len(built) == 1
@@ -184,8 +184,8 @@ def walk_forms():
     for type_id in HYP_TYPES:
         forms[f"HYP:{type_id}"] = param.hyp_case(type_id).length
     for d in range(2, 7):
-        forms[f"cores-{d}"] = cores._size_form(d)
-        forms[f"cores-{d}-sc"] = cores._size_form(d, self_conjugate=True)
+        forms[f"cores-{d}"] = size_form(d)
+        forms[f"cores-{d}-sc"] = size_form(d, self_conjugate=True)
     return forms
 
 
