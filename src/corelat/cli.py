@@ -137,14 +137,15 @@ def _cmd_enumerate(args, out):
     t = lookup_type(args.type)
     weight = int(args.weight[1:])
     target = _fraction(args.N)
-    vectors = atomic.enumerate_atomic(t, weight, target, args.lattice)
+    lattice = args.lattice or ("L" if weight == 1 else "M")
+    vectors = atomic.enumerate_atomic(t, weight, target, lattice)
     if args.format == "json":
-        _emit_json({"type": args.type, "weight": args.weight, "lattice": args.lattice,
+        _emit_json({"type": args.type, "weight": args.weight, "lattice": lattice,
                     "N": args.N,
                     "elements": [list(map(str, v.coords)) for v in vectors]}, out)
     else:
         _emit_csv(["type", "weight", "lattice", "N", "coords"],
-                  [[args.type, args.weight, args.lattice, str(args.N), _fmt_tuple(v.coords)]
+                  [[args.type, args.weight, lattice, str(args.N), _fmt_tuple(v.coords)]
                    for v in vectors], out)
     return 0
 
@@ -256,8 +257,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "lattice", None) is None and args.command == "enumerate":
-        args.lattice = "L" if getattr(args, "weight", "L0") == "L1" else "M"
     try:
         return args.func(args, sys.stdout)
     except (ValueError, KeyError) as exc:

@@ -18,8 +18,9 @@ c_r = -c_{d-1-r}, and on that sublattice the size is an atomic length too:
 of C_k^(1) at Lambda_0 for d = 2k (coefficients m, charge (m, -reversed m))
 and of A_{2k}^(2) at Lambda_k for d = 2k + 1 (charge (-reversed m, 0, m)).
 Every 2-core is self-conjugate.  So the cores of size n are level n of a
-registry form (atomic.length_form), and a d whose type id is above
-dynkin.MAX_RANK_LABEL is refused as dynkin.UnknownType.
+registry form (atomic.length_form), and a d beyond the registry's ranks
+(above 51, or 100 for even self-conjugate cores) is refused as
+dynkin.UnknownType.
 
 The lattice models are positive bead sets.  The bar partition of a rank-n
 point q is the positive beads of its (2n+2)-charge, whose core is that bar
@@ -29,7 +30,7 @@ positive beads of a 4-abacus with runner counts (m_0 + 1, m_1, |q_1|, m_-1).
 
 from fractions import Fraction
 
-from . import atomic, linalg
+from . import atomic, dynkin, linalg
 
 
 class NotACore(ValueError):
@@ -174,8 +175,14 @@ def partitions_of(n):
 
 def _cores_of_size(n, d, self_conjugate=False):
     """All d-cores of size n, or the self-conjugate ones, as level n of the
-    atomic length on their charges (module docstring)."""
+    atomic length on their charges (module docstring); ValueError for a d
+    that is not an integer."""
+    d, = linalg.as_integers((d,))
     k = d // 2
+    cap = 2 * dynkin.MAX_RANK_LABEL if self_conjugate and d % 2 == 0 else dynkin.MAX_RANK_LABEL + 1
+    if d > cap:
+        kind = f"{('even', 'odd')[d % 2]} self-conjugate d-cores" if self_conjugate else "d-cores"
+        raise dynkin.UnknownType(f"d = {d} is above the largest supported for {kind}, {cap}")
     if not self_conjugate or d == 2:
         charges = atomic.length_form(f"A{d - 1}_1", 0, "M").level(n)
     elif d % 2 == 0:
@@ -212,9 +219,6 @@ def enumerate_partitions(n, kind="all", d=None):
 # ---------------------------------------------------------------------------
 # Weighted sizes of the self-conjugate-core models
 
-WEIGHT_RULES = ("C", "Dt", "Aeven", "B", "Aodd", "D", "G2", "D43")
-
-
 # Coefficients (on |lambda|, |lambda|_0, |lambda|_special) of each rule.
 # The two twisted full-SCC rules (Dt, Aeven) carry a plus sign on the 0-boxes:
 # these cofficients are pinned, uniquely within half-integer combinations of
@@ -230,6 +234,8 @@ _RULE_COEFFS = {
     "G2": (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)),
     "D43": (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)),
 }
+
+WEIGHT_RULES = tuple(_RULE_COEFFS)
 
 
 def weighted_size(rule, parts, n):

@@ -7,17 +7,18 @@ denominator, so solving for coefficients, testing span membership and
 testing integrality are integer dot products on a vector scaled to
 integers once (integer_vector, which reads int and Fraction entries as
 they are and builds a Fraction only for another kind).  The quadratic
-enumerators use Fraction only to set up: each form is scaled to integers
-once, on its first search, and the search itself runs on Python ints with
-exact isqrt bounds, in one generator frame that carries each coordinate's
-centre down from its parent's.  The level search solves its last coordinate
-instead of looping over it, and QuadraticForm.level builds one Fraction per
-distinct coordinate value, shared by every point of the level.
+enumerators use Fraction only to set up: a QuadraticForm keeps its compiled
+search (QuadraticForm.ball), the form scaled to integers on its first
+search, and the search itself runs on Python ints with exact isqrt bounds,
+in one generator frame that carries each coordinate's centre down from its
+parent's.  The level search solves its last coordinate instead of looping
+over it, and QuadraticForm.level builds one Fraction per distinct
+coordinate value, shared by every point of the level.
 """
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import isqrt
 from operator import mul
 
@@ -228,43 +229,19 @@ class _IntegerBall:
             Q = (P[0] + u[0] * mi, P[1] + u[1] * mi) if i == 2 else [p + s * mi for p, s in zip(P, u)]
 
 
-class _Hashed(tuple):
-    """A tuple hashed once, when built: the ball cache key of a form's a and b."""
-
-    def __init__(self, items):
-        self.hash = tuple.__hash__(self)
-
-    def __hash__(self):
-        return self.hash
-
-
-@lru_cache(maxsize=1024)
-def _compiled_ball(a, b):
-    return _IntegerBall(a, b)
-
-
-def _ball(a, b):
-    """The _IntegerBall of the form (a, b), built on the form's first search
-    and kept for every later one (far more forms than any run asks for)."""
-    if type(a) is not _Hashed or type(b) is not _Hashed:
-        a, b = _Hashed(map(tuple, a)), _Hashed(b)
-    return _compiled_ball(a, b)
-
-
-def enumerate_quadratic_upto(a, b, bound):
+def enumerate_quadratic_upto(ball, bound):
     """Integer points of a positive-definite quadratic below a bound.
 
     Yields (value, m) for every m in Z^k with value = m^T a m + b.m <= bound,
-    in ascending order of (m_{k-1}, ..., m_0).  Complete by construction:
-    every coordinate range is an exact integer bound of _IntegerBall, which
-    is built once per form and kept for every later bound or target.
+    in ascending order of (m_{k-1}, ..., m_0), where ball is the form's
+    _IntegerBall.  Complete by construction: every coordinate range is an
+    exact integer bound of the ball, which serves every bound and target.
     """
-    k = len(a)
+    k = len(ball.e)
     if k == 0:
         if 0 <= bound:
             yield Fraction(0), ()
         return
-    ball = _ball(a, b)
     S, e0, scale, D = ball.S, ball.e[0], ball.scale, ball.D
     # every value lies in (1/D) Z, so value <= bound exactly when D value <= T
     T = math.floor(Fraction(bound) * D)
@@ -277,19 +254,18 @@ def enumerate_quadratic_upto(a, b, bound):
             yield Fraction(T - (budget - e0 * y * y) // scale, D), tuple(m)
 
 
-def enumerate_quadratic_level(a, b, target):
+def enumerate_quadratic_level(ball, target):
     """Integer points with m^T a m + b.m exactly equal to target.
 
-    The list comes in the order of enumerate_quadratic_upto, and shares its
-    compiled ball.  The last coordinate is not searched: on the level set
+    The list comes in the order of enumerate_quadratic_upto on the same
+    ball.  The last coordinate is not searched: on the level set
     e_0 Y_0^2 equals the budget R_0 the other coordinates leave, so
     Y_0 = +-isqrt(R_0 / e_0) when that is an exact square, and
     m_0 = (Y_0 - S c_0) / S when S divides it.
     """
-    k = len(a)
+    k = len(ball.e)
     if k == 0:
         return [()] if target == 0 else []
-    ball = _ball(a, b)
     # every value lies in (1/D) Z, so a target outside it is never reached
     T = target * ball.D if type(target) is int else Fraction(target) * ball.D
     if T.denominator != 1:
@@ -318,13 +294,13 @@ class QuadraticForm:
     The coefficients m stand for the lattice point sum_i m_i basis_i, whose
     coordinates are C m / Q: C holds the basis vectors scaled to integers by
     the lcm Q of their denominators, one row per coordinate.  level and upto
-    speak in coordinates, level_coefficients in coefficients.  The exact
-    integer search of the form is built on first use and kept, so every
-    level and bound asked of one form shares it.
+    speak in coordinates, level_coefficients in coefficients.  The form
+    keeps its compiled search, ball, built on first use, so every level and
+    bound asked of one form shares it.
     """
 
     def __init__(self, a, b, basis):
-        self.a, self.b, self.basis = _Hashed(map(tuple, a)), _Hashed(b), basis
+        self.a, self.b, self.basis = tuple(map(tuple, a)), tuple(b), basis
         self.Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
         self.C = tuple(tuple(int(v[r] * self.Q) for v in self.basis)
                        for r in range(len(self.basis[0]) if self.basis else 0))
@@ -335,6 +311,11 @@ class QuadraticForm:
         spanned by basis; linear is a linear function of coordinates."""
         a = [[kappa * sum(Fraction(x) * y for x, y in zip(v, w)) for w in basis] for v in basis]
         return cls(a, [linear(v) for v in basis], basis)
+
+    @cached_property
+    def ball(self):
+        """The exact integer search of the form (_IntegerBall)."""
+        return _IntegerBall(self.a, self.b)
 
     def numerators(self, m):
         """C m: Q times the coordinates of the lattice point with basis
@@ -348,18 +329,18 @@ class QuadraticForm:
     def level_coefficients(self, target):
         """Basis coefficients of every lattice point of value target, in the
         order of the points' coordinates (sorted by the integer key C m)."""
-        return sorted(enumerate_quadratic_level(self.a, self.b, target), key=self.numerators)
+        return sorted(enumerate_quadratic_level(self.ball, target), key=self.numerators)
 
     def level(self, target):
         """Coordinates of every lattice point of value target, sorted: the
         numerators C m sorted, each divided by Q.  One Fraction is built per
         distinct numerator and shared by every point that has it."""
-        numerators = sorted(map(self.numerators, enumerate_quadratic_level(self.a, self.b, target)))
+        numerators = sorted(map(self.numerators, enumerate_quadratic_level(self.ball, target)))
         values = {x for c in numerators for x in c}
         shared = {x: Fraction(x, self.Q) for x in values}
         return [tuple(map(shared.__getitem__, c)) for c in numerators]
 
     def upto(self, bound):
         """(value, coordinates) for every lattice point of value <= bound."""
-        for value, m in enumerate_quadratic_upto(self.a, self.b, bound):
+        for value, m in enumerate_quadratic_upto(self.ball, bound):
             yield value, self.coordinates(m)

@@ -205,6 +205,16 @@ def test_d_above_the_registry_cap_is_refused(kind, d):
         enumerate_partitions(10, kind, d)
 
 
+@pytest.mark.parametrize("kind, d, cap", [
+    ("core", 60, 51), ("scc", 53, 51), ("scc-plus", 102, 100)])
+def test_d_is_refused_in_the_callers_words(kind, d, cap):
+    with pytest.raises(dynkin.UnknownType) as refused:
+        enumerate_partitions(10, kind, d)
+    assert f"d = {d}" in str(refused.value) and f", {cap}" in str(refused.value)
+    with pytest.raises(ValueError, match="not an integer"):
+        enumerate_partitions(10, kind, 2.5)
+
+
 def test_residue_count():
     assert residue_count((), 4, 0) == 0
     assert residue_count((1,), 5, 0) == 1

@@ -1,5 +1,6 @@
 """Differential tests: the exact integer kernels against the slow oracles."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corelat import atomic, dynkin, linalg, param
+from corelat.cores import enumerate_partitions
 from corelat.diophantine import solve_diagonal, solve_diagonal_meet
 
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
@@ -62,10 +64,11 @@ TARGETS = (0, 1, 2, 3, 5, 8, Fraction(1, 2), Fraction(7, 3), Fraction(11, 2))
 
 
 def assert_enumerators_agree(a, b, targets=TARGETS):
+    ball = linalg._IntegerBall(a, b)
     for target in targets:
-        assert (linalg.enumerate_quadratic_level(a, b, target)
+        assert (linalg.enumerate_quadratic_level(ball, target)
                 == enumerate_quadratic_ball_level(a, b, target))
-        new = list(linalg.enumerate_quadratic_upto(a, b, target))
+        new = list(linalg.enumerate_quadratic_upto(ball, target))
         assert new == list(enumerate_quadratic_ball_upto(a, b, target))
         assert all(type(value) is Fraction for value, _ in new)
 
@@ -127,37 +130,51 @@ def test_compiled_form_serves_every_target():
 
 
 def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
-    built = []
+    # every _IntegerBall is built by a form's ball, at most once per form,
+    # however many levels, bounds and sweeps ask it
+    built, compiled = [], []
+    compile_ball = linalg.QuadraticForm.ball.func
 
     class CountingBall(linalg._IntegerBall):
         def __init__(self, a, b):
-            built.append(a)
+            built.append(self)
             super().__init__(a, b)
 
+    @functools.cached_property
+    def ball(form):
+        compiled.append(form)
+        return compile_ball(form)
+
+    ball.__set_name__(linalg.QuadraticForm, "ball")
     monkeypatch.setattr(linalg, "_IntegerBall", CountingBall)
-    linalg._compiled_ball.cache_clear()
-    form = size_form(4)
-    levels = [form.level(n) for n in range(12)]
-    list(form.upto(11))
-    assert len(built) == 1
-    # another form object with the same (a, b), and the bare enumerator on
-    # lists, find the same compiled ball
-    again = linalg.QuadraticForm(form.a, form.b, form.basis)
-    assert [again.level(n) for n in range(12)] == levels
-    assert linalg.enumerate_quadratic_level([list(r) for r in form.a], list(form.b), 5)
-    assert len(built) == 1
-    # a hyperoctahedral sweep builds its case at every level but compiles
-    # the family form once
-    built.clear()
-    for n in range(6):
-        assert param.verify_case("HYP:C3_1", n).passed
-    assert len(built) == 1
-    linalg._compiled_ball.cache_clear()
+    monkeypatch.setattr(linalg.QuadraticForm, "ball", ball)
+    # the builders' forms are compiled afresh, not by an earlier test
+    atomic.length_form.cache_clear()
+    param.hyp_case.cache_clear()
+
+    def builds(run):
+        built.clear()
+        compiled.clear()
+        run()
+        assert len(built) == len(compiled) == len(set(map(id, compiled)))
+        return len(built)
+
+    def sweep():
+        for case_id in (*param.CASES, "HYP:C3_1"):
+            for n in range(11):
+                assert param.verify_case(case_id, n).passed
+
+    size = size_form(4)
+    form = linalg.QuadraticForm(size.a, size.b, size.basis)
+    assert builds(lambda: ([form.level(n) for n in range(12)], list(form.upto(11)))) == 1
+    assert builds(lambda: [enumerate_partitions(n, "core", 5) for n in range(21)]) == 1
+    assert builds(sweep) > 1
+    assert builds(sweep) == 0
 
 
 def test_a_compiled_form_is_searched_without_hashing_a_fraction(monkeypatch):
-    # the ball cache key of a QuadraticForm is hashed when the form is built,
-    # so no later search hashes the Fractions of (a, b) again
+    # a form keeps its compiled search, so no later search hashes the
+    # Fractions of (a, b)
     form = atomic.length_form("E8_1", 0, "M")
     form.level(2)
     hashed, fraction_hash = [], Fraction.__hash__
@@ -168,11 +185,8 @@ def test_a_compiled_form_is_searched_without_hashing_a_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__hash__", counted)
     assert form.level(4) and form.level_coefficients(6) and list(form.upto(2))
-    assert linalg.enumerate_quadratic_level(form.a, form.b, 4)
+    assert linalg.enumerate_quadratic_level(form.ball, 4)
     assert hashed == []
-    # the bare enumerator on lists still hashes its key, once per search
-    assert linalg.enumerate_quadratic_level([list(r) for r in form.a], list(form.b), 4)
-    assert hashed
 
 
 def walk_forms():
@@ -224,7 +238,7 @@ def test_walk_forms_cover_every_depth_case_and_a_denominator():
     # the first odometer depth
     ranks = {len(form.a) for form in WALK_FORMS.values()}
     assert {1, 2, 3, 8} <= ranks
-    assert any(linalg._ball(form.a, form.b).D > 1 for form in WALK_FORMS.values())
+    assert any(form.ball.D > 1 for form in WALK_FORMS.values())
 
 
 def test_a_level_builds_one_fraction_per_distinct_value(monkeypatch):
@@ -279,5 +293,5 @@ def test_enumerator_matches_oracle_on_random_rational_forms(case):
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_one_frame_walk_matches_the_recursive_oracle_on_random_rational_forms(case):
     a, b, target = case
-    T = math.floor(target * linalg._ball(a, b).D)
+    T = math.floor(target * linalg._IntegerBall(a, b).D)
     assert_walks_agree(a, b, (T, T + 7))
