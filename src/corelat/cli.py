@@ -141,11 +141,11 @@ def _cmd_enumerate(args, out):
     vectors = atomic.enumerate_atomic(t, weight, target, lattice)
     if args.format == "json":
         _emit_json({"type": args.type, "weight": args.weight, "lattice": lattice,
-                    "N": args.N,
+                    "N": str(target),
                     "elements": [list(map(str, v.coords)) for v in vectors]}, out)
     else:
         _emit_csv(["type", "weight", "lattice", "N", "coords"],
-                  [[args.type, args.weight, lattice, str(args.N), _fmt_tuple(v.coords)]
+                  [[args.type, args.weight, lattice, str(target), _fmt_tuple(v.coords)]
                    for v in vectors], out)
     return 0
 

@@ -13,7 +13,10 @@ search, and the search itself runs on Python ints with exact isqrt bounds,
 in one generator frame that carries each coordinate's centre down from its
 parent's.  The level search solves its last coordinate instead of looping
 over it, and QuadraticForm.level builds one Fraction per distinct
-coordinate value, shared by every point of the level.
+coordinate value, shared by every point of the level.  A fixed integer map
+m -> P m + p, such as a form's C m, is compiled once into a straight-line
+Python function (compile_affine) that lists the non-zero terms of each row,
+so applying it makes no dot product.
 """
 
 import math
@@ -57,6 +60,43 @@ def integer_vector(v):
     pairs = [(x if isinstance(x, _EXACT) else Fraction(x)).as_integer_ratio() for x in v]
     q = math.lcm(*[d for _, d in pairs])
     return [n * (q // d) for n, d in pairs], q
+
+
+def affine_source(P, p):
+    """The Python source of `def f(m)` returning the tuple P m + p, for an
+    integer matrix P and offset p.
+
+    Each component lists only the non-zero terms of its row, and m is unpacked
+    into one local per column, so a call runs no loop and no dot product.  An
+    entry whose type is not exactly int (a bool, a Fraction, a float, a
+    string) is a ValueError before any source is built, so the source holds
+    only formatted Python ints.
+    """
+    P, p = tuple(map(tuple, P)), tuple(p)
+    for x in (*p, *(x for row in P for x in row)):
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not an int")
+    if len(P) != len(p):
+        raise ValueError(f"{len(P)} rows but {len(p)} offsets")
+    rows = []
+    for row, c in zip(P, p):
+        terms = [f"{x}*m{i}" if abs(x) != 1 else f"{'-' * (x < 0)}m{i}"
+                 for i, x in enumerate(row) if x]
+        if c or not terms:
+            terms.append(str(c))
+        # a term's only minus is its leading sign, so "+ -" marks a subtraction
+        rows.append(" + ".join(terms).replace("+ -", "- "))
+    k = max(map(len, P), default=0)
+    unpack = f"    {''.join(f'm{i}, ' for i in range(k))}= m\n" if k else ""
+    return f"def f(m):\n{unpack}    return ({''.join(row + ', ' for row in rows)})\n"
+
+
+def compile_affine(P, p):
+    """The function m -> P m + p of affine_source, built once by exec; it
+    takes m of exactly as many entries as P has columns."""
+    namespace = {}
+    exec(affine_source(P, p), namespace)
+    return namespace["f"]
 
 
 def eliminate(columns):
@@ -293,8 +333,9 @@ class QuadraticForm:
 
     The coefficients m stand for the lattice point sum_i m_i basis_i, whose
     coordinates are C m / Q: C holds the basis vectors scaled to integers by
-    the lcm Q of their denominators, one row per coordinate.  level and upto
-    speak in coordinates, level_coefficients in coefficients.  The form
+    the lcm Q of their denominators, one row per coordinate, and numerators
+    is m -> C m, compiled when the form is built (compile_affine).  level and
+    upto speak in coordinates, level_coefficients in coefficients.  The form
     keeps its compiled search, ball, built on first use, so every level and
     bound asked of one form shares it.
     """
@@ -304,6 +345,7 @@ class QuadraticForm:
         self.Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
         self.C = tuple(tuple(int(v[r] * self.Q) for v in self.basis)
                        for r in range(len(self.basis[0]) if self.basis else 0))
+        self.numerators = compile_affine(self.C, (0,) * len(self.C))
 
     @classmethod
     def on_basis(cls, basis, kappa, linear):
@@ -316,11 +358,6 @@ class QuadraticForm:
     def ball(self):
         """The exact integer search of the form (_IntegerBall)."""
         return _IntegerBall(self.a, self.b)
-
-    def numerators(self, m):
-        """C m: Q times the coordinates of the lattice point with basis
-        coefficients m, as integers."""
-        return tuple([dot(row, m) for row in self.C])
 
     def coordinates(self, m):
         """Coordinates of the lattice point with basis coefficients m."""

@@ -8,7 +8,9 @@ holds the canonical point of each orbit of the level's solution set U from
 the exact diagonal solver, its lattice points from the exact quadratic
 enumeration and their phi images, and one check function per claim decides
 it on them, with counts from the orbit sizes and coverage from the
-canonical point of each image.  Each LayerMap decides once whether its images
+canonical point of each image.  The images come from one LayerMap per
+layer, an integer map compiled once into straight-line code
+(linalg.compile_affine).  Each LayerMap decides once whether its images
 lie on the quadric (keeps_quadric); only the images of other maps are tested
 one by one.  FAIL is reported as data, never raised.
 """
@@ -56,9 +58,11 @@ class LayerMap:
     One integer map per (case, j), composed once from integer matrices: with
     q = C m / Q (linalg.QuadraticForm), omega_j = W / w and phi(x) = F x + f,
     the image is (w F M_j C m + Q F W + Q w f) / (Q w), reduced by the gcd of
-    its entries.  Each component is an integer dot product and a divmod by
-    den; a remainder raises NonIntegralImage naming q, whose Fraction
-    coordinates are built only for that message.
+    its entries.  m -> P m + p is compiled once (linalg.compile_affine), and
+    a call returns its tuple as it is when den is 1, as it is for every
+    registered case.  Otherwise each component takes a divmod by den, and a
+    remainder raises NonIntegralImage naming q, whose Fraction coordinates
+    are built only for that message.
     """
 
     def __init__(self, case, j):
@@ -74,6 +78,7 @@ class LayerMap:
         g = math.gcd(Q * w, *p, *(x for row in P for x in row))
         self.P = tuple(tuple(x // g for x in row) for row in P)
         self.p, self.den, self._form = tuple(x // g for x in p), Q * w // g, form
+        self._numerators = linalg.compile_affine(self.P, self.p)
         # whether sum_i D_i y_i^2 = a (m^T A m + B.m) + b for every m, A and B the length's
         s, t, k = case.a * self.den ** 2, list(zip(case.form, self.P, self.p)), range(len(form.a))
         self.keeps_quadric = (all(sum(d * r[u] * r[v] for d, r, _ in t) == s * form.a[u][v]
@@ -82,9 +87,11 @@ class LayerMap:
                               and sum(d * c * c for d, _, c in t) == case.b * self.den ** 2)
 
     def __call__(self, m):
-        image, den = [], self.den
-        for row, c in zip(self.P, self.p):
-            num = linalg.dot(row, m) + c
+        numerators, den = self._numerators(m), self.den
+        if den == 1:
+            return numerators
+        image = []
+        for num in numerators:
             y, r = divmod(num, den)
             if r:
                 q = ",".join(map(str, self._form.coordinates(m)))
@@ -583,9 +590,11 @@ def _stratify(n, sols):
         which = y * y % 3            # 0 or 1, as y^2 is a square
         m_y = 16 * n + 10 - 2 * (y * y // 3)
         radius = math.isqrt(k - 2 * y * y)
-        omega_nonempty[y] = any((m % 3 == 0) == (which == 0)
-                                and is_perfect_square(m_y - (m * m + 2 * which) // 3)
-                                for m in range(-radius, radius + 1))
+        # the test reads m only through m^2 and m % 3 == 0, so m >= 0 in the
+        # residue classes mod 3 it accepts covers every m
+        starts = (0,) if which == 0 else (1, 2)
+        omega_nonempty[y] = any(is_perfect_square(m_y - (m * m + 2 * which) // 3)
+                                for start in starts for m in range(start, radius + 1, 3))
     gamma = [y for y in candidates if omega_nonempty[y]]
     return A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()},
                     all(omega_nonempty[y] == (y in by_y) for y in candidates),

@@ -23,6 +23,10 @@ functions of param, with their Fraction-to-int conversion _as_int and the
 coefficient and offset of the hyperoctahedral table (HYP_TABLE) before it
 was derived from kappa and the l_i.
 
+numerators and layer_image are the original QuadraticForm.numerators and
+LayerMap.__call__, one integer dot product per row, which the straight-line
+functions of linalg.compile_affine replaced.
+
 case_length is the atomic length of a case's lattice point from its
 definition, the reference that phi's quadric identity is checked against.
 
@@ -34,7 +38,9 @@ them), and representatives is the rule they imply for orbit
 representatives: the lexicographic maximum of each orbit of U.
 is_action_free is the original diophantine.is_action_free, which builds the
 orbit partition.  det, h_statistic, theta (the marked root, once in dynkin),
-A3Stratum and stratum are helpers that only the tests call.
+A3Stratum and stratum are helpers that only the tests call.  stratify is the
+original param._stratify, whose omega test scans every m in
+[-radius, radius] and filters on m mod 3 per m; check_stratified reads it.
 
 lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
 addable or removable box of the letter's residue, and charge_symmetric, once
@@ -375,6 +381,27 @@ def extended_image(t, element):
     return LatticeVector(t.name, coords)
 
 
+def numerators(form, m):
+    """C m for a linalg.QuadraticForm, one dot product per row: the original
+    QuadraticForm.numerators."""
+    return tuple([linalg.dot(row, m) for row in form.C])
+
+
+def layer_image(layer, m):
+    """The image of a param.LayerMap by one dot product and one divmod per
+    component: the original LayerMap.__call__."""
+    image, den = [], layer.den
+    for row, c in zip(layer.P, layer.p):
+        num = linalg.dot(row, m) + c
+        y, r = divmod(num, den)
+        if r:
+            q = ",".join(map(str, layer._form.coordinates(m)))
+            raise NonIntegralImage(f"non-integral image component {Fraction(num, den)}"
+                                   f" of layer {layer.j} at q = ({q})")
+        image.append(y)
+    return tuple(image)
+
+
 def _as_int(x):
     x = Fraction(x)
     if x.denominator != 1:
@@ -648,7 +675,7 @@ def check_stratified(level):
     """Stratification, G-stability, layer separation and orbit disjointness."""
     case_id, n, case = level.case.case_id, level.n, level.case
     sols, base = level.solutions, level.points
-    strata = param._stratify(n, sols)
+    strata = stratify(n, sols)
     counts = {"solutions": len(sols), "base_elements": len(base),
               "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
     if not strata.all_y_odd:
@@ -778,6 +805,32 @@ class A3Stratum:
 def stratum(strata, y):
     """The points of U with middle coordinate y, as param.A3Strata.stratum gave them."""
     return A3Stratum(strata.N, y, strata.strata.get(y, []))
+
+
+def stratify(n, sols):
+    """param._stratify as it first scanned each omega test: every m in
+    [-radius, radius], both residue classes mod 3 tested per m."""
+    k = 48 * n + 30
+    by_y = {}
+    for s in sols:
+        by_y.setdefault(s[1], []).append(s)
+    all_y_odd = all(y % 2 == 1 for y in by_y)
+
+    omega_nonempty = {}
+    y_bound = 24 * n + 15
+    candidates = [y for y in range(-math.isqrt(y_bound) - 1, math.isqrt(y_bound) + 2)
+                  if y % 2 != 0 and y * y < y_bound]
+    for y in candidates:
+        which = y * y % 3            # 0 or 1, as y^2 is a square
+        m_y = 16 * n + 10 - 2 * (y * y // 3)
+        radius = math.isqrt(k - 2 * y * y)
+        omega_nonempty[y] = any((m % 3 == 0) == (which == 0)
+                                and linalg.is_perfect_square(m_y - (m * m + 2 * which) // 3)
+                                for m in range(-radius, radius + 1))
+    gamma = [y for y in candidates if omega_nonempty[y]]
+    return param.A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()},
+                          all(omega_nonempty[y] == (y in by_y) for y in candidates),
+                          gamma == sorted(by_y), all_y_odd)
 
 
 def charge_symmetric(d, half):

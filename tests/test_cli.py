@@ -59,6 +59,19 @@ def test_enumerate_json():
     assert data["elements"] == [["1", "1", "-2"], ["2", "-1", "-1"]]
 
 
+@pytest.mark.parametrize("token,level", [("1_0", "10"), ("010", "10"), (" 10 ", "10"),
+                                         ("10.0", "10"), ("2.50", "5/2")])
+def test_enumerate_prints_the_level_it_enumerated(token, level):
+    # the N column and field give the level read from --N, not its spelling
+    code, out = run_cli(["enumerate", "--type", "A2_1", "--N", token])
+    assert code == 0
+    # level 10 of A2_1 holds two points; no level of it is fractional
+    assert [row[3] for row in csv.reader(io.StringIO(out))][1:] == [level] * 2 * (level == "10")
+    code, out = run_cli(["enumerate", "--type", "A2_1", "--N", token, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["N"] == level
+
+
 def test_atomic_length_verb():
     code, out = run_cli(["atomic-length", "--type", "C2_1", "--coords", "1,-3"])
     assert code == 0

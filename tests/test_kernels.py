@@ -1,19 +1,23 @@
 """Differential tests: the exact integer kernels against the slow oracles."""
 
+import dataclasses
 import functools
 import itertools
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import atomic, dynkin, linalg, param
+from corelat import atomic, dynkin, linalg, param, weyl
 from corelat.cores import enumerate_partitions
-from corelat.diophantine import solve_diagonal, solve_diagonal_meet
+from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
 
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
                      enumerate_quadratic_ball_upto, size_form, solve_diagonal_brute)
+from oracles import layer_image as oracle_layer_image, numerators as oracle_numerators
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +299,126 @@ def test_one_frame_walk_matches_the_recursive_oracle_on_random_rational_forms(ca
     a, b, target = case
     T = math.floor(target * linalg._IntegerBall(a, b).D)
     assert_walks_agree(a, b, (T, T + 7))
+
+
+# ---------------------------------------------------------------------------
+# Compiled integer maps
+
+def random_coefficients(rng, k):
+    """The zero vector and twenty random integer vectors of length k, with
+    entries from 1 to 10^30 in size."""
+    yield (0,) * k
+    for size in (3, 50, 10 ** 30) * 6 + (1, 10 ** 6):
+        yield tuple(rng.randint(-size, size) for _ in range(k))
+
+
+def assert_numerators_match(form, seed=0):
+    rng = random.Random(seed)
+    for m in random_coefficients(rng, len(form.a)):
+        assert form.numerators(m) == oracle_numerators(form, m)
+
+
+def assert_layer_map_matches(f, seed=0):
+    rng = random.Random(seed)
+    for m in random_coefficients(rng, len(f._form.a)):
+        try:
+            expected = oracle_layer_image(f, m)
+        except NonIntegralImage as exc:
+            with pytest.raises(NonIntegralImage, match=re.escape(str(exc))):
+                f(m)
+        else:
+            assert f(m) == expected
+
+
+MAP_TYPES = dynkin.all_type_ids(4) + ["E6_1", "E7_1", "E8_1"]
+
+
+@pytest.mark.parametrize("type_id,weight,lattice", list(length_forms(MAP_TYPES)))
+def test_compiled_numerators_match_dot_products_on_length_forms(type_id, weight, lattice):
+    assert_numerators_match(atomic.length_form(type_id, weight, lattice))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_compiled_numerators_match_dot_products_on_core_size_forms(d):
+    # the registry forms cores enumerates on, and the hand-built size forms
+    forms = [atomic.length_form(f"A{d - 1}_1", 0, "M"), size_form(d), size_form(d, True)]
+    if d % 2 == 0 and d > 2:
+        forms.append(atomic.length_form(f"C{d // 2}_1", 0, "M"))
+    elif d % 2:
+        forms.append(atomic.length_form(f"A{d - 1}_2", d // 2, "M"))
+    for form in forms:
+        assert_numerators_match(form, d)
+
+
+def hyp_types(ranks):
+    """Every hyperoctahedral type id whose rank is in ranks."""
+    for (family, twist), label in itertools.product((("B", 1), ("C", 1), ("A", 2), ("D", 2)),
+                                                    range(1, 2 * max(ranks) + 1)):
+        type_id = f"{family}{label}_{twist}"
+        try:
+            if param._hyp_family_of_type(type_id)[1] in ranks:
+                yield type_id
+        except ValueError:
+            continue
+
+
+def case_maps(case):
+    """A case's layer maps where weyl defines its layers, else its image map."""
+    try:
+        return case.layer_maps
+    except (weyl.UnsupportedType, dynkin.UnknownType):
+        return (case.image_map,)
+
+
+@pytest.mark.parametrize("case_id", list(param.CASES) + [f"HYP:{t}" for t in hyp_types(range(1, 7))])
+def test_compiled_layer_maps_match_dot_products(case_id):
+    maps = case_maps(param.get_case(case_id))
+    assert all(isinstance(f, param.LayerMap) for f in maps)
+    for seed, f in enumerate(maps):
+        assert_layer_map_matches(f, seed)
+
+
+def test_compiled_layer_map_with_a_denominator_matches_the_divmod_loop():
+    # the identity phi on C2L1 has den 2: integral and non-integral images,
+    # and the NonIntegralImage text, are the dot-product loop's
+    identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
+    f = param.layer_map(dataclasses.replace(param.get_case("C2L1"), phi_map=identity), 0)
+    assert f.den == 2
+    assert_layer_map_matches(f)
+    assert f((1, 0)) == oracle_layer_image(f, (1, 0)) == (1, 0)
+    with pytest.raises(NonIntegralImage, match=re.escape("component 1/2 of layer 0 at q = (1/2,1/2)")):
+        f((0, 1))
+
+
+def test_compiled_maps_at_the_rank_cap():
+    # the largest rank label the registry takes, and a dense 100 x 100 map
+    assert_numerators_match(atomic.length_form("A50_1", 0, "M"))
+    assert_layer_map_matches(param.hyp_case("C50_1").image_map)
+    rng = random.Random(1)
+    P = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(100)] for _ in range(100)]
+    p = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(100)]
+    f = linalg.compile_affine(P, p)
+    for m in random_coefficients(rng, 100):
+        assert f(m) == tuple(linalg.dot(row, m) + c for row, c in zip(P, p))
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(2), 2.0, "2", "1), __import__('os'"])
+@pytest.mark.parametrize("where", ["P", "p"])
+def test_compile_affine_refuses_an_entry_that_is_not_an_int(bad, where):
+    # a bool, a Fraction, a float and a string would each format as valid
+    # source; every one is refused before any source is built
+    P, p = [[1, 0], [0, 1]], [0, 0]
+    (P[1] if where == "P" else p)[0] = bad
+    with pytest.raises(ValueError, match="is not an int"):
+        linalg.affine_source(P, p)
+    with pytest.raises(ValueError, match="is not an int"):
+        linalg.compile_affine(P, p)
+
+
+def test_compile_affine_edge_shapes():
+    assert linalg.compile_affine([], [])(()) == ()
+    assert linalg.compile_affine([[0, 0]], [0])((5, 7)) == (0,)
+    assert linalg.compile_affine([[1, -1]], [-3])((5, 7)) == (-5,)
+    assert linalg.compile_affine([[2], [-1]], [1, 0])((4,)) == (9, -4)
+    with pytest.raises(ValueError, match="2 rows but 1 offsets"):
+        linalg.affine_source([[1], [2]], [0])

@@ -156,6 +156,15 @@ def test_gamma_121():
     assert a3_strata(121).gamma == GAMMA_121
 
 
+def test_stratify_matches_the_full_omega_scan():
+    # the scan over m >= 0 in the accepted residue classes decides every
+    # omega test as the scan over all of [-radius, radius] did; with no
+    # points, each non-empty omega breaks the emptiness rule
+    for n in range(301):
+        for points in (param.LevelData(get_case("A3"), n).reps, ()):
+            assert param._stratify(n, points) == oracles.stratify(n, points), n
+
+
 def test_a3_props_and_conjecture_small():
     for n in range(0, 8):
         assert verify_case("A3", n).passed

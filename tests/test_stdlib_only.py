@@ -31,3 +31,18 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_generated_maps_parse_at_the_floor():
+    # linalg.compile_affine runs source the module check above never reads;
+    # parse a sample of it at the floor, and check that it calls nothing
+    from corelat import atomic, linalg, param
+
+    forms = [atomic.length_form(t, 0, "M") for t in ("A1_1", "C2_1", "E8_1")]
+    maps = [*param.get_case("A2ext").layer_maps, *param.get_case("A3").layer_maps,
+            param.hyp_case("C4_1").image_map]
+    samples = ([(form.C, (0,) * len(form.C)) for form in forms] + [(f.P, f.p) for f in maps]
+               + [((), ()), (((0, 0),), (-7,)), (((1, -1, 0, 12),), (0,))])
+    for P, p in samples:
+        tree = ast.parse(linalg.affine_source(P, p), feature_version=FLOOR)
+        assert not any(isinstance(node, ast.Call) for node in ast.walk(tree))
