@@ -9,14 +9,17 @@ integers once (integer_vector, which reads int and Fraction entries as
 they are and builds a Fraction only for another kind).  The quadratic
 enumerators use Fraction only to set up: a QuadraticForm keeps its compiled
 search (QuadraticForm.ball), the form scaled to integers on its first
-search, and the search itself runs on Python ints with exact isqrt bounds,
-in one generator frame that carries each coordinate's centre down from its
-parent's.  The level search solves its last coordinate instead of looping
-over it, and QuadraticForm.level builds one Fraction per distinct
-coordinate value, shared by every point of the level.  A fixed integer map
-m -> P m + p, such as a form's C m, is compiled once into a straight-line
-Python function (compile_affine) that lists the non-zero terms of each row,
-so applying it makes no dot product.
+search, and the search itself runs on Python ints with exact isqrt bounds.
+A ball compiles its level search once into straight-line Python
+(level_source), with the form's constants inlined: one generated function
+per depth, each looping one coordinate over its exact range and handing the
+next the budget left and the partial centres of the earlier coordinates;
+the last coordinate is solved instead of looped over.  The search up to a
+bound walks the same ball in one generator frame (_IntegerBall.tails).
+QuadraticForm.level builds one Fraction per distinct coordinate value,
+shared by every point of the level.  A fixed integer map m -> P m + p, such
+as a form's C m, is compiled once into a straight-line Python function
+(compile_affine) that lists the non-zero terms of each row, so applying it makes no dot product.
 """
 
 import math
@@ -62,41 +65,70 @@ def integer_vector(v):
     return [n * (q // d) for n, d in pairs], q
 
 
+def _require_ints(values):
+    """ValueError on a value whose type is not exactly int (a bool, a
+    Fraction, a float, a string), so generated source holds only ints."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not an int")
+
+
+def _times(x, name):
+    """The source of x * name for a non-zero int x."""
+    return name if x == 1 else f"-{name}" if x == -1 else f"{x}*{name}"
+
+
+def _sum(*terms):
+    """The source of the terms' sum; a term's only minus is its leading sign,
+    so "+ -" marks a subtraction."""
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _negated(term):
+    """The source of -term for a name or an int literal."""
+    return term[1:] if term.startswith("-") else f"-{term}"
+
+
+def _args(names):
+    """The source of the names as the items of a call or a tuple."""
+    return "".join(f"{name}, " for name in names)
+
+
+def _define(source, name):
+    """The function the source defines under name, built once by exec."""
+    namespace = {"isqrt": isqrt}
+    exec(source, namespace)
+    return namespace[name]
+
+
 def affine_source(P, p):
     """The Python source of `def f(m)` returning the tuple P m + p, for an
     integer matrix P and offset p.
 
     Each component lists only the non-zero terms of its row, and m is unpacked
     into one local per column, so a call runs no loop and no dot product.  An
-    entry whose type is not exactly int (a bool, a Fraction, a float, a
-    string) is a ValueError before any source is built, so the source holds
-    only formatted Python ints.
+    entry whose type is not exactly int is a ValueError before any source is
+    built (_require_ints).
     """
     P, p = tuple(map(tuple, P)), tuple(p)
-    for x in (*p, *(x for row in P for x in row)):
-        if type(x) is not int:
-            raise ValueError(f"{x!r} is not an int")
+    _require_ints((*p, *(x for row in P for x in row)))
     if len(P) != len(p):
         raise ValueError(f"{len(P)} rows but {len(p)} offsets")
     rows = []
     for row, c in zip(P, p):
-        terms = [f"{x}*m{i}" if abs(x) != 1 else f"{'-' * (x < 0)}m{i}"
-                 for i, x in enumerate(row) if x]
+        terms = [_times(x, f"m{i}") for i, x in enumerate(row) if x]
         if c or not terms:
             terms.append(str(c))
-        # a term's only minus is its leading sign, so "+ -" marks a subtraction
-        rows.append(" + ".join(terms).replace("+ -", "- "))
+        rows.append(_sum(*terms))
     k = max(map(len, P), default=0)
-    unpack = f"    {''.join(f'm{i}, ' for i in range(k))}= m\n" if k else ""
-    return f"def f(m):\n{unpack}    return ({''.join(row + ', ' for row in rows)})\n"
+    unpack = f"    {_args(f'm{i}' for i in range(k))}= m\n" if k else ""
+    return f"def f(m):\n{unpack}    return ({_args(rows)})\n"
 
 
 def compile_affine(P, p):
     """The function m -> P m + p of affine_source, built once by exec; it
     takes m of exactly as many entries as P has columns."""
-    namespace = {}
-    exec(affine_source(P, p), namespace)
-    return namespace["f"]
+    return _define(affine_source(P, p), "f")
 
 
 def eliminate(columns):
@@ -179,6 +211,90 @@ def _ldl(a):
     return d, u
 
 
+def level_source(S, e, Su, c0, scale, offset):
+    """The Python source of `def level(T)`, the list of points on the integer
+    level T of the _IntegerBall with these constants, in the order of tails.
+
+    Depth i loops m_i over its exact range -((r + q_i) // S) .. (r - q_i) // S,
+    where b is the budget the later coordinates left, r = isqrt(b // e_i)
+    and q_l is the partial centre S c_l.  Each depth i >= 2 is one function
+    d{i}(b, ...); it hands depth i - 1 the budget left and each earlier
+    centre plus its non-zero Su[i][l] m_i term.  A centre that no later
+    coordinate moves is its literal c0_l, so a depth takes as parameters only
+    the centres that move, and the depths above 2 record their coordinate in
+    the list tail.  Depth 1 runs inline in depth 2 (in level at rank 2) and
+    solves m_0: R_0 must be divisible by e_0 with R_0 / e_0 = x^2, then
+    Y_0 = -x before x (0 once) and m_0 = (Y_0 - S c_0) / S where S divides
+    it; rank 1 solves m_0 in level itself.  The depths are separate
+    functions, not nested loops of one, because CPython refuses more than 20
+    statically nested blocks and ranks go to 50.  Every constant is an int
+    literal, refused before any source is built otherwise (_require_ints).
+    """
+    _require_ints((S, scale, offset, *e, *c0, *(x for column in Su for x in column)))
+    k = len(e)
+    point = f"(m0, {_args(['m1', 'm2'][:k - 1] + [f'tail[{j}]' for j in range(3, k)])})"
+
+    def moved(l, i):
+        """Whether a coordinate above depth i moves the centre of m_l."""
+        return any(Su[j][l] for j in range(i + 1, k))
+
+    def solve(budget, centre):
+        """The lines appending every point whose m_0 solves the budget."""
+        return f"""\
+R, rem = divmod({budget}, {e[0]})
+if not rem:
+    x = isqrt(R)
+    if x * x == R:
+        c = {centre}
+        m0, rem = divmod(-x - c, {S})
+        if not rem:
+            append({point})
+        if x:
+            m0, rem = divmod(x - c, {S})
+            if not rem:
+                append({point})""".splitlines()
+
+    def loop(i, b, q):
+        """The lines of depth i >= 1, given the source of its budget b and of
+        each centre S c_l (l <= i)."""
+        passed = [_sum(q[l], _times(Su[i][l], f"m{i}")) if Su[i][l] else q[l] for l in range(i)]
+        budget = f"{b} - {e[i]}*y*y"
+        lines = [f"r = isqrt({b} // {e[i]})",
+                 f"for m{i} in range(-(({_sum('r', q[i])}) // {S}), "
+                 f"({_sum('r', _negated(q[i]))}) // {S} + 1):",
+                 *[f"    tail[{i}] = m{i}"] * (i > 2),
+                 f"    y = {_sum(f'{S}*m{i}', q[i])}"]
+        if i == 1:
+            body = solve(budget, passed[0])
+        elif i == 2:
+            # depth 1 runs inline, on locals for its budget and centres
+            body = [f"b1, p0, p1 = {budget}, {passed[0]}, {passed[1]}", *loop(1, "b1", ["p0", "p1"])]
+        else:
+            body = [f"d{i - 1}({budget}, {_args(passed[l] for l in range(i) if moved(l, i - 1))})"]
+        return lines + [f"    {line}" for line in body]
+
+    lines = [f"b = {scale}*T + {offset}", "if b < 0:", "    return []", "points = []",
+             "append = points.append", *[f"tail = [0] * {k}"] * (k > 3)]
+    for i in range(2, k):
+        lines += [f"def d{i}(b, {_args(f'q{l}' for l in range(i + 1) if moved(l, i))}):",
+                  *(f"    {line}" for line in loop(i, "b", [f"q{l}" if moved(l, i) else str(c0[l])
+                                                             for l in range(i + 1)]))]
+    if k == 0:
+        lines += ["if not b:", "    append(())"]
+    elif k == 1:
+        lines += solve("b", c0[0])
+    elif k == 2:
+        lines += loop(1, "b", list(map(str, c0)))
+    else:
+        lines.append(f"d{k - 1}(b)")
+    return "def level(T):\n" + "".join(f"    {line}\n" for line in lines + ["return points"])
+
+
+def compile_level(S, e, Su, c0, scale, offset):
+    """The function T -> level points of level_source, built once by exec."""
+    return _define(level_source(S, e, Su, c0, scale, offset), "level")
+
+
 class _IntegerBall:
     """The search {m in Z^k : m^T a m + b.m <= T / D} of one form, in integers.
 
@@ -196,8 +312,14 @@ class _IntegerBall:
 
     Su[i] is column i of S u above the diagonal, as dense integers: the
     coefficient of m_i in S c_l for each l < i.  Setting m_i adds m_i Su[i]
-    to the partial centres of the earlier coordinates, so tails carries
+    to the partial centres of the earlier coordinates, so a search carries
     each centre down from its parent's instead of summing it afresh.
+
+    The ball compiles its level search when built: level(T) is the list of
+    points with D (m^T a m + b.m) = T, from the straight-line source of
+    level_source with these constants inlined, one function per depth
+    above 1.
+    tails walks the ball for enumerate_quadratic_upto.
     """
 
     def __init__(self, a, b):
@@ -224,6 +346,7 @@ class _IntegerBall:
         # s^T A s = sum_i d_i (s_i + sum_{j>i} u_ij s_j)^2, so F S^2 s^T A s
         # is the integer sum_i e_i c0_i^2
         self.offset = sum(e * c * c for e, c in zip(self.e, self.c0))
+        self.level = compile_level(S, self.e, self.Su, self.c0, self.scale, self.offset)
 
     def tails(self, m, T):
         """Set m_{k-1}, ..., m_1 in place to every choice inside the ball of
@@ -301,7 +424,8 @@ def enumerate_quadratic_level(ball, target):
     ball.  The last coordinate is not searched: on the level set
     e_0 Y_0^2 equals the budget R_0 the other coordinates leave, so
     Y_0 = +-isqrt(R_0 / e_0) when that is an exact square, and
-    m_0 = (Y_0 - S c_0) / S when S divides it.
+    m_0 = (Y_0 - S c_0) / S when S divides it.  The search is the ball's
+    compiled level function (level_source), at the integer level D target.
     """
     k = len(ball.e)
     if k == 0:
@@ -310,22 +434,15 @@ def enumerate_quadratic_level(ball, target):
     T = target * ball.D if type(target) is int else Fraction(target) * ball.D
     if T.denominator != 1:
         return []
-    S, e0 = ball.S, ball.e[0]
-    m = [0] * k
-    points = []
-    for budget, c in ball.tails(m, int(T)):
-        q, rem = divmod(budget, e0)
-        if rem:
-            continue
-        r = isqrt(q)
-        if r * r != q:
-            continue
-        for y in (-r, r) if r else (0,):
-            m0, rem = divmod(y - c, S)
-            if not rem:
-                m[0] = m0
-                points.append(tuple(m))
-    return points
+    return ball.level(int(T))
+
+
+def _scaled_basis(basis):
+    """(Q, vectors): the basis vectors scaled to integers by the lcm Q of
+    their denominators."""
+    scaled = list(map(integer_vector, basis))
+    Q = math.lcm(*(q for _, q in scaled))
+    return Q, [[x * (Q // q) for x in V] for V, q in scaled]
 
 
 class QuadraticForm:
@@ -342,16 +459,19 @@ class QuadraticForm:
 
     def __init__(self, a, b, basis):
         self.a, self.b, self.basis = tuple(map(tuple, a)), tuple(b), basis
-        self.Q = math.lcm(*(Fraction(x).denominator for v in self.basis for x in v))
-        self.C = tuple(tuple(int(v[r] * self.Q) for v in self.basis)
-                       for r in range(len(self.basis[0]) if self.basis else 0))
+        self.Q, vectors = _scaled_basis(basis)
+        self.C = tuple(zip(*vectors))
         self.numerators = compile_affine(self.C, (0,) * len(self.C))
 
     @classmethod
     def on_basis(cls, basis, kappa, linear):
         """The form kappa (x.x) + linear(x) on the points x of the lattice
-        spanned by basis; linear is a linear function of coordinates."""
-        a = [[kappa * sum(Fraction(x) * y for x, y in zip(v, w)) for w in basis] for v in basis]
+        spanned by basis; linear is a linear function of coordinates.  Each
+        Gram entry is one Fraction, kappa (V_i . V_j) / Q^2, from the integer
+        dot product of the basis scaled to integers V / Q."""
+        Q, vectors = _scaled_basis(basis)
+        n, d = Fraction(kappa).as_integer_ratio()
+        a = [[Fraction(n * dot(v, w), d * Q * Q) for w in vectors] for v in vectors]
         return cls(a, [linear(v) for v in basis], basis)
 
     @cached_property

@@ -7,7 +7,11 @@ points whose value equals the target.  Both are the original kernels of
 diophantine and linalg, kept here unchanged as differential oracles.
 RecursiveBall keeps the original recursive walk of a compiled
 linalg._IntegerBall, one generator per coordinate, which the one-frame
-odometer of _IntegerBall.tails replaced.
+odometer of _IntegerBall.tails replaced.  tails_level is the original
+linalg.enumerate_quadratic_level loop, which solves m_0 on each budget that
+tails yields, before each ball compiled its level search
+(linalg.level_source).  gram is the original Gram matrix of
+QuadraticForm.on_basis, kappa times a sum of Fraction products per entry.
 
 simple_root_coefficients solves through the inverse Gram matrix and checks
 the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
@@ -320,6 +324,39 @@ def enumerate_quadratic_ball_level(a, b, target):
     target = Fraction(target)
     return [m for value, m in enumerate_quadratic_ball_upto(a, b, target)
             if value == target]
+
+
+def tails_level(ball, target):
+    """Integer points with m^T a m + b.m exactly equal to target, from the
+    budgets and centres of ball.tails, in its order."""
+    k = len(ball.e)
+    if k == 0:
+        return [()] if target == 0 else []
+    T = Fraction(target) * ball.D
+    if T.denominator != 1:
+        return []
+    S, e0 = ball.S, ball.e[0]
+    m = [0] * k
+    points = []
+    for budget, c in ball.tails(m, int(T)):
+        q, rem = divmod(budget, e0)
+        if rem:
+            continue
+        r = isqrt(q)
+        if r * r != q:
+            continue
+        for y in (-r, r) if r else (0,):
+            m0, rem = divmod(y - c, S)
+            if not rem:
+                m[0] = m0
+                points.append(tuple(m))
+    return points
+
+
+def gram(basis, kappa):
+    """kappa (v . w) for every pair of basis vectors, in Fractions."""
+    return tuple(tuple(kappa * sum(Fraction(x) * y for x, y in zip(v, w)) for w in basis)
+                 for v in basis)
 
 
 class RecursiveBall(_IntegerBall):

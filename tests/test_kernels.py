@@ -16,7 +16,8 @@ from corelat.cores import enumerate_partitions
 from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
 
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
-                     enumerate_quadratic_ball_upto, size_form, solve_diagonal_brute)
+                     enumerate_quadratic_ball_upto, gram, size_form, solve_diagonal_brute,
+                     tails_level)
 from oracles import layer_image as oracle_layer_image, numerators as oracle_numerators
 
 
@@ -70,7 +71,8 @@ TARGETS = (0, 1, 2, 3, 5, 8, Fraction(1, 2), Fraction(7, 3), Fraction(11, 2))
 def assert_enumerators_agree(a, b, targets=TARGETS):
     ball = linalg._IntegerBall(a, b)
     for target in targets:
-        assert (linalg.enumerate_quadratic_level(ball, target)
+        # lists, not sets: the order of a level is part of its contract
+        assert (linalg.enumerate_quadratic_level(ball, target) == tails_level(ball, target)
                 == enumerate_quadratic_ball_level(a, b, target))
         new = list(linalg.enumerate_quadratic_upto(ball, target))
         assert new == list(enumerate_quadratic_ball_upto(a, b, target))
@@ -118,6 +120,52 @@ def test_enumerator_matches_oracle_on_core_size_forms(d):
         assert_enumerators_agree(form.a, form.b, TARGETS + (13, 21))
 
 
+@pytest.mark.parametrize("type_id,rank", [("A1_1", 1), ("A2_1", 2), ("A19_1", 19), ("A20_1", 20),
+                                          ("A21_1", 21), ("A22_1", 22), ("C21_1", 21),
+                                          ("HYP:C21_1", 21)])
+def test_enumerator_matches_oracle_around_the_nesting_limit(type_id, rank):
+    # CPython refuses more than 20 statically nested blocks; the compiled
+    # level search is one function per depth, so it builds and agrees on
+    # both sides of that limit
+    form = (param.hyp_case(type_id[4:]).length if type_id.startswith("HYP:")
+            else atomic.length_form(type_id, 0, "M"))
+    assert len(form.a) == rank
+    assert_enumerators_agree(form.a, form.b, (0, 1, 2))
+
+
+def test_a_level_below_the_minimum_is_empty():
+    # x^2 and x^2 + y^2 have scale 1 and offset 0, so target -1 is the
+    # budget -1, which no isqrt may be asked for
+    for a, b in (([[1]], [0]), ([[1, 0], [0, 1]], [0, 0])):
+        ball = linalg._IntegerBall(a, b)
+        assert (ball.scale, ball.offset) == (1, 0)
+        for target in (-3, -2, -1, Fraction(-1, 2)):
+            assert linalg.enumerate_quadratic_level(ball, target) == tails_level(ball, target) == []
+
+
+def assert_gram_matches(form, kappa):
+    assert form.a == gram(form.basis, kappa)
+    assert all(type(x) is Fraction for row in form.a for x in row)
+
+
+@pytest.mark.parametrize("type_id,weight,lattice",
+                         list(length_forms(dynkin.all_type_ids(4) + ["E6_1", "E7_1", "E8_1"])))
+def test_gram_matches_fraction_products_on_length_forms(type_id, weight, lattice):
+    t = dynkin.lookup_type(type_id)
+    kappa = atomic.weight_Lambda(t, weight).level * t.h * t.scale_sq / 2
+    assert_gram_matches(atomic.length_form(type_id, weight, lattice), kappa)
+
+
+def test_gram_matches_fraction_products_on_hyp_and_core_size_forms():
+    for type_id in HYP_TYPES:
+        family, n = param._hyp_family_of_type(type_id)
+        assert_gram_matches(param.hyp_case(type_id).length,
+                            param._HYP_FAMILIES[family]["kappa"](n))
+    for d in range(2, 13):
+        for self_conjugate in (False, True):
+            assert_gram_matches(size_form(d, self_conjugate), Fraction(d, 2))
+
+
 def test_compiled_form_serves_every_target():
     # one form, compiled once, asked for targets whose denominators do not
     # divide the form's; 13 comes twice so that scaling carried over from
@@ -136,8 +184,8 @@ def test_compiled_form_serves_every_target():
 def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
     # every _IntegerBall is built by a form's ball, at most once per form,
     # however many levels, bounds and sweeps ask it
-    built, compiled = [], []
-    compile_ball = linalg.QuadraticForm.ball.func
+    built, compiled, searches = [], [], []
+    compile_ball, compile_level = linalg.QuadraticForm.ball.func, linalg.compile_level
 
     class CountingBall(linalg._IntegerBall):
         def __init__(self, a, b):
@@ -149,18 +197,25 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
         compiled.append(form)
         return compile_ball(form)
 
+    def counting_level(*constants):
+        searches.append(constants)
+        return compile_level(*constants)
+
     ball.__set_name__(linalg.QuadraticForm, "ball")
     monkeypatch.setattr(linalg, "_IntegerBall", CountingBall)
+    monkeypatch.setattr(linalg, "compile_level", counting_level)
     monkeypatch.setattr(linalg.QuadraticForm, "ball", ball)
     # the builders' forms are compiled afresh, not by an earlier test
     atomic.length_form.cache_clear()
     param.hyp_case.cache_clear()
 
     def builds(run):
+        # one level search compiled per ball, however many levels it serves
         built.clear()
         compiled.clear()
+        searches.clear()
         run()
-        assert len(built) == len(compiled) == len(set(map(id, compiled)))
+        assert len(built) == len(compiled) == len(set(map(id, compiled))) == len(searches)
         return len(built)
 
     def sweep():
@@ -413,6 +468,26 @@ def test_compile_affine_refuses_an_entry_that_is_not_an_int(bad, where):
         linalg.affine_source(P, p)
     with pytest.raises(ValueError, match="is not an int"):
         linalg.compile_affine(P, p)
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(2)])
+@pytest.mark.parametrize("where", ["S", "e", "Su", "c0", "scale", "offset"])
+def test_level_source_refuses_a_constant_that_is_not_an_int(bad, where, monkeypatch):
+    # a bool and a Fraction would each format as valid source; either is
+    # refused before any source is built, so nothing reaches exec
+    constants = {"S": 2, "e": [1, 3], "Su": [[], [1]], "c0": [0, 1], "scale": 12, "offset": 3}
+    value = constants[where]
+    if isinstance(value, list):
+        value[-1] = [bad] if where == "Su" else bad
+    else:
+        constants[where] = bad
+    executed = []
+    monkeypatch.setattr(linalg, "_define", lambda *args: executed.append(args))
+    with pytest.raises(ValueError, match="is not an int"):
+        linalg.level_source(**constants)
+    with pytest.raises(ValueError, match="is not an int"):
+        linalg.compile_level(**constants)
+    assert executed == []
 
 
 def test_compile_affine_edge_shapes():

@@ -46,3 +46,15 @@ def test_generated_maps_parse_at_the_floor():
     for P, p in samples:
         tree = ast.parse(linalg.affine_source(P, p), feature_version=FLOOR)
         assert not any(isinstance(node, ast.Call) for node in ast.walk(tree))
+    # linalg.compile_level too: one function per depth above 1, calling only
+    # isqrt, divmod, range, the list's append and the next depth down
+    for type_id, rank in (("A1_1", 1), ("C2_1", 2), ("E8_1", 8), ("A21_1", 21), ("A50_1", 50)):
+        ball = atomic.length_form(type_id, 0, "M").ball
+        assert len(ball.e) == rank
+        tree = ast.parse(linalg.level_source(ball.S, ball.e, ball.Su, ball.c0, ball.scale,
+                                             ball.offset), feature_version=FLOOR)
+        depths = {f"d{i}" for i in range(2, rank)}
+        assert {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)} == {"level"} | depths
+        assert {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)} <= (
+            {"isqrt", "divmod", "range", "append"} | depths)
