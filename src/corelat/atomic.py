@@ -165,13 +165,25 @@ def _basis(t, lattice):
 @lru_cache(maxsize=None)
 def length_form(type_name, weight_index, lattice):
     """The statistic at Lambda_{weight_index} as a linalg.QuadraticForm over
-    the integer coefficients of the lattice basis."""
+    the integer coefficients of the lattice basis.
+
+    With the weight's finite part lam = L / p and level a / b as integers
+    (DominantWeight._scaled) and the height functional total / D of the
+    root solver, the statistic is (a h scale_sq / 2b) |x|^2 plus the linear
+    part h (lam | x) - (a / b) ht(x), one integer row over p D b, which
+    takes each basis vector V / q to one integer dot product.
+    """
     t = lookup_type(type_name)
-    weight = weight_Lambda(t, weight_index)
-    lam, level = weight.finite_part, weight.level
-    return linalg.QuadraticForm.on_basis(
-        _basis(t, lattice), level * t.h * t.scale_sq / 2,
-        lambda v: t.h * t.inner(lam, v) - level * height(t, v))
+    (L, p), (a, b) = weight_Lambda(t, weight_index)._scaled
+    solver, hs = t.root_solver, t.h * t.scale_sq
+    row = [hs * solver.D * b * x - a * p * y for x, y in zip(L, solver.total)]
+    den = p * solver.D * b
+
+    def linear(v):
+        V, q = linalg.integer_vector(v)
+        return Fraction(linalg.dot(row, V), den * q)
+
+    return linalg.QuadraticForm.on_basis(_basis(t, lattice), Fraction(a * hs, 2 * b), linear)
 
 
 def enumerate_atomic(t, weight_index, target, lattice="M"):

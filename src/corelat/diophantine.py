@@ -2,10 +2,12 @@
 
 solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
-it lists one canonical point per orbit instead; canonical and orbit_size give
-a point's canonical point and orbit size in closed form, for every group,
-without building the orbit, and orbit lists the orbit itself by formula;
-only FAIL witnesses, A2ext's tiling check and orbit_partition build one.
+it lists one canonical point per orbit instead, searching the group's
+fundamental domain wherever every solution lies in its parity domain;
+canonical and orbit_size give a point's canonical point and orbit size in
+closed form, for every group, without building the orbit, and orbit lists
+the orbit itself by formula; only FAIL witnesses, A2ext's tiling check and
+orbit_partition build one.
 H (signed permutations) reads its rank from the point; every other group
 refuses a point whose length is not its rank (3 for G_A3, else 2), and D8
 is H on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved
@@ -39,16 +41,21 @@ def solve_diagonal(form, k, group=None):
     in sorted order.
 
     With a group, whose action must leave the form invariant, only the
-    canonical solutions, one per orbit (see canonical), sorted.  G_A3 on
-    (1, 2, 3) at even k, and H and D8 on an equal form, are searched in
-    their fundamental domains, so no other point is visited: G_A3 over
-    (z, x) in its sector, solving for y (_solve_ga3_sector).  V4, C4 and C6
-    list all of U (the search on the reversed form decides x_1 last) and
-    keep the points with x_1 >= 0 that are their own canonical point, as
-    each of them negates x_1.  G_A3 at odd k takes this path too: canonical
-    raises NonIntegralImage on its first point with x_1 >= 0, and the
-    reversed order fixes which point that names, (2,0,-3) at k = 31 where
-    lexicographic order would name (1,-3,-2).
+    canonical solutions, one per orbit (see canonical), sorted.  Each
+    search below visits only canonical points and calls no canonical: V4 on
+    (d1, d2) over x, y >= 0 (_solve_quadrant); H and D8 on an equal form
+    over the non-increasing non-negative tuples (_solve_descending), and C4
+    over those pairs, adding (x, -y) for each 0 < y < x; C6 on (d, 3d) at
+    k/d = 0 (mod 4) over -x < 3y <= x (_solve_c6_sector); G_A3 on (1, 2, 3)
+    at even k over x >= 3z >= 0 (_solve_ga3_sector).  Those levels of C6
+    and G_A3 are exactly where U lies in the parity domain.  Any other input
+    of C6 or G_A3 lists all of U (the search on the reversed form decides
+    x_1 last) and keeps the points with x_1 >= 0 that are their own
+    canonical point, as both groups negate x_1; canonical raises
+    NonIntegralImage on the first such point off the parity domain, and the
+    reversed order fixes which point that names: (2,-1) for C6 on (1, 3) at
+    k = 7, and (2,0,-3) for G_A3 at k = 31, where lexicographic order would
+    name (1,-3,-2).
     """
     form, (k,) = as_integers(form), as_integers([k])
     if any(d < 1 for d in form):
@@ -66,8 +73,16 @@ def solve_diagonal(form, k, group=None):
     # below raises NonIntegralImage from canonical, as orbit_partition does.
     if group == "G_A3" and form == (1, 2, 3) and k % 2 == 0:
         return _solve_ga3_sector(k)
-    if group in ("H", "D8"):
-        return _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
+    if group == "V4":
+        return _solve_quadrant(*form, k)
+    if group == "C6" and k % (4 * form[0]) == 0:
+        return _solve_c6_sector(k // form[0])
+    if group in ("H", "D8", "C4"):
+        reps = _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
+        if group != "C4":
+            return reps
+        # C4's sector -x < y <= x adds (x, -y) before each (x, y) with 0 < y < x
+        return [p for x, y in reps for p in ([(x, -y), (x, y)] if 0 < y < x else [(x, y)])]
     return sorted(p for p in (s[::-1] for s in _solve_all(form[::-1], k))
                   if p[0] >= 0 and p == canonical(group, p))
 
@@ -117,6 +132,36 @@ def _solve_ga3_sector(k):
             y = isqrt(q)
             if y * y == q:
                 solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
+    solutions.sort()
+    return solutions
+
+
+def _solve_quadrant(d1, d2, k):
+    """Solutions of d1 x^2 + d2 y^2 = k with x, y >= 0, sorted: x ascending,
+    y decided by divisibility and isqrt."""
+    solutions = []
+    for x in range(isqrt(k // d1) + 1):
+        q, rem = divmod(k - d1 * x * x, d2)
+        y = isqrt(q)
+        if rem == 0 and y * y == q:
+            solutions.append((x, y))
+    return solutions
+
+
+def _solve_c6_sector(n):
+    """Solutions of x^2 + 3y^2 = n, n = 0 (mod 4), in the sector -x < 3y <= x
+    or at the origin, sorted.
+
+    The sector needs 12y^2 <= n, which bounds y, and x > 0 is decided by
+    isqrt.  n = 0 (mod 4) forces x = y (mod 2), C6's parity domain.
+    """
+    solutions = [(0, 0)] if n == 0 else []
+    bound = isqrt(n // 12)
+    for y in range(-bound, bound + 1):
+        q = n - 3 * y * y
+        x = isqrt(q)
+        if x * x == q and -x < 3 * y <= x:
+            solutions.append((x, y))
     solutions.sort()
     return solutions
 
@@ -283,6 +328,8 @@ def orbit_size(group, point):
         return size
     if group == "V4":
         return 4 >> sum(1 for x in point if x == 0)
+    if group == "C4":
+        return 4 if any(point) else 1
     return group_order(group) if any(canonical(group, point)) else 1
 
 

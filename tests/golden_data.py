@@ -304,6 +304,24 @@ SWEEP_SHA256 = {
         "40f4fc2d017e2354880c19cd3546c0ac8dfc734545bac57423a575da1860687a",
     ("verify", "--case", "D43", "--max-N", "60", "--format", "json"):
         "c34decf43ee8e8477a4a42ee6d3897cbe8a528e4ad029ce6893a8e64cb2a1c03",
+    ("verify", "--case", "A2", "--max-N", "400"):
+        "7c3fbc1db3e28a9d1384d055d7941491b09e0a6d6a3d187d128ccd90b0991903",
+    ("verify", "--case", "A2", "--max-N", "400", "--format", "json"):
+        "131e7dd549745b1023a3fc0f946e8514eed5d85b758e2cdf8ee3f773036e4adb",
+    ("verify", "--case", "A2ext", "--max-N", "400"):
+        "d89561ebcca51f4b37fde76f79d02a195a0c3da24f2bebaf121d7755056a60c9",
+    ("verify", "--case", "C2L1", "--max-N", "400"):
+        "bf1ffeac27276437d8ae91a1660082e8bbc17220b80eacefc0645e442ce35061",
+    ("verify", "--case", "C2L1", "--max-N", "400", "--format", "json"):
+        "00f94775476815e8c4f932646bb90698ad3e56cabe85c11f4cfd6956b2606a2d",
+    ("verify", "--case", "G21", "--max-N", "400"):
+        "8aa1e7eb7e106e7adc76d63855dd6319b1e8b9c82da635140de3a79b4f816016",
+    ("verify", "--case", "G21", "--max-N", "400", "--format", "json"):
+        "1e6d91531f162a810394eaf4000df65eca3fd91e50c970d508a3cedade13c508",
+    ("verify", "--case", "D43", "--max-N", "400"):
+        "e9f135a34140e61b7e8d88679c978dbd5c422dd536e3e1f922b00df16851f0c8",
+    ("verify", "--case", "D43", "--max-N", "400", "--format", "json"):
+        "8c8cc8e06f31035a0e8c92366d27c04b50c899a4d690c7697377961b6a947057",
     ("verify", "--case", "HYP:C3_1", "--max-N", "14"):
         "18174fa99002d2d4de20a8da3c7630eddb492e3eebaa7381fe66bbd4e06b3499",
     ("verify", "--case", "HYP:C3_1", "--max-N", "14", "--format", "json"):

@@ -11,7 +11,9 @@ odometer of _IntegerBall.tails replaced.  tails_level is the original
 linalg.enumerate_quadratic_level loop, which solves m_0 on each budget that
 tails yields, before each ball compiled its level search
 (linalg.level_source).  gram is the original Gram matrix of
-QuadraticForm.on_basis, kappa times a sum of Fraction products per entry.
+QuadraticForm.on_basis, kappa times a sum of Fraction products per entry,
+and length_form_parts the (a, b) of atomic.length_form from gram and the
+original Fraction callback for the linear part.
 
 simple_root_coefficients solves through the inverse Gram matrix and checks
 the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
@@ -357,6 +359,17 @@ def gram(basis, kappa):
     """kappa (v . w) for every pair of basis vectors, in Fractions."""
     return tuple(tuple(kappa * sum(Fraction(x) * y for x, y in zip(v, w)) for w in basis)
                  for v in basis)
+
+
+def length_form_parts(type_id, weight_index, lattice):
+    """(a, b) of atomic.length_form as the Fraction callback once built them:
+    gram for a, and h (lam | v) - level ht(v) on each basis vector v for b."""
+    t = dynkin.lookup_type(type_id)
+    weight = atomic.weight_Lambda(t, weight_index)
+    lam, level = weight.finite_part, weight.level
+    basis = _basis(t, lattice)
+    return (gram(basis, level * t.h * t.scale_sq / 2),
+            tuple(t.h * t.inner(lam, v) - level * height(t, v) for v in basis))
 
 
 class RecursiveBall(_IntegerBall):

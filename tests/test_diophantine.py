@@ -79,9 +79,9 @@ def test_non_integral_image():
         act("G_A3", (1, 0), (1, 0, 0))
 
 
-def _outcome(orbit_of, group, point):
+def _outcome(call, *args):
     try:
-        return orbit_of(group, point)
+        return call(*args)
     except Exception as exc:
         return type(exc)
 
@@ -251,6 +251,36 @@ def test_representatives_rank2_groups():
         _assert_representatives("C6", (1, 3), 4 * k)
 
 
+@pytest.mark.parametrize("group,form", [("C4", (2, 2)), ("C4", (3, 3)), ("C6", (2, 6)),
+                                        ("C6", (3, 9)), ("V4", (2, 5)), ("V4", (3, 1))])
+def test_sector_searches_match_the_representatives_oracle(monkeypatch, group, form):
+    # every k, C6's off-domain levels (k/d odd) included, where both sides
+    # raise; the in-domain levels make no canonical call
+    calls = _counting(monkeypatch, "canonical")
+    in_domain = raised = 0
+    for k in range(600):
+        expected = _outcome(oracles.representatives, group, form, k)
+        before = calls["canonical"]
+        assert _outcome(solve_diagonal, form, k, group) == expected, (form, k)
+        if group != "C6" or k % (4 * form[0]) == 0:
+            in_domain += 1
+            assert calls["canonical"] == before, (form, k)
+        raised += expected is NonIntegralImage
+    assert in_domain >= 50 and (raised > 0) == (group == "C6")
+
+
+@pytest.mark.parametrize("form,k,point", [((1, 3), 7, "(2,-1)"), ((1, 3), 13, "(1,-2)"),
+                                          ((1, 3), 1, "(1,0)"), ((2, 6), 14, "(2,-1)")])
+def test_c6_off_its_domain_names_the_same_point(form, k, point):
+    with pytest.raises(NonIntegralImage) as raised:
+        solve_diagonal(form, k, "C6")
+    assert str(raised.value) == f"{point} is outside the parity domain"
+
+
+def test_c6_at_levels_without_solutions_is_empty():
+    assert solve_diagonal((1, 3), 2, "C6") == solve_diagonal((1, 3), 6, "C6") == []
+
+
 @pytest.mark.parametrize("rank", range(1, 6))
 def test_representatives_hyperoctahedral(rank):
     # the equation values of all five families: B, C, A odd and even, D twisted
@@ -326,6 +356,18 @@ def test_ga3_sector_points_skip_canonical(monkeypatch):
     with pytest.raises(ValueError) as refused:
         orbit_size("G_A3", (3, 0))
     assert refused.type is ValueError
+
+
+@pytest.mark.parametrize("case_id", ["A2", "C2L1", "G21", "D43"])
+def test_rank2_sector_points_skip_canonical(monkeypatch, case_id):
+    case = param.CASES[case_id]
+    calls = _counting(monkeypatch, "canonical")
+    levels = [param.LevelData(case, n) for n in range(101)]
+    assert sum(len(level.reps) for level in levels) > 50 and calls == {"canonical": 0}
+    # C6's orbit_size canonicalises its point, which raises off the parity
+    # domain; C4 and V4 read the size off the point
+    if case.group != "C6":
+        assert sum(level.solution_count for level in levels) > 0 and calls == {"canonical": 0}
 
 
 def test_canonical_parity_domain_and_invariance():

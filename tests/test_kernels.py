@@ -16,8 +16,8 @@ from corelat.cores import enumerate_partitions
 from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
 
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
-                     enumerate_quadratic_ball_upto, gram, size_form, solve_diagonal_brute,
-                     tails_level)
+                     enumerate_quadratic_ball_upto, gram, length_form_parts, size_form,
+                     solve_diagonal_brute, tails_level)
 from oracles import layer_image as oracle_layer_image, numerators as oracle_numerators
 
 
@@ -154,6 +154,13 @@ def test_gram_matches_fraction_products_on_length_forms(type_id, weight, lattice
     t = dynkin.lookup_type(type_id)
     kappa = atomic.weight_Lambda(t, weight).level * t.h * t.scale_sq / 2
     assert_gram_matches(atomic.length_form(type_id, weight, lattice), kappa)
+
+
+@pytest.mark.parametrize("type_id,weight,lattice",
+                         list(length_forms(dynkin.all_type_ids(4) + ["E6_1", "E7_1", "E8_1"])))
+def test_length_form_matches_the_fraction_callback(type_id, weight, lattice):
+    form = atomic.length_form(type_id, weight, lattice)
+    assert (form.a, form.b) == length_form_parts(type_id, weight, lattice)
 
 
 def test_gram_matches_fraction_products_on_hyp_and_core_size_forms():
