@@ -112,17 +112,6 @@ def _statistic(t, v, lam=((), 1), level=(1, 1)):
     return Fraction(den * hs * linalg.dot(L, V) + a * p * length0, den * q * p)
 
 
-@lru_cache(maxsize=None)
-def integer_weights(type_name):
-    """The fundamental weights of a type scaled to integers, computed once per type.
-
-    Entry i - 1 is (W_i, p_i) with omega_i = W_i / p_i, W_i an integer tuple on
-    the type's ambient coordinates and p_i a positive integer.
-    """
-    return tuple((tuple(W), p) for W, p in map(linalg.integer_vector,
-                                                dynkin.fundamental_weights(lookup_type(type_name))))
-
-
 def atomic_length0(t, v):
     """(h/2)|v|^2 - ht(v); total on the rational root span."""
     return _statistic(_type(t), v)
@@ -133,7 +122,7 @@ def atomic_length_i(t, i, v):
     t = _type(t)
     if not 1 <= i <= t.n:
         raise BadIndex(f"index {i} outside 1..{t.n} for {t.name}")
-    return _statistic(t, v, integer_weights(t.name)[i - 1], (t.comarks[i], t.comarks[0]))
+    return _statistic(t, v, t.integer_weights[i - 1], (t.comarks[i], t.comarks[0]))
 
 
 def extended_atomic_length(t, weight, x):
@@ -174,6 +163,7 @@ def length_form(type_name, weight_index, lattice):
     takes each basis vector V / q to one integer dot product.
     """
     t = lookup_type(type_name)
+    basis = _basis(t, lattice)      # refused before any weight is built
     (L, p), (a, b) = weight_Lambda(t, weight_index)._scaled
     solver, hs = t.root_solver, t.h * t.scale_sq
     row = [hs * solver.D * b * x - a * p * y for x, y in zip(L, solver.total)]
@@ -183,7 +173,7 @@ def length_form(type_name, weight_index, lattice):
         V, q = linalg.integer_vector(v)
         return Fraction(linalg.dot(row, V), den * q)
 
-    return linalg.QuadraticForm.on_basis(_basis(t, lattice), Fraction(a * hs, 2 * b), linear)
+    return linalg.QuadraticForm.on_basis(basis, Fraction(a * hs, 2 * b), linear)
 
 
 def enumerate_atomic(t, weight_index, target, lattice="M"):

@@ -138,15 +138,25 @@ def _cmd_enumerate(args, out):
     weight = int(args.weight[1:])
     target = _fraction(args.N)
     lattice = args.lattice or ("L" if weight == 1 else "M")
-    vectors = atomic.enumerate_atomic(t, weight, target, lattice)
+    vectors, level = atomic.enumerate_atomic(t, weight, target, lattice), str(target)
+    # the level shares one Fraction per distinct coordinate value, so each
+    # shared object is formatted once, keyed by its id while vectors holds it
+    shown, elements = {}, []
+    for v in vectors:
+        row = []
+        for x in v.coords:
+            text = shown.get(id(x))
+            if text is None:
+                text = shown[id(x)] = str(x)
+            row.append(text)
+        elements.append(row)
     if args.format == "json":
         _emit_json({"type": args.type, "weight": args.weight, "lattice": lattice,
-                    "N": str(target),
-                    "elements": [list(map(str, v.coords)) for v in vectors]}, out)
+                    "N": level, "elements": elements}, out)
     else:
         _emit_csv(["type", "weight", "lattice", "N", "coords"],
-                  [[args.type, args.weight, lattice, str(target), _fmt_tuple(v.coords)]
-                   for v in vectors], out)
+                  [[args.type, args.weight, lattice, level, "(" + ",".join(e) + ")"]
+                   for e in elements], out)
     return 0
 
 

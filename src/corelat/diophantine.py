@@ -313,7 +313,9 @@ def orbit_size(group, point):
     x = 3z of the canonical sector x >= 3z >= 0, 12 inside it, read off a
     sector point with x - z even (every representative) without canonical.
     V4: 4 halved for each zero coordinate.  C4 and C6: 1 at the origin, the
-    group order elsewhere, as no rotation fixes another point.
+    group order elsewhere, as no rotation fixes another point; C6 reads a
+    sector point -x < 3y <= x with x - y even (every representative) without
+    canonical, which checks the parity domain of any other point.
     """
     if group == "G_A3":     # first, as the A3 sweep's hottest call
         if len(point) != 3 or not point[0] >= 3 * point[2] >= 0 or (point[0] - point[2]) % 2:
@@ -330,6 +332,12 @@ def orbit_size(group, point):
         return 4 >> sum(1 for x in point if x == 0)
     if group == "C4":
         return 4 if any(point) else 1
+    if group == "C6":
+        x, y = point
+        if x == y == 0:
+            return 1
+        if -x < 3 * y <= x and (x - y) % 2 == 0:
+            return 6
     return group_order(group) if any(canonical(group, point)) else 1
 
 

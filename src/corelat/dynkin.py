@@ -12,7 +12,11 @@ arithmetic exact.
 
 Each type compiles the map from a vector to its simple-root coefficients
 once (TypeData.root_solver, a linalg.SpanSolver), so a coefficient, a
-height or a root-span check is a few integer dot products.  A point enters
+height or a root-span check is a few integer dot products.  Its fundamental
+weights are set up in integers too (TypeData.integer_weights): one
+fraction-free elimination of the integer Gram matrix of the simple roots,
+scaled once by the lcm of their denominators, and one integer combination
+of the scaled roots per weight.  A point enters
 through integer_point, which scales it to integers and refuses a vector of
 another type or one whose length is not the type's ambient_dim.
 """
@@ -47,11 +51,13 @@ def _unit(dim, i, value=1):
     return tuple(Fraction(value) if j == i else Fraction(0) for j in range(dim))
 
 
-# The largest rank label a type id may carry.  Building a type costs O(n^2)
-# Fractions and a hyperoctahedral case more (hyp_case("C100_1") takes about
-# 4.8 s on one core of a 2-CPU machine with Python 3.11.7), so a larger label
-# is refused before anything is built.  The tests and the README name ids up
-# to A16_2.
+# The largest rank label a type id may carry.  A type's set-up grows with its
+# rank, and a hyperoctahedral case's more: with the cap lifted to 100, the
+# fundamental weights of A100_1 take about 0.28 s, its root solver 0.01 s and
+# hyp_case("C100_1") with its compiled search 1.1 s, on one core of a 2-CPU
+# machine with Python 3.11.7, and a level search there is slower still (A50_1
+# level 3 takes seconds).  So a larger label is refused before anything is
+# built.  The tests and the README name ids up to A50_1.
 MAX_RANK_LABEL = 50
 
 
@@ -137,6 +143,28 @@ class TypeData:
     def root_solver(self):
         """linalg.SpanSolver of the simple roots, built on first use."""
         return linalg.SpanSolver(self.simple_roots)
+
+    @cached_property
+    def integer_weights(self):
+        """The fundamental weights scaled to integers, built on first use:
+        entry i - 1 is (W_i, p_i) with omega_i = W_i / p_i, W_i an integer
+        tuple and p_i the positive lcm of its entries' denominators.
+
+        With the simple roots scaled to integers R_k = Q alpha_k by one lcm Q
+        and G the integer Gram matrix R_k . R_j, the conditions
+        2 (omega_i | alpha_j) / |alpha_j|^2 = delta_ij read
+        omega_i = (G_ii / 2Q) sum_k (G^-1)_ik R_k (scale_sq cancels).  G is
+        symmetric, so row i of its inverse, V_i / q_i from linalg.eliminate,
+        gives omega_i as one integer combination of the R_k over 2 Q q_i.
+        """
+        Q, R = linalg.scaled_basis(self.simple_roots)
+        G = [[linalg.dot(u, v) for v in R] for u in R]
+        coords = list(zip(*R))
+        weights = []
+        for i, (V, q) in enumerate(linalg.eliminate(G)):
+            W, p = linalg.reduced([G[i][i] * linalg.dot(V, c) for c in coords], 2 * Q * q)
+            weights.append((tuple(W), p))
+        return tuple(weights)
 
     def inner(self, v, w):
         """Bilinear form in stored coordinates."""
@@ -304,23 +332,10 @@ def simple_root_coefficients(t, v):
 
 @lru_cache(maxsize=None)
 def fundamental_weights(t):
-    """The finite fundamental weights omega_1..omega_n in stored coordinates.
+    """The finite fundamental weights omega_1..omega_n in stored coordinates,
+    as Fractions: omega_i = W_i / p_i for (W_i, p_i) of t.integer_weights.
 
     omega_i is the unique vector in the root span with
     2 (omega_i | alpha_j) / |alpha_j|^2 = delta_ij.
     """
-    n = t.n
-    # Row j of the system: sum_k x_k <alpha_k, alpha_j^vee> = delta_ij, so the
-    # coefficients of omega_i are column i of the inverse of this matrix.
-    cartan_t = [
-        [2 * t.inner(t.simple_roots[k], t.simple_roots[j]) / t.inner(t.simple_roots[j], t.simple_roots[j])
-         for k in range(n)]
-        for j in range(n)
-    ]
-    inverse = linalg.eliminate([[row[k] for row in cartan_t] for k in range(n)])
-    return tuple(
-        tuple(sum(inverse[k][i] * t.simple_roots[k][d] for k in range(n))
-              for d in range(t.ambient_dim))
-        for i in range(n)
-    )
-
+    return tuple(tuple(Fraction(x, p) for x in W) for W, p in t.integer_weights)

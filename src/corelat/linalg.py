@@ -1,15 +1,18 @@
 """Exact rational linear algebra and positive-definite quadratic enumeration.
 
-The linear algebra sets up over fractions.Fraction; systems are tiny
-(rank <= 9), so plain Gauss-Jordan is the right tool.  A SpanSolver runs
-one elimination per basis and keeps the result as integer rows over one
-denominator, so solving for coefficients, testing span membership and
-testing integrality are integer dot products on a vector scaled to
-integers once (integer_vector, which reads int and Fraction entries as
-they are and builds a Fraction only for another kind).  The quadratic
-enumerators use Fraction only to set up: a QuadraticForm keeps its compiled
-search (QuadraticForm.ball), the form scaled to integers on its first
-search, and the search itself runs on Python ints with exact isqrt bounds.
+The linear algebra runs on integers.  eliminate is one fraction-free
+Gauss-Jordan elimination: each row of [A | I] is an integer vector over one
+positive denominator, reduced by its gcd after every update, so the set-up
+of a rank-50 type costs integer products, not Fraction ones.  A SpanSolver
+runs one elimination per basis and keeps its rows over one denominator, so
+solving for coefficients, testing span membership and testing integrality
+are integer dot products on a vector scaled to integers once
+(integer_vector, which reads int and Fraction entries as they are and
+builds a Fraction only for another kind).  The quadratic enumerators use
+Fraction only to set up (_IntegerBall and its LDL factors, _ldl): a
+QuadraticForm keeps its compiled search (QuadraticForm.ball), the form
+scaled to integers on its first search, and the search itself runs on
+Python ints with exact isqrt bounds.
 A ball compiles its level search once into straight-line Python
 (level_source), with the form's constants inlined: one generated function
 per depth, each looping one coordinate over its exact range and handing the
@@ -131,29 +134,53 @@ def compile_affine(P, p):
     return _define(affine_source(P, p), "f")
 
 
+def reduced(V, q):
+    """(V, q) divided by the gcd of its entries, with q made positive; V / q
+    is unchanged, and so is which entries of V are zero."""
+    g = math.gcd(*V, q)
+    if q < 0:
+        g = -g
+    return [x // g for x in V], q // g
+
+
 def eliminate(columns):
     """Rows of the invertible E with E A = [I; 0], where A has the given
     linearly independent columns, by one Gauss-Jordan elimination of [A | I].
 
-    The first len(columns) rows of E are a left inverse of A.  The others
-    send a vector to 0 exactly when it lies in the span of the columns, since
-    E v = [c; 0] says v = A c.  A square A gives its inverse.
+    Row i of E comes as (V, q) with E_i = V / q, V an integer list and q the
+    positive lcm of its entries' denominators.  The first len(columns) rows
+    of E are a left inverse of A.  The others send a vector to 0 exactly when
+    it lies in the span of the columns, since E v = [c; 0] says v = A c.  A
+    square A gives its inverse.
+
+    The elimination is fraction-free: each row of [A | I] is an integer
+    vector over its own denominator (integer_vector reads the entries), an
+    update of row i by the pivot row P / p is (V p - V_col P) / (q p), and
+    every row is reduced by its gcd afterwards (reduced).  The pivot is the
+    first row with a non-zero entry in the column, as scaling a row never
+    changes which of its entries are zero.
     """
     k, dim = len(columns), len(columns[0])
-    aug = [[Fraction(col[r]) for col in columns] + [Fraction(int(r == j)) for j in range(dim)]
-           for r in range(dim)]
+    rows = []
+    for r in range(dim):
+        V, q = integer_vector([col[r] for col in columns])
+        V += [0] * dim
+        V[k + r] = q
+        rows.append((V, q))
     for col in range(k):
-        pivot = next((i for i in range(col, dim) if aug[i][col]), None)
+        pivot = next((i for i in range(col, dim) if rows[i][0][col]), None)
         if pivot is None:
             raise ValueError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = row = [x / pv for x in aug[col]]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        # the pivot row divided by its pivot entry, V / q over V_col / q
+        P = rows[col][0]
+        rows[col] = P, p = reduced(P, P[col])
         for i in range(dim):
-            f = aug[i][col]
+            V, q = rows[i]
+            f = V[col]
             if i != col and f:
-                aug[i] = [x - f * y for x, y in zip(aug[i], row)]
-    return [row[k:] for row in aug]
+                rows[i] = reduced([x * p - f * y for x, y in zip(V, P)], q * p)
+    return [(V[k:], q) for V, q in rows]
 
 
 class SpanSolver:
@@ -163,17 +190,18 @@ class SpanSolver:
     v = sum_i c_i basis_i exactly when every row of `equations` sends V to
     0, and then c_i = rows[i] . V / (D q).  `total` is the sum of the rows,
     so the coefficient sum is total . V / (D q).  A call is a few integer
-    dot products; no elimination runs after the build.
+    dot products; no elimination runs after the build.  D is the lcm of the
+    denominators of the left-inverse rows of eliminate, and each equation is
+    a row's integer numerators as they are.
     """
 
     def __init__(self, basis):
         E = eliminate(basis)
         left, equations = E[:len(basis)], E[len(basis):]
-        self.D = math.lcm(*(x.denominator for row in left for x in row))
-        self.rows = tuple(tuple(int(x * self.D) for x in row) for row in left)
+        self.D = D = math.lcm(*(q for _, q in left))
+        self.rows = tuple(tuple(x * (D // q) for x in V) for V, q in left)
         self.total = tuple(map(sum, zip(*self.rows)))
-        self.equations = tuple(tuple(int(x * d) for x in row) for row in equations
-                               for d in [math.lcm(*(x.denominator for x in row))])
+        self.equations = tuple(tuple(V) for V, _ in equations)
 
     def in_span(self, V):
         return not any(dot(row, V) for row in self.equations)
@@ -437,7 +465,7 @@ def enumerate_quadratic_level(ball, target):
     return ball.level(int(T))
 
 
-def _scaled_basis(basis):
+def scaled_basis(basis):
     """(Q, vectors): the basis vectors scaled to integers by the lcm Q of
     their denominators."""
     scaled = list(map(integer_vector, basis))
@@ -459,7 +487,7 @@ class QuadraticForm:
 
     def __init__(self, a, b, basis):
         self.a, self.b, self.basis = tuple(map(tuple, a)), tuple(b), basis
-        self.Q, vectors = _scaled_basis(basis)
+        self.Q, vectors = scaled_basis(basis)
         self.C = tuple(zip(*vectors))
         self.numerators = compile_affine(self.C, (0,) * len(self.C))
 
@@ -469,7 +497,7 @@ class QuadraticForm:
         spanned by basis; linear is a linear function of coordinates.  Each
         Gram entry is one Fraction, kappa (V_i . V_j) / Q^2, from the integer
         dot product of the basis scaled to integers V / Q."""
-        Q, vectors = _scaled_basis(basis)
+        Q, vectors = scaled_basis(basis)
         n, d = Fraction(kappa).as_integer_ratio()
         a = [[Fraction(n * dot(v, w), d * Q * Q) for w in vectors] for v in vectors]
         return cls(a, [linear(v) for v in basis], basis)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import atomic, diophantine, linalg, weyl
+from . import atomic, diophantine, dynkin, linalg, weyl
 from .diophantine import NonIntegralImage, NotClosed, solve_diagonal
 from .linalg import is_perfect_square
 from .weyl import ExtGrassElement
@@ -69,7 +69,7 @@ class LayerMap:
         form, phi, self.j = case.length, case.phi_map, j
         if j:
             MC = linalg.matmul(weyl.matrix_Mj(case.type_id, j), form.C)
-            W, w = atomic.integer_weights(case.type_id)[j - 1]
+            W, w = dynkin.lookup_type(case.type_id).integer_weights[j - 1]
         else:
             MC, W, w = form.C, (), 1
         Q = form.Q

@@ -81,7 +81,7 @@ def extended_image(t, element):
     j = element.j
     mat = matrix_Mj(t, j)
     V, d = dynkin.integer_point(t, LatticeVector(element.type_id, element.q))
-    W, p = atomic.integer_weights(t.name)[j - 1] if j else ((0,) * t.ambient_dim, 1)
+    W, p = t.integer_weights[j - 1] if j else ((0,) * t.ambient_dim, 1)
     coords = tuple(Fraction(p * linalg.dot(row, V) + d * w, d * p) for row, w in zip(mat, W))
     return LatticeVector(t.name, coords)
 

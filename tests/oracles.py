@@ -15,6 +15,13 @@ QuadraticForm.on_basis, kappa times a sum of Fraction products per entry,
 and length_form_parts the (a, b) of atomic.length_form from gram and the
 original Fraction callback for the linear part.
 
+eliminate and fundamental_weights are the original Gauss-Jordan elimination
+of linalg and fundamental weights of dynkin, in Fraction arithmetic (the
+weights through t.inner and the transposed Cartan matrix), before both ran
+fraction-free on integer rows; span_solver_fields is the original
+linalg.SpanSolver set-up on that eliminate, and the atomic-length and
+extended_image oracles below read this fundamental_weights.
+
 simple_root_coefficients solves through the inverse Gram matrix and checks
 the residual on every call, and in_lattice runs a Gauss-Jordan solve_in_span
 per call: the original Fraction kernels of dynkin and atomic.  height and the
@@ -96,7 +103,7 @@ from corelat import atomic, diophantine, dynkin, linalg, param
 from corelat.atomic import LatticeVector, _basis, _type
 from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
 from corelat.diophantine import NonIntegralImage, _rotations60
-from corelat.dynkin import NotInRootSpan, fundamental_weights
+from corelat.dynkin import NotInRootSpan
 from corelat.linalg import _IntegerBall, _ldl
 from corelat.param import Report, _fail
 from corelat.weyl import _check_type, matrix_Mj
@@ -159,6 +166,62 @@ def solve_square(matrix, rhs):
     if sol is None:
         raise ValueError("singular system")
     return sol
+
+
+def eliminate(columns):
+    """Rows of the invertible E with E A = [I; 0], where A has the given
+    linearly independent columns, by one Gauss-Jordan elimination of [A | I]
+    in Fraction arithmetic; each row of E is a list of Fractions."""
+    k, dim = len(columns), len(columns[0])
+    aug = [[Fraction(col[r]) for col in columns] + [Fraction(int(r == j)) for j in range(dim)]
+           for r in range(dim)]
+    for col in range(k):
+        pivot = next((i for i in range(col, dim) if aug[i][col]), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = row = [x / pv for x in aug[col]]
+        for i in range(dim):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [x - f * y for x, y in zip(aug[i], row)]
+    return [row[k:] for row in aug]
+
+
+def span_solver_fields(basis):
+    """(D, rows, total, equations) of a linalg.SpanSolver of the basis, as the
+    original build read them off the Fraction rows of eliminate: D the lcm of
+    the left-inverse denominators, and each equation scaled by the lcm of its
+    own."""
+    E = eliminate(basis)
+    left, equations = E[:len(basis)], E[len(basis):]
+    D = math.lcm(*(x.denominator for row in left for x in row))
+    rows = tuple(tuple(int(x * D) for x in row) for row in left)
+    return (D, rows, tuple(map(sum, zip(*rows))),
+            tuple(tuple(int(x * d) for x in row) for row in equations
+                  for d in [math.lcm(*(x.denominator for x in row))]))
+
+
+@lru_cache(maxsize=None)
+def fundamental_weights(t):
+    """The finite fundamental weights omega_1..omega_n in stored coordinates:
+    column i of the inverse of the transposed Cartan matrix, read as
+    coefficients of the simple roots, in Fraction arithmetic through t.inner."""
+    n = t.n
+    # Row j of the system: sum_k x_k <alpha_k, alpha_j^vee> = delta_ij, so the
+    # coefficients of omega_i are column i of the inverse of this matrix.
+    cartan_t = [
+        [2 * t.inner(t.simple_roots[k], t.simple_roots[j]) / t.inner(t.simple_roots[j], t.simple_roots[j])
+         for k in range(n)]
+        for j in range(n)
+    ]
+    inverse = eliminate([[row[k] for row in cartan_t] for k in range(n)])
+    return tuple(
+        tuple(sum(inverse[k][i] * t.simple_roots[k][d] for k in range(n))
+              for d in range(t.ambient_dim))
+        for i in range(n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -426,7 +489,7 @@ def extended_image(t, element):
     if j == 0:
         coords = mq
     else:
-        omega = dynkin.fundamental_weights(t)[j - 1]
+        omega = fundamental_weights(t)[j - 1]
         coords = tuple(a + b for a, b in zip(omega, mq))
     return LatticeVector(t.name, coords)
 

@@ -246,6 +246,16 @@ def test_enumerate_lattice_l():
         enumerate_atomic("A2_1", 0, -1)
 
 
+@pytest.mark.parametrize("type_id", ["D50_1", "E8_1"])
+def test_a_missing_lattice_is_refused_before_the_weight_is_built(type_id):
+    before = dynkin.fundamental_weights.cache_info()
+    with pytest.raises(UnsupportedLattice):
+        atomic.length_form(type_id, 1, "L")
+    with pytest.raises(UnsupportedLattice):
+        enumerate_atomic(type_id, 1, 1, "L")
+    assert dynkin.fundamental_weights.cache_info() == before
+
+
 def test_enumerate_l_matches_extended_images():
     # L-lattice fibres coincide with the layer images of the M-lattice fibres
     for name, n_values in (("A2_1", range(8)), ("C2_1", range(8))):

@@ -309,9 +309,9 @@ def test_action_freeness_makes_one_pass(monkeypatch):
     assert (len(points), orbits) == (48, 8)
     calls = _counting(monkeypatch, "canonical", "orbit_size")
     assert is_action_free("C6", points) == (True, None)
-    # one canonical point per point, one orbit size per orbit, and C6's
-    # orbit_size canonicalises its point once more
-    assert calls == {"canonical": len(points) + orbits, "orbit_size": orbits}
+    # one canonical point per point and one orbit size per orbit, which C6's
+    # orbit_size reads off the canonical (sector) point without canonical
+    assert calls == {"canonical": len(points), "orbit_size": orbits}
 
 
 def test_closed_form_canonical_matches_max_of_rotations():
@@ -358,16 +358,32 @@ def test_ga3_sector_points_skip_canonical(monkeypatch):
     assert refused.type is ValueError
 
 
-@pytest.mark.parametrize("case_id", ["A2", "C2L1", "G21", "D43"])
+@pytest.mark.parametrize("case_id", ["A2", "A2ext", "C2L1", "G21", "D43"])
 def test_rank2_sector_points_skip_canonical(monkeypatch, case_id):
     case = param.CASES[case_id]
     calls = _counting(monkeypatch, "canonical")
     levels = [param.LevelData(case, n) for n in range(101)]
     assert sum(len(level.reps) for level in levels) > 50 and calls == {"canonical": 0}
-    # C6's orbit_size canonicalises its point, which raises off the parity
-    # domain; C4 and V4 read the size off the point
-    if case.group != "C6":
-        assert sum(level.solution_count for level in levels) > 0 and calls == {"canonical": 0}
+    # orbit_size reads the size off a sector point: C4 and V4 off any point,
+    # C6 off one in the parity domain
+    assert sum(level.solution_count for level in levels) > 0 and calls == {"canonical": 0}
+
+
+def test_c6_orbit_size_reads_only_sector_points(monkeypatch):
+    sector, other = [(0, 0), (2, 0), (3, 1), (6, 2)], [(-2, 0), (1, 1), (0, 2), (-3, -1)]
+    sizes = [len(orbit("C6", p)) for p in sector + other]
+    calls = _counting(monkeypatch, "canonical")
+    assert [orbit_size("C6", p) for p in sector] == sizes[:len(sector)] == [1, 6, 6, 6]
+    assert calls == {"canonical": 0}
+    assert [orbit_size("C6", p) for p in other] == sizes[len(sector):]
+    assert calls == {"canonical": len(other)}
+    # a sector point off the parity domain still raises canonical's error
+    for point in ((1, 0), (5, 0)):
+        with pytest.raises(NonIntegralImage) as by_size:
+            orbit_size("C6", point)
+        with pytest.raises(NonIntegralImage) as by_canonical:
+            canonical("C6", point)
+        assert str(by_size.value) == str(by_canonical.value)
 
 
 def test_canonical_parity_domain_and_invariance():

@@ -15,10 +15,88 @@ from corelat import atomic, dynkin, linalg, param, weyl
 from corelat.cores import enumerate_partitions
 from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
 
+import oracles
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
                      enumerate_quadratic_ball_upto, gram, length_form_parts, size_form,
                      solve_diagonal_brute, tails_level)
 from oracles import layer_image as oracle_layer_image, numerators as oracle_numerators
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination and fundamental weights
+
+small_rationals = st.one_of(st.just(0), st.integers(-4, 4),
+                            st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_eliminate_matches_the_fraction_oracle(data):
+    dim = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, dim + 1))
+    columns = data.draw(st.lists(st.lists(small_rationals, min_size=dim, max_size=dim),
+                                 min_size=k, max_size=k))
+    try:
+        want = oracles.eliminate(columns)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            linalg.eliminate(columns)
+        assert str(refused.value) == str(exc) == "singular system"
+        return
+    got = linalg.eliminate(columns)
+    assert [[Fraction(x, q) for x in V] for V, q in got] == want
+    # each row is reduced: q is the lcm of its entries' denominators
+    assert all(q > 0 and math.gcd(*V, q) == 1 for V, q in got)
+
+
+SETUP_TYPES = dynkin.all_type_ids(8) + ["E6_1", "E7_1", "E8_1"]
+
+
+def type_bases(type_ids):
+    for type_id in type_ids:
+        t = dynkin.lookup_type(type_id)
+        for name, basis in (("roots", t.simple_roots), ("M", t.m_basis), ("L", t.l_basis)):
+            if basis is not None:
+                yield type_id, name, basis
+
+
+@pytest.mark.parametrize("type_id,name,basis", list(type_bases(SETUP_TYPES)))
+def test_span_solver_fields_match_the_fraction_oracle(type_id, name, basis):
+    solver = linalg.SpanSolver(basis)
+    assert (solver.D, solver.rows, solver.total, solver.equations) == oracles.span_solver_fields(basis)
+    assert all(type(x) is int for row in solver.rows + solver.equations for x in row)
+
+
+@pytest.mark.parametrize("type_id", SETUP_TYPES)
+def test_fundamental_weights_match_the_fraction_oracle(type_id):
+    t = dynkin.lookup_type(type_id)
+    assert dynkin.fundamental_weights(t) == oracles.fundamental_weights(t)
+    # the integer weights are the Fraction ones scaled by their own lcm
+    assert t.integer_weights == tuple((tuple(V), q) for V, q in
+                                      map(linalg.integer_vector, oracles.fundamental_weights(t)))
+
+
+def test_fundamental_weights_closed_forms_at_rank_50():
+    # A_50: omega_i = e_1 + ... + e_i - i/51 (e_1 + ... + e_51)
+    weights = dynkin.fundamental_weights(dynkin.lookup_type("A50_1"))
+    for i in range(1, 51):
+        assert weights[i - 1] == tuple(int(d < i) - Fraction(i, 51) for d in range(51))
+    # C_50: omega_i = (1/2, ..., 1/2, 0, ..., 0) with i halves
+    weights = dynkin.fundamental_weights(dynkin.lookup_type("C50_1"))
+    for i in range(1, 51):
+        assert weights[i - 1] == tuple(Fraction(int(d < i), 2) for d in range(50))
+
+
+@pytest.mark.parametrize("type_id", ["B50_1", "D50_1"])
+def test_fundamental_weights_dual_basis_at_rank_50(type_id):
+    # 2 (omega_i | alpha_j) / |alpha_j|^2 = delta_ij with omega_i = W_i / p_i
+    # and alpha_j = R_j / Q reads 2 Q (W_i . R_j) = delta_ij p_i (R_j . R_j)
+    t = dynkin.lookup_type(type_id)
+    Q, R = linalg.scaled_basis(t.simple_roots)
+    for i, (W, p) in enumerate(t.integer_weights):
+        assert p > 0 and math.gcd(*W, p) == 1 and t.root_solver.in_span(W)
+        for j, Rj in enumerate(R):
+            assert 2 * Q * linalg.dot(W, Rj) == (i == j) * p * linalg.dot(Rj, Rj)
 
 
 # ---------------------------------------------------------------------------
