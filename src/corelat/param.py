@@ -1,18 +1,17 @@
 """Per-type parametrisation pipelines and theorem verifiers.
 
-Each case packages: the lattice and weight whose atomic length drives the
-equation, the diagonal form and the residue class a*N + b, the affine map
-phi from lattice points to integer solutions, and the finite group acting
-on the solution set.  Verifiers are exhaustive for a fixed N: a LevelData
-holds the canonical point of each orbit of the level's solution set U from
-the exact diagonal solver, its lattice points from the exact quadratic
-enumeration and their phi images, and one check function per claim decides
-it on them, with counts from the orbit sizes and coverage from the
-canonical point of each image.  The images come from one LayerMap per
-layer, an integer map compiled once into straight-line code
-(linalg.compile_affine).  Each LayerMap decides once whether its images
-lie on the quadric (keeps_quadric); only the images of other maps are tested
-one by one.  FAIL is reported as data, never raised.
+A case is the lattice and weight whose atomic length N drives the equation,
+the diagonal form D, the linear part P of phi and the group acting on the
+solutions.  One constructor (_case) derives the rest: phi(q) = P(q - q*) for
+the least point q* of the length, a from the quadratic part and
+b = sum_i D_i p_i^2, so that sum_i D_i phi(q)_i^2 = a N + b.  Verifiers are
+exhaustive for a fixed N: a LevelData holds the canonical point of each
+orbit of the level's solution set U, its lattice points and their phi
+images, and one check function per claim decides it on them.  The images
+come from one LayerMap per layer, an integer map compiled once
+(linalg.compile_affine) that decides once whether its images lie on the
+quadric (keeps_quadric); only the images of other maps are tested one by
+one.  FAIL is reported as data, never raised.
 """
 
 import math
@@ -79,12 +78,7 @@ class LayerMap:
         self.P = tuple(tuple(x // g for x in row) for row in P)
         self.p, self.den, self._form = tuple(x // g for x in p), Q * w // g, form
         self._numerators = linalg.compile_affine(self.P, self.p)
-        # whether sum_i D_i y_i^2 = a (m^T A m + B.m) + b for every m, A and B the length's
-        s, t, k = case.a * self.den ** 2, list(zip(case.form, self.P, self.p)), range(len(form.a))
-        self.keeps_quadric = (all(sum(d * r[u] * r[v] for d, r, _ in t) == s * form.a[u][v]
-                                  for u in k for v in k)
-                              and all(2 * sum(d * c * r[u] for d, r, c in t) == s * form.b[u] for u in k)
-                              and sum(d * c * c for d, _, c in t) == case.b * self.den ** 2)
+        self.keeps_quadric = _keeps_quadric(case, self.P, self.p, self.den)
 
     def __call__(self, m):
         numerators, den = self._numerators(m), self.den
@@ -99,6 +93,17 @@ class LayerMap:
                                        f" of layer {self.j} at q = ({q})")
             image.append(y)
         return tuple(image)
+
+
+def _keeps_quadric(case, P, p, den):
+    """Whether y = (P m + p) / den solves sum_i D_i y_i^2 = a value(m) + b for
+    every m, value(m) = (m^T A m + B.m) / L the length in integers
+    (linalg.scaled_basis): each coefficient, cross-multiplied by L den^2."""
+    L, (*A, B) = linalg.scaled_basis([*case.length.a, case.length.b])
+    s, t, k = case.a * den ** 2, list(zip(case.form, P, p)), range(len(A))
+    return (all(L * sum(d * r[u] * r[v] for d, r, _ in t) == s * A[u][v] for u in k for v in k)
+            and all(2 * L * sum(d * c * r[u] for d, r, c in t) == s * B[u] for u in k)
+            and sum(d * c * c for d, _, c in t) == case.b * den ** 2)
 
 
 def layer_map(case, j):
@@ -136,9 +141,7 @@ class ParamCase:
     def length(self):
         """The atomic length on the case's lattice, a linalg.QuadraticForm; a
         hyperoctahedral case carries its family's, which needs no registry type."""
-        if self.family_form is not None:
-            return self.family_form
-        return atomic.length_form(self.type_id, self.weight, self.lattice)
+        return self.family_form or atomic.length_form(self.type_id, self.weight, self.lattice)
 
     @cached_property
     def image_map(self):
@@ -152,33 +155,46 @@ class ParamCase:
                                          for j in weyl.sigma_indices(self.type_id)[1:])
 
 
-# (3x + 6y - 1, 3x - 1) on the first two coordinates.
-map_p_a2 = AffineMap(((3, 6), (3, 0)), (-1, -1))
-# (12y + 4z - 1, 8z + 1, 8x + 4y + 4z - 3) on coordinates (x, y, z, t).
-map_p_a3 = AffineMap(((0, 12, 4), (0, 0, 8), (8, 4, 4)), (-1, 1, -3))
+def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
+    """The case of phi(q) = P (q - q*), q* the least point of its length.
+
+    In basis coefficients the length is (m^T A m + B.m) / L in integers,
+    least at m* = -A^-1 B / 2, the coefficients of -B / 2 in the columns of A
+    (linalg.SpanSolver), and q* = C m* / Q.  a is read off the quadratic part
+    and b = sum_i D_i p_i^2 is phi's value at q = 0, so _keeps_quadric
+    decides the identity.  ValueError naming the case when p = -P q* or a is
+    not an integer, or the identity fails.  length is a hyperoctahedral
+    family's form; the others are the registry's.
+    """
+    form = length or atomic.length_form(type_id, weight, lattice)
+    (L, (*A, B)), Q = linalg.scaled_basis([*form.a, form.b]), form.Q
+    solver = linalg.SpanSolver(A)
+    centre = [linalg.dot(row, B) for row in solver.rows]        # -2 D m*
+    PC, den = linalg.matmul(P, form.C), 2 * solver.D * Q
+    p, r = zip(*(divmod(linalg.dot(row, centre), den) for row in PC))
+    if any(r):
+        p = ", ".join(str(Fraction(linalg.dot(row, centre), den)) for row in PC)
+        raise ValueError(f"case {case_id}: the offset -P q* = ({p}) is not an integer vector")
+    a, r = divmod(L * sum(d * row[0] ** 2 for d, row in zip(D, PC)), Q * Q * A[0][0])
+    case = ParamCase(case_id, type_id, weight, lattice, a, sum(d * c * c for d, c in zip(D, p)),
+                     tuple(D), group, claim, AffineMap(P, p), family_form=length)
+    if r or not _keeps_quadric(case, PC, [Q * c for c in p], Q):
+        raise ValueError(f"case {case_id}: sum_i D_i y_i^2 is not an integer multiple of the length")
+    return case
 
 
-CASES = {
-    "A2": ParamCase("A2", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "complete", map_p_a2),
-    "A2ext": ParamCase("A2ext", "A2_1", 0, "M", 12, 4, (1, 3), "C6", "extended",
-                       map_p_a2),
-    # 4 u_rotate(q) - (2, 1)
-    "C2": ParamCase("C2", "C2_1", 0, "M", 8, 5, (1, 1), "D8", "complete",
-                    AffineMap(((4, 4), (4, -4)), (-2, -1))),
-    # 4 u_rotate(q) + (0, 1)
-    "C2L1": ParamCase("C2L1", "C2_1", 1, "L", 8, 1, (1, 1), "C4", "complete",
-                      AffineMap(((4, 4), (4, -4)), (0, 1))),
-    "D3t": ParamCase("D3t", "D3_2", 0, "M", 12, 5, (1, 1), "D8", "complete",
-                     AffineMap(((6, 0), (0, 6)), (-2, -1))),
-    "A42": ParamCase("A42", "A4_2", 0, "M", 40, 10, (1, 1), "D8", "orbit-size",
-                     AffineMap(((10, 0), (0, 10)), (-3, -1))),
-    "G21": ParamCase("G21", "G2_1", 0, "M", 6, 7, (1, 3), "V4", "orbit-size",
-                     AffineMap(((6, 3), (0, 3)), (2, 1))),
-    "D43": ParamCase("D43", "D4_3", 0, "M", 12, 7, (1, 3), "V4", "complete",
-                     AffineMap(((0, 6), (4, 2)), (2, 1))),
-    "A3": ParamCase("A3", "A3_1", 0, "M", 48, 30, (1, 2, 3), "G_A3", "stratified",
-                    map_p_a3),
-}
+CASES = {case.case_id: case for case in (
+    _case("A2", "A2_1", 0, "M", (1, 3), ((3, 6), (3, 0)), "C6", "complete"),
+    _case("A2ext", "A2_1", 0, "M", (1, 3), ((3, 6), (3, 0)), "C6", "extended"),
+    _case("C2", "C2_1", 0, "M", (1, 1), ((4, 4), (4, -4)), "D8", "complete"),
+    _case("C2L1", "C2_1", 1, "L", (1, 1), ((4, 4), (4, -4)), "C4", "complete"),
+    _case("D3t", "D3_2", 0, "M", (1, 1), ((6, 0), (0, 6)), "D8", "complete"),
+    _case("A42", "A4_2", 0, "M", (1, 1), ((10, 0), (0, 10)), "D8", "orbit-size"),
+    _case("G21", "G2_1", 0, "M", (1, 3), ((6, 3), (0, 3)), "V4", "orbit-size"),
+    _case("D43", "D4_3", 0, "M", (1, 3), ((0, 6), (4, 2)), "V4", "complete"),
+    _case("A3", "A3_1", 0, "M", (1, 2, 3), ((0, 12, 4), (0, 0, 8), (8, 4, 4)), "G_A3", "stratified"),
+)}
+map_p_a2, map_p_a3 = CASES["A2"].phi_map, CASES["A3"].phi_map
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +203,18 @@ CASES = {
 _HYP_FAMILIES = {
     # key: (kappa(n), linear l_i(n, i), even_sum); the length is
     # kappa |q|^2 - sum_i l_i q_i on Z^n, or on its even-sum sublattice
-    "B": dict(kappa=lambda n: Fraction(n),
-              linear=lambda n, i: Fraction(n - i + 1),
-              even_sum=True),
-    "C": dict(kappa=lambda n: Fraction(2 * n),
-              linear=lambda n, i: Fraction(2 * (n - i) + 1),
-              even_sum=False),
+    "B": dict(kappa=lambda n: n, linear=lambda n, i: n - i + 1, even_sum=True),
+    "C": dict(kappa=lambda n: 2 * n, linear=lambda n, i: 2 * (n - i) + 1, even_sum=False),
     "Aodd": dict(kappa=lambda n: Fraction(2 * n - 1, 2),
-                 linear=lambda n, i: Fraction(2 * (n - i) + 1, 2),
-                 even_sum=True),
-    "Dt": dict(kappa=lambda n: Fraction(n + 1),
-               linear=lambda n, i: Fraction(n - i + 1),
-               even_sum=False),
+                 linear=lambda n, i: Fraction(2 * (n - i) + 1, 2), even_sum=True),
+    "Dt": dict(kappa=lambda n: n + 1, linear=lambda n, i: n - i + 1, even_sum=False),
     "Aeven": dict(kappa=lambda n: Fraction(2 * n + 1, 2),
-                  linear=lambda n, i: Fraction(n - i) + Fraction(1, 2),
-                  even_sum=False),
+                  linear=lambda n, i: Fraction(2 * (n - i) + 1, 2), even_sum=False),
 }
 
 
 def _hyp_family_of_type(type_id):
-    from .dynkin import AffineTypeId
-    tid = AffineTypeId.parse(type_id)
+    tid = dynkin.AffineTypeId.parse(type_id)
     if tid.twist == 1 and tid.family in ("B", "C"):
         family = tid.family
     elif tid.twist == 2 and tid.family == "A":
@@ -236,27 +243,18 @@ def hyp_case(type_id):
 
     Built from the family's explicit quadratic, so ranks below the type
     table's minimum (where the formulas still make sense) are accepted.
-    The equation completes the square of the length: with s the lcm of the
-    denominators of 2 kappa and the l_i,
-    sum_i (2 kappa s q_i - l_i s)^2 = 4 kappa s^2 N + sum_i (l_i s)^2,
-    so phi(q)_i = 2 kappa s q_i - l_i s, a = 4 kappa s^2, b = sum_i (l_i s)^2.
-    Each type's case is built once per process, so its maps are too.
+    _case derives the equation from P = 2 kappa s I, s the lcm of the
+    denominators of 2 kappa and the l_i: q* = l / (2 kappa), so phi(q)_i =
+    2 kappa s q_i - l_i s, a = 4 kappa s^2 and b = sum_i (l_i s)^2.
     """
     family, n = _hyp_family_of_type(type_id)
     spec = _HYP_FAMILIES[family]
-    kappa = spec["kappa"](n)
-    linear = [spec["linear"](n, i) for i in range(1, n + 1)]
-    length = linalg.QuadraticForm.on_basis(
-        _hyp_basis(n, spec["even_sum"]), kappa,
-        lambda q: -sum(x * y for x, y in zip(linear, q)))
-    s = math.lcm((2 * kappa).denominator, *(x.denominator for x in linear))
-    coeff = int(2 * kappa * s)
-    offsets = [int(x * s) for x in linear]
-    phi = AffineMap([[coeff * (r == c) for c in range(n)] for r in range(n)],
-                    [-x for x in offsets])
-    return ParamCase(f"HYP:{type_id}", type_id, 0, "M", 2 * s * coeff,
-                     sum(x * x for x in offsets), (1,) * n, "H", "orbit-size", phi,
-                     family_form=length)
+    kappa, linear = spec["kappa"](n), [spec["linear"](n, i) for i in range(1, n + 1)]
+    length = linalg.QuadraticForm.on_basis(_hyp_basis(n, spec["even_sum"]), kappa,
+                                           lambda q: -linalg.dot(linear, q))
+    c = int(2 * kappa * math.lcm((2 * kappa).denominator, *(x.denominator for x in linear)))
+    return _case(f"HYP:{type_id}", type_id, 0, "M", (1,) * n,
+                 [[c * (r == i) for i in range(n)] for r in range(n)], "H", "orbit-size", length)
 
 
 def get_case(case_id):
@@ -438,7 +436,7 @@ def check_extended(level):
     layers = level.layers
     order = diophantine.group_order(case.group)
     counts = {"solutions": level.solution_count, "base_elements": len(layers),
-              "extended_elements": 3 * len(layers)}
+              "extended_elements": len(weyl.sigma_indices(case.type_id)) * len(layers)}
     for i, layer in enumerate(layers):
         full_orbit = diophantine.orbit(case.group, layer[0])
         if len(full_orbit) != order:
@@ -468,9 +466,10 @@ def check_stratified(level):
     """
     case_id, n = level.case.case_id, level.n
     reps, base = level.reps, len(level.coefficients)
-    strata = _stratify(n, reps)
+    strata = _stratify(level, reps)
     counts = {"solutions": level.solution_count, "base_elements": base,
-              "extended_elements": 4 * base, "strata": len(strata.gamma)}
+              "extended_elements": len(weyl.sigma_indices(level.case.type_id)) * base,
+              "strata": len(strata.gamma)}
     if not strata.all_y_odd:
         return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
     if not strata.nonempty_iff_omega:
@@ -514,9 +513,9 @@ def check_a3_conjecture(level):
     canonical point of some layer image.  The witness, the least uncovered
     solution, builds the uncovered orbits only on a FAIL.
     """
-    n, case = level.n, level.case
-    counts = {"solutions": level.solution_count, "base_elements": len(level.coefficients),
-              "extended_elements": 4 * len(level.coefficients)}
+    n, case, base = level.n, level.case, len(level.coefficients)
+    counts = {"solutions": level.solution_count, "base_elements": base,
+              "extended_elements": len(weyl.sigma_indices(case.type_id)) * base}
     images = [img for layer in level.layers for img in layer]
     off = level.off_quadric(images, case.layer_maps)
     hit = {diophantine.canonical(case.group, img) for img in images[:off]}
@@ -570,25 +569,26 @@ class A3Strata:
 
 def a3_strata(n):
     """Stratify U(48N+30) by the middle coordinate and test the emptiness rule."""
-    return _stratify(n, LevelData(CASES["A3"], n).solutions)
+    level = LevelData(CASES["A3"], n)
+    return _stratify(level, level.solutions)
 
 
-def _stratify(n, sols):
-    """a3_strata from points of U(48N+30) that meet every stratum; the flags
-    read only their middle values."""
-    k = 48 * n + 30
+def _stratify(level, sols):
+    """a3_strata from points of U(k), k = 48N+30 the level's, that meet every
+    stratum; the flags read only their middle values."""
+    n, k = level.n, level.k
     by_y = {}
     for s in sols:
         by_y.setdefault(s[1], []).append(s)
     all_y_odd = all(y % 2 == 1 for y in by_y)
 
     omega_nonempty = {}
-    y_bound = 24 * n + 15
+    y_bound = k // 2
     candidates = [y for y in range(-math.isqrt(y_bound) - 1, math.isqrt(y_bound) + 2)
                   if y % 2 != 0 and y * y < y_bound]
     for y in candidates:
         which = y * y % 3            # 0 or 1, as y^2 is a square
-        m_y = 16 * n + 10 - 2 * (y * y // 3)
+        m_y = k // 3 - 2 * (y * y // 3)
         radius = math.isqrt(k - 2 * y * y)
         # the test reads m only through m^2 and m % 3 == 0, so m >= 0 in the
         # residue classes mod 3 it accepts covers every m

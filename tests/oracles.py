@@ -788,7 +788,7 @@ def check_stratified(level):
     """Stratification, G-stability, layer separation and orbit disjointness."""
     case_id, n, case = level.case.case_id, level.n, level.case
     sols, base = level.solutions, level.points
-    strata = stratify(n, sols)
+    strata = stratify(level, sols)
     counts = {"solutions": len(sols), "base_elements": len(base),
               "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
     if not strata.all_y_odd:
@@ -920,22 +920,23 @@ def stratum(strata, y):
     return A3Stratum(strata.N, y, strata.strata.get(y, []))
 
 
-def stratify(n, sols):
+def stratify(level, sols):
     """param._stratify as it first scanned each omega test: every m in
-    [-radius, radius], both residue classes mod 3 tested per m."""
-    k = 48 * n + 30
+    [-radius, radius], both residue classes mod 3 tested per m.  k is the
+    level's right-hand side, 48N+30 for A3 itself."""
+    n, k = level.n, level.k
     by_y = {}
     for s in sols:
         by_y.setdefault(s[1], []).append(s)
     all_y_odd = all(y % 2 == 1 for y in by_y)
 
     omega_nonempty = {}
-    y_bound = 24 * n + 15
+    y_bound = k // 2
     candidates = [y for y in range(-math.isqrt(y_bound) - 1, math.isqrt(y_bound) + 2)
                   if y % 2 != 0 and y * y < y_bound]
     for y in candidates:
         which = y * y % 3            # 0 or 1, as y^2 is a square
-        m_y = 16 * n + 10 - 2 * (y * y // 3)
+        m_y = k // 3 - 2 * (y * y // 3)
         radius = math.isqrt(k - 2 * y * y)
         omega_nonempty[y] = any((m % 3 == 0) == (which == 0)
                                 and linalg.is_perfect_square(m_y - (m * m + 2 * which) // 3)

@@ -161,8 +161,9 @@ def test_stratify_matches_the_full_omega_scan():
     # omega test as the scan over all of [-radius, radius] did; with no
     # points, each non-empty omega breaks the emptiness rule
     for n in range(301):
-        for points in (param.LevelData(get_case("A3"), n).reps, ()):
-            assert param._stratify(n, points) == oracles.stratify(n, points), n
+        level = param.LevelData(get_case("A3"), n)
+        for points in (level.reps, ()):
+            assert param._stratify(level, points) == oracles.stratify(level, points), n
 
 
 def test_a3_props_and_conjecture_small():
@@ -364,6 +365,41 @@ def test_hyp_equation_matches_original_table():
             assert case.phi_map.P == tuple(tuple(coeff * (r == c) for c in range(n))
                                            for r in range(n))
             assert case.phi_map.p == tuple(-spec["offset"](n, i) for i in range(1, n + 1))
+
+
+# (a, b, p) of each case, recorded when they were typed by hand: the paper's
+# 12N+4, 8N+5, 8N+1, 12N+5, 40N+10, 6N+7, 12N+7 and 48N+30
+CASE_EQUATIONS = {
+    "A2": (12, 4, (-1, -1)),
+    "A2ext": (12, 4, (-1, -1)),
+    "C2": (8, 5, (-2, -1)),
+    "C2L1": (8, 1, (0, 1)),
+    "D3t": (12, 5, (-2, -1)),
+    "A42": (40, 10, (-3, -1)),
+    "G21": (6, 7, (2, 1)),
+    "D43": (12, 7, (2, 1)),
+    "A3": (48, 30, (-1, 1, -3)),
+}
+
+
+def test_case_equations_match_the_hand_typed_table():
+    assert {case_id: (case.a, case.b, case.phi_map.p) for case_id, case in param.CASES.items()} \
+        == CASE_EQUATIONS
+
+
+@pytest.mark.parametrize("type_id,D,P,error", [
+    # (3x + 6y, 3x + y) on A2_1's M: the quadratic part of x^2 + 3y^2 is not
+    # a multiple of the length's
+    ("A2_1", (1, 3), ((3, 6), (3, 1)),
+     "sum_i D_i y_i^2 is not an integer multiple of the length"),
+    # 3 I on D3_2's M, whose length is least at q* = (1/3, 1/6)
+    ("D3_2", (1, 1), ((3, 0), (0, 3)),
+     "the offset -P q* = (-1, -1/2) is not an integer vector"),
+])
+def test_case_refuses_a_map_without_an_integer_equation(type_id, D, P, error):
+    with pytest.raises(ValueError) as info:
+        param._case("X", type_id, 0, "M", D, P, "D8", "complete")
+    assert str(info.value) == f"case X: {error}"
 
 
 def test_hyp_family_matches_registry():
