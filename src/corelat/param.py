@@ -150,7 +150,8 @@ class ParamCase:
 
     @cached_property
     def layer_maps(self):
-        """layer_map(self, j) for each j in weyl.sigma_indices (types A and C)."""
+        """layer_map(self, j) for each j in weyl.sigma_indices, one per element
+        of Omega (untwisted types; weyl.UnsupportedType for a twisted one)."""
         return (self.image_map,) + tuple(layer_map(self, j)
                                          for j in weyl.sigma_indices(self.type_id)[1:])
 
@@ -436,7 +437,7 @@ def check_extended(level):
     layers = level.layers
     order = diophantine.group_order(case.group)
     counts = {"solutions": level.solution_count, "base_elements": len(layers),
-              "extended_elements": len(weyl.sigma_indices(case.type_id)) * len(layers)}
+              "extended_elements": len(case.layer_maps) * len(layers)}
     for i, layer in enumerate(layers):
         full_orbit = diophantine.orbit(case.group, layer[0])
         if len(full_orbit) != order:
@@ -468,7 +469,7 @@ def check_stratified(level):
     reps, base = level.reps, len(level.coefficients)
     strata = _stratify(level, reps)
     counts = {"solutions": level.solution_count, "base_elements": base,
-              "extended_elements": len(weyl.sigma_indices(level.case.type_id)) * base,
+              "extended_elements": len(level.case.layer_maps) * base,
               "strata": len(strata.gamma)}
     if not strata.all_y_odd:
         return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
@@ -515,7 +516,7 @@ def check_a3_conjecture(level):
     """
     n, case, base = level.n, level.case, len(level.coefficients)
     counts = {"solutions": level.solution_count, "base_elements": base,
-              "extended_elements": len(weyl.sigma_indices(case.type_id)) * base}
+              "extended_elements": len(case.layer_maps) * base}
     images = [img for layer in level.layers for img in layer]
     off = level.off_quadric(images, case.layer_maps)
     hit = {diophantine.canonical(case.group, img) for img in images[:off]}

@@ -1,12 +1,13 @@
-"""Extended Grassmannian bookkeeping for types A_n^(1) and C_n^(1).
+"""Extended Grassmannian bookkeeping for every untwisted affine type.
 
-The length-zero elements sigma_j act on translation parts through explicit
-matrices: a cyclic coordinate shift in type A, the negated antidiagonal in
-type C.  An extended element is stored as its layer index j together with
-its translation part q; its image in the weight lattice is
-omega_j + M_j(q).  The Lascoux generator action on cores lives here too:
-it is the type-A affine Weyl group acting on the translation part, the
-(n+1)-charge, and cores.core_from_charge reads the core off the charge.
+A length-zero element sigma_j, for j = 0 or a special node of
+dynkin.TypeData.J, sends a translation part q to omega_j + M_j(q); an
+extended element is stored as j with q.  M_j is derived: it is the Weyl
+group element with M_j rho = rho - h omega_j, (rho | alpha_i) = 1, so
+sigma_j fixes rho / h, the centre of the atomic length.  The Lascoux
+generator action on cores lives here too: it is the type-A affine Weyl
+group acting on the translation part, the (n+1)-charge, and
+cores.core_from_charge reads the core off the charge.
 """
 
 from dataclasses import dataclass
@@ -15,11 +16,10 @@ from functools import lru_cache
 
 from . import atomic, cores, dynkin, linalg
 from .atomic import LatticeVector
-from .dynkin import lookup_type
 
 
 class UnsupportedType(ValueError):
-    """Operation only defined for types A_n^(1) and C_n^(1)."""
+    """A twisted type, for which no sigma_j is derived."""
 
 
 @dataclass(frozen=True)
@@ -35,38 +35,48 @@ class ExtGrassElement:
 
 
 def _check_type(t):
-    t = t if isinstance(t, dynkin.TypeData) else lookup_type(t)
-    if not (t.id.twist == 1 and t.id.family in ("A", "C")):
-        raise UnsupportedType(f"sigma matrices are registered only for A/C untwisted, not {t.name}")
+    t = atomic._type(t)
+    if t.id.twist != 1:
+        raise UnsupportedType(f"sigma matrices are derived only for untwisted types, not {t.name}")
     return t
 
 
 def sigma_indices(t):
-    """Valid layer indices: 0..n in type A, {0, n} in type C."""
-    t = _check_type(t)
-    if t.id.family == "A":
-        return tuple(range(t.n + 1))
-    return (0, t.n)
+    """Valid layer indices: 0 and the special nodes t.J."""
+    return (0,) + _check_type(t).J
 
 
 @lru_cache(maxsize=None)
-def _matrix_mj(name, j):
-    t = lookup_type(name)
-    dim = t.ambient_dim
-    if j == 0:
-        return tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
-    if t.id.family == "A":
-        # cyclic shift (q_1..q_{n+1}) -> (q_{n+1}, q_1, .., q_n), to the j-th power
-        return tuple(tuple(int((r - c) % dim == j) for c in range(dim)) for r in range(dim))
-    return tuple(tuple(-int(r + c == dim - 1) for c in range(dim)) for r in range(dim))
-
-
 def matrix_Mj(t, j):
-    """Matrix of the j-th layer action on stored coordinates (j=0: identity)."""
+    """Matrix of the j-th layer action on stored coordinates (j=0: identity).
+
+    M_j = s_{i_1} .. s_{i_k} for the walk s_{i_k} .. s_{i_1} that reflects
+    rho - h omega_j into the dominant chamber, onto rho.  In integers: with
+    R_i = Q alpha_i (linalg.scaled_basis) and G their Gram matrix, the walk
+    moves the pairings d_k = 2 Q^2 (v | alpha_k) by the Cartan integers
+    2 G_ik / G_ii, and s_i moves the rows of X = den M^T in the support of
+    R_i, X and den first scaled by G_ii where s_i would leave the integers.
+    An entry is an int where it is integral, as every entry is in types A-D.
+    """
     t = _check_type(t)
     if j not in sigma_indices(t):
         raise ValueError(f"layer index {j} invalid for {t.name}")
-    return _matrix_mj(t.name, j)
+    Q, R = linalg.scaled_basis(t.simple_roots)
+    G = [[linalg.dot(u, v) for v in R] for u in R]
+    d = [2 * Q * Q - (k == j - 1) * t.h * t.scale_sq * G[k][k] for k in range(t.n)]
+    X, den = [[int(a == c) for c in range(t.ambient_dim)] for a in range(t.ambient_dim)], 1
+    while min(d) < 0:
+        i = d.index(min(d))
+        r, g = R[i], G[i][i]
+        d = [x - d[i] * 2 * G[i][k] // g for k, x in enumerate(d)]
+        supp = [a for a, x in enumerate(r) if x]
+        u = [sum(r[a] * X[a][c] for a in supp) for c in range(t.ambient_dim)]
+        if any(2 * r[a] * y % g for a in supp for y in u):
+            X, u, den = [[x * g for x in row] for row in X], [y * g for y in u], den * g
+        for a in supp:
+            X[a] = [x - 2 * r[a] * y // g for x, y in zip(X[a], u)]
+    return tuple(tuple(x // den if x % den == 0 else Fraction(x, den) for x in row)
+                 for row in zip(*X))
 
 
 def extended_image(t, element):

@@ -29,12 +29,16 @@ atomic-length statistics below are the original atomic formulas on top of
 them, on points read by the original _coords, one Fraction per coordinate,
 with norm_sq the original t.inner(v, v).
 
-apply_matrix multiplies a layer matrix into a point in Fraction arithmetic,
-and extended_image, the original weyl.extended_image, computes
-omega_j + M_j q with it.  The phi maps below are the original hand-written
-functions of param, with their Fraction-to-int conversion _as_int and the
-coefficient and offset of the hyperoctahedral table (HYP_TABLE) before it
-was derived from kappa and the l_i.
+matrix_Mj holds the original hand-typed layer matrices of types A and C,
+a cyclic coordinate shift and the negated antidiagonal, from before weyl
+derived M_j for every untwisted type.  apply_matrix multiplies a layer
+matrix into a point in Fraction arithmetic, and extended_image, the
+original weyl.extended_image, computes omega_j + M_j q with both, so it
+does not read the derivation it is tested against.  The phi maps below
+are the original hand-written functions of param, with their
+Fraction-to-int conversion _as_int and the coefficient and offset of the
+hyperoctahedral table (HYP_TABLE) before it was derived from kappa and the
+l_i.
 
 numerators and layer_image are the original QuadraticForm.numerators and
 LayerMap.__call__, one integer dot product per row, which the straight-line
@@ -106,7 +110,7 @@ from corelat.diophantine import NonIntegralImage, _rotations60
 from corelat.dynkin import NotInRootSpan
 from corelat.linalg import _IntegerBall, _ldl
 from corelat.param import Report, _fail
-from corelat.weyl import _check_type, matrix_Mj
+from corelat.weyl import _check_type
 
 
 def _coords(v):
@@ -479,6 +483,21 @@ class RecursiveBall(_IntegerBall):
 def apply_matrix(mat, v):
     return tuple(sum(Fraction(mat[r][c]) * Fraction(v[c]) for c in range(len(v)))
                  for r in range(len(mat)))
+
+
+def matrix_Mj(t, j):
+    """M_j of type A_n^(1) or C_n^(1): the j-th power of the cyclic shift
+    (q_1..q_{n+1}) -> (q_{n+1}, q_1, .., q_n) in type A, the negated
+    antidiagonal at j = n in type C, the identity at j = 0."""
+    t = _check_type(t)
+    dim = t.ambient_dim
+    if j == 0:
+        return tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+    if t.id.family == "A" and 0 < j <= t.n:
+        return tuple(tuple(int((r - c) % dim == j) for c in range(dim)) for r in range(dim))
+    if t.id.family == "C" and j == t.n:
+        return tuple(tuple(-int(r + c == dim - 1) for c in range(dim)) for r in range(dim))
+    raise ValueError(f"no hand-typed layer matrix {j} for {t.name}")
 
 
 def extended_image(t, element):

@@ -503,7 +503,8 @@ def hyp_types(ranks):
 
 
 def case_maps(case):
-    """A case's layer maps where weyl defines its layers, else its image map."""
+    """A case's layer maps where weyl defines its layers (untwisted types),
+    else its image map."""
     try:
         return case.layer_maps
     except (weyl.UnsupportedType, dynkin.UnknownType):

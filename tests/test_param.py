@@ -464,8 +464,8 @@ def test_phi_lands_on_quadric_identically(case_id):
 
 
 def _layers(case):
-    """The layers weyl defines for the case's type: all of them in types A
-    and C, otherwise the base layer alone."""
+    """The layers weyl defines for the case's type: all of them in an
+    untwisted type, the base layer alone in a twisted one."""
     try:
         return weyl.sigma_indices(case.type_id)
     except (weyl.UnsupportedType, dynkin.UnknownType):

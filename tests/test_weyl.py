@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import atomic, cores, weyl
+from corelat import atomic, cores, dynkin, linalg, weyl
 from corelat.dynkin import lookup_type
 from corelat.weyl import (
     ExtGrassElement,
@@ -19,12 +19,9 @@ import oracles
 
 
 def mball(t, radius):
-    basis = t.m_basis
+    Q, basis = linalg.scaled_basis(t.m_basis)
     for m in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
-        yield tuple(
-            sum(m[i] * basis[i][d] for i in range(len(basis)))
-            for d in range(t.ambient_dim)
-        )
+        yield tuple(F(linalg.dot(m, column), Q) for column in zip(*basis))
 
 
 def test_matrix_examples():
@@ -38,11 +35,54 @@ def test_matrix_examples():
     assert oracles.apply_matrix(ident, (5, 7)) == (5, 7)
 
 
+# every untwisted type of rank at most 4, and E6 and E7 with their
+# fractional M_j; E8 adds a type whose only layer is j = 0
+UNTWISTED = [name for name in dynkin.all_type_ids(4) if name.endswith("_1")] + ["E6_1", "E7_1"]
+
+
+def cartan_det(t):
+    """det of the Cartan matrix 2 (alpha_i | alpha_k) / |alpha_k|^2, |P/Q|."""
+    roots = t.simple_roots
+    return int(oracles.det([[2 * t.inner(a, b) / t.inner(b, b) for b in roots] for a in roots]))
+
+
 def test_matrix_errors():
     with pytest.raises(UnsupportedType):
         matrix_Mj("D3_2", 1)
     with pytest.raises(ValueError):
         matrix_Mj("C3_1", 1)   # only j in {0, n} in type C
+
+
+@pytest.mark.parametrize("name", [f"A{n}_1" for n in range(1, 9)]
+                         + [f"C{n}_1" for n in range(2, 9)])
+def test_derived_matrices_match_the_hand_typed_oracle(name):
+    for j in sigma_indices(name):
+        derived = matrix_Mj(name, j)
+        assert derived == oracles.matrix_Mj(name, j), (name, j)
+        assert all(type(x) is int for row in derived for x in row), (name, j)
+
+
+@pytest.mark.parametrize("name", UNTWISTED + ["E8_1"])
+def test_layer_maps_form_a_group_of_order_det_cartan(name):
+    # x -> omega_j + M_j x: each fixes rho / h, the centre of the length
+    # ((rho | alpha_k) = 1), the maps are closed under composition, and there
+    # are det(Cartan) = |P/Q| of them, a count that does not read t.J
+    t = lookup_type(name)
+    weights = ((0,) * t.ambient_dim,) + dynkin.fundamental_weights(t)
+    maps = {(weights[j], matrix_Mj(t, j)) for j in sigma_indices(t)}
+    # rho pairs to 1 with every simple root; in type A the solver's total
+    # has a component off the root span, which these pairings do not see
+    centre = [F(x, t.root_solver.D * t.scale_sq * t.h) for x in t.root_solver.total]
+    for w, M in maps:
+        image = [x + y for x, y in zip(w, oracles.apply_matrix(M, centre))]
+        assert [t.inner(a, image) for a in t.simple_roots] == [F(1, t.h)] * t.n
+
+    def compose(f, g):
+        (w, M), (v, N) = f, g
+        return (tuple(x + y for x, y in zip(w, oracles.apply_matrix(M, v))),
+                tuple(map(tuple, linalg.matmul(M, N))))
+    assert all(compose(f, g) in maps for f in maps for g in maps)
+    assert len(maps) == cartan_det(t)
 
 
 def test_matrix_group_relations():
@@ -81,8 +121,23 @@ def test_enumerate_extended_sizes():
     assert len(enumerate_extended("C2_1", 40)) == 6
 
 
-@pytest.mark.parametrize("name", ["A1_1", "A2_1", "A3_1", "A4_1",
-                                  "C2_1", "C3_1", "C4_1"])
+@pytest.mark.parametrize("name", ["B3_1", "D4_1", "E6_1"])
+def test_enumerate_extended_beyond_types_a_and_c(name):
+    # |Omega| elements per point of the level, each of whose images
+    # re-evaluates to the target
+    t = lookup_type(name)
+    for target in range(6):
+        elems = enumerate_extended(t, target)
+        assert len(elems) == cartan_det(t) * len(atomic.enumerate_atomic(t, 0, target))
+        for e in elems:
+            assert atomic.atomic_length0(t, extended_image(t, e).coords) == target
+    with pytest.raises(UnsupportedType):
+        enumerate_extended("D3_2", 1)
+    with pytest.raises(ValueError):
+        extended_image(t, ExtGrassElement(name, 2, (0,) * t.ambient_dim))   # 2 is not in t.J
+
+
+@pytest.mark.parametrize("name", UNTWISTED)
 def test_sigma_invariance_on_ball(name):
     t = lookup_type(name)
     radius = 2 if t.n <= 3 else 1
@@ -93,12 +148,11 @@ def test_sigma_invariance_on_ball(name):
             assert atomic.atomic_length0(t, img.coords) == base
 
 
-@pytest.mark.parametrize("name,modulus", [("A1_1", 2), ("A2_1", 3), ("A3_1", 4),
-                                          ("A4_1", 5), ("C2_1", 2), ("C3_1", 2),
-                                          ("C4_1", 2)])
+@pytest.mark.parametrize("name,modulus", [(name, cartan_det(lookup_type(name)))
+                                          for name in UNTWISTED])
 def test_divisibility(name, modulus):
     t = lookup_type(name)
-    bound = 200 if t.n <= 3 else 100
+    bound = 200 if t.n <= 3 else 100 if t.n == 4 else 40
     buckets = oracles.enumerate_atomic_upto(t, 0, bound)
     for target in range(bound + 1):
         base = buckets.get(F(target), [])
