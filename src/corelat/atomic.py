@@ -55,7 +55,6 @@ class DominantWeight:
     type_id: str
     finite_part: tuple      # stored coordinates of lambda
     level: Fraction
-    delta_coeff: Fraction = Fraction(0)
 
     @cached_property
     def _scaled(self):
@@ -159,21 +158,14 @@ def length_form(type_name, weight_index, lattice):
     With the weight's finite part lam = L / p and level a / b as integers
     (DominantWeight._scaled) and the height functional total / D of the
     root solver, the statistic is (a h scale_sq / 2b) |x|^2 plus the linear
-    part h (lam | x) - (a / b) ht(x), one integer row over p D b, which
-    takes each basis vector V / q to one integer dot product.
+    part h (lam | x) - (a / b) ht(x), one integer row over p D b.
     """
     t = lookup_type(type_name)
     basis = _basis(t, lattice)      # refused before any weight is built
     (L, p), (a, b) = weight_Lambda(t, weight_index)._scaled
     solver, hs = t.root_solver, t.h * t.scale_sq
     row = [hs * solver.D * b * x - a * p * y for x, y in zip(L, solver.total)]
-    den = p * solver.D * b
-
-    def linear(v):
-        V, q = linalg.integer_vector(v)
-        return Fraction(linalg.dot(row, V), den * q)
-
-    return linalg.QuadraticForm.on_basis(basis, Fraction(a * hs, 2 * b), linear)
+    return linalg.QuadraticForm.on_basis(basis, Fraction(a * hs, 2 * b), (row, p * solver.D * b))
 
 
 def enumerate_atomic(t, weight_index, target, lattice="M"):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cache
 
 from . import atomic, cores, param
-from .diophantine import solve_diagonal
 from .dynkin import lookup_type
 
 FIGURES = {
@@ -162,12 +161,11 @@ def _cmd_enumerate(args, out):
 
 def _cmd_solve(args, out):
     _check_level("--N", args.N)
-    case = param.get_case(args.case)
-    k = case.equation_value(args.N)
-    sols = solve_diagonal(case.form, k)
+    level = param.LevelData(param.get_case(args.case), args.N)
+    k, sols = level.k, level.solutions
     if args.format == "json":
         _emit_json({"case": args.case, "N": args.N, "k": k,
-                    "form": list(case.form), "solutions": [list(s) for s in sols]}, out)
+                    "form": list(level.case.form), "solutions": [list(s) for s in sols]}, out)
     else:
         _emit_csv(["case", "N", "k", "solutions"],
                   [[args.case, str(args.N), str(k), _cell(sols)]], out)

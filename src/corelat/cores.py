@@ -198,8 +198,10 @@ def enumerate_partitions(n, kind="all", d=None):
     """Partitions of n passing the filter, duplicate-free and sorted.
 
     kind: 'all', 'core', 'scc' (self-conjugate d-core) or 'scc-plus'
-    (additionally an even number of diagonal boxes).
+    (additionally an even number of diagonal boxes).  n is read through
+    linalg.as_integers, so 3.0 is 3 and 2.5 a ValueError for every kind.
     """
+    n, = linalg.as_integers((n,))
     if n < 0:
         raise ValueError("size must be non-negative")
     if kind == "all":

@@ -9,16 +9,16 @@ solving for coefficients, testing span membership and testing integrality
 are integer dot products on a vector scaled to integers once
 (integer_vector, which reads int and Fraction entries as they are and
 builds a Fraction only for another kind).  The quadratic enumerators use
-Fraction only to set up (_IntegerBall and its LDL factors, _ldl): a
-QuadraticForm keeps its compiled search (QuadraticForm.ball), the form
-scaled to integers on its first search, and the search itself runs on
-Python ints with exact isqrt bounds.
+Fraction only for the LDL factors (_ldl) of a form scaled to integers
+(scaled_basis): a QuadraticForm, built from integer rows, keeps its compiled
+search (QuadraticForm.ball), built on its first search, and the search
+itself runs on Python ints with exact isqrt bounds.
 A ball compiles its level search once into straight-line Python
 (level_source), with the form's constants inlined: one generated function
 per depth, each looping one coordinate over its exact range and handing the
 next the budget left and the partial centres of the earlier coordinates;
 the last coordinate is solved instead of looped over.  The search up to a
-bound walks the same ball in one generator frame (_IntegerBall.tails).
+bound walks the same ball, one generator per depth (_IntegerBall.tails).
 QuadraticForm.level builds one Fraction per distinct coordinate value,
 shared by every point of the level.  A fixed integer map m -> P m + p, such
 as a form's C m, is compiled once into a straight-line Python function
@@ -66,6 +66,14 @@ def integer_vector(v):
     pairs = [(x if isinstance(x, _EXACT) else Fraction(x)).as_integer_ratio() for x in v]
     q = math.lcm(*[d for _, d in pairs])
     return [n * (q // d) for n, d in pairs], q
+
+
+def scaled_basis(basis):
+    """(Q, vectors): the basis vectors scaled to integers by the lcm Q of
+    their denominators."""
+    scaled = list(map(integer_vector, basis))
+    Q = math.lcm(*(q for _, q in scaled))
+    return Q, [[x * (Q // q) for x in V] for V, q in scaled]
 
 
 def _require_ints(values):
@@ -217,7 +225,7 @@ def is_perfect_square(n):
 
 
 def _ldl(a):
-    """LDL^T factors of a symmetric positive-definite Fraction matrix.
+    """LDL^T factors, as Fractions, of a symmetric positive-definite matrix.
 
     Returns (d, u) with a = u^T diag(d) u and u unit upper triangular.
     """
@@ -327,7 +335,7 @@ class _IntegerBall:
     """The search {m in Z^k : m^T a m + b.m <= T / D} of one form, in integers.
 
     a and b are scaled to integers A and B by the lcm D of their
-    denominators; a bound or target enters only as the integer T.  With
+    denominators (scaled_basis); a bound or target is the integer T.  With
     s = A^{-1} B / 2 and A = u^T diag(d) u,
     m^T A m + B.m = sum_i d_i (m_i + c_i)^2 - s^T A s, where
     c_i = s_i + sum_{j>i} u_ij (m_j + s_j) depends only on later coordinates.
@@ -335,8 +343,8 @@ class _IntegerBall:
     Y_i = S (m_i + c_i) and e_i = F d_i integers, and the ball becomes
     sum_i e_i Y_i^2 <= R = F S^2 (T + s^T A s).  Given the later
     coordinates, m_i ranges exactly over |Y_i| <= isqrt(R_i // e_i), where
-    R_i is what they left of R.  Only this set-up uses Fraction, and it
-    depends on the form alone, so one ball serves every bound.
+    R_i is what they left of R.  Only the LDL factors and centres use
+    Fraction; they depend on the form alone, so one ball serves every bound.
 
     Su[i] is column i of S u above the diagonal, as dense integers: the
     coefficient of m_i in S c_l for each l < i.  Setting m_i adds m_i Su[i]
@@ -346,22 +354,18 @@ class _IntegerBall:
     The ball compiles its level search when built: level(T) is the list of
     points with D (m^T a m + b.m) = T, from the straight-line source of
     level_source with these constants inlined, one function per depth
-    above 1.
-    tails walks the ball for enumerate_quadratic_upto.
+    above 1.  tails walks the same ball for enumerate_quadratic_upto.
     """
 
     def __init__(self, a, b):
         k = len(a)
-        a = [[Fraction(x) for x in row] for row in a]
-        b = [Fraction(x) for x in b]
-        self.D = math.lcm(*(x.denominator for x in b),
-                          *(x.denominator for row in a for x in row))
-        d, u = _ldl([[x * self.D for x in row] for row in a])
+        self.D, (*A, B) = scaled_basis([*a, b])
+        d, u = _ldl(A)
         # centre = u s, and A s = B / 2 reads u^T (diag(d) centre) = B / 2:
         # forward substitution through the unit lower triangular u^T
         z = []
         for i in range(k):
-            z.append(b[i] * self.D / 2 - sum(u[j][i] * z[j] for j in range(i)))
+            z.append(Fraction(B[i], 2) - sum(u[j][i] * z[j] for j in range(i)))
         centre = [z[i] / d[i] for i in range(k)]
         self.S = S = math.lcm(*(x.denominator for x in centre),
                               *(u[i][j].denominator for i in range(k) for j in range(i + 1, k)))
@@ -381,43 +385,26 @@ class _IntegerBall:
         the integer bound T, in ascending order, and yield (R_0, S c_0) each
         time: the budget left for m_0 and its centre.
 
-        One generator frame runs the whole search: an odometer over the
-        depths k-1..2 keeps, per depth, the end of its range, the budget its
-        parent left and its parent's partial centres, and depth 1 is the
-        innermost loop.  Q holds the partial centres S c_l (l < i) once
-        m_i, ..., m_{k-1} are set, each its parent's plus m_i Su[i]; depth 2
-        builds only its two.  The search opens from a depth k above the
-        coordinates, whose one choice leaves all of R and the centres c0.
+        Depth i loops m_i over its exact range, given its parent's budget b
+        and partial centres Q[l] = S c_l (l <= i), and hands depth i - 1 the
+        budget left and the centres Q[l] + Su[i][l] m_i, from all of R and c0.
         """
-        k, R = len(m), self.scale * T + self.offset
+        R = self.scale * T + self.offset
         if R < 0:
             return
         S, e, Su = self.S, self.e, self.Su
-        end, budgets, centres = [0] * k, [0] * k, [None] * k
-        i, b, Q = k, R, self.c0
-        while True:
-            c, r = Q[-1], isqrt(b // e[i - 1])
-            if i == 1:
-                yield b, c
-            elif i == 2:
-                base, u, e1 = Q[0], Su[1][0], e[1]
-                for m1 in range(-((r + c) // S), (r - c) // S + 1):
-                    m[1] = m1
-                    y = S * m1 + c
-                    yield b - e1 * y * y, base + u * m1
-            else:
-                i -= 1
-                m[i] = -((r + c) // S) - 1
-                end[i], budgets[i], centres[i] = (r - c) // S, b, Q
-            while i < k and m[i] >= end[i]:
-                i += 1
-            if i == k:
+
+        def depth(i, b, Q):
+            if i == 0:
+                yield b, Q[0]
                 return
-            m[i] = mi = m[i] + 1
-            P, u = centres[i], Su[i]
-            y = S * mi + P[i]
-            b = budgets[i] - e[i] * y * y
-            Q = (P[0] + u[0] * mi, P[1] + u[1] * mi) if i == 2 else [p + s * mi for p, s in zip(P, u)]
+            c, r, u = Q[i], isqrt(b // e[i]), Su[i]
+            for mi in range(-((r + c) // S), (r - c) // S + 1):
+                m[i] = mi
+                y = S * mi + c
+                yield from depth(i - 1, b - e[i] * y * y, [Q[l] + u[l] * mi for l in range(i)])
+
+        yield from depth(len(m) - 1, R, self.c0)
 
 
 def enumerate_quadratic_upto(ball, bound):
@@ -455,22 +442,11 @@ def enumerate_quadratic_level(ball, target):
     m_0 = (Y_0 - S c_0) / S when S divides it.  The search is the ball's
     compiled level function (level_source), at the integer level D target.
     """
-    k = len(ball.e)
-    if k == 0:
-        return [()] if target == 0 else []
     # every value lies in (1/D) Z, so a target outside it is never reached
     T = target * ball.D if type(target) is int else Fraction(target) * ball.D
     if T.denominator != 1:
         return []
     return ball.level(int(T))
-
-
-def scaled_basis(basis):
-    """(Q, vectors): the basis vectors scaled to integers by the lcm Q of
-    their denominators."""
-    scaled = list(map(integer_vector, basis))
-    Q = math.lcm(*(q for _, q in scaled))
-    return Q, [[x * (Q // q) for x in V] for V, q in scaled]
 
 
 class QuadraticForm:
@@ -493,14 +469,16 @@ class QuadraticForm:
 
     @classmethod
     def on_basis(cls, basis, kappa, linear):
-        """The form kappa (x.x) + linear(x) on the points x of the lattice
-        spanned by basis; linear is a linear function of coordinates.  Each
-        Gram entry is one Fraction, kappa (V_i . V_j) / Q^2, from the integer
-        dot product of the basis scaled to integers V / Q."""
+        """The form kappa (x.x) + (W.x) / w on the points x of the lattice
+        spanned by basis, for the integer row linear = (W, w).  With the
+        basis scaled to integers V / Q, each Gram entry is one Fraction,
+        kappa (V_i . V_j) / Q^2, and each linear entry one, (W . V_i) / (w Q),
+        from integer dot products."""
         Q, vectors = scaled_basis(basis)
         n, d = Fraction(kappa).as_integer_ratio()
-        a = [[Fraction(n * dot(v, w), d * Q * Q) for w in vectors] for v in vectors]
-        return cls(a, [linear(v) for v in basis], basis)
+        W, w = linear
+        a = [[Fraction(n * dot(v, u), d * Q * Q) for u in vectors] for v in vectors]
+        return cls(a, [Fraction(dot(W, v), w * Q) for v in vectors], basis)
 
     @cached_property
     def ball(self):

@@ -252,7 +252,7 @@ def hyp_case(type_id):
     spec = _HYP_FAMILIES[family]
     kappa, linear = spec["kappa"](n), [spec["linear"](n, i) for i in range(1, n + 1)]
     length = linalg.QuadraticForm.on_basis(_hyp_basis(n, spec["even_sum"]), kappa,
-                                           lambda q: -linalg.dot(linear, q))
+                                           linalg.integer_vector([-x for x in linear]))
     c = int(2 * kappa * math.lcm((2 * kappa).denominator, *(x.denominator for x in linear)))
     return _case(f"HYP:{type_id}", type_id, 0, "M", (1,) * n,
                  [[c * (r == i) for i in range(n)] for r in range(n)], "H", "orbit-size", length)

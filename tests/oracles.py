@@ -6,14 +6,16 @@ Fraction arithmetic, and enumerate_quadratic_ball_level keeps the ball
 points whose value equals the target.  Both are the original kernels of
 diophantine and linalg, kept here unchanged as differential oracles.
 RecursiveBall keeps the original recursive walk of a compiled
-linalg._IntegerBall, one generator per coordinate, which the one-frame
-odometer of _IntegerBall.tails replaced.  tails_level is the original
+linalg._IntegerBall, one generator per coordinate, each centre summed
+afresh from the later coordinates instead of handed down by its parent as
+_IntegerBall.tails does.  tails_level is the original
 linalg.enumerate_quadratic_level loop, which solves m_0 on each budget that
 tails yields, before each ball compiled its level search
 (linalg.level_source).  gram is the original Gram matrix of
 QuadraticForm.on_basis, kappa times a sum of Fraction products per entry,
 and length_form_parts the (a, b) of atomic.length_form from gram and the
-original Fraction callback for the linear part.
+original Fraction callback for the linear part, before on_basis took an
+integer row.
 
 eliminate and fundamental_weights are the original Gauss-Jordan elimination
 of linalg and fundamental weights of dynkin, in Fraction arithmetic (the
@@ -985,8 +987,7 @@ def size_form(d, self_conjugate=False):
     else:
         pairs = [(j, d - 1) for j in range(d - 1)]
     basis = [[(r == j) - (r == k) for r in range(d)] for j, k in pairs]
-    return linalg.QuadraticForm.on_basis(
-        basis, Fraction(d, 2), lambda c: sum(r * x for r, x in enumerate(c)))
+    return linalg.QuadraticForm.on_basis(basis, Fraction(d, 2), (tuple(range(d)), 1))
 
 
 def core_counts(d, top):

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -405,6 +407,23 @@ def test_conjecture_verb():
     code, out = run_cli(["conjecture-a3", "--max-N", "2", "--format", "json"])
     assert code == 0
     assert all(item["status"] == "PASS" for item in json.loads(out))
+
+
+def readme_commands():
+    """The argv of each `corelat ...` line in the sh block of README's CLI
+    section, its trailing comment dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("corelat ")]
+
+
+def test_readme_cli_examples_exit_zero():
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        assert run_cli(argv)[0] == 0, argv
 
 
 def test_console_entry_point():

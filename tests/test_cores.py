@@ -215,6 +215,16 @@ def test_d_is_refused_in_the_callers_words(kind, d, cap):
         enumerate_partitions(10, kind, 2.5)
 
 
+@pytest.mark.parametrize("kind, d", [("all", None), ("core", 2), ("core", 3), ("scc", 3),
+                                     ("scc-plus", 4)])
+def test_size_is_read_as_an_integer(kind, d):
+    # n is read as d is: an integral float is its int, a fraction is refused
+    assert enumerate_partitions(3.0, kind, d) == enumerate_partitions(3, kind, d)
+    for n in (2.5, F(5, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            enumerate_partitions(n, kind, d)
+
+
 def test_residue_count():
     assert residue_count((), 4, 0) == 0
     assert residue_count((1,), 5, 0) == 1

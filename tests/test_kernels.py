@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from corelat.cores import enumerate_partitions
 from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
 
 import oracles
+from golden_data import COMPILED_SEARCH_SHA256
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
                      enumerate_quadratic_ball_upto, gram, length_form_parts, size_form,
                      solve_diagonal_brute, tails_level)
@@ -251,6 +253,28 @@ def test_gram_matches_fraction_products_on_hyp_and_core_size_forms():
             assert_gram_matches(size_form(d, self_conjugate), Fraction(d, 2))
 
 
+def search_forms():
+    """(name, form) for every length form of all_type_ids(4) and E6_1 to
+    E8_1, the hyperoctahedral forms of HYP_TYPES and size_form(d), d <= 6."""
+    for type_id, weight, lattice in length_forms(dynkin.all_type_ids(4)
+                                                 + ["E6_1", "E7_1", "E8_1"]):
+        yield f"{type_id}-L{weight}-{lattice}", atomic.length_form(type_id, weight, lattice)
+    for type_id in HYP_TYPES:
+        yield f"HYP:{type_id}", param.hyp_case(type_id).length
+    for d in range(2, 7):
+        yield f"cores-{d}", size_form(d)
+
+
+def test_compiled_searches_are_byte_identical():
+    digest = hashlib.sha256()
+    for name, form in search_forms():
+        ball = form.ball
+        source = linalg.level_source(ball.S, ball.e, ball.Su, ball.c0, ball.scale, ball.offset)
+        entries = " ".join(str(Fraction(x)) for x in (*itertools.chain(*form.a), *form.b))
+        digest.update(f"{name}\n{source}{ball.D}\n{entries}\n".encode())
+    assert digest.hexdigest() == COMPILED_SEARCH_SHA256
+
+
 def test_compiled_form_serves_every_target():
     # one form, compiled once, asked for targets whose denominators do not
     # divide the form's; 13 comes twice so that scaling carried over from
@@ -379,7 +403,7 @@ def test_one_frame_walk_matches_the_recursive_oracle(name):
 
 def test_walk_forms_cover_every_depth_case_and_a_denominator():
     # rank 1 has no depth to walk, rank 2 only the innermost loop, rank 3
-    # the first odometer depth
+    # the first depth that hands its centres down
     ranks = {len(form.a) for form in WALK_FORMS.values()}
     assert {1, 2, 3, 8} <= ranks
     assert any(form.ball.D > 1 for form in WALK_FORMS.values())
