@@ -168,17 +168,36 @@ def length_form(type_name, weight_index, lattice):
     return linalg.QuadraticForm.on_basis(basis, Fraction(a * hs, 2 * b), (row, p * solver.D * b))
 
 
-def enumerate_atomic(t, weight_index, target, lattice="M"):
-    """All lattice points with the given atomic length, sorted by coordinates.
+# the most values a level search may loop its outermost coordinate over;
+# A2_1 runs about 3 * 10^6 of them a second
+MAX_OUTER_VALUES = 10 ** 8
 
-    Completeness comes from the exact positive-definite enumeration of the
-    quadratic model; every returned point re-evaluates to the target.
-    """
+
+def level_form(t, weight_index, target, lattice="M"):
+    """The length_form whose level target holds the lattice points of that
+    atomic length, once the level is checked: a negative target, or one whose
+    search would loop its outermost coordinate over more than
+    MAX_OUTER_VALUES values (QuadraticForm.outer_values), is a ValueError."""
     t = _type(t)
     if target < 0:
         raise ValueError("atomic length target must be non-negative")
     form = length_form(t.name, weight_index, lattice)
-    return [LatticeVector(t.name, coords) for coords in form.level(target)]
+    if form.outer_values(target) > MAX_OUTER_VALUES:
+        raise ValueError(f"the level search of {t.name} would loop one coordinate "
+                         f"over more than {MAX_OUTER_VALUES} values")
+    return form
+
+
+def enumerate_atomic(t, weight_index, target, lattice="M"):
+    """All lattice points with the given atomic length, sorted by coordinates.
+
+    Completeness comes from the exact positive-definite enumeration of the
+    quadratic model; every returned point re-evaluates to the target.  A
+    level that level_form refuses is a ValueError.
+    """
+    t = _type(t)
+    return [LatticeVector(t.name, coords)
+            for coords in level_form(t, weight_index, target, lattice).level(target)]
 
 
 @lru_cache(maxsize=None)

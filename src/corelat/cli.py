@@ -3,6 +3,13 @@
 Output is CSV or JSON on stdout, byte-deterministic for fixed inputs.  Exit
 codes: 0 when everything requested PASSes, 1 on a verification FAIL (the
 witness is in the output), 2 on usage errors.
+
+`enumerate` prints a level from the sorted integer rows C m of its length
+form (QuadraticForm.level_numerators): each distinct integer is formatted
+once, as str(Fraction(x, Q)), and the CSV is written one line per point,
+the lines csv.writer would write.  A level whose search would loop its
+outermost coordinate over more than atomic.MAX_OUTER_VALUES values is
+refused as a usage error (atomic.level_form).
 """
 
 import argparse
@@ -137,25 +144,21 @@ def _cmd_enumerate(args, out):
     weight = int(args.weight[1:])
     target = _fraction(args.N)
     lattice = args.lattice or ("L" if weight == 1 else "M")
-    vectors, level = atomic.enumerate_atomic(t, weight, target, lattice), str(target)
-    # the level shares one Fraction per distinct coordinate value, so each
-    # shared object is formatted once, keyed by its id while vectors holds it
-    shown, elements = {}, []
-    for v in vectors:
-        row = []
-        for x in v.coords:
-            text = shown.get(id(x))
-            if text is None:
-                text = shown[id(x)] = str(x)
-            row.append(text)
-        elements.append(row)
+    form = atomic.level_form(t, weight, target, lattice)
+    rows, level = form.level_numerators(target), str(target)
+    # a level repeats few coordinate values, so each is formatted once
+    text = {x: str(Fraction(x, form.Q)) for x in set().union(*rows)}.__getitem__
     if args.format == "json":
         _emit_json({"type": args.type, "weight": args.weight, "lattice": lattice,
-                    "N": level, "elements": elements}, out)
+                    "N": level, "elements": [list(map(text, row)) for row in rows]}, out)
     else:
-        _emit_csv(["type", "weight", "lattice", "N", "coords"],
-                  [[args.type, args.weight, lattice, level, "(" + ",".join(e) + ")"]
-                   for e in elements], out)
+        # the lines csv.writer writes: the type is canonical, the weight and
+        # lattice are argparse choices and N a str(Fraction), so only the
+        # coordinates need quoting, and they always hold a comma, as every
+        # type has at least two of them
+        prefix = f'{args.type},{args.weight},{lattice},{level},"('
+        out.write("type,weight,lattice,N,coords\n")
+        out.writelines(f'{prefix}{",".join(map(text, row))})"\n' for row in rows)
     return 0
 
 

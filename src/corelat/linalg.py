@@ -19,8 +19,11 @@ per depth, each looping one coordinate over its exact range and handing the
 next the budget left and the partial centres of the earlier coordinates;
 the last coordinate is solved instead of looped over.  The search up to a
 bound walks the same ball, one generator per depth (_IntegerBall.tails).
-QuadraticForm.level builds one Fraction per distinct coordinate value,
-shared by every point of the level.  A fixed integer map m -> P m + p, such
+QuadraticForm.level_numerators lists the points of a level as sorted
+integer rows C m, and QuadraticForm.level divides them by Q with one
+Fraction per distinct value, shared by every point of the level.
+QuadraticForm.outer_values counts in O(1) the values the outermost
+coordinate of a level search takes.  A fixed integer map m -> P m + p, such
 as a form's C m, is compiled once into a straight-line Python function
 (compile_affine) that lists the non-zero terms of each row, so applying it makes no dot product.
 """
@@ -442,11 +445,15 @@ def enumerate_quadratic_level(ball, target):
     m_0 = (Y_0 - S c_0) / S when S divides it.  The search is the ball's
     compiled level function (level_source), at the integer level D target.
     """
-    # every value lies in (1/D) Z, so a target outside it is never reached
+    T = _integer_level(ball, target)
+    return [] if T is None else ball.level(T)
+
+
+def _integer_level(ball, target):
+    """The integer level D target of the ball, or None for a target off
+    (1/D) Z, which no value reaches."""
     T = target * ball.D if type(target) is int else Fraction(target) * ball.D
-    if T.denominator != 1:
-        return []
-    return ball.level(int(T))
+    return int(T) if T.denominator == 1 else None
 
 
 class QuadraticForm:
@@ -494,14 +501,31 @@ class QuadraticForm:
         order of the points' coordinates (sorted by the integer key C m)."""
         return sorted(enumerate_quadratic_level(self.ball, target), key=self.numerators)
 
+    def level_numerators(self, target):
+        """The integer rows C m of every lattice point of value target,
+        sorted; the point's coordinates are C m / Q."""
+        return sorted(map(self.numerators, enumerate_quadratic_level(self.ball, target)))
+
     def level(self, target):
         """Coordinates of every lattice point of value target, sorted: the
-        numerators C m sorted, each divided by Q.  One Fraction is built per
-        distinct numerator and shared by every point that has it."""
-        numerators = sorted(map(self.numerators, enumerate_quadratic_level(self.ball, target)))
-        values = {x for c in numerators for x in c}
-        shared = {x: Fraction(x, self.Q) for x in values}
+        rows of level_numerators, each divided by Q.  One Fraction is built
+        per distinct numerator and shared by every point that has it."""
+        numerators = self.level_numerators(target)
+        shared = {x: Fraction(x, self.Q) for x in set().union(*numerators)}
         return [tuple(map(shared.__getitem__, c)) for c in numerators]
+
+    def outer_values(self, target):
+        """How many values the level search of target loops its outermost
+        coordinate m_{k-1} over, in O(1): (r - c) // S + (r + c) // S + 1 for
+        r = isqrt(R // e_{k-1}) of the whole budget R and c = c0_{k-1}
+        (level_source).  The search does at least this much work.  The count
+        is 0 for a target off the form's values or an R below 0, which are
+        never searched, and below rank 2, where no coordinate is looped."""
+        ball, T = self.ball, _integer_level(self.ball, target)
+        if T is None or len(ball.e) < 2 or (R := ball.scale * T + ball.offset) < 0:
+            return 0
+        r, c = isqrt(R // ball.e[-1]), ball.c0[-1]
+        return max(0, (r - c) // ball.S + (r + c) // ball.S + 1)
 
     def upto(self, bound):
         """(value, coordinates) for every lattice point of value <= bound."""

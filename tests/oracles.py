@@ -80,7 +80,14 @@ D_4^(3) partition from its residue-class part lists.  is_self_conjugate,
 once in cores, is a helper that only the tests call.
 
 enumerate_atomic_upto, once in atomic, buckets every lattice point of
-atomic length at most a bound by its value.  factorize, two_squares_solvable,
+atomic length at most a bound by its value.  outer_values counts the
+integers of the last coordinate that the real ball of a bound meets, from
+the least value of the form over the other coordinates, the reference for
+linalg's count of a level search's outermost values.  enumerate_command is the
+original rendering of `corelat enumerate`, one LatticeVector per point and
+one Fraction per distinct coordinate, formatted through an id-keyed table
+and written by csv.writer or json, from before cli read a level's integer
+rows.  factorize, two_squares_solvable,
 GaussianLift, gaussian_lift, residue_free_criterion and Unsolvable are the
 sums-of-two-squares section that diophantine once held; only the tests
 call them.
@@ -98,14 +105,17 @@ C6 and G_A3 as the largest of them, and the G_A3 sector search that steps
 y and decides x.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from corelat import atomic, diophantine, dynkin, linalg, param
+from corelat import atomic, cli, diophantine, dynkin, linalg, param
 from corelat.atomic import LatticeVector, _basis, _type
 from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
 from corelat.diophantine import NonIntegralImage, _rotations60
@@ -1147,6 +1157,79 @@ def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
     for value in buckets:
         buckets[value].sort(key=lambda v: v.coords)
     return buckets
+
+
+def outer_values(a, b, target):
+    """How many integers x admit a real m with m_{k-1} = x and
+    m^T a m + b.m <= target, for k >= 2.  With the other coordinates y free,
+    the least value at x is a quadratic alpha x^2 + beta x + gamma (the
+    Schur complement of the last coordinate, in Fraction arithmetic); it is
+    convex, so the integers under the target form one run through the floor
+    or the ceiling of its vertex, whose ends are found by bisection."""
+    k = len(a)
+    P = [list(row[:k - 1]) for row in a[:k - 1]]
+    q2, b1 = [2 * row[k - 1] for row in a[:k - 1]], list(b[:k - 1])
+    w0, w1 = solve_square(P, b1), solve_square(P, q2)
+    dot = linalg.dot
+    alpha = a[k - 1][k - 1] - dot(q2, w1) / 4
+    beta = b[k - 1] - (dot(b1, w1) + dot(q2, w0)) / 4
+    gamma = -dot(b1, w0) / 4
+
+    def inside(x):
+        return alpha * x * x + beta * x + gamma <= target
+
+    def last(x, step):
+        """The last x + i step (i >= 0) inside, for x inside."""
+        far = 1
+        while inside(x + far * step):
+            far *= 2
+        near = far // 2     # inside at near, outside at far
+        while far - near > 1:
+            mid = (near + far) // 2
+            near, far = (mid, far) if inside(x + mid * step) else (near, mid)
+        return x + near * step
+
+    x0 = math.floor(-beta / (2 * alpha))
+    low = last(x0, -1) if inside(x0) else x0 + 1
+    high = last(x0 + 1, 1) if inside(x0 + 1) else x0
+    return high - low + 1
+
+
+def enumerate_command(argv):
+    """(exit code, stdout, stderr) of the original `corelat enumerate` on the
+    full argv: the LatticeVectors of atomic.enumerate_atomic, each shared
+    coordinate Fraction formatted once, keyed by its id while the vectors
+    hold it, then written by csv.writer or json.dump; a ValueError or
+    KeyError is one `error:` line on stderr and exit 2."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        t = dynkin.lookup_type(args.type)
+        weight = int(args.weight[1:])
+        target = cli._fraction(args.N)
+        lattice = args.lattice or ("L" if weight == 1 else "M")
+        vectors, level = atomic.enumerate_atomic(t, weight, target, lattice), str(target)
+    except (ValueError, KeyError) as exc:
+        return 2, "", f"error: {exc}\n"
+    shown, elements = {}, []
+    for v in vectors:
+        row = []
+        for x in v.coords:
+            text = shown.get(id(x))
+            if text is None:
+                text = shown[id(x)] = str(x)
+            row.append(text)
+        elements.append(row)
+    out = io.StringIO()
+    if args.format == "json":
+        json.dump({"type": args.type, "weight": args.weight, "lattice": lattice,
+                   "N": level, "elements": elements}, out, separators=(",", ":"))
+        out.write("\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["type", "weight", "lattice", "N", "coords"])
+        writer.writerows([args.type, args.weight, lattice, level, "(" + ",".join(e) + ")"]
+                         for e in elements)
+    return 0, out.getvalue(), ""
 
 
 class Unsolvable(ValueError):

@@ -246,6 +246,14 @@ def test_enumerate_lattice_l():
         enumerate_atomic("A2_1", 0, -1)
 
 
+def test_a_level_beyond_the_search_cap_is_refused():
+    # the cap is read off the outermost coordinate before any search runs;
+    # rank 1 solves its one coordinate, so A1_1 has no such level
+    with pytest.raises(ValueError, match="more than"):
+        enumerate_atomic("A2_1", 0, 10 ** 4000)
+    assert len(enumerate_atomic("A1_1", 0, 10 ** 4000 // 4 * 4)) <= 2
+
+
 @pytest.mark.parametrize("type_id", ["D50_1", "E8_1"])
 def test_a_missing_lattice_is_refused_before_the_weight_is_built(type_id):
     before = dynkin.fundamental_weights.cache_info()

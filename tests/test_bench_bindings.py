@@ -60,3 +60,18 @@ def test_bench_solver_span_is_reached():
         assert report.passed
         calls = {name: calls for name, (calls, _) in rec.per_name().items()}
         assert calls.get("diophantine.solve_diagonal", 0) >= 1
+
+
+def test_lattice_levels_are_below_the_search_cap():
+    # no level the benchmark enumerates is refused by atomic.level_form
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    from corelat import atomic
+
+    for type_id, weight, lo, hi, _ in workloads.LatticeLevels.ENTRIES:
+        for n in range(lo, hi + 1):
+            form = atomic.level_form(type_id, weight, n, "L" if weight else "M")
+            assert 0 < form.outer_values(n) <= atomic.MAX_OUTER_VALUES

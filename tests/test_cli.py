@@ -4,20 +4,23 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import cli, param
+from corelat import atomic, cli, dynkin, param
 
 from golden_data import (CONJECTURE_A3_JSON_3, ENUMERATE_SHA256, SWEEP_SHA256, TABLE_12N7,
                          TABLE_40N10, TABLE_6N7, TABLE_8N1, VERIFY_JSON)
+from oracles import enumerate_command
 
 
 def run_cli(argv):
@@ -526,3 +529,52 @@ def test_main_builds_one_parser_tree_per_process(monkeypatch):
         assert len(built) == 7
     finally:
         cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("type_id", [*dynkin.all_type_ids(4), "E6_1", "E7_1", "E8_1"])
+def test_enumerate_matches_the_original_rendering(type_id):
+    # levels 0..6, 7/2 and -1 at both weights, on M and on L (an error exit
+    # where no L basis is registered), in both formats; every type meets a
+    # level with points, an empty level and an error exit
+    kinds = set()
+    for weight, lattice, n, fmt in itertools.product(
+            ("L0", "L1"), ("M", "L"), [*map(str, range(7)), "7/2", "-1"], ("csv", "json")):
+        argv = ["enumerate", "--type", type_id, "--weight", weight, "--lattice", lattice,
+                "--N", n, "--format", fmt]
+        code, out, err = outcome(argv)
+        assert (code, out, err) == enumerate_command(argv), argv
+        if fmt == "csv":
+            kinds.add("error" if code else "points" if out.count("\n") > 1 else "empty")
+    assert kinds == {"points", "empty", "error"}
+
+
+def test_enumerate_builds_no_lattice_vector(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate built a LatticeVector")
+
+    monkeypatch.setattr(atomic, "LatticeVector", refuse)
+    for argv in [("enumerate", "--type", "E8_1", "--N", "32"),
+                 ("enumerate", "--type", "E8_1", "--N", "32", "--format", "json")]:
+        code, out = run_cli(list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[argv]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_refuses_a_level_no_search_can_finish(fmt):
+    # A2_1's outermost coordinate takes about 10^2000 values at N = 10^4000
+    start = time.perf_counter()
+    code, out, err = outcome(["enumerate", "--type", "A2_1", "--N", "1e4000", "--format", fmt])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(atomic.MAX_OUTER_VALUES) in err
+
+
+def test_enumerate_searches_a_level_below_the_cap():
+    # about 1.3 * 10^6 outermost values, in well under a second
+    form = atomic.length_form("A2_1", 0, "M")
+    assert 10 ** 6 < form.outer_values(10 ** 12) <= atomic.MAX_OUTER_VALUES
+    code, out = run_cli(["enumerate", "--type", "A2_1", "--N", "1e12"])
+    assert code == 0
+    assert out.startswith("type,weight,lattice,N,coords\n")

@@ -409,6 +409,18 @@ def test_walk_forms_cover_every_depth_case_and_a_denominator():
     assert any(form.ball.D > 1 for form in WALK_FORMS.values())
 
 
+@pytest.mark.parametrize("name", sorted(WALK_FORMS))
+def test_outer_values_count_the_outermost_loop_exactly(name):
+    # every integer level up to 60 (and a few below 0), then two large ones;
+    # rank 1 loops over nothing, and a target off (1/D) Z is never searched
+    form = WALK_FORMS[name]
+    for T in (*range(-5, 61), 10 ** 6, 10 ** 12):
+        target = Fraction(T, form.ball.D)
+        expected = oracles.outer_values(form.a, form.b, target) if len(form.a) > 1 else 0
+        assert form.outer_values(target) == expected
+    assert form.outer_values(Fraction(1, 2 * form.ball.D)) == 0
+
+
 def test_a_level_builds_one_fraction_per_distinct_value(monkeypatch):
     """QuadraticForm.level builds one Fraction per distinct coordinate value
     and one for the target; the points still equal the oracle's, each
