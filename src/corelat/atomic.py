@@ -155,14 +155,17 @@ def length_form(type_name, weight_index, lattice):
     """The statistic at Lambda_{weight_index} as a linalg.QuadraticForm over
     the integer coefficients of the lattice basis.
 
-    With the weight's finite part lam = L / p and level a / b as integers
-    (DominantWeight._scaled) and the height functional total / D of the
-    root solver, the statistic is (a h scale_sq / 2b) |x|^2 plus the linear
-    part h (lam | x) - (a / b) ht(x), one integer row over p D b.
+    With lam = L / p the weight's finite part (t.integer_weights, zero at
+    index 0), a / b = a_i^v / a_0^v its level and total / D the height
+    functional of the root solver, the statistic is (a h scale_sq / 2b) |x|^2
+    plus the linear part h (lam | x) - (a / b) ht(x), one integer row over p D b.
     """
     t = lookup_type(type_name)
-    basis = _basis(t, lattice)      # refused before any weight is built
-    (L, p), (a, b) = weight_Lambda(t, weight_index)._scaled
+    basis = _basis(t, lattice)      # refused before the index is read
+    if not 0 <= weight_index <= t.n:
+        raise BadIndex(f"index {weight_index} outside 0..{t.n} for {t.name}")
+    L, p = t.integer_weights[weight_index - 1] if weight_index else ((0,) * t.ambient_dim, 1)
+    a, b = t.comarks[weight_index], t.comarks[0]
     solver, hs = t.root_solver, t.h * t.scale_sq
     row = [hs * solver.D * b * x - a * p * y for x, y in zip(L, solver.total)]
     return linalg.QuadraticForm.on_basis(basis, Fraction(a * hs, 2 * b), (row, p * solver.D * b))

@@ -136,8 +136,9 @@ class TypeData:
 
     @cached_property
     def J(self):
-        """The indices i >= 1 with a_i = 1."""
-        return tuple(i for i in range(1, len(self.marks)) if self.marks[i] == 1)
+        """The special nodes i >= 1, a_i = a_i^v = 1: one per element of the
+        length-zero group Omega other than the identity."""
+        return tuple(i for i in range(1, len(self.marks)) if self.marks[i] == self.comarks[i] == 1)
 
     @cached_property
     def root_solver(self):
@@ -145,20 +146,25 @@ class TypeData:
         return linalg.SpanSolver(self.simple_roots)
 
     @cached_property
+    def integer_roots(self):
+        """(Q, R, G), built on first use: the simple roots scaled to integers
+        R_k = Q alpha_k (linalg.scaled_basis) and their Gram matrix R_k . R_j."""
+        Q, R = linalg.scaled_basis(self.simple_roots)
+        return Q, tuple(map(tuple, R)), tuple(tuple(linalg.dot(u, v) for v in R) for u in R)
+
+    @cached_property
     def integer_weights(self):
         """The fundamental weights scaled to integers, built on first use:
         entry i - 1 is (W_i, p_i) with omega_i = W_i / p_i, W_i an integer
         tuple and p_i the positive lcm of its entries' denominators.
 
-        With the simple roots scaled to integers R_k = Q alpha_k by one lcm Q
-        and G the integer Gram matrix R_k . R_j, the conditions
+        With (Q, R, G) of integer_roots, the conditions
         2 (omega_i | alpha_j) / |alpha_j|^2 = delta_ij read
         omega_i = (G_ii / 2Q) sum_k (G^-1)_ik R_k (scale_sq cancels).  G is
         symmetric, so row i of its inverse, V_i / q_i from linalg.eliminate,
         gives omega_i as one integer combination of the R_k over 2 Q q_i.
         """
-        Q, R = linalg.scaled_basis(self.simple_roots)
-        G = [[linalg.dot(u, v) for v in R] for u in R]
+        Q, R, G = self.integer_roots
         coords = list(zip(*R))
         weights = []
         for i, (V, q) in enumerate(linalg.eliminate(G)):

@@ -151,7 +151,7 @@ class ParamCase:
     @cached_property
     def layer_maps(self):
         """layer_map(self, j) for each j in weyl.sigma_indices, one per element
-        of Omega (untwisted types; weyl.UnsupportedType for a twisted one)."""
+        of Omega; dynkin.UnknownType for a rank the registry does not hold."""
         return (self.image_map,) + tuple(layer_map(self, j)
                                          for j in weyl.sigma_indices(self.type_id)[1:])
 

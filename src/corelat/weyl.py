@@ -1,8 +1,9 @@
-"""Extended Grassmannian bookkeeping for every untwisted affine type.
+"""Extended Grassmannian bookkeeping for every affine type of the registry.
 
 A length-zero element sigma_j, for j = 0 or a special node of
-dynkin.TypeData.J, sends a translation part q to omega_j + M_j(q); an
-extended element is stored as j with q.  M_j is derived: it is the Weyl
+dynkin.TypeData.J (a_j = a_j^v = 1), sends a translation part q to
+omega_j + M_j(q); an extended element is stored as j with q.  M_j is
+derived, by one rule for untwisted and twisted types alike: it is the Weyl
 group element with M_j rho = rho - h omega_j, (rho | alpha_i) = 1, so
 sigma_j fixes rho / h, the centre of the atomic length.  The Lascoux
 generator action on cores lives here too: it is the type-A affine Weyl
@@ -15,11 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import atomic, cores, dynkin, linalg
-from .atomic import LatticeVector
-
-
-class UnsupportedType(ValueError):
-    """A twisted type, for which no sigma_j is derived."""
+from .atomic import LatticeVector, _type
 
 
 @dataclass(frozen=True)
@@ -34,16 +31,9 @@ class ExtGrassElement:
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
 
 
-def _check_type(t):
-    t = atomic._type(t)
-    if t.id.twist != 1:
-        raise UnsupportedType(f"sigma matrices are derived only for untwisted types, not {t.name}")
-    return t
-
-
 def sigma_indices(t):
     """Valid layer indices: 0 and the special nodes t.J."""
-    return (0,) + _check_type(t).J
+    return (0,) + _type(t).J
 
 
 @lru_cache(maxsize=None)
@@ -52,17 +42,16 @@ def matrix_Mj(t, j):
 
     M_j = s_{i_1} .. s_{i_k} for the walk s_{i_k} .. s_{i_1} that reflects
     rho - h omega_j into the dominant chamber, onto rho.  In integers: with
-    R_i = Q alpha_i (linalg.scaled_basis) and G their Gram matrix, the walk
+    R_i = Q alpha_i and G their Gram matrix (TypeData.integer_roots), the walk
     moves the pairings d_k = 2 Q^2 (v | alpha_k) by the Cartan integers
     2 G_ik / G_ii, and s_i moves the rows of X = den M^T in the support of
     R_i, X and den first scaled by G_ii where s_i would leave the integers.
-    An entry is an int where it is integral, as every entry is in types A-D.
+    An entry is an int where it is integral, as every entry is outside E6 and E7.
     """
-    t = _check_type(t)
+    t = _type(t)
     if j not in sigma_indices(t):
         raise ValueError(f"layer index {j} invalid for {t.name}")
-    Q, R = linalg.scaled_basis(t.simple_roots)
-    G = [[linalg.dot(u, v) for v in R] for u in R]
+    Q, R, G = t.integer_roots
     d = [2 * Q * Q - (k == j - 1) * t.h * t.scale_sq * G[k][k] for k in range(t.n)]
     X, den = [[int(a == c) for c in range(t.ambient_dim)] for a in range(t.ambient_dim)], 1
     while min(d) < 0:
@@ -87,7 +76,7 @@ def extended_image(t, element):
     translation part is a vector of the element's type, so an element of
     another type is refused as dynkin.integer_point refuses such a vector.
     """
-    t = _check_type(t)
+    t = _type(t)
     j = element.j
     mat = matrix_Mj(t, j)
     V, d = dynkin.integer_point(t, LatticeVector(element.type_id, element.q))
@@ -102,7 +91,7 @@ def enumerate_extended(t, target):
     The layer action preserves the statistic, so these are exactly the pairs
     (j, q) with q of atomic length equal to the target.
     """
-    t = _check_type(t)
+    t = _type(t)
     base = atomic.enumerate_atomic(t, 0, target, "M")
     return [ExtGrassElement(t.name, j, v.coords)
             for j in sigma_indices(t) for v in base]

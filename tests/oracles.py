@@ -122,7 +122,6 @@ from corelat.diophantine import NonIntegralImage, _rotations60
 from corelat.dynkin import NotInRootSpan
 from corelat.linalg import _IntegerBall, _ldl
 from corelat.param import Report, _fail
-from corelat.weyl import _check_type
 
 
 def _coords(v):
@@ -501,10 +500,12 @@ def matrix_Mj(t, j):
     """M_j of type A_n^(1) or C_n^(1): the j-th power of the cyclic shift
     (q_1..q_{n+1}) -> (q_{n+1}, q_1, .., q_n) in type A, the negated
     antidiagonal at j = n in type C, the identity at j = 0."""
-    t = _check_type(t)
+    t = _type(t)
     dim = t.ambient_dim
     if j == 0:
         return tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+    if t.id.twist != 1:
+        raise ValueError(f"no hand-typed layer matrix {j} for {t.name}")
     if t.id.family == "A" and 0 < j <= t.n:
         return tuple(tuple(int((r - c) % dim == j) for c in range(dim)) for r in range(dim))
     if t.id.family == "C" and j == t.n:
@@ -514,7 +515,7 @@ def matrix_Mj(t, j):
 
 def extended_image(t, element):
     """The weight-lattice vector omega_j + M_j(q) of an extended element."""
-    t = _check_type(t)
+    t = _type(t)
     j, q = element.j, element.q
     mq = apply_matrix(matrix_Mj(t, j), q)
     if j == 0:

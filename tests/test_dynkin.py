@@ -106,6 +106,14 @@ def test_j_lists_the_marks_equal_to_one():
     assert lookup_type("B4_1").J == (1,)
     assert lookup_type("D5_1").J == (1, 4, 5)
     assert lookup_type("E7_1").J == (1,)
+    # a twisted type's special nodes have its mark and comark 1: one in
+    # A_{2n-1}^(2) and in D_{n+1}^(2), none in A_{2n}^(2), E6^(2) and D4^(3)
+    for name in ("A5_2", "A7_2", "A9_2"):
+        assert lookup_type(name).J == (1,)
+    for n in range(2, 6):
+        assert lookup_type(f"D{n + 1}_2").J == (n,)
+    for name in ("A2_2", "A4_2", "A6_2", "A8_2", "A10_2", "E6_2", "D4_3"):
+        assert lookup_type(name).J == ()
 
 
 def test_lookup_d43():

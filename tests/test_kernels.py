@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import atomic, dynkin, linalg, param, weyl
+from corelat import atomic, dynkin, linalg, param
 from corelat.cores import enumerate_partitions
 from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
 
@@ -539,11 +539,11 @@ def hyp_types(ranks):
 
 
 def case_maps(case):
-    """A case's layer maps where weyl defines its layers (untwisted types),
-    else its image map."""
+    """A case's layer maps where the registry holds its type, else its image
+    map."""
     try:
         return case.layer_maps
-    except (weyl.UnsupportedType, dynkin.UnknownType):
+    except dynkin.UnknownType:
         return (case.image_map,)
 
 

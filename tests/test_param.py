@@ -464,11 +464,11 @@ def test_phi_lands_on_quadric_identically(case_id):
 
 
 def _layers(case):
-    """The layers weyl defines for the case's type: all of them in an
-    untwisted type, the base layer alone in a twisted one."""
+    """The layers weyl defines for the case's type, or the base layer alone
+    for a hyperoctahedral rank the registry does not hold."""
     try:
         return weyl.sigma_indices(case.type_id)
-    except (weyl.UnsupportedType, dynkin.UnknownType):
+    except dynkin.UnknownType:
         return (0,)
 
 
@@ -502,6 +502,23 @@ def test_layer_maps_match_per_point_path(case_id):
         assert [2 * linalg.dot(D, [x * y for x, y in zip(u, p)]) for u in cols] == \
             [scale * x for x in form.b], (case_id, j)
         assert linalg.dot(D, [x * x for x in p]) == case.b * fused.den ** 2, (case_id, j)
+
+
+def test_d3t_layer_two_adds_no_orbit():
+    # a computed finding, not a claim of the paper: sigma_2 of D3_2 gives an
+    # integral layer map on the D3t quadric, and at N <= 7 its images fall in
+    # the D8 orbits of the base layer's, so Omega adds no orbit there
+    case = get_case("D3t")
+    assert weyl.sigma_indices(case.type_id) == (0, 2)
+    layer2 = case.layer_maps[1]
+    assert layer2.den == 1 and layer2.keeps_quadric
+    nonempty = 0
+    for n in range(8):
+        ms = param.LevelData(case, n).coefficients
+        base = {diophantine.canonical("D8", case.image_map(m)) for m in ms}
+        assert {diophantine.canonical("D8", layer2(m)) for m in ms} <= base, n
+        nonempty += bool(ms)
+    assert nonempty == 7
 
 
 def test_non_integral_layer_image_names_its_point():

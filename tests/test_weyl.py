@@ -7,7 +7,6 @@ from corelat import atomic, cores, dynkin, linalg, weyl
 from corelat.dynkin import lookup_type
 from corelat.weyl import (
     ExtGrassElement,
-    UnsupportedType,
     enumerate_extended,
     extended_image,
     lascoux_orbit,
@@ -38,6 +37,8 @@ def test_matrix_examples():
 # every untwisted type of rank at most 4, and E6 and E7 with their
 # fractional M_j; E8 adds a type whose only layer is j = 0
 UNTWISTED = [name for name in dynkin.all_type_ids(4) if name.endswith("_1")] + ["E6_1", "E7_1"]
+# every registry type of rank at most 5, twisted or not, and E6 to E8
+ALL_TYPES = dynkin.all_type_ids(5) + ["E6_1", "E7_1", "E8_1"]
 
 
 def cartan_det(t):
@@ -47,8 +48,8 @@ def cartan_det(t):
 
 
 def test_matrix_errors():
-    with pytest.raises(UnsupportedType):
-        matrix_Mj("D3_2", 1)
+    with pytest.raises(ValueError):
+        matrix_Mj("D3_2", 1)   # only j in {0, 2} in D3_2
     with pytest.raises(ValueError):
         matrix_Mj("C3_1", 1)   # only j in {0, n} in type C
 
@@ -62,11 +63,12 @@ def test_derived_matrices_match_the_hand_typed_oracle(name):
         assert all(type(x) is int for row in derived for x in row), (name, j)
 
 
-@pytest.mark.parametrize("name", UNTWISTED + ["E8_1"])
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_layer_maps_form_a_group_of_order_det_cartan(name):
     # x -> omega_j + M_j x: each fixes rho / h, the centre of the length
-    # ((rho | alpha_k) = 1), the maps are closed under composition, and there
-    # are det(Cartan) = |P/Q| of them, a count that does not read t.J
+    # ((rho | alpha_k) = 1), and the maps are closed under composition.  In
+    # an untwisted type there are det(Cartan) = |P/Q| of them, a count that
+    # does not read t.J; in a twisted one the |J| + 1 maps are distinct
     t = lookup_type(name)
     weights = ((0,) * t.ambient_dim,) + dynkin.fundamental_weights(t)
     maps = {(weights[j], matrix_Mj(t, j)) for j in sigma_indices(t)}
@@ -82,7 +84,7 @@ def test_layer_maps_form_a_group_of_order_det_cartan(name):
         return (tuple(x + y for x, y in zip(w, oracles.apply_matrix(M, v))),
                 tuple(map(tuple, linalg.matmul(M, N))))
     assert all(compose(f, g) in maps for f in maps for g in maps)
-    assert len(maps) == cartan_det(t)
+    assert len(maps) == (cartan_det(t) if t.id.twist == 1 else len(t.J) + 1)
 
 
 def test_matrix_group_relations():
@@ -121,23 +123,37 @@ def test_enumerate_extended_sizes():
     assert len(enumerate_extended("C2_1", 40)) == 6
 
 
-@pytest.mark.parametrize("name", ["B3_1", "D4_1", "E6_1"])
+@pytest.mark.parametrize("name", ["B3_1", "D4_1", "E6_1", "D3_2", "A5_2"])
 def test_enumerate_extended_beyond_types_a_and_c(name):
     # |Omega| elements per point of the level, each of whose images
-    # re-evaluates to the target
+    # re-evaluates to the target; |Omega| = 2 in D_{n+1}^(2) and A_{2n-1}^(2)
     t = lookup_type(name)
+    order = cartan_det(t) if t.id.twist == 1 else 2
     for target in range(6):
         elems = enumerate_extended(t, target)
-        assert len(elems) == cartan_det(t) * len(atomic.enumerate_atomic(t, 0, target))
+        assert len(elems) == order * len(atomic.enumerate_atomic(t, 0, target))
         for e in elems:
             assert atomic.atomic_length0(t, extended_image(t, e).coords) == target
-    with pytest.raises(UnsupportedType):
-        enumerate_extended("D3_2", 1)
+    bad = min(set(range(1, t.n + 1)) - set(t.J))
     with pytest.raises(ValueError):
-        extended_image(t, ExtGrassElement(name, 2, (0,) * t.ambient_dim))   # 2 is not in t.J
+        extended_image(t, ExtGrassElement(name, bad, (0,) * t.ambient_dim))
 
 
-@pytest.mark.parametrize("name", UNTWISTED)
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_every_weyl_function_accepts_every_registry_type(name):
+    # no type is refused: the layers, their matrices, the extended elements
+    # of a level and their images, by name and by TypeData alike
+    t = lookup_type(name)
+    for ref in (name, t):
+        assert sigma_indices(ref) == (0,) + t.J
+        assert all(len(matrix_Mj(ref, j)) == t.ambient_dim for j in sigma_indices(ref))
+        elems = enumerate_extended(ref, 1)
+        assert len(elems) == len(sigma_indices(t)) * len(atomic.enumerate_atomic(t, 0, 1))
+        for e in elems:
+            assert atomic.atomic_length0(t, extended_image(ref, e).coords) == 1
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_sigma_invariance_on_ball(name):
     t = lookup_type(name)
     radius = 2 if t.n <= 3 else 1
@@ -148,6 +164,9 @@ def test_sigma_invariance_on_ball(name):
             assert atomic.atomic_length0(t, img.coords) == base
 
 
+# untwisted types only: the modulus det(Cartan) = |P/Q| equals |Omega| there,
+# and not in a twisted type (D3_2 has det(Cartan) 2 and |Omega| 2, A4_2 has 2
+# and 1, E6_2 has 1 and 1)
 @pytest.mark.parametrize("name,modulus", [(name, cartan_det(lookup_type(name)))
                                           for name in UNTWISTED])
 def test_divisibility(name, modulus):
