@@ -20,7 +20,7 @@ the coefficients by divisibility.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import dynkin, linalg
 from .dynkin import NotInRootSpan, lookup_type
@@ -56,7 +56,7 @@ class DominantWeight:
     finite_part: tuple      # stored coordinates of lambda
     level: Fraction
 
-    @cached_property
+    @linalg.memo
     def _scaled(self):
         """The (lam, level) arguments of _statistic for this weight, scaled
         to integers on first use: the finite part as dynkin.integer_point

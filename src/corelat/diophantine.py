@@ -3,15 +3,19 @@
 solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
 it lists one canonical point per orbit instead, searching the group's
-fundamental domain wherever every solution lies in its parity domain;
-canonical and orbit_size give a point's canonical point and orbit size in
-closed form, for every group, without building the orbit, and orbit lists
-the orbit itself by formula; only FAIL witnesses, A2ext's tiling check and
-orbit_partition build one.
-H (signed permutations) reads its rank from the point; every other group
-refuses a point whose length is not its rank (3 for G_A3, else 2), and D8
-is H on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved
-integer matrices, which raise NonIntegralImage outside their parity domain.
+fundamental domain wherever every solution lies in its parity domain.
+Each of the six groups (V4, D8, C4, C6, G_A3, H) is one row of GROUPS, a
+Group holding its rank, order, invariance test, closed-form canonical and
+orbit_size, its orbit by formula, and its solver; canonical and orbit_size
+build no orbit, and only FAIL witnesses, A2ext's tiling check and
+orbit_partition build one.  The public canonical, orbit_size, orbit,
+group_order and solve_diagonal check their input and call the row: H reads
+its rank from the point, every other group refuses a point whose length is
+not its rank (3 for G_A3, else 2), and solve_diagonal checks a (form,
+group) pair once.  param binds each case to its row once, so a claim check
+calls the row's closed forms with no check per point.  D8 is H on two
+coordinates, sharing its rules.  C6 and G_A3 rotate by halved integer
+matrices, which raise NonIntegralImage outside their parity domain.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -41,50 +45,52 @@ def solve_diagonal(form, k, group=None):
     in sorted order.
 
     With a group, whose action must leave the form invariant, only the
-    canonical solutions, one per orbit (see canonical), sorted.  Each
-    search below visits only canonical points and calls no canonical: V4 on
-    (d1, d2) over x, y >= 0 (_solve_quadrant); H and D8 on an equal form
-    over the non-increasing non-negative tuples (_solve_descending), and C4
-    over those pairs, adding (x, -y) for each 0 < y < x; C6 on (d, 3d) at
-    k/d = 0 (mod 4) over -x < 3y <= x (_solve_c6_sector); G_A3 on (1, 2, 3)
-    at even k over x >= 3z >= 0 (_solve_ga3_sector).  Those levels of C6
-    and G_A3 are exactly where U lies in the parity domain.  Any other input
-    of C6 or G_A3 lists all of U (the search on the reversed form decides
-    x_1 last) and keeps the points with x_1 >= 0 that are their own
-    canonical point, as both groups negate x_1; canonical raises
-    NonIntegralImage on the first such point off the parity domain, and the
-    reversed order fixes which point that names: (2,-1) for C6 on (1, 3) at
-    k = 7, and (2,0,-3) for G_A3 at k = 31, where lexicographic order would
-    name (1,-3,-2).
+    canonical solutions, one per orbit (see canonical), sorted, from the
+    group's row.  Each search below visits only canonical points and calls no
+    canonical: V4 on (d1, d2) over x, y >= 0 (_solve_quadrant); H and D8 on
+    an equal form over the non-increasing non-negative tuples
+    (_solve_descending), and C4 over those pairs, adding (x, -y) for each
+    0 < y < x; C6 on (d, 3d) at k/d = 0 (mod 4) over -x < 3y <= x
+    (_solve_c6_sector); G_A3 on (1, 2, 3) at even k over x >= 3z >= 0
+    (_solve_ga3_sector).  Those levels of C6 and G_A3 are exactly where U
+    lies in the parity domain.  Any other input of C6 or G_A3 lists all of U
+    (the search on the reversed form decides x_1 last) and keeps the points
+    with x_1 >= 0 that are their own canonical point, as both groups negate
+    x_1; canonical raises NonIntegralImage on the first such point off the
+    parity domain, and the reversed order fixes which point that names:
+    (2,-1) for C6 on (1, 3) at k = 7, and (2,0,-3) for G_A3 at k = 31, where
+    lexicographic order would name (1,-3,-2).
+
+    A (form, group) pair is checked once (_solver) and its solve kept in
+    _SOLVERS under the form's integers; later calls check only k.
     """
-    form, (k,) = as_integers(form), as_integers([k])
+    try:
+        form, solve = _SOLVERS[form, group]
+    except (KeyError, TypeError):       # a new pair, or a form that is a list
+        form, solve = _solver(form, k, group)
+    if type(k) is not int:
+        (k,) = as_integers([k])
+    return solve(form, k) if k >= 0 else []
+
+
+# (form, group) -> (the form's integers, the solve), for every checked pair
+_SOLVERS = {}
+
+
+def _solver(form, k, group):
+    """The _SOLVERS entry of a new (form, group) pair, after solve_diagonal's
+    checks in their order: the form's integers, k's, the signs, the group."""
+    form, _ = as_integers(form), as_integers([k])
     if any(d < 1 for d in form):
         raise ValueError("form coefficients must be positive")
-    if group is not None:
-        if group not in _INVARIANT:
-            raise ValueError(f"unknown group {group!r}")
-        if not _INVARIANT[group](form):
-            raise NotClosed(f"the form {form} is not invariant under {group}")
-    if k < 0:
-        return []
     if group is None:
-        return _solve_all(form, k)
-    # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
-    # below raises NonIntegralImage from canonical, as orbit_partition does.
-    if group == "G_A3" and form == (1, 2, 3) and k % 2 == 0:
-        return _solve_ga3_sector(k)
-    if group == "V4":
-        return _solve_quadrant(*form, k)
-    if group == "C6" and k % (4 * form[0]) == 0:
-        return _solve_c6_sector(k // form[0])
-    if group in ("H", "D8", "C4"):
-        reps = _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
-        if group != "C4":
-            return reps
-        # C4's sector -x < y <= x adds (x, -y) before each (x, y) with 0 < y < x
-        return [p for x, y in reps for p in ([(x, -y), (x, y)] if 0 < y < x else [(x, y)])]
-    return sorted(p for p in (s[::-1] for s in _solve_all(form[::-1], k))
-                  if p[0] >= 0 and p == canonical(group, p))
+        solve = _solve_all
+    elif not (row := _row(group)).invariant(form):
+        raise NotClosed(f"the form {form} is not invariant under {group}")
+    else:
+        solve = row.solve
+    _SOLVERS[form, group] = form, solve
+    return form, solve
 
 
 def _solve_all(form, k):
@@ -136,9 +142,10 @@ def _solve_ga3_sector(k):
     return solutions
 
 
-def _solve_quadrant(d1, d2, k):
+def _solve_quadrant(form, k):
     """Solutions of d1 x^2 + d2 y^2 = k with x, y >= 0, sorted: x ascending,
     y decided by divisibility and isqrt."""
+    d1, d2 = form
     solutions = []
     for x in range(isqrt(k // d1) + 1):
         q, rem = divmod(k - d1 * x * x, d2)
@@ -242,37 +249,142 @@ def _rotations60(point, x, z):
     return [_rotate60(point, x, z, k) for k in range(6)]
 
 
-def group_order(group, rank=None):
-    if group == "H":
-        if rank is None:
-            raise ValueError("the hyperoctahedral group needs its rank")
-        return (2 ** rank) * math.factorial(rank)
-    if group not in _RANK:
-        raise ValueError(f"unknown group {group!r}")
-    return {"D8": 8, "C4": 4, "V4": 4, "C6": 6, "G_A3": 12}[group]
+def _to_sector60(point, x, z):
+    """(x, sqrt(3) z) rotated into (-30, 30] degrees, where the largest
+    rotation lies: the point's sector (60s - 30, 60s + 30] is read off the
+    signs of x and x -+ 3z and turned back by -60s degrees (the origin falls
+    through to s = 5)."""
+    u, v = x - 3 * z, x + 3 * z
+    s = (0 if u >= 0 < v else 1 if u < 0 <= x else 2 if x < 0 <= v
+         else 3 if u <= 0 > v else 4 if x <= 0 < u else 5)
+    return _rotate60(point, x, z, -s)
 
 
-# Whether a group's action leaves a diagonal form invariant.
-_INVARIANT = {
-    "D8": lambda f: len(f) == 2 and f[0] == f[1],
-    "C4": lambda f: len(f) == 2 and f[0] == f[1],
-    "V4": lambda f: len(f) == 2,
-    "C6": lambda f: len(f) == 2 and f[1] == 3 * f[0],
-    "G_A3": lambda f: len(f) == 3 and f[2] == 3 * f[0],
-    "H": lambda f: len(set(f)) == 1,
+def _c6_canonical(point):
+    return _to_sector60(point, *point)
+
+
+def _ga3_canonical(point):
+    x, y, z = point
+    x, z = _to_sector60(point, x, z)
+    return (x, y, abs(z))
+
+
+def _c6_orbit_size(point):
+    x, y = point
+    if (x or y) and not (-x < 3 * y <= x and (x - y) % 2 == 0):
+        canonical("C6", point)      # NonIntegralImage off the parity domain
+    return 6 if x or y else 1
+
+
+def _ga3_orbit_size(point):
+    if not point[0] >= 3 * point[2] >= 0 or (point[0] - point[2]) % 2:
+        point = canonical("G_A3", point)
+    x, _, z = point
+    return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
+
+
+def _c4_canonical(point):
+    x, y = point
+    m = max(abs(x), abs(y))
+    return ((x, y) if x == m and y != -m else (y, -x) if y == m
+            else (-x, -y) if x == -m else (-y, x))
+
+
+def _h_orbit_size(point):
+    size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
+    for mult in Counter(map(abs, point)).values():
+        size //= math.factorial(mult)
+    return size
+
+
+def _solve_equal(form, k):
+    return _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
+
+
+def _solve_c4(form, k):
+    # C4's sector -x < y <= x adds (x, -y) before each (x, y) with 0 < y < x
+    return [p for x, y in _solve_equal(form, k) for p in ([(x, -y), (x, y)] if 0 < y < x else [(x, y)])]
+
+
+def _solve_c6(form, k):
+    if k % (4 * form[0]) == 0:
+        return _solve_c6_sector(k // form[0])
+    return _own_canonical(_c6_canonical, form, k)
+
+
+def _solve_ga3(form, k):
+    # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
+    # raises NonIntegralImage from canonical, as orbit_partition does.
+    if form == (1, 2, 3) and k % 2 == 0:
+        return _solve_ga3_sector(k)
+    return _own_canonical(_ga3_canonical, form, k)
+
+
+def _own_canonical(canonical, form, k):
+    """The solutions with x_1 >= 0 that are their own canonical point,
+    sorted, tested in the order of the search on the reversed form."""
+    return sorted(p for p in (s[::-1] for s in _solve_all(form[::-1], k))
+                  if p[0] >= 0 and p == canonical(p))
+
+
+class Group:
+    """One row of GROUPS.  rank is the length of the points the group acts
+    on (None for H, which reads it from the point) and order(rank) its order;
+    invariant(form) tests a form's length and coefficients.  canonical,
+    orbit_size and orbit take a tuple of the rank's length, unchecked, and
+    solve(form, k) an invariant form of positive ints and k >= 0."""
+
+    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solve):
+        self.rank, self.order, self.invariant, self.solve = rank, order, invariant, solve
+        self.canonical, self.orbit_size, self.orbit = canonical, orbit_size, orbit
+
+
+# The signed permutations of H, and of D8 on two coordinates
+_SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
+           lambda p: {signed for perm in itertools.permutations(p)
+                      for signed in itertools.product(*((x, -x) for x in perm))}, _solve_equal)
+# Orbits by formula: the signed permutations for H and D8, the sign changes
+# for V4, the quarter-turns for C4, the rotations of (x, sqrt(3) y) for C6,
+# and for G_A3 those of (x, sqrt(3) z) and (x, -sqrt(3) z), y fixed.
+GROUPS = {
+    "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
+                lambda p: 4 >> sum(1 for x in p if x == 0),
+                lambda p: set(itertools.product(*((x, -x) for x in p))), _solve_quadrant),
+    "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1], *_SIGNED),
+    "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
+                lambda p: 4 if any(p) else 1,
+                lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])}, _solve_c4),
+    "C6": Group(2, lambda n: 6, lambda f: len(f) == 2 and f[1] == 3 * f[0], _c6_canonical,
+                _c6_orbit_size, lambda p: set(_rotations60(p, *p)), _solve_c6),
+    "G_A3": Group(3, lambda n: 12, lambda f: len(f) == 3 and f[2] == 3 * f[0], _ga3_canonical,
+                  _ga3_orbit_size,
+                  lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
+                  _solve_ga3),
+    "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1, *_SIGNED),
 }
 
 
-# The length of the points a fixed-rank group acts on; H takes any length.
-_RANK = {"D8": 2, "C4": 2, "V4": 2, "C6": 2, "G_A3": 3}
+def _row(group):
+    row = GROUPS.get(group)
+    if row is None:
+        raise ValueError(f"unknown group {group!r}")
+    return row
 
 
-def _point(group, point):
-    """The point as a tuple; ValueError unless its length is the group's rank."""
-    point = tuple(point)
-    if len(point) != _RANK.get(group, len(point)):
-        raise ValueError(f"{group} acts on points of length {_RANK[group]}, not on {point}")
-    return point
+def _checked(group, point):
+    """(the group's row, the point as a tuple); ValueError for an unknown
+    group or a point whose length is not the group's rank."""
+    row, point = _row(group), tuple(point)
+    if len(point) != (row.rank or len(point)):
+        raise ValueError(f"{group} acts on points of length {row.rank}, not on {point}")
+    return row, point
+
+
+def group_order(group, rank=None):
+    if group == "H" and rank is None:
+        raise ValueError("the hyperoctahedral group needs its rank")
+    return _row(group).order(rank)
 
 
 def canonical(group, point):
@@ -280,29 +392,12 @@ def canonical(group, point):
 
     H and D8: absolute values, non-increasing.  V4: absolute values.  C4:
     the rotation into the sector x > 0, -x < y <= x, or the origin.  C6: the
-    rotation of (x, sqrt(3) y) into (-30, 30] degrees: the point's sector
-    (60s - 30, 60s + 30] is read off the signs of x and x -+ 3y and turned
-    back by -60s degrees (the origin falls through to s = 5).  G_A3 fixes y
-    and adds z -> -z to the rotations of (x, sqrt(3) z): C6's result, |z|.
+    rotation of (x, sqrt(3) y) into (-30, 30] degrees (_to_sector60).  G_A3
+    fixes y and adds z -> -z to the rotations of (x, sqrt(3) z): C6's
+    result, |z|.
     """
-    point = _point(group, point)
-    if group in ("G_A3", "C6"):     # first, as the A3 sweep's hottest call
-        x, z = point[0], point[-1]
-        u, v = x - 3 * z, x + 3 * z
-        s = (0 if u >= 0 < v else 1 if u < 0 <= x else 2 if x < 0 <= v
-             else 3 if u <= 0 > v else 4 if x <= 0 < u else 5)
-        x, z = _rotate60(point, x, z, -s)
-        return (x, point[1], abs(z)) if group == "G_A3" else (x, z)
-    if group in ("H", "D8"):
-        return tuple(sorted(map(abs, point), reverse=True))
-    if group == "V4":
-        return (abs(point[0]), abs(point[1]))
-    if group == "C4":
-        x, y = point
-        m = max(abs(x), abs(y))
-        return ((x, y) if x == m and y != -m else (y, -x) if y == m
-                else (-x, -y) if x == -m else (-y, x))
-    raise ValueError(f"unknown group {group!r}")
+    row, point = _checked(group, point)
+    return row.canonical(point)
 
 
 def orbit_size(group, point):
@@ -317,52 +412,14 @@ def orbit_size(group, point):
     sector point -x < 3y <= x with x - y even (every representative) without
     canonical, which checks the parity domain of any other point.
     """
-    if group == "G_A3":     # first, as the A3 sweep's hottest call
-        if len(point) != 3 or not point[0] >= 3 * point[2] >= 0 or (point[0] - point[2]) % 2:
-            point = canonical(group, point)
-        x, _, z = point
-        return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
-    point = _point(group, point)
-    if group in ("H", "D8"):
-        size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
-        for mult in Counter(map(abs, point)).values():
-            size //= math.factorial(mult)
-        return size
-    if group == "V4":
-        return 4 >> sum(1 for x in point if x == 0)
-    if group == "C4":
-        return 4 if any(point) else 1
-    if group == "C6":
-        x, y = point
-        if x == y == 0:
-            return 1
-        if -x < 3 * y <= x and (x - y) % 2 == 0:
-            return 6
-    return group_order(group) if any(canonical(group, point)) else 1
+    row, point = _checked(group, point)
+    return row.orbit_size(point)
 
 
 def orbit(group, point):
-    """The point's orbit as a set, by formula.
-
-    H and D8: the signed permutations.  V4: the sign changes.  C4: the four
-    quarter-turns.  C6: the rotations of (x, sqrt(3) y).  G_A3: those of
-    (x, sqrt(3) z) and of (x, -sqrt(3) z), with y fixed.
-    """
-    point = _point(group, point)
-    if group in ("H", "D8"):
-        return {signed for perm in itertools.permutations(point)
-                for signed in itertools.product(*((x, -x) for x in perm))}
-    if group == "V4":
-        return set(itertools.product(*((x, -x) for x in point)))
-    if group == "C4":
-        x, y = point
-        return {(x, y), (-y, x), (-x, -y), (y, -x)}
-    if group == "C6":
-        return set(_rotations60(point, *point))
-    if group == "G_A3":
-        x, y, z = point
-        return {(a, y, c) for s in (z, -z) for a, c in _rotations60(point, x, s)}
-    raise ValueError(f"unknown group {group!r}")
+    """The point's orbit as a set, by formula (the comment on GROUPS)."""
+    row, point = _checked(group, point)
+    return row.orbit(point)
 
 
 def orbit_partition(group, solutions):

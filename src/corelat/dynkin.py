@@ -23,7 +23,7 @@ another type or one whose length is not the type's ambient_dim.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import linalg
 
@@ -113,46 +113,46 @@ class TypeData:
         # the caches keyed by a type from hashing all its Fractions
         return hash(self.id)
 
-    @cached_property
+    @linalg.memo
     def n(self):
         """The number of finite simple roots."""
         return len(self.simple_roots)
 
-    @cached_property
+    @linalg.memo
     def h(self):
         """The Coxeter number, the sum of the marks."""
         return sum(self.marks)
 
-    @cached_property
+    @linalg.memo
     def comarks(self):
         """a_0^v .. a_n^v: a_0^v = 1 and a_i^v = a_i |alpha_i|^2 / 2."""
         return (1,) + tuple(int(a * self.inner(alpha, alpha) / 2)
                             for a, alpha in zip(self.marks[1:], self.simple_roots))
 
-    @cached_property
+    @linalg.memo
     def ambient_dim(self):
         """The length of a stored coordinate vector."""
         return len(self.simple_roots[0])
 
-    @cached_property
+    @linalg.memo
     def J(self):
         """The special nodes i >= 1, a_i = a_i^v = 1: one per element of the
         length-zero group Omega other than the identity."""
         return tuple(i for i in range(1, len(self.marks)) if self.marks[i] == self.comarks[i] == 1)
 
-    @cached_property
+    @linalg.memo
     def root_solver(self):
         """linalg.SpanSolver of the simple roots, built on first use."""
         return linalg.SpanSolver(self.simple_roots)
 
-    @cached_property
+    @linalg.memo
     def integer_roots(self):
         """(Q, R, G), built on first use: the simple roots scaled to integers
         R_k = Q alpha_k (linalg.scaled_basis) and their Gram matrix R_k . R_j."""
         Q, R = linalg.scaled_basis(self.simple_roots)
         return Q, tuple(map(tuple, R)), tuple(tuple(linalg.dot(u, v) for v in R) for u in R)
 
-    @cached_property
+    @linalg.memo
     def integer_weights(self):
         """The fundamental weights scaled to integers, built on first use:
         entry i - 1 is (W_i, p_i) with omega_i = W_i / p_i, W_i an integer
@@ -176,7 +176,7 @@ class TypeData:
         """Bilinear form in stored coordinates."""
         return self.scale_sq * sum(Fraction(a) * Fraction(b) for a, b in zip(v, w))
 
-    @cached_property
+    @linalg.memo
     def name(self):
         return str(self.id)
 

@@ -26,13 +26,30 @@ QuadraticForm.outer_values counts in O(1) the values the outermost
 coordinate of a level search takes.  A fixed integer map m -> P m + p, such
 as a form's C m, is compiled once into a straight-line Python function
 (compile_affine) that lists the non-zero terms of each row, so applying it makes no dot product.
+memo, the attribute cache of every corelat class, lives here as the lowest
+module.
 """
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt
 from operator import mul
+
+
+class memo:
+    """functools.cached_property without its lock (3.11 takes an RLock on
+    every first read): the first read of the attribute calls func and stores
+    the value in the instance __dict__, which later reads find first.  As
+    under 3.12, two threads that read it first may both call func."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def dot(u, v):
@@ -465,7 +482,8 @@ class QuadraticForm:
     is m -> C m, compiled when the form is built (compile_affine).  level and
     upto speak in coordinates, level_coefficients in coefficients.  The form
     keeps its compiled search, ball, built on first use, so every level and
-    bound asked of one form shares it.
+    bound asked of one form shares it.  A form pickles as (a, b, basis), and
+    its compiled parts are rebuilt on the other side.
     """
 
     def __init__(self, a, b, basis):
@@ -473,6 +491,9 @@ class QuadraticForm:
         self.Q, vectors = scaled_basis(basis)
         self.C = tuple(zip(*vectors))
         self.numerators = compile_affine(self.C, (0,) * len(self.C))
+
+    def __reduce__(self):
+        return QuadraticForm, (self.a, self.b, self.basis)
 
     @classmethod
     def on_basis(cls, basis, kappa, linear):
@@ -487,7 +508,7 @@ class QuadraticForm:
         a = [[Fraction(n * dot(v, u), d * Q * Q) for u in vectors] for v in vectors]
         return cls(a, [Fraction(dot(W, v), w * Q) for v in vectors], basis)
 
-    @cached_property
+    @memo
     def ball(self):
         """The exact integer search of the form (_IntegerBall)."""
         return _IntegerBall(self.a, self.b)

@@ -11,14 +11,17 @@ images, and one check function per claim decides it on them.  The images
 come from one LayerMap per layer, an integer map compiled once
 (linalg.compile_affine) that decides once whether its images lie on the
 quadric (keeps_quadric); only the images of other maps are tested one by
-one.  FAIL is reported as data, never raised.
+one.  A case binds its group's row of diophantine.GROUPS once
+(ParamCase.action), and _case has fitted that group to phi and the form, so
+the checks call the row's canonical and orbit_size on representatives and
+images with no check per call.  FAIL is reported as data, never raised.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import atomic, diophantine, dynkin, linalg, weyl
 from .diophantine import NonIntegralImage, NotClosed, solve_diagonal
@@ -143,12 +146,18 @@ class ParamCase:
         hyperoctahedral case carries its family's, which needs no registry type."""
         return self.family_form or atomic.length_form(self.type_id, self.weight, self.lattice)
 
-    @cached_property
+    @linalg.memo
+    def action(self):
+        """The case's row of diophantine.GROUPS: a memo, not a field, so that
+        dataclasses.replace keeps working."""
+        return diophantine.GROUPS[self.group]
+
+    @linalg.memo
     def image_map(self):
         """layer_map(self, 0), from basis coefficients to phi images."""
         return layer_map(self, 0)
 
-    @cached_property
+    @linalg.memo
     def layer_maps(self):
         """layer_map(self, j) for each j in weyl.sigma_indices, one per element
         of Omega; dynkin.UnknownType for a rank the registry does not hold."""
@@ -165,8 +174,12 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
     and b = sum_i D_i p_i^2 is phi's value at q = 0, so _keeps_quadric
     decides the identity.  ValueError naming the case when p = -P q* or a is
     not an integer, or the identity fails.  length is a hyperoctahedral
-    family's form; the others are the registry's.
+    family's form; the others are the registry's.  ValueError naming the
+    case, too, unless phi has one row per term of D and the group preserves
+    D, as ParamCase.action's callers assume.
     """
+    if len(P) != len(D):
+        raise ValueError(f"case {case_id}: phi has {len(P)} rows for a form of {len(D)} terms")
     form = length or atomic.length_form(type_id, weight, lattice)
     (L, (*A, B)), Q = linalg.scaled_basis([*form.a, form.b]), form.Q
     solver = linalg.SpanSolver(A)
@@ -181,6 +194,10 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
                      tuple(D), group, claim, AffineMap(P, p), family_form=length)
     if r or not _keeps_quadric(case, PC, [Q * c for c in p], Q):
         raise ValueError(f"case {case_id}: sum_i D_i y_i^2 is not an integer multiple of the length")
+    # each invariance test checks the form's length against the group's rank
+    row = diophantine.GROUPS.get(group)
+    if row is None or not row.invariant(case.form):
+        raise ValueError(f"case {case_id}: the group {group} does not preserve the form {case.form}")
     return case
 
 
@@ -291,45 +308,45 @@ class LevelData:
     case: ParamCase
     n: int
 
-    @cached_property
+    @linalg.memo
     def k(self):
         """The right-hand side a N + b of the case's equation at level N."""
         return self.case.equation_value(self.n)
 
-    @cached_property
+    @linalg.memo
     def solutions(self):
         """The sorted solution set U of the case's equation at level N."""
         return solve_diagonal(self.case.form, self.k)
 
-    @cached_property
+    @linalg.memo
     def reps(self):
         """The canonical point of each G-orbit of U, sorted
         (diophantine.canonical)."""
         return solve_diagonal(self.case.form, self.k, self.case.group)
 
-    @cached_property
+    @linalg.memo
     def solution_count(self):
         """|U|, the sum of the orbit sizes of reps."""
-        return sum(diophantine.orbit_size(self.case.group, r) for r in self.reps)
+        return sum(map(self.case.action.orbit_size, self.reps))
 
-    @cached_property
+    @linalg.memo
     def coefficients(self):
         """The basis coefficients of the lattice points of atomic length N,
         in the order of points."""
         return self.case.length.level_coefficients(self.n)
 
-    @cached_property
+    @linalg.memo
     def points(self):
         """The lattice points of atomic length N, sorted; only witnesses,
         the table command and the test oracles read their coordinates."""
         return list(map(self.case.length.coordinates, self.coefficients))
 
-    @cached_property
+    @linalg.memo
     def images(self):
         """phi of each lattice point, in the order of points."""
         return list(map(self.case.image_map, self.coefficients))
 
-    @cached_property
+    @linalg.memo
     def layers(self):
         """Per lattice point q, the images of the extended elements (j, q), all j."""
         maps = self.case.layer_maps
@@ -395,13 +412,14 @@ def check_complete(level):
                      {"reason": "phi image off the quadric",
                       "q": [str(x) for x in level.points[i]], "image": images[i]})
     counts["orbits"] = len(reps)
-    order = diophantine.group_order(case.group, len(case.form))
+    group = case.action
+    order = group.order(len(case.form))
     # no orbit outgrows the group, so all are free when the sizes sum to this
     if level.solution_count != order * len(reps):
-        small = [r for r in reps if diophantine.orbit_size(case.group, r) < order]
+        small = [r for r in reps if group.orbit_size(r) < order]
         return _fail(case_id, n, counts,
                      {"reason": "action not free", "point": level.first_orbit(small)[-1]})
-    hits = Counter(diophantine.canonical(case.group, img) for img in images)
+    hits = Counter(map(group.canonical, images))
     missed = [r for r in reps if hits[r] != 1]
     if missed:
         orb = level.first_orbit(missed)
@@ -414,20 +432,20 @@ def check_complete(level):
 def check_orbit_size(level):
     """Every phi-image has a full-size orbit; coverage is reported, not required."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    reps, images = level.reps, level.images
-    expected = diophantine.group_order(case.group, len(case.form))
+    reps, images, group = level.reps, level.images, case.action
+    expected = group.order(len(case.form))
     counts = {"solutions": level.solution_count, "orbits": len(reps),
               "phi_images": len(images), "expected_orbit_size": expected}
     off = level.off_quadric(images, (case.image_map,))
     for i, img in enumerate(images):
         if i == off:
             return _fail(case_id, n, counts, {"reason": "phi image off the quadric", "image": img})
-        size = diophantine.orbit_size(case.group, img)
+        size = group.orbit_size(img)
         if size != expected:
             return _fail(case_id, n, counts,
                          {"reason": "orbit not of full size", "image": img,
                           "size": size})
-    counts["covered_orbits"] = len({diophantine.canonical(case.group, img) for img in images})
+    counts["covered_orbits"] = len(set(map(group.canonical, images)))
     return Report(case_id, n, "PASS", counts)
 
 
@@ -435,7 +453,7 @@ def check_extended(level):
     """Decomposition of U(12N+4) into antipodal pairs of extended images."""
     case_id, n, case = level.case.case_id, level.n, level.case
     layers = level.layers
-    order = diophantine.group_order(case.group)
+    order = case.action.order(len(case.form))
     counts = {"solutions": level.solution_count, "base_elements": len(layers),
               "extended_elements": len(case.layer_maps) * len(layers)}
     for i, layer in enumerate(layers):
@@ -450,7 +468,7 @@ def check_extended(level):
                           "q": [str(x) for x in level.points[i]]})
     # each layer tiles one orbit, so the pairs partition U when the orbits
     # of distinct base points are distinct and are all of U's
-    hit = sorted({diophantine.canonical(case.group, layer[0]) for layer in layers})
+    hit = sorted({case.action.canonical(layer[0]) for layer in layers})
     if hit != level.reps or len(hit) != len(layers):
         return _fail(case_id, n, counts, {"reason": "pairs do not partition U"})
     return Report(case_id, n, "PASS", counts)
@@ -485,14 +503,14 @@ def check_stratified(level):
     # grouped by C6 canonical point and stratum under keys (j, point index),
     # which sort as (j, point) does.  The witness is the first two keys of
     # the shared class with the least key.
-    classes = {}
+    classes, c6 = {}, diophantine.GROUPS["C6"].canonical
     for i, layer in enumerate(level.layers):
         off = level.off_quadric(layer, level.case.layer_maps)
         for j, img in enumerate(layer):
             if j == off:
                 return _fail(case_id, n, counts,
                              {"reason": "layer image off the quadric", "image": img})
-            classes.setdefault((diophantine.canonical("C6", img[::2]), img[1]), []).append((j, i))
+            classes.setdefault((c6(img[::2]), img[1]), []).append((j, i))
         if len({img[1] for img in layer}) != 4:
             return _fail(case_id, n, counts,
                          {"reason": "layers share a stratum",
@@ -519,11 +537,11 @@ def check_a3_conjecture(level):
               "extended_elements": len(case.layer_maps) * base}
     images = [img for layer in level.layers for img in layer]
     off = level.off_quadric(images, case.layer_maps)
-    hit = {diophantine.canonical(case.group, img) for img in images[:off]}
+    hit = set(map(case.action.canonical, images[:off]))
     if off is not None:
         return _fail("A3conj", n, counts,
                      {"reason": "layer image off the quadric", "image": images[off]})
-    counts["covered"] = sum(diophantine.orbit_size(case.group, r) for r in hit)
+    counts["covered"] = sum(map(case.action.orbit_size, hit))
     uncovered = [r for r in level.reps if r not in hit]
     if uncovered:
         return _fail("A3conj", n, counts, {"reason": "uncovered solutions",

@@ -36,7 +36,6 @@ def sigma_indices(t):
     return (0,) + _type(t).J
 
 
-@lru_cache(maxsize=None)
 def matrix_Mj(t, j):
     """Matrix of the j-th layer action on stored coordinates (j=0: identity).
 
@@ -47,8 +46,14 @@ def matrix_Mj(t, j):
     2 G_ik / G_ii, and s_i moves the rows of X = den M^T in the support of
     R_i, X and den first scaled by G_ii where s_i would leave the integers.
     An entry is an int where it is integral, as every entry is outside E6 and E7.
+    Cached per type, however it is spelled: a name and its TypeData share a walk.
     """
-    t = _type(t)
+    return _matrix_Mj(_type(t).name, j)
+
+
+@lru_cache(maxsize=None)
+def _matrix_Mj(name, j):
+    t = _type(name)
     if j not in sigma_indices(t):
         raise ValueError(f"layer index {j} invalid for {t.name}")
     Q, R, G = t.integer_roots

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -288,6 +289,16 @@ def test_compiled_form_serves_every_target():
             (value, form.coordinates(m))
             for value, m in enumerate_quadratic_ball_upto(form.a, form.b, target)]
     assert form.level(13)
+
+
+@pytest.mark.parametrize("name", dynkin.all_type_ids(3) + ["HYP:C3_1"])
+def test_a_form_pickles_as_its_rows(name):
+    # the compiled numerators and ball are rebuilt, not pickled
+    form = param.get_case(name).length if name.startswith("HYP:") else atomic.length_form(name, 0, "M")
+    form.level(6)
+    copy = pickle.loads(pickle.dumps(form))
+    assert "ball" not in vars(copy) and (copy.a, copy.b, copy.Q, copy.C) == (form.a, form.b, form.Q, form.C)
+    assert [copy.level(n) for n in range(7)] == [form.level(n) for n in range(7)]
 
 
 def test_repeated_levels_reuse_the_compiled_form(monkeypatch):

@@ -604,13 +604,14 @@ def test_checks_test_no_image_while_the_identity_holds(monkeypatch):
 
 
 def test_complete_check_takes_each_orbit_size_once(monkeypatch):
-    orbit_size, calls = diophantine.orbit_size, []
+    # the checks call the orbit_size of the row each case binds
+    calls = []
+    for row in {get_case(case_id).action for case_id in COMPLETE_CASES}:
+        def counted(point, orbit_size=row.orbit_size):
+            calls.append(point)
+            return orbit_size(point)
 
-    def counted(group, point):
-        calls.append(point)
-        return orbit_size(group, point)
-
-    monkeypatch.setattr(diophantine, "orbit_size", counted)
+        monkeypatch.setattr(row, "orbit_size", counted)
     for case_id in COMPLETE_CASES:
         for n in range(20):
             calls.clear()
@@ -620,6 +621,40 @@ def test_complete_check_takes_each_orbit_size_once(monkeypatch):
 
 
 COMPLETE_CASES = [c for c, case in param.CASES.items() if case.claim == "complete"]
+
+
+@pytest.mark.parametrize("case_id,top", [(c, 12 if c == "A3" else 20) for c in (
+    *param.CASES, "HYP:C3_1", "HYP:B4_1", "HYP:D3_2")])
+def test_bound_row_matches_the_group_element_oracle(case_id, top):
+    # the row a case binds, called unchecked on every representative and
+    # layer image, against the orbit its group's elements make; each orbit
+    # is built once and shared by its points
+    case = get_case(case_id)
+    row, orbits, seen = case.action, {}, 0
+    elements = oracles.group_elements(case.group, len(case.form))
+    for n in range(top + 1):
+        level = param.LevelData(case, n)
+        assert level.solution_count == len(diophantine.solve_diagonal(case.form, level.k)), n
+        for p in level.reps + [img for layer in level.layers for img in layer]:
+            if p not in orbits:
+                orb = frozenset(oracles.act(case.group, g, p) for g in elements)
+                orbits.update(dict.fromkeys(orb, orb))
+            assert row.orbit_size(p) == len(orbits[p]) and row.canonical(p) == max(orbits[p]), (n, p)
+            seen += 1
+    assert seen > top
+
+
+@pytest.mark.parametrize("D,P,group,error", [
+    ((1, 3), ((3, 6), (3, 0), (0, 1)), "C6", "phi has 3 rows for a form of 2 terms"),
+    ((1, 3), ((3, 6), (3, 0)), "D8", "the group D8 does not preserve the form (1, 3)"),
+    ((1, 3), ((3, 6), (3, 0)), "G_A3", "the group G_A3 does not preserve the form (1, 3)"),
+    ((1, 3), ((3, 6), (3, 0)), "Z7", "the group Z7 does not preserve the form (1, 3)"),
+])
+def test_case_refuses_a_group_that_does_not_fit(D, P, group, error):
+    # A2's phi and length, with a form or a group its checks could not read
+    with pytest.raises(ValueError) as info:
+        param._case("X", "A2_1", 0, "M", D, P, group, "complete")
+    assert str(info.value) == f"case X: {error}"
 _CLAIM_ORACLES = {"complete": (param.check_complete, oracles.check_complete),
                   "extended": (param.check_extended, oracles.check_extended),
                   "stratified": (param.check_stratified, oracles.check_stratified)}

@@ -1,6 +1,7 @@
 """The runtime is stdlib-only: every module of src/corelat imports only the
 standard library and corelat itself, and parses as the oldest Python that
-pyproject.toml's requires-python admits."""
+pyproject.toml's requires-python admits.  Its classes cache attributes with
+linalg.memo, not with functools.cached_property, which takes a lock."""
 
 import ast
 import re
@@ -58,3 +59,31 @@ def test_generated_maps_parse_at_the_floor():
                 if isinstance(node, ast.FunctionDef)} == {"level"} | depths
         assert {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)} <= (
             {"isqrt", "divmod", "range", "append"} | depths)
+
+
+def test_no_module_uses_functools_cached_property():
+    used = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                used += [f"{path.name}:{node.lineno}" for alias in node.names
+                         if alias.name == "cached_property"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                used.append(f"{path.name}:{node.lineno}")
+    assert used == []
+
+
+def test_a_memo_is_computed_once(monkeypatch):
+    from corelat import param
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_diagonal(*args)
+
+    solve_diagonal = param.solve_diagonal
+    monkeypatch.setattr(param, "solve_diagonal", counted)
+    level = param.LevelData(param.get_case("A2"), 6)
+    assert level.reps is level.reps and level.reps
+    assert calls == [((1, 3), level.k, "C6")]

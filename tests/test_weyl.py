@@ -54,6 +54,17 @@ def test_matrix_errors():
         matrix_Mj("C3_1", 1)   # only j in {0, n} in type C
 
 
+def test_matrix_is_cached_per_type_however_spelled():
+    # param.LayerMap passes a name and weyl.extended_image a TypeData: one walk
+    weyl._matrix_Mj.cache_clear()
+    by_name = matrix_Mj("E7_1", 1)
+    assert weyl._matrix_Mj.cache_info()[:2] == (0, 1)
+    assert matrix_Mj(lookup_type("E7_1"), 1) is by_name
+    assert weyl._matrix_Mj.cache_info()[:2] == (1, 1)
+    with pytest.raises(ValueError, match="^layer index 2 invalid for E7_1$"):
+        matrix_Mj(lookup_type("E7_1"), 2)
+
+
 @pytest.mark.parametrize("name", [f"A{n}_1" for n in range(1, 9)]
                          + [f"C{n}_1" for n in range(2, 9)])
 def test_derived_matrices_match_the_hand_typed_oracle(name):
