@@ -3,18 +3,18 @@
 solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
 it lists one canonical point per orbit instead, searching the group's
-fundamental domain wherever every solution lies in its parity domain.
-Each of the six groups (V4, D8, C4, C6, G_A3, H) is one row of GROUPS, a
-Group holding its rank, order, invariance test, closed-form canonical and
-orbit_size, its orbit by formula, and its solver; canonical and orbit_size
-build no orbit, and only FAIL witnesses, A2ext's tiling check and
-orbit_partition build one.  The public canonical, orbit_size, orbit,
-group_order and solve_diagonal check their input and call the row: H reads
-its rank from the point, every other group refuses a point whose length is
-not its rank (3 for G_A3, else 2), and solve_diagonal checks a (form,
-group) pair once.  param binds each case to its row once, so a claim check
-calls the row's closed forms with no check per point.  D8 is H on two
-coordinates, sharing its rules.  C6 and G_A3 rotate by halved integer
+fundamental domain wherever every solution lies in its parity domain: one
+chain search for V4, D8, C4, C6 and H, a sector search for G_A3.  Each group
+is one row of GROUPS, a Group holding its rank, order, invariance test,
+closed-form canonical and orbit_size, its orbit by formula, and its solver;
+canonical and orbit_size build no orbit, and only FAIL witnesses, A2ext's
+tiling check and orbit_partition build one.  The public canonical,
+orbit_size, orbit, group_order and solve_diagonal check their input and call
+the row: H reads its rank from the point, every other group refuses a point
+whose length is not its rank (3 for G_A3, else 2), and solve_diagonal checks
+a (form, group) pair once.  param binds each case to its row once, so a
+claim check calls the row's closed forms with no check per point.  D8 is H
+on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved integer
 matrices, which raise NonIntegralImage outside their parity domain.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
@@ -23,6 +23,7 @@ brute-force search over every variable lives in the tests as an oracle.
 import itertools
 import math
 from collections import Counter
+from functools import partial
 from math import isqrt
 
 from .linalg import as_integers
@@ -46,51 +47,58 @@ def solve_diagonal(form, k, group=None):
 
     With a group, whose action must leave the form invariant, only the
     canonical solutions, one per orbit (see canonical), sorted, from the
-    group's row.  Each search below visits only canonical points and calls no
-    canonical: V4 on (d1, d2) over x, y >= 0 (_solve_quadrant); H and D8 on
-    an equal form over the non-increasing non-negative tuples
-    (_solve_descending), and C4 over those pairs, adding (x, -y) for each
-    0 < y < x; C6 on (d, 3d) at k/d = 0 (mod 4) over -x < 3y <= x
-    (_solve_c6_sector); G_A3 on (1, 2, 3) at even k over x >= 3z >= 0
-    (_solve_ga3_sector).  Those levels of C6 and G_A3 are exactly where U
-    lies in the parity domain.  Any other input of C6 or G_A3 lists all of U
-    (the search on the reversed form decides x_1 last) and keeps the points
-    with x_1 >= 0 that are their own canonical point, as both groups negate
-    x_1; canonical raises NonIntegralImage on the first such point off the
+    group's row; each search visits only canonical points and calls no
+    canonical.  V4, D8, H, C4 and C6 share one chain search (_chain): the
+    chains x_1 >= r x_2 >= ... >= r x_n >= 0, the rotation groups C4 and C6
+    listing the mirror (x, -y) of each chain point strictly inside their
+    sector (0 < r y < x) just before it:
+
+        group   form          r   mirror
+        V4      (d1, d2)      0   no
+        D8, H   (d, ..., d)   1   no
+        C4      (d, d)        1   yes
+        C6      (d, 3d)       3   yes, at k/d = 0 (mod 4)
+
+    As the chain bounds x_j by x_i / r^(j-i), x_i is at least the least x
+    with x^2 T_i >= R r^(2(n-1-i)), R the budget left to it and T_i =
+    sum_{j>=i} form[j] r^(2(n-1-j)): the root of the mean at r = 1.  G_A3
+    on (1, 2, 3) at even k searches x >= 3z >= 0 (_solve_ga3_sector).
+    Those levels of C6 and G_A3 are exactly where U lies in the parity
+    domain.  Any other input of C6 or G_A3 lists all of U (the search on
+    the reversed form decides x_1 last) and keeps the points with x_1 >= 0
+    that are their own canonical point, as both groups negate x_1;
+    canonical raises NonIntegralImage on the first such point off the
     parity domain, and the reversed order fixes which point that names:
     (2,-1) for C6 on (1, 3) at k = 7, and (2,0,-3) for G_A3 at k = 31, where
     lexicographic order would name (1,-3,-2).
 
-    A (form, group) pair is checked once (_solver) and its solve kept in
-    _SOLVERS under the form's integers; later calls check only k.
+    A (form, group) pair is checked once (_solver) and its row builds the
+    solve once, kept in _SOLVERS; later calls check only k.
     """
     try:
-        form, solve = _SOLVERS[form, group]
+        solve = _SOLVERS[form, group]
     except (KeyError, TypeError):       # a new pair, or a form that is a list
-        form, solve = _solver(form, k, group)
+        solve = _solver(form, k, group)
     if type(k) is not int:
         (k,) = as_integers([k])
-    return solve(form, k) if k >= 0 else []
+    return solve(k) if k >= 0 else []
 
 
-# (form, group) -> (the form's integers, the solve), for every checked pair
+# (the form's integers, group) -> the solve, a function of k, for every checked pair
 _SOLVERS = {}
 
 
 def _solver(form, k, group):
-    """The _SOLVERS entry of a new (form, group) pair, after solve_diagonal's
-    checks in their order: the form's integers, k's, the signs, the group."""
+    """The _SOLVERS entry of a (form, group) pair, built once, after
+    solve_diagonal's checks in order: the form's integers, k's, the signs, the group."""
     form, _ = as_integers(form), as_integers([k])
     if any(d < 1 for d in form):
         raise ValueError("form coefficients must be positive")
-    if group is None:
-        solve = _solve_all
-    elif not (row := _row(group)).invariant(form):
+    if group is not None and not (row := _row(group)).invariant(form):
         raise NotClosed(f"the form {form} is not invariant under {group}")
-    else:
-        solve = row.solve
-    _SOLVERS[form, group] = form, solve
-    return form, solve
+    if (form, group) not in _SOLVERS:
+        _SOLVERS[form, group] = partial(_solve_all, form) if group is None else row.solver(form)
+    return _SOLVERS[form, group]
 
 
 def _solve_all(form, k):
@@ -139,60 +147,6 @@ def _solve_ga3_sector(k):
             if y * y == q:
                 solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
     solutions.sort()
-    return solutions
-
-
-def _solve_quadrant(form, k):
-    """Solutions of d1 x^2 + d2 y^2 = k with x, y >= 0, sorted: x ascending,
-    y decided by divisibility and isqrt."""
-    d1, d2 = form
-    solutions = []
-    for x in range(isqrt(k // d1) + 1):
-        q, rem = divmod(k - d1 * x * x, d2)
-        y = isqrt(q)
-        if rem == 0 and y * y == q:
-            solutions.append((x, y))
-    return solutions
-
-
-def _solve_c6_sector(n):
-    """Solutions of x^2 + 3y^2 = n, n = 0 (mod 4), in the sector -x < 3y <= x
-    or at the origin, sorted.
-
-    The sector needs 12y^2 <= n, which bounds y, and x > 0 is decided by
-    isqrt.  n = 0 (mod 4) forces x = y (mod 2), C6's parity domain.
-    """
-    solutions = [(0, 0)] if n == 0 else []
-    bound = isqrt(n // 12)
-    for y in range(-bound, bound + 1):
-        q = n - 3 * y * y
-        x = isqrt(q)
-        if x * x == q and -x < 3 * y <= x:
-            solutions.append((x, y))
-    solutions.sort()
-    return solutions
-
-
-def _solve_descending(n, k):
-    """Non-increasing non-negative n-tuples with sum_i x_i^2 = k, sorted.
-
-    A coordinate is at most the one before it, and at least the root of the
-    mean of what is left, since it is the largest of the coordinates left.
-    """
-    solutions = []
-
-    def rec(head, cap, remaining, left):
-        if left == 1:
-            r = isqrt(remaining)
-            if r * r == remaining and r <= cap:
-                solutions.append(head + (r,))
-            return
-        mean = -(-remaining // left)
-        low = isqrt(mean - 1) + 1 if mean else 0
-        for x in range(low, min(cap, isqrt(remaining)) + 1):
-            rec(head + (x,), x, remaining - x * x, left - 1)
-
-    rec((), k, k, n)
     return solutions
 
 
@@ -298,27 +252,52 @@ def _h_orbit_size(point):
     return size
 
 
-def _solve_equal(form, k):
-    return _solve_descending(len(form), k // form[0]) if k % form[0] == 0 else []
+def _chain(form, r, mirror=False):
+    """solve_diagonal's chain search on the form, a function of k; with mirror
+    (rank 2), (x, -y) just before each (x, y) with 0 < r y < x.  x_i runs from
+    its lower bound up to isqrt(R // form[i]) and, for r >= 1, x_{i-1} // r;
+    the last coordinate is decided by divisibility and isqrt, r x_n <= x_{n-1}."""
+    n, last = len(form), form[-1]
+    if n == 1:
+        return lambda k: _solve_all(form, k)[-1:]      # the root >= 0, if any
+    scale = [r ** (2 * (n - 1 - i)) for i in range(n)]
+    steps = [(d, s, sum(e * u for e, u in zip(form[i:], scale[i:])))
+             for i, (d, s) in enumerate(zip(form, scale))]
+
+    def rec(out, head, i, left, prev):
+        d, s, t = steps[i]
+        m, high = -(-left * s // t), isqrt(left // d)
+        if r and prev // r < high:
+            high = prev // r
+        xs = range(isqrt(m - 1) + 1 if m else 0, high + 1)
+        if i < n - 2:
+            for x in xs:
+                rec(out, head + (x,), i + 1, left - d * x * x, x)
+            return out
+        for x in xs:
+            q, rem = divmod(left - d * x * x, last)
+            if rem == 0 and (y := isqrt(q)) * y == q and r * y <= x:
+                if mirror and 0 < r * y < x:
+                    out.append(head + (x, -y))
+                out.append(head + (x, y))
+        return out
+
+    return lambda k: rec([], (), 0, k, r * k)     # prev // r = k: no chain bound on x_1
 
 
-def _solve_c4(form, k):
-    # C4's sector -x < y <= x adds (x, -y) before each (x, y) with 0 < y < x
-    return [p for x, y in _solve_equal(form, k) for p in ([(x, -y), (x, y)] if 0 < y < x else [(x, y)])]
+def _c6_solver(form):
+    sector, every = _chain(form, 3, True), partial(_own_canonical, _c6_canonical, form)
+    domain = 4 * form[0]
+    return lambda k: every(k) if k % domain else sector(k)
 
 
-def _solve_c6(form, k):
-    if k % (4 * form[0]) == 0:
-        return _solve_c6_sector(k // form[0])
-    return _own_canonical(_c6_canonical, form, k)
-
-
-def _solve_ga3(form, k):
+def _ga3_solver(form):
     # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
     # raises NonIntegralImage from canonical, as orbit_partition does.
-    if form == (1, 2, 3) and k % 2 == 0:
-        return _solve_ga3_sector(k)
-    return _own_canonical(_ga3_canonical, form, k)
+    every = partial(_own_canonical, _ga3_canonical, form)
+    if form != (1, 2, 3):
+        return every
+    return lambda k: every(k) if k % 2 else _solve_ga3_sector(k)
 
 
 def _own_canonical(canonical, form, k):
@@ -333,34 +312,37 @@ class Group:
     on (None for H, which reads it from the point) and order(rank) its order;
     invariant(form) tests a form's length and coefficients.  canonical,
     orbit_size and orbit take a tuple of the rank's length, unchecked, and
-    solve(form, k) an invariant form of positive ints and k >= 0."""
+    solver(form) an invariant form of positive ints and returns its solve,
+    a function of k >= 0."""
 
-    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solve):
-        self.rank, self.order, self.invariant, self.solve = rank, order, invariant, solve
+    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver):
+        self.rank, self.order, self.invariant, self.solver = rank, order, invariant, solver
         self.canonical, self.orbit_size, self.orbit = canonical, orbit_size, orbit
 
 
 # The signed permutations of H, and of D8 on two coordinates
 _SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
            lambda p: {signed for perm in itertools.permutations(p)
-                      for signed in itertools.product(*((x, -x) for x in perm))}, _solve_equal)
+                      for signed in itertools.product(*((x, -x) for x in perm))},
+           lambda f: _chain(f, 1))
 # Orbits by formula: the signed permutations for H and D8, the sign changes
 # for V4, the quarter-turns for C4, the rotations of (x, sqrt(3) y) for C6,
 # and for G_A3 those of (x, sqrt(3) z) and (x, -sqrt(3) z), y fixed.
 GROUPS = {
     "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
                 lambda p: 4 >> sum(1 for x in p if x == 0),
-                lambda p: set(itertools.product(*((x, -x) for x in p))), _solve_quadrant),
+                lambda p: set(itertools.product(*((x, -x) for x in p))), lambda f: _chain(f, 0)),
     "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1], *_SIGNED),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,
-                lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])}, _solve_c4),
+                lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])},
+                lambda f: _chain(f, 1, True)),
     "C6": Group(2, lambda n: 6, lambda f: len(f) == 2 and f[1] == 3 * f[0], _c6_canonical,
-                _c6_orbit_size, lambda p: set(_rotations60(p, *p)), _solve_c6),
+                _c6_orbit_size, lambda p: set(_rotations60(p, *p)), _c6_solver),
     "G_A3": Group(3, lambda n: 12, lambda f: len(f) == 3 and f[2] == 3 * f[0], _ga3_canonical,
                   _ga3_orbit_size,
                   lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
-                  _solve_ga3),
+                  _ga3_solver),
     "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1, *_SIGNED),
 }
 

@@ -40,7 +40,9 @@ def test_bench_instrumentation_binds_and_restores():
 
 def test_bench_solver_span_is_reached():
     # the a3-conjecture cross-check takes the median of the solver spans, so
-    # the representative search must run through diophantine.solve_diagonal
+    # the representative search must run through diophantine.solve_diagonal,
+    # for each group: A2 (C6), C2 (D8), C2L1 (C4), G21 (V4), HYP:C3_1 (H)
+    # and the A3 conjecture (G_A3)
     sys.path.insert(0, str(BENCH))
     try:
         import spans
@@ -50,7 +52,8 @@ def test_bench_solver_span_is_reached():
     from corelat import param
 
     for run in (lambda: param.a3_conjecture_check(3),
-                lambda: param.verify_case("HYP:C3_1", 2)):
+                *(lambda case_id=case_id: param.verify_case(case_id, 2)
+                  for case_id in ("A2", "C2", "C2L1", "G21", "HYP:C3_1"))):
         rec = spans.Recorder()
         try:
             workloads.instrument(rec)

@@ -269,6 +269,21 @@ def test_sector_searches_match_the_representatives_oracle(monkeypatch, group, fo
     assert in_domain >= 50 and (raised > 0) == (group == "C6")
 
 
+@pytest.mark.parametrize("group,form,top", [
+    ("H", (1,), 200), ("H", (3,), 200), ("H", (2, 2, 2), 200), ("H", (3, 3, 3, 3), 120),
+    ("H", (2,) * 5, 50), ("D8", (5, 5), 600), ("C4", (5, 5), 600), ("C6", (5, 15), 600),
+    ("V4", (4, 7), 600)])
+def test_chain_search_matches_the_representatives_oracle(group, form, top):
+    # coefficients past 3 and H past the cases' unit forms; C6 off its
+    # domain (k/5 not 0 mod 4) raises on both sides
+    found = 0
+    for k in range(top):
+        expected = _outcome(oracles.representatives, group, form, k)
+        assert _outcome(solve_diagonal, form, k, group) == expected, k
+        found += isinstance(expected, list) and len(expected) > 0
+    assert found >= 5
+
+
 @pytest.mark.parametrize("form,k,point", [((1, 3), 7, "(2,-1)"), ((1, 3), 13, "(1,-2)"),
                                           ((1, 3), 1, "(1,0)"), ((2, 6), 14, "(2,-1)")])
 def test_c6_off_its_domain_names_the_same_point(form, k, point):

@@ -623,6 +623,37 @@ def test_complete_check_takes_each_orbit_size_once(monkeypatch):
 COMPLETE_CASES = [c for c, case in param.CASES.items() if case.claim == "complete"]
 
 
+@pytest.mark.parametrize("case_id", ["A2", "C2", "D43"])
+def test_complete_pass_builds_no_counter(monkeypatch, case_id):
+    # a PASS level compares the sorted canonical images with the
+    # representatives; only a FAIL counts the hits
+    def refuse(*args):
+        raise AssertionError("a PASS level built a Counter")
+
+    monkeypatch.setattr(param, "Counter", refuse)
+    for n in range(30):
+        assert param.verify_case(case_id, n).passed, n
+
+
+def test_each_form_and_group_builds_its_solver_once(monkeypatch):
+    # a row builds the solve of a (form, group) pair once, not once per level
+    monkeypatch.setattr(diophantine, "_SOLVERS", {})
+    built = []
+    for name, row in diophantine.GROUPS.items():
+        def counted(form, name=name, solver=row.solver):
+            built.append((form, name))
+            return solver(form)
+
+        monkeypatch.setattr(row, "solver", counted)
+    case_ids = [*param.CASES, "HYP:C3_1"]
+    for n in range(11):
+        for case_id in case_ids:
+            param.verify_case(case_id, n)
+        param.a3_conjecture_check(n)
+    pairs = {(get_case(case_id).form, get_case(case_id).group) for case_id in case_ids}
+    assert len(pairs) == 6 and sorted(built) == sorted(pairs)
+
+
 @pytest.mark.parametrize("case_id,top", [(c, 12 if c == "A3" else 20) for c in (
     *param.CASES, "HYP:C3_1", "HYP:B4_1", "HYP:D3_2")])
 def test_bound_row_matches_the_group_element_oracle(case_id, top):
