@@ -4,7 +4,9 @@ solve_diagonal is the solver every verifier uses: it searches all variables
 but the last and decides that one by divisibility and isqrt.  Given a group,
 it lists one canonical point per orbit instead, searching the group's
 fundamental domain wherever every solution lies in its parity domain: one
-chain search for V4, D8, C4, C6 and H, a sector search for G_A3.  Each group
+chain search for V4, D8, C4, C6 and H, a sector search for G_A3 that steps
+x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
+the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group
 is one row of GROUPS, a Group holding its rank, order, invariance test,
 closed-form canonical and orbit_size, its orbit by formula, and its solver;
 canonical and orbit_size build no orbit, and only FAIL witnesses, A2ext's
@@ -15,7 +17,9 @@ whose length is not its rank (3 for G_A3, else 2), and solve_diagonal checks
 a (form, group) pair once.  param binds each case to its row once, so a
 claim check calls the row's closed forms with no check per point.  D8 is H
 on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved integer
-matrices, which raise NonIntegralImage outside their parity domain.
+matrices, which raise NonIntegralImage outside their parity domain;
+_to_sector60 checks the parity and rotates into the canonical sector in one
+frame, and _rotate60 serves orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -62,7 +66,8 @@ def solve_diagonal(form, k, group=None):
     As the chain bounds x_j by x_i / r^(j-i), x_i is at least the least x
     with x^2 T_i >= R r^(2(n-1-i)), R the budget left to it and T_i =
     sum_{j>=i} form[j] r^(2(n-1-j)): the root of the mean at r = 1.  G_A3
-    on (1, 2, 3) at even k searches x >= 3z >= 0 (_solve_ga3_sector).
+    on (1, 2, 3) at even k searches x >= 3z >= 0, x only in the residues
+    mod 8 where 2y^2 = k - 3z^2 - x^2 can hold mod 16 (_solve_ga3_sector).
     Those levels of C6 and G_A3 are exactly where U lies in the parity
     domain.  Any other input of C6 or G_A3 lists all of U (the search on
     the reversed form decides x_1 last) and keeps the points with x_1 >= 0
@@ -131,21 +136,33 @@ def _solve_all(form, k):
     return solutions
 
 
+# _GA3_SIEVE[rest % 16]: the residues a (mod 8) of x for which (rest - x^2) / 2
+# is an integer and a square mod 8 (0, 1 or 4), a quadratic-residue test for
+# squares (Cohen, A Course in Computational Algebraic Number Theory, 1.7.2);
+# x^2 mod 16 depends on x mod 8 only
+_GA3_SIEVE = tuple(tuple(a for a in range(8) if (r - a * a) % 16 in (0, 2, 8))
+                   for r in range(16))
+
+
 def _solve_ga3_sector(k):
     """Solutions of x^2 + 2y^2 + 3z^2 = k, k even, in the sector x >= 3z >= 0,
     sorted.
 
-    x >= 3z needs 12z^2 <= k, which bounds z.  An even k forces x = z (mod 2),
-    so x steps by 2 from 3z, and y is decided by isqrt, -y before y.
+    x >= 3z needs 12z^2 <= k, which bounds z.  For each z, with
+    rest = k - 3z^2, x runs from 3z in steps of 8 through the residues mod 8
+    of _GA3_SIEVE[rest % 16] only, where 2y^2 = rest - x^2 can hold mod 16
+    (at even k each has x = z mod 2), and y is decided by isqrt, -y before y.
     """
     solutions = []
     for z in range(isqrt(k // 12) + 1):
         rest = k - 3 * z * z
-        for x in range(3 * z, isqrt(rest) + 1, 2):
-            q = (rest - x * x) // 2
-            y = isqrt(q)
-            if y * y == q:
-                solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
+        low, top = 3 * z, isqrt(rest) + 1
+        for a in _GA3_SIEVE[rest % 16]:
+            for x in range(low + (a - low) % 8, top, 8):
+                q = (rest - x * x) >> 1
+                y = isqrt(q)
+                if y * y == q:
+                    solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
     solutions.sort()
     return solutions
 
@@ -206,12 +223,23 @@ def _rotations60(point, x, z):
 def _to_sector60(point, x, z):
     """(x, sqrt(3) z) rotated into (-30, 30] degrees, where the largest
     rotation lies: the point's sector (60s - 30, 60s + 30] is read off the
-    signs of x and x -+ 3z and turned back by -60s degrees (the origin falls
-    through to s = 5)."""
+    signs of x and u, v = x -+ 3z and turned back by -60s degrees, _R60[-s]
+    written out on u and v (the origin falls through to s = 5).
+    NonIntegralImage, as _rotate60, when x - z is odd."""
+    if (x - z) % 2:
+        raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
     u, v = x - 3 * z, x + 3 * z
-    s = (0 if u >= 0 < v else 1 if u < 0 <= x else 2 if x < 0 <= v
-         else 3 if u <= 0 > v else 4 if x <= 0 < u else 5)
-    return _rotate60(point, x, z, -s)
+    if u >= 0 < v:
+        return x, z
+    if u < 0 <= x:
+        return v // 2, (z - x) // 2
+    if x < 0 <= v:
+        return -u // 2, (-x - z) // 2
+    if u <= 0 > v:
+        return -x, -z
+    if x <= 0 < u:
+        return -v // 2, (x - z) // 2
+    return u // 2, (x + z) // 2
 
 
 def _c6_canonical(point):

@@ -25,11 +25,16 @@ Fraction per distinct value, shared by every point of the level.
 QuadraticForm.outer_values counts in O(1) the values the outermost
 coordinate of a level search takes.  A fixed integer map m -> P m + p, such
 as a form's C m, is compiled once into a straight-line Python function
-(compile_affine) that lists the non-zero terms of each row, so applying it makes no dot product.
+(compile_affine) that lists the non-zero terms of each row, so applying it makes no dot product;
+in blocks it returns one tuple per block of rows, so several maps of the
+same m, stacked (compile_stacked), cost one call.  QuadraticForm.pulls_back
+decides once, in integers, whether an integer map carries the form onto a
+diagonal quadric.
 memo, the attribute cache of every corelat class, lives here as the lowest
 module.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from math import isqrt
@@ -132,34 +137,51 @@ def _define(source, name):
     return namespace[name]
 
 
-def affine_source(P, p):
+def affine_source(P, p, blocks=None):
     """The Python source of `def f(m)` returning the tuple P m + p, for an
     integer matrix P and offset p.
 
     Each component lists only the non-zero terms of its row, and m is unpacked
-    into one local per column, so a call runs no loop and no dot product.  An
+    into one local per column, so a call runs no loop and no dot product.
+    With blocks, a list of row counts that sum to the rows of P, f returns
+    one tuple per block instead, of the components of its consecutive rows:
+    several affine maps of the same m, stacked, applied by one call.  An
     entry whose type is not exactly int is a ValueError before any source is
-    built (_require_ints).
+    built (_require_ints), and so are blocks that do not split the rows.
     """
     P, p = tuple(map(tuple, P)), tuple(p)
     _require_ints((*p, *(x for row in P for x in row)))
     if len(P) != len(p):
         raise ValueError(f"{len(P)} rows but {len(p)} offsets")
+    if blocks is not None and (any(b < 0 for b in blocks) or sum(blocks) != len(P)):
+        raise ValueError(f"blocks {tuple(blocks)} do not split {len(P)} rows")
     rows = []
     for row, c in zip(P, p):
         terms = [_times(x, f"m{i}") for i, x in enumerate(row) if x]
         if c or not terms:
             terms.append(str(c))
         rows.append(_sum(*terms))
+    if blocks is not None:
+        ends = list(itertools.accumulate(blocks))
+        rows = [f"({_args(rows[end - b:end])})" for b, end in zip(blocks, ends)]
     k = max(map(len, P), default=0)
     unpack = f"    {_args(f'm{i}' for i in range(k))}= m\n" if k else ""
     return f"def f(m):\n{unpack}    return ({_args(rows)})\n"
 
 
-def compile_affine(P, p):
-    """The function m -> P m + p of affine_source, built once by exec; it
-    takes m of exactly as many entries as P has columns."""
-    return _define(affine_source(P, p), "f")
+def compile_affine(P, p, blocks=None):
+    """The function m -> P m + p of affine_source, in blocks when given,
+    built once by exec; it takes m of exactly as many entries as P has
+    columns."""
+    return _define(affine_source(P, p, blocks), "f")
+
+
+def compile_stacked(maps):
+    """m -> (P_1 m + p_1, ..., P_r m + p_r), one tuple per map with integer
+    rows P and offsets p: their rows stacked and compiled once in blocks
+    (compile_affine), so applying every map is one call."""
+    return compile_affine([row for f in maps for row in f.P], [c for f in maps for c in f.p],
+                          [len(f.p) for f in maps])
 
 
 def reduced(V, q):
@@ -238,10 +260,6 @@ class SpanSolver:
         """Whether V / q is an integer combination of the basis."""
         Dq = self.D * q
         return self.in_span(V) and all(dot(row, V) % Dq == 0 for row in self.rows)
-
-
-def is_perfect_square(n):
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _ldl(a):
@@ -512,6 +530,16 @@ class QuadraticForm:
     def ball(self):
         """The exact integer search of the form (_IntegerBall)."""
         return _IntegerBall(self.a, self.b)
+
+    def pulls_back(self, D, P, p, den, a, b):
+        """Whether y = (P m + p) / den solves sum_i D_i y_i^2 = a value(m) + b
+        for every m: value(m) = (m^T A m + B.m) / L in integers (scaled_basis),
+        each coefficient cross-multiplied by L den^2."""
+        L, (*A, B) = scaled_basis([*self.a, self.b])
+        s, t, k = a * den ** 2, list(zip(D, P, p)), range(len(A))
+        return (all(L * sum(d * r[u] * r[v] for d, r, _ in t) == s * A[u][v] for u in k for v in k)
+                and all(2 * L * sum(d * c * r[u] for d, r, c in t) == s * B[u] for u in k)
+                and sum(d * c * c for d, _, c in t) == b * den ** 2)
 
     def coordinates(self, m):
         """Coordinates of the lattice point with basis coefficients m."""

@@ -7,14 +7,13 @@ the least point q* of the length, a from the quadratic part and
 b = sum_i D_i p_i^2, so that sum_i D_i phi(q)_i^2 = a N + b.  Verifiers are
 exhaustive for a fixed N: a LevelData holds the canonical point of each
 orbit of the level's solution set U, its lattice points and their phi
-images, and one check function per claim decides it on them.  The images
-come from one LayerMap per layer, an integer map compiled once
-(linalg.compile_affine) that decides once whether its images lie on the
-quadric (keeps_quadric); only the images of other maps are tested one by
-one.  A case binds its group's row of diophantine.GROUPS once
-(ParamCase.action), and _case has fitted that group to phi and the form, so
-the checks call the row's canonical and orbit_size on representatives and
-images with no check per call.  FAIL is reported as data, never raised.
+images, and one check function per claim decides it on them.  Each layer's
+images come from a LayerMap, an integer map compiled once that decides once
+whether its images lie on the quadric (keeps_quadric), and a case compiles
+all its layers into one function (ParamCase.layers_map), one call per
+point.  A case binds its group's row of diophantine.GROUPS once
+(ParamCase.action), fitted to phi and the form by _case, so the checks call
+its canonical and orbit_size with no check per call.  FAIL is data, never raised.
 """
 
 import math
@@ -22,10 +21,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from . import atomic, diophantine, dynkin, linalg, weyl
 from .diophantine import NonIntegralImage, NotClosed, solve_diagonal
-from .linalg import is_perfect_square
 from .weyl import ExtGrassElement
 
 
@@ -60,11 +59,10 @@ class LayerMap:
     One integer map per (case, j), composed once from integer matrices: with
     q = C m / Q (linalg.QuadraticForm), omega_j = W / w and phi(x) = F x + f,
     the image is (w F M_j C m + Q F W + Q w f) / (Q w), reduced by the gcd of
-    its entries.  m -> P m + p is compiled once (linalg.compile_affine), and
-    a call returns its tuple as it is when den is 1, as it is for every
-    registered case.  Otherwise each component takes a divmod by den, and a
-    remainder raises NonIntegralImage naming q, whose Fraction coordinates
-    are built only for that message.
+    its entries.  numerators, m -> P m + p, is compiled once
+    (linalg.compile_affine): the image itself when den is 1, as for every
+    registered case.  Otherwise a call divides each component by den, and a
+    remainder raises NonIntegralImage naming q, built only for that message.
     """
 
     def __init__(self, case, j):
@@ -80,11 +78,11 @@ class LayerMap:
         g = math.gcd(Q * w, *p, *(x for row in P for x in row))
         self.P = tuple(tuple(x // g for x in row) for row in P)
         self.p, self.den, self._form = tuple(x // g for x in p), Q * w // g, form
-        self._numerators = linalg.compile_affine(self.P, self.p)
-        self.keeps_quadric = _keeps_quadric(case, self.P, self.p, self.den)
+        self.numerators = linalg.compile_affine(self.P, self.p)
+        self.keeps_quadric = form.pulls_back(case.form, self.P, self.p, self.den, case.a, case.b)
 
     def __call__(self, m):
-        numerators, den = self._numerators(m), self.den
+        numerators, den = self.numerators(m), self.den
         if den == 1:
             return numerators
         image = []
@@ -96,17 +94,6 @@ class LayerMap:
                                        f" of layer {self.j} at q = ({q})")
             image.append(y)
         return tuple(image)
-
-
-def _keeps_quadric(case, P, p, den):
-    """Whether y = (P m + p) / den solves sum_i D_i y_i^2 = a value(m) + b for
-    every m, value(m) = (m^T A m + B.m) / L the length in integers
-    (linalg.scaled_basis): each coefficient, cross-multiplied by L den^2."""
-    L, (*A, B) = linalg.scaled_basis([*case.length.a, case.length.b])
-    s, t, k = case.a * den ** 2, list(zip(case.form, P, p)), range(len(A))
-    return (all(L * sum(d * r[u] * r[v] for d, r, _ in t) == s * A[u][v] for u in k for v in k)
-            and all(2 * L * sum(d * c * r[u] for d, r, c in t) == s * B[u] for u in k)
-            and sum(d * c * c for d, _, c in t) == case.b * den ** 2)
 
 
 def layer_map(case, j):
@@ -164,6 +151,15 @@ class ParamCase:
         return (self.image_map,) + tuple(layer_map(self, j)
                                          for j in weyl.sigma_indices(self.type_id)[1:])
 
+    @linalg.memo
+    def layers_map(self):
+        """m -> the tuple of the layer_maps images of m: one function compiled
+        in blocks (linalg.compile_stacked) when each is a LayerMap of den 1."""
+        maps = self.layer_maps
+        if all(isinstance(f, LayerMap) and f.den == 1 for f in maps):
+            return linalg.compile_stacked(maps)
+        return lambda m: tuple([f(m) for f in maps])
+
 
 def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
     """The case of phi(q) = P (q - q*), q* the least point of its length.
@@ -171,12 +167,12 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
     In basis coefficients the length is (m^T A m + B.m) / L in integers,
     least at m* = -A^-1 B / 2, the coefficients of -B / 2 in the columns of A
     (linalg.SpanSolver), and q* = C m* / Q.  a is read off the quadratic part
-    and b = sum_i D_i p_i^2 is phi's value at q = 0, so _keeps_quadric
-    decides the identity.  ValueError naming the case when p = -P q* or a is
-    not an integer, or the identity fails.  length is a hyperoctahedral
-    family's form; the others are the registry's.  ValueError naming the
-    case, too, unless phi has one row per term of D and the group preserves
-    D, as ParamCase.action's callers assume.
+    and b = sum_i D_i p_i^2 is phi's value at q = 0, so the length's
+    pulls_back (linalg.QuadraticForm) decides the identity.  ValueError
+    naming the case when p = -P q* or a is not an integer, or the identity
+    fails.  length is a hyperoctahedral family's form; the others are the
+    registry's.  ValueError naming the case, too, unless phi has one row per
+    term of D and the group preserves D, as ParamCase.action's callers assume.
     """
     if len(P) != len(D):
         raise ValueError(f"case {case_id}: phi has {len(P)} rows for a form of {len(D)} terms")
@@ -192,7 +188,7 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
     a, r = divmod(L * sum(d * row[0] ** 2 for d, row in zip(D, PC)), Q * Q * A[0][0])
     case = ParamCase(case_id, type_id, weight, lattice, a, sum(d * c * c for d, c in zip(D, p)),
                      tuple(D), group, claim, AffineMap(P, p), family_form=length)
-    if r or not _keeps_quadric(case, PC, [Q * c for c in p], Q):
+    if r or not form.pulls_back(case.form, PC, [Q * c for c in p], Q, case.a, case.b):
         raise ValueError(f"case {case_id}: sum_i D_i y_i^2 is not an integer multiple of the length")
     # each invariance test checks the form's length against the group's rank
     row = diophantine.GROUPS.get(group)
@@ -343,14 +339,17 @@ class LevelData:
 
     @linalg.memo
     def images(self):
-        """phi of each lattice point, in the order of points."""
-        return list(map(self.case.image_map, self.coefficients))
+        """phi of each lattice point, in the order of points; a LayerMap of
+        den 1 is applied as its compiled numerators."""
+        f = self.case.image_map
+        return list(map(f.numerators if isinstance(f, LayerMap) and f.den == 1 else f,
+                        self.coefficients))
 
     @linalg.memo
     def layers(self):
-        """Per lattice point q, the images of the extended elements (j, q), all j."""
-        maps = self.case.layer_maps
-        return [[f(m) for f in maps] for m in self.coefficients]
+        """Per lattice point q, the tuple of the images of the extended
+        elements (j, q), all j (ParamCase.layers_map)."""
+        return list(map(self.case.layers_map, self.coefficients))
 
     def on_quadric(self, point):
         """Whether the point solves the case's equation at level N."""
@@ -545,8 +544,9 @@ def check_a3_conjecture(level):
     if off is not None:
         return _fail("A3conj", n, counts,
                      {"reason": "layer image off the quadric", "image": images[off]})
-    counts["covered"] = sum(map(case.action.orbit_size, hit))
+    # hit lies in reps: when it holds them all, the orbits cover U and no size is summed
     uncovered = [r for r in level.reps if r not in hit]
+    counts["covered"] = sum(map(case.action.orbit_size, hit)) if uncovered else level.solution_count
     if uncovered:
         return _fail("A3conj", n, counts, {"reason": "uncovered solutions",
                                            "first": level.first_orbit(uncovered)[0]})
@@ -607,17 +607,17 @@ def _stratify(level, sols):
 
     omega_nonempty = {}
     y_bound = k // 2
-    candidates = [y for y in range(-math.isqrt(y_bound) - 1, math.isqrt(y_bound) + 2)
+    candidates = [y for y in range(-isqrt(y_bound) - 1, isqrt(y_bound) + 2)
                   if y % 2 != 0 and y * y < y_bound]
-    for y in candidates:
+    # decided once per |y|, as y enters only as y^2: the upper half of the candidates
+    for y in candidates[len(candidates) // 2:]:
         which = y * y % 3            # 0 or 1, as y^2 is a square
-        m_y = k // 3 - 2 * (y * y // 3)
-        radius = math.isqrt(k - 2 * y * y)
+        m_y, radius = k // 3 - 2 * (y * y // 3), isqrt(k - 2 * y * y)
         # the test reads m only through m^2 and m % 3 == 0, so m >= 0 in the
         # residue classes mod 3 it accepts covers every m
-        starts = (0,) if which == 0 else (1, 2)
-        omega_nonempty[y] = any(is_perfect_square(m_y - (m * m + 2 * which) // 3)
-                                for start in starts for m in range(start, radius + 1, 3))
+        omega_nonempty[y] = omega_nonempty[-y] = any(
+            (t := m_y - (m * m + 2 * which) // 3) >= 0 and isqrt(t) ** 2 == t
+            for start in ((0,) if which == 0 else (1, 2)) for m in range(start, radius + 1, 3))
     gamma = [y for y in candidates if omega_nonempty[y]]
     return A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()},
                     all(omega_nonempty[y] == (y in by_y) for y in candidates),

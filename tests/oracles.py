@@ -971,12 +971,16 @@ def stratify(level, sols):
         m_y = k // 3 - 2 * (y * y // 3)
         radius = math.isqrt(k - 2 * y * y)
         omega_nonempty[y] = any((m % 3 == 0) == (which == 0)
-                                and linalg.is_perfect_square(m_y - (m * m + 2 * which) // 3)
+                                and _is_square(m_y - (m * m + 2 * which) // 3)
                                 for m in range(-radius, radius + 1))
     gamma = [y for y in candidates if omega_nonempty[y]]
     return param.A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()},
                           all(omega_nonempty[y] == (y in by_y) for y in candidates),
                           gamma == sorted(by_y), all_y_odd)
+
+
+def _is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def charge_symmetric(d, half):

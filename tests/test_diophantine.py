@@ -352,8 +352,44 @@ def test_closed_form_canonical_matches_max_of_rotations():
 
 
 def test_ga3_sector_search_matches_the_y_stepping_oracle():
-    for k in range(0, 4000, 2):
+    # every even k to 20000, and the A3 levels k = 48N + 30 to N = 1000
+    for k in [*range(0, 20001, 2), *(48 * n + 30 for n in range(0, 1001, 3))]:
         assert diophantine._solve_ga3_sector(k) == oracles.solve_ga3_sector_by_y(k), k
+
+
+def test_ga3_sieve_keeps_exactly_the_residues_that_can_leave_a_square():
+    # x^2 mod 16 depends on x mod 8 and 2y^2 mod 16 on y mod 4, so the pairs
+    # (x, y) mod 8 give every residue of x^2 + 2y^2 mod 16: row r of the
+    # table must be the x mod 8 of the pairs that reach r, none dropped and
+    # none kept in vain
+    reach = {r: set() for r in range(16)}
+    for x in range(8):
+        for y in range(8):
+            reach[(x * x + 2 * y * y) % 16].add(x)
+    assert diophantine._GA3_SIEVE == tuple(tuple(sorted(reach[r])) for r in range(16))
+    # and by brute force on integers: each x with (rest - x^2) / 2 a square
+    # lies in the row of rest mod 16
+    for rest in range(3000):
+        for x in range(math.isqrt(rest) + 1):
+            q, odd = divmod(rest - x * x, 2)
+            if not odd and math.isqrt(q) ** 2 == q:
+                assert x % 8 in diophantine._GA3_SIEVE[rest % 16], (rest, x)
+
+
+def test_sector60_rotation_matches_the_r60_matrices():
+    # the one-frame rotation into (-30, 30] degrees is the largest of the six
+    # halved _R60 rotations of (x, sqrt(3) z), and off the parity domain it
+    # raises _rotate60's text, naming the point
+    for x in range(-40, 41):
+        for z in range(-40, 41):
+            point = (x, 5, z)
+            if (x - z) % 2:
+                with pytest.raises(NonIntegralImage, match=rf"^\({x},5,{z}\) is outside the parity domain$"):
+                    diophantine._to_sector60(point, x, z)
+                continue
+            rotations = [((a * x + b * z) // 2, (c * x + d * z) // 2)
+                         for a, b, c, d in diophantine._R60]
+            assert diophantine._to_sector60(point, x, z) == max(rotations), point
 
 
 def test_ga3_at_odd_level_names_the_first_point_of_the_reversed_search():

@@ -566,6 +566,42 @@ def test_compiled_layer_maps_match_dot_products(case_id):
         assert_layer_map_matches(f, seed)
 
 
+@pytest.mark.parametrize("case_id", list(param.CASES) + [f"HYP:{t}" for t in hyp_types(range(1, 7))])
+def test_all_layers_function_matches_the_layer_maps(case_id, monkeypatch):
+    # one compiled call per lattice point gives the tuple of every LayerMap's
+    # image, on each level N <= 20, and makes no LayerMap call; where the
+    # registry lacks the type, it refuses as the layer maps do
+    case = param.get_case(case_id)
+    try:
+        maps = case.layer_maps
+    except dynkin.UnknownType:
+        with pytest.raises(dynkin.UnknownType):
+            case.layers_map
+        return
+    assert all(isinstance(f, param.LayerMap) and f.den == 1 for f in maps)
+    levels = [case.length.level_coefficients(n) for n in range(21)]
+    expected = [[tuple(f(m) for f in maps) for m in ms] for ms in levels]
+
+    def refuse(self, m):
+        raise AssertionError("the all-layers function called a LayerMap")
+
+    monkeypatch.setattr(param.LayerMap, "__call__", refuse)
+    assert [list(map(case.layers_map, ms)) for ms in levels] == expected
+    assert any(levels)
+
+
+def test_layers_with_a_denominator_keep_the_per_layer_calls():
+    # the identity phi on C2L1 makes both layer maps den 2, so the level's
+    # layers take one LayerMap call per layer and raise its NonIntegralImage
+    identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
+    case = dataclasses.replace(param.get_case("C2L1"), phi_map=identity)
+    assert [f.den for f in case.layer_maps] == [2, 2]
+    assert param.LevelData(case, 4).layers == []
+    for n, error in ((1, "-1/2 of layer 0 at q = (-1/2,1/2)"), (3, "1/2 of layer 2 at q = (-1,0)")):
+        with pytest.raises(NonIntegralImage, match=re.escape(f"non-integral image component {error}")):
+            param.LevelData(case, n).layers
+
+
 def test_compiled_layer_map_with_a_denominator_matches_the_divmod_loop():
     # the identity phi on C2L1 has den 2: integral and non-integral images,
     # and the NonIntegralImage text, are the dot-product loop's
@@ -630,3 +666,19 @@ def test_compile_affine_edge_shapes():
     assert linalg.compile_affine([[2], [-1]], [1, 0])((4,)) == (9, -4)
     with pytest.raises(ValueError, match="2 rows but 1 offsets"):
         linalg.affine_source([[1], [2]], [0])
+
+
+def test_compile_affine_in_blocks():
+    # the rows split into consecutive blocks, one tuple each, empty blocks
+    # included; blocks that do not split the rows are refused
+    P, p = [[1, 2], [0, -1], [3, 0]], [0, 1, 5]
+    assert linalg.compile_affine(P, p, [2, 0, 1])((1, 1)) == ((3, 0), (), (8,))
+    assert linalg.compile_affine(P, p, [3])((2, -1)) == (linalg.compile_affine(P, p)((2, -1)),)
+    assert linalg.compile_affine([], [], [0, 0])(()) == ((), ())
+    for blocks in ([2], [2, 2], [4, -1]):
+        with pytest.raises(ValueError, match=re.escape(f"blocks {tuple(blocks)} do not split 3 rows")):
+            linalg.affine_source(P, p, blocks)
+    maps = [param.LayerMap(param.get_case("A2ext"), j) for j in (0, 1)]
+    stacked = linalg.compile_stacked(maps)
+    for m in random_coefficients(random.Random(2), 2):
+        assert stacked(m) == (maps[0](m), maps[1](m))

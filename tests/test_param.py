@@ -275,6 +275,38 @@ def test_a3_conjecture_check_matches_full_set_oracle():
         assert report["witness"]["reason"] == "uncovered solutions"
 
 
+def test_a3_conjecture_covered_matches_the_oracle_on_pass_and_fail(monkeypatch):
+    # a PASS reads covered off the solution count and sums no orbit size over
+    # the hits; a FAIL that hits some orbits but not all sums their sizes,
+    # which is the size of the union of their orbits the oracle counts
+    case, calls = get_case("A3"), []
+    orbit_size = case.action.orbit_size
+
+    def counted(point):
+        calls.append(point)
+        return orbit_size(point)
+
+    monkeypatch.setattr(case.action, "orbit_size", counted)
+    for n in range(31):
+        calls.clear()
+        level = param.LevelData(case, n)
+        report = param.check_a3_conjecture(level)
+        assert report.passed and report.counts["covered"] == level.solution_count
+        assert sorted(calls) == level.reps, n
+        assert report.to_dict() == oracles.check_a3_conjecture(param.LevelData(case, n)).to_dict()
+    for n in (2, 5, 12):
+        reps = param.LevelData(case, n).reps
+        top = reps[-1]
+        kept = set(reps[::2])
+        # the images whose orbit is every other representative's stay, the
+        # rest collapse onto the orbit of the largest representative
+        partial = dataclasses.replace(case, phi_map=lambda v: (
+            img if diophantine.canonical("G_A3", img := case.phi_map(v)) in kept else top))
+        report = _checks_agree(param.check_a3_conjecture, oracles.check_a3_conjecture, partial, n)
+        assert report["witness"]["reason"] == "uncovered solutions"
+        assert 0 < report["counts"]["covered"] < report["counts"]["solutions"], n
+
+
 def test_a3_conjecture_layer_image_off_the_quadric_is_a_fail():
     case = get_case("A3")
     shifted = dataclasses.replace(case, phi_map=lambda v: tuple(
@@ -652,6 +684,41 @@ def test_each_form_and_group_builds_its_solver_once(monkeypatch):
         param.a3_conjecture_check(n)
     pairs = {(get_case(case_id).form, get_case(case_id).group) for case_id in case_ids}
     assert len(pairs) == 6 and sorted(built) == sorted(pairs)
+
+
+def test_each_case_compiles_its_all_layers_function_once(monkeypatch):
+    # a case compiles the function of all its layers on the first level that
+    # reads them, and every later level of the process reuses it
+    built = []
+    compile_stacked = linalg.compile_stacked
+
+    def counted(maps):
+        built.append(maps)
+        return compile_stacked(maps)
+
+    monkeypatch.setattr(linalg, "compile_stacked", counted)
+    cases = [get_case(case_id) for case_id in (*param.CASES, "HYP:C3_1", "HYP:B4_1")]
+    for case in cases:
+        monkeypatch.delitem(case.__dict__, "layers_map", raising=False)
+    for n in range(11):
+        for case in cases:
+            param.LevelData(case, n).layers
+            param.CHECKS[case.claim](param.LevelData(case, n))
+        param.a3_conjecture_check(n)
+    assert built == [case.layer_maps for case in cases]
+
+
+def test_images_make_no_layer_map_call(monkeypatch):
+    # a LayerMap of den 1, as every registered case's, is applied as its
+    # compiled numerators, and the layers as one compiled call per point
+    def refuse(self, m):
+        raise AssertionError("a level called a LayerMap")
+
+    monkeypatch.setattr(param.LayerMap, "__call__", refuse)
+    for n in range(11):
+        for case_id in (*param.CASES, "HYP:C3_1", "HYP:B4_1"):
+            assert verify_case(case_id, n).passed, (case_id, n)
+        assert a3_conjecture_check(n).passed
 
 
 @pytest.mark.parametrize("case_id,top", [(c, 12 if c == "A3" else 20) for c in (

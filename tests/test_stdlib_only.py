@@ -44,8 +44,11 @@ def test_generated_maps_parse_at_the_floor():
             param.hyp_case("C4_1").image_map]
     samples = ([(form.C, (0,) * len(form.C)) for form in forms] + [(f.P, f.p) for f in maps]
                + [((), ()), (((0, 0),), (-7,)), (((1, -1, 0, 12),), (0,))])
-    for P, p in samples:
-        tree = ast.parse(linalg.affine_source(P, p), feature_version=FLOOR)
+    # the all-layers functions add one tuple per block (ParamCase.layers_map)
+    stacked = [(sum((f.P for f in maps), ()), sum((f.p for f in maps), ()), [len(f.p) for f in maps])
+               for maps in (param.get_case(c).layer_maps for c in ("A2ext", "A3", "HYP:C4_1"))]
+    for P, p, *blocks in samples + stacked + [((), (), [0, 0])]:
+        tree = ast.parse(linalg.affine_source(P, p, *blocks), feature_version=FLOOR)
         assert not any(isinstance(node, ast.Call) for node in ast.walk(tree))
     # linalg.compile_level too: one function per depth above 1, calling only
     # isqrt, divmod, range, the list's append and the next depth down
