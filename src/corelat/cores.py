@@ -142,6 +142,8 @@ def charge_of_core(d, parts):
 
 def core_from_charge(d, charge):
     """Inverse of charge_of_core; exact round trip on every d-core."""
+    if d < 1:
+        raise BadCharge(f"d must be at least 1, got {d}")
     charge = linalg.as_integers(charge)
     if len(charge) != d:
         raise BadCharge(f"expected {d} entries, got {len(charge)}")

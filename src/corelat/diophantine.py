@@ -1,9 +1,10 @@
 """Integer points of diagonal quadratic forms and finite group actions.
 
-solve_diagonal is the solver every verifier uses: it searches all variables
-but the last and decides that one by divisibility and isqrt.  Given a group,
-it lists one canonical point per orbit instead, searching the group's
-fundamental domain wherever every solution lies in its parity domain: one
+solve_diagonal is the solver every verifier uses.  Without a group it takes
+the sign changes (_signs) of the solutions x >= 0, which one chain search
+(_chain) lists, deciding the last variable by divisibility and isqrt.  Given
+a group, it lists one canonical point per orbit instead, searching the group's
+fundamental domain wherever every solution lies in its parity domain: the
 chain search for V4, D8, C4, C6 and H, a sector search for G_A3 that steps
 x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
 the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group
@@ -27,7 +28,6 @@ brute-force search over every variable lives in the tests as an oracle.
 import itertools
 import math
 from collections import Counter
-from functools import partial
 from math import isqrt
 
 from .linalg import as_integers
@@ -44,10 +44,9 @@ class NotClosed(ValueError):
 def solve_diagonal(form, k, group=None):
     """All integer tuples x with sum_i form[i] * x_i^2 = k, sorted.
 
-    Loops over every variable but the last, in ascending order.  The last
-    one is decided exactly: what is left must be form[-1] times a perfect
-    square r^2, which gives -r before r (0 once), so the output is already
-    in sorted order.
+    Every diagonal form is invariant under sign changes, so U is the sorted
+    sign changes (_signs) of its points in the non-negative orthant, which
+    the chain search below lists at r = 0; the empty form has () at k = 0.
 
     With a group, whose action must leave the form invariant, only the
     canonical solutions, one per orbit (see canonical), sorted, from the
@@ -58,6 +57,7 @@ def solve_diagonal(form, k, group=None):
     sector (0 < r y < x) just before it:
 
         group   form          r   mirror
+        none    any           0   no: all of U, the sign changes of the chain points
         V4      (d1, d2)      0   no
         D8, H   (d, ..., d)   1   no
         C4      (d, d)        1   yes
@@ -69,16 +69,16 @@ def solve_diagonal(form, k, group=None):
     on (1, 2, 3) at even k searches x >= 3z >= 0, x only in the residues
     mod 8 where 2y^2 = k - 3z^2 - x^2 can hold mod 16 (_solve_ga3_sector).
     Those levels of C6 and G_A3 are exactly where U lies in the parity
-    domain.  Any other input of C6 or G_A3 lists all of U (the search on
-    the reversed form decides x_1 last) and keeps the points with x_1 >= 0
-    that are their own canonical point, as both groups negate x_1;
+    domain.  Any other input of C6 or G_A3 lists all of U of the reversed
+    form, sorted, reverses each point and keeps those with x_1 >= 0 that
+    are their own canonical point, as both groups negate x_1;
     canonical raises NonIntegralImage on the first such point off the
     parity domain, and the reversed order fixes which point that names:
     (2,-1) for C6 on (1, 3) at k = 7, and (2,0,-3) for G_A3 at k = 31, where
     lexicographic order would name (1,-3,-2).
 
-    A (form, group) pair is checked once (_solver) and its row builds the
-    solve once, kept in _SOLVERS; later calls check only k.
+    A (form, group) pair is checked once (_solver) and its solve built once,
+    kept in _SOLVERS; later calls check only k.
     """
     try:
         solve = _SOLVERS[form, group]
@@ -102,38 +102,21 @@ def _solver(form, k, group):
     if group is not None and not (row := _row(group)).invariant(form):
         raise NotClosed(f"the form {form} is not invariant under {group}")
     if (form, group) not in _SOLVERS:
-        _SOLVERS[form, group] = partial(_solve_all, form) if group is None else row.solver(form)
+        _SOLVERS[form, group] = _signed_chain(form) if group is None else row.solver(form)
     return _SOLVERS[form, group]
 
 
-def _solve_all(form, k):
+def _signed_chain(form):
+    """solve_diagonal's solve without a group, a function of k."""
     if not form:
-        return [()] if k == 0 else []
-    *outer, last = form
-    solutions = []
+        return lambda k: [()] if k == 0 else []
+    chain = _chain(form, 0)
+    return lambda k: sorted(s for p in chain(k) for s in _signs(p))
 
-    def finish(head, q):
-        r = isqrt(q)
-        if r * r == q:
-            solutions.extend((head + (-r,), head + (r,)) if r else (head + (0,),))
 
-    def rec(head, remaining):
-        d = outer[len(head)]
-        bound = isqrt(remaining // d)
-        if len(head) + 1 < len(outer):
-            for x in range(-bound, bound + 1):
-                rec(head + (x,), remaining - d * x * x)
-            return
-        for x in range(-bound, bound + 1):
-            q, rem = divmod(remaining - d * x * x, last)
-            if rem == 0:
-                finish(head + (x,), q)
-
-    if outer:
-        rec((), k)
-    elif k % last == 0:
-        finish((), k // last)
-    return solutions
+def _signs(p):
+    """The sign changes of p, each once: x and -x where x is not 0."""
+    return itertools.product(*((-x, x) if x else (0,) for x in p))
 
 
 # _GA3_SIEVE[rest % 16]: the residues a (mod 8) of x for which (rest - x^2) / 2
@@ -286,8 +269,8 @@ def _chain(form, r, mirror=False):
     its lower bound up to isqrt(R // form[i]) and, for r >= 1, x_{i-1} // r;
     the last coordinate is decided by divisibility and isqrt, r x_n <= x_{n-1}."""
     n, last = len(form), form[-1]
-    if n == 1:
-        return lambda k: _solve_all(form, k)[-1:]      # the root >= 0, if any
+    if n == 1:      # the root >= 0, if any
+        return lambda k: [(y,)] if last * (y := isqrt(k // last)) ** 2 == k else []
     scale = [r ** (2 * (n - 1 - i)) for i in range(n)]
     steps = [(d, s, sum(e * u for e, u in zip(form[i:], scale[i:])))
              for i, (d, s) in enumerate(zip(form, scale))]
@@ -314,7 +297,7 @@ def _chain(form, r, mirror=False):
 
 
 def _c6_solver(form):
-    sector, every = _chain(form, 3, True), partial(_own_canonical, _c6_canonical, form)
+    sector, every = _chain(form, 3, True), _own_canonical(_c6_canonical, form)
     domain = 4 * form[0]
     return lambda k: every(k) if k % domain else sector(k)
 
@@ -322,17 +305,18 @@ def _c6_solver(form):
 def _ga3_solver(form):
     # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
     # raises NonIntegralImage from canonical, as orbit_partition does.
-    every = partial(_own_canonical, _ga3_canonical, form)
+    every = _own_canonical(_ga3_canonical, form)
     if form != (1, 2, 3):
         return every
     return lambda k: every(k) if k % 2 else _solve_ga3_sector(k)
 
 
-def _own_canonical(canonical, form, k):
-    """The solutions with x_1 >= 0 that are their own canonical point,
-    sorted, tested in the order of the search on the reversed form."""
-    return sorted(p for p in (s[::-1] for s in _solve_all(form[::-1], k))
-                  if p[0] >= 0 and p == canonical(p))
+def _own_canonical(canonical, form):
+    """The solve listing the solutions with x_1 >= 0 that are their own
+    canonical point, sorted, tested in the sorted order of U of the reversed form."""
+    every = _signed_chain(form[::-1])
+    return lambda k: sorted(p for p in (s[::-1] for s in every(k))
+                            if p[0] >= 0 and p == canonical(p))
 
 
 class Group:
@@ -350,8 +334,7 @@ class Group:
 
 # The signed permutations of H, and of D8 on two coordinates
 _SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
-           lambda p: {signed for perm in itertools.permutations(p)
-                      for signed in itertools.product(*((x, -x) for x in perm))},
+           lambda p: {s for perm in itertools.permutations(p) for s in _signs(perm)},
            lambda f: _chain(f, 1))
 # Orbits by formula: the signed permutations for H and D8, the sign changes
 # for V4, the quarter-turns for C4, the rotations of (x, sqrt(3) y) for C6,
@@ -359,7 +342,7 @@ _SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
 GROUPS = {
     "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
                 lambda p: 4 >> sum(1 for x in p if x == 0),
-                lambda p: set(itertools.product(*((x, -x) for x in p))), lambda f: _chain(f, 0)),
+                lambda p: set(_signs(p)), lambda f: _chain(f, 0)),
     "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1], *_SIGNED),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,

@@ -304,6 +304,10 @@ class LevelData:
     case: ParamCase
     n: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"level N must be non-negative, got {self.n}")
+
     @linalg.memo
     def k(self):
         """The right-hand side a N + b of the case's equation at level N."""

@@ -77,8 +77,10 @@ def test_core_from_charge_examples():
     assert core_from_charge(5, (0, -1, 2, 1, -2)) == (8, 5, 5, 2, 2, 1)
     assert core_from_charge(3, (0, -1, 1)) == (3, 1)
     assert core_from_charge(4, (0, 0, 0, 0)) == ()
-    with pytest.raises(BadCharge):
-        core_from_charge(3, (1, 0, 0))
+    assert core_from_charge(1, (0,)) == ()
+    for d, charge, message in ((3, (1, 0, 0), "sum to 0"), (0, (), "got 0")):
+        with pytest.raises(BadCharge, match=message):
+            core_from_charge(d, charge)
 
 
 def test_round_trip_small():

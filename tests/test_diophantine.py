@@ -39,12 +39,15 @@ def test_solve_sortedness_and_membership():
 
 
 def test_solver_self_oracle():
+    # ranks 0 to 6: the empty form, and U without a group from the sign
+    # changes of chains up to five variables deep
     rng = random.Random(987)
-    for _ in range(50):
-        ncoords = rng.randint(1, 4)
-        form = tuple(rng.randint(1, 5) for _ in range(ncoords))
-        k = rng.randint(0, 400)
-        assert solve_diagonal(form, k) == solve_diagonal_meet(form, k)
+    assert solve_diagonal((), 0) == solve_diagonal_meet((), 0) == [()]
+    for ncoords in range(7):
+        for _ in range(15):
+            form = tuple(rng.randint(1, 5) for _ in range(ncoords))
+            k = rng.randint(0, 400 if ncoords <= 4 else 150)
+            assert solve_diagonal(form, k) == solve_diagonal_meet(form, k), (form, k)
 
 
 def test_group_laws():

@@ -332,6 +332,16 @@ def test_verify_case_dispatch():
     assert get_case("HYP:C3_1") is get_case("HYP:C3_1")
 
 
+@pytest.mark.parametrize("check", [*(f"verify_case:{c}" for c in (*param.CASES, "HYP:C3_1")),
+                                   "a3_conjecture_check", "a3_strata"])
+def test_a_negative_level_is_refused(check):
+    # LevelData refuses N < 0 for every claim and for the strata, naming N
+    name, _, case_id = check.partition(":")
+    args = (case_id, -1) if case_id else (-1,)
+    with pytest.raises(ValueError, match="level N must be non-negative, got -1"):
+        getattr(param, name)(*args)
+
+
 def test_orbit_size_cases_sweep_to_200():
     # every phi image lies on its quadric and has a full orbit, N <= 200
     for case_id in ("A42", "G21"):

@@ -1,11 +1,13 @@
 """The runtime is stdlib-only: every module of src/corelat imports only the
 standard library and corelat itself, and parses as the oldest Python that
 pyproject.toml's requires-python admits.  Its classes cache attributes with
-linalg.memo, not with functools.cached_property, which takes a lock."""
+linalg.memo, not with functools.cached_property, which takes a lock.  Every
+private name it defines is used in src."""
 
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "corelat"
@@ -90,3 +92,47 @@ def test_a_memo_is_computed_once(monkeypatch):
     level = param.LevelData(param.get_case("A2"), 6)
     assert level.reps is level.reps and level.reps
     assert calls == [((1, 3), level.k, "C6")]
+
+
+def _private_definitions(tree):
+    """(name, node) for each _-prefixed def or class, at any depth, and each
+    _-prefixed name assigned at module or class level; dunders are not private."""
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assigned = [(target, node) for scope in scopes for node in scope.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    found = [(node.name, node) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    found += [(name.id, node) for target, node in assigned for name in ast.walk(target)
+              if isinstance(name, ast.Name)]
+    return [(name, node) for name, node in found
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _loads(node):
+    """How often node loads each bare name, and reads each attribute (as ".name")."""
+    return Counter(n.id if isinstance(n, ast.Name) else "." + n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)))
+
+
+def test_every_private_name_is_used_in_src():
+    # a helper whose last caller was deleted fails here; one that only the
+    # tests call belongs in tests/oracles.py.  A def's own body (recursion)
+    # and an assignment's own value are no use; another module uses the
+    # name as an attribute, or bare once it imports the name from here.
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    loads = {stem: _loads(tree) for stem, tree in trees.items()}
+    imports = {stem: {(node.module.rpartition(".")[2], alias.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module for alias in node.names}
+               for stem, tree in trees.items()}
+    unused = []
+    for stem, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            here = loads[stem] - _loads(node)
+            uses = here[name] + here["." + name] + sum(
+                refs["." + name] + refs[name] * ((stem, name) in imports[other])
+                for other, refs in loads.items() if other != stem)
+            if uses == 0:
+                unused.append(f"{stem}.py:{node.lineno} {name}")
+    assert unused == []
