@@ -56,7 +56,8 @@ def _fmt_tuple(t):
 
 
 def _cell(tuples):
-    return ";".join(_fmt_tuple(t) for t in sorted(tuples))
+    """The tuples in the order given; U comes sorted from the solver."""
+    return ";".join(map(_fmt_tuple, tuples))
 
 
 def _partition_cell(partitions):
@@ -75,13 +76,14 @@ def figure_rows(figure, max_n):
                        for q, img in zip(level.points, level.images)]
             in_m = [pair for pair in rotated if sum(pair[0]) % 2 == 0]
             outside = [pair for pair in rotated if sum(pair[0]) % 2 == 1]
-            rows.append([str(n), _cell(b for b, _ in in_m), _cell(img for _, img in in_m),
-                         _cell(b for b, _ in outside), _cell(img for _, img in outside),
-                         _cell(level.solutions)])
+            rows.append([str(n), _cell(sorted(b for b, _ in in_m)),
+                         _cell(sorted(img for _, img in in_m)),
+                         _cell(sorted(b for b, _ in outside)),
+                         _cell(sorted(img for _, img in outside)), _cell(level.solutions)])
         else:
             # the tables list the two free coordinates; phi reads only those
             pairs = [tuple(q[:2]) for q in level.points]
-            cells = [_cell(pairs), _cell(level.images), _cell(level.solutions)]
+            cells = [_cell(sorted(pairs)), _cell(sorted(level.images)), _cell(level.solutions)]
             if figure == "12N+7":
                 cells.insert(0, _partition_cell(map(cores.d4flat_from_lattice, pairs)))
             rows.append([str(n)] + cells)

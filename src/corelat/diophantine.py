@@ -20,7 +20,7 @@ claim check calls the row's closed forms with no check per point.  D8 is H
 on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved integer
 matrices, which raise NonIntegralImage outside their parity domain;
 _to_sector60 checks the parity and rotates into the canonical sector in one
-frame, and _rotate60 serves orbit.
+frame, and _rotations60 serves orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -189,18 +189,13 @@ _R60 = ((2, 0, 0, 2), (1, -3, 1, 1), (-1, -3, 1, -1),
         (-2, 0, 0, -2), (-1, 3, -1, -1), (1, 3, -1, 1))
 
 
-def _rotate60(point, x, z, k):
-    """(x, sqrt(3) z) rotated through 60k degrees; NonIntegralImage when x - z
-    is odd, which is outside point's domain."""
+def _rotations60(point, x, z):
+    """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in
+    that order; NonIntegralImage when x - z is odd, which is outside point's
+    domain."""
     if (x - z) % 2:
         raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
-    a, b, c, d = _R60[k]
-    return ((a * x + b * z) // 2, (c * x + d * z) // 2)
-
-
-def _rotations60(point, x, z):
-    """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that order."""
-    return [_rotate60(point, x, z, k) for k in range(6)]
+    return [((a * x + b * z) // 2, (c * x + d * z) // 2) for a, b, c, d in _R60]
 
 
 def _to_sector60(point, x, z):
@@ -208,7 +203,7 @@ def _to_sector60(point, x, z):
     rotation lies: the point's sector (60s - 30, 60s + 30] is read off the
     signs of x and u, v = x -+ 3z and turned back by -60s degrees, _R60[-s]
     written out on u and v (the origin falls through to s = 5).
-    NonIntegralImage, as _rotate60, when x - z is odd."""
+    NonIntegralImage, as _rotations60, when x - z is odd."""
     if (x - z) % 2:
         raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
     u, v = x - 3 * z, x + 3 * z

@@ -8,10 +8,10 @@ b = sum_i D_i p_i^2, so that sum_i D_i phi(q)_i^2 = a N + b.  Verifiers are
 exhaustive for a fixed N: a LevelData holds the canonical point of each
 orbit of the level's solution set U, its lattice points and their phi
 images, and one check function per claim decides it on them.  Each layer's
-images come from a LayerMap, an integer map compiled once that decides once
-whether its images lie on the quadric (keeps_quadric), and a case compiles
-all its layers into one function (ParamCase.layers_map), one call per
-point.  A case binds its group's row of diophantine.GROUPS once
+images come from a LayerMap, which decides once how its layer is applied
+(apply) and whether its images lie on the quadric (keeps_quadric), and a case
+compiles all its layers into one function (ParamCase.layers_map), one call
+per point.  A case binds its group's row of diophantine.GROUPS once
 (ParamCase.action), fitted to phi and the form by _case, so the checks call
 its canonical and orbit_size with no check per call.  FAIL is data, never raised.
 """
@@ -53,20 +53,27 @@ class AffineMap:
 
 
 class LayerMap:
-    """m -> (P m + p) / den: the layer-j image of the lattice point q with
-    basis coefficients m, phi(q) at j = 0 and phi(omega_j + M_j q) above.
+    """m -> the layer-j image of the lattice point q with basis coefficients
+    m, phi(q) at j = 0 and phi(omega_j + M_j q) above: apply(m), chosen once.
 
-    One integer map per (case, j), composed once from integer matrices: with
-    q = C m / Q (linalg.QuadraticForm), omega_j = W / w and phi(x) = F x + f,
-    the image is (w F M_j C m + Q F W + Q w f) / (Q w), reduced by the gcd of
-    its entries.  numerators, m -> P m + p, is compiled once
-    (linalg.compile_affine): the image itself when den is 1, as for every
-    registered case.  Otherwise a call divides each component by den, and a
-    remainder raises NonIntegralImage naming q, built only for that message.
+    For an AffineMap phi, one integer map m -> (P m + p) / den composed once
+    from integer matrices: with q = C m / Q (linalg.QuadraticForm),
+    omega_j = W / w and phi(x) = F x + f, the image is
+    (w F M_j C m + Q F W + Q w f) / (Q w), reduced by the gcd of its entries.
+    apply is numerators, m -> P m + p compiled once (linalg.compile_affine),
+    when den is 1, as for every registered case; otherwise it divides by den,
+    and a remainder raises NonIntegralImage naming q.  Any other phi is
+    applied point by point (layer_image), the path the compiled maps are
+    tested against, with den None and keeps_quadric False.
     """
 
     def __init__(self, case, j):
-        form, phi, self.j = case.length, case.phi_map, j
+        form = self._form = case.length
+        phi, self.j = case.phi_map, j
+        if not isinstance(phi, AffineMap):
+            coordinates, self.den, self.keeps_quadric = form.coordinates, None, False
+            self.apply = lambda m: layer_image(case, j, coordinates(m))
+            return
         if j:
             MC = linalg.matmul(weyl.matrix_Mj(case.type_id, j), form.C)
             W, w = dynkin.lookup_type(case.type_id).integer_weights[j - 1]
@@ -77,16 +84,17 @@ class LayerMap:
         p = [Q * (linalg.dot(row, W) + w * c) for row, c in zip(phi.P, phi.p)]
         g = math.gcd(Q * w, *p, *(x for row in P for x in row))
         self.P = tuple(tuple(x // g for x in row) for row in P)
-        self.p, self.den, self._form = tuple(x // g for x in p), Q * w // g, form
+        self.p, self.den = tuple(x // g for x in p), Q * w // g
         self.numerators = linalg.compile_affine(self.P, self.p)
         self.keeps_quadric = form.pulls_back(case.form, self.P, self.p, self.den, case.a, case.b)
+        self.apply = self.numerators if self.den == 1 else self._divided
 
     def __call__(self, m):
-        numerators, den = self.numerators(m), self.den
-        if den == 1:
-            return numerators
-        image = []
-        for num in numerators:
+        return self.apply(m)
+
+    def _divided(self, m):
+        image, den = [], self.den
+        for num in self.numerators(m):
             y, r = divmod(num, den)
             if r:
                 q = ",".join(map(str, self._form.coordinates(m)))
@@ -94,16 +102,6 @@ class LayerMap:
                                        f" of layer {self.j} at q = ({q})")
             image.append(y)
         return tuple(image)
-
-
-def layer_map(case, j):
-    """m -> layer_image(case, j, q) for the lattice point q with basis
-    coefficients m: one LayerMap when phi is an AffineMap, otherwise phi
-    applied point by point (the reference the LayerMaps are tested against)."""
-    if isinstance(case.phi_map, AffineMap):
-        return LayerMap(case, j)
-    coordinates = case.length.coordinates
-    return lambda m: layer_image(case, j, coordinates(m))
 
 
 # The involutive rank-2 change of coordinates (q1, q2) -> (q1+q2, q1-q2).
@@ -122,16 +120,12 @@ class ParamCase:
     group: str
     claim: str                      # 'complete', 'orbit-size', 'extended' or 'stratified'
     phi_map: callable
-    family_form: object = field(default=None, repr=False)  # hyperoctahedral length
+    # the atomic length on the lattice, a linalg.QuadraticForm; a
+    # hyperoctahedral case's is its family's, which needs no registry type
+    length: object = field(repr=False)
 
     def equation_value(self, n):
         return self.a * n + self.b
-
-    @property
-    def length(self):
-        """The atomic length on the case's lattice, a linalg.QuadraticForm; a
-        hyperoctahedral case carries its family's, which needs no registry type."""
-        return self.family_form or atomic.length_form(self.type_id, self.weight, self.lattice)
 
     @linalg.memo
     def action(self):
@@ -141,24 +135,25 @@ class ParamCase:
 
     @linalg.memo
     def image_map(self):
-        """layer_map(self, 0), from basis coefficients to phi images."""
-        return layer_map(self, 0)
+        """LayerMap(self, 0), from basis coefficients to phi images."""
+        return LayerMap(self, 0)
 
     @linalg.memo
     def layer_maps(self):
-        """layer_map(self, j) for each j in weyl.sigma_indices, one per element
+        """LayerMap(self, j) for each j in weyl.sigma_indices, one per element
         of Omega; dynkin.UnknownType for a rank the registry does not hold."""
-        return (self.image_map,) + tuple(layer_map(self, j)
+        return (self.image_map,) + tuple(LayerMap(self, j)
                                          for j in weyl.sigma_indices(self.type_id)[1:])
 
     @linalg.memo
     def layers_map(self):
         """m -> the tuple of the layer_maps images of m: one function compiled
-        in blocks (linalg.compile_stacked) when each is a LayerMap of den 1."""
-        maps = self.layer_maps
-        if all(isinstance(f, LayerMap) and f.den == 1 for f in maps):
-            return linalg.compile_stacked(maps)
-        return lambda m: tuple([f(m) for f in maps])
+        in blocks (linalg.compile_stacked) when every map has den 1, as
+        stacking needs integer rows; otherwise one apply per map."""
+        if all(f.den == 1 for f in self.layer_maps):
+            return linalg.compile_stacked(self.layer_maps)
+        applies = [f.apply for f in self.layer_maps]
+        return lambda m: tuple([f(m) for f in applies])
 
 
 def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
@@ -187,7 +182,7 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
         raise ValueError(f"case {case_id}: the offset -P q* = ({p}) is not an integer vector")
     a, r = divmod(L * sum(d * row[0] ** 2 for d, row in zip(D, PC)), Q * Q * A[0][0])
     case = ParamCase(case_id, type_id, weight, lattice, a, sum(d * c * c for d, c in zip(D, p)),
-                     tuple(D), group, claim, AffineMap(P, p), family_form=length)
+                     tuple(D), group, claim, AffineMap(P, p), form)
     if r or not form.pulls_back(case.form, PC, [Q * c for c in p], Q, case.a, case.b):
         raise ValueError(f"case {case_id}: sum_i D_i y_i^2 is not an integer multiple of the length")
     # each invariance test checks the form's length against the group's rank
@@ -343,11 +338,8 @@ class LevelData:
 
     @linalg.memo
     def images(self):
-        """phi of each lattice point, in the order of points; a LayerMap of
-        den 1 is applied as its compiled numerators."""
-        f = self.case.image_map
-        return list(map(f.numerators if isinstance(f, LayerMap) and f.den == 1 else f,
-                        self.coefficients))
+        """phi of each lattice point, in the order of points."""
+        return list(map(self.case.image_map.apply, self.coefficients))
 
     @linalg.memo
     def layers(self):
@@ -362,7 +354,7 @@ class LevelData:
     def off_quadric(self, images, maps):
         """The index of the first image off the quadric, or None; no image is
         tested when each of the maps that made them keeps the quadric."""
-        if all(getattr(f, "keeps_quadric", False) for f in maps):
+        if all(f.keeps_quadric for f in maps):
             return None
         return next((i for i, img in enumerate(images) if not self.on_quadric(img)), None)
 
@@ -502,6 +494,10 @@ def check_stratified(level):
         return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
     if not strata.partition_ok:
         return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
+    # decided once per level: (point, layer) of the first image off the quadric
+    maps = level.case.layer_maps
+    off = level.off_quadric((img for layer in level.layers for img in layer), maps)
+    off = off if off is None else divmod(off, len(maps))
     # Separation is a rotation-orbit statement: the reflection can carry one
     # extended image onto the mirror rotation orbit of another in the same
     # stratum (first seen at N = 3), so only orbits under the rotation
@@ -512,9 +508,8 @@ def check_stratified(level):
     # the shared class with the least key.
     classes, c6 = {}, diophantine.GROUPS["C6"].canonical
     for i, layer in enumerate(level.layers):
-        off = level.off_quadric(layer, level.case.layer_maps)
         for j, img in enumerate(layer):
-            if j == off:
+            if (i, j) == off:
                 return _fail(case_id, n, counts,
                              {"reason": "layer image off the quadric", "image": img})
             classes.setdefault((c6(img[::2]), img[1]), []).append((j, i))

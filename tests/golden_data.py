@@ -381,3 +381,24 @@ ENUMERATE_PARTITIONS_SHA256 = "ea1f3a0bed7aeecf84fb64b1ab2fbf30ace422374c5c2541e
 # ball's D and every entry of a and b as str(Fraction(x)), so that an int and
 # an equal Fraction hash the same
 COMPILED_SEARCH_SHA256 = "f9011ae13a41648b318ba3d75e002ad856c3c801742bb1c700bce85958d58c44"
+
+
+# SHA-256 of the concatenated stdout of `corelat solve --case <id> --N <n>
+# --format <fmt>` over n = 0..40, keyed (id, fmt): CSV for every param.CASES
+# id plus HYP:C1_1 and HYP:B4_1, and JSON for A2, A3 and HYP:B4_1
+SOLVE_SHA256 = {
+    ("A2", "csv"): "36e22f33b0906fda1adf1185c6247e7c209f1b53d144691660d3c22ad43a623f",
+    ("A2ext", "csv"): "29077378b6fc3b00d9793953965b93911092838de62f0cfccf2a5e1a9b0787f1",
+    ("C2", "csv"): "79be02ac17321f4d6b6293898a31b2aaa9e577da55a87e1e4f348f293eabd0df",
+    ("C2L1", "csv"): "96134465bea7ac71e5b43cdda888cd6766611597546986796edfdf3433e4f5db",
+    ("D3t", "csv"): "e5a40c2b736398aef2853bb3161f81fd2c66cb4b54cc5c431c4d02cc1baa8ff1",
+    ("A42", "csv"): "b01bc8e7ec9ce2011a0715461d029b253ff69b0762f550e39b89a89c0e5931da",
+    ("G21", "csv"): "3ee415ffb99a989a7cdecd20a232c377cf1ca1f722930dd3732d49e0f88208c6",
+    ("D43", "csv"): "43e378c3af330273d69cff937d31f5630ad9965e44357fd2ba69a21e1767eb8e",
+    ("A3", "csv"): "4764bd6e6c0c9d53c1b6472fcfab830f0fa07adde1d0e5a794b9925c709a2e2d",
+    ("HYP:C1_1", "csv"): "28154b45286db349bfa511176ecae7c73a466b2a6069a11cd9b744ee2c8629db",
+    ("HYP:B4_1", "csv"): "5832cff310e0223ca2bfd550789cdf621c225a943372f21b40f09cd7cde16d02",
+    ("A2", "json"): "39f690032ffd6cb0ba6457f1d86a5f64e96677a42c5507ccf2635e54c25f94cd",
+    ("A3", "json"): "48fb2d1711199f0f38fcca9dc513828ce67c24bdd298ea5915794dbaec44560b",
+    ("HYP:B4_1", "json"): "0fb90c7a6e87157aebbe9638d68fa2dd5abce3366b5a9ba2d0f069c18132658c",
+}

@@ -648,7 +648,7 @@ def hyp_phi(family, n):
 def case_length(case, q):
     """Atomic length of a lattice point from its definition (the family
     polynomial of a hyperoctahedral case), not from the enumerator's form."""
-    if case.family_form is not None:
+    if case.case_id.startswith("HYP:"):
         family, n = param._hyp_family_of_type(case.type_id)
         spec = param._HYP_FAMILIES[family]
         return (spec["kappa"](n) * sum(Fraction(x) ** 2 for x in q)

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from corelat import atomic, cli, dynkin, param
 
-from golden_data import (CONJECTURE_A3_JSON_3, ENUMERATE_SHA256, SWEEP_SHA256, TABLE_12N7,
-                         TABLE_40N10, TABLE_6N7, TABLE_8N1, VERIFY_JSON)
+from golden_data import (CONJECTURE_A3_JSON_3, ENUMERATE_SHA256, SOLVE_SHA256, SWEEP_SHA256,
+                         TABLE_12N7, TABLE_40N10, TABLE_6N7, TABLE_8N1, VERIFY_JSON)
 from oracles import enumerate_command
 
 
@@ -368,6 +368,17 @@ def test_long_sweeps_are_byte_identical(argv):
     code, out = run_cli(list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[argv]
+
+
+@pytest.mark.parametrize("case_id,fmt", sorted(SOLVE_SHA256))
+def test_solve_levels_are_byte_identical(case_id, fmt):
+    # solve prints U as the solver returns it, sorted, with no second sort
+    digest = hashlib.sha256()
+    for n in range(41):
+        code, out = run_cli(["solve", "--case", case_id, "--N", str(n), "--format", fmt])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == SOLVE_SHA256[case_id, fmt]
 
 
 @pytest.mark.parametrize("argv", sorted(ENUMERATE_SHA256))

@@ -382,7 +382,7 @@ def test_ga3_sieve_keeps_exactly_the_residues_that_can_leave_a_square():
 def test_sector60_rotation_matches_the_r60_matrices():
     # the one-frame rotation into (-30, 30] degrees is the largest of the six
     # halved _R60 rotations of (x, sqrt(3) z), and off the parity domain it
-    # raises _rotate60's text, naming the point
+    # raises _rotations60's text, naming the point
     for x in range(-40, 41):
         for z in range(-40, 41):
             point = (x, 5, z)

@@ -325,9 +325,13 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
     monkeypatch.setattr(linalg, "_IntegerBall", CountingBall)
     monkeypatch.setattr(linalg, "compile_level", counting_level)
     monkeypatch.setattr(linalg.QuadraticForm, "ball", ball)
-    # the builders' forms are compiled afresh, not by an earlier test
+    # the builders' forms are compiled afresh, not by an earlier test: the
+    # nine cases hold forms rebuilt here, and hyp_case builds its own
     atomic.length_form.cache_clear()
     param.hyp_case.cache_clear()
+    for case_id, case in list(param.CASES.items()):
+        monkeypatch.setitem(param.CASES, case_id, dataclasses.replace(
+            case, length=atomic.length_form(case.type_id, case.weight, case.lattice)))
 
     def builds(run):
         # one level search compiled per ball, however many levels it serves
@@ -606,7 +610,7 @@ def test_compiled_layer_map_with_a_denominator_matches_the_divmod_loop():
     # the identity phi on C2L1 has den 2: integral and non-integral images,
     # and the NonIntegralImage text, are the dot-product loop's
     identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
-    f = param.layer_map(dataclasses.replace(param.get_case("C2L1"), phi_map=identity), 0)
+    f = param.LayerMap(dataclasses.replace(param.get_case("C2L1"), phi_map=identity), 0)
     assert f.den == 2
     assert_layer_map_matches(f)
     assert f((1, 0)) == oracle_layer_image(f, (1, 0)) == (1, 0)

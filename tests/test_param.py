@@ -502,7 +502,7 @@ def test_phi_lands_on_quadric_identically(case_id):
         assert [2 * row[0] for row in _matmul(_matmul(_transpose(Pj), D), pj_col)] == \
             [case.a * x for x in form.b], (case_id, j)
         assert _matmul(_matmul([pj], D), pj_col) == [[case.b]], (case_id, j)
-        assert param.layer_map(case, j).keeps_quadric, (case_id, j)
+        assert param.LayerMap(case, j).keeps_quadric, (case_id, j)
 
 
 def _layers(case):
@@ -519,22 +519,30 @@ def _layers(case):
                          + ["HYP:A5_2", "HYP:A4_2", "HYP:D5_2"])
 def test_layer_maps_match_per_point_path(case_id):
     # the fused integer maps give the images and layers of the per-point
-    # path, which applies phi through coordinates and weyl.extended_image;
-    # every case's map is integral (den 1, after reducing by the gcd), and
-    # its integers satisfy the quadric identity
+    # path, which applies phi through coordinates and weyl.extended_image
+    # once per layer image; every case's map is integral (den 1, after
+    # reducing by the gcd) and applied as its compiled numerators, and its
+    # integers satisfy the quadric identity
     # sum_i d_i y_i^2 = a (m^T A m + B.m) + b in m wherever the layer action
     # keeps the length (at Lambda_0; C2L1 is at Lambda_1)
-    case = get_case(case_id)
-    per_point = dataclasses.replace(case, phi_map=lambda q: case.phi_map(q))
+    case, calls = get_case(case_id), []
+    per_point = dataclasses.replace(case, phi_map=lambda q: calls.append(q) or case.phi_map(q))
+    layered = len(_layers(case)) > 1
     for n in range(41):
         fused, reference = param.LevelData(case, n), param.LevelData(per_point, n)
+        calls.clear()
         assert fused.images == reference.images, (case_id, n)
-        if len(_layers(case)) > 1:
+        assert len(calls) == len(reference.coefficients), (case_id, n)
+        if layered:
+            calls.clear()
             assert fused.layers == reference.layers, (case_id, n)
+            assert len(calls) == len(case.layer_maps) * len(reference.coefficients), (case_id, n)
+    per_point_maps = per_point.layer_maps if layered else (per_point.image_map,)
+    assert all(f.den is None and not f.keeps_quadric for f in per_point_maps), case_id
     form, D = case.length, case.form
     for j in _layers(case):
-        fused = param.layer_map(case, j)
-        assert isinstance(fused, param.LayerMap) and fused.den == 1
+        fused = param.LayerMap(case, j)
+        assert fused.den == 1 and fused.apply is fused.numerators, (case_id, j)
         if j and case.weight:
             continue
         P, p, scale = fused.P, fused.p, case.a * fused.den ** 2
@@ -568,7 +576,7 @@ def test_non_integral_layer_image_names_its_point():
     # N = 3 the third lattice point is the first with a half-integer image
     case = get_case("C2L1")
     identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
-    assert param.layer_map(dataclasses.replace(case, phi_map=identity), 0).den == 2
+    assert param.LayerMap(dataclasses.replace(case, phi_map=identity), 0).den == 2
     for phi, error in ((identity, "non-integral image component 1/2 of layer 0 at q = (1/2,-1/2)"),
                        (lambda q: identity(q), "non-integral image component 1/2")):
         report = param._decide(param.check_complete,
@@ -584,7 +592,7 @@ def test_keeps_quadric_is_false_off_the_identity():
     assert not any(f.keeps_quadric for f in dataclasses.replace(get_case("A2ext"), b=16).layer_maps)
     # C2L1's layer 2 is at Lambda_1 and off the identity; its claim reads
     # layer 0 alone
-    assert not param.layer_map(get_case("C2L1"), 2).keeps_quadric
+    assert not param.LayerMap(get_case("C2L1"), 2).keeps_quadric
 
 
 def _shifted(case):

@@ -2,7 +2,8 @@
 standard library and corelat itself, and parses as the oldest Python that
 pyproject.toml's requires-python admits.  Its classes cache attributes with
 linalg.memo, not with functools.cached_property, which takes a lock.  Every
-private name it defines is used in src."""
+private name it defines is used in src, and only param.LayerMap tests what
+kind of map a phi is."""
 
 import ast
 import re
@@ -76,6 +77,31 @@ def test_no_module_uses_functools_cached_property():
             elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
                 used.append(f"{path.name}:{node.lineno}")
     assert used == []
+
+
+def test_only_layer_map_tests_the_kind_of_a_map():
+    # LayerMap decides once how its layer is applied (apply, den,
+    # keeps_quadric); no other code tests a phi for AffineMap, and none
+    # tests for a LayerMap or reads keeps_quadric with a default
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "LayerMap" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "getattr") and len(node.args) >= 2):
+                continue
+            arg = node.args[1]
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(arg)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if node.func.id == "getattr":
+                tested = isinstance(arg, ast.Constant) and arg.value == "keeps_quadric"
+            else:
+                tested = "LayerMap" in names or ("AffineMap" in names and id(node) not in inside)
+            if tested:
+                found.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert found == []
 
 
 def test_a_memo_is_computed_once(monkeypatch):
