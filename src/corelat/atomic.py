@@ -6,16 +6,24 @@ translation by x, the statistic evaluates to
     h * (lambda | x) + (level * h / 2) * |x|^2 - level * ht(x),
 
 which specialises to (h/2)|x|^2 - ht(x) at Lambda_0.  The delta coefficient
-z never contributes.  Everything is exact.  A point v, a tuple of
-coordinates or a LatticeVector, is read once as integers V / q by
-dynkin.integer_point: int and Fraction coordinates as they are, any other
-kind through Fraction, and a point whose length is not the type's
-ambient_dim is refused.  Each statistic is then one Fraction built from
-integer dot products with the type's compiled root solver
-(dynkin.TypeData.root_solver), its height functional and its fundamental
-weights, all scaled to integers once per type.  Lattice
-membership uses a SpanSolver per (type, lattice) and tests integrality of
-the coefficients by divisibility.
+z never contributes.  Everything is exact.  At a weight the statistic on
+v = V / q is (q W.V + K V.V) / (M q^2) for integers (W, K, M), the rows of
+_rows, from the type's root solver (dynkin.TypeData.root_solver), its height
+functional and the weight scaled to integers; length_form builds the
+statistic's quadratic form from the same rows.  A point is a tuple of
+coordinates or a LatticeVector, a sequence that may be read twice.  Each of
+atomic_length0, atomic_length_i and extended_atomic_length is one call to a
+compiled kernel (linalg.compile_kernel) that reads int, Fraction and float
+coordinates by as_integer_ratio and returns one Fraction.  A kernel is a
+closure over one compiled factory per shape, kept in a module cache keyed by
+(type name, i) or by a weight's rows, never on a TypeData or a weight.  Any
+point the kernel does not read goes to its slow path, the generic reader
+dynkin.root_span_integers: a numeric string is read through Fraction, and a
+point whose length is not the type's ambient_dim, a vector of another type
+or a point off the root span is refused.  height, norm_sq, defect and
+lattice membership read a point through that generic reader; membership uses
+a SpanSolver per (type, lattice) and tests integrality of the coefficients
+by divisibility.
 """
 
 from dataclasses import dataclass
@@ -56,13 +64,18 @@ class DominantWeight:
     finite_part: tuple      # stored coordinates of lambda
     level: Fraction
 
+    def __reduce__(self):
+        # the three fields alone; what a weight memoises is rebuilt on use
+        return DominantWeight, (self.type_id, self.finite_part, self.level)
+
     @linalg.memo
-    def _scaled(self):
-        """The (lam, level) arguments of _statistic for this weight, scaled
-        to integers on first use: the finite part as dynkin.integer_point
-        reads it and the level as (numerator, denominator)."""
+    def _integer_rows(self):
+        """The statistic's rows (W, K, M) at this weight (_rows), built on
+        first use: the finite part as dynkin.integer_point reads it and the
+        level as its numerator over its denominator."""
+        t = lookup_type(self.type_id)
         (a,), b = linalg.integer_vector((self.level,))
-        return dynkin.integer_point(lookup_type(self.type_id), self.finite_part), (a, b)
+        return _rows(t, dynkin.integer_point(t, self.finite_part), (a, b))
 
 
 def _type(t):
@@ -99,21 +112,57 @@ def norm_sq(t, v):
     return Fraction(t.scale_sq * linalg.dot(V, V), q * q)
 
 
-def _statistic(t, v, lam=((), 1), level=(1, 1)):
-    """h (lam | v) + level ((h/2)|v|^2 - ht(v)) for lam = L / p and
-    level = a / b given as integers (L, p) and (a, b), as one Fraction of
-    integer dot products on v = V / q."""
-    V, q = dynkin.root_span_integers(t, v)
-    solver, (L, p), (a, b) = t.root_solver, lam, level
-    hs, den = t.h * t.scale_sq, 2 * solver.D * q * b
-    # 2 D q^2 times the atomic length (h/2)|v|^2 - ht(v)
-    length0 = hs * solver.D * linalg.dot(V, V) - 2 * q * linalg.dot(solver.total, V)
-    return Fraction(den * hs * linalg.dot(L, V) + a * p * length0, den * q * p)
+def _rows(t, lam, level):
+    """Integers (W, K, M) such that h (lam | v) + level ((h/2)|v|^2 - ht(v))
+    at v = V / q is (q W.V + K V.V) / (M q^2), for lam = L / p and
+    level = a / b given as (L, p) and (a, b), and total / D the height
+    functional of the root solver: W = 2 (h scale_sq D b L - a p total),
+    K = a p h scale_sq D and M = 2 p D b."""
+    (L, p), (a, b) = lam, level
+    D, hs = t.root_solver.D, t.h * t.scale_sq
+    W = tuple(2 * (hs * D * b * x - a * p * y) for x, y in zip(L, t.root_solver.total))
+    return W, a * p * hs * D, 2 * p * D * b
+
+
+def _index_rows(t, i):
+    """_rows at the fundamental weight Lambda_i, i in 0..n."""
+    L, p = t.integer_weights[i - 1] if i else ((0,) * t.ambient_dim, 1)
+    return _rows(t, (L, p), (t.comarks[i], t.comarks[0]))
+
+
+def _compile(t, rows):
+    """The statistic of the rows (W, K, M) on points of t as one compiled
+    kernel (linalg.compile_kernel), with the generic reader as its slow path:
+    dynkin.root_span_integers, which refuses every point the kernel does not
+    read, and the same quotient."""
+    W, K, M = rows
+
+    def slow(v):
+        V, q = dynkin.root_span_integers(t, v)
+        return Fraction(q * linalg.dot(W, V) + K * linalg.dot(V, V), M * q * q)
+
+    return linalg.compile_kernel(t.name, t.root_solver.equations, rows, slow)
+
+
+# The kernels live in these caches only, never on a TypeData or a weight, so
+# every record still pickles.  A caller may build any number of weights, so
+# their cache keeps the last 1024.
+@lru_cache(maxsize=None)
+def _kernel(type_name, i):
+    """The kernel of the statistic at Lambda_i, i in 0..n."""
+    t = lookup_type(type_name)
+    return _compile(t, _index_rows(t, i))
+
+
+@lru_cache(maxsize=1024)
+def _weight_kernel(type_name, rows):
+    """The kernel of the statistic with a weight's rows (W, K, M)."""
+    return _compile(lookup_type(type_name), rows)
 
 
 def atomic_length0(t, v):
     """(h/2)|v|^2 - ht(v); total on the rational root span."""
-    return _statistic(_type(t), v)
+    return _kernel(_type(t).name, 0)(v)
 
 
 def atomic_length_i(t, i, v):
@@ -121,7 +170,7 @@ def atomic_length_i(t, i, v):
     t = _type(t)
     if not 1 <= i <= t.n:
         raise BadIndex(f"index {i} outside 1..{t.n} for {t.name}")
-    return _statistic(t, v, t.integer_weights[i - 1], (t.comarks[i], t.comarks[0]))
+    return _kernel(t.name, i)(v)
 
 
 def extended_atomic_length(t, weight, x):
@@ -130,7 +179,7 @@ def extended_atomic_length(t, weight, x):
     t = _type(t)
     if weight.type_id != t.name:
         raise ValueError(f"weight of type {weight.type_id} given for {t.name}")
-    return _statistic(t, x, *weight._scaled)
+    return _weight_kernel(t.name, weight._integer_rows)(x)
 
 
 def defect(t, weight, x, y):
@@ -153,22 +202,14 @@ def _basis(t, lattice):
 @lru_cache(maxsize=None)
 def length_form(type_name, weight_index, lattice):
     """The statistic at Lambda_{weight_index} as a linalg.QuadraticForm over
-    the integer coefficients of the lattice basis.
-
-    With lam = L / p the weight's finite part (t.integer_weights, zero at
-    index 0), a / b = a_i^v / a_0^v its level and total / D the height
-    functional of the root solver, the statistic is (a h scale_sq / 2b) |x|^2
-    plus the linear part h (lam | x) - (a / b) ht(x), one integer row over p D b.
-    """
+    the integer coefficients of the lattice basis: with the rows (W, K, M)
+    of _rows, (K / M) |x|^2 plus the linear part W.x / M."""
     t = lookup_type(type_name)
     basis = _basis(t, lattice)      # refused before the index is read
     if not 0 <= weight_index <= t.n:
         raise BadIndex(f"index {weight_index} outside 0..{t.n} for {t.name}")
-    L, p = t.integer_weights[weight_index - 1] if weight_index else ((0,) * t.ambient_dim, 1)
-    a, b = t.comarks[weight_index], t.comarks[0]
-    solver, hs = t.root_solver, t.h * t.scale_sq
-    row = [hs * solver.D * b * x - a * p * y for x, y in zip(L, solver.total)]
-    return linalg.QuadraticForm.on_basis(basis, Fraction(a * hs, 2 * b), (row, p * solver.D * b))
+    W, K, M = _index_rows(t, weight_index)
+    return linalg.QuadraticForm.on_basis(basis, Fraction(K, M), (W, M))
 
 
 # the most values a level search may loop its outermost coordinate over;

@@ -26,6 +26,9 @@ The lattice models are positive bead sets.  The bar partition of a rank-n
 point q is the positive beads of its (2n+2)-charge, whose core is that bar
 partition's doubled diagram; the D_4^(3) partition of (q_1, q_2) is the
 positive beads of a 4-abacus with runner counts (m_0 + 1, m_1, |q_1|, m_-1).
+
+hook_lengths and conjugate are public API, the hooks the package lists
+among its features, though no other module calls them.
 """
 
 from fractions import Fraction

@@ -29,7 +29,13 @@ as a form's C m, is compiled once into a straight-line Python function
 in blocks it returns one tuple per block of rows, so several maps of the
 same m, stacked (compile_stacked), cost one call.  QuadraticForm.pulls_back
 decides once, in integers, whether an integer map carries the form onto a
-diagonal quadric.
+diagonal quadric.  A statistic kernel (compile_kernel) returns
+(q W.V + K V.V) / (M q^2) at a point V / q read by as_integer_ratio, after
+testing the span equations; its source (kernel_source) is one factory per
+shape (point length, number of equations), compiled once, of which each
+kernel is a closure.  The generated source of all three, affine maps, level
+searches and kernel factories, runs only through _define, and it finds
+isqrt, lcm and Fraction among this module's globals.
 memo, the attribute cache of every corelat class, lives here as the lowest
 module.
 """
@@ -37,7 +43,8 @@ module.
 import itertools
 import math
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, lcm
 from operator import mul
 
 
@@ -131,9 +138,11 @@ def _args(names):
 
 
 def _define(source, name):
-    """The function the source defines under name, built once by exec."""
-    namespace = {"isqrt": isqrt}
-    exec(source, namespace)
+    """The function the source defines under name, built once by exec.  Its
+    code looks its global names (isqrt, lcm, Fraction) up in this module, at
+    each call, so it finds what a test patches here."""
+    namespace = {}
+    exec(source, globals(), namespace)
     return namespace[name]
 
 
@@ -182,6 +191,64 @@ def compile_stacked(maps):
     (compile_affine), so applying every map is one call."""
     return compile_affine([row for f in maps for row in f.P], [c for f in maps for c in f.p],
                           [len(f.p) for f in maps])
+
+
+def kernel_source(n, e):
+    """The Python source of `def shape(name, slow, K, M, w0.., e0_0..)`, the
+    factory of every statistic kernel on points of n coordinates whose type
+    has e span equations.
+
+    The factory returns `kernel(v)`, a closure over its arguments: the
+    quotient (q W.V + K V.V) / (M q^2) at v = V / q, with W = (w0, ..),
+    when v has n coordinates, each with an as_integer_ratio, and every row
+    (e{j}_0, ..) sends V to 0.  A point attached to a type other than name,
+    and any other point, is slow(v)'s: the generic path, which reads or
+    refuses it.  Each coordinate is an unpacked local and every product
+    is written out, so a call runs no loop and no dot product; only the
+    shape is in the source, and a closure for another type compiles
+    nothing.
+    """
+    v, w = [f"v{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+    rows = [[f"e{j}_{i}" for i in range(n)] for j in range(e)]
+
+    def products(u, x):
+        """The source of the dot product of two lists of names."""
+        return " + ".join(f"{a}*{b}" for a, b in zip(u, x))
+
+    lines = ['if getattr(v, "type_id", name) != name:',
+             "    return slow(v)",
+             "try:",
+             f"    {_args(v)}= v",
+             *[f"    v{i}, q{i} = v{i}.as_integer_ratio()" for i in range(n)],
+             "except (AttributeError, TypeError, ValueError, OverflowError):",
+             "    return slow(v)",
+             # the product of the denominators is 1 only when each is
+             f"q = {'*'.join(f'q{i}' for i in range(n))}",
+             "if q != 1:",
+             f"    q = lcm({_args(f'q{i}' for i in range(n))})",
+             *[f"    v{i} *= q // q{i}" for i in range(n)],
+             *[line for row in rows for line in (f"if {products(row, v)}:", "    return slow(v)")],
+             f"return Fraction(q*({products(w, v)}) + K*({products(v, v)}), M*q*q)"]
+    params = _args(["name", "slow", "K", "M", *w, *(x for row in rows for x in row)])
+    return (f"def shape({params}):\n    def kernel(v):\n"
+            + "".join(f"        {line}\n" for line in lines) + "    return kernel\n")
+
+
+@lru_cache(maxsize=None)
+def _shape(n, e):
+    """The kernel factory of kernel_source(n, e), built once per shape."""
+    return _define(kernel_source(n, e), "shape")
+
+
+def compile_kernel(name, equations, rows, slow):
+    """The kernel of kernel_source for the integer rows (W, K, M) on points
+    of type name whose span equations are the integer rows equations: a
+    closure over the factory of its shape (len(W), len(equations)), which is
+    compiled on the shape's first kernel only."""
+    W, K, M = rows
+    if any(len(row) != len(W) for row in equations):
+        raise ValueError(f"span equations of another length than {len(W)} coordinates")
+    return _shape(len(W), len(equations))(name, slow, K, M, *W, *(x for row in equations for x in row))
 
 
 def reduced(V, q):

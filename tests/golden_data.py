@@ -402,3 +402,39 @@ SOLVE_SHA256 = {
     ("A3", "json"): "48fb2d1711199f0f38fcca9dc513828ce67c24bdd298ea5915794dbaec44560b",
     ("HYP:B4_1", "json"): "0fb90c7a6e87157aebbe9638d68fa2dd5abce3366b5a9ba2d0f069c18132658c",
 }
+
+
+# type -> SHA-256 of the concatenated stdout of `corelat atomic-length --type
+# <type> --weight <w> --coords=<point> --format <fmt>` over w = L0, L1, then
+# three points of lattice M (its first basis vector, the sum of its basis
+# vectors and that sum's negation, each coordinate as str(Fraction(x))),
+# then fmt = csv, json, in that nesting; for every type of
+# dynkin.all_type_ids(4) plus E6_1, E7_1 and E8_1
+ATOMIC_LENGTH_SHA256 = {
+    "A1_1": "d112d8dc4eab85180f36981517ffe161ec29b04ec408dc161bb7bd8fa695740a",
+    "A2_1": "7234c34b603891cc98fd6d11ffeae587f3d9e6ed45d38e754dd2ad11659f4069",
+    "A3_1": "edb65b28a4ec6604830c96b81271e8b9763fef3bc13c698466bd2ff47a0822dc",
+    "A4_1": "3e62851de32f3785f09a5798ae48c04a8a739e16cf15109a875b3e17b3fc1a5b",
+    "B3_1": "4480c5f4d5c5885b982b48d39407e82b69920dfba865732bf1922f11388f5788",
+    "B4_1": "d938bb1fe73c0680684b2ba0fb7a88a482a5b2d3e1ff0bd9be45e94a66f81356",
+    "C2_1": "9211cbbabbb30b3be2066b14fce827be105be9cb1234d842515cbb4c6cf4888c",
+    "C3_1": "aab83590a77d87c11cd44fe99187dc4a0e5fc987846256a60eb84eaafca3105a",
+    "C4_1": "919c95b896d6232adf5214ae20e5ad86c90c49318f0a89ef4b633b2288363071",
+    "D4_1": "52c083ad0053a77c2aca2771e2ae309c6c4bfe87a4a7c2eb0f1320a1efaf4ca9",
+    "F4_1": "e9b3bdf9a63e23f312a368e1a2e51810d30a4cc7d183d629b6ec69349e914a7f",
+    "G2_1": "30f927960c1833780a77acd1c4dcc764f0119a4f7f897f1ff3d28d7ba0a56eeb",
+    "A2_2": "9a4bbf667a4e076923c2ede145149a971c02f7ab9dc312e548eeeb654421da3b",
+    "A4_2": "61263c492aafe72a22e0c9001f1b86ddafd644650e2fad9e05b0da4928ecea43",
+    "A6_2": "205d26dd95d88ec501d5c1963089c4767c6fe3e29332949af974b8b17540d644",
+    "A8_2": "14c51fea20d961c72a1147e677e0519e3023c7d2746661166d85b0c61194b798",
+    "A5_2": "94e9258b555d051fabedde7110df2b7cf112f6c35fe13b38d129d32fbc3cd41b",
+    "A7_2": "90abc090072dc9aaefb38c3ff0cff1d444eda5cde27d538d6dcf64b4c7fe2e37",
+    "D3_2": "60a6d5bec49319c998b1eb9e77967ba2891f3014d03c50442f159e198cacd145",
+    "D4_2": "6ee15ee0896cc859f0b4ed83b0fd442c00f21b0d299e4df09debb900cc653090",
+    "D5_2": "5449a84908420965a14bd061ad70f69bfd56c0147f990e55c4821dfcf5c6b0b8",
+    "E6_2": "2070bcffe0b1e32da8db49c48f5e7e04073cd4ef571aa3e62facee96d6783fe7",
+    "D4_3": "6e883c8210458657566739555eea1a39ced79797068bce48aa0f2b744af6fff1",
+    "E6_1": "c89b7493220e8b4fb289a3b846a3d5de739757faf487d6ba2b6047902e8f3559",
+    "E7_1": "59d52a05590f8627c60b0a20c7efaa12176aabb364cb14f71ea023e1c7c65c27",
+    "E8_1": "4d4e6558b3b5d8b0bd5b48a2254ef95da853a579511dad980799cba7e6d2f92d",
+}

@@ -12,14 +12,16 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corelat import atomic, cli, dynkin, param
 
-from golden_data import (CONJECTURE_A3_JSON_3, ENUMERATE_SHA256, SOLVE_SHA256, SWEEP_SHA256,
-                         TABLE_12N7, TABLE_40N10, TABLE_6N7, TABLE_8N1, VERIFY_JSON)
+from golden_data import (ATOMIC_LENGTH_SHA256, CONJECTURE_A3_JSON_3, ENUMERATE_SHA256,
+                         SOLVE_SHA256, SWEEP_SHA256, TABLE_12N7, TABLE_40N10, TABLE_6N7,
+                         TABLE_8N1, VERIFY_JSON)
 from oracles import enumerate_command
 
 
@@ -85,6 +87,33 @@ def test_atomic_length_verb():
                          "--coords", "1/2,1/2", "--format", "json"])
     assert code == 0
     assert json.loads(out)["value"] == "2"
+
+
+def atomic_length_argvs(type_id):
+    """The atomic-length commands ATOMIC_LENGTH_SHA256 hashes for a type, in
+    its order."""
+    t = dynkin.lookup_type(type_id)
+    total = tuple(map(sum, zip(*t.m_basis)))
+    for weight in ("L0", "L1"):
+        for point in (t.m_basis[0], total, tuple(-x for x in total)):
+            coords = ",".join(str(Fraction(x)) for x in point)
+            for fmt in ("csv", "json"):
+                yield ["atomic-length", "--type", type_id, "--weight", weight,
+                       f"--coords={coords}", "--format", fmt]
+
+
+@pytest.mark.parametrize("type_id", sorted(ATOMIC_LENGTH_SHA256))
+def test_atomic_length_is_byte_identical(type_id):
+    digest = hashlib.sha256()
+    for argv in atomic_length_argvs(type_id):
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == ATOMIC_LENGTH_SHA256[type_id]
+
+
+def test_atomic_length_golden_covers_the_evaluation_types():
+    assert list(ATOMIC_LENGTH_SHA256) == dynkin.all_type_ids(4) + ["E6_1", "E7_1", "E8_1"]
 
 
 def test_solve_verb():

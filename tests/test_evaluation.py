@@ -1,8 +1,12 @@
 """Differential tests: compiled root-span and lattice solvers against the
 Fraction kernels they replaced (tests/oracles.py), on every kind of point
-the library reads, and the Fraction count of the point-evaluation path."""
+the library reads, and the Fraction count of the point-evaluation path.
+The statistic kernels compile once per shape, read int, Fraction and
+LatticeVector points without the generic path, and leave every record
+picklable."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -297,3 +301,93 @@ def test_a_vector_of_another_type_is_refused():
     assert atomic.in_lattice(t, point) == oracles.in_lattice(t, (1, -1, 0))
     assert (weyl.extended_image(t, weyl.ExtGrassElement("A2_1", 1, point))
             == oracles.extended_image(t, weyl.ExtGrassElement("A2_1", 1, (1, -1, 0))))
+
+
+def custom_weight(t):
+    """A dominant weight of t that no weight_Lambda equals."""
+    return DominantWeight(t.name, combination(dynkin.fundamental_weights(t), range(1, t.n + 1)),
+                          Fraction(3, 2))
+
+
+def evaluate_everything(t):
+    """Every statistic of t at weights 0..n and at custom_weight, and
+    in_lattice, on one point of lattice M; the weights used."""
+    v = combination(t.m_basis, range(1, len(t.m_basis) + 1))
+    weights = [atomic.weight_Lambda(t, i) for i in range(t.n + 1)] + [custom_weight(t)]
+    atomic.atomic_length0(t, v)
+    for i in range(1, t.n + 1):
+        atomic.atomic_length_i(t, i, v)
+    for weight in weights:
+        atomic.extended_atomic_length(t, weight, v)
+    atomic.in_lattice(t, v)
+    return weights
+
+
+def test_records_pickle_after_every_statistic():
+    # the kernels live in module caches only: a type and its weights pickle,
+    # and unpickle equal, after every statistic has run on them
+    for name in TYPES:
+        t = lookup_type(name)
+        for record in (t, *evaluate_everything(t)):
+            assert pickle.loads(pickle.dumps(record)) == record, (name, record)
+
+
+def test_each_kernel_shape_compiles_once(monkeypatch):
+    # one compiled factory per (ambient_dim, span equations) shape, however
+    # many types and weights share it; a second round compiles nothing
+    for cache in (linalg._shape, atomic._kernel, atomic._weight_kernel):
+        cache.cache_clear()
+    compiled = []
+    define = linalg._define
+
+    def counted(source, name):
+        compiled.append(source)
+        return define(source, name)
+
+    monkeypatch.setattr(linalg, "_define", counted)
+    types = [lookup_type(name) for name in TYPES]
+    for t in types:
+        evaluate_everything(t)
+    shapes = {(t.ambient_dim, len(t.root_solver.equations)) for t in types}
+    assert sorted(compiled) == sorted(linalg.kernel_source(n, e) for n, e in shapes)
+    compiled.clear()
+    for t in types:
+        evaluate_everything(t)
+    assert compiled == []
+
+
+class Generic(Exception):
+    """Raised by the generic reader a test patches in."""
+
+
+def test_only_the_points_a_kernel_cannot_read_take_the_generic_path(monkeypatch):
+    # int, Fraction, float and right-type LatticeVector points are the
+    # kernel's alone; a numeric string or a point off the span reaches
+    # dynkin.root_span_integers, the generic reader
+    cases = []
+    for name in TYPES:
+        t = lookup_type(name)
+        v = combination(t.m_basis, range(1, len(t.m_basis) + 1))
+        q = math.lcm(*(Fraction(x).denominator for x in v))
+        weight = custom_weight(t)
+        calls = (lambda p, t=t: atomic.atomic_length0(t, p),
+                 lambda p, t=t: atomic.atomic_length_i(t, t.n, p),
+                 lambda p, t=t, w=weight: atomic.extended_atomic_length(t, w, p))
+        fast = (tuple(int(x * q) for x in v), tuple(map(Fraction, v)), LatticeVector(name, v),
+                tuple(float(x * q) for x in v))
+        slow = [tuple(map(str, v))]
+        if name in OFF_SPAN_TYPES:
+            slow.append(tuple(x + u for x, u in zip(v, off_span_direction(t))))
+        expected = [[call(point) for call in calls] for point in fast]
+        cases.append((calls, fast, expected, slow))
+
+    def generic(t, v):
+        raise Generic(t.name, v)
+
+    monkeypatch.setattr(dynkin, "root_span_integers", generic)
+    for calls, fast, expected, slow in cases:
+        assert [[call(point) for call in calls] for point in fast] == expected
+        for point in slow:
+            for call in calls:
+                with pytest.raises(Generic):
+                    call(point)

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -661,6 +662,20 @@ def test_level_source_refuses_a_constant_that_is_not_an_int(bad, where, monkeypa
     with pytest.raises(ValueError, match="is not an int"):
         linalg.compile_level(**constants)
     assert executed == []
+
+
+def test_compile_kernel_reads_what_it_can_and_hands_on_the_rest():
+    # (q W.V + K V.V) / (M q^2) on the line x + y = 0 of type "X"; a point
+    # off it, of another type or of unreadable coordinates is slow's
+    kernel = linalg.compile_kernel("X", ((1, 1),), ((2, 0), 1, 1), lambda v: ("slow", v))
+    assert kernel((1, -1)) == 4 and type(kernel((1, -1))) is Fraction
+    assert kernel((Fraction(1, 2), -0.5)) == Fraction(3, 2)
+    for point in ((1, 0), ("1", "-1"), (1, -1, 0), (1,), 7,
+                  types.SimpleNamespace(type_id="Y", coords=(1, -1))):
+        assert kernel(point) == ("slow", point)
+    assert linalg.compile_kernel("X", (), ((3,), 2, 5), None)((Fraction(2, 3),)) == Fraction(26, 45)
+    with pytest.raises(ValueError, match="span equations"):
+        linalg.compile_kernel("X", ((1,),), ((2, 0), 1, 1), None)
 
 
 def test_compile_affine_edge_shapes():

@@ -2,8 +2,8 @@
 standard library and corelat itself, and parses as the oldest Python that
 pyproject.toml's requires-python admits.  Its classes cache attributes with
 linalg.memo, not with functools.cached_property, which takes a lock.  Every
-private name it defines is used in src, and only param.LayerMap tests what
-kind of map a phi is."""
+private name it defines is used in src, only param.LayerMap tests what
+kind of map a phi is, and generated source runs only in linalg._define."""
 
 import ast
 import re
@@ -65,6 +65,29 @@ def test_generated_maps_parse_at_the_floor():
                 if isinstance(node, ast.FunctionDef)} == {"level"} | depths
         assert {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)} <= (
             {"isqrt", "divmod", "range", "append"} | depths)
+    # linalg.kernel_source too: one factory per shape (ambient_dim, span
+    # equations), calling only what reads a point and builds the quotient
+    for n, e in ((1, 0), (2, 0), (2, 1), (3, 1), (8, 0), (8, 2), (50, 0), (51, 1)):
+        tree = ast.parse(linalg.kernel_source(n, e), feature_version=FLOOR)
+        calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert calls <= {"getattr", "as_integer_ratio", "lcm", "Fraction", "slow"}
+
+
+def test_only_linalg_define_runs_generated_source():
+    # every compiled function (affine maps, level searches, statistic
+    # kernels) is built by linalg._define, the one place exec runs
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        define = {id(node) for func in ast.walk(tree) if path.stem == "linalg"
+                  and isinstance(func, ast.FunctionDef) and func.name == "_define"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                (inside if id(node) in define else outside).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and outside == []
 
 
 def test_no_module_uses_functools_cached_property():
