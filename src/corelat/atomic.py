@@ -9,21 +9,22 @@ which specialises to (h/2)|x|^2 - ht(x) at Lambda_0.  The delta coefficient
 z never contributes.  Everything is exact.  At a weight the statistic on
 v = V / q is (q W.V + K V.V) / (M q^2) for integers (W, K, M), the rows of
 _rows, from the type's root solver (dynkin.TypeData.root_solver), its height
-functional and the weight scaled to integers; length_form builds the
-statistic's quadratic form from the same rows.  A point is a tuple of
+functional and the weight scaled to integers.  A DominantWeight derives its
+rows once (_integer_rows); the kernels and length_form's quadratic form read
+them there, at Lambda_i from weight_Lambda.  A point is a tuple of
 coordinates or a LatticeVector, a sequence that may be read twice.  Each of
 atomic_length0, atomic_length_i and extended_atomic_length is one call to a
 compiled kernel (linalg.compile_kernel) that reads int, Fraction and float
 coordinates by as_integer_ratio and returns one Fraction.  A kernel is a
 closure over one compiled factory per shape, kept in a module cache keyed by
-(type name, i) or by a weight's rows, never on a TypeData or a weight.  Any
-point the kernel does not read goes to its slow path, the generic reader
-dynkin.root_span_integers: a numeric string is read through Fraction, and a
-point whose length is not the type's ambient_dim, a vector of another type
-or a point off the root span is refused.  height, norm_sq, defect and
-lattice membership read a point through that generic reader; membership uses
-a SpanSolver per (type, lattice) and tests integrality of the coefficients
-by divisibility.
+a weight's rows and fronted by one keyed by (type name, i), never on a
+TypeData or a weight.  Any point the kernel does not read goes to its slow
+path, the generic reader dynkin.root_span_integers: a numeric string is read
+through Fraction, and an iterator, a point whose length is not the type's
+ambient_dim, a vector of another type or a point off the root span is
+refused.  height, norm_sq, defect and lattice membership read a point
+through that generic reader; membership uses a SpanSolver per (type,
+lattice) and tests integrality of the coefficients by divisibility.
 """
 
 from dataclasses import dataclass
@@ -63,10 +64,6 @@ class DominantWeight:
     type_id: str
     finite_part: tuple      # stored coordinates of lambda
     level: Fraction
-
-    def __reduce__(self):
-        # the three fields alone; what a weight memoises is rebuilt on use
-        return DominantWeight, (self.type_id, self.finite_part, self.level)
 
     @linalg.memo
     def _integer_rows(self):
@@ -124,40 +121,31 @@ def _rows(t, lam, level):
     return W, a * p * hs * D, 2 * p * D * b
 
 
-def _index_rows(t, i):
-    """_rows at the fundamental weight Lambda_i, i in 0..n."""
-    L, p = t.integer_weights[i - 1] if i else ((0,) * t.ambient_dim, 1)
-    return _rows(t, (L, p), (t.comarks[i], t.comarks[0]))
-
-
-def _compile(t, rows):
-    """The statistic of the rows (W, K, M) on points of t as one compiled
-    kernel (linalg.compile_kernel), with the generic reader as its slow path:
-    dynkin.root_span_integers, which refuses every point the kernel does not
-    read, and the same quotient."""
+# The kernels live in these caches only, never on a TypeData or a weight, so
+# every record still pickles.  A caller may build any number of weights, so
+# their cache keeps the last 1024.
+@lru_cache(maxsize=1024)
+def _weight_kernel(type_name, rows):
+    """The compiled kernel (linalg.compile_kernel) of a weight's rows
+    (W, K, M).  Its slow path refuses an iterator, which the kernel has
+    read, then runs the generic reader dynkin.root_span_integers."""
+    t = lookup_type(type_name)
     W, K, M = rows
 
     def slow(v):
+        if iter(v) is v:
+            raise ValueError("a point is a sequence of coordinates, not an iterator")
         V, q = dynkin.root_span_integers(t, v)
         return Fraction(q * linalg.dot(W, V) + K * linalg.dot(V, V), M * q * q)
 
     return linalg.compile_kernel(t.name, t.root_solver.equations, rows, slow)
 
 
-# The kernels live in these caches only, never on a TypeData or a weight, so
-# every record still pickles.  A caller may build any number of weights, so
-# their cache keeps the last 1024.
 @lru_cache(maxsize=None)
 def _kernel(type_name, i):
-    """The kernel of the statistic at Lambda_i, i in 0..n."""
-    t = lookup_type(type_name)
-    return _compile(t, _index_rows(t, i))
-
-
-@lru_cache(maxsize=1024)
-def _weight_kernel(type_name, rows):
-    """The kernel of the statistic with a weight's rows (W, K, M)."""
-    return _compile(lookup_type(type_name), rows)
+    """The kernel of the statistic at Lambda_i, i in 0..n: _weight_kernel at
+    the weight's rows, cached by (type name, i) so a call hashes no rows."""
+    return _weight_kernel(type_name, weight_Lambda(type_name, i)._integer_rows)
 
 
 def atomic_length0(t, v):
@@ -202,13 +190,13 @@ def _basis(t, lattice):
 @lru_cache(maxsize=None)
 def length_form(type_name, weight_index, lattice):
     """The statistic at Lambda_{weight_index} as a linalg.QuadraticForm over
-    the integer coefficients of the lattice basis: with the rows (W, K, M)
-    of _rows, (K / M) |x|^2 plus the linear part W.x / M."""
+    the integer coefficients of the lattice basis: with the weight's rows
+    (W, K, M), (K / M) |x|^2 plus the linear part W.x / M."""
     t = lookup_type(type_name)
     basis = _basis(t, lattice)      # refused before the index is read
     if not 0 <= weight_index <= t.n:
         raise BadIndex(f"index {weight_index} outside 0..{t.n} for {t.name}")
-    W, K, M = _index_rows(t, weight_index)
+    W, K, M = weight_Lambda(t, weight_index)._integer_rows
     return linalg.QuadraticForm.on_basis(basis, Fraction(K, M), (W, M))
 
 

@@ -15,7 +15,9 @@ tails yields, before each ball compiled its level search
 QuadraticForm.on_basis, kappa times a sum of Fraction products per entry,
 and length_form_parts the (a, b) of atomic.length_form from gram and the
 original Fraction callback for the linear part, before on_basis took an
-integer row.
+integer row.  index_rows is the original atomic._index_rows, the rows
+(W, K, M) at Lambda_i read off t.integer_weights, from before every weight
+derived its rows as a DominantWeight.
 
 eliminate and fundamental_weights are the original Gauss-Jordan elimination
 of linalg and fundamental weights of dynkin, in Fraction arithmetic (the
@@ -448,6 +450,12 @@ def length_form_parts(type_id, weight_index, lattice):
     basis = _basis(t, lattice)
     return (gram(basis, level * t.h * t.scale_sq / 2),
             tuple(t.h * t.inner(lam, v) - level * height(t, v) for v in basis))
+
+
+def index_rows(t, i):
+    """_rows at the fundamental weight Lambda_i, i in 0..n."""
+    L, p = t.integer_weights[i - 1] if i else ((0,) * t.ambient_dim, 1)
+    return atomic._rows(t, (L, p), (t.comarks[i], t.comarks[0]))
 
 
 class RecursiveBall(_IntegerBall):

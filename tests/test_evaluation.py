@@ -2,7 +2,8 @@
 Fraction kernels they replaced (tests/oracles.py), on every kind of point
 the library reads, and the Fraction count of the point-evaluation path.
 The statistic kernels compile once per shape, read int, Fraction and
-LatticeVector points without the generic path, and leave every record
+LatticeVector points without the generic path, refuse an iterator they
+cannot read, are shared by Lambda_i and its index, and leave every record
 picklable."""
 
 import math
@@ -356,6 +357,16 @@ def test_each_kernel_shape_compiles_once(monkeypatch):
     assert compiled == []
 
 
+def test_a_fundamental_weight_and_its_index_share_one_kernel():
+    # _kernel is the (type name, i) front of _weight_kernel, so
+    # atomic_length_i and extended_atomic_length at Lambda_i run one kernel
+    for name in TYPES:
+        t = lookup_type(name)
+        for i in range(t.n + 1):
+            rows = atomic.weight_Lambda(t, i)._integer_rows
+            assert atomic._kernel(name, i) is atomic._weight_kernel(name, rows), (name, i)
+
+
 class Generic(Exception):
     """Raised by the generic reader a test patches in."""
 
@@ -391,3 +402,19 @@ def test_only_the_points_a_kernel_cannot_read_take_the_generic_path(monkeypatch)
             for call in calls:
                 with pytest.raises(Generic):
                     call(point)
+
+
+def test_an_iterator_point_is_refused_on_the_slow_path():
+    # the kernel unpacks an iterator before the slow path could read it, so
+    # the slow path refuses one instead of reading it empty; an iterator the
+    # kernel reads whole is still its own
+    t = lookup_type("A2_1")
+    weight = atomic.weight_Lambda(t, 1)
+    calls = (lambda p: atomic.atomic_length0(t, p),
+             lambda p: atomic.atomic_length_i(t, 1, p),
+             lambda p: atomic.extended_atomic_length(t, weight, p))
+    for call in calls:
+        for coords in (("1", "-1", "0"), (1, -1), (1, -1, 0, 0)):
+            with pytest.raises(ValueError, match="not an iterator"):
+                call(x for x in coords)
+        assert call(x for x in (1, -1, 0)) == call((1, -1, 0))

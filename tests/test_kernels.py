@@ -245,6 +245,28 @@ def test_length_form_matches_the_fraction_callback(type_id, weight, lattice):
     assert (form.a, form.b) == length_form_parts(type_id, weight, lattice)
 
 
+@pytest.mark.parametrize("type_id", dynkin.all_type_ids(8) + [
+    "A50_1", "B50_1", "C50_1", "D50_1", "A49_2", "A50_2", "D50_2"])
+def test_weight_rows_match_the_index_rows_oracle(type_id):
+    # each fundamental weight derives the rows that atomic once read off
+    # t.integer_weights, and length_form is the form of those rows; the
+    # rank-50 forms take seconds to build at every weight, so three weights
+    # stand for the others there
+    t = dynkin.lookup_type(type_id)
+    forms_at = range(t.n + 1) if t.n <= 8 else (0, 1, t.n)
+    for i in range(t.n + 1):
+        W, K, M = rows = oracles.index_rows(t, i)
+        assert atomic.weight_Lambda(t, i)._integer_rows == rows, i
+        for lattice in ("M", "L") if i in forms_at else ():
+            try:
+                basis = atomic._basis(t, lattice)
+            except atomic.UnsupportedLattice:
+                continue
+            form = atomic.length_form(type_id, i, lattice)
+            want = linalg.QuadraticForm.on_basis(basis, Fraction(K, M), (W, M))
+            assert (form.a, form.b) == (want.a, want.b), (i, lattice)
+
+
 def test_gram_matches_fraction_products_on_hyp_and_core_size_forms():
     for type_id in HYP_TYPES:
         family, n = param._hyp_family_of_type(type_id)

@@ -3,7 +3,8 @@ standard library and corelat itself, and parses as the oldest Python that
 pyproject.toml's requires-python admits.  Its classes cache attributes with
 linalg.memo, not with functools.cached_property, which takes a lock.  Every
 private name it defines is used in src, only param.LayerMap tests what
-kind of map a phi is, and generated source runs only in linalg._define."""
+kind of map a phi is, generated source runs only in linalg._define, and
+only atomic.DominantWeight turns a weight into the statistic's rows."""
 
 import ast
 import re
@@ -125,6 +126,23 @@ def test_only_layer_map_tests_the_kind_of_a_map():
             if tested:
                 found.append(f"{path.name}:{node.lineno} {node.func.id}")
     assert found == []
+
+
+def test_only_a_dominant_weight_derives_the_rows():
+    # atomic._rows, the statistic's integer rows (W, K, M) at a weight, is
+    # called once, in DominantWeight; the kernels and length_form read the
+    # weight's rows
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        weight = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "DominantWeight"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_rows" in (getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None)):
+                (inside if id(node) in weight else outside).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and outside == []
 
 
 def test_a_memo_is_computed_once(monkeypatch):
