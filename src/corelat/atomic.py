@@ -22,9 +22,10 @@ TypeData or a weight.  Any point the kernel does not read goes to its slow
 path, the generic reader dynkin.root_span_integers: a numeric string is read
 through Fraction, and an iterator, a point whose length is not the type's
 ambient_dim, a vector of another type or a point off the root span is
-refused.  height, norm_sq, defect and lattice membership read a point
-through that generic reader; membership uses a SpanSolver per (type,
-lattice) and tests integrality of the coefficients by divisibility.
+refused.  in_lattice is one call to a compiled membership kernel
+(linalg.compile_membership), one per (type, lattice) in a module cache,
+whose slow path is SpanSolver.in_lattice on dynkin.integer_point.  height,
+norm_sq and defect read a point through the generic reader.
 """
 
 from dataclasses import dataclass
@@ -233,12 +234,22 @@ def enumerate_atomic(t, weight_index, target, lattice="M"):
 
 
 @lru_cache(maxsize=None)
-def _lattice_solver(type_name, lattice):
-    return linalg.SpanSolver(_basis(lookup_type(type_name), lattice))
+def _membership(type_name, lattice):
+    """The compiled membership kernel (linalg.compile_membership) of the
+    lattice's SpanSolver.  Its slow path refuses an iterator, as
+    _weight_kernel's does, then runs SpanSolver.in_lattice on the generic
+    reader dynkin.integer_point."""
+    t = lookup_type(type_name)
+    solver = linalg.SpanSolver(_basis(t, lattice))
+
+    def slow(v):
+        if iter(v) is v:
+            raise ValueError("a point is a sequence of coordinates, not an iterator")
+        return solver.in_lattice(*dynkin.integer_point(t, v))
+
+    return linalg.compile_membership(t.name, solver, slow)
 
 
 def in_lattice(t, v, lattice="M"):
     """Whether v is an integer combination of the lattice basis."""
-    t = _type(t)
-    solver = _lattice_solver(t.name, lattice)
-    return solver.in_lattice(*dynkin.integer_point(t, v))
+    return _membership(_type(t).name, lattice)(v)

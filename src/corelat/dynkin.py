@@ -125,9 +125,13 @@ class TypeData:
 
     @linalg.memo
     def comarks(self):
-        """a_0^v .. a_n^v: a_0^v = 1 and a_i^v = a_i |alpha_i|^2 / 2."""
-        return (1,) + tuple(int(a * self.inner(alpha, alpha) / 2)
-                            for a, alpha in zip(self.marks[1:], self.simple_roots))
+        """a_0^v .. a_n^v: a_0^v = 1 and a_i^v = a_i |alpha_i|^2 / 2, that is
+        a_i scale_sq G_ii / (2 Q^2) with (Q, R, G) of integer_roots."""
+        Q, _, G = self.integer_roots
+        pairs = [divmod(a * self.scale_sq * G[i][i], 2 * Q * Q) for i, a in enumerate(self.marks[1:])]
+        if any(r for _, r in pairs):
+            raise ValueError(f"a comark of {self.name} is not an integer")
+        return (1, *(c for c, _ in pairs))
 
     @linalg.memo
     def ambient_dim(self):

@@ -33,9 +33,11 @@ diagonal quadric.  A statistic kernel (compile_kernel) returns
 (q W.V + K V.V) / (M q^2) at a point V / q read by as_integer_ratio, after
 testing the span equations; its source (kernel_source) is one factory per
 shape (point length, number of equations), compiled once, of which each
-kernel is a closure.  The generated source of all three, affine maps, level
-searches and kernel factories, runs only through _define, and it finds
-isqrt, lcm and Fraction among this module's globals.
+kernel is a closure; a membership kernel (compile_membership) is
+SpanSolver.in_lattice built the same way, with the same point reader
+(_point_factory).  The generated source of all four, affine maps, level
+searches, kernel and membership factories, runs only through _define, and
+it finds isqrt, lcm and Fraction among this module's globals.
 memo, the attribute cache of every corelat class, lives here as the lowest
 module.
 """
@@ -93,9 +95,13 @@ def integer_vector(v):
     An int entry x is read as x / 1 and a Fraction as its numerator over its
     denominator, so a point of either kind costs no Fraction.  Any other
     entry (a float, a numeric string) is converted exactly through Fraction,
-    as Fraction(x) reads it.
+    as Fraction(x) reads it; a non-finite one is a ValueError (Fraction
+    raises OverflowError for an infinity).
     """
-    pairs = [(x if isinstance(x, _EXACT) else Fraction(x)).as_integer_ratio() for x in v]
+    try:
+        pairs = [(x if isinstance(x, _EXACT) else Fraction(x)).as_integer_ratio() for x in v]
+    except OverflowError as error:
+        raise ValueError(str(error)) from None
     q = math.lcm(*[d for _, d in pairs])
     return [n * (q // d) for n, d in pairs], q
 
@@ -193,28 +199,21 @@ def compile_stacked(maps):
                           [len(f.p) for f in maps])
 
 
-def kernel_source(n, e):
-    """The Python source of `def shape(name, slow, K, M, w0.., e0_0..)`, the
-    factory of every statistic kernel on points of n coordinates whose type
-    has e span equations.
+def _dot(u, x):
+    """The source of the dot product of two lists of names."""
+    return " + ".join(f"{a}*{b}" for a, b in zip(u, x))
 
-    The factory returns `kernel(v)`, a closure over its arguments: the
-    quotient (q W.V + K V.V) / (M q^2) at v = V / q, with W = (w0, ..),
-    when v has n coordinates, each with an as_integer_ratio, and every row
-    (e{j}_0, ..) sends V to 0.  A point attached to a type other than name,
-    and any other point, is slow(v)'s: the generic path, which reads or
-    refuses it.  Each coordinate is an unpacked local and every product
-    is written out, so a call runs no loop and no dot product; only the
-    shape is in the source, and a closure for another type compiles
-    nothing.
-    """
-    v, w = [f"v{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+
+def _point_factory(n, e, params, off_span, tail):
+    """The source of `def shape(name, slow, params.., e0_0..)`, whose closure
+    `kernel(v)` reads v as V / q and runs the lines tail: v of no type other
+    than name, of n coordinates each with an as_integer_ratio, unpacked into
+    locals v{i} and scaled by the lcm q of their denominators.  Any other
+    point is slow(v)'s, the generic path; kernel returns off_span if a span
+    equation (e{j}_0, ..) sends V off 0.  Every product is written out, so a
+    call runs no loop, and only the shape is in the source."""
+    v = [f"v{i}" for i in range(n)]
     rows = [[f"e{j}_{i}" for i in range(n)] for j in range(e)]
-
-    def products(u, x):
-        """The source of the dot product of two lists of names."""
-        return " + ".join(f"{a}*{b}" for a, b in zip(u, x))
-
     lines = ['if getattr(v, "type_id", name) != name:',
              "    return slow(v)",
              "try:",
@@ -227,17 +226,40 @@ def kernel_source(n, e):
              "if q != 1:",
              f"    q = lcm({_args(f'q{i}' for i in range(n))})",
              *[f"    v{i} *= q // q{i}" for i in range(n)],
-             *[line for row in rows for line in (f"if {products(row, v)}:", "    return slow(v)")],
-             f"return Fraction(q*({products(w, v)}) + K*({products(v, v)}), M*q*q)"]
-    params = _args(["name", "slow", "K", "M", *w, *(x for row in rows for x in row)])
+             *[line for row in rows for line in (f"if {_dot(row, v)}:", f"    return {off_span}")],
+             *tail]
+    params = _args(["name", "slow", *params, *(x for row in rows for x in row)])
     return (f"def shape({params}):\n    def kernel(v):\n"
             + "".join(f"        {line}\n" for line in lines) + "    return kernel\n")
 
 
+def kernel_source(n, e):
+    """The source of `def shape(name, slow, K, M, w0.., e0_0..)`, the factory
+    of every statistic kernel on points of n coordinates with e span
+    equations (_point_factory): (q W.V + K V.V) / (M q^2) at v = V / q, with
+    W = (w0, ..), and slow(v) off the span."""
+    v, w = [f"v{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+    return _point_factory(n, e, ["K", "M", *w], "slow(v)",
+                          [f"return Fraction(q*({_dot(w, v)}) + K*({_dot(v, v)}), M*q*q)"])
+
+
+def membership_source(n, e):
+    """The source of `def shape(name, slow, D, r0_0.., e0_0..)`, the factory
+    of every lattice membership kernel on points of n coordinates with e span
+    equations (_point_factory), SpanSolver.in_lattice written out: false off
+    the span, else whether each of the n - e coefficient rows (r{j}_0, ..)
+    sends V to a multiple of D q."""
+    v = [f"v{i}" for i in range(n)]
+    rows = [[f"r{j}_{i}" for i in range(n)] for j in range(n - e)]
+    test = " or ".join(f"({_dot(row, v)}) % Dq" for row in rows)
+    return _point_factory(n, e, ["D", *(x for row in rows for x in row)], "False",
+                          ["Dq = D*q", f"return not ({test})"])
+
+
 @lru_cache(maxsize=None)
-def _shape(n, e):
-    """The kernel factory of kernel_source(n, e), built once per shape."""
-    return _define(kernel_source(n, e), "shape")
+def _shape(source, n, e):
+    """The factory source(n, e) defines, built once per source and shape."""
+    return _define(source(n, e), "shape")
 
 
 def compile_kernel(name, equations, rows, slow):
@@ -248,7 +270,15 @@ def compile_kernel(name, equations, rows, slow):
     W, K, M = rows
     if any(len(row) != len(W) for row in equations):
         raise ValueError(f"span equations of another length than {len(W)} coordinates")
-    return _shape(len(W), len(equations))(name, slow, K, M, *W, *(x for row in equations for x in row))
+    return _shape(kernel_source, len(W), len(equations))(
+        name, slow, K, M, *W, *(x for row in equations for x in row))
+
+
+def compile_membership(name, solver, slow):
+    """The kernel of membership_source for a SpanSolver's lattice on points
+    of type name, a closure over the factory of its shape, as compile_kernel."""
+    return _shape(membership_source, len(solver.rows[0]), len(solver.equations))(
+        name, slow, solver.D, *(x for row in (*solver.rows, *solver.equations) for x in row))
 
 
 def reduced(V, q):

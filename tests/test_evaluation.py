@@ -1,13 +1,14 @@
 """Differential tests: compiled root-span and lattice solvers against the
 Fraction kernels they replaced (tests/oracles.py), on every kind of point
 the library reads, and the Fraction count of the point-evaluation path.
-The statistic kernels compile once per shape, read int, Fraction and
-LatticeVector points without the generic path, refuse an iterator they
-cannot read, are shared by Lambda_i and its index, and leave every record
-picklable."""
+The statistic and membership kernels compile once per shape, read int,
+Fraction, float and LatticeVector points without the generic path, refuse
+an iterator they cannot read, and leave every record picklable; the
+statistic kernels are shared by Lambda_i and its index."""
 
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,12 +33,12 @@ def combination(basis, coeffs):
 
 
 def off_span_direction(t):
-    """The first unit vector outside the root span, found by the oracle."""
+    """The first unit vector outside the root span, found by the oracle's
+    elimination (solve_in_span), which is quicker to run at rank 50 than the
+    oracle's root-span solver is to build."""
     for d in range(t.ambient_dim):
         unit = tuple(Fraction(int(j == d)) for j in range(t.ambient_dim))
-        try:
-            oracles.simple_root_coefficients(t, unit)
-        except NotInRootSpan:
+        if oracles.solve_in_span(t.simple_roots, unit) is None:
             return unit
     raise AssertionError(f"{t.name} has no unit vector outside its root span")
 
@@ -105,6 +106,45 @@ def test_in_lattice_agrees_after_a_fractional_move(name, data):
     for lattice in lattices:
         assert atomic.in_lattice(t, point, lattice) == oracles.in_lattice(t, point, lattice)
         assert atomic.in_lattice(t, moved, lattice) == oracles.in_lattice(t, moved, lattice)
+
+
+def point_kinds(name, v):
+    """The point v (Fractions) as Fraction, str, float (the nearest floats,
+    another point where a coordinate is not a dyadic rational) and
+    LatticeVector coordinates, and as int ones when v is integral."""
+    kinds = [tuple(v), tuple(map(str, v)), tuple(map(float, v)), LatticeVector(name, v)]
+    if all(x.denominator == 1 for x in v):
+        kinds.append(tuple(map(int, v)))
+    return kinds
+
+
+@pytest.mark.parametrize("name", dynkin.all_type_ids(8) + ["E6_1", "E7_1", "E8_1",
+                                                           "A50_1", "C50_1"])
+def test_membership_kernel_agrees_with_the_span_solver_and_the_oracle(name):
+    # members, members moved by a fraction along a basis vector or a
+    # coordinate, and points off the root span, in every coordinate kind
+    t = lookup_type(name)
+    rng = random.Random(name)
+    oracle = {}
+    for lattice in ["M"] + (["L"] if t.l_basis is not None else []):
+        basis = atomic._basis(t, lattice)
+        solver = linalg.SpanSolver(basis)
+        member = combination(basis, [rng.randint(-2, 2) for _ in basis])
+        j, d, k = rng.randrange(len(basis)), rng.randrange(t.ambient_dim), rng.randint(2, 6)
+        points = [member,
+                  tuple(x + Fraction(1, k) * b for x, b in zip(member, basis[j])),
+                  tuple(x + Fraction(1, k) * (i == d) for i, x in enumerate(member))]
+        if t.n < t.ambient_dim:
+            points.append(tuple(x + u for x, u in zip(member, off_span_direction(t))))
+        for v in points:
+            for point in point_kinds(name, v):
+                exact = tuple(map(Fraction, point))
+                if exact not in oracle:
+                    oracle[exact] = oracles.in_lattice(t, exact, lattice)
+                got = atomic.in_lattice(t, point, lattice)
+                assert got == solver.in_lattice(*dynkin.integer_point(t, point)), (lattice, point)
+                assert got == oracle[exact], (lattice, point)
+        assert atomic.in_lattice(t, member, lattice)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -209,7 +249,7 @@ def test_not_in_root_span_messages_are_unchanged(name, point, exact, raw):
 
 def test_int_and_fraction_points_build_no_fraction_per_coordinate(monkeypatch):
     """The four point-eval calls build one Fraction, the statistic's value,
-    on an int or Fraction point; a float point builds one per coordinate."""
+    on an int, Fraction or float point, and in_lattice builds none."""
     cases = []
     for name in TYPES:
         t = lookup_type(name)
@@ -220,7 +260,8 @@ def test_int_and_fraction_points_build_no_fraction_per_coordinate(monkeypatch):
                  lambda p, t=t: atomic.atomic_length_i(t, 1, p),
                  lambda p, t=t, w=weight: atomic.extended_atomic_length(t, w, p),
                  lambda p, t=t: atomic.in_lattice(t, p))
-        points = (tuple(int(x * q) for x in v), tuple(map(Fraction, v)), LatticeVector(name, v))
+        points = (tuple(int(x * q) for x in v), tuple(map(Fraction, v)), LatticeVector(name, v),
+                  tuple(float(x * q) for x in v))
         for call in calls:
             call(points[0])     # builds the type's solvers and weights
         cases.append((t, calls, points))
@@ -240,9 +281,6 @@ def test_int_and_fraction_points_build_no_fraction_per_coordinate(monkeypatch):
                 call(point)
                 counts.append(len(built))
             assert counts == [1, 1, 1, 0], (t.name, point)
-        built.clear()
-        atomic.in_lattice(t, tuple(map(float, points[0])))
-        assert len(built) == t.ambient_dim
 
 
 def test_points_of_the_wrong_length_are_refused():
@@ -265,6 +303,22 @@ def test_points_of_the_wrong_length_are_refused():
     short_weight = DominantWeight("A2_1", (1,), Fraction(1))
     with pytest.raises(ValueError, match=r"^A2_1 takes 3 coordinates \(its ambient_dim\), got 1$"):
         atomic.extended_atomic_length(t, short_weight, (1, -1, 0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_coordinate_is_a_value_error(bad):
+    t = lookup_type("A2_1")
+    weight = atomic.weight_Lambda(t, 1)
+    for point in ((bad, 0, 0), (0, -1, bad), LatticeVector("A2_1", (1, bad, 0))):
+        for call in (lambda: atomic.height(t, point),
+                     lambda: atomic.atomic_length0(t, point),
+                     lambda: atomic.atomic_length_i(t, 1, point),
+                     lambda: atomic.extended_atomic_length(t, weight, point),
+                     lambda: atomic.in_lattice(t, point),
+                     lambda: atomic.in_lattice(t, point, "L")):
+            with pytest.raises(ValueError, match=r"^cannot convert (Infinity|NaN) to integer ratio$") as refused:
+                call()
+            assert refused.type is ValueError
 
 
 def test_a_weight_of_another_type_is_refused():
@@ -334,9 +388,10 @@ def test_records_pickle_after_every_statistic():
 
 
 def test_each_kernel_shape_compiles_once(monkeypatch):
-    # one compiled factory per (ambient_dim, span equations) shape, however
-    # many types and weights share it; a second round compiles nothing
-    for cache in (linalg._shape, atomic._kernel, atomic._weight_kernel):
+    # one compiled statistic factory and one membership factory per
+    # (ambient_dim, span equations) shape, however many types, weights and
+    # lattices share it; a second round compiles nothing
+    for cache in (linalg._shape, atomic._kernel, atomic._weight_kernel, atomic._membership):
         cache.cache_clear()
     compiled = []
     define = linalg._define
@@ -350,7 +405,8 @@ def test_each_kernel_shape_compiles_once(monkeypatch):
     for t in types:
         evaluate_everything(t)
     shapes = {(t.ambient_dim, len(t.root_solver.equations)) for t in types}
-    assert sorted(compiled) == sorted(linalg.kernel_source(n, e) for n, e in shapes)
+    assert sorted(compiled) == sorted(source(n, e) for n, e in shapes
+                                      for source in (linalg.kernel_source, linalg.membership_source))
     compiled.clear()
     for t in types:
         evaluate_everything(t)
@@ -373,8 +429,10 @@ class Generic(Exception):
 
 def test_only_the_points_a_kernel_cannot_read_take_the_generic_path(monkeypatch):
     # int, Fraction, float and right-type LatticeVector points are the
-    # kernel's alone; a numeric string or a point off the span reaches
-    # dynkin.root_span_integers, the generic reader
+    # kernel's alone; a numeric string, or a point off the span for a
+    # statistic, reaches dynkin.root_span_integers, the generic reader, and
+    # for in_lattice a numeric string reaches dynkin.integer_point, which a
+    # point off the span does not
     cases = []
     for name in TYPES:
         t = lookup_type(name)
@@ -384,24 +442,29 @@ def test_only_the_points_a_kernel_cannot_read_take_the_generic_path(monkeypatch)
         calls = (lambda p, t=t: atomic.atomic_length0(t, p),
                  lambda p, t=t: atomic.atomic_length_i(t, t.n, p),
                  lambda p, t=t, w=weight: atomic.extended_atomic_length(t, w, p))
+        member = lambda p, t=t: atomic.in_lattice(t, p)
         fast = (tuple(int(x * q) for x in v), tuple(map(Fraction, v)), LatticeVector(name, v),
                 tuple(float(x * q) for x in v))
         slow = [tuple(map(str, v))]
         if name in OFF_SPAN_TYPES:
             slow.append(tuple(x + u for x, u in zip(v, off_span_direction(t))))
         expected = [[call(point) for call in calls] for point in fast]
-        cases.append((calls, fast, expected, slow))
+        cases.append((calls, member, fast, expected, slow))
 
     def generic(t, v):
         raise Generic(t.name, v)
 
     monkeypatch.setattr(dynkin, "root_span_integers", generic)
-    for calls, fast, expected, slow in cases:
+    monkeypatch.setattr(dynkin, "integer_point", generic)
+    for calls, member, fast, expected, slow in cases:
         assert [[call(point) for call in calls] for point in fast] == expected
+        assert [member(point) for point in fast + tuple(slow[1:])] == [True] * 4 + [False] * len(slow[1:])
         for point in slow:
             for call in calls:
                 with pytest.raises(Generic):
                     call(point)
+        with pytest.raises(Generic):
+            member(slow[0])
 
 
 def test_an_iterator_point_is_refused_on_the_slow_path():
@@ -412,7 +475,9 @@ def test_an_iterator_point_is_refused_on_the_slow_path():
     weight = atomic.weight_Lambda(t, 1)
     calls = (lambda p: atomic.atomic_length0(t, p),
              lambda p: atomic.atomic_length_i(t, 1, p),
-             lambda p: atomic.extended_atomic_length(t, weight, p))
+             lambda p: atomic.extended_atomic_length(t, weight, p),
+             lambda p: atomic.in_lattice(t, p),
+             lambda p: atomic.in_lattice(t, p, "L"))
     for call in calls:
         for coords in (("1", "-1", "0"), (1, -1), (1, -1, 0, 0)):
             with pytest.raises(ValueError, match="not an iterator"):

@@ -66,13 +66,15 @@ def test_generated_maps_parse_at_the_floor():
                 if isinstance(node, ast.FunctionDef)} == {"level"} | depths
         assert {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)} <= (
             {"isqrt", "divmod", "range", "append"} | depths)
-    # linalg.kernel_source too: one factory per shape (ambient_dim, span
-    # equations), calling only what reads a point and builds the quotient
+    # linalg.kernel_source and membership_source too: one factory per shape
+    # (ambient_dim, span equations), calling only what reads a point and,
+    # for a statistic, builds the quotient
     for n, e in ((1, 0), (2, 0), (2, 1), (3, 1), (8, 0), (8, 2), (50, 0), (51, 1)):
-        tree = ast.parse(linalg.kernel_source(n, e), feature_version=FLOOR)
-        calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                 for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        assert calls <= {"getattr", "as_integer_ratio", "lcm", "Fraction", "slow"}
+        for source, allowed in ((linalg.kernel_source, {"Fraction"}), (linalg.membership_source, set())):
+            tree = ast.parse(source(n, e), feature_version=FLOOR)
+            calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            assert calls <= {"getattr", "as_integer_ratio", "lcm", "slow"} | allowed
 
 
 def test_only_linalg_define_runs_generated_source():
