@@ -438,3 +438,45 @@ ATOMIC_LENGTH_SHA256 = {
     "E7_1": "59d52a05590f8627c60b0a20c7efaa12176aabb364cb14f71ea023e1c7c65c27",
     "E8_1": "4d4e6558b3b5d8b0bd5b48a2254ef95da853a579511dad980799cba7e6d2f92d",
 }
+
+
+# figure -> SHA-256 of the stdout of `corelat table --figure <figure>
+# --format json` over the figure's default range of N
+TABLE_JSON_SHA256 = {
+    "8N+1": "214be8a941d5497e9e7d507dcaf440e13282297173b4a450aa438c802a3fb83a",
+    "40N+10": "174c9219e25f9f5cb8452acf05535620378d297ebce6ea12493ba069ba936316",
+    "6N+7": "77415902e1cdedbe08d8c7947b1cb927e3aa3f488c054a1f5b68b62f31ca4612",
+    "12N+7": "564bf6ccf6301ebe9906439f1bbef70b67a37c8f1edbfb1458bb9fa4f9682e67",
+}
+
+
+# argv -> raw stdout of the sweeps test_cli.test_undecidable_level_is_a_fail_report
+# runs on a case changed so that no level can be decided: every level a FAIL
+# report whose witness carries the solver's error
+FAIL_SWEEPS = {
+    ("verify", "--case", "A2ext", "--N", "1", "--format", "csv"): (
+        'case,N,status,solutions,orbits,phi_images,witness\n'
+        'A2ext,1,FAIL,,,,"{""reason"":""level not decided"",""error"":""NonIntegralImage: '
+        '(3,2) is outside the parity domain""}"\n'),
+    ("verify", "--case", "A2ext", "--N", "1", "--format", "json"): (
+        '[{"case":"A2ext","N":1,"status":"FAIL","counts":{},"witness":{"reason":'
+        '"level not decided","error":"NonIntegralImage: (3,2) is outside the parity domain"}}]\n'),
+    ("verify", "--case", "A2", "--max-N", "1", "--format", "csv"): (
+        'case,N,status,solutions,orbits,phi_images,witness\n'
+        'A2,0,FAIL,,,,"{""reason"":""level not decided"",""error"":""NotClosed: '
+        'the form (1, 2) is not invariant under C6""}"\n'
+        'A2,1,FAIL,,,,"{""reason"":""level not decided"",""error"":""NotClosed: '
+        'the form (1, 2) is not invariant under C6""}"\n'),
+    ("verify", "--case", "A2", "--max-N", "1", "--format", "json"): (
+        '[{"case":"A2","N":0,"status":"FAIL","counts":{},"witness":{"reason":'
+        '"level not decided","error":"NotClosed: the form (1, 2) is not invariant under C6"}},'
+        '{"case":"A2","N":1,"status":"FAIL","counts":{},"witness":{"reason":'
+        '"level not decided","error":"NotClosed: the form (1, 2) is not invariant under C6"}}]\n'),
+    ("conjecture-a3", "--max-N", "0", "--format", "csv"): (
+        'case,N,status,solutions,orbits,phi_images,witness\n'
+        'A3conj,0,FAIL,,,,"{""reason"":""level not decided"",""error"":""NonIntegralImage: '
+        '(2,0,-3) is outside the parity domain""}"\n'),
+    ("conjecture-a3", "--max-N", "0", "--format", "json"): (
+        '[{"case":"A3conj","N":0,"status":"FAIL","counts":{},"witness":{"reason":'
+        '"level not decided","error":"NonIntegralImage: (2,0,-3) is outside the parity domain"}}]\n'),
+}

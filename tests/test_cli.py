@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from corelat import atomic, cli, dynkin, param
 
 from golden_data import (ATOMIC_LENGTH_SHA256, CONJECTURE_A3_JSON_3, ENUMERATE_SHA256,
-                         SOLVE_SHA256, SWEEP_SHA256, TABLE_12N7, TABLE_40N10, TABLE_6N7,
-                         TABLE_8N1, VERIFY_JSON)
+                         FAIL_SWEEPS, SOLVE_SHA256, SWEEP_SHA256, TABLE_12N7, TABLE_40N10,
+                         TABLE_6N7, TABLE_8N1, TABLE_JSON_SHA256, VERIFY_JSON)
 from oracles import enumerate_command
 
 
@@ -305,7 +305,7 @@ def test_undecidable_level_is_a_fail_report(monkeypatch, capsys, case_id, change
         code = cli.main(argv + ["--format", fmt])
         out, err = capsys.readouterr()
         assert code == 1 and err == ""
-        assert "Traceback" not in out
+        assert out == FAIL_SWEEPS[tuple(argv + ["--format", fmt])]
         rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
         assert rows and all(row["status"] == "FAIL" for row in rows)
         witness = rows[0]["witness"] if fmt == "json" else json.loads(rows[0]["witness"])
@@ -371,6 +371,13 @@ def test_golden_table_12n7():
     code, out = run_cli(["table", "--figure", "12N+7", "--max-N", "19"])
     assert code == 0
     assert out == golden_12n7()
+
+
+@pytest.mark.parametrize("figure", sorted(TABLE_JSON_SHA256))
+def test_table_json_is_byte_identical(figure):
+    code, out = run_cli(["table", "--figure", figure, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_JSON_SHA256[figure]
 
 
 def test_table_default_ranges():
