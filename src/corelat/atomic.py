@@ -236,11 +236,12 @@ def enumerate_atomic(t, weight_index, target, lattice="M"):
 @lru_cache(maxsize=None)
 def _membership(type_name, lattice):
     """The compiled membership kernel (linalg.compile_membership) of the
-    lattice's SpanSolver.  Its slow path refuses an iterator, as
-    _weight_kernel's does, then runs SpanSolver.in_lattice on the generic
-    reader dynkin.integer_point."""
+    lattice's SpanSolver, t.root_solver on the simple roots.  Its slow path
+    refuses an iterator, as _weight_kernel's does, then runs
+    SpanSolver.in_lattice on the generic reader dynkin.integer_point."""
     t = lookup_type(type_name)
-    solver = linalg.SpanSolver(_basis(t, lattice))
+    basis = _basis(t, lattice)
+    solver = t.root_solver if basis is t.simple_roots else linalg.SpanSolver(basis)
 
     def slow(v):
         if iter(v) is v:

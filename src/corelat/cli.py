@@ -1,8 +1,10 @@
 """Command-line front end: enumeration, table reproduction, theorem sweeps.
 
-Output is CSV or JSON on stdout, byte-deterministic for fixed inputs.  Exit
-codes: 0 when everything requested PASSes, 1 on a verification FAIL (the
-witness is in the output), 2 on usage errors.
+Output is CSV or JSON on stdout, byte-deterministic for fixed inputs, and
+the sweeps (verify, conjecture-a3, table) write and flush each level as it
+is decided.  Exit codes: 0 when everything requested PASSes, 1 on a
+verification FAIL (the witness is in the output), 2 on a usage error, which
+writes nothing to stdout, and on a stdout closed before the output ends.
 
 `enumerate` prints a level from the sorted integer rows C m of its length
 form (QuadraticForm.level_numerators): each distinct integer is formatted
@@ -13,8 +15,10 @@ refused as a usage error (atomic.level_form).
 """
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -36,6 +40,8 @@ FIGURES = {
 }
 
 VERIFY_CASES = tuple(param.CASES)
+
+_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _fraction(token):
@@ -60,45 +66,46 @@ def _cell(tuples):
     return ";".join(map(_fmt_tuple, tuples))
 
 
-def _partition_cell(partitions):
-    return ";".join(cores.format_partition(p) for p in sorted(partitions))
-
-
 def figure_rows(figure, max_n):
-    spec = FIGURES[figure]
-    case = param.get_case(spec["case"])
-    rows = []
+    """The figure's CSV rows, N = 0 to max_n, each decided when asked for."""
+    case = param.get_case(FIGURES[figure]["case"])
     for n in range(max_n + 1):
         level = param.LevelData(case, n)
         if figure == "8N+1":
             # split by the parity of the rotated point: even sums lie in M
             rotated = [(param.u_rotate(q), img)
                        for q, img in zip(level.points, level.images)]
-            in_m = [pair for pair in rotated if sum(pair[0]) % 2 == 0]
-            outside = [pair for pair in rotated if sum(pair[0]) % 2 == 1]
-            rows.append([str(n), _cell(sorted(b for b, _ in in_m)),
-                         _cell(sorted(img for _, img in in_m)),
-                         _cell(sorted(b for b, _ in outside)),
-                         _cell(sorted(img for _, img in outside)), _cell(level.solutions)])
+            cells = [str(n)]
+            for parity in (0, 1):
+                half = [pair for pair in rotated if sum(pair[0]) % 2 == parity]
+                cells += [_cell(sorted(b for b, _ in half)), _cell(sorted(img for _, img in half))]
+            yield cells + [_cell(level.solutions)]
         else:
             # the tables list the two free coordinates; phi reads only those
             pairs = [tuple(q[:2]) for q in level.points]
             cells = [_cell(sorted(pairs)), _cell(sorted(level.images)), _cell(level.solutions)]
             if figure == "12N+7":
-                cells.insert(0, _partition_cell(map(cores.d4flat_from_lattice, pairs)))
-            rows.append([str(n)] + cells)
-    return spec["header"], rows
+                partitions = sorted(map(cores.d4flat_from_lattice, pairs))
+                cells.insert(0, ";".join(map(cores.format_partition, partitions)))
+            yield [str(n)] + cells
 
 
-def _emit_csv(header, rows, out):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_json(obj, out):
-    json.dump(obj, out, separators=(",", ":"))
-    out.write("\n")
+def _write(out, fmt, header, items, opening, closing):
+    """Write and flush each item as it arrives: CSV rows under the header, or
+    JSON values joined by commas between opening and closing and a newline,
+    the bytes json.dump(obj, separators=(",", ":")) writes for the whole."""
+    if fmt == "json":
+        out.write(opening)
+        for i, value in enumerate(items):
+            out.write("," + _json(value) if i else _json(value))
+            out.flush()
+        out.write(closing + "\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in items:
+            writer.writerow(row)
+            out.flush()
 
 
 def _check_level(flag, n):
@@ -108,18 +115,21 @@ def _check_level(flag, n):
 
 
 def _report_output(reports, fmt, out):
-    if fmt == "json":
-        _emit_json([r.to_dict() for r in reports], out)
-    else:
-        header = ["case", "N", "status", "solutions", "orbits", "phi_images", "witness"]
-        rows = [[r.case, str(r.N), r.status,
-                 str(r.counts.get("solutions", "")),
-                 str(r.counts.get("orbits", "")),
-                 str(r.counts.get("phi_images", "")),
-                 json.dumps(r.witness, separators=(",", ":")) if r.witness else ""]
-                for r in reports]
-        _emit_csv(header, rows, out)
-    return 0 if all(r.passed for r in reports) else 1
+    """Write each report as it arrives; 1 when any of them FAILed, else 0."""
+    failed = []
+
+    def items():
+        for r in reports:
+            if not r.passed:
+                failed.append(r.N)
+            yield r.to_dict() if fmt == "json" else [
+                r.case, str(r.N), r.status, str(r.counts.get("solutions", "")),
+                str(r.counts.get("orbits", "")), str(r.counts.get("phi_images", "")),
+                _json(r.witness) if r.witness else ""]
+
+    _write(out, fmt, ["case", "N", "status", "solutions", "orbits", "phi_images", "witness"],
+           items(), "[", "]")
+    return 1 if failed else 0
 
 
 def _cmd_atomic_length(args, out):
@@ -132,12 +142,10 @@ def _cmd_atomic_length(args, out):
         value = atomic.atomic_length0(t, coords)
     else:
         value = atomic.atomic_length_i(t, weight, coords)
-    if args.format == "json":
-        _emit_json({"type": args.type, "weight": args.weight,
-                    "coords": list(map(str, coords)), "value": str(value)}, out)
-    else:
-        _emit_csv(["type", "weight", "coords", "value"],
-                  [[args.type, args.weight, _fmt_tuple(coords), str(value)]], out)
+    _write(out, args.format, ["type", "weight", "coords", "value"],
+           [{"type": args.type, "weight": args.weight, "coords": list(map(str, coords)),
+             "value": str(value)} if args.format == "json"
+            else [args.type, args.weight, _fmt_tuple(coords), str(value)]], "", "")
     return 0
 
 
@@ -151,8 +159,8 @@ def _cmd_enumerate(args, out):
     # a level repeats few coordinate values, so each is formatted once
     text = {x: str(Fraction(x, form.Q)) for x in set().union(*rows)}.__getitem__
     if args.format == "json":
-        _emit_json({"type": args.type, "weight": args.weight, "lattice": lattice,
-                    "N": level, "elements": [list(map(text, row)) for row in rows]}, out)
+        out.write(_json({"type": args.type, "weight": args.weight, "lattice": lattice,
+                         "N": level, "elements": [list(map(text, row)) for row in rows]}) + "\n")
     else:
         # the lines csv.writer writes: the type is canonical, the weight and
         # lattice are argparse choices and N a str(Fraction), so only the
@@ -167,13 +175,10 @@ def _cmd_enumerate(args, out):
 def _cmd_solve(args, out):
     _check_level("--N", args.N)
     level = param.LevelData(param.get_case(args.case), args.N)
-    k, sols = level.k, level.solutions
-    if args.format == "json":
-        _emit_json({"case": args.case, "N": args.N, "k": k,
-                    "form": list(level.case.form), "solutions": [list(s) for s in sols]}, out)
-    else:
-        _emit_csv(["case", "N", "k", "solutions"],
-                  [[args.case, str(args.N), str(k), _cell(sols)]], out)
+    _write(out, args.format, ["case", "N", "k", "solutions"],
+           [{"case": args.case, "N": args.N, "k": level.k, "form": list(level.case.form),
+             "solutions": [list(s) for s in level.solutions]} if args.format == "json"
+            else [args.case, str(args.N), str(level.k), _cell(level.solutions)]], "", "")
     return 0
 
 
@@ -181,32 +186,26 @@ def _cmd_table(args, out):
     _check_level("--max-N", args.max_N)
     spec = FIGURES[args.figure]
     max_n = args.max_N if args.max_N is not None else spec["default_max_n"]
-    header, rows = figure_rows(args.figure, max_n)
+    header, rows = spec["header"], figure_rows(args.figure, max_n)
     if args.format == "json":
-        _emit_json({"figure": args.figure,
-                    "rows": [dict(zip(header, row)) for row in rows]}, out)
-    else:
-        _emit_csv(header, rows, out)
+        rows = (dict(zip(header, row)) for row in rows)
+    _write(out, args.format, header, rows, '{"figure":%s,"rows":[' % _json(args.figure), "]}")
     return 0
 
 
 def _cmd_verify(args, out):
     _check_level("--N", args.N)
     _check_level("--max-N", args.max_N)
-    if args.N is not None:
-        ns = [args.N]
-    else:
-        max_n = args.max_N if args.max_N is not None else 20
-        ns = range(max_n + 1)
-    reports = [param.verify_case(args.case, n) for n in ns]
-    return _report_output(reports, args.format, out)
+    param.get_case(args.case)       # an unknown case is refused before the header
+    max_n = args.max_N if args.max_N is not None else 20
+    ns = [args.N] if args.N is not None else range(max_n + 1)
+    return _report_output((param.verify_case(args.case, n) for n in ns), args.format, out)
 
 
 def _cmd_conjecture(args, out):
     _check_level("--max-N", args.max_N)
     max_n = args.max_N if args.max_N is not None else 20
-    reports = [param.a3_conjecture_check(n) for n in range(max_n + 1)]
-    return _report_output(reports, args.format, out)
+    return _report_output(map(param.a3_conjecture_check, range(max_n + 1)), args.format, out)
 
 
 @cache
@@ -218,17 +217,11 @@ def build_parser():
         description="Atomic lengths, generalised cores, and Pell-type sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="accepted and ignored; computation is deterministic")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("atomic-length", help="evaluate the statistic on a vector")
+    p = sub.add_parser("atomic-length", help="evaluate the statistic at a point of the root span")
     p.add_argument("--type", required=True)
     p.add_argument("--weight", choices=("L0", "L1"), default="L0")
     p.add_argument("--coords", required=True,
-                   help="comma-separated stored coordinates, e.g. '1,-3'")
-    common(p)
+                   help="comma-separated stored coordinates, e.g. '1,-3'; no lattice is checked")
     p.set_defaults(func=_cmd_atomic_length)
 
     p = sub.add_parser("enumerate", help="lattice points of a given atomic length")
@@ -236,19 +229,16 @@ def build_parser():
     p.add_argument("--weight", choices=("L0", "L1"), default="L0")
     p.add_argument("--lattice", choices=("M", "L"), default=None)
     p.add_argument("--N", required=True)
-    common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("solve", help="integer solutions of a case's equation")
     p.add_argument("--case", required=True)
     p.add_argument("--N", type=int, required=True)
-    common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("table", help="reproduce a solution table")
     p.add_argument("--figure", choices=tuple(FIGURES), required=True)
     p.add_argument("--max-N", dest="max_N", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run a case verifier over a range of N")
@@ -257,14 +247,16 @@ def build_parser():
     levels = p.add_mutually_exclusive_group()
     levels.add_argument("--N", type=int, default=None)
     levels.add_argument("--max-N", dest="max_N", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("conjecture-a3", help="orbit-coverage conjecture sweep")
     p.add_argument("--max-N", dest="max_N", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_conjecture)
 
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=None,
+                       help="accepted and ignored; computation is deterministic")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -274,6 +266,12 @@ def main(argv=None):
         return args.func(args, sys.stdout)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        print("error: stdout was closed before the output ended", file=sys.stderr)
+        with contextlib.suppress(OSError):      # an in-memory stdout has no fd
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # or the exit flush raises again
         return 2
 
 

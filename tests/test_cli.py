@@ -476,15 +476,80 @@ def test_readme_cli_examples_exit_zero():
         assert run_cli(argv)[0] == 0, argv
 
 
-def test_console_entry_point():
-    # the child imports corelat from where this process found it
+def child_env():
+    """The environment of a child that imports corelat from where this
+    process found it."""
     path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "corelat.cli", "solve", "--case", "C2", "--N", "40"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "325" in proc.stdout
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # the reader takes the header and closes the pipe; the sweep's next
+    # flush finds it closed, long before level 3000
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corelat.cli", "verify", "--case", "A2", "--max-N", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert proc.stdout.readline() == b"case,N,status,solutions,orbits,phi_images,witness\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err == b"error: stdout was closed before the output ended\n"
+
+
+class FlushLog(io.StringIO):
+    """An output that logs ("flush", the text written so far) at each flush."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def flush(self):
+        self.log.append(("flush", self.getvalue()))
+
+
+def through_row(text, fmt, n):
+    """The output text up to the end of row n: the header and n + 1 CSV lines,
+    or the first n + 1 JSON values, which "},{" separates."""
+    if fmt == "csv":
+        return "".join(text.splitlines(keepends=True)[:n + 2])
+    return "},{".join(text.split("},{")[:n + 1]) + "}"
+
+
+@pytest.mark.parametrize("argv,check", [
+    (["verify", "--case", "A2", "--max-N", "3"], "verify_case"),
+    (["conjecture-a3", "--max-N", "3"], "a3_conjecture_check"),
+    (["table", "--figure", "12N+7", "--max-N", "3"], "LevelData"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweeps_write_and_flush_each_level_before_deciding_the_next(monkeypatch, argv, check,
+                                                                     fmt):
+    log = []
+    decide = getattr(param, check)
+
+    def logged(*args):
+        log.append(("decide", args[-1]))      # the level n is the last argument
+        return decide(*args)
+
+    monkeypatch.setattr(param, check, logged)
+    out = FlushLog(log)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--format", fmt]) == 0
+    assert [n for event, n in log if event == "decide"] == [0, 1, 2, 3]
+    for n in (1, 2, 3):
+        flushed = [text for event, text in log[:log.index(("decide", n))] if event == "flush"]
+        assert flushed[-1] == through_row(out.getvalue(), fmt, n - 1)
 
 
 def test_verify_a2ext_and_a3_routes():

@@ -147,6 +147,28 @@ def test_membership_kernel_agrees_with_the_span_solver_and_the_oracle(name):
         assert atomic.in_lattice(t, member, lattice)
 
 
+def test_membership_on_the_simple_roots_reuses_the_root_solver(monkeypatch):
+    # where a lattice basis is the simple roots, its kernel reads
+    # TypeData.root_solver and builds no second SpanSolver
+    reused = [name for name in TYPES if lookup_type(name).m_basis is lookup_type(name).simple_roots]
+    assert reused == ["A1_1", "A2_1", "A3_1", "A4_1", "D4_1", "A5_2", "A7_2", "E6_2", "D4_3",
+                      "E6_1", "E7_1", "E8_1"]
+    for name in TYPES:
+        lookup_type(name).root_solver       # built before the count starts
+    built = []
+    span_solver = linalg.SpanSolver
+
+    def counted(basis):
+        built.append(basis)
+        return span_solver(basis)
+
+    monkeypatch.setattr(linalg, "SpanSolver", counted)
+    atomic._membership.cache_clear()
+    for name in TYPES:
+        atomic._membership(name, "M")
+    assert built == [lookup_type(name).m_basis for name in TYPES if name not in reused]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_span_solver_matches_solve_in_span(data):
