@@ -1,14 +1,16 @@
 """Partition combinatorics: hooks, abaci/charges, cores and the lattice models.
 
-Partitions are plain tuples of weakly decreasing positive integers.  Every
-partition this module builds or reads is a bead set of an abacus, its
-beta-numbers lambda_i - i (i >= 1); a finite bead set B stands for B and
-every position below -|B|.  _beads lists a partition's first k beads and
-_partition reads the partition off a bead set.  The d-charge counts the
-first K beads (K a multiple of d, at least the number of parts) by runner:
-entry j is the count congruent to j mod d, minus K/d.  This normalises the
-empty partition to the zero charge and is the convention under which a
-type-A charge equals the corresponding lattice point in the epsilon-basis.
+Partitions are plain tuples of weakly decreasing positive integers; a
+function that reads one checks it (validate_partition), so any other input
+is a ValueError.  Every partition this module builds or reads is a bead set
+of an abacus, its beta-numbers lambda_i - i (i >= 1); a finite bead set B
+stands for B and every position below -|B|.  _beads lists a partition's
+first k beads and _partition reads the partition off a bead set.  The
+d-charge counts the first K beads (K a multiple of d, at least the number
+of parts) by runner: entry j is the count congruent to j mod d, minus K/d.
+This normalises the empty partition to the zero charge and is the
+convention under which a type-A charge equals the corresponding lattice
+point in the epsilon-basis.
 
 A d-core is its charge: core_from_charge and charge_of_core are inverse
 bijections between d-cores and sum-zero integer d-vectors, under which the
@@ -58,6 +60,7 @@ def size(parts):
 
 
 def conjugate(parts):
+    parts = validate_partition(parts)
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
@@ -69,6 +72,7 @@ def diagonal_length(parts):
 
 def hook_lengths(parts):
     """All hook lengths, row by row."""
+    parts = validate_partition(parts)
     conj = conjugate(parts)
     return [
         [parts[r] - c + conj[c - 1] - r for c in range(1, parts[r] + 1)]
@@ -83,7 +87,7 @@ def is_d_core(parts, d):
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    beads = set(_beads(parts))
+    beads = set(_beads(validate_partition(parts)))
     return all(b - d in beads or b - d < -len(beads) for b in beads)
 
 
@@ -91,7 +95,7 @@ def residue_count(parts, d, i):
     """Number of boxes (r, c) with c - r = i mod d."""
     if not 0 <= i < d:
         raise ValueError("residue outside 0..d-1")
-    count = 0
+    parts, count = validate_partition(parts), 0
     for r, part in enumerate(parts, start=1):
         for c in range(1, part + 1):
             if (c - r) % d == i:
@@ -133,7 +137,7 @@ def _abacus(d, counts, low=0):
 
 def charge_of_core(d, parts):
     """The d-charge of a d-core; entries sum to zero."""
-    parts = tuple(parts)
+    parts = validate_partition(parts)
     if not is_d_core(parts, d):
         raise NotACore(f"{parts} has a hook of length {d}")
     window = d * (len(parts) // d + 1)

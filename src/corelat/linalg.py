@@ -594,11 +594,12 @@ class QuadraticForm:
     The coefficients m stand for the lattice point sum_i m_i basis_i, whose
     coordinates are C m / Q: C holds the basis vectors scaled to integers by
     the lcm Q of their denominators, one row per coordinate, and numerators
-    is m -> C m, compiled when the form is built (compile_affine).  level and
-    upto speak in coordinates, level_coefficients in coefficients.  The form
+    is m -> C m, compiled when the form is built (compile_affine).  level
+    speaks in coordinates, level_coefficients in coefficients.  The form
     keeps its compiled search, ball, built on first use, so every level and
-    bound asked of one form shares it.  A form pickles as (a, b, basis), and
-    its compiled parts are rebuilt on the other side.
+    bound asked of one form (enumerate_quadratic_upto on the ball) shares it.
+    A form pickles as (a, b, basis), and its compiled parts are rebuilt on
+    the other side.
     """
 
     def __init__(self, a, b, basis):
@@ -628,15 +629,15 @@ class QuadraticForm:
         """The exact integer search of the form (_IntegerBall)."""
         return _IntegerBall(self.a, self.b)
 
-    def pulls_back(self, D, P, p, den, a, b):
-        """Whether y = (P m + p) / den solves sum_i D_i y_i^2 = a value(m) + b
-        for every m: value(m) = (m^T A m + B.m) / L in integers (scaled_basis),
-        each coefficient cross-multiplied by L den^2."""
+    def pulls_back(self, D, P, p, a, b):
+        """Whether the integer map y = P m + p solves sum_i D_i y_i^2 =
+        a value(m) + b for every m: value(m) = (m^T A m + B.m) / L in integers
+        (scaled_basis), each coefficient cross-multiplied by L."""
         L, (*A, B) = scaled_basis([*self.a, self.b])
-        s, t, k = a * den ** 2, list(zip(D, P, p)), range(len(A))
-        return (all(L * sum(d * r[u] * r[v] for d, r, _ in t) == s * A[u][v] for u in k for v in k)
-                and all(2 * L * sum(d * c * r[u] for d, r, c in t) == s * B[u] for u in k)
-                and sum(d * c * c for d, _, c in t) == b * den ** 2)
+        t, k = list(zip(D, P, p)), range(len(A))
+        return (all(L * sum(d * r[u] * r[v] for d, r, _ in t) == a * A[u][v] for u in k for v in k)
+                and all(2 * L * sum(d * c * r[u] for d, r, c in t) == a * B[u] for u in k)
+                and sum(d * c * c for d, _, c in t) == b)
 
     def coordinates(self, m):
         """Coordinates of the lattice point with basis coefficients m."""
@@ -672,8 +673,3 @@ class QuadraticForm:
             return 0
         r, c = isqrt(R // ball.e[-1]), ball.c0[-1]
         return max(0, (r - c) // ball.S + (r + c) // ball.S + 1)
-
-    def upto(self, bound):
-        """(value, coordinates) for every lattice point of value <= bound."""
-        for value, m in enumerate_quadratic_upto(self.ball, bound):
-            yield value, self.coordinates(m)

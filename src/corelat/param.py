@@ -8,12 +8,13 @@ b = sum_i D_i p_i^2, so that sum_i D_i phi(q)_i^2 = a N + b.  Verifiers are
 exhaustive for a fixed N: a LevelData holds the canonical point of each
 orbit of the level's solution set U, its lattice points and their phi
 images, and one check function per claim decides it on them.  Each layer's
-images come from a LayerMap, which decides once how its layer is applied
-(apply) and whether its images lie on the quadric (keeps_quadric), and a case
-compiles all its layers into one function (ParamCase.layers_map), one call
-per point.  A case binds its group's row of diophantine.GROUPS once
-(ParamCase.action), fitted to phi and the form by _case, so the checks call
-its canonical and orbit_size with no check per call.  FAIL is data, never raised.
+images come from a LayerMap, an integer map m -> P m + p of the basis
+coefficients m, or a refusal when the layer leaves the integers, built once
+with whether its images lie on the quadric (keeps_quadric); a case compiles
+all its layers into one function (ParamCase.layers_map), one call per point.
+A case binds its group's row of diophantine.GROUPS once (ParamCase.action),
+fitted to phi and the form by _case, so the checks call its canonical and
+orbit_size with no check per call.  FAIL is data, never raised.
 """
 
 import math
@@ -56,22 +57,20 @@ class LayerMap:
     """m -> the layer-j image of the lattice point q with basis coefficients
     m, phi(q) at j = 0 and phi(omega_j + M_j q) above: apply(m), chosen once.
 
-    For an AffineMap phi, one integer map m -> (P m + p) / den composed once
-    from integer matrices: with q = C m / Q (linalg.QuadraticForm),
-    omega_j = W / w and phi(x) = F x + f, the image is
-    (w F M_j C m + Q F W + Q w f) / (Q w), reduced by the gcd of its entries.
-    apply is numerators, m -> P m + p compiled once (linalg.compile_affine),
-    when den is 1, as for every registered case; otherwise it divides by den,
-    and a remainder raises NonIntegralImage naming q.  Any other phi is
-    applied point by point (layer_image), the path the compiled maps are
-    tested against, with den None and keeps_quadric False.
+    For an AffineMap phi, one integer map m -> P m + p composed once from
+    integer matrices: with q = C m / Q (linalg.QuadraticForm), omega_j = W / w
+    and phi(x) = F x + f, the image is (w F M_j C m + Q F W + Q w f) / (Q w),
+    and every entry must divide by Q w, or the constructor raises
+    NonIntegralImage naming the case, j and Q w.  apply is numerators, m ->
+    P m + p compiled once (linalg.compile_affine).  Any other phi is applied
+    point by point (layer_image), the path the compiled maps are tested
+    against, with numerators None and keeps_quadric False.
     """
 
     def __init__(self, case, j):
-        form = self._form = case.length
-        phi, self.j = case.phi_map, j
+        form, phi, self.j = case.length, case.phi_map, j
         if not isinstance(phi, AffineMap):
-            coordinates, self.den, self.keeps_quadric = form.coordinates, None, False
+            coordinates, self.numerators, self.keeps_quadric = form.coordinates, None, False
             self.apply = lambda m: layer_image(case, j, coordinates(m))
             return
         if j:
@@ -79,29 +78,19 @@ class LayerMap:
             W, w = dynkin.lookup_type(case.type_id).integer_weights[j - 1]
         else:
             MC, W, w = form.C, (), 1
-        Q = form.Q
+        Q, den = form.Q, form.Q * w
         P = [[w * x for x in row] for row in linalg.matmul(phi.P, MC)]
         p = [Q * (linalg.dot(row, W) + w * c) for row, c in zip(phi.P, phi.p)]
-        g = math.gcd(Q * w, *p, *(x for row in P for x in row))
-        self.P = tuple(tuple(x // g for x in row) for row in P)
-        self.p, self.den = tuple(x // g for x in p), Q * w // g
-        self.numerators = linalg.compile_affine(self.P, self.p)
-        self.keeps_quadric = form.pulls_back(case.form, self.P, self.p, self.den, case.a, case.b)
-        self.apply = self.numerators if self.den == 1 else self._divided
+        if any(x % den for x in (*p, *(x for row in P for x in row))):
+            raise NonIntegralImage(f"case {case.case_id}: layer {j} of phi is not an integer map"
+                                   f" (its entries are not all divisible by {den})")
+        self.P = tuple(tuple(x // den for x in row) for row in P)
+        self.p = tuple(x // den for x in p)
+        self.apply = self.numerators = linalg.compile_affine(self.P, self.p)
+        self.keeps_quadric = form.pulls_back(case.form, self.P, self.p, case.a, case.b)
 
     def __call__(self, m):
         return self.apply(m)
-
-    def _divided(self, m):
-        image, den = [], self.den
-        for num in self.numerators(m):
-            y, r = divmod(num, den)
-            if r:
-                q = ",".join(map(str, self._form.coordinates(m)))
-                raise NonIntegralImage(f"non-integral image component {Fraction(num, den)}"
-                                       f" of layer {self.j} at q = ({q})")
-            image.append(y)
-        return tuple(image)
 
 
 # The involutive rank-2 change of coordinates (q1, q2) -> (q1+q2, q1-q2).
@@ -148,9 +137,9 @@ class ParamCase:
     @linalg.memo
     def layers_map(self):
         """m -> the tuple of the layer_maps images of m: one function compiled
-        in blocks (linalg.compile_stacked) when every map has den 1, as
-        stacking needs integer rows; otherwise one apply per map."""
-        if all(f.den == 1 for f in self.layer_maps):
+        in blocks (linalg.compile_stacked) when every map is compiled;
+        otherwise, for a phi applied point by point, one apply per map."""
+        if all(f.apply is f.numerators for f in self.layer_maps):
             return linalg.compile_stacked(self.layer_maps)
         applies = [f.apply for f in self.layer_maps]
         return lambda m: tuple([f(m) for f in applies])
@@ -163,9 +152,11 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
     least at m* = -A^-1 B / 2, the coefficients of -B / 2 in the columns of A
     (linalg.SpanSolver), and q* = C m* / Q.  a is read off the quadratic part
     and b = sum_i D_i p_i^2 is phi's value at q = 0, so the length's
-    pulls_back (linalg.QuadraticForm) decides the identity.  ValueError
-    naming the case when p = -P q* or a is not an integer, or the identity
-    fails.  length is a hyperoctahedral family's form; the others are the
+    pulls_back (linalg.QuadraticForm) decides the identity on the integer map
+    m -> (P C / Q) m + p.  ValueError naming the case when p = -P q* is not an
+    integer vector, when P C is not divisible by Q (phi leaves the integers on
+    the lattice), when a is not an integer, or when the identity fails.
+    length is a hyperoctahedral family's form; the others are the
     registry's.  ValueError naming the case, too, unless phi has one row per
     term of D and the group preserves D, as ParamCase.action's callers assume.
     """
@@ -180,10 +171,13 @@ def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
     if any(r):
         p = ", ".join(str(Fraction(linalg.dot(row, centre), den)) for row in PC)
         raise ValueError(f"case {case_id}: the offset -P q* = ({p}) is not an integer vector")
-    a, r = divmod(L * sum(d * row[0] ** 2 for d, row in zip(D, PC)), Q * Q * A[0][0])
+    if any(x % Q for row in PC for x in row):
+        raise ValueError(f"case {case_id}: phi is not an integer map on the lattice")
+    PC = [[x // Q for x in row] for row in PC]
+    a, r = divmod(L * sum(d * row[0] ** 2 for d, row in zip(D, PC)), A[0][0])
     case = ParamCase(case_id, type_id, weight, lattice, a, sum(d * c * c for d, c in zip(D, p)),
                      tuple(D), group, claim, AffineMap(P, p), form)
-    if r or not form.pulls_back(case.form, PC, [Q * c for c in p], Q, case.a, case.b):
+    if r or not form.pulls_back(case.form, PC, p, case.a, case.b):
         raise ValueError(f"case {case_id}: sum_i D_i y_i^2 is not an integer multiple of the length")
     # each invariance test checks the form's length against the group's rank
     row = diophantine.GROUPS.get(group)

@@ -541,18 +541,9 @@ def numerators(form, m):
 
 
 def layer_image(layer, m):
-    """The image of a param.LayerMap by one dot product and one divmod per
-    component: the original LayerMap.__call__."""
-    image, den = [], layer.den
-    for row, c in zip(layer.P, layer.p):
-        num = linalg.dot(row, m) + c
-        y, r = divmod(num, den)
-        if r:
-            q = ",".join(map(str, layer._form.coordinates(m)))
-            raise NonIntegralImage(f"non-integral image component {Fraction(num, den)}"
-                                   f" of layer {layer.j} at q = ({q})")
-        image.append(y)
-    return tuple(image)
+    """The image of a param.LayerMap by one dot product per component: the
+    original LayerMap.__call__."""
+    return tuple([linalg.dot(row, m) + c for row, c in zip(layer.P, layer.p)])
 
 
 def _as_int(x):
@@ -1165,8 +1156,9 @@ def enumerate_atomic_upto(t, weight_index, bound, lattice="M"):
     """Dict mapping each value <= bound to its sorted list of lattice points."""
     t = _type(t)
     buckets = {}
-    for value, coords in atomic.length_form(t.name, weight_index, lattice).upto(bound):
-        buckets.setdefault(value, []).append(LatticeVector(t.name, coords))
+    form = atomic.length_form(t.name, weight_index, lattice)
+    for value, m in linalg.enumerate_quadratic_upto(form.ball, bound):
+        buckets.setdefault(value, []).append(LatticeVector(t.name, form.coordinates(m)))
     for value in buckets:
         buckets[value].sort(key=lambda v: v.coords)
     return buckets

@@ -312,6 +312,25 @@ def test_undecidable_level_is_a_fail_report(monkeypatch, capsys, case_id, change
         assert witness == {"reason": "level not decided", "error": error}
 
 
+def test_a_layer_map_off_the_integers_fails_every_level(monkeypatch, capsys):
+    # the identity phi on C2L1 is refused when its layer map is built, so
+    # each level, the empty N = 4 too, is a FAIL row with exit 1 and no error
+    monkeypatch.setitem(param.CASES, "C2L1", dataclasses.replace(
+        param.CASES["C2L1"], phi_map=param.AffineMap(((1, 0), (0, 1)), (0, 0))))
+    error = ("NonIntegralImage: case C2L1: layer 0 of phi is not an integer map"
+             " (its entries are not all divisible by 2)")
+    for n in range(5):
+        assert param.verify_case("C2L1", n).witness == {"reason": "level not decided", "error": error}
+    for fmt in ("csv", "json"):
+        code = cli.main(["verify", "--case", "C2L1", "--max-N", "4", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert [row["status"] for row in rows] == ["FAIL"] * 5
+        witness = rows[4]["witness"] if fmt == "json" else json.loads(rows[4]["witness"])
+        assert witness == {"reason": "level not decided", "error": error}
+
+
 def test_seed_flag_accepted():
     code_a, out_a = run_cli(["enumerate", "--type", "A2_1", "--N", "6"])
     code_b, out_b = run_cli(["enumerate", "--type", "A2_1", "--N", "6", "--seed", "7"])

@@ -458,6 +458,26 @@ def _row_id(call, args):
     return "-".join([call.__name__] + [str(a) for a in args if isinstance(a, (F, float, str))])
 
 
+NON_PARTITION_CALLS = [
+    # increasing parts: each once read them as a partition they are not
+    (charge_of_core, (3, (1, 2))),          # a charge whose core is (4, 2)
+    (is_d_core, ((1, 2), 3)),
+    (hook_lengths, ((1, 2),)),              # an IndexError
+    (conjugate, ((1, 2),)),
+    (residue_count, ((1, 2), 3, 0)),
+    # a zero part, and a part that is not an integer (a TypeError)
+    (is_d_core, ((2, 0), 3)),
+    (charge_of_core, (3, (2.5,))),
+]
+
+
+@pytest.mark.parametrize("call,args", NON_PARTITION_CALLS,
+                         ids=[f"{call.__name__}-{args}" for call, args in NON_PARTITION_CALLS])
+def test_a_non_partition_is_refused(call, args):
+    with pytest.raises(ValueError, match="^partition parts must be|is not an integer$"):
+        call(*args)
+
+
 @pytest.mark.parametrize("call,args,integral_args", NON_INTEGRAL_CALLS,
                          ids=[_row_id(call, args) for call, args, _ in NON_INTEGRAL_CALLS])
 def test_non_integral_input_is_refused(call, args, integral_args):

@@ -68,6 +68,40 @@ def test_derived_comarks_match_the_golden():
     assert {name: lookup_type(name).comarks for name in COMARKS} == COMARKS
 
 
+CARTAN_TYPES = dynkin.all_type_ids(8) + ["A50_1", "B50_1", "C50_1", "D50_1", "A49_2",
+                                          "A50_2", "D50_2"]
+
+
+def affine_cartan_matrix(t):
+    """A_ij = 2 (alpha_i|alpha_j) / |alpha_i|^2 over alpha_0..alpha_n, with
+    alpha_0's finite part -theta_a / a_0, theta_a = sum_{i>=1} a_i alpha_i.
+    In integers: u_i = a_0 R_i for i >= 1 and u_0 = -sum_i a_i R_i, with
+    (Q, R, G) of integer_roots, so u_i = a_0 Q alpha_i for every i; a row is
+    None where an entry is not an integer."""
+    _, R, _ = t.integer_roots
+    a0, marks = t.marks[0], t.marks[1:]
+    u = [tuple(-sum(a * r[k] for a, r in zip(marks, R)) for k in range(len(R[0])))]
+    u += [tuple(a0 * x for x in r) for r in R]
+    H = [[sum(x * y for x, y in zip(v, w)) for w in u] for v in u]
+    return [[2 * x // row[i] if 2 * x % row[i] == 0 else None for x in row]
+            for i, row in enumerate(H)]
+
+
+@pytest.mark.parametrize("type_id", CARTAN_TYPES)
+def test_affine_cartan_matrix_of_the_registry(type_id):
+    # a generalised Cartan matrix from the hand-typed marks, with the marks
+    # a null vector of A and the comarks one of A^T; the comarks' a_0^v = 1
+    # fixes |alpha_0|^2 against the scale of the others
+    t = lookup_type(type_id)
+    A, n = affine_cartan_matrix(t), len(t.marks)
+    assert all(type(x) is int for row in A for x in row)
+    assert all(A[i][i] == 2 for i in range(n))
+    assert all(A[i][j] <= 0 and (A[i][j] == 0) == (A[j][i] == 0)
+               for i in range(n) for j in range(n) if i != j)
+    assert all(sum(x * a for x, a in zip(row, t.marks)) == 0 for row in A)
+    assert all(sum(c * row[j] for c, row in zip(t.comarks, A)) == 0 for j in range(n))
+
+
 def test_rank_label_cap():
     cap = dynkin.MAX_RANK_LABEL
     assert lookup_type(f"A{cap}_1").n == cap

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from corelat import atomic, dynkin, linalg, param
 from corelat.cores import enumerate_partitions
-from corelat.diophantine import NonIntegralImage, solve_diagonal, solve_diagonal_meet
+from corelat.diophantine import solve_diagonal, solve_diagonal_meet
 
 import oracles
 from golden_data import COMPILED_SEARCH_SHA256
@@ -308,9 +308,8 @@ def test_compiled_form_serves_every_target():
     for target in (13, Fraction(1, 2), Fraction(7, 3), 13):
         assert form.level(target) == sorted(
             map(form.coordinates, enumerate_quadratic_ball_level(form.a, form.b, target)))
-        assert list(form.upto(target)) == [
-            (value, form.coordinates(m))
-            for value, m in enumerate_quadratic_ball_upto(form.a, form.b, target)]
+        assert list(linalg.enumerate_quadratic_upto(form.ball, target)) == list(
+            enumerate_quadratic_ball_upto(form.a, form.b, target))
     assert form.level(13)
 
 
@@ -372,7 +371,8 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
 
     size = size_form(4)
     form = linalg.QuadraticForm(size.a, size.b, size.basis)
-    assert builds(lambda: ([form.level(n) for n in range(12)], list(form.upto(11)))) == 1
+    assert builds(lambda: ([form.level(n) for n in range(12)],
+                           list(linalg.enumerate_quadratic_upto(form.ball, 11)))) == 1
     assert builds(lambda: [enumerate_partitions(n, "core", 5) for n in range(21)]) == 1
     assert builds(sweep) > 1
     assert builds(sweep) == 0
@@ -390,7 +390,8 @@ def test_a_compiled_form_is_searched_without_hashing_a_fraction(monkeypatch):
         return fraction_hash(self)
 
     monkeypatch.setattr(Fraction, "__hash__", counted)
-    assert form.level(4) and form.level_coefficients(6) and list(form.upto(2))
+    assert form.level(4) and form.level_coefficients(6)
+    assert list(linalg.enumerate_quadratic_upto(form.ball, 2))
     assert linalg.enumerate_quadratic_level(form.ball, 4)
     assert hashed == []
 
@@ -534,14 +535,8 @@ def assert_numerators_match(form, seed=0):
 
 def assert_layer_map_matches(f, seed=0):
     rng = random.Random(seed)
-    for m in random_coefficients(rng, len(f._form.a)):
-        try:
-            expected = oracle_layer_image(f, m)
-        except NonIntegralImage as exc:
-            with pytest.raises(NonIntegralImage, match=re.escape(str(exc))):
-                f(m)
-        else:
-            assert f(m) == expected
+    for m in random_coefficients(rng, len(f.P[0])):
+        assert f(m) == oracle_layer_image(f, m)
 
 
 MAP_TYPES = dynkin.all_type_ids(4) + ["E6_1", "E7_1", "E8_1"]
@@ -605,7 +600,7 @@ def test_all_layers_function_matches_the_layer_maps(case_id, monkeypatch):
         with pytest.raises(dynkin.UnknownType):
             case.layers_map
         return
-    assert all(isinstance(f, param.LayerMap) and f.den == 1 for f in maps)
+    assert all(isinstance(f, param.LayerMap) and f.apply is f.numerators for f in maps)
     levels = [case.length.level_coefficients(n) for n in range(21)]
     expected = [[tuple(f(m) for f in maps) for m in ms] for ms in levels]
 
@@ -617,28 +612,15 @@ def test_all_layers_function_matches_the_layer_maps(case_id, monkeypatch):
     assert any(levels)
 
 
-def test_layers_with_a_denominator_keep_the_per_layer_calls():
-    # the identity phi on C2L1 makes both layer maps den 2, so the level's
-    # layers take one LayerMap call per layer and raise its NonIntegralImage
-    identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
-    case = dataclasses.replace(param.get_case("C2L1"), phi_map=identity)
-    assert [f.den for f in case.layer_maps] == [2, 2]
-    assert param.LevelData(case, 4).layers == []
-    for n, error in ((1, "-1/2 of layer 0 at q = (-1/2,1/2)"), (3, "1/2 of layer 2 at q = (-1,0)")):
-        with pytest.raises(NonIntegralImage, match=re.escape(f"non-integral image component {error}")):
-            param.LevelData(case, n).layers
-
-
-def test_compiled_layer_map_with_a_denominator_matches_the_divmod_loop():
-    # the identity phi on C2L1 has den 2: integral and non-integral images,
-    # and the NonIntegralImage text, are the dot-product loop's
-    identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
-    f = param.LayerMap(dataclasses.replace(param.get_case("C2L1"), phi_map=identity), 0)
-    assert f.den == 2
-    assert_layer_map_matches(f)
-    assert f((1, 0)) == oracle_layer_image(f, (1, 0)) == (1, 0)
-    with pytest.raises(NonIntegralImage, match=re.escape("component 1/2 of layer 0 at q = (1/2,1/2)")):
-        f((0, 1))
+@pytest.mark.parametrize("case_id", list(param.CASES) + [
+    f"HYP:{t}" for t in hyp_types({*range(1, 13), 20, 50})])
+def test_every_case_builds_compiled_integer_layer_maps(case_id):
+    # every layer of a registered case, and layer 0 of each hyperoctahedral
+    # id, is an integer map m -> P m + p applied as its compiled numerators
+    # (compile_affine takes only int entries)
+    case = param.get_case(case_id)
+    maps = case.layer_maps if case_id in param.CASES else (case.image_map,)
+    assert all(f.apply is f.numerators for f in maps), case_id
 
 
 def test_compiled_maps_at_the_rank_cap():

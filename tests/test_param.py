@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -520,9 +521,8 @@ def _layers(case):
 def test_layer_maps_match_per_point_path(case_id):
     # the fused integer maps give the images and layers of the per-point
     # path, which applies phi through coordinates and weyl.extended_image
-    # once per layer image; every case's map is integral (den 1, after
-    # reducing by the gcd) and applied as its compiled numerators, and its
-    # integers satisfy the quadric identity
+    # once per layer image; every case's map is integral and applied as its
+    # compiled numerators, and its integers satisfy the quadric identity
     # sum_i d_i y_i^2 = a (m^T A m + B.m) + b in m wherever the layer action
     # keeps the length (at Lambda_0; C2L1 is at Lambda_1)
     case, calls = get_case(case_id), []
@@ -538,20 +538,20 @@ def test_layer_maps_match_per_point_path(case_id):
             assert fused.layers == reference.layers, (case_id, n)
             assert len(calls) == len(case.layer_maps) * len(reference.coefficients), (case_id, n)
     per_point_maps = per_point.layer_maps if layered else (per_point.image_map,)
-    assert all(f.den is None and not f.keeps_quadric for f in per_point_maps), case_id
+    assert all(f.numerators is None and not f.keeps_quadric for f in per_point_maps), case_id
     form, D = case.length, case.form
     for j in _layers(case):
         fused = param.LayerMap(case, j)
-        assert fused.den == 1 and fused.apply is fused.numerators, (case_id, j)
+        assert fused.apply is fused.numerators, (case_id, j)
         if j and case.weight:
             continue
-        P, p, scale = fused.P, fused.p, case.a * fused.den ** 2
+        P, p = fused.P, fused.p
         cols = list(zip(*P))
         assert [[linalg.dot(D, [x * y for x, y in zip(u, v)]) for v in cols] for u in cols] == \
-            [[scale * x for x in row] for row in form.a], (case_id, j)
+            [[case.a * x for x in row] for row in form.a], (case_id, j)
         assert [2 * linalg.dot(D, [x * y for x, y in zip(u, p)]) for u in cols] == \
-            [scale * x for x in form.b], (case_id, j)
-        assert linalg.dot(D, [x * x for x in p]) == case.b * fused.den ** 2, (case_id, j)
+            [case.a * x for x in form.b], (case_id, j)
+        assert linalg.dot(D, [x * x for x in p]) == case.b, (case_id, j)
 
 
 def test_d3t_layer_two_adds_no_orbit():
@@ -561,7 +561,7 @@ def test_d3t_layer_two_adds_no_orbit():
     case = get_case("D3t")
     assert weyl.sigma_indices(case.type_id) == (0, 2)
     layer2 = case.layer_maps[1]
-    assert layer2.den == 1 and layer2.keeps_quadric
+    assert layer2.apply is layer2.numerators and layer2.keeps_quadric
     nonempty = 0
     for n in range(8):
         ms = param.LevelData(case, n).coefficients
@@ -571,19 +571,34 @@ def test_d3t_layer_two_adds_no_orbit():
     assert nonempty == 7
 
 
-def test_non_integral_layer_image_names_its_point():
-    # the identity phi on C2L1, whose basis holds (1/2, 1/2), has den 2; at
-    # N = 3 the third lattice point is the first with a half-integer image
+def test_a_layer_map_that_leaves_the_integers_is_refused_when_built():
+    # the identity phi on C2L1, whose basis holds (1/2, 1/2), is no integer
+    # map: building its LayerMap raises, and every level, N = 4 with no
+    # lattice point included, is a FAIL returned as data
     case = get_case("C2L1")
     identity = param.AffineMap(((1, 0), (0, 1)), (0, 0))
-    assert param.LayerMap(dataclasses.replace(case, phi_map=identity), 0).den == 2
-    for phi, error in ((identity, "non-integral image component 1/2 of layer 0 at q = (1/2,-1/2)"),
-                       (lambda q: identity(q), "non-integral image component 1/2")):
-        report = param._decide(param.check_complete,
-                               param.LevelData(dataclasses.replace(case, phi_map=phi), 3), "C2L1")
-        assert report.to_dict() == {"case": "C2L1", "N": 3, "status": "FAIL", "counts": {},
+    variant = dataclasses.replace(case, phi_map=identity)
+    error = "case C2L1: layer 0 of phi is not an integer map (its entries are not all divisible by 2)"
+    with pytest.raises(diophantine.NonIntegralImage, match=re.escape(error)):
+        param.LayerMap(variant, 0)
+    for n in range(5):
+        report = param._decide(param.check_complete, param.LevelData(variant, n), "C2L1")
+        assert report.to_dict() == {"case": "C2L1", "N": n, "status": "FAIL", "counts": {},
                                     "witness": {"reason": "level not decided",
-                                                "error": "NonIntegralImage: " + error}}
+                                                "error": "NonIntegralImage: " + error}}, n
+    # applied point by point, the same phi fails on its first half-integer image
+    per_point = dataclasses.replace(case, phi_map=lambda q: identity(q))
+    report = param._decide(param.check_complete, param.LevelData(per_point, 3), "C2L1")
+    assert report.witness == {"reason": "level not decided",
+                              "error": "NonIntegralImage: non-integral image component 1/2"}
+
+
+def test_case_refuses_a_map_that_leaves_the_integers():
+    # (-4x - 4y - 4z, -4x - 3y - 4z) on A2_1's L, whose basis has entries in
+    # (1/3) Z, has an integer offset but sends a lattice point off Z^2
+    with pytest.raises(ValueError) as info:
+        param._case("X", "A2_1", 0, "L", (1, 3), ((-4, -4, -4), (-4, -3, -4)), "C6", "complete")
+    assert str(info.value) == "case X: phi is not an integer map on the lattice"
 
 
 def test_keeps_quadric_is_false_off_the_identity():
@@ -727,8 +742,8 @@ def test_each_case_compiles_its_all_layers_function_once(monkeypatch):
 
 
 def test_images_make_no_layer_map_call(monkeypatch):
-    # a LayerMap of den 1, as every registered case's, is applied as its
-    # compiled numerators, and the layers as one compiled call per point
+    # every registered case's LayerMap is applied as its compiled numerators,
+    # and the layers as one compiled call per point
     def refuse(self, m):
         raise AssertionError("a level called a LayerMap")
 

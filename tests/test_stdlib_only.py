@@ -106,7 +106,7 @@ def test_no_module_uses_functools_cached_property():
 
 
 def test_only_layer_map_tests_the_kind_of_a_map():
-    # LayerMap decides once how its layer is applied (apply, den,
+    # LayerMap decides once how its layer is applied (apply, numerators,
     # keeps_quadric); no other code tests a phi for AffineMap, and none
     # tests for a LayerMap or reads keeps_quadric with a default
     found = []
