@@ -10,10 +10,10 @@ x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
 the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group
 is one row of GROUPS, a Group holding its rank, order, invariance test,
 closed-form canonical and orbit_size, its orbit by formula, and its solver;
-canonical and orbit_size build no orbit, and only FAIL witnesses, A2ext's
-tiling check and orbit_partition build one.  The public canonical,
-orbit_size, orbit, group_order and solve_diagonal check their input and call
-the row: H reads its rank from the point, every other group refuses a point
+canonical and orbit_size build no orbit, and only FAIL witnesses, the
+tiling check param keeps as A2ext's fallback and orbit_partition build
+one.  The public canonical, orbit_size, orbit, group_order and
+solve_diagonal check their input and call the row: H reads its rank from the point, every other group refuses a point
 whose length is not its rank (3 for G_A3, else 2), and solve_diagonal checks
 a (form, group) pair once.  param binds each case to its row once, so a
 claim check calls the row's closed forms with no check per point.  D8 is H
@@ -27,7 +27,6 @@ brute-force search over every variable lives in the tests as an oracle.
 
 import itertools
 import math
-from collections import Counter
 from math import isqrt
 
 from .linalg import as_integers
@@ -184,8 +183,9 @@ def solve_diagonal_meet(form, k):
 
 
 # Twice the rotation of (x, sqrt(3) z) through 60k degrees, k = 0..5, as the
-# rows (a, b, c, d) of [[a, b], [c, d]].
-_R60 = ((2, 0, 0, 2), (1, -3, 1, 1), (-1, -3, 1, -1),
+# rows (a, b, c, d) of [[a, b], [c, d]]: C6 on the form (d, 3d) as integer
+# matrices over 2, which param compares with a case's layer transforms.
+R60 = ((2, 0, 0, 2), (1, -3, 1, 1), (-1, -3, 1, -1),
         (-2, 0, 0, -2), (-1, 3, -1, -1), (1, 3, -1, 1))
 
 
@@ -195,13 +195,13 @@ def _rotations60(point, x, z):
     domain."""
     if (x - z) % 2:
         raise NonIntegralImage(f"({','.join(map(str, point))}) is outside the parity domain")
-    return [((a * x + b * z) // 2, (c * x + d * z) // 2) for a, b, c, d in _R60]
+    return [((a * x + b * z) // 2, (c * x + d * z) // 2) for a, b, c, d in R60]
 
 
 def _to_sector60(point, x, z):
     """(x, sqrt(3) z) rotated into (-30, 30] degrees, where the largest
     rotation lies: the point's sector (60s - 30, 60s + 30] is read off the
-    signs of x and u, v = x -+ 3z and turned back by -60s degrees, _R60[-s]
+    signs of x and u, v = x -+ 3z and turned back by -60s degrees, R60[-s]
     written out on u and v (the origin falls through to s = 5).
     NonIntegralImage, as _rotations60, when x - z is odd."""
     if (x - z) % 2:
@@ -252,9 +252,17 @@ def _c4_canonical(point):
 
 
 def _h_orbit_size(point):
-    size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
-    for mult in Counter(map(abs, point)).values():
-        size //= math.factorial(mult)
+    """n! 2^(non-zero entries) / prod(mult!): over the sorted absolute
+    values, the i-th entry of a run of equal ones divides by i, so a run of
+    mult divides by mult! one exact step at a time."""
+    values = sorted(map(abs, point))
+    size, run, last = math.factorial(len(values)) << (len(values) - values.count(0)), 1, None
+    for x in values:
+        if x == last:
+            run += 1
+            size //= run
+        else:
+            run, last = 1, x
     return size
 
 

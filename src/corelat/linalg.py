@@ -79,7 +79,11 @@ def matmul(A, B):
 def as_integers(values):
     """The values as a tuple of ints; ValueError on one that is not an integer."""
     for x in (values := tuple(values)):
-        if x % 1:   # a fraction, or nan for an infinity or a nan
+        try:    # a fraction, or nan for an infinity or a nan; % on a str formats it
+            fractional = isinstance(x, str) or x % 1
+        except TypeError:   # None, or another value that is no number
+            fractional = True
+        if fractional:
             raise ValueError(f"{x!r} is not an integer")
     return tuple(map(int, values))
 

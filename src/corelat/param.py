@@ -14,7 +14,11 @@ with whether its images lie on the quadric (keeps_quadric); a case compiles
 all its layers into one function (ParamCase.layers_map), one call per point.
 A case binds its group's row of diophantine.GROUPS once (ParamCase.action),
 fitted to phi and the form by _case, so the checks call its canonical and
-orbit_size with no check per call.  FAIL is data, never raised.
+orbit_size with no check per call.  Each layer is one fixed map T_j of
+layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's rotations
+(ParamCase.layers_tile_c6), the extended claim is decided by check_complete
+(decide_extended), with check_extended the fallback and the oracle.  FAIL
+is data, never raised.
 """
 
 import math
@@ -143,6 +147,44 @@ class ParamCase:
             return linalg.compile_stacked(self.layer_maps)
         applies = [f.apply for f in self.layer_maps]
         return lambda m: tuple([f(m) for f in applies])
+
+    @linalg.memo
+    def layer_transforms(self):
+        """(T_j, d) per layer map, T_j / d = P_j P_0^-1 in lowest terms, so
+        layer j is T_j / d applied to layer 0's image; or None.  None unless
+        every map keeps the quadric (so none is applied point by point), P_0
+        is square and T_j p_0 = d p_j.  The rows of the SpanSolver of P_0's
+        columns are D P_0^-1."""
+        maps = self.layer_maps
+        if not all(f.keeps_quadric for f in maps) or len(maps[0].P) != len(maps[0].P[0]):
+            return None
+        solver, p0 = linalg.SpanSolver(list(zip(*maps[0].P))), maps[0].p
+        transforms = []
+        for f in maps:
+            T = linalg.matmul(f.P, solver.rows)
+            if [linalg.dot(row, p0) for row in T] != [solver.D * x for x in f.p]:
+                return None
+            g = math.gcd(solver.D, *(x for row in T for x in row))
+            transforms.append((tuple(tuple(x // g for x in row) for row in T), solver.D // g))
+        return tuple(transforms)
+
+    @linalg.memo
+    def layers_tile_c6(self):
+        """Whether the group is C6 and the matrices +-T_j / d of
+        layer_transforms are its six rotations (diophantine.R60), each once.
+
+        Then check_extended PASSes at a level exactly when check_complete
+        does.  The layer pairs {T_j x, -T_j x} of a base image x are the
+        orbit C6 x, and they tile it exactly when it is free.  So the tiling
+        holds at every base point exactly when every image's orbit is free,
+        and the pairs partition U exactly when the images' canonical points
+        are the representatives, each once; every image lies on the quadric,
+        as every layer map keeps it.  These are check_complete's tests."""
+        T = self.layer_transforms
+        if self.group != "C6" or T is None or any(2 % d for _, d in T):
+            return False
+        signed = [tuple(s * (2 // d) * x for row in M for x in row) for M, d in T for s in (1, -1)]
+        return sorted(signed) == sorted(diophantine.R60)
 
 
 def _case(case_id, type_id, weight, lattice, D, P, group, claim, length=None):
@@ -419,7 +461,15 @@ def check_complete(level):
         return _fail(case_id, n, counts,
                      {"reason": "orbit without unique representative",
                       "orbit_min": orb[0], "hits": [p for p in orb if p in image_set]})
-    return Report(case_id, n, "PASS", counts)
+    # every representative is hit once, so some image lies in no listed orbit
+    return _fail(case_id, n, counts, _unlisted(level, images))
+
+
+def _unlisted(level, images):
+    """The witness of the first image whose orbit is not among level.reps."""
+    reps, canonical = set(level.reps), level.case.action.canonical
+    return {"reason": "image in no listed orbit",
+            "image": next(img for img in images if canonical(img) not in reps)}
 
 
 def check_orbit_size(level):
@@ -443,7 +493,10 @@ def check_orbit_size(level):
 
 
 def check_extended(level):
-    """Decomposition of U(12N+4) into antipodal pairs of extended images."""
+    """Decomposition of U(12N+4) into antipodal pairs of extended images,
+    tiled point by point: decide_extended's fallback, for a FAIL and for a
+    case whose layers do not tile C6, and the oracle its PASS is tested
+    against."""
     case_id, n, case = level.case.case_id, level.n, level.case
     layers = level.layers
     order = case.action.order(len(case.form))
@@ -537,8 +590,11 @@ def check_a3_conjecture(level):
     if off is not None:
         return _fail("A3conj", n, counts,
                      {"reason": "layer image off the quadric", "image": images[off]})
-    # hit lies in reps: when it holds them all, the orbits cover U and no size is summed
+    # hit lies in reps unless the solver missed an orbit: when it holds them
+    # all, the orbits cover U and no size is summed
     uncovered = [r for r in level.reps if r not in hit]
+    if len(hit) != len(level.reps) - len(uncovered):
+        return _fail("A3conj", n, counts, _unlisted(level, images))
     counts["covered"] = sum(map(case.action.orbit_size, hit)) if uncovered else level.solution_count
     if uncovered:
         return _fail("A3conj", n, counts, {"reason": "uncovered solutions",
@@ -546,8 +602,23 @@ def check_a3_conjecture(level):
     return Report("A3conj", n, "PASS", counts)
 
 
+def decide_extended(level):
+    """The extended claim: where the layers tile C6 (ParamCase.layers_tile_c6),
+    a check_complete PASS with check_extended's counts, and read no layer;
+    check_extended's report, witness and all, on any other case or level."""
+    case = level.case
+    if case.layers_tile_c6:
+        report = _decide(check_complete, level, case.case_id)
+        if report.passed:
+            base = report.counts["phi_images"]
+            return Report(case.case_id, level.n, "PASS",
+                          {"solutions": report.counts["solutions"], "base_elements": base,
+                           "extended_elements": len(case.layer_maps) * base})
+    return check_extended(level)
+
+
 CHECKS = {"complete": check_complete, "orbit-size": check_orbit_size,
-          "extended": check_extended, "stratified": check_stratified}
+          "extended": decide_extended, "stratified": check_stratified}
 
 
 def _decide(check, level, case_id):

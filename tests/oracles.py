@@ -112,6 +112,7 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -710,6 +711,15 @@ def act(group, element, point):
     raise ValueError(f"unknown group {group!r}")
 
 
+def h_orbit_size(point):
+    """n!/prod(mult!) * 2^(non-zero entries), mult counting equal absolute
+    values in a Counter: the original diophantine._h_orbit_size."""
+    size = math.factorial(len(point)) * 2 ** sum(1 for x in point if x)
+    for mult in Counter(map(abs, point)).values():
+        size //= math.factorial(mult)
+    return size
+
+
 def rotations60_stepwise(point, x, z):
     """The rotations of (x, sqrt(3) z) through 0, 60, ..., 300 degrees, in that
     order; NonIntegralImage when x - z is odd, which is outside point's domain."""
@@ -904,6 +914,57 @@ def theta(t):
         sum(t.marks[i + 1] * t.simple_roots[i][d] for i in range(t.n))
         for d in range(t.ambient_dim)
     )
+
+
+def affine_cartan_matrix(t):
+    """A_ij = 2 (alpha_i|alpha_j) / |alpha_i|^2 over alpha_0..alpha_n, with
+    alpha_0's finite part -theta_a / a_0, theta_a = sum_{i>=1} a_i alpha_i.
+    In integers: u_i = a_0 R_i for i >= 1 and u_0 = -sum_i a_i R_i, with
+    (Q, R, G) of integer_roots, so u_i = a_0 Q alpha_i for every i; a row is
+    None where an entry is not an integer."""
+    _, R, _ = t.integer_roots
+    a0, marks = t.marks[0], t.marks[1:]
+    u = [tuple(-sum(a * r[k] for a, r in zip(marks, R)) for k in range(len(R[0])))]
+    u += [tuple(a0 * x for x in r) for r in R]
+    H = [[sum(x * y for x, y in zip(v, w)) for w in u] for v in u]
+    return [[2 * x // row[i] if 2 * x % row[i] == 0 else None for x in row]
+            for i, row in enumerate(H)]
+
+
+def grassmannian_levels(t, top):
+    """[the sorted points of M with atomic length N at Lambda_0, N = 0..top],
+    from the definition: the walk up the orbit W.Lambda_0.
+
+    The state is c, the coefficients of Lambda_0 - w Lambda_0 on
+    alpha_0..alpha_n, whose height sum(c) is the atomic length, with the
+    pairings p_j = <alpha_j^v, w Lambda_0> = [j = 0] - sum_i c_i A_ji of the
+    affine Cartan matrix A.  Where p_j > 0, s_j is an ascent: c_j grows by
+    p_j and p loses p_j times column j of A.  Every orbit element is reached
+    from c = 0, p = e_0, as Lambda_0 is dominant; the states of a height are
+    kept once each.  t_x Lambda_0 has c = -x + (|x|^2 / 2) delta (Kac 6.5),
+    so x = sum_{i>=1} (a_i c_0 / a_0 - c_i) alpha_i, in integers R_i = Q
+    alpha_i (TypeData.integer_roots) over a_0 Q.
+    """
+    t = dynkin.lookup_type(t)
+    A, (Q, R, _), marks = affine_cartan_matrix(t), t.integer_roots, t.marks
+    size = len(marks)
+    columns = [[(k, A[k][j]) for k in range(size) if A[k][j]] for j in range(size)]
+    states = [{} for _ in range(top + 1)]
+    states[0][(0,) * size] = (1,) + (0,) * (size - 1)
+    for height, level in enumerate(states):
+        for c, p in level.items():
+            for j, pj in enumerate(p):
+                if 0 < pj <= top - height:
+                    up, pairs = list(c), list(p)
+                    up[j] += pj
+                    for k, a in columns[j]:
+                        pairs[k] -= pj * a
+                    states[height + pj].setdefault(tuple(up), tuple(pairs))
+    den = marks[0] * Q
+    return [sorted(tuple(Fraction(sum((a * c[0] - marks[0] * ci) * r[k]
+                                      for a, ci, r in zip(marks[1:], c[1:], R)), den)
+                         for k in range(len(R[0])))
+                   for c in level) for level in states]
 
 
 def det(matrix):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import atomic, dynkin, weyl
+from corelat import atomic, cores, dynkin, weyl
 from corelat.atomic import (
     BadIndex,
     UnsupportedLattice,
@@ -19,6 +19,7 @@ from corelat.atomic import (
     weight_Lambda0,
 )
 from corelat.dynkin import NotInRootSpan, lookup_type
+import oracles
 from oracles import enumerate_atomic_upto
 
 
@@ -326,3 +327,28 @@ def test_statistic_is_integral_on_m(name):
             for d in range(t.ambient_dim)
         )
         assert atomic_length0(t, q).denominator == 1
+
+
+@pytest.mark.parametrize("type_id", dynkin.all_type_ids(6) + ["E7_1", "E8_1"])
+def test_grassmannian_walk_matches_the_closed_form(type_id):
+    # the affine Grassmannian elements W.Lambda_0, walked up from their
+    # definition, are the level sets of (h/2)|x|^2 - ht(x) on M
+    walk = oracles.grassmannian_levels(type_id, 12)
+    for n, points in enumerate(walk):
+        assert points == [v.coords for v in enumerate_atomic(type_id, 0, n, "M")], (type_id, n)
+
+
+@pytest.mark.parametrize("type_id,d", [("A50_1", 51), ("C50_1", 100)])
+def test_grassmannian_walk_at_rank_50_lists_the_small_cores(type_id, d):
+    # the ball takes seconds a level at rank 50, so the walk's levels N <= 5
+    # are checked against the partitions they model instead: every partition
+    # of N < d is a d-core, listed by its charge, and for C50_1 the charges
+    # (m, -reversed m) give the self-conjugate ones
+    for n, points in enumerate(oracles.grassmannian_levels(type_id, 5)):
+        assert all(atomic_length0(type_id, x) == n and atomic.in_lattice(type_id, x) for x in points)
+        if type_id == "C50_1":
+            points = [x + tuple(-c for c in reversed(x)) for x in points]
+            want = [p for p in cores.partitions_of(n) if oracles.is_self_conjugate(p)]
+        else:
+            want = cores.partitions_of(n)
+        assert sorted(cores.core_from_charge(d, x) for x in points) == sorted(want), (type_id, n)

@@ -443,6 +443,8 @@ NON_INTEGRAL_CALLS = [
     (solve_diagonal, ((1, 1), 2.5, "D8"), ((1, 1), 5.0, "D8")),
     (solve_diagonal_meet, ((1, 1), F(5, 2)), ((1, 1), F(5))),
     (solve_diagonal_meet, ((1, 1), 2.5), ((1, 1), 5.0)),
+    # a string is refused as a fraction is, not formatted by %
+    (solve_diagonal, (("1", "3"), 4), ((F(1), 3.0), 4)),
 ]
 
 
@@ -454,8 +456,10 @@ def _plain(arg):
 
 
 def _row_id(call, args):
-    """The call's name, then each non-integral scalar argument and the group."""
-    return "-".join([call.__name__] + [str(a) for a in args if isinstance(a, (F, float, str))])
+    """The call's name, then each non-integral scalar argument, the group and
+    a tuple that holds a string."""
+    return "-".join([call.__name__] + [str(a) for a in args if isinstance(a, (F, float, str)) or
+                                       isinstance(a, tuple) and any(isinstance(x, str) for x in a)])
 
 
 NON_PARTITION_CALLS = [
@@ -468,6 +472,10 @@ NON_PARTITION_CALLS = [
     # a zero part, and a part that is not an integer (a TypeError)
     (is_d_core, ((2, 0), 3)),
     (charge_of_core, (3, (2.5,))),
+    # a string or None part, which no arithmetic reads as a number
+    (cores.validate_partition, (("2",),)),
+    (charge_of_core, (3, ("2",))),
+    (cores.validate_partition, ((None,),)),
 ]
 
 

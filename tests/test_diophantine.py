@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -110,6 +111,15 @@ def test_orbit_formulas_match_the_group_elements():
     assert raised == {"C6", "G_A3"}
     with pytest.raises(ValueError, match="unknown group"):
         orbit("Z2", (1, 2))
+
+
+def test_hyperoctahedral_orbit_size_matches_the_counter_formula():
+    # every point of [-4, 4]^n, n <= 4, and rank-8 samples with repeats
+    points = [p for n in range(1, 5) for p in itertools.product(range(-4, 5), repeat=n)]
+    rng = random.Random(8)
+    points += [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(2000)]
+    for p in points:
+        assert diophantine._h_orbit_size(p) == oracles.h_orbit_size(p), p
 
 
 def test_orbit_examples():
@@ -381,7 +391,7 @@ def test_ga3_sieve_keeps_exactly_the_residues_that_can_leave_a_square():
 
 def test_sector60_rotation_matches_the_r60_matrices():
     # the one-frame rotation into (-30, 30] degrees is the largest of the six
-    # halved _R60 rotations of (x, sqrt(3) z), and off the parity domain it
+    # halved R60 rotations of (x, sqrt(3) z), and off the parity domain it
     # raises _rotations60's text, naming the point
     for x in range(-40, 41):
         for z in range(-40, 41):
@@ -391,7 +401,7 @@ def test_sector60_rotation_matches_the_r60_matrices():
                     diophantine._to_sector60(point, x, z)
                 continue
             rotations = [((a * x + b * z) // 2, (c * x + d * z) // 2)
-                         for a, b, c, d in diophantine._R60]
+                         for a, b, c, d in diophantine.R60]
             assert diophantine._to_sector60(point, x, z) == max(rotations), point
 
 

@@ -13,7 +13,7 @@ from corelat.dynkin import (
     simple_root_coefficients,
 )
 from golden_data import COMARKS
-from oracles import det, theta
+from oracles import affine_cartan_matrix, det, theta
 
 
 ALL_IDS = dynkin.all_type_ids(4)
@@ -70,21 +70,6 @@ def test_derived_comarks_match_the_golden():
 
 CARTAN_TYPES = dynkin.all_type_ids(8) + ["A50_1", "B50_1", "C50_1", "D50_1", "A49_2",
                                           "A50_2", "D50_2"]
-
-
-def affine_cartan_matrix(t):
-    """A_ij = 2 (alpha_i|alpha_j) / |alpha_i|^2 over alpha_0..alpha_n, with
-    alpha_0's finite part -theta_a / a_0, theta_a = sum_{i>=1} a_i alpha_i.
-    In integers: u_i = a_0 R_i for i >= 1 and u_0 = -sum_i a_i R_i, with
-    (Q, R, G) of integer_roots, so u_i = a_0 Q alpha_i for every i; a row is
-    None where an entry is not an integer."""
-    _, R, _ = t.integer_roots
-    a0, marks = t.marks[0], t.marks[1:]
-    u = [tuple(-sum(a * r[k] for a, r in zip(marks, R)) for k in range(len(R[0])))]
-    u += [tuple(a0 * x for x in r) for r in R]
-    H = [[sum(x * y for x, y in zip(v, w)) for w in u] for v in u]
-    return [[2 * x // row[i] if 2 * x % row[i] == 0 else None for x in row]
-            for i, row in enumerate(H)]
 
 
 @pytest.mark.parametrize("type_id", CARTAN_TYPES)

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -554,21 +557,161 @@ def test_layer_maps_match_per_point_path(case_id):
         assert linalg.dot(D, [x * x for x in p]) == case.b, (case_id, j)
 
 
+def _layers_add_no_orbit(case, top):
+    """Assert that at each level N <= top the images of every layer j >= 1
+    fall in the G-orbits of the base layer's; the number of non-empty levels."""
+    canonical, nonempty = case.action.canonical, 0
+    for n in range(top + 1):
+        ms = param.LevelData(case, n).coefficients
+        base = {canonical(case.image_map(m)) for m in ms}
+        for layer in case.layer_maps[1:]:
+            assert {canonical(layer(m)) for m in ms} <= base, (case.case_id, n)
+        nonempty += bool(ms)
+    return nonempty
+
+
 def test_d3t_layer_two_adds_no_orbit():
     # a computed finding, not a claim of the paper: sigma_2 of D3_2 gives an
     # integral layer map on the D3t quadric, and at N <= 7 its images fall in
-    # the D8 orbits of the base layer's, so Omega adds no orbit there
+    # the D8 orbits of the base layer's, so Omega adds no orbit there; the
+    # differential test of test_layer_transforms_lie_in_the_group
     case = get_case("D3t")
     assert weyl.sigma_indices(case.type_id) == (0, 2)
     layer2 = case.layer_maps[1]
     assert layer2.apply is layer2.numerators and layer2.keeps_quadric
-    nonempty = 0
-    for n in range(8):
-        ms = param.LevelData(case, n).coefficients
-        base = {diophantine.canonical("D8", case.image_map(m)) for m in ms}
-        assert {diophantine.canonical("D8", layer2(m)) for m in ms} <= base, n
-        nonempty += bool(ms)
-    assert nonempty == 7
+    assert _layers_add_no_orbit(case, 7) == 7
+
+
+@pytest.mark.parametrize("case_id", ["HYP:C3_1", "HYP:B3_1"])
+def test_hyp_layers_add_no_orbit(case_id):
+    case = get_case(case_id)
+    assert len(case.layer_maps) == 2 and _layers_add_no_orbit(case, 7) >= 6
+
+
+I2, I3 = ((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+A2_LAYERS = ((I2, 1), (((-1, 3), (-1, -1)), 2), (((-1, -3), (1, -1)), 2))
+B3_LAYERS = ((I3, 1), (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), 1))
+LAYER_TRANSFORMS = {
+    "A2": A2_LAYERS, "A2ext": A2_LAYERS,
+    "C2": ((I2, 1), (((-1, 0), (0, 1)), 1)),
+    "C2L1": None,       # its layer 2 does not keep the quadric
+    "D3t": ((I2, 1), (((0, -1), (-1, 0)), 1)),
+    "A42": ((I2, 1),), "G21": ((I2, 1),), "D43": ((I2, 1),),
+    "A3": ((I3, 1), (((-1, -4, 9), (4, -2, 0), (-1, -4, -3)), 6),
+           (((-2, -2, -3), (-1, -1, 3), (-1, 2, 0)), 3), (((-1, 8, -3), (-2, -2, -6), (3, 0, -3)), 6)),
+    "HYP:C3_1": ((I3, 1), (((0, 0, -1), (0, -1, 0), (-1, 0, 0)), 1)),
+    "HYP:B3_1": B3_LAYERS, "HYP:A5_2": B3_LAYERS,
+}
+HYP_REGISTRY_IDS = [f"HYP:{t}" for t in dynkin.all_type_ids(6) if t[0] in "BC" and t.endswith("_1")
+                    or t[0] in "AD" and t.endswith("_2")]
+
+
+def test_layer_transforms_table():
+    # layer j is one fixed map T_j / d of layer 0, in lowest terms; only C2L1,
+    # at weight 1, has a layer off the quadric
+    assert {c: get_case(c).layer_transforms for c in LAYER_TRANSFORMS} == LAYER_TRANSFORMS
+    assert len(HYP_REGISTRY_IDS) == 24
+
+
+@pytest.mark.parametrize("case_id", [*param.CASES, *HYP_REGISTRY_IDS])
+def test_layer_transforms_carry_layer_zero_to_each_layer(case_id):
+    # T_j phi(q) = d layer_j(q) on the per-point path, through coordinates
+    # and weyl.extended_image, at every N <= 20
+    case = get_case(case_id)
+    transforms = case.layer_transforms
+    if transforms is None:
+        assert case_id == "C2L1"
+        return
+    layers = weyl.sigma_indices(case.type_id)
+    assert len(transforms) == len(layers)
+    for n in range(21):
+        for q in lattice_points(case, n):
+            image = case.phi_map(q)
+            for j, (T, d) in zip(layers, transforms):
+                assert [linalg.dot(row, image) for row in T] == \
+                    [d * x for x in layer_image(case, j, q)], (case_id, n, q, j)
+
+
+def _group_element(case, T, d):
+    """The element g of the case's group (oracles.group_elements) that acts
+    as T / d on the basis 2 e_i, inside every parity domain, or None."""
+    rank = len(T)
+    basis = [tuple(2 * (r == i) for r in range(rank)) for i in range(rank)]
+    images = [[2 * row[i] for row in T] for i in range(rank)]
+    return next((g for g in oracles.group_elements(case.group, rank)
+                 if all([d * x for x in oracles.act(case.group, g, b)] == img
+                        for b, img in zip(basis, images))), None)
+
+
+@pytest.mark.parametrize("case_id", ["A2", "C2", "D3t", "A3", *HYP_REGISTRY_IDS])
+def test_layer_transforms_lie_in_the_group(case_id):
+    # each T_j of D3t, C2, A2 and the hyperoctahedral cases is an element of
+    # the case's group, so layer j adds no G-orbit at any N; A3's T_j for
+    # j >= 1 are not in G_A3
+    case = get_case(case_id)
+    found = [_group_element(case, T, d) for T, d in case.layer_transforms]
+    if case_id == "A3":
+        assert found[0] is not None and found[1:] == [None] * 3
+    else:
+        assert None not in found, case_id
+
+
+def test_layers_tile_c6_only_on_a2():
+    # the certificate holds where +-T_j are C6's six rotations: A2 and A2ext
+    tiled = [c for c in [*param.CASES, *HYP_REGISTRY_IDS] if get_case(c).layers_tile_c6]
+    assert tiled == ["A2", "A2ext"]
+    a2ext = get_case("A2ext")
+    for change in (dict(phi_map=lambda q: a2ext.phi_map(q)), dict(b=16),
+                   # the undecidable variant of FAIL_SWEEPS: its offset leaves the quadric
+                   dict(phi_map=param.AffineMap(((3, 6), (3, 0)), (0, -1)))):
+        assert not dataclasses.replace(a2ext, **change).layers_tile_c6, change
+
+
+def test_import_builds_no_layer_transform():
+    # the transforms and the certificate are memos, built on a case's first read
+    src = os.path.dirname(os.path.dirname(param.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from corelat import param; "
+            "sys.exit(any({'layer_maps', 'layer_transforms', 'layers_tile_c6'} & set(c.__dict__)"
+            " for c in param.CASES.values()))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_extended_claim_matches_the_tiling_check():
+    # the decision through check_complete reports as check_extended does
+    case = get_case("A2ext")
+    for n in range(301):
+        assert verify_case("A2ext", n).to_dict() == \
+            param.check_extended(param.LevelData(case, n)).to_dict(), n
+
+
+def test_extended_pass_calls_no_tiling_check(monkeypatch):
+    # a PASS level of A2ext is decided without check_extended; a level of a
+    # case whose layers do not tile C6 falls back to it
+    calls = []
+    check_extended = param.check_extended
+    monkeypatch.setattr(param, "check_extended", lambda level: calls.append(level.n) or check_extended(level))
+    for n in range(40):
+        assert verify_case("A2ext", n).passed, n
+    assert calls == []
+    variant = dataclasses.replace(get_case("A2ext"), b=16)
+    assert not param.decide_extended(param.LevelData(variant, 1)).passed
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_an_image_in_no_listed_orbit_is_a_fail(n):
+    # a solver that missed an orbit: the last representative is dropped, and
+    # its image lies in no orbit the level lists
+    for case_id, check in (("A2", param.check_complete), ("A2ext", param.decide_extended),
+                           ("A3", param.check_a3_conjecture)):
+        level = param.LevelData(get_case(case_id), n)
+        dropped = level.reps[-1]
+        level.reps = level.reps[:-1]
+        report = check(level)
+        assert not report.passed, (case_id, n)
+        if case_id != "A2ext":      # check_extended's "pairs do not partition U"
+            assert report.witness["reason"] == "image in no listed orbit"
+            assert get_case(case_id).action.canonical(report.witness["image"]) == dropped
 
 
 def test_a_layer_map_that_leaves_the_integers_is_refused_when_built():
@@ -787,7 +930,7 @@ def test_case_refuses_a_group_that_does_not_fit(D, P, group, error):
         param._case("X", "A2_1", 0, "M", D, P, group, "complete")
     assert str(info.value) == f"case X: {error}"
 _CLAIM_ORACLES = {"complete": (param.check_complete, oracles.check_complete),
-                  "extended": (param.check_extended, oracles.check_extended),
+                  "extended": (param.decide_extended, oracles.check_extended),
                   "stratified": (param.check_stratified, oracles.check_stratified)}
 
 
@@ -868,6 +1011,7 @@ def test_extended_check_fail_branches_match_oracle(reason, n, change):
     changed = dataclasses.replace(get_case("A2ext"), **change)
     report = _checks_agree(param.check_extended, oracles.check_extended, changed, n)
     assert report["witness"]["reason"] == reason
+    assert param.decide_extended(param.LevelData(changed, n)).to_dict() == report
 
 
 def _stratified_variants():
@@ -920,17 +1064,10 @@ def test_claim_checks_never_list_u(monkeypatch):
     def refuse(*args):
         raise AssertionError("a claim check partitioned U")
 
-    orbit = diophantine.orbit
-
-    def c6_orbit_only(group, point):
-        # A2ext's tiling check builds the six-point C6 orbit of each base
-        # point; no check lists the orbit of any other group
-        if group != "C6":
-            raise AssertionError(f"a claim check built a {group} orbit")
-        return orbit(group, point)
-
+    # A2ext's PASS levels are decided by check_complete, so no check builds
+    # an orbit: only a FAIL witness or check_extended's tiling would
     monkeypatch.setattr(diophantine, "orbit_partition", refuse)
-    monkeypatch.setattr(diophantine, "orbit", c6_orbit_only)
+    monkeypatch.setattr(diophantine, "orbit", refuse)
     for n in range(6):
         for case_id in cli.VERIFY_CASES + ("HYP:C3_1", "HYP:B4_1"):
             case = get_case(case_id)
