@@ -6,12 +6,18 @@ is decided.  Exit codes: 0 when everything requested PASSes, 1 on a
 verification FAIL (the witness is in the output), 2 on a usage error, which
 writes nothing to stdout, and on a stdout closed before the output ends.
 
+A command's words are parsed once, by that command's own parser; the root
+parser reads only an argv that does not start with a command or that the
+command's parser leaves words of, so help, usage errors and their text are
+argparse's own.
+
 `enumerate` prints a level from the sorted integer rows C m of its length
-form (QuadraticForm.level_numerators): each distinct integer is formatted
-once, as str(Fraction(x, Q)), and the CSV is written one line per point,
-the lines csv.writer would write.  A level whose search would loop its
-outermost coordinate over more than atomic.MAX_OUTER_VALUES values is
-refused as a usage error (atomic.level_form).
+form (QuadraticForm.level_numerators): each distinct integer x is formatted
+once, from integers, as the text str(Fraction(x, Q)) gives, and the CSV is
+written one line per point, the lines csv.writer would write.  A level
+whose search would loop its outermost coordinate over more than
+atomic.MAX_OUTER_VALUES values is refused as a usage error
+(atomic.level_form).
 """
 
 import argparse
@@ -23,6 +29,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from . import atomic, cores, param
 from .dynkin import lookup_type
@@ -55,6 +62,12 @@ def _fraction(token):
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {token!r}") from None
+
+
+def _ratio(x, q):
+    """str(Fraction(x, q)) for ints x and q > 0, without building the Fraction."""
+    g = gcd(x, q)
+    return str(x // g) if g == q else f"{x // g}/{q // g}"
 
 
 def _fmt_tuple(t):
@@ -157,7 +170,7 @@ def _cmd_enumerate(args, out):
     form = atomic.level_form(t, weight, target, lattice)
     rows, level = form.level_numerators(target), str(target)
     # a level repeats few coordinate values, so each is formatted once
-    text = {x: str(Fraction(x, form.Q)) for x in set().union(*rows)}.__getitem__
+    text = {x: _ratio(x, form.Q) for x in set().union(*rows)}.__getitem__
     if args.format == "json":
         out.write(_json({"type": args.type, "weight": args.weight, "lattice": lattice,
                          "N": level, "elements": [list(map(text, row)) for row in rows]}) + "\n")
@@ -211,7 +224,8 @@ def _cmd_conjecture(args, out):
 @cache
 def build_parser():
     """The argument parser, built on the first call and shared by every later
-    one: parsing keeps no state in it, each parse gets a fresh namespace."""
+    one: parsing keeps no state in it, each parse gets a fresh namespace.
+    Its commands attribute maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="corelat",
         description="Atomic lengths, generalised cores, and Pell-type sweeps.")
@@ -257,11 +271,23 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="accepted and ignored; computation is deterministic")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run argv (sys.argv[1:] when None), parsed once: by its command's
+    parser, or by the root one when no command leads or words are left."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+    return _run(parser.parse_args(argv) if args is None or rest else args)
+
+
+def _run(args):
+    """The exit code of a parsed command; a ValueError or KeyError, or a
+    stdout closed early, is one `error:` line on stderr and exit 2."""
     try:
         return args.func(args, sys.stdout)
     except (ValueError, KeyError) as exc:

@@ -21,6 +21,7 @@ layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's rotations
 is data, never raised.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -346,8 +347,9 @@ class LevelData:
 
     @linalg.memo
     def solutions(self):
-        """The sorted solution set U of the case's equation at level N."""
-        return solve_diagonal(self.case.form, self.k)
+        """The sorted solution set U of the case's equation at level N: the
+        G-orbits of reps, disjoint as each rep is its orbit's canonical point."""
+        return sorted(itertools.chain.from_iterable(map(self.case.action.orbit, self.reps)))
 
     @linalg.memo
     def reps(self):

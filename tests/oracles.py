@@ -53,10 +53,12 @@ definition, the reference that phi's quadric identity is checked against.
 
 check_complete, check_extended, check_stratified, check_orbit_size and
 check_a3_conjecture are the original claim checks on the full solution set U
-and its orbit partition (with freeness_witness inlined in check_complete and
-the strata of U computed in check_stratified, where LevelData once held
-them), and representatives is the rule they imply for orbit
-representatives: the lexicographic maximum of each orbit of U.
+(solutions: the group-free solve, as LevelData.solutions was before it read
+U off the orbits of reps) and its orbit partition (with freeness_witness
+inlined in check_complete and the strata of U computed in check_stratified,
+where LevelData once held them), and representatives is the rule they
+imply for orbit representatives: the lexicographic maximum of each orbit
+of U.
 is_action_free is the original diophantine.is_action_free, which builds the
 orbit partition.  det, h_statistic, theta (the marked root, once in dynkin),
 A3Stratum and stratum are helpers that only the tests call.  stratify is the
@@ -89,7 +91,9 @@ linalg's count of a level search's outermost values.  enumerate_command is the
 original rendering of `corelat enumerate`, one LatticeVector per point and
 one Fraction per distinct coordinate, formatted through an id-keyed table
 and written by csv.writer or json, from before cli read a level's integer
-rows.  factorize, two_squares_solvable,
+rows.  root_outcome is the original dispatch of cli.main, the root parser
+reading the whole argv, from before each command's words went to that
+command's parser alone.  factorize, two_squares_solvable,
 GaussianLift, gaussian_lift, residue_free_criterion and Unsolvable are the
 sums-of-two-squares section that diophantine once held; only the tests
 call them.
@@ -107,6 +111,7 @@ C6 and G_A3 as the largest of them, and the G_A3 sector search that steps
 y and decides x.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -751,9 +756,15 @@ def representatives(group, form, k):
         group, diophantine.solve_diagonal(form, k)))
 
 
+def solutions(level):
+    """U at the level from the group-free solve, as the original
+    LevelData.solutions gave it, independent of the level's reps."""
+    return diophantine.solve_diagonal(level.case.form, level.k)
+
+
 def _orbits(level):
     """The orbit partition of U, as the original LevelData.orbits gave it."""
-    return diophantine.orbit_partition(level.case.group, level.solutions)
+    return diophantine.orbit_partition(level.case.group, solutions(level))
 
 
 def is_action_free(group, solutions):
@@ -773,7 +784,7 @@ def is_action_free(group, solutions):
 def check_complete(level):
     """Freeness plus exactly-one-image-per-orbit."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, points, images = level.solutions, level.points, level.images
+    sols, points, images = solutions(level), level.points, level.images
     counts = {"solutions": len(sols), "orbits": 0, "phi_images": len(images)}
     if len(set(images)) != len(images):
         dup = next(x for x in images if images.count(x) > 1)
@@ -803,7 +814,7 @@ def check_complete(level):
 def check_extended(level):
     """Decomposition of U(12N+4) into antipodal pairs of extended images."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, base = level.solutions, level.points
+    sols, base = solutions(level), level.points
     counts = {"solutions": len(sols), "base_elements": len(base),
               "extended_elements": 3 * len(base)}
     all_pairs = []
@@ -828,7 +839,7 @@ def check_extended(level):
 def check_stratified(level):
     """Stratification, G-stability, layer separation and orbit disjointness."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, base = level.solutions, level.points
+    sols, base = solutions(level), level.points
     strata = stratify(level, sols)
     counts = {"solutions": len(sols), "base_elements": len(base),
               "extended_elements": 4 * len(base), "strata": len(strata.gamma)}
@@ -873,7 +884,7 @@ def check_stratified(level):
 def check_orbit_size(level):
     """Every phi-image has a full-size orbit; coverage is reported, not required."""
     case_id, n, case = level.case.case_id, level.n, level.case
-    sols, images, orbits = level.solutions, level.images, _orbits(level)
+    sols, images, orbits = solutions(level), level.images, _orbits(level)
     expected = diophantine.group_order(case.group, len(case.form))
     counts = {"solutions": len(sols), "orbits": len(orbits),
               "phi_images": len(images), "expected_orbit_size": expected}
@@ -895,7 +906,7 @@ def check_orbit_size(level):
 def check_a3_conjecture(level):
     """Do the G-orbits of the extended images cover all of U(48N+30)?"""
     n, case = level.n, level.case
-    sols, base = level.solutions, level.points
+    sols, base = solutions(level), level.points
     counts = {"solutions": len(sols), "base_elements": len(base),
               "extended_elements": 4 * len(base)}
     covered = set().union(*(diophantine.orbit(case.group, img)
@@ -1296,6 +1307,18 @@ def enumerate_command(argv):
         writer.writerows([args.type, args.weight, lattice, level, "(" + ",".join(e) + ")"]
                          for e in elements)
     return 0, out.getvalue(), ""
+
+
+def root_outcome(argv):
+    """(exit code, stdout, stderr) of argv parsed by the root parser and run
+    with cli.main's error handling; argparse's SystemExit gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli._run(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class Unsolvable(ValueError):

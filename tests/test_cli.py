@@ -22,7 +22,7 @@ from corelat import atomic, cli, dynkin, param
 from golden_data import (ATOMIC_LENGTH_SHA256, CONJECTURE_A3_JSON_3, ENUMERATE_SHA256,
                          FAIL_SWEEPS, SOLVE_SHA256, SWEEP_SHA256, TABLE_12N7, TABLE_40N10,
                          TABLE_6N7, TABLE_8N1, TABLE_JSON_SHA256, VERIFY_JSON)
-from oracles import enumerate_command
+from oracles import enumerate_command, root_outcome
 
 
 def run_cli(argv):
@@ -196,16 +196,13 @@ def test_not_in_root_span_message_reads_back_as_coords(capsys):
 
 
 def assert_exit_contract(argv):
-    """Exit 0, 1 or 2, never a traceback, and stdout exactly on exit 0."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:      # argparse rejects the argv
-            code = exc.code
+    """Exit 0, 1 or 2, never a traceback, stdout exactly on exit 0, and the
+    outcome of the root parser's parse of the whole argv."""
+    code, out, err = outcome(argv)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (out.getvalue() != "")
+    assert "Traceback" not in err
+    assert (code == 0) == (out != "")
+    assert (code, out, err) == root_outcome(argv)
 
 
 # type id -> coordinate count (None: not a supported type)
@@ -639,6 +636,56 @@ def test_main_without_argv_reads_each_calls_sys_argv(monkeypatch):
     for argv, want in zip(argvs, expected):
         monkeypatch.setattr(sys, "argv", ["corelat"] + argv)
         assert outcome(None) == want
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["enum", "--type", "A2_1", "--N", "2"],
+    ["enumerate", "--type", "A2_1"],
+    ["enumerate", "--type", "A2_1", "--N", "2", "stray"],
+    ["verify", "--case", "A2", "--N", "1", "--bogus", "x"],
+    ["enumerate", "--type=A2_1", "--N=3"],
+    ["verify", "--case", "A2", "--N", "0", "--max-N", "3"],
+    ["verify", "--case", "A2", "--max", "3"],
+    ["enumerate", "--type", "A2_1", "--N", "2", "--form", "json"],
+    ["verify", "--case", "A2", "--N", "1", "-h"],
+    ["--format", "json", "verify", "--case", "A2", "--N", "1"],
+    ["verify", "--", "--case", "A2"],
+    ["atomic-length", "--type", "C2_1", "--coords", "1,-3", "--weight", "L1"],
+    ["solve", "--case", "G21", "--N", "3", "--format", "json"],
+    ["table", "--figure", "6N+7", "--max-N", "2", "--seed", "7"],
+    ["conjecture-a3", "--max-N", "2"],
+    ["verify", "--case", "bogus", "--N", "1"],
+])
+def test_dispatch_matches_the_root_parse(argv):
+    assert outcome(argv) == root_outcome(argv)
+
+
+def test_a_well_formed_command_never_reaches_the_root_parser(monkeypatch):
+    calls, depth = [], []
+
+    def counted(method):
+        def call(*args, **kwargs):
+            if not depth:           # parse_args calls parse_known_args itself
+                calls.append(method.__name__)
+            depth.append(method)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth.pop()
+        return call
+
+    cli.build_parser.cache_clear()
+    try:
+        root = cli.build_parser()
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(root, name, counted(getattr(root, name)))
+        for argv in (["enumerate", "--type", "A2_1", "--N", "2", "--format", "json"],
+                     ["verify", "--case", "A2", "--max-N", "2"]):
+            assert outcome(argv)[0] == 0 and calls == []
+        assert outcome(["enumerate", "--type", "A2_1", "--N", "2", "stray"])[0] == 2
+        assert calls == ["parse_args"]
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_main_builds_one_parser_tree_per_process(monkeypatch):

@@ -897,6 +897,16 @@ def test_images_make_no_layer_map_call(monkeypatch):
         assert a3_conjecture_check(n).passed
 
 
+@pytest.mark.parametrize("case_id", [*param.CASES, "HYP:C3_1", "HYP:B3_1", "HYP:A4_2",
+                                     "HYP:D3_2"])
+def test_solutions_from_orbits_match_the_group_free_solve(case_id):
+    # U read from the orbits of reps against solve_diagonal without a group
+    case = get_case(case_id)
+    for n in range(61):
+        level = param.LevelData(case, n)
+        assert level.solutions == oracles.solutions(level), n
+
+
 @pytest.mark.parametrize("case_id,top", [(c, 12 if c == "A3" else 20) for c in (
     *param.CASES, "HYP:C3_1", "HYP:B4_1", "HYP:D3_2")])
 def test_bound_row_matches_the_group_element_oracle(case_id, top):
