@@ -17,8 +17,11 @@ solve_diagonal check their input and call the row: H reads its rank from the poi
 whose length is not its rank (3 for G_A3, else 2), and solve_diagonal checks
 a (form, group) pair once.  param binds each case to its row once, so a
 claim check calls the row's closed forms with no check per point.  D8 is H
-on two coordinates, sharing its rules.  C6 and G_A3 rotate by halved integer
-matrices, which raise NonIntegralImage outside their parity domain;
+on two coordinates, sharing its canonical point, orbit size and search; its
+orbit is its eight signed permutations written out, and H's is built from
+the distinct arrangements of the absolute values.  C6 and G_A3 rotate by
+halved integer matrices, which raise NonIntegralImage outside their parity
+domain;
 _to_sector60 checks the parity and rotates into the canonical sector in one
 frame, and _rotations60 serves orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
@@ -335,18 +338,43 @@ class Group:
         self.canonical, self.orbit_size, self.orbit = canonical, orbit_size, orbit
 
 
-# The signed permutations of H, and of D8 on two coordinates
-_SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
-           lambda p: {s for perm in itertools.permutations(p) for s in _signs(perm)},
-           lambda f: _chain(f, 1))
-# Orbits by formula: the signed permutations for H and D8, the sign changes
-# for V4, the quarter-turns for C4, the rotations of (x, sqrt(3) y) for C6,
-# and for G_A3 those of (x, sqrt(3) z) and (x, -sqrt(3) z), y fixed.
+def _arrangements(values):
+    """The distinct arrangements of the sorted list values, each once, in
+    ascending order: the next-permutation step swaps the last ascent's head
+    for the least larger entry after it and reverses the tail."""
+    values, last = list(values), len(values) - 1
+    while True:
+        yield tuple(values)
+        i = last - 1
+        while i >= 0 and values[i] >= values[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while values[j] <= values[i]:
+            j -= 1
+        values[i], values[j] = values[j], values[i]
+        values[i + 1:] = values[:i:-1]
+
+
+def _d8_orbit(point):
+    a, b = point
+    return {(a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a), (-b, -a)}
+
+
+# The canonical point and orbit size of the signed permutations, H and D8
+_SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size)
+# Orbits by formula: the signed permutations for H, the sign changes of each
+# distinct arrangement of the absolute values, each point once, and for D8
+# the eight of them written out; the sign changes for V4, the quarter-turns
+# for C4, the rotations of (x, sqrt(3) y) for C6, and for G_A3 those of
+# (x, sqrt(3) z) and (x, -sqrt(3) z), y fixed.
 GROUPS = {
     "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
                 lambda p: 4 >> sum(1 for x in p if x == 0),
                 lambda p: set(_signs(p)), lambda f: _chain(f, 0)),
-    "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1], *_SIGNED),
+    "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1], *_SIGNED,
+                _d8_orbit, lambda f: _chain(f, 1)),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,
                 lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])},
@@ -357,7 +385,9 @@ GROUPS = {
                   _ga3_orbit_size,
                   lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
                   _ga3_solver),
-    "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1, *_SIGNED),
+    "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1, *_SIGNED,
+               lambda p: {s for a in _arrangements(sorted(map(abs, p))) for s in _signs(a)},
+               lambda f: _chain(f, 1)),
 }
 
 

@@ -526,49 +526,65 @@ def check_stratified(level):
     """Stratification, layer separation and rotation-orbit disjointness.
 
     The check is for G = G_A3, as its separation test acts on (x, z) as C6
-    whatever case.group is.  G_A3 fixes the middle coordinate, so the strata
-    flags read the middle values of the representatives, and each stratum is
-    G-stable by construction: reps raises NotClosed for a form G_A3 does not
-    preserve.
+    whatever case.group is.  G_A3 fixes the middle coordinate, so each
+    stratum is G-stable by construction (reps raises NotClosed for a form
+    G_A3 does not preserve), and U is read only through the middle values of
+    the representatives, one of each value standing witness for its
+    Omega_y test (_strata_flags).  At k = 48N+30, which is 0 mod 3, the
+    Omega_y predicate is the stratum's own equation m^2 + 2y^2 + 3s^2 = k,
+    so the emptiness rule cross-checks that the G_A3 sector search met every
+    non-empty stratum, and only the candidates it has no point for are
+    scanned.
     """
     case_id, n = level.case.case_id, level.n
     reps, base = level.reps, len(level.coefficients)
-    strata = _stratify(level, reps)
+    gamma, nonempty_iff_omega, partition_ok, all_y_odd = _strata_flags(
+        level.k, {r[1]: r for r in reps})
     counts = {"solutions": level.solution_count, "base_elements": base,
               "extended_elements": len(level.case.layer_maps) * base,
-              "strata": len(strata.gamma)}
-    if not strata.all_y_odd:
+              "strata": len(gamma)}
+    if not all_y_odd:
         return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
-    if not strata.nonempty_iff_omega:
+    if not nonempty_iff_omega:
         return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
-    if not strata.partition_ok:
+    if not partition_ok:
         return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
-    # decided once per level: (point, layer) of the first image off the quadric
-    maps = level.case.layer_maps
-    off = level.off_quadric((img for layer in level.layers for img in layer), maps)
-    off = off if off is None else divmod(off, len(maps))
     # Separation is a rotation-orbit statement: the reflection can carry one
     # extended image onto the mirror rotation orbit of another in the same
     # stratum (first seen at N = 3), so only orbits under the rotation
     # subgroup of distinct extended elements are disjoint.  That subgroup acts
-    # on (x, z) as C6, and two orbits meet only when equal, so the images are
-    # grouped by C6 canonical point and stratum under keys (j, point index),
-    # which sort as (j, point) does.  The witness is the first two keys of
-    # the shared class with the least key.
-    classes, c6 = {}, diophantine.GROUPS["C6"].canonical
-    for i, layer in enumerate(level.layers):
-        for j, img in enumerate(layer):
-            if (i, j) == off:
-                return _fail(case_id, n, counts,
-                             {"reason": "layer image off the quadric", "image": img})
-            classes.setdefault((c6(img[::2]), img[1]), []).append((j, i))
-        if len({img[1] for img in layer}) != 4:
-            return _fail(case_id, n, counts,
-                         {"reason": "layers share a stratum",
-                          "q": [str(x) for x in level.points[i]]})
-    shared = [sorted(keys) for keys in classes.values() if len(keys) > 1]
-    if shared:
-        (j1, i1), (j2, i2) = min(shared)[:2]
+    # on (x, z) as C6, and two orbits meet only when equal, so each image is
+    # keyed by its C6 canonical point and stratum, and the orbits are disjoint
+    # when no key repeats.
+    maps, layers = level.case.layer_maps, level.layers
+    width, images = len(maps), [img for layer in layers for img in layer]
+    # index of the first image off the quadric, or None; none is tested when
+    # every map keeps the quadric
+    off = level.off_quadric(images, maps)
+    share = next((i for i, layer in enumerate(layers) if len({img[1] for img in layer}) != 4),
+                 None)
+    # the pass in point order stops at the first image off the quadric or
+    # after the images of the first point whose layers share a stratum,
+    # whichever comes first; canonical raises as it would on the way there
+    stop = len(images) if share is None else width * (share + 1)
+    off_first = off is not None and off < stop
+    c6 = diophantine.GROUPS["C6"].canonical
+    keys = [(c6(img[::2]), img[1]) for img in images[:off if off_first else stop]]
+    if off_first:
+        return _fail(case_id, n, counts,
+                     {"reason": "layer image off the quadric", "image": images[off]})
+    if share is not None:
+        return _fail(case_id, n, counts,
+                     {"reason": "layers share a stratum",
+                      "q": [str(x) for x in level.points[share]]})
+    if len(set(keys)) < len(keys):
+        # the witness is the first two (j, point index) keys of the shared
+        # class with the least such key, which sort as (j, point) does
+        classes = {}
+        for index, key in enumerate(keys):
+            i, j = divmod(index, width)
+            classes.setdefault(key, []).append((j, i))
+        (j1, i1), (j2, i2) = min(sorted(v) for v in classes.values() if len(v) > 1)[:2]
         return _fail(case_id, n, counts,
                      {"reason": "extended rotation orbits intersect",
                       "first": list(map(str, level.points[i1])), "j1": j1,
@@ -657,34 +673,69 @@ class A3Strata:
 
 
 def a3_strata(n):
-    """Stratify U(48N+30) by the middle coordinate and test the emptiness rule."""
+    """Stratify U(48N+30) by the middle coordinate and test the emptiness rule.
+
+    Only this lists each stratum's points; check_stratified reads the same
+    flags (_strata_flags) off one representative per middle value.  As
+    48N+30 is 0 mod 3, the Omega_y predicate is the stratum's own equation
+    m^2 + 2y^2 + 3s^2 = 48N+30, so Omega_y is non-empty exactly when the
+    stratum is, and a stratum the solve missed breaks the emptiness rule.
+    """
     level = LevelData(CASES["A3"], n)
     return _stratify(level, level.solutions)
 
 
 def _stratify(level, sols):
     """a3_strata from points of U(k), k = 48N+30 the level's, that meet every
-    stratum; the flags read only their middle values."""
-    n, k = level.n, level.k
+    stratum: the sorted points of each stratum, and _strata_flags on one
+    point per stratum."""
     by_y = {}
     for s in sols:
         by_y.setdefault(s[1], []).append(s)
-    all_y_odd = all(y % 2 == 1 for y in by_y)
+    gamma, *flags = _strata_flags(level.k, {y: v[0] for y, v in by_y.items()})
+    return A3Strata(level.n, gamma, {y: sorted(v) for y, v in by_y.items()}, *flags)
 
-    omega_nonempty = {}
+
+def _strata_flags(k, met):
+    """(gamma, nonempty_iff_omega, partition_ok, all_y_odd) of A3Strata for
+    the strata of U(k) that met names, each middle value y mapped to one
+    point (x, y, z) of U(k) with it.
+
+    gamma lists the odd candidates y, 2y^2 < k, whose Omega_y is non-empty:
+    some m >= 0 with m^2 = y^2 (mod 3) makes t = (k//3 - 2(y^2//3)) -
+    (m^2 + 2(y^2 % 3))//3, which is k//3 - (m^2 + 2y^2)/3, a square s^2.
+    At k = 0 (mod 3) that is m^2 + 2y^2 + 3s^2 = k, the equation of the
+    stratum itself.  Omega_y is decided once per |y|: by the point met has
+    at y or -y when its m = |x| passes the scan's tests with t = z^2, and
+    otherwise by _omega_scan.  At k = 0 (mod 3) every point of U(k) passes,
+    so only the candidates that met lacks are scanned.
+    """
     y_bound = k // 2
-    candidates = [y for y in range(-isqrt(y_bound) - 1, isqrt(y_bound) + 2)
-                  if y % 2 != 0 and y * y < y_bound]
-    # decided once per |y|, as y enters only as y^2: the upper half of the candidates
-    for y in candidates[len(candidates) // 2:]:
-        which = y * y % 3            # 0 or 1, as y^2 is a square
-        m_y, radius = k // 3 - 2 * (y * y // 3), isqrt(k - 2 * y * y)
-        # the test reads m only through m^2 and m % 3 == 0, so m >= 0 in the
-        # residue classes mod 3 it accepts covers every m
-        omega_nonempty[y] = omega_nonempty[-y] = any(
-            (t := m_y - (m * m + 2 * which) // 3) >= 0 and isqrt(t) ** 2 == t
-            for start in ((0,) if which == 0 else (1, 2)) for m in range(start, radius + 1, 3))
-    gamma = [y for y in candidates if omega_nonempty[y]]
-    return A3Strata(n, gamma, {y: sorted(v) for y, v in by_y.items()},
-                    all(omega_nonempty[y] == (y in by_y) for y in candidates),
-                    gamma == sorted(by_y), all_y_odd)
+    # y enters only as y^2: decide the positive candidates, then mirror them
+    positive = [y for y in range(1, isqrt(y_bound) + 1, 2) if y * y < y_bound]
+    nonempty = []
+    for y in positive:
+        point = met.get(y) or met.get(-y)
+        # m^2 = y^2 (mod 3) is 3 | m^2 + 2y^2, the residue classes the scan
+        # accepts, where t = z^2 >= 0 bounds m by the scan's radius
+        if ((point is not None and (r := point[0] ** 2 + 2 * y * y) % 3 == 0
+             and k // 3 - r // 3 == point[2] ** 2) or _omega_scan(k, y)):
+            nonempty.append(y)
+    candidates = [-y for y in reversed(positive)] + positive
+    gamma = [-y for y in reversed(nonempty)] + nonempty
+    return (gamma, gamma == [y for y in candidates if y in met], gamma == sorted(met),
+            all(y % 2 == 1 for y in met))
+
+
+def _omega_scan(k, y):
+    """Whether Omega_y (_strata_flags) is non-empty, by scanning m."""
+    which = y * y % 3            # 0 or 1, as y^2 is a square
+    m_y, radius = k // 3 - 2 * (y * y // 3), isqrt(k - 2 * y * y)
+    # the test reads m only through m^2 and m % 3 == 0, so m >= 0 in the
+    # residue classes mod 3 it accepts covers every m
+    for start in ((0,) if which == 0 else (1, 2)):
+        for m in range(start, radius + 1, 3):
+            t = m_y - (m * m + 2 * which) // 3
+            if t >= 0 and isqrt(t) ** 2 == t:
+                return True
+    return False

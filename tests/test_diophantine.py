@@ -113,6 +113,41 @@ def test_orbit_formulas_match_the_group_elements():
         orbit("Z2", (1, 2))
 
 
+def test_signed_orbits_match_the_group_elements_on_a_box():
+    # every point of [-2, 2]^n: the box is a union of orbits, so each orbit
+    # of the group elements is built once, from the first of its points
+    for group, ranks in (("D8", (2,)), ("H", range(1, 6))):
+        for n in ranks:
+            known = {}
+            for p in itertools.product(range(-2, 3), repeat=n):
+                if p not in known:
+                    orb = frozenset(_token_orbit(group, p))
+                    known.update(dict.fromkeys(orb, orb))
+                assert orbit(group, p) == known[p], (group, p)
+
+
+@pytest.mark.parametrize("point,arrangements", [
+    ((1, 0, 0, 0, 0, 0), 6), ((0, 0, 0, 0, 0, 0), 1), ((2, -2, 2), 1),
+    ((3, -1, 0, 1), 12), ((1, 2, 3, 4), 24), ((5,), 1), ((), 1),
+])
+def test_hyperoctahedral_orbit_signs_each_distinct_arrangement_once(monkeypatch, point,
+                                                                     arrangements):
+    # an orbit walking all n! permutations signs 720 of them for the first point
+    calls = []
+    signs = diophantine._signs
+    monkeypatch.setattr(diophantine, "_signs", lambda p: calls.append(p) or signs(p))
+    orb = orbit("H", point)
+    assert len(calls) == len(set(calls)) == arrangements
+    assert len(orb) == sum(1 for _ in itertools.chain.from_iterable(map(signs, calls)))
+    assert len(orb) == orbit_size("H", point)
+
+
+def test_hyperoctahedral_orbit_of_a_rank_10_axis_point():
+    # 20 points, which an orbit over all permutations builds from 10! tuples
+    assert orbit("H", (1,) + (0,) * 9) == {
+        tuple(s * (i == j) for j in range(10)) for i in range(10) for s in (1, -1)}
+
+
 def test_hyperoctahedral_orbit_size_matches_the_counter_formula():
     # every point of [-4, 4]^n, n <= 4, and rank-8 samples with repeats
     points = [p for n in range(1, 5) for p in itertools.product(range(-4, 5), repeat=n)]

@@ -945,7 +945,7 @@ _CLAIM_ORACLES = {"complete": (param.check_complete, oracles.check_complete),
 
 
 def test_representative_checks_match_full_set_oracles():
-    for case_id, top in [(c, 60) for c in COMPLETE_CASES] + [("A2ext", 60), ("A3", 30)]:
+    for case_id, top in [(c, 60) for c in COMPLETE_CASES] + [("A2ext", 60), ("A3", 60)]:
         case = get_case(case_id)
         check, oracle = _CLAIM_ORACLES[case.claim]
         for n in range(top + 1):
@@ -1046,7 +1046,22 @@ def _stratified_variants():
         # order the layers are built
         ("extended rotation orbits intersect", 5,
          dict(phi_map=_layer_table(a3, 5, lambda i, j: (1, (j + 1) % 4) if i == 2 else (i, j)))),
+        # point 0's layers share a stratum, and the next image, point 1's
+        # first, is off the quadric: the pass meets the shared stratum first
+        ("layers share a stratum", 8,
+         dict(phi_map=_off_quadric(a3, 8, 1, lambda i, j: (i, 0) if i == 0 else (i, j)))),
+        # point 0's first image is off the quadric and point 1's layers share
+        # a stratum: the pass meets the image first
+        ("layer image off the quadric", 8,
+         dict(phi_map=_off_quadric(a3, 8, 0, lambda i, j: (1, 0) if i == 1 else (i, j)))),
     ]
+
+
+def _off_quadric(case, n, point, target):
+    """_layer_table(case, n, target), with the layer-0 image of the given
+    base point moved off the quadric."""
+    table, q = _layer_table(case, n, target), lattice_points(case, n)[point]
+    return lambda v: tuple(x + 2 for x in table(v)) if tuple(v) == q else table(v)
 
 
 @pytest.mark.parametrize("reason,n,change", _stratified_variants())
@@ -1060,6 +1075,46 @@ def test_stratified_check_fail_branches_match_oracle(reason, n, change):
     changed = dataclasses.replace(case, **change)
     report = _checks_agree(param.check_stratified, oracles.check_stratified, changed, n)
     assert report["witness"]["reason"] == reason
+
+
+def _count_scans(monkeypatch):
+    """The (k, y) of each _omega_scan call, in a list that grows as they come."""
+    scans, scan = [], param._omega_scan
+    monkeypatch.setattr(param, "_omega_scan", lambda k, y: scans.append((k, y)) or scan(k, y))
+    return scans
+
+
+def test_stratified_fail_branches_reach_the_scan_fallback(monkeypatch):
+    # at k = 2 (mod 3) a representative fails the witness test of its own
+    # stratum, and the scan decides it: the report still equals the oracle's
+    case, fell_back = get_case("A3"), set()
+    scans = _count_scans(monkeypatch)
+    for reason, n, change in _stratified_variants():
+        if change == "b":
+            change = dict(b=_first_b(case, n, reason, oracles.check_stratified))
+        changed = dataclasses.replace(case, **change)
+        del scans[:]
+        report = _checks_agree(param.check_stratified, oracles.check_stratified, changed, n)
+        assert report["witness"]["reason"] == reason
+        met = {abs(r[1]) for r in param.LevelData(changed, n).reps}
+        if any(y in met for _, y in scans):
+            fell_back.add(reason)
+    assert "emptiness rule violated" in fell_back
+
+
+def test_stratified_check_scans_only_the_strata_it_has_no_point_for(monkeypatch):
+    # at k = 48N+30 the Omega_y predicate is m^2 + 2y^2 + 3s^2 = k, the
+    # stratum's own equation, so every representative is a witness for its y
+    scans = _count_scans(monkeypatch)
+    for n in range(101):
+        level = param.LevelData(get_case("A3"), n)
+        del scans[:]
+        assert param.check_stratified(level).passed
+        met = {abs(r[1]) for r in level.reps}
+        assert not met.intersection(y for _, y in scans), n
+        # and each candidate it scans is empty: no solution has that middle value
+        sols = oracles.solutions(level)
+        assert not any(abs(s[1]) == y for s in sols for _, y in scans), n
 
 
 class _RepresentativesOnly(param.LevelData):
