@@ -7,23 +7,25 @@ a group, it lists one canonical point per orbit instead, searching the group's
 fundamental domain wherever every solution lies in its parity domain: the
 chain search for V4, D8, C4, C6 and H, a sector search for G_A3 that steps
 x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
-the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group
-is one row of GROUPS, a Group holding its rank, order, invariance test,
-closed-form canonical and orbit_size, its orbit by formula, and its solver;
-canonical and orbit_size build no orbit, and only FAIL witnesses, the
-tiling check param keeps as A2ext's fallback and orbit_partition build
-one.  The public canonical, orbit_size, orbit, group_order and
-solve_diagonal check their input and call the row: H reads its rank from the point, every other group refuses a point
-whose length is not its rank (3 for G_A3, else 2), and solve_diagonal checks
-a (form, group) pair once.  param binds each case to its row once, so a
-claim check calls the row's closed forms with no check per point.  D8 is H
-on two coordinates, sharing its canonical point, orbit size and search; its
-orbit is its eight signed permutations written out, and H's is built from
-the distinct arrangements of the absolute values.  C6 and G_A3 rotate by
-halved integer matrices, which raise NonIntegralImage outside their parity
-domain;
-_to_sector60 checks the parity and rotates into the canonical sector in one
-frame, and _rotations60 serves orbit.
+the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group is
+one row of GROUPS, a Group holding its rank, order, invariance test,
+closed-form canonical and orbit_size, its orbit by formula, and its
+solver; canonical and orbit_size build no orbit, and only FAIL witnesses,
+the extended claim's tiling step on a case whose layers are not C6's
+rotations and orbit_partition build one.  The public canonical,
+orbit_size, orbit, group_order and solve_diagonal check their input and
+call the row: H reads its rank from the point, every other group refuses a
+point whose length is not its rank (3 for G_A3, else 2), and
+solve_diagonal checks a (form, group) pair once.  param binds each case to
+its row once, so a claim check calls the row's closed forms with no check
+per point.  D8 is H on two coordinates, sharing its search; its canonical
+point (|a|, |b|) in non-increasing order, its orbit size 8 halved for each
+zero coordinate and for |a| = |b|, and its orbit, its eight signed
+permutations, are written out, and H's orbit is built from the distinct
+arrangements of the absolute values.  C6 and G_A3 rotate by halved integer
+matrices, which raise NonIntegralImage outside their parity domain;
+_to_sector60 checks the parity and rotates into the canonical sector in
+one frame, and _rotations60 serves orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -362,8 +364,6 @@ def _d8_orbit(point):
     return {(a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a), (-b, -a)}
 
 
-# The canonical point and orbit size of the signed permutations, H and D8
-_SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size)
 # Orbits by formula: the signed permutations for H, the sign changes of each
 # distinct arrangement of the absolute values, each point once, and for D8
 # the eight of them written out; the sign changes for V4, the quarter-turns
@@ -371,9 +371,11 @@ _SIGNED = (lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size)
 # (x, sqrt(3) z) and (x, -sqrt(3) z), y fixed.
 GROUPS = {
     "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
-                lambda p: 4 >> sum(1 for x in p if x == 0),
+                lambda p: 4 >> ((p[0] == 0) + (p[1] == 0)),
                 lambda p: set(_signs(p)), lambda f: _chain(f, 0)),
-    "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1], *_SIGNED,
+    "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1],
+                lambda p: (a, b) if (a := abs(p[0])) >= (b := abs(p[1])) else (b, a),
+                lambda p: 8 >> ((p[0] == 0) + (p[1] == 0) + (abs(p[0]) == abs(p[1]))),
                 _d8_orbit, lambda f: _chain(f, 1)),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,
@@ -385,7 +387,8 @@ GROUPS = {
                   _ga3_orbit_size,
                   lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
                   _ga3_solver),
-    "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1, *_SIGNED,
+    "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1,
+               lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
                lambda p: {s for a in _arrangements(sorted(map(abs, p))) for s in _signs(a)},
                lambda f: _chain(f, 1)),
 }
@@ -429,10 +432,11 @@ def canonical(group, point):
 def orbit_size(group, point):
     """The number of points in the point's orbit, from its stabiliser.
 
-    H and D8: n!/prod(mult!) * 2^(non-zero entries), mult counting equal
-    absolute values.  G_A3: 1 at x = z = 0, 6 on the boundary rays z = 0 and
-    x = 3z of the canonical sector x >= 3z >= 0, 12 inside it, read off a
-    sector point with x - z even (every representative) without canonical.
+    H: n!/prod(mult!) * 2^(non-zero entries), mult counting equal absolute
+    values; D8: 8, halved for each zero entry and for |a| = |b|.  G_A3: 1 at
+    x = z = 0, 6 on the boundary rays z = 0 and x = 3z of the canonical
+    sector x >= 3z >= 0, 12 inside it, read off a sector point with x - z
+    even (every representative) without canonical.
     V4: 4 halved for each zero coordinate.  C4 and C6: 1 at the origin, the
     group order elsewhere, as no rotation fixes another point; C6 reads a
     sector point -x < 3y <= x with x - y even (every representative) without

@@ -7,18 +7,20 @@ the least point q* of the length, a from the quadratic part and
 b = sum_i D_i p_i^2, so that sum_i D_i phi(q)_i^2 = a N + b.  Verifiers are
 exhaustive for a fixed N: a LevelData holds the canonical point of each
 orbit of the level's solution set U, its lattice points and their phi
-images, and one check function per claim decides it on them.  Each layer's
-images come from a LayerMap, an integer map m -> P m + p of the basis
-coefficients m, or a refusal when the layer leaves the integers, built once
-with whether its images lie on the quadric (keeps_quadric); a case compiles
-all its layers into one function (ParamCase.layers_map), one call per point.
-A case binds its group's row of diophantine.GROUPS once (ParamCase.action),
-fitted to phi and the form by _case, so the checks call its canonical and
-orbit_size with no check per call.  Each layer is one fixed map T_j of
-layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's rotations
-(ParamCase.layers_tile_c6), the extended claim is decided by check_complete
-(decide_extended), with check_extended the fallback and the oracle.  FAIL
-is data, never raised.
+images.  Each layer's images come from a LayerMap, an integer map
+m -> P m + p of the basis coefficients m, or a refusal when the layer leaves
+the integers, built once with whether its images lie on the quadric
+(keeps_quadric); a case compiles all its layers into one function
+(ParamCase.layers_map), one call per point.  A case binds its group's row
+of diophantine.GROUPS once (ParamCase.action), fitted to phi and the form
+by _case, so the checks call its canonical and orbit_size with no check per
+call.  Each claim is a row of one table, CHECKS, that decide runs on a
+LevelData: a Claim names the images it reads, the freeness it requires, the
+window on the hits per orbit of U, its counts and its FAIL reasons, and
+check_stratified alone has steps of its own.  Each layer is one fixed map
+T_j of layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's
+rotations (ParamCase.layers_tile_c6), the extended row skips its per-point
+tiling step and reads no layer.  FAIL is data, never raised.
 """
 
 import itertools
@@ -174,13 +176,11 @@ class ParamCase:
         """Whether the group is C6 and the matrices +-T_j / d of
         layer_transforms are its six rotations (diophantine.R60), each once.
 
-        Then check_extended PASSes at a level exactly when check_complete
-        does.  The layer pairs {T_j x, -T_j x} of a base image x are the
-        orbit C6 x, and they tile it exactly when it is free.  So the tiling
-        holds at every base point exactly when every image's orbit is free,
-        and the pairs partition U exactly when the images' canonical points
-        are the representatives, each once; every image lies on the quadric,
-        as every layer map keeps it.  These are check_complete's tests."""
+        Then the layer pairs {T_j x, -T_j x} of a base image x are the
+        orbit C6 x, and they tile it exactly when it is free, so the
+        extended row needs no tiling step: it tests that each base image is
+        free and that their canonical points are the representatives, each
+        once."""
         T = self.layer_transforms
         if self.group != "C6" or T is None or any(2 % d for _, d in T):
             return False
@@ -389,21 +389,20 @@ class LevelData:
         """Whether the point solves the case's equation at level N."""
         return sum(d * x * x for d, x in zip(self.case.form, point)) == self.k
 
-    def off_quadric(self, images, maps):
+    def off_quadric(self, images, keeps):
         """The index of the first image off the quadric, or None; no image is
-        tested when each of the maps that made them keeps the quadric."""
-        if all(f.keeps_quadric for f in maps):
+        tested when the maps that made them keep the quadric (keeps)."""
+        if keeps:
             return None
         return next((i for i, img in enumerate(images) if not self.on_quadric(img)), None)
 
     def first_orbit(self, reps):
         """The sorted orbit of least minimum among those of reps, for a witness."""
-        return min(sorted(diophantine.orbit(self.case.group, r))
-                   for r in reps)
+        return min(sorted(diophantine.orbit(self.case.group, r)) for r in reps)
 
 
 # ---------------------------------------------------------------------------
-# Reports and the claim checks
+# Reports and the claim table
 
 
 @dataclass
@@ -430,96 +429,108 @@ def _fail(case_id, n, counts, witness):
     return Report(case_id, n, "FAIL", counts, witness)
 
 
-def check_complete(level):
-    """Freeness plus exactly-one-image-per-orbit."""
-    case_id, n, case = level.case.case_id, level.n, level.case
-    reps, images = level.reps, level.images
-    counts = {"solutions": level.solution_count, "orbits": 0, "phi_images": len(images)}
-    image_set = set(images)
-    if len(image_set) != len(images):
-        dup = next(x for x in images if images.count(x) > 1)
-        return _fail(case_id, n, counts, {"reason": "phi not injective", "point": dup})
-    i = level.off_quadric(images, (case.image_map,))
-    if i is not None:
-        return _fail(case_id, n, counts,
-                     {"reason": "phi image off the quadric",
-                      "q": [str(x) for x in level.points[i]], "image": images[i]})
-    counts["orbits"] = len(reps)
-    group = case.action
-    order = group.order(len(case.form))
-    # no orbit outgrows the group, so all are free when the sizes sum to this
-    if level.solution_count != order * len(reps):
-        small = [r for r in reps if group.orbit_size(r) < order]
-        return _fail(case_id, n, counts,
-                     {"reason": "action not free", "point": level.first_orbit(small)[-1]})
-    # on a PASS the images' canonical points are the representatives, each
-    # hit once; only a FAIL counts the hits
-    if sorted(map(group.canonical, images)) == reps:
-        return Report(case_id, n, "PASS", counts)
-    hits = Counter(map(group.canonical, images))
-    missed = [r for r in reps if hits[r] != 1]
-    if missed:
-        orb = level.first_orbit(missed)
-        return _fail(case_id, n, counts,
-                     {"reason": "orbit without unique representative",
-                      "orbit_min": orb[0], "hits": [p for p in orb if p in image_set]})
-    # every representative is hit once, so some image lies in no listed orbit
-    return _fail(case_id, n, counts, _unlisted(level, images))
+def _point(level, i):
+    """The level's i-th lattice point, as a witness prints it."""
+    return [str(x) for x in level.points[i]]
 
 
-def _unlisted(level, images):
-    """The witness of the first image whose orbit is not among level.reps."""
-    reps, canonical = set(level.reps), level.case.action.canonical
-    return {"reason": "image in no listed orbit",
-            "image": next(img for img in images if canonical(img) not in reps)}
+def _extended_counts(level, images=None, order=None):
+    """|U| and the numbers of base and extended elements, the layers' counts."""
+    base = len(level.coefficients)
+    return {"solutions": level.solution_count, "base_elements": base,
+            "extended_elements": len(level.case.layer_maps) * base}
 
 
-def check_orbit_size(level):
-    """Every phi-image has a full-size orbit; coverage is reported, not required."""
-    case_id, n, case = level.case.case_id, level.n, level.case
-    reps, images, group = level.reps, level.images, case.action
-    expected = group.order(len(case.form))
-    counts = {"solutions": level.solution_count, "orbits": len(reps),
-              "phi_images": len(images), "expected_orbit_size": expected}
-    off = level.off_quadric(images, (case.image_map,))
-    for i, img in enumerate(images):
-        if i == off:
-            return _fail(case_id, n, counts, {"reason": "phi image off the quadric", "image": img})
-        size = group.orbit_size(img)
-        if size != expected:
-            return _fail(case_id, n, counts,
-                         {"reason": "orbit not of full size", "image": img,
-                          "size": size})
-    counts["covered_orbits"] = len(set(map(group.canonical, images)))
-    return Report(case_id, n, "PASS", counts)
+@dataclass
+class Claim:
+    """A row of CHECKS: a claim about the G-orbits of U, decided on images
+    through reps, canonical and orbit_size alone.  reasons maps each step to
+    its FAIL reason and witness fields, in the order the steps decide;
+    counts(level, images, order) are the counts before them, to which a row
+    without a window adds the orbits its images cover, and one whose window
+    is 'some' the solutions in them."""
+    name: str           # its name in this module, which it also gives as __name__
+    images: str         # 'phi', or 'layers': every layer's, in point order
+    free: str           # of the 'orbits' of U, the 'images', the 'base' images, or None
+    window: str         # hits per orbit of U: 'once', 'some' (at least one) or None
+    counts: callable
+    reasons: dict
+    report: str = None  # the report's name, when it is not the case's
 
+    def __post_init__(self):
+        self.__name__ = self.name
+        # (injective, quadric, layers, each image free, each base image free)
+        self.steps = ("injective" in self.reasons, "quadric" in self.reasons,
+                      self.images == "layers", self.free in ("images", "base"), self.free == "base")
 
-def check_extended(level):
-    """Decomposition of U(12N+4) into antipodal pairs of extended images,
-    tiled point by point: decide_extended's fallback, for a FAIL and for a
-    case whose layers do not tile C6, and the oracle its PASS is tested
-    against."""
-    case_id, n, case = level.case.case_id, level.n, level.case
-    layers = level.layers
-    order = case.action.order(len(case.form))
-    counts = {"solutions": level.solution_count, "base_elements": len(layers),
-              "extended_elements": len(case.layer_maps) * len(layers)}
-    for i, layer in enumerate(layers):
-        full_orbit = diophantine.orbit(case.group, layer[0])
-        if len(full_orbit) != order:
-            return _fail(case_id, n, counts,
-                         {"reason": "C6 orbit undersized", "point": layer[0]})
-        pairs = [frozenset({img, (-img[0], -img[1])}) for img in layer]
-        if set().union(*pairs) != full_orbit or sum(len(p) for p in pairs) != order:
-            return _fail(case_id, n, counts,
-                         {"reason": "layer pairs do not tile the orbit",
-                          "q": [str(x) for x in level.points[i]]})
-    # each layer tiles one orbit, so the pairs partition U when the orbits
-    # of distinct base points are distinct and are all of U's
-    hit = sorted({case.action.canonical(layer[0]) for layer in layers})
-    if hit != level.reps or len(hit) != len(layers):
-        return _fail(case_id, n, counts, {"reason": "pairs do not partition U"})
-    return Report(case_id, n, "PASS", counts)
+    def fail(self, level, counts, step, i=None, **found):
+        """The step's FAIL, with q the level's i-th point."""
+        reason, *fields = self.reasons[step]
+        if "q" in fields:
+            found["q"] = _point(level, i)
+        return _fail(self.report or level.case.case_id, level.n, counts,
+                     {"reason": reason, **{f: found[f] for f in fields}})
+
+    def __call__(self, level):
+        case, reps, (injective, quadric, layers, each, base) = level.case, level.reps, self.steps
+        group = case.action
+        order = group.order(len(case.form))
+        # a free base image's layer pairs tile its orbit where +-T_j are C6's rotations
+        tiling = base and not case.layers_tile_c6
+        if layers:
+            images = [img for layer in level.layers for img in layer]
+            keeps = all(f.keeps_quadric for f in case.layer_maps)
+        else:
+            images = [layer[0] for layer in level.layers] if tiling else level.images
+            keeps = case.image_map.keeps_quadric
+        counts = self.counts(level, images, order)
+        if injective and len(set(images)) != len(images):
+            dup = next(x for x in images if images.count(x) > 1)
+            return self.fail(level, counts, "injective", point=dup)
+        off = level.off_quadric(images, keeps) if quadric else None
+        # the pass in image order stops at the first image off the quadric,
+        # with a small orbit, or whose layer pairs do not tile its orbit
+        if off is not None or each:
+            for i, img in enumerate(images):
+                if i == off:
+                    return self.fail(level, counts, "quadric", i, image=img)
+                if each and (size := group.orbit_size(img)) != order:
+                    return self.fail(level, counts, "free", point=img, image=img, size=size)
+                if tiling:
+                    pairs = [frozenset({x, (-x[0], -x[1])}) for x in level.layers[i]]
+                    if (set().union(*pairs) != diophantine.orbit(case.group, img)
+                            or sum(map(len, pairs)) != order):
+                        return self.fail(level, counts, "tiling", i)
+        if self.free == "orbits":
+            counts["orbits"] = len(reps)
+            # no orbit outgrows the group, so all are free when the sizes sum to this
+            if level.solution_count != order * len(reps):
+                small = [r for r in reps if group.orbit_size(r) < order]
+                return self.fail(level, counts, "free", point=level.first_orbit(small)[-1])
+        # the images' canonical points hit each rep once (then, sorted, they
+        # are reps) or at least once, and no other point; only a FAIL counts them
+        window, canonical = self.window, group.canonical
+        hit = sorted(map(canonical, images)) if window == "once" else set(map(canonical, images))
+        if window is None:
+            counts["covered_orbits"] = len(hit)
+        elif hit != reps if window == "once" else len(hit) != len(reps) or not hit.issuperset(reps):
+            points = list(map(canonical, images))
+            hits, listed = Counter(points), set(reps)
+            missed = [r for r in reps if (hits[r] != 1 if window == "once" else not hits[r])]
+            unlisted = next((x for x, p in zip(images, points) if p not in listed), None)
+            # a representative is missed or an image lies in no listed orbit
+            step = next(s for s in self.reasons
+                        if s == "window" and missed or s == "unlisted" and unlisted)
+            if step == "unlisted":
+                return self.fail(level, counts, step, image=unlisted)
+            if window == "some":
+                counts["covered"] = sum(group.orbit_size(r) for r in reps if hits[r])
+            orb = level.first_orbit(missed)
+            return self.fail(level, counts, step, orbit_min=orb[0], first=orb[0],
+                             hits=sorted(set(images).intersection(orb)))
+        elif window == "some":
+            counts["covered"] = level.solution_count
+        return Report(self.report or case.case_id, level.n, "PASS", counts)
 
 
 def check_stratified(level):
@@ -537,18 +548,14 @@ def check_stratified(level):
     scanned.
     """
     case_id, n = level.case.case_id, level.n
-    reps, base = level.reps, len(level.coefficients)
     gamma, nonempty_iff_omega, partition_ok, all_y_odd = _strata_flags(
-        level.k, {r[1]: r for r in reps})
-    counts = {"solutions": level.solution_count, "base_elements": base,
-              "extended_elements": len(level.case.layer_maps) * base,
-              "strata": len(gamma)}
-    if not all_y_odd:
-        return _fail(case_id, n, counts, {"reason": "even middle coordinate"})
-    if not nonempty_iff_omega:
-        return _fail(case_id, n, counts, {"reason": "emptiness rule violated"})
-    if not partition_ok:
-        return _fail(case_id, n, counts, {"reason": "strata do not partition U"})
+        level.k, {r[1]: r for r in level.reps})
+    counts = {**_extended_counts(level), "strata": len(gamma)}
+    for holds, reason in ((all_y_odd, "even middle coordinate"),
+                          (nonempty_iff_omega, "emptiness rule violated"),
+                          (partition_ok, "strata do not partition U")):
+        if not holds:
+            return _fail(case_id, n, counts, {"reason": reason})
     # Separation is a rotation-orbit statement: the reflection can carry one
     # extended image onto the mirror rotation orbit of another in the same
     # stratum (first seen at N = 3), so only orbits under the rotation
@@ -560,7 +567,7 @@ def check_stratified(level):
     width, images = len(maps), [img for layer in layers for img in layer]
     # index of the first image off the quadric, or None; none is tested when
     # every map keeps the quadric
-    off = level.off_quadric(images, maps)
+    off = level.off_quadric(images, all(f.keeps_quadric for f in maps))
     share = next((i for i, layer in enumerate(layers) if len({img[1] for img in layer}) != 4),
                  None)
     # the pass in point order stops at the first image off the quadric or
@@ -575,8 +582,7 @@ def check_stratified(level):
                      {"reason": "layer image off the quadric", "image": images[off]})
     if share is not None:
         return _fail(case_id, n, counts,
-                     {"reason": "layers share a stratum",
-                      "q": [str(x) for x in level.points[share]]})
+                     {"reason": "layers share a stratum", "q": _point(level, share)})
     if len(set(keys)) < len(keys):
         # the witness is the first two (j, point index) keys of the shared
         # class with the least such key, which sort as (j, point) does
@@ -587,75 +593,68 @@ def check_stratified(level):
         (j1, i1), (j2, i2) = min(sorted(v) for v in classes.values() if len(v) > 1)[:2]
         return _fail(case_id, n, counts,
                      {"reason": "extended rotation orbits intersect",
-                      "first": list(map(str, level.points[i1])), "j1": j1,
-                      "second": list(map(str, level.points[i2])), "j2": j2})
+                      "first": _point(level, i1), "j1": j1,
+                      "second": _point(level, i2), "j2": j2})
     return Report(case_id, n, "PASS", counts)
 
 
-def check_a3_conjecture(level):
-    """Do the G-orbits of the extended images cover all of U(48N+30)?
-
-    Decided on orbit representatives: an orbit is covered when it is the
-    canonical point of some layer image.  The witness, the least uncovered
-    solution, builds the uncovered orbits only on a FAIL.
-    """
-    n, case, base = level.n, level.case, len(level.coefficients)
-    counts = {"solutions": level.solution_count, "base_elements": base,
-              "extended_elements": len(case.layer_maps) * base}
-    images = [img for layer in level.layers for img in layer]
-    off = level.off_quadric(images, case.layer_maps)
-    hit = set(map(case.action.canonical, images[:off]))
-    if off is not None:
-        return _fail("A3conj", n, counts,
-                     {"reason": "layer image off the quadric", "image": images[off]})
-    # hit lies in reps unless the solver missed an orbit: when it holds them
-    # all, the orbits cover U and no size is summed
-    uncovered = [r for r in level.reps if r not in hit]
-    if len(hit) != len(level.reps) - len(uncovered):
-        return _fail("A3conj", n, counts, _unlisted(level, images))
-    counts["covered"] = sum(map(case.action.orbit_size, hit)) if uncovered else level.solution_count
-    if uncovered:
-        return _fail("A3conj", n, counts, {"reason": "uncovered solutions",
-                                           "first": level.first_orbit(uncovered)[0]})
-    return Report("A3conj", n, "PASS", counts)
-
-
-def decide_extended(level):
-    """The extended claim: where the layers tile C6 (ParamCase.layers_tile_c6),
-    a check_complete PASS with check_extended's counts, and read no layer;
-    check_extended's report, witness and all, on any other case or level."""
-    case = level.case
-    if case.layers_tile_c6:
-        report = _decide(check_complete, level, case.case_id)
-        if report.passed:
-            base = report.counts["phi_images"]
-            return Report(case.case_id, level.n, "PASS",
-                          {"solutions": report.counts["solutions"], "base_elements": base,
-                           "extended_elements": len(case.layer_maps) * base})
-    return check_extended(level)
+# The claim table.  complete: phi is injective, every orbit of U is free
+# (its orbits counted once the images pass) and holds one image.  orbit-size:
+# each image's orbit is free; at rank 1 two images +-x can share an orbit, so
+# no window.  extended: each base point's antipodal layer pairs tile its free
+# C6 orbit, one base image per orbit of U.  A3conj: the layers' orbits cover U.
+CHECKS = {
+    "complete": Claim("check_complete", "phi", "orbits", "once", lambda level, images, order: {
+        "solutions": level.solution_count, "orbits": 0, "phi_images": len(images)}, {
+        "injective": ("phi not injective", "point"),
+        "quadric": ("phi image off the quadric", "q", "image"),
+        "free": ("action not free", "point"),
+        "window": ("orbit without unique representative", "orbit_min", "hits"),
+        "unlisted": ("image in no listed orbit", "image")}),
+    "orbit-size": Claim("check_orbit_size", "phi", "images", None, lambda level, images, order: {
+        "solutions": level.solution_count, "orbits": len(level.reps),
+        "phi_images": len(images), "expected_orbit_size": order}, {
+        "quadric": ("phi image off the quadric", "image"),
+        "free": ("orbit not of full size", "image", "size")}),
+    "extended": Claim("decide_extended", "phi", "base", "once", _extended_counts, {
+        "free": ("C6 orbit undersized", "point"),
+        "tiling": ("layer pairs do not tile the orbit", "q"),
+        "window": ("pairs do not partition U",),
+        "unlisted": ("pairs do not partition U",)}),
+    "stratified": check_stratified,
+    "A3conj": Claim("check_a3_conjecture", "layers", None, "some", _extended_counts, {
+        "quadric": ("layer image off the quadric", "image"),
+        "unlisted": ("image in no listed orbit", "image"),
+        "window": ("uncovered solutions", "first")}, report="A3conj"),
+}
+check_complete, check_orbit_size, decide_extended, check_a3_conjecture = (
+    CHECKS[claim] for claim in ("complete", "orbit-size", "extended", "A3conj"))
 
 
-CHECKS = {"complete": check_complete, "orbit-size": check_orbit_size,
-          "extended": decide_extended, "stratified": check_stratified}
-
-
-def _decide(check, level, case_id):
-    """check(level), with a phi map or action undefined on the level a FAIL."""
+def _decide(check, level, case_id=None):
+    """check(level), with a phi map or action undefined on the level a FAIL
+    named case_id, by default the check's report name or else the case's."""
     try:
         return check(level)
     except (NonIntegralImage, NotClosed) as exc:
+        case_id = case_id or getattr(check, "report", None) or level.case.case_id
         return _fail(case_id, level.n, {}, {"reason": "level not decided",
                                             "error": f"{type(exc).__name__}: {exc}"})
+
+
+def decide(level, claim):
+    """The level decided by the claim's row of CHECKS."""
+    return _decide(CHECKS[claim], level)
 
 
 def verify_case(case_id, n):
     """The check of the case's claim at level n."""
     case = get_case(case_id)
-    return _decide(CHECKS[case.claim], LevelData(case, n), case_id)
+    return decide(LevelData(case, n), case.claim)
 
 
 def a3_conjecture_check(n):
-    return _decide(check_a3_conjecture, LevelData(CASES["A3"], n), "A3conj")
+    return decide(LevelData(CASES["A3"], n), "A3conj")
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,17 @@ def test_hyperoctahedral_orbit_size_matches_the_counter_formula():
         assert diophantine._h_orbit_size(p) == oracles.h_orbit_size(p), p
 
 
+def test_d8_closed_forms_match_the_orbit():
+    # the orbit size, 8 halved for each zero coordinate and for |a| = |b|,
+    # and the canonical point, against the orbit written out, on every point
+    # of [-9, 9]^2
+    row = diophantine.GROUPS["D8"]
+    for p in itertools.product(range(-9, 10), repeat=2):
+        orb = orbit("D8", p)
+        assert row.orbit_size(p) == orbit_size("D8", p) == len(orb), p
+        assert row.canonical(p) == canonical("D8", p) == max(orb), p
+
+
 def test_orbit_examples():
     u5 = solve_diagonal((1, 1), 5)
     orbits = orbit_partition("D8", u5)

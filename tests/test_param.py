@@ -322,6 +322,16 @@ def test_a3_conjecture_layer_image_off_the_quadric_is_a_fail():
     assert x * x + 2 * y * y + 3 * z * z != case.equation_value(1)
 
 
+@pytest.mark.parametrize("case_id", ["HYP:B1_1", "HYP:A1_2"])
+def test_orbit_size_window_admits_two_images_in_one_orbit(case_id):
+    # at rank 1 the lattice points +-q have images +-x in one H-orbit: the
+    # orbit-size claim requires each image's orbit free, not one image per
+    # orbit, which these levels would fail
+    report = verify_case(case_id, 0)
+    assert report.passed, report.witness
+    assert report.counts["phi_images"] == 2 and report.counts["orbits"] == 1
+
+
 def test_hyp_rank_six_level_one():
     # the figures of the full solve and orbit partition, which took minutes
     counts = verify_case("HYP:C6_1", 1).counts
@@ -677,25 +687,47 @@ def test_import_builds_no_layer_transform():
 
 
 def test_extended_claim_matches_the_tiling_check():
-    # the decision through check_complete reports as check_extended does
+    # the extended row, which reads no layer of A2ext, reports as the tiling
+    # oracle does on all of U
     case = get_case("A2ext")
     for n in range(301):
         assert verify_case("A2ext", n).to_dict() == \
-            param.check_extended(param.LevelData(case, n)).to_dict(), n
+            oracles.check_extended(param.LevelData(case, n)).to_dict(), n
 
 
-def test_extended_pass_calls_no_tiling_check(monkeypatch):
-    # a PASS level of A2ext is decided without check_extended; a level of a
-    # case whose layers do not tile C6 falls back to it
-    calls = []
-    check_extended = param.check_extended
-    monkeypatch.setattr(param, "check_extended", lambda level: calls.append(level.n) or check_extended(level))
-    for n in range(40):
-        assert verify_case("A2ext", n).passed, n
-    assert calls == []
+@pytest.mark.parametrize("case_id", [*param.CASES, "HYP:C3_1"])
+def test_per_point_phi_reports_as_the_compiled_maps(case_id):
+    # the shape the bench's traced run gives every case, phi wrapped as a
+    # per-point function: its layers are applied point by point, and A2ext,
+    # without the C6 certificate, runs its tiling step
+    case = get_case(case_id)
+    wrapped = dataclasses.replace(case, phi_map=lambda q, phi=case.phi_map: phi(q))
+    assert not wrapped.layers_tile_c6
+    claims = (case.claim, "A3conj") if case_id == "A3" else (case.claim,)
+    for n in range(13):
+        for claim in claims:
+            assert param.decide(param.LevelData(wrapped, n), claim).to_dict() == \
+                param.decide(param.LevelData(case, n), claim).to_dict(), (claim, n)
+
+
+class _WithoutLayers(param.LevelData):
+    """A level whose layer images cannot be read."""
+
+    @property
+    def layers(self):
+        raise AssertionError("a claim check read the layers")
+
+
+def test_extended_pass_calls_no_tiling_check():
+    # a PASS level of A2ext, whose layers tile C6, is decided on phi's images
+    # alone; the b = 16 variant has no such certificate, and its FAIL reads
+    # the layers to tile each orbit
+    for n in range(41):
+        assert param.decide_extended(_WithoutLayers(get_case("A2ext"), n)).passed, n
     variant = dataclasses.replace(get_case("A2ext"), b=16)
+    with pytest.raises(AssertionError, match="read the layers"):
+        param.decide_extended(_WithoutLayers(variant, 1))
     assert not param.decide_extended(param.LevelData(variant, 1)).passed
-    assert calls == [1]
 
 
 @pytest.mark.parametrize("n", [5, 10, 20])
@@ -1019,9 +1051,8 @@ def test_complete_check_fail_branches_match_oracle(reason, case_id, n, change):
 ])
 def test_extended_check_fail_branches_match_oracle(reason, n, change):
     changed = dataclasses.replace(get_case("A2ext"), **change)
-    report = _checks_agree(param.check_extended, oracles.check_extended, changed, n)
+    report = _checks_agree(param.decide_extended, oracles.check_extended, changed, n)
     assert report["witness"]["reason"] == reason
-    assert param.decide_extended(param.LevelData(changed, n)).to_dict() == report
 
 
 def _stratified_variants():
