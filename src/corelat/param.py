@@ -16,11 +16,12 @@ of diophantine.GROUPS once (ParamCase.action), fitted to phi and the form
 by _case, so the checks call its canonical and orbit_size with no check per
 call.  Each claim is a row of one table, CHECKS, that decide runs on a
 LevelData: a Claim names the images it reads, the freeness it requires, the
-window on the hits per orbit of U, its counts and its FAIL reasons, and
-check_stratified alone has steps of its own.  Each layer is one fixed map
-T_j of layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's
-rotations (ParamCase.layers_tile_c6), the extended row skips its per-point
-tiling step and reads no layer.  FAIL is data, never raised.
+window on the hits per orbit of U, its counts and its FAIL reasons; every
+check, check_stratified too, tests an image when its one pass reaches it.
+Each layer is one fixed map T_j of layer 0 (ParamCase.layer_transforms);
+where the +-T_j are C6's rotations (ParamCase.layers_tile_c6), the extended
+row skips its per-point tiling step and reads no layer.  FAIL is data,
+never raised.
 """
 
 import itertools
@@ -155,18 +156,17 @@ class ParamCase:
     def layer_transforms(self):
         """(T_j, d) per layer map, T_j / d = P_j P_0^-1 in lowest terms, so
         layer j is T_j / d applied to layer 0's image; or None.  None unless
-        every map keeps the quadric (so none is applied point by point), P_0
-        is square and T_j p_0 = d p_j.  The rows of the SpanSolver of P_0's
-        columns are D P_0^-1."""
+        every map keeps the quadric (so none is applied point by point) and
+        P_0 is square.  Then T_j p_0 = d p_j: keeping the quadric makes
+        P_j^T D P_j = a A / L and 2 L P_j^T D p_j = a B for every j, so
+        P_j^-1 p_j = A^-1 B / 2 is one vector.  The rows of the SpanSolver of
+        P_0's columns are D P_0^-1."""
         maps = self.layer_maps
         if not all(f.keeps_quadric for f in maps) or len(maps[0].P) != len(maps[0].P[0]):
             return None
-        solver, p0 = linalg.SpanSolver(list(zip(*maps[0].P))), maps[0].p
-        transforms = []
+        solver, transforms = linalg.SpanSolver(list(zip(*maps[0].P))), []
         for f in maps:
             T = linalg.matmul(f.P, solver.rows)
-            if [linalg.dot(row, p0) for row in T] != [solver.D * x for x in f.p]:
-                return None
             g = math.gcd(solver.D, *(x for row in T for x in row))
             transforms.append((tuple(tuple(x // g for x in row) for row in T), solver.D // g))
         return tuple(transforms)
@@ -389,13 +389,6 @@ class LevelData:
         """Whether the point solves the case's equation at level N."""
         return sum(d * x * x for d, x in zip(self.case.form, point)) == self.k
 
-    def off_quadric(self, images, keeps):
-        """The index of the first image off the quadric, or None; no image is
-        tested when the maps that made them keep the quadric (keeps)."""
-        if keeps:
-            return None
-        return next((i for i, img in enumerate(images) if not self.on_quadric(img)), None)
-
     def first_orbit(self, reps):
         """The sorted orbit of least minimum among those of reps, for a witness."""
         return min(sorted(diophantine.orbit(self.case.group, r)) for r in reps)
@@ -483,16 +476,17 @@ class Claim:
         else:
             images = [layer[0] for layer in level.layers] if tiling else level.images
             keeps = case.image_map.keeps_quadric
+        # an image is tested on the quadric only when a map that made it may leave it
+        quadric = quadric and not keeps
         counts = self.counts(level, images, order)
         if injective and len(set(images)) != len(images):
             dup = next(x for x in images if images.count(x) > 1)
             return self.fail(level, counts, "injective", point=dup)
-        off = level.off_quadric(images, keeps) if quadric else None
         # the pass in image order stops at the first image off the quadric,
         # with a small orbit, or whose layer pairs do not tile its orbit
-        if off is not None or each:
+        if quadric or each:
             for i, img in enumerate(images):
-                if i == off:
+                if quadric and not level.on_quadric(img):
                     return self.fail(level, counts, "quadric", i, image=img)
                 if each and (size := group.orbit_size(img)) != order:
                     return self.fail(level, counts, "free", point=img, image=img, size=size)
@@ -563,32 +557,26 @@ def check_stratified(level):
     # on (x, z) as C6, and two orbits meet only when equal, so each image is
     # keyed by its C6 canonical point and stratum, and the orbits are disjoint
     # when no key repeats.
-    maps, layers = level.case.layer_maps, level.layers
-    width, images = len(maps), [img for layer in layers for img in layer]
-    # index of the first image off the quadric, or None; none is tested when
-    # every map keeps the quadric
-    off = level.off_quadric(images, all(f.keeps_quadric for f in maps))
-    share = next((i for i, layer in enumerate(layers) if len({img[1] for img in layer}) != 4),
-                 None)
+    maps, c6, keys = level.case.layer_maps, diophantine.GROUPS["C6"].canonical, []
+    # an image is tested on the quadric only when some map may leave it
+    quadric = not all(f.keeps_quadric for f in maps)
     # the pass in point order stops at the first image off the quadric or
-    # after the images of the first point whose layers share a stratum,
-    # whichever comes first; canonical raises as it would on the way there
-    stop = len(images) if share is None else width * (share + 1)
-    off_first = off is not None and off < stop
-    c6 = diophantine.GROUPS["C6"].canonical
-    keys = [(c6(img[::2]), img[1]) for img in images[:off if off_first else stop]]
-    if off_first:
-        return _fail(case_id, n, counts,
-                     {"reason": "layer image off the quadric", "image": images[off]})
-    if share is not None:
-        return _fail(case_id, n, counts,
-                     {"reason": "layers share a stratum", "q": _point(level, share)})
+    # after the images of the first point whose layers share a stratum
+    for i, layer in enumerate(level.layers):
+        for img in layer:
+            if quadric and not level.on_quadric(img):
+                return _fail(case_id, n, counts,
+                             {"reason": "layer image off the quadric", "image": img})
+            keys.append((c6(img[::2]), img[1]))
+        if len({img[1] for img in layer}) != 4:
+            return _fail(case_id, n, counts,
+                         {"reason": "layers share a stratum", "q": _point(level, i)})
     if len(set(keys)) < len(keys):
         # the witness is the first two (j, point index) keys of the shared
         # class with the least such key, which sort as (j, point) does
         classes = {}
         for index, key in enumerate(keys):
-            i, j = divmod(index, width)
+            i, j = divmod(index, len(maps))
             classes.setdefault(key, []).append((j, i))
         (j1, i1), (j2, i2) = min(sorted(v) for v in classes.values() if len(v) > 1)[:2]
         return _fail(case_id, n, counts,
@@ -631,20 +619,15 @@ check_complete, check_orbit_size, decide_extended, check_a3_conjecture = (
     CHECKS[claim] for claim in ("complete", "orbit-size", "extended", "A3conj"))
 
 
-def _decide(check, level, case_id=None):
-    """check(level), with a phi map or action undefined on the level a FAIL
-    named case_id, by default the check's report name or else the case's."""
+def decide(level, claim):
+    """The level decided by the claim's row of CHECKS, with a phi map or
+    action undefined on the level a FAIL named as the row's report is."""
+    check = CHECKS[claim]
     try:
         return check(level)
     except (NonIntegralImage, NotClosed) as exc:
-        case_id = case_id or getattr(check, "report", None) or level.case.case_id
-        return _fail(case_id, level.n, {}, {"reason": "level not decided",
-                                            "error": f"{type(exc).__name__}: {exc}"})
-
-
-def decide(level, claim):
-    """The level decided by the claim's row of CHECKS."""
-    return _decide(CHECKS[claim], level)
+        return _fail(getattr(check, "report", None) or level.case.case_id, level.n, {},
+                     {"reason": "level not decided", "error": f"{type(exc).__name__}: {exc}"})
 
 
 def verify_case(case_id, n):

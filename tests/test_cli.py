@@ -524,6 +524,22 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
     assert err == b"error: stdout was closed before the output ended\n"
 
 
+class ClosedOutput(io.StringIO):
+    """An output whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_2_in_process(monkeypatch):
+    # an in-memory stdout has no file descriptor to point at os.devnull
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedOutput())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert cli.main(["verify", "--case", "A2", "--max-N", "3"]) == 2
+    assert err.getvalue() == "error: stdout was closed before the output ended\n"
+
+
 class FlushLog(io.StringIO):
     """An output that logs ("flush", the text written so far) at each flush."""
 

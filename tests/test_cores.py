@@ -494,3 +494,35 @@ def test_non_integral_input_is_refused(call, args, integral_args):
     # integral Fractions and floats are the integers they equal
     plain = [_plain(a) for a in integral_args]
     assert call(*integral_args) == call(*plain)
+
+
+def _form_search(a, b, basis):
+    """The compiled level search of a form, which factors its quadratic part."""
+    return linalg.QuadraticForm(a, b, basis).ball
+
+
+# input outside each function's domain: the call, its arguments, and the
+# exception it raises with its whole message
+OUT_OF_DOMAIN_CALLS = [
+    (atomic.length_form, ("A2_1", 0, "X"), ValueError, "unknown lattice 'X'"),
+    (atomic.length_form, ("A2_1", 9, "M"), atomic.BadIndex, "index 9 outside 0..2 for A2_1"),
+    (is_d_core, ((2, 1), 1), ValueError, "d must be at least 2"),
+    (residue_count, ((2, 1), 3, 3), ValueError, "residue outside 0..d-1"),
+    (core_from_charge, (3, (1, -1)), BadCharge, "expected 3 entries, got 2"),
+    (enumerate_partitions, (-1,), ValueError, "size must be non-negative"),
+    (enumerate_partitions, (3, "core"), ValueError, "kind 'core' needs d >= 2"),
+    (enumerate_partitions, (3, "nope", 3), ValueError, "unknown filter 'nope'"),
+    (weighted_size, ("nope", (1,), 2), ValueError, "unknown rule 'nope'"),
+    (doubled_distinct, ((2, 2),), ValueError, "doubled diagram needs distinct parts"),
+    (bar_core_from_lattice, (2, (1,)), ValueError, "expected 2 coordinates"),
+    (_form_search, (((1, 0), (0, 0)), (0, 0), ((1, 0), (0, 1))), ValueError,
+     "form is not positive definite"),
+]
+
+
+@pytest.mark.parametrize("call,args,error,message", OUT_OF_DOMAIN_CALLS,
+                         ids=[_row_id(call, args) for call, args, *_ in OUT_OF_DOMAIN_CALLS])
+def test_input_outside_the_domain_is_refused(call, args, error, message):
+    with pytest.raises(error) as raised:
+        call(*args)
+    assert type(raised.value) is error and str(raised.value) == message

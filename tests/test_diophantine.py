@@ -300,6 +300,28 @@ def test_representatives_ga3():
             solve_diagonal((1, 2, 3), k, "G_A3")
 
 
+def _brute_representatives(group, form, k):
+    """The greatest point of each orbit of the brute-force solution set."""
+    return sorted(max(o) for o in orbit_partition(group, oracles.solve_diagonal_brute(form, k)))
+
+
+def test_ga3_solver_on_other_invariant_forms():
+    # a G_A3-invariant form other than (1, 2, 3) lists every solution that is
+    # its own canonical point, with no sector search
+    assert solve_diagonal((2, 5, 6), 5, "G_A3") == [(0, -1, 0), (0, 1, 0)] == \
+        _brute_representatives("G_A3", (2, 5, 6), 5)
+    # the solutions (+-1, 0, 0) of (1, 1, 3) at k = 1 are outside G_A3's
+    # parity domain; the oracle meets (-1, 0, 0) first
+    with pytest.raises(NonIntegralImage, match=r"^\(1,0,0\) is outside the parity domain$"):
+        solve_diagonal((1, 1, 3), 1, "G_A3")
+    with pytest.raises(NonIntegralImage, match=r"^\(-1,0,0\) is outside the parity domain$"):
+        _brute_representatives("G_A3", (1, 1, 3), 1)
+
+
+def test_meet_in_the_middle_has_no_solution_below_zero():
+    assert solve_diagonal_meet((1, 2), -1) == [] == oracles.solve_diagonal_brute((1, 2), -1)
+
+
 def test_representatives_rank2_groups():
     for k in range(300):
         _assert_representatives("D8", (1, 1), k)

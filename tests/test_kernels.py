@@ -396,6 +396,14 @@ def test_a_compiled_form_is_searched_without_hashing_a_fraction(monkeypatch):
     assert hashed == []
 
 
+def test_a_rank_zero_form_has_one_point_at_zero():
+    # the empty lattice: () at value 0 and no point at any other value
+    form = linalg.QuadraticForm((), (), ())
+    assert form.level(0) == [()] and form.level(1) == []
+    assert list(linalg.enumerate_quadratic_upto(form.ball, 0)) == [(0, ())]
+    assert list(linalg.enumerate_quadratic_upto(form.ball, -1)) == []
+
+
 def walk_forms():
     """Every length form of all_type_ids(4), E6_1 and E8_1 on M and L, the
     hyperoctahedral forms of HYP_TYPES and the core size forms, by name."""

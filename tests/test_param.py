@@ -624,6 +624,19 @@ def test_layer_transforms_table():
 
 
 @pytest.mark.parametrize("case_id", [*param.CASES, *HYP_REGISTRY_IDS])
+def test_layer_transforms_carry_the_offsets(case_id):
+    # T_j p_0 = d p_j, which every layer map keeping the quadric implies, so
+    # layer_transforms need not test it
+    case = get_case(case_id)
+    if case.layer_transforms is None:
+        assert case_id == "C2L1"
+        return
+    p0 = case.layer_maps[0].p
+    for f, (T, d) in zip(case.layer_maps, case.layer_transforms):
+        assert [linalg.dot(row, p0) for row in T] == [d * x for x in f.p], (case_id, f.j)
+
+
+@pytest.mark.parametrize("case_id", [*param.CASES, *HYP_REGISTRY_IDS])
 def test_layer_transforms_carry_layer_zero_to_each_layer(case_id):
     # T_j phi(q) = d layer_j(q) on the per-point path, through coordinates
     # and weyl.extended_image, at every N <= 20
@@ -741,7 +754,7 @@ def test_an_image_in_no_listed_orbit_is_a_fail(n):
         level.reps = level.reps[:-1]
         report = check(level)
         assert not report.passed, (case_id, n)
-        if case_id != "A2ext":      # check_extended's "pairs do not partition U"
+        if case_id != "A2ext":      # the extended row's "pairs do not partition U"
             assert report.witness["reason"] == "image in no listed orbit"
             assert get_case(case_id).action.canonical(report.witness["image"]) == dropped
 
@@ -757,13 +770,13 @@ def test_a_layer_map_that_leaves_the_integers_is_refused_when_built():
     with pytest.raises(diophantine.NonIntegralImage, match=re.escape(error)):
         param.LayerMap(variant, 0)
     for n in range(5):
-        report = param._decide(param.check_complete, param.LevelData(variant, n), "C2L1")
+        report = param.decide(param.LevelData(variant, n), "complete")
         assert report.to_dict() == {"case": "C2L1", "N": n, "status": "FAIL", "counts": {},
                                     "witness": {"reason": "level not decided",
                                                 "error": "NonIntegralImage: " + error}}, n
     # applied point by point, the same phi fails on its first half-integer image
     per_point = dataclasses.replace(case, phi_map=lambda q: identity(q))
-    report = param._decide(param.check_complete, param.LevelData(per_point, 3), "C2L1")
+    report = param.decide(param.LevelData(per_point, 3), "complete")
     assert report.witness == {"reason": "level not decided",
                               "error": "NonIntegralImage: non-integral image component 1/2"}
 
@@ -1108,6 +1121,16 @@ def test_stratified_check_fail_branches_match_oracle(reason, n, change):
     assert report["witness"]["reason"] == reason
 
 
+def test_an_image_off_the_quadric_wins_at_the_point_that_shares_a_stratum():
+    # point 0's layers share a stratum and its first image is off the
+    # quadric: the pass tests a point's images before comparing its strata
+    case = get_case("A3")
+    changed = dataclasses.replace(case, phi_map=_off_quadric(
+        case, 8, 0, lambda i, j: (i, 0) if i == 0 else (i, j)))
+    report = _checks_agree(param.check_stratified, oracles.check_stratified, changed, 8)
+    assert report["witness"]["reason"] == "layer image off the quadric"
+
+
 def _count_scans(monkeypatch):
     """The (k, y) of each _omega_scan call, in a list that grows as they come."""
     scans, scan = [], param._omega_scan
@@ -1160,8 +1183,9 @@ def test_claim_checks_never_list_u(monkeypatch):
     def refuse(*args):
         raise AssertionError("a claim check partitioned U")
 
-    # A2ext's PASS levels are decided by check_complete, so no check builds
-    # an orbit: only a FAIL witness or check_extended's tiling would
+    # A2ext's PASS levels are decided by the extended row on phi's images, as
+    # its layer pairs tile C6, so no check builds an orbit: only a FAIL
+    # witness, the row's tiling step or the oracle oracles.check_extended would
     monkeypatch.setattr(diophantine, "orbit_partition", refuse)
     monkeypatch.setattr(diophantine, "orbit", refuse)
     for n in range(6):
