@@ -10,9 +10,10 @@ x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
 the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group is
 one row of GROUPS, a Group holding its rank, order, invariance test,
 closed-form canonical and orbit_size, its orbit by formula, and its
-solver; canonical and orbit_size build no orbit, and only FAIL witnesses,
-the extended claim's tiling step on a case whose layers are not C6's
-rotations and orbit_partition build one.  The public canonical,
+solver; orbit_size reads the canonical point, so canonical is the one
+closed form that takes any point.  Neither builds an orbit: only FAIL
+witnesses, the extended claim's tiling step on a case whose layers are not
+C6's rotations and orbit_partition build one.  The public canonical,
 orbit_size, orbit, group_order and solve_diagonal check their input and
 call the row: H reads its rank from the point, every other group refuses a
 point whose length is not its rank (3 for G_A3, else 2), and
@@ -235,20 +236,6 @@ def _ga3_canonical(point):
     return (x, y, abs(z))
 
 
-def _c6_orbit_size(point):
-    x, y = point
-    if (x or y) and not (-x < 3 * y <= x and (x - y) % 2 == 0):
-        canonical("C6", point)      # NonIntegralImage off the parity domain
-    return 6 if x or y else 1
-
-
-def _ga3_orbit_size(point):
-    if not point[0] >= 3 * point[2] >= 0 or (point[0] - point[2]) % 2:
-        point = canonical("G_A3", point)
-    x, _, z = point
-    return 1 if x == z == 0 else 6 if z == 0 or x == 3 * z else 12
-
-
 def _c4_canonical(point):
     x, y = point
     m = max(abs(x), abs(y))
@@ -257,12 +244,11 @@ def _c4_canonical(point):
 
 
 def _h_orbit_size(point):
-    """n! 2^(non-zero entries) / prod(mult!): over the sorted absolute
-    values, the i-th entry of a run of equal ones divides by i, so a run of
-    mult divides by mult! one exact step at a time."""
-    values = sorted(map(abs, point))
-    size, run, last = math.factorial(len(values)) << (len(values) - values.count(0)), 1, None
-    for x in values:
+    """n! 2^(non-zero entries) / prod(mult!): over the canonical point's
+    absolute values, non-increasing, the i-th entry of a run of equal ones
+    divides by i, so a run of mult divides by mult! one exact step at a time."""
+    size, run, last = math.factorial(len(point)) << (len(point) - point.count(0)), 1, None
+    for x in point:
         if x == last:
             run += 1
             size //= run
@@ -330,10 +316,12 @@ def _own_canonical(canonical, form):
 class Group:
     """One row of GROUPS.  rank is the length of the points the group acts
     on (None for H, which reads it from the point) and order(rank) its order;
-    invariant(form) tests a form's length and coefficients.  canonical,
-    orbit_size and orbit take a tuple of the rank's length, unchecked, and
-    solver(form) an invariant form of positive ints and returns its solve,
-    a function of k >= 0."""
+    invariant(form) tests a form's length and coefficients.  canonical and
+    orbit take a tuple of the rank's length, unchecked, orbit_size that
+    tuple's canonical point, and solver(form) an invariant form of positive
+    ints, returning its solve, a function of k >= 0.  So canonical is the
+    one closed form that reads any point, and the one place where sizing an
+    orbit can raise NonIntegralImage."""
 
     def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver):
         self.rank, self.order, self.invariant, self.solver = rank, order, invariant, solver
@@ -375,16 +363,16 @@ GROUPS = {
                 lambda p: set(_signs(p)), lambda f: _chain(f, 0)),
     "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1],
                 lambda p: (a, b) if (a := abs(p[0])) >= (b := abs(p[1])) else (b, a),
-                lambda p: 8 >> ((p[0] == 0) + (p[1] == 0) + (abs(p[0]) == abs(p[1]))),
+                lambda p: 8 >> ((p[0] == 0) + (p[1] == 0) + (p[0] == p[1])),
                 _d8_orbit, lambda f: _chain(f, 1)),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,
                 lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])},
                 lambda f: _chain(f, 1, True)),
     "C6": Group(2, lambda n: 6, lambda f: len(f) == 2 and f[1] == 3 * f[0], _c6_canonical,
-                _c6_orbit_size, lambda p: set(_rotations60(p, *p)), _c6_solver),
+                lambda p: 6 if any(p) else 1, lambda p: set(_rotations60(p, *p)), _c6_solver),
     "G_A3": Group(3, lambda n: 12, lambda f: len(f) == 3 and f[2] == 3 * f[0], _ga3_canonical,
-                  _ga3_orbit_size,
+                  lambda p: 1 if p[0] == 0 else 6 if p[2] == 0 or p[0] == 3 * p[2] else 12,
                   lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
                   _ga3_solver),
     "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1,
@@ -430,20 +418,19 @@ def canonical(group, point):
 
 
 def orbit_size(group, point):
-    """The number of points in the point's orbit, from its stabiliser.
+    """The number of points in the point's orbit, from its stabiliser, read
+    by the row off the point's canonical point, which also checks the parity
+    domain of C6 and G_A3.
 
     H: n!/prod(mult!) * 2^(non-zero entries), mult counting equal absolute
     values; D8: 8, halved for each zero entry and for |a| = |b|.  G_A3: 1 at
-    x = z = 0, 6 on the boundary rays z = 0 and x = 3z of the canonical
-    sector x >= 3z >= 0, 12 inside it, read off a sector point with x - z
-    even (every representative) without canonical.
-    V4: 4 halved for each zero coordinate.  C4 and C6: 1 at the origin, the
-    group order elsewhere, as no rotation fixes another point; C6 reads a
-    sector point -x < 3y <= x with x - y even (every representative) without
-    canonical, which checks the parity domain of any other point.
+    the origin x = z = 0, 6 on the boundary rays z = 0 and x = 3z of the
+    canonical sector x >= 3z >= 0, 12 inside it.  V4: 4 halved for each zero
+    coordinate.  C4 and C6: 1 at the origin, the group order elsewhere, as no
+    rotation fixes another point.
     """
     row, point = _checked(group, point)
-    return row.orbit_size(point)
+    return row.orbit_size(row.canonical(point))
 
 
 def orbit(group, point):
@@ -477,7 +464,7 @@ def is_action_free(group, solutions):
     classes = {}
     for p in sorted(set(map(tuple, solutions))):
         classes.setdefault(canonical(group, p), []).append(p)
-    sizes = [(c, ps, orbit_size(group, c)) for c, ps in classes.items()]
+    sizes = [(c, ps, GROUPS[group].orbit_size(c)) for c, ps in classes.items()]
     short = [ps[0] for c, ps, size in sizes if len(ps) < size]
     if short:
         raise NotClosed(f"orbit of {short[0]} leaves the solution set")

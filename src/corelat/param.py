@@ -13,15 +13,15 @@ the integers, built once with whether its images lie on the quadric
 (keeps_quadric); a case compiles all its layers into one function
 (ParamCase.layers_map), one call per point.  A case binds its group's row
 of diophantine.GROUPS once (ParamCase.action), fitted to phi and the form
-by _case, so the checks call its canonical and orbit_size with no check per
-call.  Each claim is a row of one table, CHECKS, that decide runs on a
-LevelData: a Claim names the images it reads, the freeness it requires, the
-window on the hits per orbit of U, its counts and its FAIL reasons; every
-check, check_stratified too, tests an image when its one pass reaches it.
-Each layer is one fixed map T_j of layer 0 (ParamCase.layer_transforms);
-where the +-T_j are C6's rotations (ParamCase.layers_tile_c6), the extended
-row skips its per-point tiling step and reads no layer.  FAIL is data,
-never raised.
+by _case, so the checks call its canonical, once per image, and its
+orbit_size, on canonical points, with no check per call.  Each claim is a
+row of one table, CHECKS, that decide runs on a LevelData: a Claim names
+the images it reads, the freeness it requires, the window on the hits per
+orbit of U, its counts and its FAIL reasons; every check, check_stratified
+too, tests an image when its one pass reaches it.  Each layer is one fixed
+map T_j of layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's
+rotations (ParamCase.layers_tile_c6), the extended row skips its per-point
+tiling step and reads no layer.  FAIL is data, never raised.
 """
 
 import itertools
@@ -143,6 +143,11 @@ class ParamCase:
                                          for j in weyl.sigma_indices(self.type_id)[1:])
 
     @linalg.memo
+    def layers_keep_quadric(self):
+        """Whether every map of layer_maps keeps the quadric."""
+        return all(f.keeps_quadric for f in self.layer_maps)
+
+    @linalg.memo
     def layers_map(self):
         """m -> the tuple of the layer_maps images of m: one function compiled
         in blocks (linalg.compile_stacked) when every map is compiled;
@@ -162,7 +167,7 @@ class ParamCase:
         P_j^-1 p_j = A^-1 B / 2 is one vector.  The rows of the SpanSolver of
         P_0's columns are D P_0^-1."""
         maps = self.layer_maps
-        if not all(f.keeps_quadric for f in maps) or len(maps[0].P) != len(maps[0].P[0]):
+        if not self.layers_keep_quadric or len(maps[0].P) != len(maps[0].P[0]):
             return None
         solver, transforms = linalg.SpanSolver(list(zip(*maps[0].P))), []
         for f in maps:
@@ -472,7 +477,7 @@ class Claim:
         tiling = base and not case.layers_tile_c6
         if layers:
             images = [img for layer in level.layers for img in layer]
-            keeps = all(f.keeps_quadric for f in case.layer_maps)
+            keeps = case.layers_keep_quadric
         else:
             images = [layer[0] for layer in level.layers] if tiling else level.images
             keeps = case.image_map.keeps_quadric
@@ -483,13 +488,17 @@ class Claim:
             dup = next(x for x in images if images.count(x) > 1)
             return self.fail(level, counts, "injective", point=dup)
         # the pass in image order stops at the first image off the quadric,
-        # with a small orbit, or whose layer pairs do not tile its orbit
+        # with a small orbit, or whose layer pairs do not tile its orbit; it
+        # canonicalises each image whose orbit it sizes
+        canonical, points = group.canonical, []
         if quadric or each:
             for i, img in enumerate(images):
                 if quadric and not level.on_quadric(img):
                     return self.fail(level, counts, "quadric", i, image=img)
-                if each and (size := group.orbit_size(img)) != order:
-                    return self.fail(level, counts, "free", point=img, image=img, size=size)
+                if each:
+                    points.append(c := canonical(img))
+                    if (size := group.orbit_size(c)) != order:
+                        return self.fail(level, counts, "free", point=img, image=img, size=size)
                 if tiling:
                     pairs = [frozenset({x, (-x[0], -x[1])}) for x in level.layers[i]]
                     if (set().union(*pairs) != diophantine.orbit(case.group, img)
@@ -501,14 +510,14 @@ class Claim:
             if level.solution_count != order * len(reps):
                 small = [r for r in reps if group.orbit_size(r) < order]
                 return self.fail(level, counts, "free", point=level.first_orbit(small)[-1])
-        # the images' canonical points hit each rep once (then, sorted, they
-        # are reps) or at least once, and no other point; only a FAIL counts them
-        window, canonical = self.window, group.canonical
-        hit = sorted(map(canonical, images)) if window == "once" else set(map(canonical, images))
+        # the images' canonical points, which the other rows map once here,
+        # hit each rep once (then, sorted, they are reps) or at least once,
+        # and no other point; only a FAIL counts them
+        window, points = self.window, points if each else list(map(canonical, images))
+        hit = sorted(points) if window == "once" else set(points)
         if window is None:
             counts["covered_orbits"] = len(hit)
         elif hit != reps if window == "once" else len(hit) != len(reps) or not hit.issuperset(reps):
-            points = list(map(canonical, images))
             hits, listed = Counter(points), set(reps)
             missed = [r for r in reps if (hits[r] != 1 if window == "once" else not hits[r])]
             unlisted = next((x for x, p in zip(images, points) if p not in listed), None)
@@ -559,7 +568,7 @@ def check_stratified(level):
     # when no key repeats.
     maps, c6, keys = level.case.layer_maps, diophantine.GROUPS["C6"].canonical, []
     # an image is tested on the quadric only when some map may leave it
-    quadric = not all(f.keeps_quadric for f in maps)
+    quadric = not level.case.layers_keep_quadric
     # the pass in point order stops at the first image off the quadric or
     # after the images of the first point whose layers share a stratum
     for i, layer in enumerate(level.layers):

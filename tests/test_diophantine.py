@@ -154,7 +154,7 @@ def test_hyperoctahedral_orbit_size_matches_the_counter_formula():
     rng = random.Random(8)
     points += [tuple(rng.randint(-3, 3) for _ in range(8)) for _ in range(2000)]
     for p in points:
-        assert diophantine._h_orbit_size(p) == oracles.h_orbit_size(p), p
+        assert diophantine._h_orbit_size(canonical("H", p)) == oracles.h_orbit_size(p), p
 
 
 def test_d8_closed_forms_match_the_orbit():
@@ -164,7 +164,7 @@ def test_d8_closed_forms_match_the_orbit():
     row = diophantine.GROUPS["D8"]
     for p in itertools.product(range(-9, 10), repeat=2):
         orb = orbit("D8", p)
-        assert row.orbit_size(p) == orbit_size("D8", p) == len(orb), p
+        assert row.orbit_size(row.canonical(p)) == orbit_size("D8", p) == len(orb), p
         assert row.canonical(p) == canonical("D8", p) == max(orb), p
 
 
@@ -403,11 +403,15 @@ def test_action_freeness_makes_one_pass(monkeypatch):
     points = solve_diagonal((1, 3), 6916)
     orbits = len(orbit_partition("C6", points))
     assert (len(points), orbits) == (48, 8)
+    row, sized = diophantine.GROUPS["C6"], []
+    monkeypatch.setattr(row, "orbit_size", lambda c, size=row.orbit_size: sized.append(c) or size(c))
     calls = _counting(monkeypatch, "canonical", "orbit_size")
     assert is_action_free("C6", points) == (True, None)
-    # one canonical point per point and one orbit size per orbit, which C6's
-    # orbit_size reads off the canonical (sector) point without canonical
-    assert calls == {"canonical": len(points), "orbit_size": orbits}
+    # one canonical point per point, and the row sizes each orbit once off
+    # its canonical point, not through the orbit_size wrapper, which would
+    # canonicalise it again
+    assert calls == {"canonical": len(points), "orbit_size": 0}
+    assert sorted(sized) == solve_diagonal((1, 3), 6916, "C6") and len(sized) == orbits
 
 
 def test_closed_form_canonical_matches_max_of_rotations():
@@ -501,14 +505,11 @@ def test_rank2_sector_points_skip_canonical(monkeypatch, case_id):
     assert sum(level.solution_count for level in levels) > 0 and calls == {"canonical": 0}
 
 
-def test_c6_orbit_size_reads_only_sector_points(monkeypatch):
+def test_c6_orbit_size_of_any_point_and_its_parity_error():
     sector, other = [(0, 0), (2, 0), (3, 1), (6, 2)], [(-2, 0), (1, 1), (0, 2), (-3, -1)]
     sizes = [len(orbit("C6", p)) for p in sector + other]
-    calls = _counting(monkeypatch, "canonical")
     assert [orbit_size("C6", p) for p in sector] == sizes[:len(sector)] == [1, 6, 6, 6]
-    assert calls == {"canonical": 0}
     assert [orbit_size("C6", p) for p in other] == sizes[len(sector):]
-    assert calls == {"canonical": len(other)}
     # a sector point off the parity domain still raises canonical's error
     for point in ((1, 0), (5, 0)):
         with pytest.raises(NonIntegralImage) as by_size:

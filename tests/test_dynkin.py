@@ -1,3 +1,4 @@
+import dataclasses
 import string
 from fractions import Fraction as F
 
@@ -66,6 +67,13 @@ def test_rank_is_read_off_the_label():
 
 def test_derived_comarks_match_the_golden():
     assert {name: lookup_type(name).comarks for name in COMARKS} == COMARKS
+
+
+def test_a_comark_that_is_not_an_integer_is_refused():
+    # C2_1 at half its squared scale makes a_1 |alpha_1|^2 / 2 a half
+    halved = dataclasses.replace(lookup_type("C2_1"), scale_sq=1)
+    with pytest.raises(ValueError, match=r"^a comark of C2_1 is not an integer$"):
+        halved.comarks
 
 
 CARTAN_TYPES = dynkin.all_type_ids(8) + ["A50_1", "B50_1", "C50_1", "D50_1", "A49_2",

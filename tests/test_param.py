@@ -792,7 +792,8 @@ def test_case_refuses_a_map_that_leaves_the_integers():
 def test_keeps_quadric_is_false_off_the_identity():
     # the b = 16 variants of the complete and extended fail-branch tests
     assert not dataclasses.replace(get_case("A2"), b=16).image_map.keeps_quadric
-    assert not any(f.keeps_quadric for f in dataclasses.replace(get_case("A2ext"), b=16).layer_maps)
+    variant = dataclasses.replace(get_case("A2ext"), b=16)
+    assert not any(f.keeps_quadric for f in variant.layer_maps) and not variant.layers_keep_quadric
     # C2L1's layer 2 is at Lambda_1 and off the identity; its claim reads
     # layer 0 alone
     assert not param.LayerMap(get_case("C2L1"), 2).keeps_quadric
@@ -874,6 +875,33 @@ def test_complete_check_takes_each_orbit_size_once(monkeypatch):
 
 
 COMPLETE_CASES = [c for c, case in param.CASES.items() if case.claim == "complete"]
+
+
+def test_every_orbit_size_call_takes_a_canonical_point(monkeypatch):
+    # each row's orbit_size reads the canonical point it is given; every
+    # claim, the tiling path of a per-point phi too, gives it no other point
+    sized = []
+    for row in diophantine.GROUPS.values():
+        def checked(point, row=row, orbit_size=row.orbit_size):
+            assert point == row.canonical(point), point
+            sized.append(point)
+            return orbit_size(point)
+
+        monkeypatch.setattr(row, "orbit_size", checked)
+    a2ext = get_case("A2ext")
+    per_point = dataclasses.replace(a2ext, phi_map=lambda q: a2ext.phi_map(q))
+    assert not per_point.layers_tile_c6
+    runs = [(get_case(c), get_case(c).claim, 12 if c == "A3" else 20)
+            for c in (*param.CASES, "HYP:C3_1", "HYP:B4_1", "HYP:D3_2")]
+    runs += [(get_case("A3"), "A3conj", 12), (per_point, "extended", 20)]
+    groups = set()
+    for case, claim, top in runs:
+        for n in range(top + 1):
+            sized.clear()
+            assert param.decide(param.LevelData(case, n), claim).passed, (case.case_id, claim, n)
+            if sized:
+                groups.add(case.group)
+    assert groups == set(diophantine.GROUPS)
 
 
 @pytest.mark.parametrize("case_id", ["A2", "C2", "D43"])
@@ -968,7 +996,8 @@ def test_bound_row_matches_the_group_element_oracle(case_id, top):
             if p not in orbits:
                 orb = frozenset(oracles.act(case.group, g, p) for g in elements)
                 orbits.update(dict.fromkeys(orb, orb))
-            assert row.orbit_size(p) == len(orbits[p]) and row.canonical(p) == max(orbits[p]), (n, p)
+            assert (row.orbit_size(row.canonical(p)) == len(orbits[p])
+                    and row.canonical(p) == max(orbits[p])), (n, p)
             seen += 1
     assert seen > top
 
