@@ -12,21 +12,23 @@ one row of GROUPS, a Group holding its rank, order, invariance test,
 closed-form canonical and orbit_size, its orbit by formula, and its
 solver; orbit_size reads the canonical point, so canonical is the one
 closed form that takes any point.  Neither builds an orbit: only FAIL
-witnesses, the extended claim's tiling step on a case whose layers are not
-C6's rotations and orbit_partition build one.  The public canonical,
-orbit_size, orbit, group_order and solve_diagonal check their input and
-call the row: H reads its rank from the point, every other group refuses a
-point whose length is not its rank (3 for G_A3, else 2), and
-solve_diagonal checks a (form, group) pair once.  param binds each case to
-its row once, so a claim check calls the row's closed forms with no check
-per point.  D8 is H on two coordinates, sharing its search; its canonical
-point (|a|, |b|) in non-increasing order, its orbit size 8 halved for each
-zero coordinate and for |a| = |b|, and its orbit, its eight signed
-permutations, are written out, and H's orbit is built from the distinct
-arrangements of the absolute values.  C6 and G_A3 rotate by halved integer
-matrices, which raise NonIntegralImage outside their parity domain;
-_to_sector60 checks the parity and rotates into the canonical sector in
-one frame, and _rotations60 serves orbit.
+witnesses, param's LevelData.solutions (read by the solve and table
+commands and a3_strata) and the extended claim's tiling step on a case
+without the C6 certificate (layers_tile_c6) build one.  orbit_partition
+and is_action_free read one pass (_classes) that groups the points by
+canonical point.  The public canonical, orbit_size, orbit, group_order and
+solve_diagonal check their input and call the row: H reads its rank from
+the point, every other group refuses a point whose length is not its rank
+(3 for G_A3, else 2), and solve_diagonal checks a (form, group) pair once.
+param binds each case to its row once, so a claim check calls the row's
+closed forms with no check per point.  D8 is H on two coordinates, sharing
+its search; its canonical point (|a|, |b|) in non-increasing order, its
+orbit size 8 halved for each zero coordinate and for |a| = |b|, and its
+orbit, its eight signed permutations, are written out, and H's orbit is
+built from the distinct arrangements of the absolute values.  C6 and G_A3
+rotate by halved integer matrices, which raise NonIntegralImage outside
+their parity domain; _to_sector60 checks the parity and rotates into the
+canonical sector in one frame, and _rotations60 serves orbit.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -439,34 +441,30 @@ def orbit(group, point):
     return row.orbit(point)
 
 
+def _classes(group, solutions):
+    """The distinct points grouped by canonical point, each class sorted, in
+    the order of their least points: the orbits of a closed set.  NotClosed
+    names the least point of the first class that holds fewer points than
+    its orbit_size."""
+    classes = {}
+    for p in sorted(set(map(tuple, solutions))):
+        classes.setdefault(canonical(group, p), []).append(p)
+    for c, ps in classes.items():
+        if len(ps) < GROUPS[group].orbit_size(c):
+            raise NotClosed(f"orbit of {ps[0]} leaves the solution set")
+    return classes
+
+
 def orbit_partition(group, solutions):
-    """Partition a closed solution set into orbits, sorted by their minima."""
-    points = [tuple(p) for p in solutions]
-    pool = set(points)
-    seen = set()
-    orbits = []
-    for p in sorted(points):
-        if p in seen:
-            continue
-        orb = orbit(group, p)
-        if not orb <= pool:
-            raise NotClosed(f"orbit of {p} leaves the solution set")
-        orbits.append(sorted(orb))
-        seen |= orb
-    return orbits
+    """Partition a closed solution set into orbits, each sorted, sorted by
+    their minima: the classes of _classes, so no orbit is built."""
+    return list(_classes(group, solutions).values())
 
 
 def is_action_free(group, solutions):
     """(True, None) when every orbit has full group size, else (False, the
-    canonical point of the least undersized point).  One pass groups the points
-    by canonical point; the set is closed when each class holds orbit_size
-    points, else NotClosed names the least point of a short class."""
-    classes = {}
-    for p in sorted(set(map(tuple, solutions))):
-        classes.setdefault(canonical(group, p), []).append(p)
-    sizes = [(c, ps, GROUPS[group].orbit_size(c)) for c, ps in classes.items()]
-    short = [ps[0] for c, ps, size in sizes if len(ps) < size]
-    if short:
-        raise NotClosed(f"orbit of {short[0]} leaves the solution set")
-    small = [c for c, ps, size in sizes if size < group_order(group, len(c))]
+    canonical point of the first undersized orbit, in the order of their
+    least points).  One pass (_classes) groups the points by canonical
+    point, so no orbit is built."""
+    small = [c for c, ps in _classes(group, solutions).items() if len(ps) < group_order(group, len(c))]
     return (False, small[0]) if small else (True, None)

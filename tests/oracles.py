@@ -59,11 +59,16 @@ inlined in check_complete and the strata of U computed in check_stratified,
 where LevelData once held them), and representatives is the rule they
 imply for orbit representatives: the lexicographic maximum of each orbit
 of U.
-is_action_free is the original diophantine.is_action_free, which builds the
-orbit partition.  det, h_statistic, theta (the marked root, once in dynkin),
-A3Stratum and stratum are helpers that only the tests call.  stratify is the
-original param._stratify, whose omega test scans every m in
-[-radius, radius] and filters on m mod 3 per m; check_stratified reads it.
+orbit_partition is the original diophantine.orbit_partition, which builds
+the orbit of each point by formula (diophantine.orbit) and tests it against
+the set, from before diophantine grouped the points by canonical point; the
+claim checks, representatives and is_action_free, the original
+diophantine.is_action_free, read it, so no partition they use goes through
+canonical or orbit_size.  det, h_statistic, theta (the marked root, once in
+dynkin), A3Stratum and stratum are helpers that only the tests call.
+stratify is the original param._stratify, whose omega test scans every m
+in [-radius, radius] and filters on m mod 3 per m; check_stratified reads
+it.
 
 lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
 addable or removable box of the letter's residue, and charge_symmetric, once
@@ -126,7 +131,7 @@ from math import isqrt
 from corelat import atomic, cli, diophantine, dynkin, linalg, param
 from corelat.atomic import LatticeVector, _basis, _type
 from corelat.cores import BadCharge, conjugate, core_from_charge, diagonal_length, is_strict
-from corelat.diophantine import NonIntegralImage, _rotations60
+from corelat.diophantine import NonIntegralImage, NotClosed, _rotations60
 from corelat.dynkin import NotInRootSpan
 from corelat.linalg import _IntegerBall, _ldl
 from corelat.param import Report, _fail
@@ -750,10 +755,26 @@ def canonical60_by_rotations(group, point):
     raise ValueError(f"unknown group {group!r}")
 
 
+def orbit_partition(group, solutions):
+    """Partition a closed solution set into orbits, sorted by their minima."""
+    points = [tuple(p) for p in solutions]
+    pool = set(points)
+    seen = set()
+    orbits = []
+    for p in sorted(points):
+        if p in seen:
+            continue
+        orb = diophantine.orbit(group, p)
+        if not orb <= pool:
+            raise NotClosed(f"orbit of {p} leaves the solution set")
+        orbits.append(sorted(orb))
+        seen |= orb
+    return orbits
+
+
 def representatives(group, form, k):
     """The lexicographic maximum of each orbit of the full solution set, sorted."""
-    return sorted(max(o) for o in diophantine.orbit_partition(
-        group, diophantine.solve_diagonal(form, k)))
+    return sorted(max(o) for o in orbit_partition(group, diophantine.solve_diagonal(form, k)))
 
 
 def solutions(level):
@@ -764,7 +785,7 @@ def solutions(level):
 
 def _orbits(level):
     """The orbit partition of U, as the original LevelData.orbits gave it."""
-    return diophantine.orbit_partition(level.case.group, solutions(level))
+    return orbit_partition(level.case.group, solutions(level))
 
 
 def is_action_free(group, solutions):
@@ -775,7 +796,7 @@ def is_action_free(group, solutions):
     if not points:
         return True, None
     order = diophantine.group_order(group, len(points[0]))
-    for orb in diophantine.orbit_partition(group, points):
+    for orb in orbit_partition(group, points):
         if len(orb) < order:
             return False, orb[-1]
     return True, None

@@ -262,13 +262,16 @@ def _result_or_error(call, group, points):
 def test_action_freeness_matches_orbit_partition_oracle(monkeypatch):
     sets = list(_freeness_sets())
     expected = [_result_or_error(oracles.is_action_free, group, points) for group, points in sets]
+    partitions = [_result_or_error(oracles.orbit_partition, group, points) for group, points in sets]
 
     def refuse(*args):
-        raise AssertionError("is_action_free built an orbit")
+        raise AssertionError("is_action_free or orbit_partition built an orbit")
 
+    partition = diophantine.orbit_partition
     monkeypatch.setattr(diophantine, "orbit", refuse)
     monkeypatch.setattr(diophantine, "orbit_partition", refuse)
     assert [_result_or_error(is_action_free, group, points) for group, points in sets] == expected
+    assert [_result_or_error(partition, group, points) for group, points in sets] == partitions
     outcomes = {(group, result[0]) for (group, _), result in zip(sets, expected)}
     for group in ("D8", "C4", "V4", "C6", "G_A3", "H"):
         assert {(group, True), (group, "NotClosed")} <= outcomes, group
@@ -276,11 +279,26 @@ def test_action_freeness_matches_orbit_partition_oracle(monkeypatch):
             ("C6", "NonIntegralImage"), ("G_A3", "NonIntegralImage")} <= outcomes
 
 
+@pytest.mark.parametrize("group,points,named", [
+    ("C6", [(-3, -1), (2, 1)], "(2,1)"),
+    ("G_A3", [(-2, 1, -2), (-1, -2, -2), (2, -1, -1)], "(-1,-2,-2)")])
+def test_an_unreadable_point_outranks_a_short_class(group, points, named):
+    # both sets hold a short class and a point off the parity domain: the one
+    # pass reads every point before it counts a class, so both calls name the
+    # unreadable point, where the orbit-building oracle meets the short class
+    with pytest.raises(NotClosed):
+        oracles.orbit_partition(group, points)
+    for call in (orbit_partition, is_action_free):
+        with pytest.raises(NonIntegralImage) as raised:
+            call(group, points)
+        assert str(raised.value) == f"{named} is outside the parity domain"
+
+
 def _assert_representatives(group, form, k):
     """solve_diagonal with the group against the full-set rule, and canonical
     and orbit_size of every solution against the orbit that holds it."""
     assert solve_diagonal(form, k, group) == oracles.representatives(group, form, k)
-    for orb in orbit_partition(group, solve_diagonal(form, k)):
+    for orb in oracles.orbit_partition(group, solve_diagonal(form, k)):
         top, size = max(orb), len(orb)
         for p in orb:
             assert canonical(group, p) == top and orbit_size(group, p) == size, (group, p)
@@ -302,7 +320,8 @@ def test_representatives_ga3():
 
 def _brute_representatives(group, form, k):
     """The greatest point of each orbit of the brute-force solution set."""
-    return sorted(max(o) for o in orbit_partition(group, oracles.solve_diagonal_brute(form, k)))
+    sols = oracles.solve_diagonal_brute(form, k)
+    return sorted(max(o) for o in oracles.orbit_partition(group, sols))
 
 
 def test_ga3_solver_on_other_invariant_forms():
@@ -500,8 +519,8 @@ def test_rank2_sector_points_skip_canonical(monkeypatch, case_id):
     calls = _counting(monkeypatch, "canonical")
     levels = [param.LevelData(case, n) for n in range(101)]
     assert sum(len(level.reps) for level in levels) > 50 and calls == {"canonical": 0}
-    # orbit_size reads the size off a sector point: C4 and V4 off any point,
-    # C6 off one in the parity domain
+    # |U| sums the row's orbit_size over reps, which are canonical points
+    # already, so counting U calls no canonical either
     assert sum(level.solution_count for level in levels) > 0 and calls == {"canonical": 0}
 
 
