@@ -1,10 +1,13 @@
 """Command-line front end: enumeration, table reproduction, theorem sweeps.
 
-Output is CSV or JSON on stdout, byte-deterministic for fixed inputs, and
-the sweeps (verify, conjecture-a3, table) write and flush each level as it
-is decided.  Exit codes: 0 when everything requested PASSes, 1 on a
-verification FAIL (the witness is in the output), 2 on a usage error, which
-writes nothing to stdout, and on a stdout closed before the output ends.
+Output is CSV or JSON on stdout, byte-deterministic for fixed inputs.  The
+sweeps (verify --max-N, conjecture-a3, table) decide their levels in bands
+(param.band_levels), so the lattice search and the solve run once per band
+of param.BAND levels, and each row is still written and flushed as it is
+decided; verify --N and solve search their one level.  Exit codes: 0 when
+everything requested PASSes, 1 on a verification FAIL (the witness is in
+the output), 2 on a usage error, which writes nothing to stdout, and on a
+stdout closed before the output ends.
 
 A command's words are parsed once, by that command's own parser; the root
 parser reads only an argv that does not start with a command or that the
@@ -81,9 +84,8 @@ def _cell(tuples):
 
 def figure_rows(figure, max_n):
     """The figure's CSV rows, N = 0 to max_n, each decided when asked for."""
-    case = param.get_case(FIGURES[figure]["case"])
-    for n in range(max_n + 1):
-        level = param.LevelData(case, n)
+    for level in param.band_levels(param.get_case(FIGURES[figure]["case"]), 0, max_n + 1):
+        n = level.n
         if figure == "8N+1":
             # split by the parity of the rotated point: even sums lie in M
             rotated = [(param.u_rotate(q), img)
@@ -211,14 +213,15 @@ def _cmd_verify(args, out):
     _check_level("--max-N", args.max_N)
     param.get_case(args.case)       # an unknown case is refused before the header
     max_n = args.max_N if args.max_N is not None else 20
-    ns = [args.N] if args.N is not None else range(max_n + 1)
-    return _report_output((param.verify_case(args.case, n) for n in ns), args.format, out)
+    reports = ([param.verify_case(args.case, args.N)] if args.N is not None
+               else param.verify_sweep(args.case, max_n))
+    return _report_output(reports, args.format, out)
 
 
 def _cmd_conjecture(args, out):
     _check_level("--max-N", args.max_N)
     max_n = args.max_N if args.max_N is not None else 20
-    return _report_output(map(param.a3_conjecture_check, range(max_n + 1)), args.format, out)
+    return _report_output(param.a3_conjecture_sweep(max_n), args.format, out)
 
 
 @cache

@@ -9,9 +9,9 @@ chain search for V4, D8, C4, C6 and H, a sector search for G_A3 that steps
 x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
 the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group is
 one row of GROUPS, a Group holding its rank, order, invariance test,
-closed-form canonical and orbit_size, its orbit by formula, and its
-solver; orbit_size reads the canonical point, so canonical is the one
-closed form that takes any point.  Neither builds an orbit: only FAIL
+closed-form canonical and orbit_size, its orbit by formula, its solver
+and its band solve; orbit_size reads the canonical point, so canonical is
+the one closed form that takes any point.  Neither builds an orbit: only FAIL
 witnesses, param's LevelData.solutions (read by the solve and table
 commands and a3_strata) and the extended claim's tiling step on a case
 without the C6 certificate (layers_tile_c6) build one.  orbit_partition
@@ -29,6 +29,12 @@ built from the distinct arrangements of the absolute values.  C6 and G_A3
 rotate by halved integer matrices, which raise NonIntegralImage outside
 their parity domain; _to_sector60 checks the parity and rotates into the
 canonical sector in one frame, and _rotations60 serves orbit.
+solve_band serves a band of levels, the values k of an arithmetic
+progression, from one walk of the group's sector across them: the rank-2
+chain of V4, D8, C4 and C6 (_chain_band) and G_A3's sector
+(_ga3_sector_band), each stepping its last variable through the residues
+that put k on the progression (_square_residues).  Where any k of the band leaves the sector
+path, and for H, it serves nothing, and each level is solved on its own.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -113,6 +119,63 @@ def _solver(form, k, group):
     return _SOLVERS[form, group]
 
 
+def solve_band(form, group, ks):
+    """{k: solve_diagonal(form, k, group)} for each k of the range ks, whose
+    step is positive, from one walk of the group's sector across the band:
+    the rank-2 chain of V4, D8, C4 and C6 (_chain_band) and G_A3's sector
+    (_ga3_sector_band).  None, so that each level solves on its own, unless
+    the (form, group) pair passes _solver's checks and every k of the band
+    takes the group's sector path: C6 at k = 0 (mod 4 form[0]), G_A3 on
+    (1, 2, 3) at even k.  H, and no group, always solve level by level."""
+    try:
+        form = as_integers(form)
+        if (form, group) not in _SOLVERS:
+            _solver(form, 0, group)
+    except ValueError:          # NotClosed too: each level raises it in turn
+        return None
+    band = group and GROUPS[group].band
+    return None if not band else band(form, ks) if ks else {}
+
+
+def _square_residues(d, step):
+    """(p, table): p the least period of y -> d y^2 (mod step), and table[t]
+    the residues y0 in 0..p-1 with d y0^2 = t (mod step), for t in 0..step-1."""
+    p = next(p for p in range(1, step + 1)
+             if step % p == 0 and 2 * d * p % step == 0 and d * p * p % step == 0)
+    table = [[] for _ in range(step)]
+    for y in range(p):
+        table[d * y * y % step].append(y)
+    return p, table
+
+
+def _chain_band(form, r, mirror, ks):
+    """_chain(form, r, mirror)(k) at rank 2 for each k of the range ks, from
+    one walk: x ascending from its chain bound at the band's least k, and for
+    each x the y >= 0 of the annulus lo <= d_1 x^2 + d_2 y^2 <= top with
+    r y <= x, stepped through the residues (_square_residues) that put k on
+    the band's progression.  Each k meets at most one y per x, so every
+    list comes in the chain's order."""
+    (d1, d2), found = form, {k: [] for k in ks}
+    lo, top, step = ks[0], ks[-1], ks.step
+    if top < 0:
+        return found
+    period, residues = _square_residues(d2, step)
+    m = -(-max(lo, 0) * r * r // (d1 * r * r + d2))
+    for x in range(isqrt(m - 1) + 1 if m else 0, isqrt(top // d1) + 1):
+        base = d1 * x * x
+        high, need = isqrt((top - base) // d2), lo - base
+        if r and x // r < high:
+            high = x // r
+        low = isqrt((need - 1) // d2) + 1 if need > 0 else 0
+        for y0 in residues[need % step]:
+            for y in range(low + (y0 - low) % period, high + 1, period):
+                points = found[base + d2 * y * y]
+                if mirror and 0 < r * y < x:
+                    points.append((x, -y))
+                points.append((x, y))
+    return found
+
+
 def _signed_chain(form):
     """solve_diagonal's solve without a group, a function of k."""
     if not form:
@@ -155,6 +218,36 @@ def _solve_ga3_sector(k):
                     solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
     solutions.sort()
     return solutions
+
+
+def _ga3_sector_band(ks):
+    """_solve_ga3_sector(k) for each even k of the range ks, from one walk
+    of the sector x >= 3z >= 0: z and x as there, x through _GA3_SIEVE when
+    the step is a multiple of 16, which fixes k - 3z^2 mod 16 across the
+    band, else through x = z (mod 2), and y >= 0 across the band's annulus
+    in the residues (_square_residues) that put k on its progression."""
+    found = {k: [] for k in ks}
+    lo, top, step = ks[0], ks[-1], ks.step
+    if top < 0:
+        return found
+    period, residues = _square_residues(2, step)
+    for z in range(isqrt(top // 12) + 1):
+        zz = 3 * z * z
+        low_x, top_x = 3 * z, isqrt(top - zz) + 1
+        for a in _GA3_SIEVE[(lo - zz) % 16] if step % 16 == 0 else range(z % 2, 8, 2):
+            for x in range(low_x + (a - low_x) % 8, top_x, 8):
+                base = zz + x * x
+                high, need = isqrt((top - base) >> 1), lo - base
+                low = isqrt((need - 1) >> 1) + 1 if need > 0 else 0
+                if low > high:
+                    continue
+                for y0 in residues[need % step]:
+                    for y in range(low + (y0 - low) % period, high + 1, period):
+                        found[base + 2 * y * y].extend(
+                            ((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
+    for points in found.values():
+        points.sort()
+    return found
 
 
 def solve_diagonal_meet(form, k):
@@ -298,6 +391,15 @@ def _c6_solver(form):
     return lambda k: every(k) if k % domain else sector(k)
 
 
+def _c6_band(form, ks):
+    domain = 4 * form[0]
+    return None if any(k % domain for k in ks) else _chain_band(form, 3, True, ks)
+
+
+def _ga3_band(form, ks):
+    return _ga3_sector_band(ks) if form == (1, 2, 3) and not any(k % 2 for k in ks) else None
+
+
 def _ga3_solver(form):
     # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
     # raises NonIntegralImage from canonical, as orbit_partition does.
@@ -321,13 +423,16 @@ class Group:
     invariant(form) tests a form's length and coefficients.  canonical and
     orbit take a tuple of the rank's length, unchecked, orbit_size that
     tuple's canonical point, and solver(form) an invariant form of positive
-    ints, returning its solve, a function of k >= 0.  So canonical is the
-    one closed form that reads any point, and the one place where sizing an
-    orbit can raise NonIntegralImage."""
+    ints, returning its solve, a function of k >= 0; band(form, ks), for
+    the same form and a range ks, is solve_band's walk, or None where the
+    band leaves the sector, and the row's band is None for a group without
+    one (H).  So canonical is the one closed form that reads any point, and
+    the one place where sizing an orbit can raise NonIntegralImage."""
 
-    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver):
+    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver, band=None):
         self.rank, self.order, self.invariant, self.solver = rank, order, invariant, solver
         self.canonical, self.orbit_size, self.orbit = canonical, orbit_size, orbit
+        self.band = band
 
 
 def _arrangements(values):
@@ -362,21 +467,23 @@ def _d8_orbit(point):
 GROUPS = {
     "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
                 lambda p: 4 >> ((p[0] == 0) + (p[1] == 0)),
-                lambda p: set(_signs(p)), lambda f: _chain(f, 0)),
+                lambda p: set(_signs(p)), lambda f: _chain(f, 0),
+                lambda f, ks: _chain_band(f, 0, False, ks)),
     "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1],
                 lambda p: (a, b) if (a := abs(p[0])) >= (b := abs(p[1])) else (b, a),
                 lambda p: 8 >> ((p[0] == 0) + (p[1] == 0) + (p[0] == p[1])),
-                _d8_orbit, lambda f: _chain(f, 1)),
+                _d8_orbit, lambda f: _chain(f, 1), lambda f, ks: _chain_band(f, 1, False, ks)),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,
                 lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])},
-                lambda f: _chain(f, 1, True)),
+                lambda f: _chain(f, 1, True), lambda f, ks: _chain_band(f, 1, True, ks)),
     "C6": Group(2, lambda n: 6, lambda f: len(f) == 2 and f[1] == 3 * f[0], _c6_canonical,
-                lambda p: 6 if any(p) else 1, lambda p: set(_rotations60(p, *p)), _c6_solver),
+                lambda p: 6 if any(p) else 1, lambda p: set(_rotations60(p, *p)), _c6_solver,
+                _c6_band),
     "G_A3": Group(3, lambda n: 12, lambda f: len(f) == 3 and f[2] == 3 * f[0], _ga3_canonical,
                   lambda p: 1 if p[0] == 0 else 6 if p[2] == 0 or p[0] == 3 * p[2] else 12,
                   lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
-                  _ga3_solver),
+                  _ga3_solver, _ga3_band),
     "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1,
                lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
                lambda p: {s for a in _arrangements(sorted(map(abs, p))) for s in _signs(a)},

@@ -17,8 +17,12 @@ A ball compiles its level search once into straight-line Python
 (level_source), with the form's constants inlined: one generated function
 per depth, each looping one coordinate over its exact range and handing the
 next the budget left and the partial centres of the earlier coordinates;
-the last coordinate is solved instead of looped over.  The search up to a
-bound walks the same ball, one generator per depth (_IntegerBall.tails).
+the last coordinate is solved instead of looped over.  The shell walk
+(_IntegerBall.shell) walks the same ball, one generator per depth
+(_IntegerBall.tails), up to a bound and from an integer lower bound, which
+only the innermost coordinate can skip below: enumerate_quadratic_upto is
+the walk with no lower bound, and QuadraticForm.levels buckets the walk's
+points by their integer values, the levels of a band in one walk.
 QuadraticForm.level_numerators lists the points of a level as sorted
 integer rows C m, and QuadraticForm.level divides them by Q with one
 Fraction per distinct value, shared by every point of the level.
@@ -493,7 +497,8 @@ class _IntegerBall:
     The ball compiles its level search when built: level(T) is the list of
     points with D (m^T a m + b.m) = T, from the straight-line source of
     level_source with these constants inlined, one function per depth
-    above 1.  tails walks the same ball for enumerate_quadratic_upto.
+    above 1.  tails walks the same ball for the shell walk (shell), which
+    enumerate_quadratic_upto and QuadraticForm.levels run.
     """
 
     def __init__(self, a, b):
@@ -534,16 +539,57 @@ class _IntegerBall:
         S, e, Su = self.S, self.e, self.Su
 
         def depth(i, b, Q):
-            if i == 0:
-                yield b, Q[0]
-                return
             c, r, u = Q[i], isqrt(b // e[i]), Su[i]
+            if i == 1:
+                # depth 0 yields at once, so depth 1 yields for it
+                q0, u0, e1 = Q[0], u[0], e[1]
+                for mi in range(-((r + c) // S), (r - c) // S + 1):
+                    m[1] = mi
+                    y = S * mi + c
+                    yield b - e1 * y * y, q0 + u0 * mi
+                return
             for mi in range(-((r + c) // S), (r - c) // S + 1):
                 m[i] = mi
                 y = S * mi + c
                 yield from depth(i - 1, b - e[i] * y * y, [Q[l] + u[l] * mi for l in range(i)])
 
-        yield from depth(len(m) - 1, R, self.c0)
+        if len(m) == 1:
+            yield R, self.c0[0]
+        else:
+            yield from depth(len(m) - 1, R, self.c0)
+
+    def shell(self, low, T):
+        """Yield (t, m) for every m of the ball of the integer bound T whose
+        integer value t = D (m^T a m + b.m) is at least low (None: no lower
+        bound), in ascending order of (m_{k-1}, ..., m_0).
+
+        One walk of tails: a point leaves m_0 the budget b - e_0 Y_0^2 =
+        scale (T - t), so t >= low keeps e_0 Y_0^2 >= b - scale (T - low),
+        and m_0 skips the interval |Y_0| < s inside it, s the least root of
+        that bound, running over the two ranges of m_0 left.
+        """
+        k = len(self.e)
+        if k == 0:
+            if 0 <= T and (low is None or low <= 0):
+                yield 0, ()
+            return
+        S, e0, scale = self.S, self.e[0], self.scale
+        width = None if low is None else scale * (T - low)
+        m = [0] * k
+        for budget, c in self.tails(m, T):
+            r = isqrt(budget // e0)
+            if width is not None and (inner := budget - width) > 0:
+                # -r <= Y_0 <= -s and s <= Y_0 <= r, empty where s > r
+                s = isqrt((inner - 1) // e0) + 1
+                ranges = (range(-((r + c) // S), (-s - c) // S + 1),
+                          range(-((c - s) // S), (r - c) // S + 1))
+            else:
+                ranges = (range(-((r + c) // S), (r - c) // S + 1),)
+            for m0s in ranges:
+                for m0 in m0s:
+                    m[0] = m0
+                    y = S * m0 + c
+                    yield T - (budget - e0 * y * y) // scale, tuple(m)
 
 
 def enumerate_quadratic_upto(ball, bound):
@@ -551,24 +597,14 @@ def enumerate_quadratic_upto(ball, bound):
 
     Yields (value, m) for every m in Z^k with value = m^T a m + b.m <= bound,
     in ascending order of (m_{k-1}, ..., m_0), where ball is the form's
-    _IntegerBall.  Complete by construction: every coordinate range is an
-    exact integer bound of the ball, which serves every bound and target.
+    _IntegerBall: its shell walk with no lower bound.  Complete by
+    construction: every coordinate range is an exact integer bound of the
+    ball, which serves every bound and target.
     """
-    k = len(ball.e)
-    if k == 0:
-        if 0 <= bound:
-            yield Fraction(0), ()
-        return
-    S, e0, scale, D = ball.S, ball.e[0], ball.scale, ball.D
     # every value lies in (1/D) Z, so value <= bound exactly when D value <= T
-    T = math.floor(Fraction(bound) * D)
-    m = [0] * k
-    for budget, c in ball.tails(m, T):
-        r = isqrt(budget // e0)
-        for m0 in range(-((r + c) // S), (r - c) // S + 1):
-            m[0] = m0
-            y = S * m0 + c
-            yield Fraction(T - (budget - e0 * y * y) // scale, D), tuple(m)
+    D = ball.D
+    for t, m in ball.shell(None, math.floor(Fraction(bound) * D)):
+        yield Fraction(t, D), m
 
 
 def enumerate_quadratic_level(ball, target):
@@ -599,7 +635,8 @@ class QuadraticForm:
     coordinates are C m / Q: C holds the basis vectors scaled to integers by
     the lcm Q of their denominators, one row per coordinate, and numerators
     is m -> C m, compiled when the form is built (compile_affine).  level
-    speaks in coordinates, level_coefficients in coefficients.  The form
+    speaks in coordinates, level_coefficients in coefficients, and levels
+    gives the level_coefficients of a band of levels from one walk.  The form
     keeps its compiled search, ball, built on first use, so every level and
     bound asked of one form (enumerate_quadratic_upto on the ball) shares it.
     A form pickles as (a, b, basis), and its compiled parts are rebuilt on
@@ -651,6 +688,23 @@ class QuadraticForm:
         """Basis coefficients of every lattice point of value target, in the
         order of the points' coordinates (sorted by the integer key C m)."""
         return sorted(enumerate_quadratic_level(self.ball, target), key=self.numerators)
+
+    def levels(self, lo, hi):
+        """{n: level_coefficients(n)} for each integer level lo <= n < hi,
+        from one walk of the ball's shell between D lo and D (hi - 1)
+        (_IntegerBall.shell): each point is bucketed by its integer value t,
+        at level t / D where D divides t, and each level sorted as
+        level_coefficients sorts it."""
+        if lo >= hi:
+            return {}
+        D, found = self.ball.D, {n: [] for n in range(lo, hi)}
+        for t, m in self.ball.shell(D * lo, D * (hi - 1)):
+            n, rem = divmod(t, D)
+            if not rem:
+                found[n].append(m)
+        for points in found.values():
+            points.sort(key=self.numerators)
+        return found
 
     def level_numerators(self, target):
         """The integer rows C m of every lattice point of value target,

@@ -21,7 +21,12 @@ orbit of U, its counts and its FAIL reasons; every check, check_stratified
 too, tests an image when its one pass reaches it.  Each layer is one fixed
 map T_j of layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's
 rotations (ParamCase.layers_tile_c6), the extended row skips its per-point
-tiling step and reads no layer.  FAIL is data, never raised.
+tiling step and reads no layer.  FAIL is data, never raised.  A sweep
+decides its levels in bands (band_levels, run by verify_sweep,
+a3_conjecture_sweep and the CLI's tables): one walk of the lattice shell
+and one of the group's sector per band preset each LevelData's
+coefficients and reps, and each level is then decided as on its own; the
+per-level path (verify_case, a3_conjecture_check) is the oracle.
 """
 
 import itertools
@@ -647,6 +652,48 @@ def verify_case(case_id, n):
 
 def a3_conjecture_check(n):
     return decide(LevelData(CASES["A3"], n), "A3conj")
+
+
+# Levels per band of band_levels: by measurement, bands of 32 levels beat
+# per-level searches from the shortest sweeps on, and bands that grow from
+# one level did not (ROADMAP item 17)
+BAND = 32
+
+
+def band_levels(case, lo, hi):
+    """LevelData(case, n) for n = lo, ..., hi - 1, fed in bands of BAND
+    levels: per band, one walk of the length form's shell
+    (QuadraticForm.levels) and one of the group's sector
+    (diophantine.solve_band) preset each level's coefficients and, where the
+    band solve serves, its reps in the instance __dict__, which linalg.memo
+    reads first; a level the band solve does not serve solves on its own, as
+    LevelData(case, n) does.  Each level is made when asked for, so a caller
+    that decides and writes it first has done so before the next band's walks
+    start."""
+    for start in range(lo, hi, BAND):
+        stop = min(start + BAND, hi)
+        coefficients = case.length.levels(start, stop)
+        reps = diophantine.solve_band(case.form, case.group, range(
+            case.equation_value(start), case.equation_value(stop), case.a))
+        for n in range(start, stop):
+            level = LevelData(case, n)
+            level.__dict__["coefficients"] = coefficients[n]
+            if reps is not None:
+                level.__dict__["reps"] = reps[level.k]
+            yield level
+
+
+def verify_sweep(case_id, max_n):
+    """verify_case(case_id, n) for n = 0, ..., max_n, in order, decided on
+    band_levels."""
+    case = get_case(case_id)
+    return (decide(level, case.claim) for level in band_levels(case, 0, max_n + 1))
+
+
+def a3_conjecture_sweep(max_n):
+    """a3_conjecture_check(n) for n = 0, ..., max_n, in order, decided on
+    band_levels."""
+    return (decide(level, "A3conj") for level in band_levels(CASES["A3"], 0, max_n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corelat import atomic, cli, dynkin, param
+from corelat import atomic, cli, diophantine, dynkin, linalg, param
 
 from golden_data import (ATOMIC_LENGTH_SHA256, CONJECTURE_A3_JSON_3, ENUMERATE_SHA256,
                          FAIL_SWEEPS, SOLVE_SHA256, SWEEP_SHA256, TABLE_12N7, TABLE_40N10,
@@ -559,19 +559,26 @@ def through_row(text, fmt, n):
     return "},{".join(text.split("},{")[:n + 1]) + "}"
 
 
-@pytest.mark.parametrize("argv,check", [
-    (["verify", "--case", "A2", "--max-N", "3"], "verify_case"),
-    (["conjecture-a3", "--max-N", "3"], "a3_conjecture_check"),
-    (["table", "--figure", "12N+7", "--max-N", "3"], "LevelData"),
+# The hook is the per-level call each sweep makes: verify and conjecture-a3
+# decide each LevelData of param.band_levels, and the table makes each one.
+# The ids name the per-level functions the sweeps called before they ran in
+# bands.
+@pytest.mark.parametrize("argv,check,level_of", [
+    pytest.param(["verify", "--case", "A2", "--max-N", "3"], "decide",
+                 lambda level, claim: level.n, id="argv0-verify_case"),
+    pytest.param(["conjecture-a3", "--max-N", "3"], "decide",
+                 lambda level, claim: level.n, id="argv1-a3_conjecture_check"),
+    pytest.param(["table", "--figure", "12N+7", "--max-N", "3"], "LevelData",
+                 lambda case, n: n, id="argv2-LevelData"),
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweeps_write_and_flush_each_level_before_deciding_the_next(monkeypatch, argv, check,
-                                                                     fmt):
+                                                                     level_of, fmt):
     log = []
     decide = getattr(param, check)
 
     def logged(*args):
-        log.append(("decide", args[-1]))      # the level n is the last argument
+        log.append(("decide", level_of(*args)))
         return decide(*args)
 
     monkeypatch.setattr(param, check, logged)
@@ -582,6 +589,44 @@ def test_sweeps_write_and_flush_each_level_before_deciding_the_next(monkeypatch,
     for n in (1, 2, 3):
         flushed = [text for event, text in log[:log.index(("decide", n))] if event == "flush"]
         assert flushed[-1] == through_row(out.getvalue(), fmt, n - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "A2", "--max-N"],
+    ["verify", "--case", "HYP:C2_1", "--max-N"],
+    ["conjecture-a3", "--max-N"],
+    ["table", "--figure", "8N+1", "--max-N"],
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_sweep_flushes_every_row_of_a_band_before_the_next_band_is_walked(monkeypatch,
+                                                                             argv, fmt):
+    # two bands and one level of a third; each walk of the lattice shell and
+    # of the group's sector logs the output flushed before it starts
+    log, walks = [], []
+    levels, solve_band = linalg.QuadraticForm.levels, diophantine.solve_band
+
+    def logged(walk):
+        def run(*args):
+            flushed = [text for event, text in log if event == "flush"]
+            walks.append((walk.__name__, args[-2] if walk is levels else args[-1][0],
+                           flushed[-1] if flushed else ""))
+            return walk(*args)
+        return run
+
+    monkeypatch.setattr(linalg.QuadraticForm, "levels", logged(levels))
+    monkeypatch.setattr(diophantine, "solve_band", logged(solve_band))
+    out = FlushLog(log)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + [str(2 * param.BAND), "--format", fmt]) == 0
+    case = param.get_case(argv[2] if argv[0] == "verify" else
+                          "A3" if argv[0] == "conjecture-a3" else "C2L1")
+    starts = [0, param.BAND, 2 * param.BAND]
+    assert [(name, start) for name, start, _ in walks] == [
+        (name, start if name == "levels" else case.equation_value(start))
+        for start in starts for name in ("levels", "solve_band")]
+    for name, start, flushed in walks:
+        n = start if name == "levels" else (start - case.b) // case.a
+        assert flushed == (through_row(out.getvalue(), fmt, n - 1) if n else "")
 
 
 def test_verify_a2ext_and_a3_routes():

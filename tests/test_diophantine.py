@@ -17,6 +17,7 @@ from corelat.diophantine import (
     orbit,
     orbit_partition,
     orbit_size,
+    solve_band,
     solve_diagonal,
     solve_diagonal_meet,
 )
@@ -609,3 +610,56 @@ def test_residue_free_criterion():
     assert not residue_free_criterion(8, 1)
     assert residue_free_criterion(12, 7)
     assert residue_free_criterion(6, 7) is False   # 7 = 1 mod 6 is a residue
+
+
+# ---------------------------------------------------------------------------
+# Band solves: one walk of a group's sector for a band of levels
+
+
+@st.composite
+def sector_bands(draw):
+    """(form, group, ks): an invariant form of a group with a band solve and
+    a band k = a N + b, lo <= N < hi, whose every k takes the sector path."""
+    group = draw(st.sampled_from(["V4", "D8", "C4", "C6", "G_A3"]))
+    d = draw(st.integers(1, 4))
+    form = {"V4": (d, draw(st.integers(1, 5))), "D8": (d, d), "C4": (d, d),
+            "C6": (d, 3 * d), "G_A3": (1, 2, 3)}[group]
+    unit = {"C6": 4 * d, "G_A3": 2}.get(group, 1)
+    a, b = unit * draw(st.integers(1, 30)), unit * draw(st.integers(-5, 40))
+    lo, width = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    return form, group, range(a * lo + b, a * (lo + width) + b, a)
+
+
+@given(sector_bands())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_band_solve_matches_each_level(band):
+    form, group, ks = band
+    assert solve_band(form, group, ks) == {k: solve_diagonal(form, k, group) for k in ks}
+
+
+@pytest.mark.parametrize("case_id", ["A2", "C2", "C2L1", "D3t", "A42", "G21", "D43", "A3"])
+def test_band_solve_matches_each_level_on_the_cases(case_id):
+    # bands of the case's own progression a N + b, N <= 300
+    case = param.get_case(case_id)
+    for lo, hi in ((0, 32), (32, 64), (250, 301)):
+        ks = range(case.equation_value(lo), case.equation_value(hi), case.a)
+        assert solve_band(case.form, case.group, ks) == {
+            k: solve_diagonal(case.form, k, case.group) for k in ks}
+
+
+def test_band_solve_leaves_each_level_what_no_sector_serves():
+    # None sends every level to its own solve, which raises or lists U of
+    # the reversed form as solve_diagonal does; an empty band is served
+    assert solve_band((1, 3), "C6", range(4, 400, 12))
+    assert solve_band((1, 3), "C6", range(4, 4, 12)) == {}
+    assert solve_band((1, 3), "C6", range(4, 41, 3)) is None        # 7 is off C6's domain
+    assert solve_band((1, 2, 3), "G_A3", range(30, 3000, 48))
+    assert solve_band((1, 2, 3), "G_A3", range(31, 3000, 48)) is None   # odd k
+    assert solve_band((2, 4, 6), "G_A3", range(0, 100, 2)) is None     # not (1, 2, 3)
+    assert solve_band((1, 1, 1), "H", range(10)) is None
+    assert solve_band((1, 3), None, range(10)) is None
+    assert solve_band((1, 2), "D8", range(10)) is None                 # not invariant
+    assert solve_band((1, 0), "V4", range(10)) is None                 # not positive
+    assert solve_band((1, 1), "Z9", range(10)) is None                 # no such group
+    # a band below 0 is empty, as solve_diagonal is there
+    assert solve_band((1, 1), "D8", range(-40, 0, 8)) == {k: [] for k in range(-40, 0, 8)}

@@ -196,6 +196,40 @@ def test_hyp_types_cover_half_integer_kappa():
             assert param._HYP_FAMILIES[family]["kappa"](n).denominator == 2
 
 
+# (lo, hi) bands of integer levels: a single level, a band that crosses the
+# least value, one that starts above it, an empty one and a reversed one
+BANDS = ((0, 1), (0, 13), (4, 17), (7, 7), (9, 4))
+
+
+def assert_levels_agree(form, bands=BANDS):
+    """form.levels(lo, hi) holds level_coefficients(n) for each lo <= n < hi
+    and nothing else, lists compared in order."""
+    for lo, hi in bands:
+        assert form.levels(lo, hi) == {n: form.level_coefficients(n) for n in range(lo, hi)}
+
+
+@pytest.mark.parametrize("type_id,weight,lattice",
+                         list(length_forms(dynkin.all_type_ids(4) + ["E6_1", "E7_1", "E8_1"])))
+def test_band_of_levels_matches_each_level_on_length_forms(type_id, weight, lattice):
+    assert_levels_agree(atomic.length_form(type_id, weight, lattice))
+
+
+@pytest.mark.parametrize("type_id", [t for t in HYP_TYPES
+                                     if param._hyp_family_of_type(t)[0] in ("Aodd", "Aeven")])
+def test_band_of_levels_matches_each_level_on_half_integer_kappa_forms(type_id):
+    assert_levels_agree(param.hyp_case(type_id).length, BANDS + ((0, 40), (33, 41)))
+
+
+def test_band_of_levels_skips_fractional_only_levels():
+    # value m^2 + m/2: m = 1 gives 3/2, between levels 1 and 2, which no
+    # point reaches; the shell of the band [1, 3) holds that point alone
+    form = linalg.QuadraticForm(((1,),), (Fraction(1, 2),), ((1,),))
+    assert list(form.ball.shell(2, 4)) == [(3, (1,))]
+    assert form.levels(1, 3) == {1: [], 2: []}
+    assert_levels_agree(form, BANDS + ((1, 3), (-3, 2)))
+    assert form.levels(0, 4) == {0: [(0,)], 1: [], 2: [], 3: [(-2,)]}
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_enumerator_matches_oracle_on_core_size_forms(d):
     for form in (size_form(d), size_form(d, self_conjugate=True)):
@@ -522,6 +556,25 @@ def test_one_frame_walk_matches_the_recursive_oracle_on_random_rational_forms(ca
     a, b, target = case
     T = math.floor(target * linalg._IntegerBall(a, b).D)
     assert_walks_agree(a, b, (T, T + 7))
+
+
+@given(rational_forms(), st.integers(-3, 30), st.integers(0, 12))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_shell_walk_is_the_ball_walk_above_its_lower_bound(case, low, width):
+    # the lower bound only skips points: the same points, in the same order,
+    # as the ball's walk filtered by value
+    a, b, _ = case
+    ball = linalg._IntegerBall(a, b)
+    T = low + width
+    assert list(ball.shell(low, T)) == [(t, m) for t, m in ball.shell(None, T) if t >= low]
+
+
+@given(rational_forms(), st.integers(-2, 20), st.integers(-1, 8))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_band_of_levels_matches_each_level_on_random_rational_forms(case, lo, width):
+    a, b, _ = case
+    assert_levels_agree(linalg.QuadraticForm(a, b, [[int(i == j) for j in range(len(a))]
+                                                    for i in range(len(a))]), ((lo, lo + width),))
 
 
 # ---------------------------------------------------------------------------

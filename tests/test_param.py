@@ -379,6 +379,31 @@ def _hyp_ids(rank):
             f"HYP:A{2 * rank}_2", f"HYP:D{rank + 1}_2")
 
 
+@pytest.mark.parametrize("case_id", [*param.CASES,
+                                     *(i for rank in range(1, 5) for i in _hyp_ids(rank))])
+def test_band_fed_levels_match_per_level_levels(case_id):
+    # N <= 300 in bands of param.BAND: each band presets the coefficients,
+    # and the reps wherever the group's sector serves the band (never H)
+    case = get_case(case_id)
+    band = list(param.band_levels(case, 0, 301))
+    assert [level.n for level in band] == list(range(301))
+    assert all("coefficients" in vars(level) for level in band)
+    assert all(("reps" in vars(level)) == (case.group != "H") for level in band)
+    for level in band:
+        alone = param.LevelData(case, level.n)
+        assert level.reps == alone.reps
+        assert level.coefficients == alone.coefficients
+        assert level.images == alone.images
+        assert param.decide(level, case.claim) == param.decide(alone, case.claim)
+
+
+def test_sweeps_decide_as_each_level_does():
+    # the band sweeps give the per-level reports, across a band boundary
+    top = param.BAND + 3
+    assert list(param.verify_sweep("A2ext", top)) == [verify_case("A2ext", n) for n in range(top + 1)]
+    assert list(param.a3_conjecture_sweep(top)) == list(map(a3_conjecture_check, range(top + 1)))
+
+
 def test_affine_phi_matches_original_functions():
     # the integer affine maps against the hand-written Fraction functions
     for case_id, case in param.CASES.items():
