@@ -13,7 +13,7 @@ closed-form canonical and orbit_size, its orbit by formula, its solver
 and its band solve; orbit_size reads the canonical point, so canonical is
 the one closed form that takes any point.  Neither builds an orbit: only FAIL
 witnesses, param's LevelData.solutions (read by the solve and table
-commands and a3_strata) and the extended claim's tiling step on a case
+commands and a3_strata) and the extended row's per-point test on a case
 without the C6 certificate (layers_tile_c6) build one.  orbit_partition
 and is_action_free read one pass (_classes) that groups the points by
 canonical point.  The public canonical, orbit_size, orbit, group_order and

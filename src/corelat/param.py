@@ -15,13 +15,13 @@ the integers, built once with whether its images lie on the quadric
 of diophantine.GROUPS once (ParamCase.action), fitted to phi and the form
 by _case, so the checks call its canonical, once per image, and its
 orbit_size, on canonical points, with no check per call.  Each claim is a
-row of one table, CHECKS, that decide runs on a LevelData: a Claim names
-the images it reads, the freeness it requires, the window on the hits per
-orbit of U, its counts and its FAIL reasons; every check, check_stratified
-too, tests an image when its one pass reaches it.  Each layer is one fixed
+row of one table, CHECKS, that one kernel (Claim) runs on a LevelData: a
+row names its images, freeness, window on the hits per orbit of U, counts,
+FAIL reasons and optional hooks (a level screen, a per-point test, a key),
+and tests each image when its one pass reaches it.  Each layer is one fixed
 map T_j of layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's
-rotations (ParamCase.layers_tile_c6), the extended row skips its per-point
-tiling step and reads no layer.  FAIL is data, never raised.  A sweep
+rotations (ParamCase.layers_tile_c6), the extended row's per-point test is
+proved and it reads no layer.  FAIL is data, never raised.  A sweep
 decides its levels in bands (band_levels, run by verify_sweep,
 a3_conjecture_sweep and the CLI's tables): one walk of the lattice shell
 and one of the group's sector per band preset each LevelData's
@@ -188,7 +188,7 @@ class ParamCase:
 
         Then the layer pairs {T_j x, -T_j x} of a base image x are the
         orbit C6 x, and they tile it exactly when it is free, so the
-        extended row needs no tiling step: it tests that each base image is
+        extended row skips its point test: it tests that each base image is
         free and that their canonical points are the representatives, each
         once."""
         T = self.layer_transforms
@@ -437,7 +437,7 @@ def _point(level, i):
     return [str(x) for x in level.points[i]]
 
 
-def _extended_counts(level, images=None, order=None):
+def _extended_counts(level, order):
     """|U| and the numbers of base and extended elements, the layers' counts."""
     base = len(level.coefficients)
     return {"solutions": level.solution_count, "base_elements": base,
@@ -449,22 +449,30 @@ class Claim:
     """A row of CHECKS: a claim about the G-orbits of U, decided on images
     through reps, canonical and orbit_size alone.  reasons maps each step to
     its FAIL reason and witness fields, in the order the steps decide;
-    counts(level, images, order) are the counts before them, to which a row
-    without a window adds the orbits its images cover, and one whose window
-    is 'some' the solutions in them."""
+    counts(level, order) are the counts before them, to which a row without
+    a window adds the orbits its images cover, and one whose window is
+    'some' the solutions in them.  Optional hooks: screen(level), run before
+    any image is built, gives the counts it adds and its failing step or
+    None; point(case, layer, order), run after a point's last image, tests
+    its layer images (step 'point'); key(image) replaces canonical."""
     name: str           # its name in this module, which it also gives as __name__
     images: str         # 'phi', or 'layers': every layer's, in point order
     free: str           # of the 'orbits' of U, the 'images', the 'base' images, or None
-    window: str         # hits per orbit of U: 'once', 'some' (at least one) or None
+    window: str         # hits per orbit: 'once', 'some' (>= 1) or None; or 'distinct' keys
     counts: callable
     reasons: dict
     report: str = None  # the report's name, when it is not the case's
+    screen: callable = None
+    point: callable = None
+    key: callable = None
 
     def __post_init__(self):
         self.__name__ = self.name
-        # (injective, quadric, layers, each image free, each base image free)
+        each = self.free in ("images", "base")
+        # (injective, quadric, layers, each image free, each base image
+        # free, each image keyed in the pass)
         self.steps = ("injective" in self.reasons, "quadric" in self.reasons,
-                      self.images == "layers", self.free in ("images", "base"), self.free == "base")
+                      self.images == "layers", each, self.free == "base", each or bool(self.key))
 
     def fail(self, level, counts, step, i=None, **found):
         """The step's FAIL, with q the level's i-th point."""
@@ -475,53 +483,67 @@ class Claim:
                      {"reason": reason, **{f: found[f] for f in fields}})
 
     def __call__(self, level):
-        case, reps, (injective, quadric, layers, each, base) = level.case, level.reps, self.steps
+        case, reps, (injective, quadric, layers, each, base, keyed) = (
+            level.case, level.reps, self.steps)
         group = case.action
         order = group.order(len(case.form))
-        # a free base image's layer pairs tile its orbit where +-T_j are C6's rotations
-        tiling = base and not case.layers_tile_c6
-        if layers:
-            images = [img for layer in level.layers for img in layer]
-            keeps = case.layers_keep_quadric
+        counts = self.counts(level, order)
+        if self.screen is not None:
+            added, step = self.screen(level)
+            counts.update(added)
+            if step is not None:
+                return self.fail(level, counts, step)
+        # the C6 certificate proves a base row's point test at every point
+        point = None if base and case.layers_tile_c6 else self.point
+        if layers or point:
+            rows = level.layers
+            images = [img for row in rows for img in row] if layers else [row[0] for row in rows]
         else:
-            images = [layer[0] for layer in level.layers] if tiling else level.images
-            keeps = case.image_map.keeps_quadric
+            images = level.images
+            rows = (images,)
         # an image is tested on the quadric only when a map that made it may leave it
-        quadric = quadric and not keeps
-        counts = self.counts(level, images, order)
+        quadric = quadric and not (case.layers_keep_quadric if layers
+                                   else case.image_map.keeps_quadric)
         if injective and len(set(images)) != len(images):
             dup = next(x for x in images if images.count(x) > 1)
             return self.fail(level, counts, "injective", point=dup)
-        # the pass in image order stops at the first image off the quadric,
-        # with a small orbit, or whose layer pairs do not tile its orbit; it
-        # canonicalises each image whose orbit it sizes
-        canonical, points = group.canonical, []
-        if quadric or each:
-            for i, img in enumerate(images):
-                if quadric and not level.on_quadric(img):
-                    return self.fail(level, counts, "quadric", i, image=img)
-                if each:
-                    points.append(c := canonical(img))
-                    if (size := group.orbit_size(c)) != order:
-                        return self.fail(level, counts, "free", point=img, image=img, size=size)
-                if tiling:
-                    pairs = [frozenset({x, (-x[0], -x[1])}) for x in level.layers[i]]
-                    if (set().union(*pairs) != diophantine.orbit(case.group, img)
-                            or sum(map(len, pairs)) != order):
-                        return self.fail(level, counts, "tiling", i)
+        # the pass, point by point (a phi row's base image) where a row reads
+        # layers or tests points, stops at the first image off the quadric or
+        # with a small orbit, or at the first point that fails
+        key, points = self.key or group.canonical, []
+        if quadric or keyed or point:
+            for i, row in enumerate(rows):
+                for img in row[:1] if point and not layers else row:
+                    if quadric and not level.on_quadric(img):
+                        # the pass stops at the image's first occurrence
+                        return self.fail(level, counts, "quadric", images.index(img), image=img)
+                    if keyed:
+                        points.append(c := key(img))
+                        if each and (size := group.orbit_size(c)) != order:
+                            return self.fail(level, counts, "free", point=img, image=img, size=size)
+                if point and not point(case, row, order):
+                    return self.fail(level, counts, "point", i)
         if self.free == "orbits":
             counts["orbits"] = len(reps)
             # no orbit outgrows the group, so all are free when the sizes sum to this
             if level.solution_count != order * len(reps):
                 small = [r for r in reps if group.orbit_size(r) < order]
                 return self.fail(level, counts, "free", point=level.first_orbit(small)[-1])
-        # the images' canonical points, which the other rows map once here,
-        # hit each rep once (then, sorted, they are reps) or at least once,
-        # and no other point; only a FAIL counts them
-        window, points = self.window, points if each else list(map(canonical, images))
+        # the images' keys hit each rep once (then, sorted, they are reps) or at
+        # least once, and no other point, or are distinct; only a FAIL counts them
+        window, points = self.window, points if keyed else list(map(key, images))
         hit = sorted(points) if window == "once" else set(points)
         if window is None:
             counts["covered_orbits"] = len(hit)
+        elif window == "distinct":
+            if len(hit) < len(points):
+                # the first two (layer, point) pairs of the least repeated key
+                width, classes = len(points) // len(level.coefficients), {}
+                for index, k in enumerate(points):
+                    classes.setdefault(k, []).append(divmod(index, width)[::-1])
+                (j1, i1), (j2, i2) = min(sorted(v) for v in classes.values() if len(v) > 1)[:2]
+                return self.fail(level, counts, "distinct", first=_point(level, i1), j1=j1,
+                                 second=_point(level, i2), j2=j2)
         elif hit != reps if window == "once" else len(hit) != len(reps) or not hit.issuperset(reps):
             hits, listed = Counter(points), set(reps)
             missed = [r for r in reps if (hits[r] != 1 if window == "once" else not hits[r])]
@@ -541,96 +563,78 @@ class Claim:
         return Report(self.report or case.case_id, level.n, "PASS", counts)
 
 
-def check_stratified(level):
-    """Stratification, layer separation and rotation-orbit disjointness.
+def _tiles(case, layer, order):
+    """Whether the antipodal pairs {x, -x} of a point's layer images tile
+    its base image's orbit, each once: the extended row's point test, which
+    the C6 certificate (ParamCase.layers_tile_c6) proves at every point."""
+    pairs = [frozenset({x, (-x[0], -x[1])}) for x in layer]
+    return (set().union(*pairs) == diophantine.orbit(case.group, layer[0])
+            and sum(map(len, pairs)) == order)
 
-    The check is for G = G_A3, as its separation test acts on (x, z) as C6
-    whatever case.group is.  G_A3 fixes the middle coordinate, so each
-    stratum is G-stable by construction (reps raises NotClosed for a form
-    G_A3 does not preserve), and U is read only through the middle values of
-    the representatives, one of each value standing witness for its
-    Omega_y test (_strata_flags).  At k = 48N+30, which is 0 mod 3, the
-    Omega_y predicate is the stratum's own equation m^2 + 2y^2 + 3s^2 = k,
-    so the emptiness rule cross-checks that the G_A3 sector search met every
-    non-empty stratum, and only the candidates it has no point for are
-    scanned.
-    """
-    case_id, n = level.case.case_id, level.n
-    gamma, nonempty_iff_omega, partition_ok, all_y_odd = _strata_flags(
-        level.k, {r[1]: r for r in level.reps})
-    counts = {**_extended_counts(level), "strata": len(gamma)}
-    for holds, reason in ((all_y_odd, "even middle coordinate"),
-                          (nonempty_iff_omega, "emptiness rule violated"),
-                          (partition_ok, "strata do not partition U")):
-        if not holds:
-            return _fail(case_id, n, counts, {"reason": reason})
-    # Separation is a rotation-orbit statement: the reflection can carry one
-    # extended image onto the mirror rotation orbit of another in the same
-    # stratum (first seen at N = 3), so only orbits under the rotation
-    # subgroup of distinct extended elements are disjoint.  That subgroup acts
-    # on (x, z) as C6, and two orbits meet only when equal, so each image is
-    # keyed by its C6 canonical point and stratum, and the orbits are disjoint
-    # when no key repeats.
-    maps, c6, keys = level.case.layer_maps, diophantine.GROUPS["C6"].canonical, []
-    # an image is tested on the quadric only when some map may leave it
-    quadric = not level.case.layers_keep_quadric
-    # the pass in point order stops at the first image off the quadric or
-    # after the images of the first point whose layers share a stratum
-    for i, layer in enumerate(level.layers):
-        for img in layer:
-            if quadric and not level.on_quadric(img):
-                return _fail(case_id, n, counts,
-                             {"reason": "layer image off the quadric", "image": img})
-            keys.append((c6(img[::2]), img[1]))
-        if len({img[1] for img in layer}) != 4:
-            return _fail(case_id, n, counts,
-                         {"reason": "layers share a stratum", "q": _point(level, i)})
-    if len(set(keys)) < len(keys):
-        # the witness is the first two (j, point index) keys of the shared
-        # class with the least such key, which sort as (j, point) does
-        classes = {}
-        for index, key in enumerate(keys):
-            i, j = divmod(index, len(maps))
-            classes.setdefault(key, []).append((j, i))
-        (j1, i1), (j2, i2) = min(sorted(v) for v in classes.values() if len(v) > 1)[:2]
-        return _fail(case_id, n, counts,
-                     {"reason": "extended rotation orbits intersect",
-                      "first": _point(level, i1), "j1": j1,
-                      "second": _point(level, i2), "j2": j2})
-    return Report(case_id, n, "PASS", counts)
+
+def _strata_screen(level):
+    """The strata count and the first of _strata_flags' tests that fails.
+    G_A3 fixes y, so each stratum is G-stable (reps raises NotClosed for a
+    form G_A3 does not preserve) and U is read through reps alone.  At
+    k = 48N+30, 0 mod 3, the Omega_y predicate is the stratum's own equation
+    m^2 + 2y^2 + 3s^2 = k, so each rep is a witness for its stratum: only the
+    strata no rep meets are scanned, and the emptiness rule cross-checks
+    that the G_A3 sector search met every non-empty stratum."""
+    gamma, omega, partition, odd = _strata_flags(level.k, {r[1]: r for r in level.reps})
+    return {"strata": len(gamma)}, ("odd" if not odd else "omega" if not omega
+                                    else None if partition else "partition")
+
+
+def _rotation_key(img):
+    """(C6 canonical point of (x, z), y).  The reflection z -> -z can carry
+    an extended image onto the mirror rotation orbit of another in its
+    stratum (first seen at N = 3), so only rotation orbits are disjoint;
+    rotations fix y and act on (x, z) as C6, so two meet iff keys agree."""
+    x, y, z = img
+    return diophantine._to_sector60((x, z), x, z), y
 
 
 # The claim table.  complete: phi is injective, every orbit of U is free
 # (its orbits counted once the images pass) and holds one image.  orbit-size:
 # each image's orbit is free; at rank 1 two images +-x can share an orbit, so
 # no window.  extended: each base point's antipodal layer pairs tile its free
-# C6 orbit, one base image per orbit of U.  A3conj: the layers' orbits cover U.
+# C6 orbit, one base image per orbit of U.  stratified: the strata pass
+# _strata_flags, a point's layers lie in distinct strata, and the layers'
+# rotation orbits are disjoint.  A3conj: the layers' orbits cover U.
 CHECKS = {
-    "complete": Claim("check_complete", "phi", "orbits", "once", lambda level, images, order: {
-        "solutions": level.solution_count, "orbits": 0, "phi_images": len(images)}, {
+    "complete": Claim("check_complete", "phi", "orbits", "once", lambda level, order: {
+        "solutions": level.solution_count, "orbits": 0, "phi_images": len(level.coefficients)}, {
         "injective": ("phi not injective", "point"),
         "quadric": ("phi image off the quadric", "q", "image"),
         "free": ("action not free", "point"),
         "window": ("orbit without unique representative", "orbit_min", "hits"),
         "unlisted": ("image in no listed orbit", "image")}),
-    "orbit-size": Claim("check_orbit_size", "phi", "images", None, lambda level, images, order: {
+    "orbit-size": Claim("check_orbit_size", "phi", "images", None, lambda level, order: {
         "solutions": level.solution_count, "orbits": len(level.reps),
-        "phi_images": len(images), "expected_orbit_size": order}, {
+        "phi_images": len(level.coefficients), "expected_orbit_size": order}, {
         "quadric": ("phi image off the quadric", "image"),
         "free": ("orbit not of full size", "image", "size")}),
     "extended": Claim("decide_extended", "phi", "base", "once", _extended_counts, {
         "free": ("C6 orbit undersized", "point"),
-        "tiling": ("layer pairs do not tile the orbit", "q"),
+        "point": ("layer pairs do not tile the orbit", "q"),
         "window": ("pairs do not partition U",),
-        "unlisted": ("pairs do not partition U",)}),
-    "stratified": check_stratified,
+        "unlisted": ("pairs do not partition U",)}, point=_tiles),
+    "stratified": Claim("check_stratified", "layers", None, "distinct", _extended_counts, {
+        "odd": ("even middle coordinate",),
+        "omega": ("emptiness rule violated",),
+        "partition": ("strata do not partition U",),
+        "quadric": ("layer image off the quadric", "image"),
+        "point": ("layers share a stratum", "q"),
+        "distinct": ("extended rotation orbits intersect", "first", "j1", "second", "j2")},
+        screen=_strata_screen, key=_rotation_key,
+        point=lambda case, layer, order: len({y for _, y, _ in layer}) == len(layer)),
     "A3conj": Claim("check_a3_conjecture", "layers", None, "some", _extended_counts, {
         "quadric": ("layer image off the quadric", "image"),
         "unlisted": ("image in no listed orbit", "image"),
         "window": ("uncovered solutions", "first")}, report="A3conj"),
 }
-check_complete, check_orbit_size, decide_extended, check_a3_conjecture = (
-    CHECKS[claim] for claim in ("complete", "orbit-size", "extended", "A3conj"))
+check_complete, check_orbit_size, decide_extended, check_stratified, check_a3_conjecture = (
+    CHECKS[claim] for claim in ("complete", "orbit-size", "extended", "stratified", "A3conj"))
 
 
 def decide(level, claim):
@@ -640,7 +644,7 @@ def decide(level, claim):
     try:
         return check(level)
     except (NonIntegralImage, NotClosed) as exc:
-        return _fail(getattr(check, "report", None) or level.case.case_id, level.n, {},
+        return _fail(check.report or level.case.case_id, level.n, {},
                      {"reason": "level not decided", "error": f"{type(exc).__name__}: {exc}"})
 
 
@@ -711,14 +715,9 @@ class A3Strata:
 
 
 def a3_strata(n):
-    """Stratify U(48N+30) by the middle coordinate and test the emptiness rule.
-
-    Only this lists each stratum's points; check_stratified reads the same
-    flags (_strata_flags) off one representative per middle value.  As
-    48N+30 is 0 mod 3, the Omega_y predicate is the stratum's own equation
-    m^2 + 2y^2 + 3s^2 = 48N+30, so Omega_y is non-empty exactly when the
-    stratum is, and a stratum the solve missed breaks the emptiness rule.
-    """
+    """Stratify U(48N+30) by the middle coordinate and test the emptiness
+    rule.  Only this lists each stratum's points; the stratified row's
+    screen reads the same flags (_strata_flags) off the representatives."""
     level = LevelData(CASES["A3"], n)
     return _stratify(level, level.solutions)
 

@@ -101,7 +101,8 @@ reading the whole argv, from before each command's words went to that
 command's parser alone.  factorize, two_squares_solvable,
 GaussianLift, gaussian_lift, residue_free_criterion and Unsolvable are the
 sums-of-two-squares section that diophantine once held; only the tests
-call them.
+call them.  x2_3z2_represents is the emptiness rule of the A3 strata from
+the prime factors of k - 2y^2, independent of param's scan of m.
 
 group_elements, act and _act_d8 are the groups as diophantine once defined
 them, by opaque element tokens: group_elements lists a group's tokens and
@@ -1360,6 +1361,16 @@ def factorize(k):
     if k > 1:
         factors[k] = factors.get(k, 0) + 1
     return factors
+
+
+def x2_3z2_represents(n):
+    """Whether x^2 + 3z^2 = n has integer solutions, by the rule for a form
+    of class number one (Cox, Primes of the Form x^2 + ny^2): n >= 0 is
+    represented exactly when every prime p = 2 (mod 3) divides it to an even
+    power, found by trial division (factorize)."""
+    if n < 0:
+        return False
+    return n == 0 or all(e % 2 == 0 for p, e in factorize(n).items() if p % 3 == 2)
 
 
 def two_squares_solvable(k):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from corelat import dynkin
+from corelat import dynkin, linalg
 from corelat.dynkin import (
     AffineTypeId,
     NotInRootSpan,
@@ -253,3 +253,48 @@ def test_high_rank_rows(name, h):
         for j, alpha in enumerate(t.simple_roots):
             got = 2 * t.inner(omega, alpha) / t.inner(alpha, alpha)
             assert got == (F(1) if i == j else F(0))
+
+
+def _integer_echelon(rows):
+    """The integer rows in echelon form with the same Z-span, zero rows
+    dropped: Euclid's steps clear each column below one pivot row."""
+    rows, echelon = [list(row) for row in rows], []
+    for col in range(len(rows[0]) if rows else 0):
+        live = [row for row in rows if row[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: abs(row[col]))
+            for row in live:
+                if row is not pivot:
+                    f = row[col] // pivot[col]
+                    row[:] = [x - f * y for x, y in zip(row, pivot)]
+            live = [row for row in live if row[col]]
+        if live:
+            echelon.append(live[0])
+            rows = [row for row in rows if row is not live[0]]
+    return echelon
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(
+    [*dynkin.all_type_ids(6), "E6_1", "E7_1", "E8_1"])))
+def test_weyl_orbit_of_the_translation_of_s0_spans_m(name):
+    # theta_a / a_0 is the translation part of s_0: its W_0-orbit, built with
+    # the simple reflections under TypeData.inner, lies in M and spans it
+    # with index 1, so the translations t_x of W are exactly those by M
+    t = lookup_type(name)
+    start = tuple(F(x, t.marks[0]) for x in theta(t))
+    orbit, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for alpha in t.simple_roots:
+            c = 2 * t.inner(v, alpha) / t.inner(alpha, alpha)
+            w = tuple(x - c * a for x, a in zip(v, alpha))
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    solver, coefficients = linalg.SpanSolver(t.m_basis), []
+    for v in sorted(orbit):
+        V, q = linalg.integer_vector(v)
+        assert solver.in_lattice(V, q), v
+        coefficients.append([linalg.dot(row, V) // (solver.D * q) for row in solver.rows])
+    pivots = [next(x for x in row if x) for row in _integer_echelon(coefficients)]
+    assert len(pivots) == t.n and all(abs(p) == 1 for p in pivots), pivots

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import random
 import re
@@ -1183,6 +1184,43 @@ def test_an_image_off_the_quadric_wins_at_the_point_that_shares_a_stratum():
         case, 8, 0, lambda i, j: (i, 0) if i == 0 else (i, j)))
     report = _checks_agree(param.check_stratified, oracles.check_stratified, changed, 8)
     assert report["witness"]["reason"] == "layer image off the quadric"
+
+
+def test_every_claim_is_a_row_of_the_one_kernel():
+    # no claim is decided outside the kernel: stratified is a row too
+    assert all(isinstance(check, param.Claim) for check in param.CHECKS.values())
+    assert param.check_stratified is param.CHECKS["stratified"]
+
+
+def test_stratified_row_matches_the_oracle_on_shifted_offsets():
+    # every layer image of the shifted map misses the quadric, so each level
+    # with a lattice point FAILs on its first image, as the oracle does
+    shifted, reasons = _shifted(get_case("A3")), set()
+    for n in range(21):
+        report = _checks_agree(param.check_stratified, oracles.check_stratified, shifted, n)
+        reasons.add(report["witness"]["reason"] if report["witness"] else "PASS")
+    assert "layer image off the quadric" in reasons
+
+
+def test_x2_3z2_rule_matches_a_brute_force_table():
+    top = 10 ** 4
+    values = {x * x + 3 * z * z for x in range(101) for z in range(58)}
+    assert [n for n in range(top + 1) if oracles.x2_3z2_represents(n)] == \
+        sorted(v for v in values if v <= top)
+
+
+def test_omega_scan_matches_the_x2_3z2_rule():
+    # at k = 48N+30, 0 mod 3, Omega_y is non-empty exactly when k - 2y^2 is
+    # m^2 + 3s^2 for some integers m and s
+    checked = 0
+    for n in range(501):
+        k = 48 * n + 30
+        bound = math.isqrt(k // 2) + 1
+        for y in range(-bound | 1, bound + 1, 2):
+            if 2 * y * y < k:
+                assert param._omega_scan(k, y) == oracles.x2_3z2_represents(k - 2 * y * y), (n, y)
+                checked += 1
+    assert checked > 30000
 
 
 def _count_scans(monkeypatch):
