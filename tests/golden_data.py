@@ -326,6 +326,17 @@ SWEEP_SHA256 = {
         "18174fa99002d2d4de20a8da3c7630eddb492e3eebaa7381fe66bbd4e06b3499",
     ("verify", "--case", "HYP:C3_1", "--max-N", "14", "--format", "json"):
         "b71d19b418f2b4efcb7b21195ec56e2280f02a7f45212182580640b9adbb8911",
+    # H sweeps across band boundaries, at ranks 3, 1, 4 and 5
+    ("verify", "--case", "HYP:C3_1", "--max-N", "100"):
+        "e492619e42d8dbbae64e5f42694dd66428be06a195a6acc39dcfe4a48c73b9ba",
+    ("verify", "--case", "HYP:C3_1", "--max-N", "100", "--format", "json"):
+        "56465d4eba3174910a9d3d75ebf963878dadd22c1dc1aeb2ac27bbb8cc20bc28",
+    ("verify", "--case", "HYP:B1_1", "--max-N", "100"):
+        "207d797ef1939a6d4207e2c9b65e10a925cd6f3b163463b159ddb0f25870e4e6",
+    ("verify", "--case", "HYP:C4_1", "--max-N", "40"):
+        "27de03b89d4c6463b8a6900a33d2fe0675028feceb1ec256f3977f3c4f5a1e0c",
+    ("verify", "--case", "HYP:A5_2", "--max-N", "70"):
+        "43d13b06c0a6deb23e689289087f87aaf7e66be5d754257b0168eab555b43f9f",
 }
 
 
