@@ -9,9 +9,9 @@ chain search for V4, D8, C4, C6 and H, a sector search for G_A3 that steps
 x by 8 through the residues mod 8 that can leave 2y^2 (a table indexed by
 the rest mod 16, _GA3_SIEVE), never visiting the others.  Each group is
 one row of GROUPS, a Group holding its rank, order, invariance test,
-closed-form canonical and orbit_size, its orbit by formula, its solver
-and its band solve; orbit_size reads the canonical point, so canonical is
-the one closed form that takes any point.  Neither builds an orbit: only FAIL
+closed-form canonical and orbit_size, its orbit by formula and its solver;
+orbit_size reads the canonical point, so canonical is the one closed form
+that takes any point.  Neither builds an orbit: only FAIL
 witnesses, param's LevelData.solutions (read by the solve and table
 commands and a3_strata) and the extended row's per-point test on a case
 without the C6 certificate (layers_tile_c6) build one.  orbit_partition
@@ -29,12 +29,14 @@ built from the distinct arrangements of the absolute values.  C6 and G_A3
 rotate by halved integer matrices, which raise NonIntegralImage outside
 their parity domain; _to_sector60 checks the parity and rotates into the
 canonical sector in one frame, and _rotations60 serves orbit.
-solve_band serves a band of levels, the values k of an arithmetic
-progression, from one walk of the group's sector across them: the rank-2
-chain of V4, D8, C4 and C6 (_chain_band) and G_A3's sector
-(_ga3_sector_band), each stepping its last variable through the residues
-that put k on the progression (_square_residues).  Where any k of the band leaves the sector
-path, and for H, it serves nothing, and each level is solved on its own.
+Each search walks a band of levels, the values k of an arithmetic
+progression: its outer coordinates once, under the band's least and
+greatest k, and its last one by divisibility and isqrt at one level
+(solve_diagonal) or, across a wider band (solve_band), through the residues
+that put k on the progression (_square_residues).  So every group, and the
+group-free solve, serves a band with the walker that serves a level; a band
+of C6 or G_A3 with a point off the parity domain is served by none, and
+each of its levels is solved on its own.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -67,7 +69,8 @@ def solve_diagonal(form, k, group=None):
     canonical.  V4, D8, H, C4 and C6 share one chain search (_chain): the
     chains x_1 >= r x_2 >= ... >= r x_n >= 0, the rotation groups C4 and C6
     listing the mirror (x, -y) of each chain point strictly inside their
-    sector (0 < r y < x) just before it:
+    sector (0 < r y < x) just before it.  Each row's search, the one walker
+    of its levels and bands, at every rank:
 
         group   form          r   mirror
         none    any           0   no: all of U, the sign changes of the chain points
@@ -75,6 +78,7 @@ def solve_diagonal(form, k, group=None):
         D8, H   (d, ..., d)   1   no
         C4      (d, d)        1   yes
         C6      (d, 3d)       3   yes, at k/d = 0 (mod 4)
+        G_A3    (1, 2, 3)     -   the sector x >= 3z >= 0 at even k, no chain
 
     As the chain bounds x_j by x_i / r^(j-i), x_i is at least the least x
     with x^2 T_i >= R r^(2(n-1-i)), R the budget left to it and T_i =
@@ -90,8 +94,11 @@ def solve_diagonal(form, k, group=None):
     (2,-1) for C6 on (1, 3) at k = 7, and (2,0,-3) for G_A3 at k = 31, where
     lexicographic order would name (1,-3,-2).
 
-    A (form, group) pair is checked once (_solver) and its solve built once,
-    kept in _SOLVERS; later calls check only k.
+    Each search is a walker over a band of levels (solve_band), and this is
+    its band of one level, range(k, k + 1), whose last coordinate is decided
+    by divisibility and isqrt, stepping no residues.  A (form, group) pair is
+    checked once (_solver) and its solve built once, kept in _SOLVERS; later
+    calls check only k.
     """
     try:
         solve = _SOLVERS[form, group]
@@ -99,10 +106,10 @@ def solve_diagonal(form, k, group=None):
         solve = _solver(form, k, group)
     if type(k) is not int:
         (k,) = as_integers([k])
-    return solve(k) if k >= 0 else []
+    return solve(range(k, k + 1))[k] if k >= 0 else []
 
 
-# (the form's integers, group) -> the solve, a function of k, for every checked pair
+# (the form's integers, group) -> the solve, a walker over bands, for every checked pair
 _SOLVERS = {}
 
 
@@ -121,20 +128,19 @@ def _solver(form, k, group):
 
 def solve_band(form, group, ks):
     """{k: solve_diagonal(form, k, group)} for each k of the range ks, whose
-    step is positive, from one walk of the group's sector across the band:
-    the rank-2 chain of V4, D8, C4 and C6 (_chain_band) and G_A3's sector
-    (_ga3_sector_band).  None, so that each level solves on its own, unless
-    the (form, group) pair passes _solver's checks and every k of the band
-    takes the group's sector path: C6 at k = 0 (mod 4 form[0]), G_A3 on
-    (1, 2, 3) at even k.  H, and no group, always solve level by level."""
+    step is positive, from one walk of the row's search across the band, its
+    last coordinate stepped through the residues that put k on the band's
+    progression.  A band of C6 or G_A3 with some k off the sector path (C6
+    at k != 0 mod 4 form[0], G_A3 off (1, 2, 3) or at odd k) lists U of the
+    reversed form across it, as each such level does.  None, so that each
+    level solves on its own and raises there as solve_diagonal does, for a
+    (form, group) pair that fails _solver's checks, and for such a band with
+    a point off the parity domain."""
     try:
-        form = as_integers(form)
-        if (form, group) not in _SOLVERS:
-            _solver(form, 0, group)
-    except ValueError:          # NotClosed too: each level raises it in turn
+        solve = _SOLVERS.get((tuple(form), group)) or _solver(form, 0, group)
+        return solve(ks) if ks else {}
+    except ValueError:          # NotClosed and NonIntegralImage too
         return None
-    band = group and GROUPS[group].band
-    return None if not band else band(form, ks) if ks else {}
 
 
 def _square_residues(d, step):
@@ -148,40 +154,12 @@ def _square_residues(d, step):
     return p, table
 
 
-def _chain_band(form, r, mirror, ks):
-    """_chain(form, r, mirror)(k) at rank 2 for each k of the range ks, from
-    one walk: x ascending from its chain bound at the band's least k, and for
-    each x the y >= 0 of the annulus lo <= d_1 x^2 + d_2 y^2 <= top with
-    r y <= x, stepped through the residues (_square_residues) that put k on
-    the band's progression.  Each k meets at most one y per x, so every
-    list comes in the chain's order."""
-    (d1, d2), found = form, {k: [] for k in ks}
-    lo, top, step = ks[0], ks[-1], ks.step
-    if top < 0:
-        return found
-    period, residues = _square_residues(d2, step)
-    m = -(-max(lo, 0) * r * r // (d1 * r * r + d2))
-    for x in range(isqrt(m - 1) + 1 if m else 0, isqrt(top // d1) + 1):
-        base = d1 * x * x
-        high, need = isqrt((top - base) // d2), lo - base
-        if r and x // r < high:
-            high = x // r
-        low = isqrt((need - 1) // d2) + 1 if need > 0 else 0
-        for y0 in residues[need % step]:
-            for y in range(low + (y0 - low) % period, high + 1, period):
-                points = found[base + d2 * y * y]
-                if mirror and 0 < r * y < x:
-                    points.append((x, -y))
-                points.append((x, y))
-    return found
-
-
 def _signed_chain(form):
-    """solve_diagonal's solve without a group, a function of k."""
+    """solve_diagonal's solve without a group, a walker over a band of levels."""
     if not form:
-        return lambda k: [()] if k == 0 else []
+        return lambda ks: {k: [()] if k == 0 else [] for k in ks}
     chain = _chain(form, 0)
-    return lambda k: sorted(s for p in chain(k) for s in _signs(p))
+    return lambda ks: {k: sorted(s for p in ps for s in _signs(p)) for k, ps in chain(ks).items()}
 
 
 def _signs(p):
@@ -197,52 +175,45 @@ _GA3_SIEVE = tuple(tuple(a for a in range(8) if (r - a * a) % 16 in (0, 2, 8))
                    for r in range(16))
 
 
-def _solve_ga3_sector(k):
-    """Solutions of x^2 + 2y^2 + 3z^2 = k, k even, in the sector x >= 3z >= 0,
-    sorted.
+def _solve_ga3_sector(ks):
+    """{k: the solutions of x^2 + 2y^2 + 3z^2 = k in the sector x >= 3z >= 0,
+    sorted} for each k of the band ks, every k even.
 
-    x >= 3z needs 12z^2 <= k, which bounds z.  For each z, with
-    rest = k - 3z^2, x runs from 3z in steps of 8 through the residues mod 8
-    of _GA3_SIEVE[rest % 16] only, where 2y^2 = rest - x^2 can hold mod 16
-    (at even k each has x = z mod 2), and y is decided by isqrt, -y before y.
+    x >= 3z needs 12z^2 <= k, which bounds z at the band's greatest k.  For
+    each z, with rest = k - 3z^2, x runs from 3z in steps of 8 through the
+    residues mod 8 of _GA3_SIEVE[rest % 16] only, where 2y^2 = rest - x^2
+    can hold mod 16 (at even k each has x = z mod 2).  At one level y is
+    decided by isqrt, -y before y.  Across a wider band rest % 16 is the same
+    at every k when the step is a multiple of 16, else x runs through
+    x = z (mod 2), and y >= 0 steps across the band's annulus through the
+    residues (_square_residues) that put k on its progression.
     """
-    solutions = []
-    for z in range(isqrt(k // 12) + 1):
-        rest = k - 3 * z * z
-        low, top = 3 * z, isqrt(rest) + 1
-        for a in _GA3_SIEVE[rest % 16]:
-            for x in range(low + (a - low) % 8, top, 8):
-                q = (rest - x * x) >> 1
-                y = isqrt(q)
-                if y * y == q:
-                    solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
-    solutions.sort()
-    return solutions
-
-
-def _ga3_sector_band(ks):
-    """_solve_ga3_sector(k) for each even k of the range ks, from one walk
-    of the sector x >= 3z >= 0: z and x as there, x through _GA3_SIEVE when
-    the step is a multiple of 16, which fixes k - 3z^2 mod 16 across the
-    band, else through x = z (mod 2), and y >= 0 across the band's annulus
-    in the residues (_square_residues) that put k on its progression."""
-    found = {k: [] for k in ks}
     lo, top, step = ks[0], ks[-1], ks.step
+    found = {k: [] for k in ks}
     if top < 0:
         return found
-    period, residues = _square_residues(2, step)
+    one, solutions = lo == top, found[lo]
+    period, residues = (1, ()) if one else _square_residues(2, step)
     for z in range(isqrt(top // 12) + 1):
         zz = 3 * z * z
-        low_x, top_x = 3 * z, isqrt(top - zz) + 1
-        for a in _GA3_SIEVE[(lo - zz) % 16] if step % 16 == 0 else range(z % 2, 8, 2):
-            for x in range(low_x + (a - low_x) % 8, top_x, 8):
+        rest, low = top - zz, 3 * z
+        for a in _GA3_SIEVE[(lo - zz) % 16] if one or step % 16 == 0 else range(z % 2, 8, 2):
+            xs = range(low + (a - low) % 8, isqrt(rest) + 1, 8)
+            if one:
+                for x in xs:
+                    q = (rest - x * x) >> 1
+                    y = isqrt(q)
+                    if y * y == q:
+                        solutions.extend(((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
+                continue
+            for x in xs:
                 base = zz + x * x
                 high, need = isqrt((top - base) >> 1), lo - base
-                low = isqrt((need - 1) >> 1) + 1 if need > 0 else 0
-                if low > high:
+                low_y = isqrt((need - 1) >> 1) + 1 if need > 0 else 0
+                if low_y > high:
                     continue
                 for y0 in residues[need % step]:
-                    for y in range(low + (y0 - low) % period, high + 1, period):
+                    for y in range(low_y + (y0 - low_y) % period, high + 1, period):
                         found[base + 2 * y * y].extend(
                             ((x, -y, z), (x, y, z)) if y else ((x, 0, z),))
     for points in found.values():
@@ -353,51 +324,79 @@ def _h_orbit_size(point):
 
 
 def _chain(form, r, mirror=False):
-    """solve_diagonal's chain search on the form, a function of k; with mirror
-    (rank 2), (x, -y) just before each (x, y) with 0 < r y < x.  x_i runs from
-    its lower bound up to isqrt(R // form[i]) and, for r >= 1, x_{i-1} // r;
-    the last coordinate is decided by divisibility and isqrt, r x_n <= x_{n-1}."""
+    """solve_diagonal's chain search on the form, a walker over a band ks of
+    levels, a range of positive step, returning {k: its chain points}; with
+    mirror (rank 2), (x, -y) just before each (x, y) with 0 < r y < x.  The
+    outer coordinates (heads) run as one tree for the whole band: x_i from
+    its lower bound at the band's least k up to isqrt(R // form[i]) at its
+    greatest and, for r >= 1, x_{i-1} // r.  The last coordinate,
+    r x_n <= x_{n-1}, is decided by divisibility and isqrt at one level;
+    across a wider band it steps from the least y that reaches the least k
+    through the residues (_square_residues) that put k on the band's
+    progression.  Each k meets at most one x_n per head, so every list comes
+    in the chain's order.  At rank 1 each level is one isqrt."""
     n, last = len(form), form[-1]
     if n == 1:      # the root >= 0, if any
-        return lambda k: [(y,)] if last * (y := isqrt(k // last)) ** 2 == k else []
+        return lambda ks: {k: [(y,)] if k >= 0 and last * (y := isqrt(k // last)) ** 2 == k
+                           else [] for k in ks}
     scale = [r ** (2 * (n - 1 - i)) for i in range(n)]
     steps = [(d, s, sum(e * u for e, u in zip(form[i:], scale[i:])))
              for i, (d, s) in enumerate(zip(form, scale))]
 
-    def rec(out, head, i, left, prev):
+    def heads(head, i, low, left, prev):
+        """(head, the range of x_{n-1}, low, left) for each head x_1..x_{n-2},
+        low and left the budgets it leaves at the band's least and greatest k."""
         d, s, t = steps[i]
-        m, high = -(-left * s // t), isqrt(left // d)
+        m, high = -(-low * s // t), isqrt(left // d)
         if r and prev // r < high:
             high = prev // r
-        xs = range(isqrt(m - 1) + 1 if m else 0, high + 1)
-        if i < n - 2:
+        xs = range(isqrt(m - 1) + 1 if m > 0 else 0, high + 1)
+        if i == n - 2:
+            yield head, xs, low, left
+        else:
             for x in xs:
-                rec(out, head + (x,), i + 1, left - d * x * x, x)
-            return out
-        for x in xs:
-            q, rem = divmod(left - d * x * x, last)
-            if rem == 0 and (y := isqrt(q)) * y == q and r * y <= x:
-                if mirror and 0 < r * y < x:
-                    out.append(head + (x, -y))
-                out.append(head + (x, y))
-        return out
+                yield from heads(head + (x,), i + 1, low - d * x * x, left - d * x * x, x)
 
-    return lambda k: rec([], (), 0, k, r * k)     # prev // r = k: no chain bound on x_1
+    def walk(ks):
+        lo, top, d = ks[0], ks[-1], form[-2]
+        if top < 0:
+            return {k: [] for k in ks}
+        tree = heads((), 0, lo, top, r * top)      # prev // r = top: no chain bound on x_1
+        if lo == top:
+            out = []
+            for head, xs, _, left in tree:
+                for x in xs:
+                    q, rem = divmod(left - d * x * x, last)
+                    if rem == 0 and (y := isqrt(q)) * y == q and r * y <= x:
+                        if mirror and 0 < r * y < x:
+                            out.append(head + (x, -y))
+                        out.append(head + (x, y))
+            return {lo: out}
+        step, found = ks.step, {k: [] for k in ks}
+        period, residues = _square_residues(last, step)
+        for head, xs, low, left in tree:
+            for x in xs:
+                base = d * x * x
+                high, need = isqrt((left - base) // last), low - base
+                if r and x // r < high:
+                    high = x // r
+                low_y = isqrt((need - 1) // last) + 1 if need > 0 else 0
+                base += top - left          # the head's terms too: k = base + last y^2
+                for y0 in residues[need % step]:
+                    for y in range(low_y + (y0 - low_y) % period, high + 1, period):
+                        points = found[base + last * y * y]
+                        if mirror and 0 < r * y < x:
+                            points.append(head + (x, -y))
+                        points.append(head + (x, y))
+        return found
+
+    return walk
 
 
 def _c6_solver(form):
     sector, every = _chain(form, 3, True), _own_canonical(_c6_canonical, form)
     domain = 4 * form[0]
-    return lambda k: every(k) if k % domain else sector(k)
-
-
-def _c6_band(form, ks):
-    domain = 4 * form[0]
-    return None if any(k % domain for k in ks) else _chain_band(form, 3, True, ks)
-
-
-def _ga3_band(form, ks):
-    return _ga3_sector_band(ks) if form == (1, 2, 3) and not any(k % 2 for k in ks) else None
+    return lambda ks: sector(ks) if all(k % domain == 0 for k in ks) else every(ks)
 
 
 def _ga3_solver(form):
@@ -406,15 +405,15 @@ def _ga3_solver(form):
     every = _own_canonical(_ga3_canonical, form)
     if form != (1, 2, 3):
         return every
-    return lambda k: every(k) if k % 2 else _solve_ga3_sector(k)
+    return lambda ks: _solve_ga3_sector(ks) if all(k % 2 == 0 for k in ks) else every(ks)
 
 
 def _own_canonical(canonical, form):
     """The solve listing the solutions with x_1 >= 0 that are their own
     canonical point, sorted, tested in the sorted order of U of the reversed form."""
     every = _signed_chain(form[::-1])
-    return lambda k: sorted(p for p in (s[::-1] for s in every(k))
-                            if p[0] >= 0 and p == canonical(p))
+    return lambda ks: {k: sorted(p for p in (s[::-1] for s in us) if p[0] >= 0 and p == canonical(p))
+                       for k, us in every(ks).items()}
 
 
 class Group:
@@ -423,16 +422,14 @@ class Group:
     invariant(form) tests a form's length and coefficients.  canonical and
     orbit take a tuple of the rank's length, unchecked, orbit_size that
     tuple's canonical point, and solver(form) an invariant form of positive
-    ints, returning its solve, a function of k >= 0; band(form, ks), for
-    the same form and a range ks, is solve_band's walk, or None where the
-    band leaves the sector, and the row's band is None for a group without
-    one (H).  So canonical is the one closed form that reads any point, and
-    the one place where sizing an orbit can raise NonIntegralImage."""
+    ints, returning its solve: a walker over a band ks of levels, a range
+    of positive step, that returns {k: solve_diagonal(form, k, group)}.  So
+    canonical is the one closed form that reads any point, and the one place
+    where sizing an orbit can raise NonIntegralImage."""
 
-    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver, band=None):
+    def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver):
         self.rank, self.order, self.invariant, self.solver = rank, order, invariant, solver
         self.canonical, self.orbit_size, self.orbit = canonical, orbit_size, orbit
-        self.band = band
 
 
 def _arrangements(values):
@@ -467,23 +464,21 @@ def _d8_orbit(point):
 GROUPS = {
     "V4": Group(2, lambda n: 4, lambda f: len(f) == 2, lambda p: (abs(p[0]), abs(p[1])),
                 lambda p: 4 >> ((p[0] == 0) + (p[1] == 0)),
-                lambda p: set(_signs(p)), lambda f: _chain(f, 0),
-                lambda f, ks: _chain_band(f, 0, False, ks)),
+                lambda p: set(_signs(p)), lambda f: _chain(f, 0)),
     "D8": Group(2, lambda n: 8, lambda f: len(f) == 2 and f[0] == f[1],
                 lambda p: (a, b) if (a := abs(p[0])) >= (b := abs(p[1])) else (b, a),
                 lambda p: 8 >> ((p[0] == 0) + (p[1] == 0) + (p[0] == p[1])),
-                _d8_orbit, lambda f: _chain(f, 1), lambda f, ks: _chain_band(f, 1, False, ks)),
+                _d8_orbit, lambda f: _chain(f, 1)),
     "C4": Group(2, lambda n: 4, lambda f: len(f) == 2 and f[0] == f[1], _c4_canonical,
                 lambda p: 4 if any(p) else 1,
                 lambda p: {p, (-p[1], p[0]), (-p[0], -p[1]), (p[1], -p[0])},
-                lambda f: _chain(f, 1, True), lambda f, ks: _chain_band(f, 1, True, ks)),
+                lambda f: _chain(f, 1, True)),
     "C6": Group(2, lambda n: 6, lambda f: len(f) == 2 and f[1] == 3 * f[0], _c6_canonical,
-                lambda p: 6 if any(p) else 1, lambda p: set(_rotations60(p, *p)), _c6_solver,
-                _c6_band),
+                lambda p: 6 if any(p) else 1, lambda p: set(_rotations60(p, *p)), _c6_solver),
     "G_A3": Group(3, lambda n: 12, lambda f: len(f) == 3 and f[2] == 3 * f[0], _ga3_canonical,
                   lambda p: 1 if p[0] == 0 else 6 if p[2] == 0 or p[0] == 3 * p[2] else 12,
                   lambda p: {(a, p[1], c) for s in (p[2], -p[2]) for a, c in _rotations60(p, p[0], s)},
-                  _ga3_solver, _ga3_band),
+                  _ga3_solver),
     "H": Group(None, lambda n: 2 ** n * math.factorial(n), lambda f: len(set(f)) == 1,
                lambda p: tuple(sorted(map(abs, p), reverse=True)), _h_orbit_size,
                lambda p: {s for a in _arrangements(sorted(map(abs, p))) for s in _signs(a)},

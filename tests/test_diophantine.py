@@ -459,7 +459,7 @@ def test_closed_form_canonical_matches_max_of_rotations():
 def test_ga3_sector_search_matches_the_y_stepping_oracle():
     # every even k to 20000, and the A3 levels k = 48N + 30 to N = 1000
     for k in [*range(0, 20001, 2), *(48 * n + 30 for n in range(0, 1001, 3))]:
-        assert diophantine._solve_ga3_sector(k) == oracles.solve_ga3_sector_by_y(k), k
+        assert diophantine._solve_ga3_sector(range(k, k + 1)) == {k: oracles.solve_ga3_sector_by_y(k)}, k
 
 
 def test_ga3_sieve_keeps_exactly_the_residues_that_can_leave_a_square():
@@ -618,14 +618,17 @@ def test_residue_free_criterion():
 
 @st.composite
 def sector_bands(draw):
-    """(form, group, ks): an invariant form of a group with a band solve and
-    a band k = a N + b, lo <= N < hi, whose every k takes the sector path."""
-    group = draw(st.sampled_from(["V4", "D8", "C4", "C6", "G_A3"]))
-    d = draw(st.integers(1, 4))
-    form = {"V4": (d, draw(st.integers(1, 5))), "D8": (d, d), "C4": (d, d),
-            "C6": (d, 3 * d), "G_A3": (1, 2, 3)}[group]
+    """(form, group, ks): an invariant form of a group, H at ranks 1 to 4,
+    or a form of rank 0 to 3 with no group, and a band k = a N + b,
+    lo <= N < hi, whose every k takes the sector path; past rank 2, k stays
+    below about 500."""
+    group = draw(st.sampled_from(["V4", "D8", "C4", "C6", "G_A3", "H", None]))
+    d, e, rank = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    form = ({"V4": (d, e), "D8": (d, d), "C4": (d, d), "C6": (d, 3 * d), "G_A3": (1, 2, 3),
+             "H": (d,) * rank}.get(group) or tuple(draw(st.lists(st.integers(1, 5), max_size=3))))
     unit = {"C6": 4 * d, "G_A3": 2}.get(group, 1)
-    a, b = unit * draw(st.integers(1, 30)), unit * draw(st.integers(-5, 40))
+    a = unit * draw(st.integers(1, 30 if len(form) <= 2 else 6))
+    b = unit * draw(st.integers(-5, 40))
     lo, width = draw(st.integers(0, 40)), draw(st.integers(0, 40))
     return form, group, range(a * lo + b, a * (lo + width) + b, a)
 
@@ -637,7 +640,8 @@ def test_band_solve_matches_each_level(band):
     assert solve_band(form, group, ks) == {k: solve_diagonal(form, k, group) for k in ks}
 
 
-@pytest.mark.parametrize("case_id", ["A2", "C2", "C2L1", "D3t", "A42", "G21", "D43", "A3"])
+@pytest.mark.parametrize("case_id", ["A2", "C2", "C2L1", "D3t", "A42", "G21", "D43", "A3",
+                                     "HYP:C3_1", "HYP:B1_1", "HYP:C5_1"])
 def test_band_solve_matches_each_level_on_the_cases(case_id):
     # bands of the case's own progression a N + b, N <= 300
     case = param.get_case(case_id)
@@ -648,18 +652,39 @@ def test_band_solve_matches_each_level_on_the_cases(case_id):
 
 
 def test_band_solve_leaves_each_level_what_no_sector_serves():
-    # None sends every level to its own solve, which raises or lists U of
-    # the reversed form as solve_diagonal does; an empty band is served
+    # None sends every level to its own solve, which raises as solve_diagonal
+    # does; a band off the sector path with no point off the parity domain
+    # lists U of the reversed form, as each of its levels does; an empty band
+    # is served, and H and the group-free solve serve every band
     assert solve_band((1, 3), "C6", range(4, 400, 12))
     assert solve_band((1, 3), "C6", range(4, 4, 12)) == {}
-    assert solve_band((1, 3), "C6", range(4, 41, 3)) is None        # 7 is off C6's domain
+    assert solve_band((1, 3), "C6", range(4, 41, 3)) is None        # (2,-1) at k = 7
+    assert solve_band((1, 3), "C6", range(2, 7, 4)) == {2: [], 6: []}
     assert solve_band((1, 2, 3), "G_A3", range(30, 3000, 48))
     assert solve_band((1, 2, 3), "G_A3", range(31, 3000, 48)) is None   # odd k
-    assert solve_band((2, 4, 6), "G_A3", range(0, 100, 2)) is None     # not (1, 2, 3)
-    assert solve_band((1, 1, 1), "H", range(10)) is None
-    assert solve_band((1, 3), None, range(10)) is None
+    assert solve_band((2, 4, 6), "G_A3", range(0, 100, 2)) is None     # (1,0,0) at k = 2
+    assert solve_band((2, 5, 6), "G_A3", range(0, 30, 5)) == {
+        k: solve_diagonal((2, 5, 6), k, "G_A3") for k in range(0, 30, 5)}
+    assert solve_band((1, 1, 1), "H", range(10)) == {k: solve_diagonal((1, 1, 1), k, "H") for k in range(10)}
+    assert solve_band((1, 3), None, range(10)) == {k: solve_diagonal((1, 3), k) for k in range(10)}
     assert solve_band((1, 2), "D8", range(10)) is None                 # not invariant
     assert solve_band((1, 0), "V4", range(10)) is None                 # not positive
     assert solve_band((1, 1), "Z9", range(10)) is None                 # no such group
     # a band below 0 is empty, as solve_diagonal is there
     assert solve_band((1, 1), "D8", range(-40, 0, 8)) == {k: [] for k in range(-40, 0, 8)}
+
+
+@pytest.mark.parametrize("group,form", [("V4", (2, 3)), ("D8", (2, 2)), ("C4", (1, 1)),
+                                        ("C6", (1, 3)), ("G_A3", (1, 2, 3)), ("H", (1, 1, 1)),
+                                        (None, (1, 2, 3))])
+def test_a_one_level_solve_steps_no_residues(monkeypatch, group, form):
+    # a level decides its last coordinate by divisibility and isqrt, so it
+    # never reads the residue table of a band; C6 off its domain and G_A3 at
+    # odd k raise on both sides
+    def refused(*args):
+        raise AssertionError("a one-level solve stepped residues")
+    monkeypatch.setattr(diophantine, "_square_residues", refused)
+    brute = oracles.solve_diagonal_brute if group is None else (
+        lambda form, k: _brute_representatives(group, form, k))
+    for k in range(201):
+        assert _outcome(solve_diagonal, form, k, group) == _outcome(brute, form, k), k

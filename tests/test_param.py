@@ -383,13 +383,12 @@ def _hyp_ids(rank):
 @pytest.mark.parametrize("case_id", [*param.CASES,
                                      *(i for rank in range(1, 5) for i in _hyp_ids(rank))])
 def test_band_fed_levels_match_per_level_levels(case_id):
-    # N <= 300 in bands of param.BAND: each band presets the coefficients,
-    # and the reps wherever the group's sector serves the band (never H)
+    # N <= 300 in bands of param.BAND: each band presets the coefficients
+    # and the reps, H's included
     case = get_case(case_id)
     band = list(param.band_levels(case, 0, 301))
     assert [level.n for level in band] == list(range(301))
-    assert all("coefficients" in vars(level) for level in band)
-    assert all(("reps" in vars(level)) == (case.group != "H") for level in band)
+    assert all("coefficients" in vars(level) and "reps" in vars(level) for level in band)
     for level in band:
         alone = param.LevelData(case, level.n)
         assert level.reps == alone.reps
