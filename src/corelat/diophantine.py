@@ -34,9 +34,8 @@ progression: its outer coordinates once, under the band's least and
 greatest k, and its last one by divisibility and isqrt at one level
 (solve_diagonal) or, across a wider band (solve_band), through the residues
 that put k on the progression (_square_residues).  So every group, and the
-group-free solve, serves a band with the walker that serves a level; a band
-of C6 or G_A3 with a point off the parity domain is served by none, and
-each of its levels is solved on its own.
+group-free solve, serves a band with the walker that serves a level, save a
+band of C6 or G_A3 with a level off the sector path, left to its levels.
 solve_diagonal_meet is an independent meet-in-the-middle cross-check; the
 brute-force search over every variable lives in the tests as an oracle.
 """
@@ -94,11 +93,10 @@ def solve_diagonal(form, k, group=None):
     (2,-1) for C6 on (1, 3) at k = 7, and (2,0,-3) for G_A3 at k = 31, where
     lexicographic order would name (1,-3,-2).
 
-    Each search is a walker over a band of levels (solve_band), and this is
-    its band of one level, range(k, k + 1), whose last coordinate is decided
-    by divisibility and isqrt, stepping no residues.  A (form, group) pair is
-    checked once (_solver) and its solve built once, kept in _SOLVERS; later
-    calls check only k.
+    Each search walks a band of levels (solve_band); this is its band of one
+    level, range(k, k + 1), its last coordinate decided by divisibility and
+    isqrt, stepping no residues.  A (form, group) pair is checked once
+    (_solver) and its solve built once, kept in _SOLVERS; later calls check k.
     """
     try:
         solve = _SOLVERS[form, group]
@@ -128,18 +126,19 @@ def _solver(form, k, group):
 
 def solve_band(form, group, ks):
     """{k: solve_diagonal(form, k, group)} for each k of the range ks, whose
-    step is positive, from one walk of the row's search across the band, its
-    last coordinate stepped through the residues that put k on the band's
-    progression.  A band of C6 or G_A3 with some k off the sector path (C6
-    at k != 0 mod 4 form[0], G_A3 off (1, 2, 3) or at odd k) lists U of the
-    reversed form across it, as each such level does.  None, so that each
-    level solves on its own and raises there as solve_diagonal does, for a
-    (form, group) pair that fails _solver's checks, and for such a band with
-    a point off the parity domain."""
+    step is positive, from one walk of the row's search (Group.solver).
+    None, so that each level solves on its own and raises there as
+    solve_diagonal does, for a pair that fails _solver's checks, for a band
+    of C6 or G_A3 wider than one level with some k off the sector path (C6
+    at k != 0 mod 4 form[0], G_A3 off (1, 2, 3) or at odd k), and for a
+    level that raises NonIntegralImage."""
     try:
         solve = _SOLVERS.get((tuple(form), group)) or _solver(form, 0, group)
+    except ValueError:          # NotClosed too: each level raises it in turn
+        return None
+    try:
         return solve(ks) if ks else {}
-    except ValueError:          # NotClosed and NonIntegralImage too
+    except NonIntegralImage:    # one level of C6 or G_A3 off the parity domain
         return None
 
 
@@ -394,18 +393,22 @@ def _chain(form, r, mirror=False):
 
 
 def _c6_solver(form):
-    sector, every = _chain(form, 3, True), _own_canonical(_c6_canonical, form)
-    domain = 4 * form[0]
-    return lambda ks: sector(ks) if all(k % domain == 0 for k in ks) else every(ks)
+    return _on_path(_chain(form, 3, True), _own_canonical(_c6_canonical, form), 4 * form[0])
 
 
 def _ga3_solver(form):
     # At odd k every solution of (1, 2, 3) has x - z odd, so the filter
     # raises NonIntegralImage from canonical, as orbit_partition does.
     every = _own_canonical(_ga3_canonical, form)
-    if form != (1, 2, 3):
-        return every
-    return lambda ks: _solve_ga3_sector(ks) if all(k % 2 == 0 for k in ks) else every(ks)
+    return _on_path(_solve_ga3_sector if form == (1, 2, 3) else None, every, 2)
+
+
+def _on_path(sector, every, domain):
+    """The solve of C6 or G_A3: sector, if any, on a band whose every k is 0
+    (mod domain); off it, every at one level and None across a wider band."""
+    return lambda ks: (sector(ks) if sector and ks[0] % domain == 0
+                       and (len(ks) == 1 or ks.step % domain == 0)
+                       else every(ks) if len(ks) == 1 else None)
 
 
 def _own_canonical(canonical, form):
@@ -423,9 +426,10 @@ class Group:
     orbit take a tuple of the rank's length, unchecked, orbit_size that
     tuple's canonical point, and solver(form) an invariant form of positive
     ints, returning its solve: a walker over a band ks of levels, a range
-    of positive step, that returns {k: solve_diagonal(form, k, group)}.  So
-    canonical is the one closed form that reads any point, and the one place
-    where sizing an orbit can raise NonIntegralImage."""
+    of positive step, that returns {k: solve_diagonal(form, k, group)}, or
+    None for a band that solve_band leaves.  So canonical is the one closed
+    form that reads any point, and the one place where sizing an orbit can
+    raise NonIntegralImage."""
 
     def __init__(self, rank, order, invariant, canonical, orbit_size, orbit, solver):
         self.rank, self.order, self.invariant, self.solver = rank, order, invariant, solver

@@ -666,14 +666,13 @@ BAND = 32
 
 def band_levels(case, lo, hi):
     """LevelData(case, n) for n = lo, ..., hi - 1, fed in bands of BAND
-    levels: per band, one walk of the length form's shell
-    (QuadraticForm.levels) and one of the group's search
-    (diophantine.solve_band) preset each level's coefficients and reps in
-    the instance __dict__, which linalg.memo reads first; a level of a band
-    the solve leaves (C6 or G_A3 off the parity domain) solves, and raises,
-    on its own, as LevelData(case, n) does.  Each level is made when asked
-    for, so a caller that decides and writes it first has done so before
-    the next band's walks start."""
+    levels: per band, one walk of the length form's shell (QuadraticForm.levels)
+    and one of the group's search (diophantine.solve_band) preset each
+    level's coefficients and reps in the instance __dict__, which linalg.memo
+    reads first; a level of a band the solve leaves (C6 or G_A3 off the
+    sector path) solves, and raises, on its own, as LevelData(case, n) does.
+    Each level is made when asked for, so a caller that decides and writes
+    it first has done so before the next band's walks start."""
     for start in range(lo, hi, BAND):
         stop = min(start + BAND, hi)
         coefficients = case.length.levels(start, stop)
