@@ -187,11 +187,11 @@ def _solve_ga3_sector(ks):
     x = z (mod 2), and y >= 0 steps across the band's annulus through the
     residues (_square_residues) that put k on its progression.
     """
-    lo, top, step = ks[0], ks[-1], ks.step
-    found = {k: [] for k in ks}
+    lo, top, step, one = ks[0], ks[-1], ks.step, len(ks) == 1
+    found = {lo: []} if one else {k: [] for k in ks}
     if top < 0:
         return found
-    one, solutions = lo == top, found[lo]
+    solutions = found[lo]
     period, residues = (1, ()) if one else _square_residues(2, step)
     for z in range(isqrt(top // 12) + 1):
         zz = 3 * z * z

@@ -676,6 +676,16 @@ def test_band_solve_leaves_each_level_what_no_sector_serves():
     assert solve_band((1, 1), "D8", range(-40, 0, 8)) == {k: [] for k in range(-40, 0, 8)}
 
 
+def test_band_solve_raises_what_its_walk_raises(monkeypatch):
+    # only NonIntegralImage sends a band's levels to their own solves; any
+    # other error of the walk is a defect and reaches the caller
+    def broken(*args):
+        raise ValueError("broken walk")
+    monkeypatch.setattr(diophantine, "_square_residues", broken)
+    with pytest.raises(ValueError, match="broken walk"):
+        solve_band((1, 1), "D8", range(0, 40, 4))
+
+
 @pytest.mark.parametrize("group,form", [("V4", (2, 3)), ("D8", (2, 2)), ("C4", (1, 1)),
                                         ("C6", (1, 3)), ("G_A3", (1, 2, 3)), ("H", (1, 1, 1)),
                                         (None, (1, 2, 3))])
