@@ -13,16 +13,17 @@ Fraction only for the LDL factors (_ldl) of a form scaled to integers
 (scaled_basis): a QuadraticForm, built from integer rows, keeps its compiled
 search (QuadraticForm.ball), built on its first search, and the search
 itself runs on Python ints with exact isqrt bounds.
-A ball compiles its level search once into straight-line Python
-(level_source), with the form's constants inlined: one generated function
-per depth, each looping one coordinate over its exact range and handing the
-next the budget left and the partial centres of the earlier coordinates;
-the last coordinate is solved instead of looped over.  The shell walk
-(_IntegerBall.shell) walks the same ball, one generator per depth
-(_IntegerBall.tails), up to a bound and from an integer lower bound, which
-only the innermost coordinate can skip below: enumerate_quadratic_upto is
-the walk with no lower bound, and QuadraticForm.levels buckets the walk's
-points by their integer values, the levels of a band in one walk.
+A ball compiles its search once into straight-line Python (level_source),
+with the form's constants inlined: one generated function per depth, each
+looping one coordinate over its exact range and handing the next the budget
+left and the partial centres of the earlier coordinates.  The last
+coordinate comes in two variants, of which a call picks one: a single level
+solves it instead of looping over it, and a band, up to a bound and from an
+integer lower bound, steps it over the two ranges that keep the value at or
+above that bound.
+enumerate_quadratic_upto is the band from below the form's least value, and
+QuadraticForm.levels buckets a band's points by their integer values, the
+levels of a band in one search.
 QuadraticForm.level_numerators lists the points of a level as sorted
 integer rows C m, and QuadraticForm.level divides them by Q with one
 Fraction per distinct value, shared by every point of the level.
@@ -39,7 +40,7 @@ testing the span equations; its source (kernel_source) is one factory per
 shape (point length, number of equations), compiled once, of which each
 kernel is a closure; a membership kernel (compile_membership) is
 SpanSolver.in_lattice built the same way, with the same point reader
-(_point_factory).  The generated source of all four, affine maps, level
+(_point_factory).  The generated source of all four, affine maps, ball
 searches, kernel and membership factories, runs only through _define, and
 it finds isqrt, lcm and Fraction among this module's globals.
 memo, the attribute cache of every corelat class, lives here as the lowest
@@ -391,8 +392,12 @@ def _ldl(a):
 
 
 def level_source(S, e, Su, c0, scale, offset):
-    """The Python source of `def level(T)`, the list of points on the integer
-    level T of the _IntegerBall with these constants, in the order of tails.
+    """The Python source of `def level(T, low=None)`, the search of the
+    _IntegerBall with these constants.  Without low it lists the points on
+    the integer level T; with an integer low it lists (t, m) for every point m
+    of the ball of the bound T whose integer value t is at least low, the
+    levels low .. T in one search.  Both come in ascending order of
+    (m_{k-1}, ..., m_0).
 
     Depth i loops m_i over its exact range -((r + q_i) // S) .. (r - q_i) // S,
     where b is the budget the later coordinates left, r = isqrt(b // e_i)
@@ -401,10 +406,16 @@ def level_source(S, e, Su, c0, scale, offset):
     centre plus its non-zero Su[i][l] m_i term.  A centre that no later
     coordinate moves is its literal c0_l, so a depth takes as parameters only
     the centres that move, and the depths above 2 record their coordinate in
-    the list tail.  Depth 1 runs inline in depth 2 (in level at rank 2) and
-    solves m_0: R_0 must be divisible by e_0 with R_0 / e_0 = x^2, then
-    Y_0 = -x before x (0 once) and m_0 = (Y_0 - S c_0) / S where S divides
-    it; rank 1 solves m_0 in level itself.  The depths are separate
+    the list tail.  Depth 1 runs inline in depth 2 (in level at rank 2), and
+    m_0 comes in two variants, of which a call picks one by defining d2 (at
+    rank 2 and below, running the depths below 3) under `if low is None`.
+    The one-level variant solves m_0: R_0 must be divisible by e_0 with
+    R_0 / e_0 = x^2, then Y_0 = -x before x (0 once) and m_0 = (Y_0 - S c_0) / S
+    where S divides it; rank 1 solves m_0 in level itself.  The band variant
+    steps m_0: a point leaves the budget R_0 - e_0 Y_0^2 = scale (T - t), so
+    t >= low keeps e_0 Y_0^2 >= R_0 - width for width = scale (T - low), and
+    m_0 skips the interval |Y_0| < s inside it, s the least root of that
+    bound, running over the two ranges of m_0 left.  The depths are separate
     functions, not nested loops of one, because CPython refuses more than 20
     statically nested blocks and ranks go to 50.  Every constant is an int
     literal, refused before any source is built otherwise (_require_ints).
@@ -433,9 +444,29 @@ if not rem:
             if not rem:
                 append({point})""".splitlines()
 
-    def loop(i, b, q):
+    def step(budget, centre):
+        """The lines appending (t, m) for every m_0 inside the budget whose
+        value t is at least low."""
+        emit = f"""\
+    y = {S}*m0 + c
+    append((T - (R - {e[0]}*y*y) // {scale}, {point}))"""
+        return f"""\
+R, c = {budget}, {centre}
+r = isqrt(R // {e[0]})
+top = (r - c) // {S} + 1
+if R > width:
+    s = isqrt((R - width - 1) // {e[0]}) + 1
+    below, above = (-s - c) // {S} + 1, -((c - s) // {S})
+else:
+    below = above = top
+for m0 in range(-((r + c) // {S}), below):
+{emit}
+for m0 in range(above, top):
+{emit}""".splitlines()
+
+    def loop(i, b, q, last):
         """The lines of depth i >= 1, given the source of its budget b and of
-        each centre S c_l (l <= i)."""
+        each centre S c_l (l <= i); depth 1 ends in last, solve or step."""
         passed = [_sum(q[l], _times(Su[i][l], f"m{i}")) if Su[i][l] else q[l] for l in range(i)]
         budget = f"{b} - {e[i]}*y*y"
         lines = [f"r = isqrt({b} // {e[i]})",
@@ -444,33 +475,48 @@ if not rem:
                  *[f"    tail[{i}] = m{i}"] * (i > 2),
                  f"    y = {_sum(f'{S}*m{i}', q[i])}"]
         if i == 1:
-            body = solve(budget, passed[0])
+            body = last(budget, passed[0])
         elif i == 2:
             # depth 1 runs inline, on locals for its budget and centres
-            body = [f"b1, p0, p1 = {budget}, {passed[0]}, {passed[1]}", *loop(1, "b1", ["p0", "p1"])]
+            body = [f"b1, p0, p1 = {budget}, {passed[0]}, {passed[1]}",
+                    *loop(1, "b1", ["p0", "p1"], last)]
         else:
             body = [f"d{i - 1}({budget}, {_args(passed[l] for l in range(i) if moved(l, i - 1))})"]
         return lines + [f"    {line}" for line in body]
 
+    def depth(i, last=None):
+        """The lines defining d{i}."""
+        return [f"def d{i}(b, {_args(f'q{l}' for l in range(i + 1) if moved(l, i))}):",
+                *(f"    {line}" for line in loop(i, "b", [f"q{l}" if moved(l, i) else str(c0[l])
+                                                         for l in range(i + 1)], last))]
+
+    def innermost(last):
+        """The lines of the depths below 3, which end in last."""
+        if k == 0:
+            # the one point () has value 0
+            return (["if not b:", "    append(())"] if last is solve
+                    else ["if low <= 0:", "    append((0, ()))"])
+        if k == 1:
+            return last("b", c0[0])
+        if k == 2:
+            return loop(1, "b", list(map(str, c0)), last)
+        return depth(2, last)
+
     lines = [f"b = {scale}*T + {offset}", "if b < 0:", "    return []", "points = []",
-             "append = points.append", *[f"tail = [0] * {k}"] * (k > 3)]
-    for i in range(2, k):
-        lines += [f"def d{i}(b, {_args(f'q{l}' for l in range(i + 1) if moved(l, i))}):",
-                  *(f"    {line}" for line in loop(i, "b", [f"q{l}" if moved(l, i) else str(c0[l])
-                                                             for l in range(i + 1)]))]
-    if k == 0:
-        lines += ["if not b:", "    append(())"]
-    elif k == 1:
-        lines += solve("b", c0[0])
-    elif k == 2:
-        lines += loop(1, "b", list(map(str, c0)))
-    else:
+             "append = points.append", *[f"tail = [0] * {k}"] * (k > 3),
+             "if low is None:", *(f"    {line}" for line in innermost(solve)),
+             "else:", f"    width = {scale}*(T - low)",
+             *(f"    {line}" for line in innermost(step))]
+    for i in range(3, k):
+        lines += depth(i)
+    if k > 2:
         lines.append(f"d{k - 1}(b)")
-    return "def level(T):\n" + "".join(f"    {line}\n" for line in lines + ["return points"])
+    lines.append("return points")
+    return "def level(T, low=None):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def compile_level(S, e, Su, c0, scale, offset):
-    """The function T -> level points of level_source, built once by exec."""
+    """The function level(T, low=None) of level_source, built once by exec."""
     return _define(level_source(S, e, Su, c0, scale, offset), "level")
 
 
@@ -494,11 +540,14 @@ class _IntegerBall:
     to the partial centres of the earlier coordinates, so a search carries
     each centre down from its parent's instead of summing it afresh.
 
-    The ball compiles its level search when built: level(T) is the list of
-    points with D (m^T a m + b.m) = T, from the straight-line source of
-    level_source with these constants inlined, one function per depth
-    above 1.  tails walks the same ball for the shell walk (shell), which
-    enumerate_quadratic_upto and QuadraticForm.levels run.
+    The ball compiles its search when built, from the straight-line source
+    of level_source with these constants inlined, one function per depth
+    above 1: level(T) is the list of points with D (m^T a m + b.m) = T, and
+    level(T, low) the list of (t, m) for every point of the ball of the
+    bound T whose integer value t = D (m^T a m + b.m) is at least low, which
+    enumerate_quadratic_upto and QuadraticForm.levels run.  Every value is at
+    least -offset / scale, the value at the centre, so a low at or below it
+    bounds nothing.
     """
 
     def __init__(self, a, b):
@@ -524,86 +573,20 @@ class _IntegerBall:
         self.offset = sum(e * c * c for e, c in zip(self.e, self.c0))
         self.level = compile_level(S, self.e, self.Su, self.c0, self.scale, self.offset)
 
-    def tails(self, m, T):
-        """Set m_{k-1}, ..., m_1 in place to every choice inside the ball of
-        the integer bound T, in ascending order, and yield (R_0, S c_0) each
-        time: the budget left for m_0 and its centre.
-
-        Depth i loops m_i over its exact range, given its parent's budget b
-        and partial centres Q[l] = S c_l (l <= i), and hands depth i - 1 the
-        budget left and the centres Q[l] + Su[i][l] m_i, from all of R and c0.
-        """
-        R = self.scale * T + self.offset
-        if R < 0:
-            return
-        S, e, Su = self.S, self.e, self.Su
-
-        def depth(i, b, Q):
-            c, r, u = Q[i], isqrt(b // e[i]), Su[i]
-            if i == 1:
-                # depth 0 yields at once, so depth 1 yields for it
-                q0, u0, e1 = Q[0], u[0], e[1]
-                for mi in range(-((r + c) // S), (r - c) // S + 1):
-                    m[1] = mi
-                    y = S * mi + c
-                    yield b - e1 * y * y, q0 + u0 * mi
-                return
-            for mi in range(-((r + c) // S), (r - c) // S + 1):
-                m[i] = mi
-                y = S * mi + c
-                yield from depth(i - 1, b - e[i] * y * y, [Q[l] + u[l] * mi for l in range(i)])
-
-        if len(m) == 1:
-            yield R, self.c0[0]
-        else:
-            yield from depth(len(m) - 1, R, self.c0)
-
-    def shell(self, low, T):
-        """Yield (t, m) for every m of the ball of the integer bound T whose
-        integer value t = D (m^T a m + b.m) is at least low (None: no lower
-        bound), in ascending order of (m_{k-1}, ..., m_0).
-
-        One walk of tails: a point leaves m_0 the budget b - e_0 Y_0^2 =
-        scale (T - t), so t >= low keeps e_0 Y_0^2 >= b - scale (T - low),
-        and m_0 skips the interval |Y_0| < s inside it, s the least root of
-        that bound, running over the two ranges of m_0 left.
-        """
-        k = len(self.e)
-        if k == 0:
-            if 0 <= T and (low is None or low <= 0):
-                yield 0, ()
-            return
-        S, e0, scale = self.S, self.e[0], self.scale
-        width = None if low is None else scale * (T - low)
-        m = [0] * k
-        for budget, c in self.tails(m, T):
-            r = isqrt(budget // e0)
-            if width is not None and (inner := budget - width) > 0:
-                # -r <= Y_0 <= -s and s <= Y_0 <= r, empty where s > r
-                s = isqrt((inner - 1) // e0) + 1
-                ranges = (range(-((r + c) // S), (-s - c) // S + 1),
-                          range(-((c - s) // S), (r - c) // S + 1))
-            else:
-                ranges = (range(-((r + c) // S), (r - c) // S + 1),)
-            for m0s in ranges:
-                for m0 in m0s:
-                    m[0] = m0
-                    y = S * m0 + c
-                    yield T - (budget - e0 * y * y) // scale, tuple(m)
-
 
 def enumerate_quadratic_upto(ball, bound):
     """Integer points of a positive-definite quadratic below a bound.
 
     Yields (value, m) for every m in Z^k with value = m^T a m + b.m <= bound,
     in ascending order of (m_{k-1}, ..., m_0), where ball is the form's
-    _IntegerBall: its shell walk with no lower bound.  Complete by
-    construction: every coordinate range is an exact integer bound of the
-    ball, which serves every bound and target.
+    _IntegerBall: its compiled band search (level_source) from a lower bound
+    below the form's least value.  Complete by construction: every
+    coordinate range is an exact integer bound of the ball, which serves
+    every bound and target.
     """
     # every value lies in (1/D) Z, so value <= bound exactly when D value <= T
     D = ball.D
-    for t, m in ball.shell(None, math.floor(Fraction(bound) * D)):
+    for t, m in ball.level(math.floor(Fraction(bound) * D), -ball.offset // ball.scale):
         yield Fraction(t, D), m
 
 
@@ -636,9 +619,10 @@ class QuadraticForm:
     the lcm Q of their denominators, one row per coordinate, and numerators
     is m -> C m, compiled when the form is built (compile_affine).  level
     speaks in coordinates, level_coefficients in coefficients, and levels
-    gives the level_coefficients of a band of levels from one walk.  The form
-    keeps its compiled search, ball, built on first use, so every level and
-    bound asked of one form (enumerate_quadratic_upto on the ball) shares it.
+    gives the level_coefficients of a band of levels from one search.  The
+    form keeps its compiled search, ball, built on first use, so every level
+    and bound asked of one form (enumerate_quadratic_upto on the ball)
+    shares it.
     A form pickles as (a, b, basis), and its compiled parts are rebuilt on
     the other side.
     """
@@ -691,14 +675,14 @@ class QuadraticForm:
 
     def levels(self, lo, hi):
         """{n: level_coefficients(n)} for each integer level lo <= n < hi,
-        from one walk of the ball's shell between D lo and D (hi - 1)
-        (_IntegerBall.shell): each point is bucketed by its integer value t,
-        at level t / D where D divides t, and each level sorted as
+        from one band search of the ball between D lo and D (hi - 1)
+        (level_source): each point is bucketed by its integer value t, at
+        level t / D where D divides t, and each level sorted as
         level_coefficients sorts it."""
         if lo >= hi:
             return {}
         D, found = self.ball.D, {n: [] for n in range(lo, hi)}
-        for t, m in self.ball.shell(D * lo, D * (hi - 1)):
+        for t, m in self.ball.level(D * (hi - 1), D * lo):
             n, rem = divmod(t, D)
             if not rem:
                 found[n].append(m)

@@ -23,8 +23,8 @@ map T_j of layer 0 (ParamCase.layer_transforms); where the +-T_j are C6's
 rotations (ParamCase.layers_tile_c6), the extended row's per-point test is
 proved and it reads no layer.  FAIL is data, never raised.  A sweep
 decides its levels in bands (band_levels, run by verify_sweep,
-a3_conjecture_sweep and the CLI's tables): one walk of the lattice shell
-and one of the group's search per band (H's too) preset each LevelData's
+a3_conjecture_sweep and the CLI's tables): one band search of the lattice
+and one of the group's per band (H's too) preset each LevelData's
 coefficients and reps, and each level is then decided as on its own; the
 per-level path (verify_case, a3_conjecture_check) is the oracle.
 """
@@ -666,8 +666,9 @@ BAND = 32
 
 def band_levels(case, lo, hi):
     """LevelData(case, n) for n = lo, ..., hi - 1, fed in bands of BAND
-    levels: per band, one walk of the length form's shell (QuadraticForm.levels)
-    and one of the group's search (diophantine.solve_band) preset each
+    levels: per band, one band search of the length form's ball
+    (QuadraticForm.levels) and one of the group's search
+    (diophantine.solve_band) preset each
     level's coefficients and reps in the instance __dict__, which linalg.memo
     reads first; a level of a band the solve leaves (C6 or G_A3 off the
     sector path) solves, and raises, on its own, as LevelData(case, n) does.

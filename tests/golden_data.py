@@ -387,11 +387,12 @@ ENUMERATE_SHA256 = {
 ENUMERATE_PARTITIONS_SHA256 = "ea1f3a0bed7aeecf84fb64b1ab2fbf30ace422374c5c2541e0b3b3e8b0c5474b"
 
 
-# SHA-256 of the compiled level search of every form test_kernels.search_forms
-# lists: per form, its name, linalg.level_source of its ball's constants, the
-# ball's D and every entry of a and b as str(Fraction(x)), so that an int and
-# an equal Fraction hash the same
-COMPILED_SEARCH_SHA256 = "f9011ae13a41648b318ba3d75e002ad856c3c801742bb1c700bce85958d58c44"
+# SHA-256 of the compiled search of every form test_kernels.search_forms
+# lists, both its variants, the one-level solve and the band step: per form,
+# its name, linalg.level_source of its ball's constants, the ball's D and
+# every entry of a and b as str(Fraction(x)), so that an int and an equal
+# Fraction hash the same
+COMPILED_SEARCH_SHA256 = "35b2a1517d3fc2aa20a1eb32d99598b4c5428ce3ae0a90b7a35022f46459d36d"
 
 
 # SHA-256 of the concatenated stdout of `corelat solve --case <id> --N <n>

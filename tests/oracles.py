@@ -8,10 +8,12 @@ diophantine and linalg, kept here unchanged as differential oracles.
 RecursiveBall keeps the original recursive walk of a compiled
 linalg._IntegerBall, one generator per coordinate, each centre summed
 afresh from the later coordinates instead of handed down by its parent as
-_IntegerBall.tails does.  tails_level is the original
-linalg.enumerate_quadratic_level loop, which solves m_0 on each budget that
-tails yields, before each ball compiled its level search
-(linalg.level_source).  gram is the original Gram matrix of
+the compiled search (linalg.level_source) does.  tails_level is the
+original linalg.enumerate_quadratic_level loop on that walk, which solves
+m_0 on each budget it yields, before each ball compiled its level search,
+and tails_band the original band walk, with m_0 stepped over its whole
+range and the points below the band dropped afterwards, before the band
+search skipped them.  gram is the original Gram matrix of
 QuadraticForm.on_basis, kappa times a sum of Fraction products per entry,
 and length_form_parts the (a, b) of atomic.length_form from gram and the
 original Fraction callback for the linear part, before on_basis took an
@@ -422,7 +424,7 @@ def enumerate_quadratic_ball_level(a, b, target):
 
 def tails_level(ball, target):
     """Integer points with m^T a m + b.m exactly equal to target, from the
-    budgets and centres of ball.tails, in its order."""
+    budgets of a RecursiveBall's walk and the centres it sums, in its order."""
     k = len(ball.e)
     if k == 0:
         return [()] if target == 0 else []
@@ -432,7 +434,8 @@ def tails_level(ball, target):
     S, e0 = ball.S, ball.e[0]
     m = [0] * k
     points = []
-    for budget, c in ball.tails(m, int(T)):
+    for budget in ball.tails(m, int(T)):
+        c = ball.centre(0, m)
         q, rem = divmod(budget, e0)
         if rem:
             continue
@@ -444,6 +447,28 @@ def tails_level(ball, target):
             if not rem:
                 m[0] = m0
                 points.append(tuple(m))
+    return points
+
+
+def tails_band(ball, low, T):
+    """(t, m) for every point m of a RecursiveBall's walk under the integer
+    bound T whose integer value t = D (m^T a m + b.m) is at least low, in its
+    order: on each budget m_0 runs over its whole range, and t >= low is
+    tested on each point."""
+    k = len(ball.e)
+    if k == 0:
+        return [(0, ())] if low <= 0 <= T else []
+    S, e0, scale = ball.S, ball.e[0], ball.scale
+    m = [0] * k
+    points = []
+    for budget in ball.tails(m, T):
+        c, r = ball.centre(0, m), isqrt(budget // e0)
+        for m0 in range(-((r + c) // S), (r - c) // S + 1):
+            m[0] = m0
+            y = S * m0 + c
+            t = T - (budget - e0 * y * y) // scale
+            if t >= low:
+                points.append((t, tuple(m)))
     return points
 
 

@@ -600,8 +600,8 @@ def test_sweeps_write_and_flush_each_level_before_deciding_the_next(monkeypatch,
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_sweep_flushes_every_row_of_a_band_before_the_next_band_is_walked(monkeypatch,
                                                                              argv, fmt):
-    # two bands and one level of a third; each walk of the lattice shell and
-    # of the group's sector logs the output flushed before it starts
+    # two bands and one level of a third; each band search of the lattice
+    # and walk of the group's sector logs the output flushed before it starts
     log, walks = [], []
     levels, solve_band = linalg.QuadraticForm.levels, diophantine.solve_band
 

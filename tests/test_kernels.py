@@ -22,7 +22,7 @@ import oracles
 from golden_data import COMPILED_SEARCH_SHA256
 from oracles import (RecursiveBall, enumerate_quadratic_ball_level,
                      enumerate_quadratic_ball_upto, gram, length_form_parts, size_form,
-                     solve_diagonal_brute, tails_level)
+                     solve_diagonal_brute, tails_band, tails_level)
 from oracles import layer_image as oracle_layer_image, numerators as oracle_numerators
 
 
@@ -151,10 +151,10 @@ TARGETS = (0, 1, 2, 3, 5, 8, Fraction(1, 2), Fraction(7, 3), Fraction(11, 2))
 
 
 def assert_enumerators_agree(a, b, targets=TARGETS):
-    ball = linalg._IntegerBall(a, b)
+    ball, oracle = linalg._IntegerBall(a, b), RecursiveBall(a, b)
     for target in targets:
         # lists, not sets: the order of a level is part of its contract
-        assert (linalg.enumerate_quadratic_level(ball, target) == tails_level(ball, target)
+        assert (linalg.enumerate_quadratic_level(ball, target) == tails_level(oracle, target)
                 == enumerate_quadratic_ball_level(a, b, target))
         new = list(linalg.enumerate_quadratic_upto(ball, target))
         assert new == list(enumerate_quadratic_ball_upto(a, b, target))
@@ -222,9 +222,9 @@ def test_band_of_levels_matches_each_level_on_half_integer_kappa_forms(type_id):
 
 def test_band_of_levels_skips_fractional_only_levels():
     # value m^2 + m/2: m = 1 gives 3/2, between levels 1 and 2, which no
-    # point reaches; the shell of the band [1, 3) holds that point alone
+    # point reaches; the band search of [1, 3) holds that point alone
     form = linalg.QuadraticForm(((1,),), (Fraction(1, 2),), ((1,),))
-    assert list(form.ball.shell(2, 4)) == [(3, (1,))]
+    assert form.ball.level(4, 2) == [(3, (1,))]
     assert form.levels(1, 3) == {1: [], 2: []}
     assert_levels_agree(form, BANDS + ((1, 3), (-3, 2)))
     assert form.levels(0, 4) == {0: [(0,)], 1: [], 2: [], 3: [(-2,)]}
@@ -241,12 +241,13 @@ def test_enumerator_matches_oracle_on_core_size_forms(d):
                                           ("HYP:C21_1", 21)])
 def test_enumerator_matches_oracle_around_the_nesting_limit(type_id, rank):
     # CPython refuses more than 20 statically nested blocks; the compiled
-    # level search is one function per depth, so it builds and agrees on
-    # both sides of that limit
+    # search is one function per depth, so its level and its band variants
+    # build and agree on both sides of that limit
     form = (param.hyp_case(type_id[4:]).length if type_id.startswith("HYP:")
             else atomic.length_form(type_id, 0, "M"))
     assert len(form.a) == rank
     assert_enumerators_agree(form.a, form.b, (0, 1, 2))
+    assert_levels_agree(form, ((0, 3), (2, 3), (3, 3), (3, 1)))
 
 
 def test_a_level_below_the_minimum_is_empty():
@@ -256,7 +257,8 @@ def test_a_level_below_the_minimum_is_empty():
         ball = linalg._IntegerBall(a, b)
         assert (ball.scale, ball.offset) == (1, 0)
         for target in (-3, -2, -1, Fraction(-1, 2)):
-            assert linalg.enumerate_quadratic_level(ball, target) == tails_level(ball, target) == []
+            assert (linalg.enumerate_quadratic_level(ball, target)
+                    == tails_level(RecursiveBall(a, b), target) == [])
 
 
 def assert_gram_matches(form, kappa):
@@ -407,6 +409,9 @@ def test_repeated_levels_reuse_the_compiled_form(monkeypatch):
     form = linalg.QuadraticForm(size.a, size.b, size.basis)
     assert builds(lambda: ([form.level(n) for n in range(12)],
                            list(linalg.enumerate_quadratic_upto(form.ball, 11)))) == 1
+    # a level and a band of one form share its one compiled search
+    form = linalg.QuadraticForm(size.a, size.b, size.basis)
+    assert builds(lambda: (form.level_coefficients(7), form.levels(0, 12))) == 1
     assert builds(lambda: [enumerate_partitions(n, "core", 5) for n in range(21)]) == 1
     assert builds(sweep) > 1
     assert builds(sweep) == 0
@@ -436,6 +441,8 @@ def test_a_rank_zero_form_has_one_point_at_zero():
     assert form.level(0) == [()] and form.level(1) == []
     assert list(linalg.enumerate_quadratic_upto(form.ball, 0)) == [(0, ())]
     assert list(linalg.enumerate_quadratic_upto(form.ball, -1)) == []
+    assert form.levels(-2, 2) == {-2: [], -1: [], 0: [()], 1: []}
+    assert form.levels(1, 3) == {1: [], 2: []}
 
 
 def walk_forms():
@@ -455,31 +462,52 @@ def walk_forms():
 WALK_FORMS = walk_forms()
 
 
-def walk(ball, T, limit=None):
-    """(R_0, (m_1, ..., m_{k-1}), S c_0) at each step of ball.tails(m, T),
-    the first limit of them; the recursive oracle yields R_0 alone, and its
-    centre of m_0 is read off with centre(0, m)."""
-    m = [0] * len(ball.c0)
-    if isinstance(ball, RecursiveBall):
-        steps = ((budget, ball.centre(0, m)) for budget in ball.tails(m, T))
-    else:
-        steps = ball.tails(m, T)
-    return [(budget, tuple(m[1:]), c) for budget, c in itertools.islice(steps, limit)]
-
-
-def assert_walks_agree(a, b, bounds, limit=None):
+def assert_walks_agree(a, b, bounds):
+    """The compiled band search under each integer bound T against the
+    recursive oracle's walk of the whole ball (tails_band from
+    -offset // scale, which no value is below), filtered by value: the whole
+    ball, the band of the last eight values, and the level of T alone, whose
+    points are also the one-level search's."""
     ball, oracle = linalg._IntegerBall(a, b), RecursiveBall(a, b)
     for T in bounds:
-        assert walk(ball, T, limit) == walk(oracle, T, limit)
+        least = -ball.offset // ball.scale
+        whole = tails_band(oracle, least, T)
+        for low in (least, T - 7, T):
+            assert ball.level(T, low) == [(t, m) for t, m in whole if t >= low]
+        assert [m for _, m in ball.level(T, T)] == ball.level(T)
+
+
+def assert_large_bound_agrees(form):
+    """A level and a narrow band under an integer bound T >= 10^10, the
+    value of a point (x, 0, ..., 0) with x the least from
+    isqrt(10^10 / (D a_00)) up that reaches it: the level against the
+    recursive oracle's walk, and the band of the values T - 1 and T against
+    the two levels, merged in the walk's order."""
+    ball = form.ball
+    x = math.isqrt(10 ** 10 // int(ball.D * form.a[0][0]))
+
+    def value(x):
+        return ball.D * (form.a[0][0] * x * x + form.b[0] * x)
+
+    while value(x) < 10 ** 10:
+        x += 1
+    T, m = int(value(x)), (x,) + (0,) * (len(form.a) - 1)
+    level = ball.level(T)
+    assert m in level and level == tails_level(RecursiveBall(form.a, form.b), Fraction(T, ball.D))
+    band = sorted(((t, p) for t in (T - 1, T) for p in ball.level(t)),
+                  key=lambda point: point[1][::-1])
+    assert ball.level(T, T - 1) == band
 
 
 @pytest.mark.parametrize("name", sorted(WALK_FORMS))
 def test_one_frame_walk_matches_the_recursive_oracle(name):
     # every integer bound up to 60 (and a few below 0, where small balls
-    # are empty), then a prefix of the walk under one large bound
+    # are empty); at ranks 1 and 2, whose searches a large bound leaves
+    # short, a level and a band under one large bound too
     form = WALK_FORMS[name]
     assert_walks_agree(form.a, form.b, range(-5, 61))
-    assert_walks_agree(form.a, form.b, (10 ** 12,), limit=3000)
+    if len(form.a) <= 2:
+        assert_large_bound_agrees(form)
 
 
 def test_walk_forms_cover_every_depth_case_and_a_denominator():
@@ -562,11 +590,16 @@ def test_one_frame_walk_matches_the_recursive_oracle_on_random_rational_forms(ca
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_shell_walk_is_the_ball_walk_above_its_lower_bound(case, low, width):
     # the lower bound only skips points: the same points, in the same order,
-    # as the ball's walk filtered by value
+    # as the recursive oracle's walk and the Fraction ball walk, each
+    # filtered by value
     a, b, _ = case
     ball = linalg._IntegerBall(a, b)
     T = low + width
-    assert list(ball.shell(low, T)) == [(t, m) for t, m in ball.shell(None, T) if t >= low]
+    band = ball.level(T, low)
+    assert band == tails_band(RecursiveBall(a, b), low, T)
+    assert band == [(value * ball.D, m)
+                    for value, m in enumerate_quadratic_ball_upto(a, b, Fraction(T, ball.D))
+                    if value * ball.D >= low]
 
 
 @given(rational_forms(), st.integers(-2, 20), st.integers(-1, 8))
