@@ -26,7 +26,11 @@ decides its levels in bands (band_levels, run by verify_sweep,
 a3_conjecture_sweep and the CLI's tables): one band search of the lattice
 and one of the group's per band (H's too) preset each LevelData's
 coefficients and reps, and each level is then decided as on its own; the
-per-level path (verify_case, a3_conjecture_check) is the oracle.
+per-level path (verify_case, a3_conjecture_check) is the oracle.  A
+LevelData is made with its right-hand side k = a N + b.  The A3 strata's
+flags (_strata_flags) are read off the representatives, by the
+stratified row's screen and by a3_strata, which alone lists each
+stratum's points.
 """
 
 import itertools
@@ -338,10 +342,12 @@ def layer_image(case, j, q):
 class LevelData:
     """Everything the claims of one case read at one level N.
 
-    Each part is computed when a check first reads it and kept, so a level
-    solves its equation and enumerates its lattice points once.  The claims
-    read U through reps and solution_count; only the solve and table
-    commands and a3_strata list U in full.
+    k, the right-hand side a N + b of the case's equation at level N, is
+    set when the level is made.  Every other part is computed when a check
+    first reads it and kept, so a level solves its equation and enumerates
+    its lattice points once.  The claims read U through reps and
+    solution_count; only the solve and table commands and a3_strata list U
+    in full.
     """
     case: ParamCase
     n: int
@@ -349,11 +355,7 @@ class LevelData:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"level N must be non-negative, got {self.n}")
-
-    @linalg.memo
-    def k(self):
-        """The right-hand side a N + b of the case's equation at level N."""
-        return self.case.equation_value(self.n)
+        self.k = self.case.equation_value(self.n)
 
     @linalg.memo
     def solutions(self):
@@ -401,7 +403,7 @@ class LevelData:
 
     def first_orbit(self, reps):
         """The sorted orbit of least minimum among those of reps, for a witness."""
-        return min(sorted(diophantine.orbit(self.case.group, r)) for r in reps)
+        return min(sorted(self.case.action.orbit(r)) for r in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -716,21 +718,14 @@ class A3Strata:
 
 def a3_strata(n):
     """Stratify U(48N+30) by the middle coordinate and test the emptiness
-    rule.  Only this lists each stratum's points; the stratified row's
-    screen reads the same flags (_strata_flags) off the representatives."""
-    level = LevelData(CASES["A3"], n)
-    return _stratify(level, level.solutions)
-
-
-def _stratify(level, sols):
-    """a3_strata from points of U(k), k = 48N+30 the level's, that meet every
-    stratum: the sorted points of each stratum, and _strata_flags on one
-    point per stratum."""
-    by_y = {}
-    for s in sols:
-        by_y.setdefault(s[1], []).append(s)
-    gamma, *flags = _strata_flags(level.k, {y: v[0] for y, v in by_y.items()})
-    return A3Strata(level.n, gamma, {y: sorted(v) for y, v in by_y.items()}, *flags)
+    rule.  The flags are _strata_flags on the representatives, as the
+    stratified row's screen reads them: G_A3 fixes y, so they meet exactly
+    the strata that U meets.  Only this lists each stratum's points."""
+    level, strata = LevelData(CASES["A3"], n), {}
+    for s in level.solutions:
+        strata.setdefault(s[1], []).append(s)
+    gamma, *flags = _strata_flags(level.k, {r[1]: r for r in level.reps})
+    return A3Strata(n, gamma, strata, *flags)
 
 
 def _strata_flags(k, met):

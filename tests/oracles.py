@@ -68,9 +68,10 @@ claim checks, representatives and is_action_free, the original
 diophantine.is_action_free, read it, so no partition they use goes through
 canonical or orbit_size.  det, h_statistic, theta (the marked root, once in
 dynkin), A3Stratum and stratum are helpers that only the tests call.
-stratify is the original param._stratify, whose omega test scans every m
-in [-radius, radius] and filters on m mod 3 per m; check_stratified reads
-it.
+stratify is the original stratification of param.a3_strata, which read
+its flags off one point of each stratum of all of U and whose omega test
+scans every m in [-radius, radius], filtering on m mod 3 per m;
+check_stratified reads it.
 
 lascoux_orbit is the original weyl.lascoux_orbit, which toggles every
 addable or removable box of the letter's residue, and charge_symmetric, once
@@ -1071,9 +1072,9 @@ def stratum(strata, y):
 
 
 def stratify(level, sols):
-    """param._stratify as it first scanned each omega test: every m in
-    [-radius, radius], both residue classes mod 3 tested per m.  k is the
-    level's right-hand side, 48N+30 for A3 itself."""
+    """param.a3_strata on the points sols of U, as it first scanned each
+    omega test: every m in [-radius, radius], both residue classes mod 3
+    tested per m.  k is the level's right-hand side, 48N+30 for A3 itself."""
     n, k = level.n, level.k
     by_y = {}
     for s in sols:

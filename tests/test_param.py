@@ -162,13 +162,16 @@ def test_gamma_121():
 
 
 def test_stratify_matches_the_full_omega_scan():
-    # the scan over m >= 0 in the accepted residue classes decides every
-    # omega test as the scan over all of [-radius, radius] did; with no
-    # points, each non-empty omega breaks the emptiness rule
+    # a3_strata, its flags read off the representatives, stratifies all of
+    # U as the oracle does, whose omega test scans all of [-radius, radius]
+    # where _strata_flags scans m >= 0 in the accepted residue classes; with
+    # no points, each non-empty omega breaks the emptiness rule
     for n in range(301):
         level = param.LevelData(get_case("A3"), n)
-        for points in (level.reps, ()):
-            assert param._stratify(level, points) == oracles.stratify(level, points), n
+        assert a3_strata(n) == oracles.stratify(level, level.solutions), n
+        none = oracles.stratify(level, ())
+        assert param._strata_flags(level.k, {}) == (
+            none.gamma, none.nonempty_iff_omega, none.partition_ok, none.all_y_odd), n
 
 
 def test_a3_props_and_conjecture_small():
@@ -1199,6 +1202,32 @@ def test_stratified_row_matches_the_oracle_on_shifted_offsets():
         report = _checks_agree(param.check_stratified, oracles.check_stratified, shifted, n)
         reasons.add(report["witness"]["reason"] if report["witness"] else "PASS")
     assert "layer image off the quadric" in reasons
+
+
+def test_a_stratum_the_sector_search_misses_breaks_the_emptiness_rule(monkeypatch):
+    # the G_A3 walker drops one stratum's representatives at one level of
+    # the second band: the cross-check of the screen, not a changed b, must
+    # catch it there, on the band path and on its own, and nowhere else
+    case, target, top = get_case("A3"), 40, 2 * param.BAND + 5
+    k = case.equation_value(target)
+    # the solve builds the walker's _SOLVERS entry, if no test has yet
+    dropped = diophantine.solve_diagonal(case.form, k, case.group)[-1][1]
+    walk = diophantine._SOLVERS[case.form, case.group]
+
+    def missing_one_stratum(ks):
+        return {key: [r for r in reps if key != k or r[1] != dropped]
+                for key, reps in walk(ks).items()}
+
+    monkeypatch.setitem(diophantine._SOLVERS, (case.form, case.group), missing_one_stratum)
+    swept = list(param.verify_sweep("A3", top))
+    assert [r.N for r in swept] == list(range(top + 1))
+    for n, report in enumerate(swept):
+        alone = verify_case("A3", n)
+        assert report.to_dict() == alone.to_dict(), n
+        if n == target:
+            assert report.witness == {"reason": "emptiness rule violated"}
+        else:
+            assert report.passed, n
 
 
 def test_x2_3z2_rule_matches_a_brute_force_table():
